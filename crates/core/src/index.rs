@@ -422,53 +422,84 @@ impl PmLsh {
     /// work), and the live-count-derived candidate budget `βn + k`
     /// re-derives lazily from the final `n`. The engine layer adds the
     /// big win on top — one copy-on-write clone and one epoch bump per
-    /// batch (`pm_lsh_engine::Engine::apply`).
+    /// batch (`pm_lsh_engine::Engine::apply`, through
+    /// [`PmLsh::apply_cow`]).
     ///
     /// Unlike the asserting single-op [`PmLsh::insert`], malformed
     /// vectors (wrong dimensionality, non-finite components) are typed
     /// rejections here. The one batch-only rule: a delete that would
     /// empty the index is rejected with [`MutReject::WouldEmpty`].
     pub fn apply(&mut self, ops: &[MutOp]) -> Vec<Result<pm_lsh_metric::PointId, MutReject>> {
-        let dim = self.data.dim();
-        let mut results = Vec::with_capacity(ops.len());
-        let mut changed = false;
-        for op in ops {
-            let res = match op {
-                MutOp::Insert(point) => {
-                    if point.len() != dim {
-                        Err(MutReject::WrongDim {
-                            expected: dim,
-                            got: point.len(),
-                        })
-                    } else if !point.iter().all(|v| v.is_finite()) {
-                        Err(MutReject::NonFinite)
-                    } else {
-                        let id = self.data.len() as pm_lsh_metric::PointId;
-                        let projected = self.projector.project(point);
-                        Arc::make_mut(&mut self.data).push(point);
-                        self.tree.insert(&projected, id);
-                        changed = true;
-                        Ok(id)
-                    }
-                }
-                MutOp::Delete(id) => {
-                    if !self.tree.contains_external(*id) {
-                        Err(MutReject::UnknownId(*id))
-                    } else if self.tree.len() == 1 {
-                        Err(MutReject::WouldEmpty)
-                    } else {
-                        self.tree.delete(*id);
-                        changed = true;
-                        Ok(*id)
-                    }
-                }
-            };
-            results.push(res);
-        }
-        if changed {
+        let results: Vec<_> = ops
+            .iter()
+            .map(|op| self.admit(op).map(|()| self.patch(op)))
+            .collect();
+        if results.iter().any(Result::is_ok) {
             self.rmin_memo = RminMemo::new();
         }
         results
+    }
+
+    /// The copy-on-write form of [`PmLsh::apply`], for serving layers
+    /// that publish immutable snapshots: `self` is never touched, and the
+    /// O(n) clone is paid only by the first op that is actually admitted.
+    /// Returns the patched clone — `None` when every op was rejected (or
+    /// `ops` is empty), so a refused mutation costs no clone at all —
+    /// beside the same per-op results [`PmLsh::apply`] reports.
+    pub fn apply_cow(
+        &self,
+        ops: &[MutOp],
+    ) -> (Option<Self>, Vec<Result<pm_lsh_metric::PointId, MutReject>>) {
+        let mut next: Option<Self> = None;
+        let results = ops
+            .iter()
+            .map(|op| {
+                next.as_ref().unwrap_or(self).admit(op)?;
+                Ok(next.get_or_insert_with(|| self.clone()).patch(op))
+            })
+            .collect();
+        if let Some(next) = &mut next {
+            next.rmin_memo = RminMemo::new();
+        }
+        (next, results)
+    }
+
+    /// Whether `op` applies to the index as it stands — the one per-op
+    /// check behind [`PmLsh::apply`] and [`PmLsh::apply_cow`].
+    fn admit(&self, op: &MutOp) -> Result<(), MutReject> {
+        match op {
+            MutOp::Insert(point) if point.len() != self.data.dim() => Err(MutReject::WrongDim {
+                expected: self.data.dim(),
+                got: point.len(),
+            }),
+            MutOp::Insert(point) if !point.iter().all(|v| v.is_finite()) => {
+                Err(MutReject::NonFinite)
+            }
+            MutOp::Delete(id) if !self.tree.contains_external(*id) => {
+                Err(MutReject::UnknownId(*id))
+            }
+            MutOp::Delete(_) if self.tree.len() == 1 => Err(MutReject::WouldEmpty),
+            _ => Ok(()),
+        }
+    }
+
+    /// Patches one op [`PmLsh::admit`] accepted into the index, returning
+    /// the inserted or deleted id. The memoized `r_min` slots are the
+    /// caller's to reset, once per batch.
+    fn patch(&mut self, op: &MutOp) -> pm_lsh_metric::PointId {
+        match op {
+            MutOp::Insert(point) => {
+                let id = self.data.len() as pm_lsh_metric::PointId;
+                let projected = self.projector.project(point);
+                Arc::make_mut(&mut self.data).push(point);
+                self.tree.insert(&projected, id);
+                id
+            }
+            MutOp::Delete(id) => {
+                self.tree.delete(*id);
+                *id
+            }
+        }
     }
 
     /// The effective parameters.

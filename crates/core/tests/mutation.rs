@@ -166,6 +166,56 @@ fn apply_batches_stay_in_lock_step_with_single_op_mutations() {
     }
 }
 
+/// `apply_cow` pays its clone only for an op that is admitted: a batch
+/// whose every op is refused (or an empty one) hands back no index at
+/// all — what keeps a refused `DELETE <unknown id>` O(1) when serving
+/// layers route single ops through the batch path.
+#[test]
+fn apply_cow_clones_only_for_an_admitted_op() {
+    let index = PmLsh::build(blob(20, 4, 343), PmLshParams::default());
+    let refused = [
+        MutOp::Delete(999),
+        MutOp::Insert(vec![1.0; 3]),
+        MutOp::Insert(vec![f32::NAN; 4]),
+    ];
+    let (next, results) = index.apply_cow(&refused);
+    assert!(next.is_none(), "an all-refused batch must not clone");
+    assert_eq!(
+        results,
+        vec![
+            Err(MutReject::UnknownId(999)),
+            Err(MutReject::WrongDim {
+                expected: 4,
+                got: 3
+            }),
+            Err(MutReject::NonFinite),
+        ]
+    );
+    assert!(index.apply_cow(&[]).0.is_none());
+
+    // An admitted op lands on a clone exactly as `apply` lands it in
+    // place — same results, same structure, bit-identical answers — and
+    // the receiver is untouched.
+    let ops = [
+        MutOp::Delete(999),
+        MutOp::Delete(3),
+        MutOp::Insert(vec![0.5; 4]),
+        MutOp::Delete(20), // the id the insert above was given
+        MutOp::Delete(3),
+    ];
+    let (next, results) = index.apply_cow(&ops);
+    let next = next.expect("an op was admitted");
+    let mut in_place = index.clone();
+    assert_eq!(results, in_place.apply(&ops));
+    assert_eq!(next.live_ids(), in_place.live_ids());
+    next.tree().check_invariants();
+    let q = [0.25f32; 4];
+    let (a, b) = (next.query(&q, 5), in_place.query(&q, 5));
+    assert_eq!(a.neighbors, b.neighbors);
+    assert_eq!(a.stats, b.stats);
+    assert!(index.contains(3) && index.len() == 20, "receiver mutated");
+}
+
 #[test]
 fn delete_all_then_reinsert_recovers_query_quality() {
     let d = 8;

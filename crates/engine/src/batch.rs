@@ -1,39 +1,26 @@
 //! The micro-batching request queue in front of the worker pool.
 //!
-//! Single blocking queries (the TCP serving path: many connections, one
-//! query each) enter through a bounded channel. A collector thread groups
-//! whatever is waiting — up to `batch_size` requests, waiting at most
+//! Single queries (the TCP serving path: many connections, one query
+//! each) enter through a bounded channel as ready-to-run [`QueryJob`]s —
+//! the batcher has no request type of its own. A collector thread
+//! groups whatever is waiting — up to `batch_size` jobs, waiting at most
 //! `max_wait` after the first — and hands the group to the pool as one
 //! shard per worker. Coalescing amortizes channel and mutex traffic over
 //! several queries and gives the engine a natural backpressure point: when
 //! the queue is full, callers block instead of piling unbounded work onto
 //! the pool.
 
-use crate::pool::{QueryJob, ReplySink, WorkerPool};
+use crate::pool::{QueryJob, WorkerPool};
 use crate::stats::StatsCollector;
-use pm_lsh_core::PmLsh;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One request waiting to be micro-batched.
-pub(crate) struct Request {
-    /// The snapshot pinned for this request at enqueue time.
-    pub snapshot: Arc<PmLsh>,
-    pub query: Vec<f32>,
-    pub k: usize,
-    /// Per-shard leg of a scatter-gather query (see
-    /// [`QueryJob::fanout_budget`]).
-    pub fanout_budget: Option<usize>,
-    pub enqueued: Instant,
-    pub reply: ReplySink,
-}
-
 /// The bounded queue plus its collector thread. Dropping it closes the
 /// queue and joins the collector (which flushes whatever is pending).
 pub(crate) struct BatchQueue {
-    requests: Option<SyncSender<Request>>,
+    requests: Option<SyncSender<QueryJob>>,
     collector: Option<JoinHandle<()>>,
 }
 
@@ -45,7 +32,7 @@ impl BatchQueue {
         max_wait: Duration,
         queue_depth: usize,
     ) -> Self {
-        let (tx, rx) = sync_channel::<Request>(queue_depth.max(1));
+        let (tx, rx) = sync_channel::<QueryJob>(queue_depth.max(1));
         let batch_size = batch_size.max(1);
         let collector = std::thread::Builder::new()
             .name("pmlsh-batcher".to_string())
@@ -58,11 +45,11 @@ impl BatchQueue {
     }
 
     /// Enqueues one request, blocking when the queue is full (backpressure).
-    pub(crate) fn enqueue(&self, request: Request) {
+    pub(crate) fn enqueue(&self, job: QueryJob) {
         self.requests
             .as_ref()
             .expect("batch queue already shut down")
-            .send(request)
+            .send(job)
             .expect("engine batcher exited");
     }
 }
@@ -77,7 +64,7 @@ impl Drop for BatchQueue {
 }
 
 fn collector_loop(
-    rx: &Receiver<Request>,
+    rx: &Receiver<QueryJob>,
     pool: &WorkerPool,
     stats: &StatsCollector,
     batch_size: usize,
@@ -95,7 +82,7 @@ fn collector_loop(
                 break;
             }
             match rx.recv_timeout(deadline - now) {
-                Ok(request) => batch.push(request),
+                Ok(job) => batch.push(job),
                 Err(RecvTimeoutError::Timeout) => break,
                 Err(RecvTimeoutError::Disconnected) => {
                     disconnected = true;
@@ -104,19 +91,7 @@ fn collector_loop(
             }
         }
         stats.record_batch(batch.len());
-        let jobs: Vec<QueryJob> = batch
-            .into_iter()
-            .map(|request| QueryJob {
-                slot: 0,
-                snapshot: request.snapshot,
-                query: request.query,
-                k: request.k,
-                fanout_budget: request.fanout_budget,
-                enqueued: request.enqueued,
-                reply: request.reply,
-            })
-            .collect();
-        pool.submit_sharded(jobs);
+        pool.submit_sharded(batch);
         if disconnected {
             return;
         }

@@ -21,18 +21,16 @@
 //!   snapshot for all its queries), so in-flight work completes on the
 //!   index it started with while new work sees the new one.
 //!   [`Engine::info`] reports the snapshot generation ([`IndexInfo`]).
-//! * [`Engine::insert`] / [`Engine::delete`] apply single-point mutations
-//!   *between* rebuilds, via copy-on-write snapshot publication: the
-//!   current snapshot is cloned, patched and swapped in under a writer
-//!   lock, bumping the epoch; readers keep pinning immutable snapshots
-//!   and never block on a mutation ([`MutationReport`],
-//!   [`MutationError`]). On the wire these are the AUTH-gated
-//!   `INSERT`/`DELETE` verbs.
-//! * [`Engine::apply`] is the amortized batch form: one clone, one
-//!   in-place patch of W interleaved inserts/deletes, one swap — one
-//!   epoch bump for the whole batch instead of one per point, turning
-//!   write cost from O(W·n) into O(n) + O(W) ([`BatchReport`]; the
-//!   AUTH-gated `BATCH` verb on the wire).
+//! * [`Engine::apply`] is the one write path, *between* rebuilds: a
+//!   batch of W interleaved inserts/deletes is published copy-on-write —
+//!   under the writer lock the current snapshot is cloned once (lazily,
+//!   by the first op that is admitted), patched in place and swapped in,
+//!   one epoch bump for the whole batch, write cost O(n) + O(W) instead
+//!   of O(W·n); readers keep pinning immutable snapshots and never block
+//!   on a mutation ([`BatchReport`], [`MutationError`]).
+//!   [`Engine::insert`] / [`Engine::delete`] are one-op batches
+//!   ([`MutationReport`]). On the wire these are the AUTH-gated
+//!   `BATCH` and `INSERT`/`DELETE` verbs, which share one executor too.
 //! * The micro-batcher (a bounded channel and a collector thread) groups
 //!   up to `batch_size` concurrent requests, waiting at most `max_wait`
 //!   after the first, before handing them to the pool — one channel send
@@ -45,6 +43,10 @@
 //!   failure mode, a mid-execution worker panic included, is a typed
 //!   [`QueryError`] — what lets the TCP layer answer `ERR` lines instead
 //!   of dropping clients.
+//! * There is one read path: every query form here and on
+//!   [`ShardedEngine`] is a thin wrapper over the single scatter/gather
+//!   in [`sharded`], which a monolithic engine enters as a shard set of
+//!   one.
 //! * [`Router`] maps index *names* to engines so one process serves
 //!   several datasets; [`serve_router`] exposes the whole map over TCP
 //!   with per-connection index selection (`USE`), attach/detach verbs,
@@ -103,13 +105,12 @@ pub use server::{serve, serve_router, DrainReport, ServerConfig, ServerHandle};
 pub use sharded::ShardedEngine;
 pub use stats::EngineStats;
 
-use crate::batch::{BatchQueue, Request};
-use crate::pool::{QueryJob, ReplySink, WorkerPool};
+use crate::batch::BatchQueue;
+use crate::pool::WorkerPool;
 use crate::snapshot::SnapshotCell;
 use crate::stats::StatsCollector;
 use pm_lsh_core::{BuildOptions, MutReject, PmLsh, PmLshParams, QueryResult, QueryStats};
 use pm_lsh_metric::Dataset;
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -208,71 +209,37 @@ impl Engine {
     }
 
     /// Inserts one point into the served index and publishes the mutated
-    /// snapshot, returning the assigned external id and the new epoch.
+    /// snapshot, returning the assigned external id and the new epoch — a
+    /// one-op [`Engine::apply`], the single write path.
     ///
-    /// Publication is copy-on-write: the current snapshot is cloned,
-    /// patched (`PmLsh::insert`), and swapped in under the cell's writer
-    /// lock — readers keep pinning immutable `Arc<PmLsh>` snapshots and
-    /// never wait on the clone, in-flight queries finish on the snapshot
-    /// they started with, and queries arriving after the swap see the new
-    /// point. The clone makes a single mutation O(n); for bulk loads use
-    /// [`Engine::reindex`], which pays the build once for the whole
-    /// dataset.
+    /// Publication is copy-on-write: readers keep pinning immutable
+    /// `Arc<PmLsh>` snapshots and never wait on the clone, in-flight
+    /// queries finish on the snapshot they started with, and queries
+    /// arriving after the swap see the new point. The clone makes a single
+    /// mutation O(n); batch several through [`Engine::apply`], and for
+    /// bulk loads use [`Engine::reindex`], which pays the build once for
+    /// the whole dataset.
     pub fn insert(&self, point: &[f32]) -> Result<MutationReport, MutationError> {
-        let _writer = self.snapshot.begin_write();
-        if self.snapshot.is_rebuilding() {
-            return Err(MutationError::ReindexInProgress);
-        }
-        let current = self.snapshot.load();
-        if point.len() != current.data().dim() {
-            return Err(MutationError::DimensionMismatch {
-                expected: current.data().dim(),
-                got: point.len(),
-            });
-        }
-        if validate_points(point).is_err() {
-            return Err(MutationError::NonFiniteComponent);
-        }
-        let mut next = (*current).clone();
-        let id = next.insert(point);
-        let points = next.len();
-        let epoch = self.snapshot.swap(Arc::new(next));
-        Ok(MutationReport { id, epoch, points })
+        self.apply(&[MutOp::Insert(point.to_vec())])?.into_single()
     }
 
     /// Deletes the point with external id `id` and publishes the mutated
-    /// snapshot (same copy-on-write discipline as [`Engine::insert`]).
-    /// The last live point cannot be deleted: a served index is non-empty
-    /// by construction, and every connected client holds protocol state
-    /// derived from it.
+    /// snapshot — a one-op [`Engine::apply`]; a refused delete (unknown
+    /// id, last live point) is O(1), it never clones. The last live point
+    /// cannot be deleted: a served index is non-empty by construction,
+    /// and every connected client holds protocol state derived from it.
     pub fn delete(&self, id: pm_lsh_metric::PointId) -> Result<MutationReport, MutationError> {
-        let _writer = self.snapshot.begin_write();
-        if self.snapshot.is_rebuilding() {
-            return Err(MutationError::ReindexInProgress);
-        }
-        let current = self.snapshot.load();
-        if !current.contains(id) {
-            return Err(MutationError::UnknownId(id));
-        }
-        if current.len() == 1 {
-            return Err(MutationError::WouldEmptyIndex);
-        }
-        let mut next = (*current).clone();
-        let deleted = next.delete(id);
-        debug_assert!(deleted, "contains() said the id was live");
-        let points = next.len();
-        let epoch = self.snapshot.swap(Arc::new(next));
-        Ok(MutationReport { id, epoch, points })
+        self.apply(&[MutOp::Delete(id)])?.into_single()
     }
 
-    /// Applies a whole batch of interleaved inserts and deletes as *one*
-    /// copy-on-write publication: the writer lock is taken once, the
-    /// current snapshot is cloned once, all `W` ops are patched into the
-    /// clone ([`PmLsh::apply`]), and the result is swapped in once — one
-    /// epoch bump for the whole batch. Against `W` calls to
-    /// [`Engine::insert`]/[`Engine::delete`] this turns write cost from
-    /// O(W·n) into O(n) + O(W), and readers observe a single atomic
-    /// transition instead of `W` intermediate snapshots.
+    /// The single write path: applies a batch of interleaved inserts and
+    /// deletes as *one* copy-on-write publication. The writer lock is
+    /// taken once, the current snapshot is cloned once — lazily, by the
+    /// first op that is admitted ([`PmLsh::apply_cow`]) — all `W` ops are
+    /// patched into the clone, and the result is swapped in once: one
+    /// epoch bump for the whole batch. Against `W` one-op calls this
+    /// turns write cost from O(W·n) into O(n) + O(W), and readers observe
+    /// a single atomic transition instead of `W` intermediate snapshots.
     ///
     /// Failures are per-op, not per-batch: a rejected op (wrong
     /// dimensionality, non-finite component, unknown id, would-empty) is
@@ -280,43 +247,31 @@ impl Engine {
     /// the batch still applies. Ops apply in order, so a delete may target
     /// an id inserted earlier in the same batch, and
     /// [`MutationError::WouldEmptyIndex`] is judged against the evolving
-    /// state. If *no* op applies, nothing is published and the epoch does
-    /// not move.
+    /// state. If *no* op applies, nothing is cloned, nothing is published
+    /// and the epoch does not move.
     ///
     /// The batch-level error is [`MutationError::ReindexInProgress`]: a
     /// background rebuild's swap would silently discard the whole batch,
-    /// so batches wait it out, exactly like single-op mutations.
+    /// so mutations wait it out.
     pub fn apply(&self, ops: &[MutOp]) -> Result<BatchReport, MutationError> {
         let _writer = self.snapshot.begin_write();
         if self.snapshot.is_rebuilding() {
             return Err(MutationError::ReindexInProgress);
         }
         let (current, epoch) = self.snapshot.load_with_epoch();
-        if ops.is_empty() {
-            return Ok(BatchReport {
-                epoch,
-                points: current.len(),
-                applied: 0,
-                results: Vec::new(),
-            });
-        }
-        let mut next = (*current).clone();
-        let results: Vec<Result<pm_lsh_metric::PointId, MutationError>> = next
-            .apply(ops)
+        let (next, results) = current.apply_cow(ops);
+        let results: Vec<Result<pm_lsh_metric::PointId, MutationError>> = results
             .into_iter()
             .map(|r| r.map_err(mutation_error_for_reject))
             .collect();
-        let applied = results.iter().filter(|r| r.is_ok()).count();
-        let points = next.len();
-        let epoch = if applied > 0 {
-            self.snapshot.swap(Arc::new(next))
-        } else {
-            epoch
+        let (points, epoch) = match next {
+            Some(next) => (next.len(), self.snapshot.swap(Arc::new(next))),
+            None => (current.len(), epoch),
         };
         Ok(BatchReport {
             epoch,
             points,
-            applied,
+            applied: results.iter().filter(|r| r.is_ok()).count(),
             results,
         })
     }
@@ -493,24 +448,7 @@ impl Engine {
     /// propagate out of `query` and tear down whatever thread was serving
     /// the caller (a TCP client saw a raw disconnect with no reply).
     pub fn try_query(&self, q: &[f32], k: usize) -> Result<QueryResult, QueryError> {
-        let snapshot = self.snapshot.load();
-        try_validate(&snapshot, q, k)?;
-        let (reply, receive) = channel();
-        let k = k.min(snapshot.len());
-        self.queue.enqueue(Request {
-            snapshot,
-            query: q.to_vec(),
-            k,
-            fanout_budget: None,
-            enqueued: Instant::now(),
-            reply: ReplySink::Channel(reply),
-        });
-        // The worker drops the reply sender without answering exactly when
-        // the query panicked inside the pool's catch_unwind.
-        match receive.recv() {
-            Ok((_slot, result)) => Ok(result),
-            Err(_) => Err(QueryError::Internal),
-        }
+        sharded::try_query(std::slice::from_ref(self), q, k)
     }
 
     /// The completion-callback twin of [`Engine::try_query`], for callers
@@ -528,74 +466,21 @@ impl Engine {
     where
         F: FnOnce(Result<QueryResult, QueryError>) + Send + 'static,
     {
-        let snapshot = self.snapshot.load();
-        try_validate(&snapshot, q, k)?;
-        let k = k.min(snapshot.len());
-        self.queue.enqueue(Request {
-            snapshot,
-            query: q.to_vec(),
-            k,
-            fanout_budget: None,
-            enqueued: Instant::now(),
-            reply: ReplySink::Callback(Box::new(move |_slot, result| {
-                cb(result.ok_or(QueryError::Internal));
-            })),
-        });
-        Ok(())
+        sharded::submit_query(std::slice::from_ref(self), q, k, cb)
     }
 
     /// Answers a batch of queries across the whole pool, preserving input
     /// order. The batch bypasses the micro-batcher (it is already a batch)
-    /// and is sharded into one contiguous chunk per worker. `k` is clamped
+    /// and is sharded into one contiguous chunk per worker; one snapshot
+    /// pin serves the whole batch, so even if a reindex swap lands
+    /// mid-batch every result indexes the same dataset. `k` is clamped
     /// to the indexed point count, as in [`Engine::query`].
     ///
     /// # Panics
     ///
     /// On a dimension mismatch, a non-finite query component, or `k == 0`.
     pub fn query_batch(&self, queries: &[impl AsRef<[f32]>], k: usize) -> Vec<QueryResult> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let snapshot = self.snapshot.load();
-        for q in queries {
-            // Same rules as try_query; batch callers keep the panicking
-            // contract of Engine::query.
-            if let Err(e) = try_validate(&snapshot, q.as_ref(), k) {
-                panic_for_query_error(e);
-            }
-        }
-        let k = k.min(snapshot.len());
-        let enqueued = Instant::now();
-        let (reply, receive) = channel();
-        // One snapshot pin for the whole batch: even if a reindex swap
-        // lands mid-batch, every result indexes the same dataset.
-        let jobs: Vec<QueryJob> = queries
-            .iter()
-            .enumerate()
-            .map(|(slot, q)| QueryJob {
-                slot,
-                snapshot: Arc::clone(&snapshot),
-                query: q.as_ref().to_vec(),
-                k,
-                fanout_budget: None,
-                enqueued,
-                reply: ReplySink::Channel(reply.clone()),
-            })
-            .collect();
-        self.pool.submit_sharded(jobs);
-        drop(reply);
-
-        let mut results: Vec<Option<QueryResult>> = (0..queries.len()).map(|_| None).collect();
-        for _ in 0..queries.len() {
-            let (slot, result) = receive
-                .recv()
-                .expect("query execution panicked in the engine worker pool");
-            results[slot] = Some(result);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch slot answered"))
-            .collect()
+        sharded::query_batch(std::slice::from_ref(self), queries, k)
     }
 
     /// A point-in-time snapshot of the serving statistics.
@@ -604,9 +489,10 @@ impl Engine {
     }
 }
 
-/// The single numeric-validity gate for every path that feeds floats into
-/// the index stack — queries ([`Engine::try_query`], [`Engine::query_batch`]),
-/// single-point inserts ([`Engine::insert`]), whole-dataset ingest
+/// The numeric-validity gate for every path that feeds floats into the
+/// index stack from this crate — queries (every query form), inserts
+/// routed across shards ([`ShardedEngine::apply`]; a lone shard's are
+/// checked by [`PmLsh::apply_cow`] itself), whole-dataset ingest
 /// ([`Engine::begin_reindex`] and the TCP `ATTACH` handler). A NaN/Inf
 /// smuggled past any of these panics deep inside distance kernels or pivot
 /// selection on some worker thread; rejecting here, on the caller's
@@ -621,8 +507,8 @@ pub fn validate_points(values: &[f32]) -> Result<(), usize> {
     }
 }
 
-/// The single source of truth for query validation, shared by
-/// [`Engine::try_query`] and [`Engine::query_batch`].
+/// The single source of truth for query validation (called by the one
+/// scatter in [`sharded`]).
 fn try_validate(snapshot: &PmLsh, q: &[f32], k: usize) -> Result<(), QueryError> {
     if q.len() != snapshot.data().dim() {
         return Err(QueryError::DimensionMismatch {
@@ -798,8 +684,8 @@ impl std::fmt::Display for MutationError {
 impl std::error::Error for MutationError {}
 
 /// Maps a core-layer per-op rejection ([`MutReject`]) onto the engine's
-/// mutation vocabulary — the same `ERR` strings single-op `INSERT`/`DELETE`
-/// produce on the wire.
+/// mutation vocabulary — the `ERR`/`FAIL` strings of the wire's
+/// `INSERT`/`DELETE`/`BATCH`.
 fn mutation_error_for_reject(r: MutReject) -> MutationError {
     match r {
         MutReject::WrongDim { expected, got } => MutationError::DimensionMismatch { expected, got },
@@ -830,6 +716,16 @@ impl BatchReport {
     /// How many ops were refused.
     pub fn failed(&self) -> usize {
         self.results.len() - self.applied
+    }
+
+    /// A one-op batch's report in single-op terms: slot 0 unwrapped into
+    /// a [`MutationReport`] / [`MutationError`].
+    fn into_single(self) -> Result<MutationReport, MutationError> {
+        Ok(MutationReport {
+            id: self.results[0]?,
+            epoch: self.epoch,
+            points: self.points,
+        })
     }
 }
 

@@ -4,9 +4,11 @@
 //! against, pinned by the caller at enqueue time — the index is read-only
 //! after build, so the queries themselves need no synchronization at all;
 //! the only shared mutable state is the job channel and the stats
-//! collector. Jobs travel in small vectors (a micro-batch shard), so one
-//! channel receive and one mutex acquisition amortize over several
-//! queries. Because the snapshot is pinned per request (and a whole
+//! collector, and the only way out of the pool is the job's own reply
+//! closure (one shape for blocking callers, the batch gather and the
+//! serving reactor alike). Jobs travel in small vectors (a micro-batch
+//! shard), so one channel receive and one mutex acquisition amortize
+//! over several queries. Because the snapshot is pinned per request (and a whole
 //! `query_batch` shares one pin), a concurrent [`crate::Engine::reindex`]
 //! swap never disturbs running work: requests enqueued before the swap
 //! are answered by the old index, requests after it by the new one, and a
@@ -19,37 +21,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Where a finished (or crashed) job delivers its result. The blocking
-/// callers (`Engine::try_query`, `query_batch`) use [`ReplySink::Channel`]
-/// and `recv()`; the serving reactor uses [`ReplySink::Callback`] so a
-/// worker completion can wake the event loop instead of a parked thread.
-pub(crate) enum ReplySink {
-    /// `send((slot, result))` on success; dropped without a send when the
-    /// job panicked, so the caller's `recv()` errors out.
-    Channel(Sender<(usize, QueryResult)>),
-    /// Always invoked exactly once — `None` means the job panicked.
-    Callback(Box<dyn FnOnce(usize, Option<QueryResult>) + Send>),
-}
-
-impl ReplySink {
-    /// Delivers the job's outcome. `None` marks a worker panic.
-    pub(crate) fn complete(self, slot: usize, result: Option<QueryResult>) {
-        match self {
-            // A dropped receiver means the caller gave up waiting; a
-            // panicked job drops the sender so recv() fails with Internal.
-            ReplySink::Channel(tx) => {
-                if let Some(result) = result {
-                    let _ = tx.send((slot, result));
-                }
-            }
-            ReplySink::Callback(cb) => cb(slot, result),
-        }
-    }
-}
-
 /// Test-only fault injection: a query whose FIRST component equals this
 /// finite, validation-passing sentinel panics inside the worker's
-/// catch_unwind, exercising the dropped-reply path
+/// catch_unwind, exercising the panicked-leg path
 /// (`Engine::try_query -> Err(QueryError::Internal)`, `ERR internal
 /// error` on the wire) that no validated input can reach. Keying the
 /// injection on the job itself keeps concurrently running tests from
@@ -57,10 +31,10 @@ impl ReplySink {
 #[cfg(test)]
 pub(crate) const CRASH_TEST_SENTINEL: f32 = 8.0e30;
 
-/// One kNN request travelling through the pool.
+/// One kNN request travelling through the micro-batcher and the pool —
+/// one shard's leg of one logical query, built only by the scatter in
+/// `crate::sharded`.
 pub(crate) struct QueryJob {
-    /// Caller-side position, so batched results keep input order.
-    pub slot: usize,
     /// The snapshot this request was validated against and must be
     /// answered by (an `Arc` clone: a few ns, and what makes reindex
     /// swaps invisible to in-flight work).
@@ -77,8 +51,11 @@ pub(crate) struct QueryJob {
     pub fanout_budget: Option<usize>,
     /// When the request entered the engine; latency is measured from here.
     pub enqueued: Instant,
-    /// Where the worker delivers `(slot, result)`.
-    pub reply: ReplySink,
+    /// Invoked exactly once, on the worker thread, with the answer —
+    /// `None` when the query panicked inside the worker's `catch_unwind`.
+    /// A job dropped unrun (its pool shut down first) drops the closure
+    /// uncalled.
+    pub reply: Box<dyn FnOnce(Option<QueryResult>) + Send>,
 }
 
 /// The fixed worker pool. Dropping it closes the job channel and joins
@@ -130,7 +107,7 @@ impl WorkerPool {
     /// Splits `jobs` into one contiguous shard per worker and submits them,
     /// so a batch costs at most `threads` channel sends while still
     /// spreading across the whole pool. The single place sharding policy
-    /// lives — both the batcher and `Engine::query_batch` go through here.
+    /// lives — both the batcher and `query_batch` go through here.
     pub(crate) fn submit_sharded(&self, mut jobs: Vec<QueryJob>) {
         if jobs.is_empty() {
             return;
@@ -172,8 +149,7 @@ fn worker_loop(rx: &Mutex<Receiver<Vec<QueryJob>>>, stats: &StatsCollector) {
         for job in shard {
             // Isolate panics to the offending job: the worker survives (the
             // pool never respawns threads), the rest of the shard still
-            // runs, and only the panicking job's caller sees its reply
-            // channel close.
+            // runs, and only the panicking job's caller hears `None`.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 #[cfg(test)]
                 if job.query.first() == Some(&CRASH_TEST_SENTINEL) {
@@ -186,13 +162,10 @@ fn worker_loop(rx: &Mutex<Receiver<Vec<QueryJob>>>, stats: &StatsCollector) {
                     None => job.snapshot.query_with_context(&job.query, job.k, &mut ctx),
                 }
             }));
-            match outcome {
-                Ok(result) => {
-                    stats.record_query(job.enqueued.elapsed(), &result.stats);
-                    job.reply.complete(job.slot, Some(result));
-                }
-                Err(_) => job.reply.complete(job.slot, None),
+            if let Ok(result) = &outcome {
+                stats.record_query(job.enqueued.elapsed(), &result.stats);
             }
+            (job.reply)(outcome.ok());
         }
     }
 }

@@ -1017,8 +1017,18 @@ impl Reactor {
                 // op lines have arrived (and been validated + applied).
                 conn.batch = Some((count, Vec::with_capacity(count.min(256))));
             }
-            Some("ATTACH") | Some("DETACH") | Some("REINDEX") | Some("INSERT") | Some("DELETE")
-            | Some("SAVE") => self.offload(conn, line.to_string()),
+            Some("ATTACH" | "DETACH" | "REINDEX" | "SAVE") => {
+                let line = line.to_string();
+                self.offload(conn, move |shared, state| answer_slow(&line, shared, state));
+            }
+            // A single-op mutation is a one-line batch through the same
+            // executor; only the reply wording differs.
+            Some("INSERT" | "DELETE") => {
+                let op = [line.to_string()];
+                self.offload(conn, move |shared, state| {
+                    answer_mutation(&op, false, shared, state)
+                });
+            }
             Some("QUIT") => {
                 conn.reply_line("BYE");
                 conn.closing = true;
@@ -1132,17 +1142,23 @@ impl Reactor {
         }
     }
 
-    /// Runs a slow verb (`ATTACH`/`DETACH`/`REINDEX`/`INSERT`/`DELETE`/
-    /// `SAVE` — builds, file I/O, engine teardown) on a one-off thread so
-    /// the reactor keeps serving every other connection meanwhile.
-    fn offload(&mut self, conn: &mut Conn, line: String) {
+    /// Runs slow work (`ATTACH`/`DETACH`/`REINDEX`/`SAVE` and every
+    /// mutation — builds, file I/O, engine teardown, copy-on-write
+    /// clones) on a one-off thread so the reactor keeps serving every
+    /// other connection meanwhile. `work` returns the whole reply, which
+    /// may span several lines (a `BATCH` summary plus its `FAIL` lines).
+    fn offload(
+        &mut self,
+        conn: &mut Conn,
+        work: impl FnOnce(&Shared, &ConnState) -> String + Send + 'static,
+    ) {
         let shared = Arc::clone(&self.shared);
         let state = conn.state.clone();
         let token = conn.token;
         let spawned = std::thread::Builder::new()
             .name("pmlsh-op".to_string())
             .spawn(move || {
-                let mut reply = answer_slow(&line, &shared, &state).into_bytes();
+                let mut reply = work(&shared, &state).into_bytes();
                 reply.push(b'\n');
                 shared.complete(token, reply);
             });
@@ -1163,27 +1179,9 @@ impl Reactor {
         if ops.len() < expected {
             conn.batch = Some((expected, ops));
         } else {
-            self.offload_batch(conn, ops);
-        }
-    }
-
-    /// Runs a completed `BATCH` on a one-off `pmlsh-op` thread, exactly
-    /// like [`Reactor::offload`] — the reply may span multiple lines
-    /// (the `OK` summary plus one `FAIL` line per refused op).
-    fn offload_batch(&mut self, conn: &mut Conn, ops: Vec<String>) {
-        let shared = Arc::clone(&self.shared);
-        let state = conn.state.clone();
-        let token = conn.token;
-        let spawned = std::thread::Builder::new()
-            .name("pmlsh-op".to_string())
-            .spawn(move || {
-                let mut reply = answer_batch(&ops, &shared, &state).into_bytes();
-                reply.push(b'\n');
-                shared.complete(token, reply);
+            self.offload(conn, move |shared, state| {
+                answer_mutation(&ops, true, shared, state)
             });
-        match spawned {
-            Ok(_) => conn.inflight = true,
-            Err(_) => conn.reply_line("ERR internal error"),
         }
     }
 
@@ -1368,8 +1366,6 @@ fn answer_slow(line: &str, shared: &Shared, conn: &ConnState) -> String {
         Some("ATTACH") => answer_attach(fields, shared, conn),
         Some("DETACH") => answer_detach(fields, shared, conn),
         Some("REINDEX") => answer_reindex(fields, shared, conn),
-        Some("INSERT") => answer_insert(fields, shared, conn),
-        Some("DELETE") => answer_delete(fields, shared, conn),
         Some("SAVE") => answer_save(fields, shared, conn),
         _ => "ERR internal error".to_string(),
     }
@@ -1575,14 +1571,20 @@ fn answer_reindex<'a>(
     }
 }
 
-/// Executes `INSERT <v1> ... <vd>` against the connection's current
-/// index: parses the vector with the same rules as `QUERY`, publishes the
-/// mutated snapshot, and reports the assigned id with the new epoch.
-fn answer_insert<'a>(
-    fields: impl Iterator<Item = &'a str>,
-    shared: &Shared,
-    conn: &ConnState,
-) -> String {
+/// The one wire mutation executor, against the connection's current
+/// index: a lone `INSERT <v1> ... <vd>` / `DELETE <id>` line
+/// (`batch == false`) or the op lines of a completed `BATCH`. Auth-gates,
+/// syntactically validates every line *all-or-nothing* (one malformed
+/// line fails the whole request — `ERR <message>` for a single op,
+/// `ERR batch line <i>: <message>` for a batch — and nothing applies),
+/// then applies the parsed ops through [`ShardedEngine::apply`]: one
+/// copy-on-write clone and one epoch bump per request (per touched shard
+/// when sharded). A single op answers `OK id=...` / `OK deleted ...` or
+/// its refusal as `ERR <message>`. In a batch, semantic refusals (wrong
+/// dimensionality, unknown id, would-empty) fail only their own op: they
+/// come back as `FAIL <op-index> <message>` lines after the `OK` summary
+/// while the rest of the batch applies.
+fn answer_mutation(lines: &[String], batch: bool, shared: &Shared, conn: &ConnState) -> String {
     if let Some(err) = auth_err(conn) {
         return err;
     }
@@ -1590,102 +1592,45 @@ fn answer_insert<'a>(
         Ok(pair) => pair,
         Err(err) => return err,
     };
-    let mut point = Vec::with_capacity(conn.dim.max(16));
-    for field in fields {
-        match field.parse::<f32>() {
-            Ok(v) if v.is_finite() => point.push(v),
-            _ => return format!("ERR bad vector component '{field}'"),
+    let mut ops = Vec::with_capacity(lines.len());
+    for (i, line) in lines.iter().enumerate() {
+        match parse_batch_op(line, conn.dim) {
+            Ok(op) => ops.push(op),
+            Err(msg) if batch => return format!("ERR batch line {i}: {msg}"),
+            Err(msg) => return format!("ERR {msg}"),
         }
     }
-    if point.is_empty() {
-        return "ERR INSERT needs <v1> ... <vd>".to_string();
-    }
-    match engine.insert(&point) {
-        Ok(report) => format!(
-            "OK id={} epoch={} points={}",
-            report.id, report.epoch, report.points
-        ),
-        Err(e) => format!("ERR {e}"),
-    }
-}
-
-/// Executes `DELETE <id>` against the connection's current index.
-fn answer_delete<'a>(
-    mut fields: impl Iterator<Item = &'a str>,
-    shared: &Shared,
-    conn: &ConnState,
-) -> String {
-    if let Some(err) = auth_err(conn) {
-        return err;
-    }
-    let (_name, engine) = match current_engine(shared, conn) {
-        Ok(pair) => pair,
-        Err(err) => return err,
+    let report = match engine.apply(&ops) {
+        Ok(report) => report,
+        Err(e) => return format!("ERR {e}"),
     };
-    let id = match fields.next().map(str::parse::<u32>) {
-        Some(Ok(id)) => id,
-        _ => return "ERR DELETE needs a point id".to_string(),
-    };
-    if fields.next().is_some() {
-        return "ERR DELETE takes exactly one point id".to_string();
-    }
-    match engine.delete(id) {
-        Ok(report) => format!(
-            "OK deleted {} epoch={} points={}",
-            report.id, report.epoch, report.points
-        ),
-        Err(e) => format!("ERR {e}"),
-    }
-}
-
-/// Executes a completed `BATCH` against the connection's current index:
-/// auth-gates, syntactically validates every op line *all-or-nothing*
-/// (one malformed line fails the whole batch with `ERR batch line <i>:`
-/// and nothing applies), then applies the parsed ops through
-/// [`Engine::apply`] / [`ShardedEngine::apply`] — one copy-on-write
-/// clone and one epoch bump per batch (per touched shard when sharded).
-/// Semantic refusals (wrong dimensionality, unknown id, would-empty)
-/// fail only their own op: they come back as `FAIL <op-index> <message>`
-/// lines after the `OK` summary while the rest of the batch applies.
-fn answer_batch(ops: &[String], shared: &Shared, conn: &ConnState) -> String {
-    if let Some(err) = auth_err(conn) {
-        return err;
-    }
-    let (_name, engine) = match current_engine(shared, conn) {
-        Ok(pair) => pair,
-        Err(err) => return err,
-    };
-    let mut parsed = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        match parse_batch_op(op, conn.dim) {
-            Ok(op) => parsed.push(op),
-            Err(msg) => return format!("ERR batch line {i}: {msg}"),
-        }
-    }
-    match engine.apply(&parsed) {
-        Ok(report) => {
-            let mut out = format!(
-                "{}{} failed={} epoch={} points={}",
-                BATCH_OK_PREFIX,
-                report.applied,
-                report.failed(),
-                report.epoch,
-                report.points
-            );
-            for (i, result) in report.results.iter().enumerate() {
-                if let Err(e) = result {
-                    out.push('\n');
-                    out.push_str(&format!("{BATCH_FAIL_PREFIX}{i} {e}"));
-                }
+    let (epoch, points) = (report.epoch, report.points);
+    if !batch {
+        return match (&ops[0], report.results[0]) {
+            (_, Err(e)) => format!("ERR {e}"),
+            (crate::MutOp::Insert(_), Ok(id)) => {
+                format!("OK id={id} epoch={epoch} points={points}")
             }
-            out
-        }
-        Err(e) => format!("ERR {e}"),
+            (crate::MutOp::Delete(_), Ok(id)) => {
+                format!("OK deleted {id} epoch={epoch} points={points}")
+            }
+        };
     }
+    let mut out = format!(
+        "{BATCH_OK_PREFIX}{} failed={} epoch={epoch} points={points}",
+        report.applied,
+        report.failed(),
+    );
+    for (i, result) in report.results.iter().enumerate() {
+        if let Err(e) = result {
+            out.push_str(&format!("\n{BATCH_FAIL_PREFIX}{i} {e}"));
+        }
+    }
+    out
 }
 
-/// Parses one `BATCH` op line — a bare `INSERT <v1> ... <vd>` or
-/// `DELETE <id>`, with the same field rules as the top-level verbs
+/// Parses one mutation line — a top-level `INSERT <v1> ... <vd>` /
+/// `DELETE <id>` request or a `BATCH` op line, one grammar for both
 /// (finite float components, a `u32` id). `dim` only sizes the parse
 /// buffer; a wrong-dimensionality insert is the engine's per-op call.
 fn parse_batch_op(line: &str, dim: usize) -> Result<crate::MutOp, String> {

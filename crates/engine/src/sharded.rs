@@ -47,21 +47,38 @@
 //! `tests/sharded_parity.rs` and `tests/sharded_model.rs` holds a
 //! monolithic twin to exactly that standard.
 //!
-//! With `S == 1` every entry point delegates to the single inner engine
-//! (the id mapping degenerates to the identity), so a `ShardedEngine` of
-//! one shard is bit-for-bit the monolithic engine.
+//! # One read path
+//!
+//! Every query form of both engine types — `query`, `try_query`,
+//! `submit_query`, `query_batch`, on [`Engine`] and on [`ShardedEngine`]
+//! — is a few-line wrapper over the private `scatter` below, called
+//! with the shard slice (a monolithic [`Engine`] passes itself as a slice
+//! of one). `scatter` is the only code that pins snapshots, validates,
+//! clamps `k`, computes the pooled budget and builds pool jobs; each
+//! job's reply closure folds its leg into the query's `Gather`, and the
+//! last leg fires the caller's reply. With `S == 1` the one leg runs
+//! plain Algorithm 2 (early stop, local budget), the id mapping is the
+//! identity and the merge of one sorted list is that list, so a
+//! `ShardedEngine` of one shard is bit-for-bit the monolithic engine.
+//!
+//! # One write path
+//!
+//! [`ShardedEngine::apply`] routes a batch's ops to their owning shards
+//! and runs each non-empty sub-batch through [`Engine::apply`], the only
+//! code that clones, patches and swaps a snapshot;
+//! [`ShardedEngine::insert`] / [`ShardedEngine::delete`] are one-op
+//! batches, like [`Engine::insert`] / [`Engine::delete`].
 
-use crate::batch::Request;
-use crate::pool::{QueryJob, ReplySink};
+use crate::pool::QueryJob;
 use crate::{
-    panic_for_query_error, try_validate, Engine, EngineConfig, IndexInfo, MutOp, MutationError,
-    MutationReport, QueryError, ReindexError, ReindexReport, ReindexTicket,
+    panic_for_query_error, try_validate, BatchReport, Engine, EngineConfig, IndexInfo, MutOp,
+    MutationError, MutationReport, QueryError, ReindexError, ReindexReport, ReindexTicket,
 };
 use pm_lsh_core::shard::{owner, partition, to_global, to_local};
 use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams, QueryResult, QueryStats};
 use pm_lsh_metric::{Dataset, Neighbor, PointId, TopK};
 use std::sync::mpsc::channel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// `S` independent [`Engine`]s serving one logical index — see the
@@ -193,12 +210,9 @@ impl ShardedEngine {
     /// fan-out leg spends, which the parity harness proves is at least
     /// the monolithic `⌈β·n⌉ + k` (see the module docs).
     pub fn candidate_budget(&self, k: usize) -> usize {
-        if self.shards.len() == 1 {
-            return self.shards[0].index().candidate_budget(k);
-        }
         let snaps: Vec<Arc<PmLsh>> = self.shards.iter().map(|s| s.index()).collect();
         let total: usize = snaps.iter().map(|s| s.len()).sum();
-        let budget = pooled_budget(&snaps, total, k.min(total));
+        let budget = pooled_budget(&snaps[0], total, k.min(total));
         snaps.iter().map(|s| budget.min(s.len())).sum()
     }
 
@@ -257,160 +271,28 @@ impl ShardedEngine {
 
     /// Scatter-gather `(c, k)`-ANN: fans the query to every shard's
     /// micro-batcher concurrently, merges the `S` answers through one
-    /// [`TopK`], and maps shard-local ids back to global ids. Results and
-    /// failure modes mirror [`Engine::try_query`]; with one shard this
-    /// *is* [`Engine::try_query`].
+    /// [`TopK`], and maps shard-local ids back to global ids. Blocks
+    /// until the last leg lands; results and failure modes are
+    /// [`Engine::try_query`]'s (the same code runs both).
     pub fn try_query(&self, q: &[f32], k: usize) -> Result<QueryResult, QueryError> {
-        if self.shards.len() == 1 {
-            return self.shards[0].try_query(q, k);
-        }
-        // Pin one snapshot per shard up front: the whole fan-out answers
-        // against a consistent set even if mutations land mid-query.
-        let snaps: Vec<Arc<PmLsh>> = self.shards.iter().map(|s| s.index()).collect();
-        try_validate(&snaps[0], q, k)?;
-        let total_live: usize = snaps.iter().map(|s| s.len()).sum();
-        let k = k.min(total_live);
-        let budget = pooled_budget(&snaps, total_live, k);
-
-        // Scatter: enqueue on every shard before receiving from any, so
-        // the shards execute concurrently; one reply channel per shard
-        // keeps the shard attribution the local→global mapping needs.
-        let receivers: Vec<_> = self
-            .shards
-            .iter()
-            .zip(&snaps)
-            .map(|(shard, snap)| {
-                let (reply, receive) = channel();
-                // Engine's fields are crate-visible: this enqueues on the
-                // shard's own micro-batcher, exactly like Engine::try_query.
-                // Fan-out leg: the shard spends the pooled budget so the
-                // merged candidate pool is a superset of the monolith's
-                // (see `PmLsh::query_fanout_into` for the rank argument).
-                shard.queue.enqueue(Request {
-                    snapshot: Arc::clone(snap),
-                    query: q.to_vec(),
-                    k: k.min(snap.len()),
-                    fanout_budget: Some(budget),
-                    enqueued: Instant::now(),
-                    reply: ReplySink::Channel(reply),
-                });
-                receive
-            })
-            .collect();
-
-        // Gather: merge through one heap. Neighbor orders by (dist, id)
-        // and global ids are unique across shards, so the merged top-k is
-        // a deterministic total order regardless of arrival order.
-        let shards = self.shards.len();
-        let mut top = TopK::new(k);
-        let mut stats = QueryStats::default();
-        for (s, receive) in receivers.into_iter().enumerate() {
-            // A dropped sender means that shard's worker panicked; the
-            // whole logical query reports Internal, like the monolith.
-            let (_slot, result) = receive.recv().map_err(|_| QueryError::Internal)?;
-            stats.merge(&result.stats);
-            for n in &result.neighbors {
-                top.push(n.dist, to_global(n.id, s, shards));
-            }
-        }
-        Ok(QueryResult {
-            neighbors: top.into_sorted_vec(),
-            stats,
-        })
+        try_query(&self.shards, q, k)
     }
 
     /// The completion-callback twin of [`ShardedEngine::try_query`], for
     /// the serving reactor: no thread parks waiting for the gather.
     ///
     /// Validation runs synchronously (an invalid query returns `Err`
-    /// without invoking `cb`); a valid query is scattered to every
-    /// shard's micro-batcher exactly as in [`ShardedEngine::try_query`] —
-    /// same pooled budget, same per-leg `k` clamp, same local→global id
-    /// mapping, bit-identical merged answer — but the gather happens in
-    /// the legs' completion callbacks: each decrements a shared countdown
-    /// and the last one standing fires `cb` with the merged result. A
-    /// panicked leg yields `Err(QueryError::Internal)`, like the monolith.
+    /// without invoking `cb`); a valid query is scattered exactly as in
+    /// [`ShardedEngine::try_query`] — same pooled budget, same per-leg
+    /// `k` clamp, same local→global id mapping, bit-identical merged
+    /// answer — and `cb` fires exactly once, on the worker thread that
+    /// finishes the last leg. A panicked leg yields
+    /// `Err(QueryError::Internal)`, like the monolith.
     pub fn submit_query<F>(&self, q: &[f32], k: usize, cb: F) -> Result<(), QueryError>
     where
         F: FnOnce(Result<QueryResult, QueryError>) + Send + 'static,
     {
-        if self.shards.len() == 1 {
-            return self.shards[0].submit_query(q, k, cb);
-        }
-        let snaps: Vec<Arc<PmLsh>> = self.shards.iter().map(|s| s.index()).collect();
-        try_validate(&snaps[0], q, k)?;
-        let total_live: usize = snaps.iter().map(|s| s.len()).sum();
-        let k = k.min(total_live);
-        let budget = pooled_budget(&snaps, total_live, k);
-        let shards = self.shards.len();
-
-        type GatherCb = Box<dyn FnOnce(Result<QueryResult, QueryError>) + Send>;
-        /// The in-flight merge state all `S` legs share.
-        struct Gather {
-            top: TopK,
-            stats: QueryStats,
-            pending: usize,
-            failed: bool,
-            cb: Option<GatherCb>,
-        }
-        let gather = Arc::new(std::sync::Mutex::new(Gather {
-            top: TopK::new(k),
-            stats: QueryStats::default(),
-            pending: shards,
-            failed: false,
-            cb: Some(Box::new(cb)),
-        }));
-
-        for (s, (shard, snap)) in self.shards.iter().zip(&snaps).enumerate() {
-            let gather = Arc::clone(&gather);
-            let leg = Box::new(move |_slot: usize, result: Option<QueryResult>| {
-                let finished = {
-                    let mut g = gather.lock().expect("sharded gather poisoned");
-                    match result {
-                        Some(result) => {
-                            g.stats.merge(&result.stats);
-                            for n in &result.neighbors {
-                                g.top.push(n.dist, to_global(n.id, s, shards));
-                            }
-                        }
-                        None => g.failed = true,
-                    }
-                    g.pending -= 1;
-                    if g.pending == 0 {
-                        let top = std::mem::replace(&mut g.top, TopK::new(1));
-                        Some((
-                            g.cb.take().expect("gather fired twice"),
-                            top,
-                            g.stats,
-                            g.failed,
-                        ))
-                    } else {
-                        None
-                    }
-                };
-                // Fire outside the lock: the callback may be arbitrarily
-                // heavy (it wakes the reactor and formats the reply).
-                if let Some((cb, top, stats, failed)) = finished {
-                    if failed {
-                        cb(Err(QueryError::Internal));
-                    } else {
-                        cb(Ok(QueryResult {
-                            neighbors: top.into_sorted_vec(),
-                            stats,
-                        }));
-                    }
-                }
-            });
-            shard.queue.enqueue(Request {
-                snapshot: Arc::clone(snap),
-                query: q.to_vec(),
-                k: k.min(snap.len()),
-                fanout_budget: Some(budget),
-                enqueued: Instant::now(),
-                reply: ReplySink::Callback(leg),
-            });
-        }
-        Ok(())
+        submit_query(&self.shards, q, k, cb)
     }
 
     /// The panicking [`ShardedEngine::try_query`], mirroring
@@ -431,63 +313,7 @@ impl ShardedEngine {
     /// # Panics
     /// On a dimension mismatch, a non-finite query component, or `k == 0`.
     pub fn query_batch(&self, queries: &[impl AsRef<[f32]>], k: usize) -> Vec<QueryResult> {
-        if self.shards.len() == 1 {
-            return self.shards[0].query_batch(queries, k);
-        }
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let snaps: Vec<Arc<PmLsh>> = self.shards.iter().map(|s| s.index()).collect();
-        for q in queries {
-            if let Err(e) = try_validate(&snaps[0], q.as_ref(), k) {
-                panic_for_query_error(e);
-            }
-        }
-        let total_live: usize = snaps.iter().map(|s| s.len()).sum();
-        let k = k.min(total_live);
-        let budget = pooled_budget(&snaps, total_live, k);
-        let shards = self.shards.len();
-        let enqueued = Instant::now();
-        let (reply, receive) = channel();
-        // slot = query_index · S + shard encodes both coordinates the
-        // gather side needs through the pool's one usize slot.
-        for (s, (shard, snap)) in self.shards.iter().zip(&snaps).enumerate() {
-            let jobs: Vec<QueryJob> = queries
-                .iter()
-                .enumerate()
-                .map(|(qi, q)| QueryJob {
-                    slot: qi * shards + s,
-                    snapshot: Arc::clone(snap),
-                    query: q.as_ref().to_vec(),
-                    k: k.min(snap.len()),
-                    fanout_budget: Some(budget),
-                    enqueued,
-                    reply: ReplySink::Channel(reply.clone()),
-                })
-                .collect();
-            shard.pool.submit_sharded(jobs);
-        }
-        drop(reply);
-
-        let mut tops: Vec<TopK> = (0..queries.len()).map(|_| TopK::new(k)).collect();
-        let mut stats: Vec<QueryStats> = vec![QueryStats::default(); queries.len()];
-        for _ in 0..queries.len() * shards {
-            let (slot, result) = receive
-                .recv()
-                .expect("query execution panicked in the engine worker pool");
-            let (qi, s) = (slot / shards, slot % shards);
-            stats[qi].merge(&result.stats);
-            for n in &result.neighbors {
-                tops[qi].push(n.dist, to_global(n.id, s, shards));
-            }
-        }
-        tops.into_iter()
-            .zip(stats)
-            .map(|(top, stats)| QueryResult {
-                neighbors: top.into_sorted_vec(),
-                stats,
-            })
-            .collect()
+        query_batch(&self.shards, queries, k)
     }
 
     /// Scatter-gather `(r, c)`-ball-cover (Algorithm 1): every shard
@@ -497,9 +323,6 @@ impl ShardedEngine {
     /// the monolithic `⌈β·n⌉ + 1` bound the same way `query` does.
     pub fn query_bc(&self, q: &[f32], r: f64) -> Option<Neighbor> {
         let shards = self.shards.len();
-        if shards == 1 {
-            return self.shards[0].index().query_bc(q, r);
-        }
         self.shards
             .iter()
             .enumerate()
@@ -515,49 +338,23 @@ impl ShardedEngine {
     /// Inserts one point into the shard with the fewest stored rows (ties
     /// to the lowest shard index) and reports the *global* id — a
     /// placement rule that keeps the assigned id sequence identical to a
-    /// monolithic engine's (see the module docs). The copy-on-write clone
-    /// touches only that shard: O(n/S).
+    /// monolithic engine's (see the module docs). A one-op
+    /// [`ShardedEngine::apply`]: the copy-on-write clone touches only
+    /// that shard, O(n/S), and nothing runs on the others.
     ///
     /// `points` and `epoch` in the report aggregate over all shards, like
     /// [`ShardedEngine::info`].
     pub fn insert(&self, point: &[f32]) -> Result<MutationReport, MutationError> {
-        if self.shards.len() == 1 {
-            return self.shards[0].insert(point);
-        }
-        let target = self
-            .shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, shard)| shard.index().data().len())
-            .map(|(s, _)| s)
-            .expect("a sharded engine holds >= 1 shard");
-        let report = self.shards[target].insert(point)?;
-        Ok(self.globalize(
-            target,
-            report,
-            to_global(report.id, target, self.shards.len()),
-        ))
+        self.apply(&[MutOp::Insert(point.to_vec())])?.into_single()
     }
 
-    /// Deletes the point with *global* id `id` by routing to its owning
-    /// shard (`id mod S`); the clone is O(n/S). A shard's last live point
-    /// cannot be deleted ([`MutationError::WouldEmptyIndex`]) — with ids
-    /// dealt round-robin a shard only runs that low when the whole index
-    /// is nearly empty.
+    /// Deletes the point with *global* id `id` — a one-op
+    /// [`ShardedEngine::apply`] routed to its owning shard (`id mod S`);
+    /// the clone is O(n/S). A shard's last live point cannot be deleted
+    /// ([`MutationError::WouldEmptyIndex`]) — with ids dealt round-robin
+    /// a shard only runs that low when the whole index is nearly empty.
     pub fn delete(&self, id: PointId) -> Result<MutationReport, MutationError> {
-        let shards = self.shards.len();
-        if shards == 1 {
-            return self.shards[0].delete(id);
-        }
-        let target = owner(id, shards);
-        let report = self.shards[target]
-            .delete(to_local(id, shards))
-            .map_err(|e| match e {
-                // The shard speaks local ids; the caller sent a global one.
-                MutationError::UnknownId(_) => MutationError::UnknownId(id),
-                other => other,
-            })?;
-        Ok(self.globalize(target, report, id))
+        self.apply(&[MutOp::Delete(id)])?.into_single()
     }
 
     /// Applies a batch of interleaved inserts and deletes across the
@@ -566,9 +363,11 @@ impl ShardedEngine {
     /// with the fewest stored rows at its point in the sequence, ties to
     /// the lowest shard index — the same placement rule as
     /// [`ShardedEngine::insert`], so the assigned global-id sequence
-    /// stays identical to a monolithic engine's), and the `S` sub-batches
-    /// apply *concurrently*, each paying one O(n/S) clone and at most one
-    /// epoch bump. Where the monolith's batch bumps the logical epoch by
+    /// stays identical to a monolithic engine's), and the non-empty
+    /// sub-batches apply *concurrently* — except that a lone one runs on
+    /// the calling thread, so a batch that touches one shard spawns
+    /// nothing and costs the untouched shards nothing — each paying one
+    /// O(n/S) clone and at most one epoch bump. Where the monolith's batch bumps the logical epoch by
     /// exactly 1, the sharded batch bumps it by the number of shards that
     /// applied at least one op (between 1 and S) — still one publication
     /// per touched shard instead of one per op.
@@ -583,9 +382,11 @@ impl ShardedEngine {
     /// no cross-shard rollback; each shard's sub-batch is individually
     /// atomic. [`MutationError::WouldEmptyIndex`] guards each *shard's*
     /// last live point, mirroring single-op sharded deletes.
-    pub fn apply(&self, ops: &[MutOp]) -> Result<crate::BatchReport, MutationError> {
+    pub fn apply(&self, ops: &[MutOp]) -> Result<BatchReport, MutationError> {
         let shards = self.shards.len();
         if shards == 1 {
+            // Nothing to route, and the lone shard's batch-level refusal
+            // (a rebuild in progress) stays batch-level.
             return self.shards[0].apply(ops);
         }
         let dim = self.dim();
@@ -625,69 +426,58 @@ impl ShardedEngine {
                 }
             }
         }
-        // Apply the sub-batches concurrently: each shard takes its own
-        // writer lock, clones its own O(n/S) index once, and swaps once.
-        let reports: Vec<Result<crate::BatchReport, MutationError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(&sub)
-                .map(|(shard, ops)| scope.spawn(move || shard.apply(ops)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard batch apply panicked"))
-                .collect()
-        });
-        // Stitch per-shard outcomes back into input order, mapping local
-        // ids (and local-id error payloads) back to global.
-        for (s, report) in reports.into_iter().enumerate() {
-            match report {
-                Ok(rep) => {
-                    for (j, r) in rep.results.into_iter().enumerate() {
-                        let i = routing[s][j];
-                        results[i] = Some(match r {
-                            Ok(local) => Ok(to_global(local, s, shards)),
-                            Err(MutationError::UnknownId(_)) => match &ops[i] {
-                                MutOp::Delete(id) => Err(MutationError::UnknownId(*id)),
-                                MutOp::Insert(_) => unreachable!("inserts cannot miss an id"),
-                            },
-                            Err(other) => Err(other),
-                        });
-                    }
-                }
-                Err(e) => {
-                    for &i in &routing[s] {
-                        results[i] = Some(Err(e));
-                    }
+        // Stitches shard `s`'s outcomes back into input order, mapping
+        // local ids (and local-id error payloads) back to global.
+        let mut stitch = |s: usize, report: Result<BatchReport, MutationError>| match report {
+            Ok(rep) => {
+                for (&i, r) in routing[s].iter().zip(rep.results) {
+                    results[i] = Some(match (r, &ops[i]) {
+                        (Ok(local), _) => Ok(to_global(local, s, shards)),
+                        (Err(MutationError::UnknownId(_)), MutOp::Delete(id)) => {
+                            Err(MutationError::UnknownId(*id))
+                        }
+                        (Err(other), _) => Err(other),
+                    });
                 }
             }
+            Err(e) => {
+                for &i in &routing[s] {
+                    results[i] = Some(Err(e));
+                }
+            }
+        };
+        // Apply the non-empty sub-batches: each shard takes its own writer
+        // lock, clones its own O(n/S) index at most once, and swaps at
+        // most once. A lone one (every single-op mutation) runs right here
+        // on the caller; two or more run concurrently on scoped threads.
+        let touched: Vec<usize> = (0..shards).filter(|&s| !sub[s].is_empty()).collect();
+        if let [s] = touched[..] {
+            stitch(s, self.shards[s].apply(&sub[s]));
+        } else {
+            std::thread::scope(|scope| {
+                let spawned: Vec<_> = touched
+                    .iter()
+                    .map(|&s| {
+                        let (shard, ops) = (&self.shards[s], &sub[s]);
+                        (s, scope.spawn(move || shard.apply(ops)))
+                    })
+                    .collect();
+                for (s, handle) in spawned {
+                    stitch(s, handle.join().expect("shard batch apply panicked"));
+                }
+            });
         }
         let results: Vec<Result<PointId, MutationError>> = results
             .into_iter()
             .map(|r| r.expect("every op was routed or rejected up front"))
             .collect();
         let applied = results.iter().filter(|r| r.is_ok()).count();
-        Ok(crate::BatchReport {
+        Ok(BatchReport {
             epoch: self.epoch(),
             points: self.len(),
             applied,
             results,
         })
-    }
-
-    /// Rewrites a shard-local mutation report in global terms: the mapped
-    /// id, the shard-summed epoch and the shard-summed live count.
-    fn globalize(&self, target: usize, report: MutationReport, id: PointId) -> MutationReport {
-        let mut points = report.points;
-        let mut epoch = report.epoch;
-        for (s, shard) in self.shards.iter().enumerate() {
-            if s != target {
-                points += shard.index().len();
-                epoch += shard.epoch();
-            }
-        }
-        MutationReport { id, epoch, points }
     }
 
     /// Rebuilds every shard over a fresh round-robin partition of `data`
@@ -796,10 +586,181 @@ impl ShardedEngine {
 /// leg spends (clamped to its own live count), so the merged candidate
 /// pool provably covers the monolith's. Mirrors
 /// `PmLsh::candidate_budget` term for term; β is identical across shards
-/// by construction.
-fn pooled_budget(snaps: &[Arc<PmLsh>], total: usize, k: usize) -> usize {
-    let beta = snaps[0].derived().beta;
-    ((beta * total as f64).ceil() as usize + k).min(total)
+/// by construction, so any shard's snapshot supplies it.
+fn pooled_budget(snap: &PmLsh, total: usize, k: usize) -> usize {
+    ((snap.derived().beta * total as f64).ceil() as usize + k).min(total)
+}
+
+/// What one logical query's caller is finally told.
+type Reply = Box<dyn FnOnce(Result<QueryResult, QueryError>) + Send>;
+
+/// The in-flight merge state the legs of one logical query share.
+struct Gather {
+    top: TopK,
+    stats: QueryStats,
+    pending: usize,
+    failed: bool,
+    reply: Option<Reply>,
+}
+
+impl Gather {
+    /// Folds shard `s`'s leg in (`None`: its worker panicked); the last
+    /// leg to land fires the reply — `Err(QueryError::Internal)` if any
+    /// leg failed, like the monolith. [`Neighbor`] orders by `(dist, id)`
+    /// and global ids are unique across shards, so the merged top-k is a
+    /// deterministic total order regardless of arrival order.
+    fn leg(gather: &Mutex<Gather>, s: usize, shards: usize, result: Option<QueryResult>) {
+        let (reply, outcome) = {
+            let mut g = gather.lock().expect("sharded gather poisoned");
+            match result {
+                Some(result) => {
+                    g.stats.merge(&result.stats);
+                    for n in &result.neighbors {
+                        g.top.push(n.dist, to_global(n.id, s, shards));
+                    }
+                }
+                None => g.failed = true,
+            }
+            g.pending -= 1;
+            if g.pending > 0 {
+                return;
+            }
+            let mut neighbors = Vec::new();
+            g.top.drain_sorted_into(&mut neighbors);
+            let stats = g.stats;
+            let outcome = if g.failed {
+                Err(QueryError::Internal)
+            } else {
+                Ok(QueryResult { neighbors, stats })
+            };
+            (g.reply.take().expect("gather fired twice"), outcome)
+        };
+        // Fire outside the lock: the reply may be arbitrarily heavy (it
+        // formats a wire reply and wakes the reactor).
+        reply(outcome);
+    }
+}
+
+/// The one read path: turns `queries` into pool jobs, one leg per
+/// (shard, query), returned shard-major (`shards[0]`'s legs in query
+/// order, then `shards[1]`'s, ...) for the caller to hand to the shards'
+/// batchers or pools. Every query is validated before any job exists, so
+/// an `Err` means nothing was built and no reply will fire.
+fn scatter<Q: AsRef<[f32]>>(
+    shards: &[Engine],
+    queries: &[Q],
+    k: usize,
+    replies: impl Iterator<Item = Reply>,
+) -> Result<Vec<QueryJob>, QueryError> {
+    // Pin one snapshot per shard up front: every leg of every query
+    // answers against one consistent set, even if a mutation or a reindex
+    // swap lands mid-flight.
+    let snaps: Vec<Arc<PmLsh>> = shards.iter().map(Engine::index).collect();
+    for q in queries {
+        try_validate(&snaps[0], q.as_ref(), k)?;
+    }
+    // `k` beyond the live count is clamped (a kNN answer can never exceed
+    // `n`), which also keeps an absurd client-supplied `k` from forcing a
+    // giant allocation.
+    let total: usize = snaps.iter().map(|s| s.len()).sum();
+    let k = k.min(total);
+    // The one place early stop and fan-out part ways: a lone shard holds
+    // the final top-k, so it runs plain Algorithm 2; with S > 1 no leg
+    // does, so each spends the pooled budget without the line-4 stop
+    // (see `PmLsh::query_fanout_into` for the rank argument).
+    let fanout_budget = (shards.len() > 1).then(|| pooled_budget(&snaps[0], total, k));
+    let enqueued = Instant::now();
+    let gathers: Vec<Arc<Mutex<Gather>>> = replies
+        .map(|reply| {
+            Arc::new(Mutex::new(Gather {
+                top: TopK::new(k),
+                stats: QueryStats::default(),
+                pending: shards.len(),
+                failed: false,
+                reply: Some(reply),
+            }))
+        })
+        .collect();
+    let shards = shards.len();
+    let mut jobs = Vec::with_capacity(shards * queries.len());
+    for (s, snap) in snaps.iter().enumerate() {
+        for (q, gather) in queries.iter().zip(&gathers) {
+            let gather = Arc::clone(gather);
+            jobs.push(QueryJob {
+                snapshot: Arc::clone(snap),
+                query: q.as_ref().to_vec(),
+                k: k.min(snap.len()),
+                fanout_budget,
+                enqueued,
+                reply: Box::new(move |result| Gather::leg(&gather, s, shards, result)),
+            });
+        }
+    }
+    Ok(jobs)
+}
+
+/// [`Engine::submit_query`] / [`ShardedEngine::submit_query`]: one
+/// scattered query through every shard's micro-batcher. `enqueue` applies
+/// backpressure: when a bounded queue is full this blocks until space
+/// frees.
+pub(crate) fn submit_query(
+    shards: &[Engine],
+    q: &[f32],
+    k: usize,
+    cb: impl FnOnce(Result<QueryResult, QueryError>) + Send + 'static,
+) -> Result<(), QueryError> {
+    let jobs = scatter(shards, &[q], k, std::iter::once(Box::new(cb) as Reply))?;
+    for (shard, job) in shards.iter().zip(jobs) {
+        shard.queue.enqueue(job);
+    }
+    Ok(())
+}
+
+/// [`Engine::try_query`] / [`ShardedEngine::try_query`]: a submit plus a
+/// channel to park on.
+pub(crate) fn try_query(shards: &[Engine], q: &[f32], k: usize) -> Result<QueryResult, QueryError> {
+    let (tx, rx) = channel();
+    submit_query(shards, q, k, move |result| {
+        // A dropped receiver means the caller gave up waiting.
+        let _ = tx.send(result);
+    })?;
+    // The sender dies unanswered only when a pool dropped a leg unrun.
+    rx.recv().unwrap_or(Err(QueryError::Internal))
+}
+
+/// [`Engine::query_batch`] / [`ShardedEngine::query_batch`]: the same
+/// scatter over a list, sent straight to the pools (a batch already is a
+/// batch), gathered back into input order.
+pub(crate) fn query_batch<Q: AsRef<[f32]>>(
+    shards: &[Engine],
+    queries: &[Q],
+    k: usize,
+) -> Vec<QueryResult> {
+    let (tx, rx) = channel();
+    let replies = (0..queries.len()).map(|qi| -> Reply {
+        let tx = tx.clone();
+        Box::new(move |result| {
+            let _ = tx.send((qi, result));
+        })
+    });
+    // Batch callers keep the panicking contract of `query`.
+    let mut jobs = scatter(shards, queries, k, replies)
+        .unwrap_or_else(|e| panic_for_query_error(e))
+        .into_iter();
+    drop(tx);
+    for shard in shards {
+        shard
+            .pool
+            .submit_sharded(jobs.by_ref().take(queries.len()).collect());
+    }
+    let mut results: Vec<Option<QueryResult>> = queries.iter().map(|_| None).collect();
+    for (qi, result) in rx {
+        results[qi] = Some(result.unwrap_or_else(|e| panic_for_query_error(e)));
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("query execution panicked in the engine worker pool"))
+        .collect()
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -895,6 +856,43 @@ mod tests {
         assert_eq!(merged.query_stats.candidates_verified, 3);
         // Logical query counts still come from shard 0.
         assert_eq!(merged.queries, per_shard[0].queries);
+    }
+
+    /// The one gather path's failure contract at S = 2: panicking legs
+    /// fail their query with `Internal` exactly once on every entry
+    /// point, and the shard pools live to answer the next query.
+    #[test]
+    fn panicking_legs_fail_the_query_once_and_the_pools_survive() {
+        let sharded = ShardedEngine::from_engines(vec![tiny_engine(6), tiny_engine(7)]);
+        let good = [0.25f32; 4];
+        let mut crashing = good;
+        crashing[0] = crate::pool::CRASH_TEST_SENTINEL;
+
+        assert_eq!(
+            sharded.try_query(&crashing, 3).unwrap_err(),
+            QueryError::Internal
+        );
+
+        let (tx, rx) = channel();
+        sharded
+            .submit_query(&crashing, 3, move |result| tx.send(result).unwrap())
+            .expect("the sentinel passes validation");
+        assert_eq!(rx.recv().unwrap().unwrap_err(), QueryError::Internal);
+        // Two failed legs, one reply: the callback (and its sender) is
+        // consumed by the single firing.
+        assert!(rx.recv().is_err(), "the gather fired twice");
+
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sharded.query_batch(&[good, crashing], 3)
+        }))
+        .expect_err("a crashed leg must panic the batch caller");
+        assert_eq!(
+            panic.downcast_ref::<&str>().copied(),
+            Some("query execution panicked in the engine worker pool")
+        );
+
+        assert_eq!(sharded.try_query(&good, 3).unwrap().neighbors.len(), 3);
+        assert_eq!(sharded.query_batch(&[good], 3)[0].neighbors.len(), 3);
     }
 
     #[test]

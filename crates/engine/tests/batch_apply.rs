@@ -2,7 +2,10 @@
 //! copy-on-write clone and one epoch bump for a whole batch, answers
 //! bit-identically to the same ops applied one at a time, and the wire
 //! `BATCH` verb carries all of it end to end — all-or-nothing syntax,
-//! per-op semantic FAIL lines, and auth gating included.
+//! per-op semantic FAIL lines, and auth gating included. Since the wire
+//! `INSERT`/`DELETE` verbs run through the same executor as a one-op
+//! `BATCH`, this file also pins their reply lines as golden strings and
+//! holds a `BATCH 1` twin server to bit-equality with the single verbs.
 
 use pm_lsh_core::{BuildOptions, MutOp, PmLsh, PmLshParams};
 use pm_lsh_engine::{
@@ -414,4 +417,187 @@ fn concurrent_queries_see_consistent_snapshots_across_batches() {
     });
     assert_eq!(engine.epoch(), 8);
     assert_eq!(engine.info().points, 400 + 64);
+}
+
+/// One served index plus a wire connection to it.
+struct Wire {
+    engine: ShardedEngine,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    _handle: pm_lsh_engine::ServerHandle,
+}
+
+impl Wire {
+    fn serve(engine: ShardedEngine, config: ServerConfig) -> Self {
+        let router = Router::with_engine("default", engine.clone()).unwrap();
+        let handle = serve_router(router, ("127.0.0.1", 0), config).expect("bind port 0");
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        Self {
+            engine,
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+            _handle: handle,
+        }
+    }
+
+    fn over(data: &Dataset, shards: usize) -> Self {
+        let config = EngineConfig {
+            threads: 1,
+            ..Default::default()
+        };
+        let engine = ShardedEngine::build(
+            data,
+            PmLshParams::default(),
+            BuildOptions::default(),
+            shards,
+            config,
+        );
+        Self::serve(engine, ServerConfig::default())
+    }
+
+    /// One request (possibly several lines), one reply line. A single
+    /// write: line and newline in two would stall ~40 ms on Nagle's
+    /// algorithm meeting the delayed ACK.
+    fn send(&mut self, request: &str) -> String {
+        self.writer
+            .write_all(format!("{request}\n").as_bytes())
+            .unwrap();
+        recv_line(&mut self.reader)
+    }
+
+    /// Every shard's live ids, in storage order.
+    fn live_ids(&self) -> Vec<Vec<u32>> {
+        self.engine
+            .shards()
+            .iter()
+            .map(|s| s.index().live_ids().to_vec())
+            .collect()
+    }
+}
+
+/// A wire `INSERT v` / `DELETE id` and a `BATCH 1` carrying the same op
+/// are one executor: twin servers fed one or the other end with equal
+/// ids, epochs and points, refuse the same ops with the same message,
+/// and answer follow-up `QUERY`s byte for byte — at S = 1, 2 and 4.
+#[test]
+fn wire_single_ops_match_a_batch_of_one_twin() {
+    let data = blob(240, 6, 80);
+    let extra = blob(12, 6, 81);
+    let line = |v: &[f32]| {
+        let fields: Vec<String> = v.iter().map(|x| x.to_string()).collect();
+        fields.join(" ")
+    };
+    // Inserts, deletes of built and of freshly inserted points, and one
+    // refusal of each kind (a refused op must move nothing on either side).
+    let mut ops: Vec<String> = Vec::new();
+    for i in 0..12 {
+        ops.push(format!("INSERT {}", line(extra.point(i))));
+        if i % 3 == 1 {
+            ops.push(format!("DELETE {}", i * 19));
+            ops.push(format!("DELETE {}", 240 + i));
+        }
+    }
+    ops.push("DELETE 7".to_string());
+    ops.push("DELETE 7".to_string()); // second time: unknown id
+    ops.push("INSERT 1 2 3".to_string()); // wrong dimensionality
+
+    for shards in [1usize, 2, 4] {
+        let mut single = Wire::over(&data, shards);
+        let mut batched = Wire::over(&data, shards);
+        for op in &ops {
+            let a = single.send(op);
+            let b = batched.send(&format!("BATCH 1\n{op}"));
+            let tail = a.split_once(" epoch=").map(|(_, tail)| tail.to_string());
+            match (a.strip_prefix("ERR "), tail) {
+                (Some(message), _) => {
+                    assert!(
+                        b.starts_with("OK applied=0 failed=1 epoch="),
+                        "S={shards}, {op}: {a} vs {b}"
+                    );
+                    assert_eq!(recv_line(&mut batched.reader), format!("FAIL 0 {message}"));
+                }
+                (None, Some(tail)) => {
+                    assert_eq!(b, format!("OK applied=1 failed=0 epoch={tail}"), "{op}");
+                }
+                (None, None) => panic!("S={shards}, {op}: unexpected reply {a}"),
+            }
+            assert_eq!(single.send("INDEXINFO"), batched.send("INDEXINFO"), "{op}");
+        }
+        assert_eq!(single.live_ids(), batched.live_ids(), "S={shards}");
+        assert_eq!(single.engine.epoch(), batched.engine.epoch());
+        for qi in 0..extra.len() {
+            let query = format!("QUERY 10 {}", line(extra.point(qi)));
+            let reply = single.send(&query);
+            assert!(reply.starts_with("OK "), "{reply}");
+            assert_eq!(reply, batched.send(&query), "S={shards}, query {qi}");
+        }
+    }
+}
+
+/// Every `INSERT` / `DELETE` reply line of PROTOCOL.md — both successes
+/// and the whole error catalogue — as golden strings, so the executor the
+/// single verbs share with `BATCH` cannot reword one.
+#[test]
+fn wire_single_op_reply_lines_are_golden() {
+    let two = Dataset::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+    let engine: ShardedEngine = engine_over(two).into();
+    let config = ServerConfig {
+        auth_token: Some("sekrit".to_string()),
+        ..Default::default()
+    };
+    let mut wire = Wire::serve(engine, config);
+    for (request, want) in [
+        ("INSERT 1 1 1", "ERR authentication required (AUTH <token>)"),
+        ("DELETE 0", "ERR authentication required (AUTH <token>)"),
+        ("AUTH sekrit", "OK authenticated"),
+        ("INSERT", "ERR INSERT needs <v1> ... <vd>"),
+        ("INSERT 1 nan 3", "ERR bad vector component 'nan'"),
+        ("INSERT 1 1e39 3", "ERR bad vector component '1e39'"),
+        ("INSERT 1 2 3 4", "ERR point has 4 components, index dimensionality is 3"),
+        ("DELETE", "ERR DELETE needs a point id"),
+        ("DELETE x", "ERR DELETE needs a point id"),
+        ("DELETE -1", "ERR DELETE needs a point id"),
+        ("DELETE 1 2", "ERR DELETE takes exactly one point id"),
+        ("DELETE 99999", "ERR unknown point id 99999"),
+        ("INSERT 7 8 9", "OK id=2 epoch=1 points=3"),
+        ("DELETE 2", "OK deleted 2 epoch=2 points=2"),
+        ("DELETE 2", "ERR unknown point id 2"),
+        ("DELETE 0", "OK deleted 0 epoch=3 points=1"),
+        ("DELETE 1", "ERR cannot delete the last indexed point"),
+        ("INDEXINFO", "INDEXINFO name=default points=1 dim=3 m=15 c=1.5 epoch=3 reindexing=false state=serving pct=100 shards=1"),
+    ] {
+        assert_eq!(wire.send(request), want, "{request}");
+    }
+    // Unreachable through the text grammar (the parser already refuses
+    // non-finite floats) but part of the catalogue: the engine's wording.
+    assert_eq!(
+        format!("ERR {}", MutationError::NonFiniteComponent),
+        "ERR point contains a non-finite component"
+    );
+
+    // Mid-rebuild refusal, for the single verbs and for BATCH alike. The
+    // build below takes far longer than a round trip; should it ever win
+    // the race, the ticket says so and the check is skipped, never wrong.
+    let rebuild = blob(20_000, 3, 82);
+    let ticket = wire.engine.shards()[0]
+        .begin_reindex(rebuild, PmLshParams::default(), BuildOptions::default())
+        .expect("reindex starts");
+    let replies = [
+        wire.send("INSERT 1 2 3"),
+        wire.send("DELETE 1"),
+        wire.send("BATCH 1\nINSERT 1 2 3"),
+    ];
+    if !ticket.is_done() {
+        for reply in replies {
+            assert_eq!(
+                reply,
+                "ERR a reindex is in progress; retry once it completes"
+            );
+        }
+    }
+    ticket.wait();
+    assert_eq!(
+        format!("ERR {}", MutationError::ReindexInProgress),
+        "ERR a reindex is in progress; retry once it completes"
+    );
 }

@@ -1,6 +1,6 @@
-//! Batch-mutation bench: amortized [`Engine::apply`] against a
-//! lock-step single-op twin issuing the identical ops through
-//! [`Engine::insert`]/[`Engine::delete`].
+//! Batch-mutation bench: amortized [`ShardedEngine::apply`] (one shard)
+//! against a lock-step single-op twin issuing the identical ops through
+//! [`ShardedEngine::insert`]/[`ShardedEngine::delete`].
 //!
 //! Every single-op mutation pays a full copy-on-write clone of the
 //! snapshot — O(n·d) plus the tree — so `W` ops cost O(W·n). A batch
@@ -17,14 +17,12 @@
 //! Only then are fresh engines timed. The wide-batch speedup must clear
 //! 5× — the floor the amortization argument promises.
 //!
-//! Results go to `BENCH_mutation_batch.json` at the workspace root
-//! (override with `PMLSH_BENCH_OUT`). Knobs: `PMLSH_SCALE`
-//! (smoke|bench|full), `PMLSH_FORCE_SCALAR=1`.
+//! Knobs: `PMLSH_SCALE` (smoke|bench|full), `PMLSH_FORCE_SCALAR=1`.
 
 use pm_lsh_bench::{f, scale_from_env, Table};
 use pm_lsh_core::{PmLsh, PmLshParams};
 use pm_lsh_data::PaperDataset;
-use pm_lsh_engine::{Engine, EngineConfig, MutOp};
+use pm_lsh_engine::{Engine, EngineConfig, MutOp, ShardedEngine};
 use pm_lsh_stats::Rng;
 use std::time::Instant;
 
@@ -38,12 +36,9 @@ const TOTAL_OPS: usize = 512;
 const SPEEDUP_FLOOR_WIDTH: usize = 64;
 const SPEEDUP_FLOOR: f64 = 5.0;
 
-struct Row {
-    width: usize,
-    batches: usize,
-    batched_us: f64,
-    single_us: f64,
-    speedup: f64,
+/// A fresh one-shard engine over a clone of the immutable base index.
+fn engine_over(base: &PmLsh) -> ShardedEngine {
+    Engine::new(base.clone(), EngineConfig::default()).into()
 }
 
 fn main() {
@@ -61,7 +56,6 @@ fn main() {
     // One build; timed runs restart from clones of this immutable base.
     let base = PmLsh::build(data, PmLshParams::paper_defaults());
 
-    let mut rows = Vec::new();
     let mut table = Table::new(&[
         "width",
         "batches",
@@ -77,7 +71,7 @@ fn main() {
         let mut batched_best = f64::INFINITY;
         let mut single_best = f64::INFINITY;
         for _ in 0..REPEATS {
-            let engine = Engine::new(base.clone(), EngineConfig::default());
+            let engine = engine_over(&base);
             let start = Instant::now();
             for batch in &batches {
                 let report = engine.apply(batch).expect("bench batch apply");
@@ -85,7 +79,7 @@ fn main() {
             }
             batched_best = batched_best.min(start.elapsed().as_secs_f64() * 1e6);
 
-            let engine = Engine::new(base.clone(), EngineConfig::default());
+            let engine = engine_over(&base);
             let start = Instant::now();
             for batch in &batches {
                 for op in batch {
@@ -118,41 +112,8 @@ fn main() {
             f(single_us, 1),
             format!("{speedup:.1}x"),
         ]);
-        rows.push(Row {
-            width,
-            batches: batches.len(),
-            batched_us,
-            single_us,
-            speedup,
-        });
     }
     print!("{}", table.render());
-    println!();
-
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{ \"width\": {}, \"batches\": {}, \"batched_us_per_op\": {:.2}, \"single_us_per_op\": {:.2}, \"speedup\": {:.2} }}",
-                r.width, r.batches, r.batched_us, r.single_us, r.speedup
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"mutation_batch\",\n  \"scale\": \"{scale:?}\",\n  \"parity\": true,\n  \"dataset\": \"{}\",\n  \"n\": {n},\n  \"d\": {d},\n  \"k\": {K},\n  \"ops_per_width\": {TOTAL_OPS},\n  \"speedup_floor\": {{ \"min_width\": {SPEEDUP_FLOOR_WIDTH}, \"ratio\": {SPEEDUP_FLOOR} }},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        ds.name(),
-        json_rows.join(",\n"),
-    );
-    let out_path = std::env::var("PMLSH_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_mutation_batch.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => println!("could not write {out_path}: {e}"),
-    }
 }
 
 /// Plans `TOTAL_OPS / width` batches of `width` mixed ops. Deletes are
@@ -189,8 +150,8 @@ fn plan_schedule(n: usize, d: usize, width: usize) -> Vec<Vec<MutOp>> {
 /// on a twin over identical data. Identical build → identical
 /// projections → answers must match bit for bit at every boundary.
 fn assert_parity(base: &PmLsh, batches: &[Vec<MutOp>], width: usize) {
-    let batched = Engine::new(base.clone(), EngineConfig::default());
-    let single = Engine::new(base.clone(), EngineConfig::default());
+    let batched = engine_over(base);
+    let single = engine_over(base);
     let mut rng = Rng::new(0xC0FFEE + width as u64);
     let mut probe = vec![0.0f32; base.data().dim()];
     let mut ops_done = 0u64;

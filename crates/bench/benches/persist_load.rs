@@ -12,9 +12,7 @@
 //! `QueryStats` are asserted bit-identical to the rebuilt index's on the
 //! whole query stream (the build is deterministic, so rebuild and
 //! snapshot describe the same index — the snapshot must not change a
-//! single answer). The run asserts load ≥ 10x faster than rebuild and
-//! writes `BENCH_persist_load.json` at the workspace root (override
-//! with `PMLSH_BENCH_OUT`).
+//! single answer). The run asserts load ≥ 10x faster than rebuild.
 //!
 //! Knobs: `PMLSH_SCALE` (smoke|bench|full), `PMLSH_QUERIES`,
 //! `PMLSH_FORCE_SCALAR=1` (pin the scalar kernels).
@@ -31,16 +29,6 @@ const K: usize = 10;
 const REPEATS: usize = 3;
 const MIN_SPEEDUP: f64 = 10.0;
 
-struct Report {
-    dataset: &'static str,
-    n: usize,
-    d: usize,
-    queries: usize,
-    build_s: f64,
-    load_s: f64,
-    snapshot_bytes: u64,
-}
-
 fn temp_path(tag: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
         "pmlsh-bench-{tag}-{}-{}.{ext}",
@@ -56,45 +44,12 @@ fn main() {
     let scale = scale_from_env();
     println!("snapshot load vs fvecs rebuild — scale {scale:?}, k = {K}\n");
 
-    let reports: Vec<Report> = [PaperDataset::Audio, PaperDataset::Trevi]
-        .into_iter()
-        .map(|ds| run_dataset(ds, scale))
-        .collect();
-
-    let json_entries: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"dataset\": \"{}\",\n      \"n\": {},\n      \"d\": {},\n      \"k\": {K},\n      \"queries\": {},\n      \"fvecs_rebuild_s\": {:.4},\n      \"pmlsh_load_s\": {:.4},\n      \"load_speedup\": {:.1},\n      \"snapshot_bytes\": {}\n    }}",
-                r.dataset,
-                r.n,
-                r.d,
-                r.queries,
-                r.build_s,
-                r.load_s,
-                r.build_s / r.load_s,
-                r.snapshot_bytes,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"persist_load\",\n  \"scale\": \"{:?}\",\n  \"parity\": true,\n  \"min_speedup_asserted\": {MIN_SPEEDUP},\n  \"datasets\": [\n{}\n  ]\n}}\n",
-        scale,
-        json_entries.join(",\n"),
-    );
-    let out_path = std::env::var("PMLSH_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_persist_load.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => println!("could not write {out_path}: {e}"),
+    for ds in [PaperDataset::Audio, PaperDataset::Trevi] {
+        run_dataset(ds, scale);
     }
 }
 
-fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) -> Report {
+fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
     let generator = ds.generator(scale);
     let data = generator.dataset();
     let queries = generator.queries(queries_from_env());
@@ -180,14 +135,4 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) -> Report {
 
     let _ = std::fs::remove_file(&fvecs);
     let _ = std::fs::remove_file(&snap);
-
-    Report {
-        dataset: ds.name(),
-        n: data.len(),
-        d: data.dim(),
-        queries: queries.len(),
-        build_s: build_best_s,
-        load_s: load_best_s,
-        snapshot_bytes,
-    }
 }

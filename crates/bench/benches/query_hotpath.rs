@@ -18,10 +18,8 @@
 //!
 //! Every configuration's `neighbors` **and** `QueryStats` are asserted
 //! bit-identical to the reference before any number is reported — the
-//! refactor must buy speed, never answers. Besides the table, the run
-//! writes machine-readable results to `BENCH_query_hotpath.json` at the
-//! workspace root (override with `PMLSH_BENCH_OUT`) so the perf
-//! trajectory of this path is recorded PR over PR.
+//! refactor must buy speed, never answers. The table on stdout is the
+//! whole output; the served-path trajectory lives in `BENCHMARK.json`.
 //!
 //! Knobs: `PMLSH_SCALE` (smoke|bench|full), `PMLSH_QUERIES`,
 //! `PMLSH_FORCE_SCALAR=1` (pin the scalar kernels).
@@ -36,19 +34,6 @@ use std::time::Instant;
 const K: usize = 10;
 const REPEATS: usize = 3;
 
-struct DatasetReport {
-    dataset: &'static str,
-    n: usize,
-    d: usize,
-    queries: usize,
-    qps_reference: f64,
-    qps_fresh: f64,
-    qps_reused: f64,
-    ns_per_cand_reference: f64,
-    ns_per_cand_reused: f64,
-    mean_candidates: f64,
-}
-
 fn main() {
     let scale = scale_from_env();
     println!(
@@ -56,50 +41,12 @@ fn main() {
         simd::active_level()
     );
 
-    let reports: Vec<DatasetReport> = [PaperDataset::Audio, PaperDataset::Trevi]
-        .into_iter()
-        .map(|ds| run_dataset(ds, scale))
-        .collect();
-
-    let json_entries: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"dataset\": \"{}\",\n      \"n\": {},\n      \"d\": {},\n      \"k\": {K},\n      \"queries\": {},\n      \"qps_reference\": {:.1},\n      \"qps_fresh_context\": {:.1},\n      \"qps_reused_context\": {:.1},\n      \"speedup_fresh_context\": {:.3},\n      \"speedup_reused_context\": {:.3},\n      \"ns_per_candidate_reference\": {:.1},\n      \"ns_per_candidate_reused\": {:.1},\n      \"mean_candidates_verified\": {:.1}\n    }}",
-                r.dataset,
-                r.n,
-                r.d,
-                r.queries,
-                r.qps_reference,
-                r.qps_fresh,
-                r.qps_reused,
-                r.qps_fresh / r.qps_reference,
-                r.qps_reused / r.qps_reference,
-                r.ns_per_cand_reference,
-                r.ns_per_cand_reused,
-                r.mean_candidates,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"query_hotpath\",\n  \"scale\": \"{:?}\",\n  \"simd_level\": \"{}\",\n  \"parity\": true,\n  \"datasets\": [\n{}\n  ]\n}}\n",
-        scale,
-        simd::active_level(),
-        json_entries.join(",\n"),
-    );
-    let out_path = std::env::var("PMLSH_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_query_hotpath.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => println!("could not write {out_path}: {e}"),
+    for ds in [PaperDataset::Audio, PaperDataset::Trevi] {
+        run_dataset(ds, scale);
     }
 }
 
-fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) -> DatasetReport {
+fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
     let generator = ds.generator(scale);
     let data = Arc::new(generator.dataset());
     let queries = generator.queries(queries_from_env());
@@ -189,19 +136,6 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) -> DatasetReport {
         "mean candidates verified per query: {:.1}\n",
         total_candidates as f64 / nq
     );
-
-    DatasetReport {
-        dataset: ds.name(),
-        n: data.len(),
-        d: data.dim(),
-        queries: queries.len(),
-        qps_reference: ref_qps,
-        qps_fresh: fresh_qps,
-        qps_reused: reused_qps,
-        ns_per_cand_reference: ns_per_cand(ref_best_s),
-        ns_per_cand_reused: ns_per_cand(reused_best_s),
-        mean_candidates: total_candidates as f64 / nq,
-    }
 }
 
 fn assert_parity(got: &[QueryResult], reference: &[QueryResult], label: &str) {

@@ -14,9 +14,8 @@
 //! same inequalities `crates/engine/tests/sharded_parity.rs` enforces —
 //! before any timing is reported.
 //!
-//! Results go to `BENCH_shard_scaling.json` at the workspace root
-//! (override with `PMLSH_BENCH_OUT`). Knobs: `PMLSH_SCALE`
-//! (smoke|bench|full), `PMLSH_QUERIES`, `PMLSH_FORCE_SCALAR=1`.
+//! Knobs: `PMLSH_SCALE` (smoke|bench|full), `PMLSH_QUERIES`,
+//! `PMLSH_FORCE_SCALAR=1`.
 
 use pm_lsh_bench::{f, queries_from_env, scale_from_env, Table};
 use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
@@ -30,74 +29,16 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Insert/delete pairs timed per repeat.
 const MUTATION_PAIRS: usize = 25;
 
-struct Row {
-    shards: usize,
-    build_s: f64,
-    insert_us: f64,
-    delete_us: f64,
-    recall: f64,
-}
-
-struct Report {
-    dataset: &'static str,
-    n: usize,
-    d: usize,
-    queries: usize,
-    mono_recall: f64,
-    rows: Vec<Row>,
-}
-
 fn main() {
     let scale = scale_from_env();
     println!("sharded engine scaling — scale {scale:?}, k = {K}, S ∈ {SHARD_COUNTS:?}\n");
 
-    let reports: Vec<Report> = [PaperDataset::Audio, PaperDataset::Trevi]
-        .into_iter()
-        .map(|ds| run_dataset(ds, scale))
-        .collect();
-
-    let json_entries: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let rows: Vec<String> = r
-                .rows
-                .iter()
-                .map(|row| {
-                    format!(
-                        "        {{ \"shards\": {}, \"build_s\": {:.4}, \"insert_us\": {:.1}, \"delete_us\": {:.1}, \"recall\": {:.4} }}",
-                        row.shards, row.build_s, row.insert_us, row.delete_us, row.recall
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\n      \"dataset\": \"{}\",\n      \"n\": {},\n      \"d\": {},\n      \"k\": {K},\n      \"queries\": {},\n      \"monolithic_recall\": {:.4},\n      \"per_shard_count\": [\n{}\n      ]\n    }}",
-                r.dataset,
-                r.n,
-                r.d,
-                r.queries,
-                r.mono_recall,
-                rows.join(",\n"),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"shard_scaling\",\n  \"scale\": \"{:?}\",\n  \"parity\": true,\n  \"datasets\": [\n{}\n  ]\n}}\n",
-        scale,
-        json_entries.join(",\n"),
-    );
-    let out_path = std::env::var("PMLSH_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_shard_scaling.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => println!("could not write {out_path}: {e}"),
+    for ds in [PaperDataset::Audio, PaperDataset::Trevi] {
+        run_dataset(ds, scale);
     }
 }
 
-fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) -> Report {
+fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
     let generator = ds.generator(scale);
     let data = generator.dataset();
     let queries = generator.queries(queries_from_env());
@@ -126,7 +67,6 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) -> Report {
     let mono_budget = mono.candidate_budget(K);
     let mono_recall = avg_recall(&mono);
 
-    let mut rows = Vec::new();
     let mut table = Table::new(&[
         "shards",
         "build (s)",
@@ -193,23 +133,7 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) -> Report {
             f(delete_best_us, 1),
             format!("{sharded_recall:.4}"),
         ]);
-        rows.push(Row {
-            shards,
-            build_s: build_best_s,
-            insert_us: insert_best_us,
-            delete_us: delete_best_us,
-            recall: sharded_recall,
-        });
     }
     print!("{}", table.render());
     println!();
-
-    Report {
-        dataset: ds.name(),
-        n: data.len(),
-        d: data.dim(),
-        queries: queries.len(),
-        mono_recall,
-        rows,
-    }
 }

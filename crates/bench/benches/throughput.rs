@@ -1,4 +1,4 @@
-//! Engine scaling bench: `Engine::query_batch` throughput at 1/2/4/8
+//! Engine scaling bench: `ShardedEngine::query_batch` throughput at 1/2/4/8
 //! workers against the sequential `PmLsh::query` baseline, on the Audio
 //! smoke stand-in. The engine must add concurrency without changing
 //! answers, so every configuration's neighbor sets are checked for bit
@@ -11,7 +11,7 @@
 use pm_lsh_bench::{f, Table};
 use pm_lsh_core::{PmLsh, PmLshParams, QueryResult};
 use pm_lsh_data::{PaperDataset, Scale};
-use pm_lsh_engine::{Engine, EngineConfig};
+use pm_lsh_engine::{Engine, EngineConfig, ShardedEngine};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -71,13 +71,14 @@ fn main() {
     ]);
 
     for workers in [1usize, 2, 4, 8] {
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             Arc::clone(&index),
             EngineConfig {
                 threads: workers,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         let mut best_s = f64::INFINITY;
         let mut results: Vec<QueryResult> = Vec::new();
         for _ in 0..REPEATS {

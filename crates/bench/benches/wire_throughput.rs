@@ -17,9 +17,7 @@
 //! encode, client decode. On Trevi (d = 4096) a text QUERY renders and
 //! reparses ~4096 ASCII floats per round trip where the binary frame
 //! moves the same 16 KiB as raw little-endian bytes; the run asserts
-//! binary achieves at least 2x the text throughput there, and writes
-//! `BENCH_wire_throughput.json` at the workspace root (override with
-//! `PMLSH_BENCH_OUT`).
+//! binary achieves at least 2x the text throughput there.
 //!
 //! Knobs: `PMLSH_SCALE` (smoke|bench|full), `PMLSH_FORCE_SCALAR=1`.
 
@@ -55,8 +53,6 @@ struct Run {
 
 struct Report {
     dataset: &'static str,
-    n: usize,
-    d: usize,
     runs: Vec<Run>,
 }
 
@@ -180,45 +176,6 @@ fn main() {
         speedup >= MIN_TREVI_SPEEDUP,
         "binary framing is only {speedup:.2}x text on Trevi (gate: {MIN_TREVI_SPEEDUP}x)"
     );
-
-    let json_reports: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let runs: Vec<String> = r
-                .runs
-                .iter()
-                .map(|run| {
-                    format!(
-                        "        {{ \"framing\": \"{}\", \"connections\": {}, \"qps\": {:.1}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4} }}",
-                        run.framing, run.conns, run.qps, run.p50_ms, run.p99_ms
-                    )
-                })
-                .collect();
-            format!(
-                "    {{\n      \"dataset\": \"{}\",\n      \"n\": {},\n      \"d\": {},\n      \"runs\": [\n{}\n      ]\n    }}",
-                r.dataset,
-                r.n,
-                r.d,
-                runs.join(",\n")
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"wire_throughput\",\n  \"scale\": \"{:?}\",\n  \"k\": {K},\n  \"requests_per_run\": {REQUESTS_PER_RUN},\n  \"client_threads\": {CLIENT_THREADS},\n  \"parity\": true,\n  \"trevi_binary_speedup_1conn\": {:.2},\n  \"min_trevi_speedup_asserted\": {MIN_TREVI_SPEEDUP},\n  \"datasets\": [\n{}\n  ]\n}}\n",
-        scale,
-        speedup,
-        json_reports.join(",\n"),
-    );
-    let out_path = std::env::var("PMLSH_BENCH_OUT").unwrap_or_else(|_| {
-        format!(
-            "{}/../../BENCH_wire_throughput.json",
-            env!("CARGO_MANIFEST_DIR")
-        )
-    });
-    match std::fs::write(&out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => println!("could not write {out_path}: {e}"),
-    }
 }
 
 fn best_qps(report: &Report, framing: &str, conns: usize) -> f64 {
@@ -325,8 +282,6 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale, levels: &[usize]) ->
     );
     Report {
         dataset: ds.name(),
-        n,
-        d,
         runs,
     }
 }

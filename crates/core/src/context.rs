@@ -2,10 +2,10 @@
 //!
 //! Reusable per-thread query state.
 //!
-//! Every `(c, k)`-ANN query needs a projected-query buffer (`m` floats), a
-//! PM-tree traversal frontier and a top-k collector. Allocating them per
-//! query is invisible for one-off calls but dominates small-`d` serving
-//! workloads; a [`QueryContext`] owns all three and is threaded through
+//! Every query needs a projected-query buffer (`m` floats), a PM-tree
+//! traversal frontier and a top-k collector. Allocating them per query is
+//! invisible for one-off calls but dominates small-`d` serving workloads;
+//! a [`QueryContext`] owns all three and is threaded through
 //! [`crate::PmLsh::query_with_context`] / [`crate::PmLsh::query_into`] so
 //! repeated queries run without touching the allocator at steady state
 //! (asserted by `crates/core/tests/zero_alloc.rs` with a counting global
@@ -16,7 +16,7 @@
 //! resize on the next query. Results are bit-identical with or without a
 //! context; reuse trades allocation, never accuracy.
 
-use pm_lsh_metric::TopK;
+use pm_lsh_metric::{Neighbor, TopK};
 use pm_lsh_pmtree::CursorScratch;
 
 /// Owned scratch space for the query hot path; see the module docs.
@@ -48,6 +48,9 @@ pub struct QueryContext {
     pub(crate) qp: Vec<f32>,
     /// Top-k collector, reset per query.
     pub(crate) top: TopK,
+    /// Where `query_bc_with_context` receives its one answer, so
+    /// Algorithm 1 stays allocation-free too.
+    pub(crate) hit: Vec<Neighbor>,
 }
 
 impl QueryContext {
@@ -61,6 +64,8 @@ impl QueryContext {
             qp: Vec::new(),
             // Placeholder k; every query resets the collector to its own k.
             top: TopK::new(1),
+            // lint: allow(hot-path) -- one-time constructor; queries reuse the buffer
+            hit: Vec::new(),
         }
     }
 }

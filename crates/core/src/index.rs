@@ -10,7 +10,7 @@ use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::{sq_dist_within, Dataset, Neighbor};
 use pm_lsh_pmtree::PmTree;
 use pm_lsh_stats::{distance_distribution, Ecdf, Rng};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Per-query execution counters, used by the benchmark harness and by the
 /// Theorem 2 cost tests (`O(log n + βn)` behaviour).
@@ -176,46 +176,6 @@ pub struct PmLsh {
     params: PmLshParams,
     derived: DerivedParams,
     dist_f: Ecdf,
-    rmin_memo: RminMemo,
-}
-
-/// Memoized [`PmLsh::select_rmin`] values for small `k`.
-///
-/// Serving workloads issue millions of queries at one or two fixed `k`
-/// values, and the `r_min` selection walks the build-time ECDF every time.
-/// The answer depends only on `k` (and build-time state), so each small-`k`
-/// slot is computed once and then read lock-free; larger `k` falls back to
-/// the direct computation. A cloned index copies the already-memoized
-/// values (same build-time state, same answers).
-struct RminMemo {
-    slots: [OnceLock<f64>; RminMemo::SLOTS],
-}
-
-impl RminMemo {
-    /// Memoized range: `k < SLOTS` (covers every realistic serving `k`;
-    /// the paper's experiments stop at k = 100).
-    const SLOTS: usize = 128;
-
-    fn new() -> Self {
-        Self {
-            slots: std::array::from_fn(|_| OnceLock::new()),
-        }
-    }
-}
-
-impl Clone for RminMemo {
-    fn clone(&self) -> Self {
-        Self {
-            slots: self.slots.clone(),
-        }
-    }
-}
-
-impl std::fmt::Debug for RminMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let cached = self.slots.iter().filter(|s| s.get().is_some()).count();
-        f.debug_struct("RminMemo").field("cached", &cached).finish()
-    }
 }
 
 impl PmLsh {
@@ -323,7 +283,6 @@ impl PmLsh {
             params,
             derived,
             dist_f,
-            rmin_memo: RminMemo::new(),
         }
     }
 
@@ -365,17 +324,18 @@ impl PmLsh {
     /// after deletions.
     ///
     /// The point is projected through the index's hash functions and
-    /// inserted into the PM-tree, the dataset row is appended, and the
-    /// memoized `r_min` selections are reset (they depend on `n`). The
+    /// inserted into the PM-tree, and the dataset row is appended. The
     /// build-time distance distribution `F` is *not* resampled: `r_min`
-    /// drifts only as far as the data distribution itself drifts, and a
-    /// `REINDEX` restores an exactly-sampled `F` — the documented
-    /// trade-off of incremental maintenance.
+    /// follows the live count `n` but drifts only as far as the data
+    /// distribution itself drifts, and a `REINDEX` restores an
+    /// exactly-sampled `F` — the documented trade-off of incremental
+    /// maintenance.
     ///
     /// # Panics
     /// Panics if `point` has the wrong dimensionality or a non-finite
     /// component (serving layers validate first; see
-    /// `pm_lsh_engine::Engine::insert` for the error-returning form).
+    /// `pm_lsh_engine::ShardedEngine::insert` for the error-returning
+    /// form).
     pub fn insert(&mut self, point: &[f32]) -> pm_lsh_metric::PointId {
         assert_eq!(
             point.len(),
@@ -390,7 +350,6 @@ impl PmLsh {
         let projected = self.projector.project(point);
         Arc::make_mut(&mut self.data).push(point);
         self.tree.insert(&projected, id);
-        self.rmin_memo = RminMemo::new();
         id
     }
 
@@ -400,11 +359,7 @@ impl PmLsh {
     /// original-space row stays behind as a stable-id tombstone until the
     /// next rebuild and is never returned by queries.
     pub fn delete(&mut self, id: pm_lsh_metric::PointId) -> bool {
-        let deleted = self.tree.delete(id);
-        if deleted {
-            self.rmin_memo = RminMemo::new();
-        }
-        deleted
+        self.tree.delete(id)
     }
 
     /// Applies a batch of interleaved inserts and deletes in one pass,
@@ -416,28 +371,20 @@ impl PmLsh {
     /// if applied one at a time through [`PmLsh::insert`] /
     /// [`PmLsh::delete`].
     ///
-    /// What a batch amortizes at this layer: the memoized `r_min`
-    /// selections are reset **once** after the whole batch (they depend
-    /// only on the live count `n`, so intermediate resets are wasted
-    /// work), and the live-count-derived candidate budget `βn + k`
-    /// re-derives lazily from the final `n`. The engine layer adds the
-    /// big win on top — one copy-on-write clone and one epoch bump per
-    /// batch (`pm_lsh_engine::Engine::apply`, through
-    /// [`PmLsh::apply_cow`]).
+    /// Nothing is amortized at this layer — `r_min` and the candidate
+    /// budget `βn + k` are computed per query from the live count `n`.
+    /// The engine layer adds the win: one copy-on-write clone and one
+    /// epoch bump per batch (`pm_lsh_engine::ShardedEngine::apply`,
+    /// through [`PmLsh::apply_cow`]).
     ///
     /// Unlike the asserting single-op [`PmLsh::insert`], malformed
     /// vectors (wrong dimensionality, non-finite components) are typed
     /// rejections here. The one batch-only rule: a delete that would
     /// empty the index is rejected with [`MutReject::WouldEmpty`].
     pub fn apply(&mut self, ops: &[MutOp]) -> Vec<Result<pm_lsh_metric::PointId, MutReject>> {
-        let results: Vec<_> = ops
-            .iter()
+        ops.iter()
             .map(|op| self.admit(op).map(|()| self.patch(op)))
-            .collect();
-        if results.iter().any(Result::is_ok) {
-            self.rmin_memo = RminMemo::new();
-        }
-        results
+            .collect()
     }
 
     /// The copy-on-write form of [`PmLsh::apply`], for serving layers
@@ -458,9 +405,6 @@ impl PmLsh {
                 Ok(next.get_or_insert_with(|| self.clone()).patch(op))
             })
             .collect();
-        if let Some(next) = &mut next {
-            next.rmin_memo = RminMemo::new();
-        }
         (next, results)
     }
 
@@ -484,8 +428,7 @@ impl PmLsh {
     }
 
     /// Patches one op [`PmLsh::admit`] accepted into the index, returning
-    /// the inserted or deleted id. The memoized `r_min` slots are the
-    /// caller's to reset, once per batch.
+    /// the inserted or deleted id.
     fn patch(&mut self, op: &MutOp) -> pm_lsh_metric::PointId {
         match op {
             MutOp::Insert(point) => {
@@ -548,9 +491,8 @@ impl PmLsh {
     /// Reassembles an index from its constituent parts — the
     /// deserialization path of the `pm-lsh-persist` snapshot format.
     ///
-    /// The derived Eq. 10 parameters and the memoized `r_min` slots are
-    /// *recomputed*, not restored: both are deterministic functions of
-    /// `params`, `dist_f` and the live point count, so a reassembled
+    /// The derived Eq. 10 parameters are *recomputed*, not restored:
+    /// they are a deterministic function of `params`, so a reassembled
     /// index answers every query — including every [`QueryStats`]
     /// counter — bit-identically to the index the parts came from.
     ///
@@ -621,24 +563,13 @@ impl PmLsh {
             params,
             derived,
             dist_f,
-            rmin_memo: RminMemo::new(),
         })
     }
 
     /// The start radius of Algorithm 2 for a given `k`: the paper picks `r`
-    /// with `n·F(r) = βn + k`, then shrinks it slightly.
-    ///
-    /// The value depends only on `k` and build-time state, so small `k`
-    /// (k < 128) is memoized per index — a serving workload hammering one
-    /// or two `k` values pays the ECDF walk once.
+    /// with `n·F(r) = βn + k`, then shrinks it slightly. One ECDF quantile
+    /// (two array reads and a lerp) over the live count `n`.
     pub fn select_rmin(&self, k: usize) -> f64 {
-        match self.rmin_memo.slots.get(k) {
-            Some(slot) => *slot.get_or_init(|| self.compute_rmin(k)),
-            None => self.compute_rmin(k),
-        }
-    }
-
-    fn compute_rmin(&self, k: usize) -> f64 {
         let n = self.len() as f64;
         let target = (self.derived.beta + k as f64 / n).min(1.0);
         let r = self.dist_f.quantile(target);
@@ -688,16 +619,6 @@ impl PmLsh {
     /// repeated calls never touch the global allocator
     /// (`crates/core/tests/zero_alloc.rs` pins this with a counting
     /// allocator).
-    ///
-    /// Verification runs in the squared-distance domain: each candidate is
-    /// measured with the early-abandoning [`sq_dist_within`] against a
-    /// conservative squared bound derived from the current k-th neighbor
-    /// distance, so candidates that cannot enter the top-k stop mid-kernel
-    /// and never pay a `sqrt`. Kept candidates are completed exactly (same
-    /// kernel, same accumulation order) and take one `sqrt` on insertion,
-    /// which keeps every distance the verifier stores — and therefore every
-    /// result and every [`QueryStats`] counter — identical to the
-    /// pre-abandonment implementation (`PmLsh::query_reference`).
     pub fn query_into(
         &self,
         q: &[f32],
@@ -706,7 +627,7 @@ impl PmLsh {
         ctx: &mut QueryContext,
         out: &mut Vec<Neighbor>,
     ) -> QueryStats {
-        self.query_into_mode(q, k, c, ctx, out, None)
+        self.search(q, SearchSpec::Ann { k, c }, ctx, out)
     }
 
     /// Algorithm 2 as the per-shard leg of a scatter-gather query: spends
@@ -738,33 +659,64 @@ impl PmLsh {
         ctx: &mut QueryContext,
         out: &mut Vec<Neighbor>,
     ) -> QueryStats {
-        self.query_into_mode(q, k, self.params.c, ctx, out, Some(budget))
+        self.search(q, SearchSpec::Fanout { k, budget }, ctx, out)
     }
 
-    /// [`PmLsh::query_fanout_into`] returning an owned [`QueryResult`].
-    pub fn query_fanout_with_context(
+    /// Algorithm 1: the `(r, c)`-ball-cover query. Returns a point within
+    /// `c·r` of `q` (the closest verified candidate) or `None`, with the
+    /// guarantees of Lemma 5.
+    pub fn query_bc(&self, q: &[f32], r: f64) -> Option<Neighbor> {
+        self.query_bc_with_context(q, r, &mut QueryContext::new())
+    }
+
+    /// Algorithm 1 over a reused [`QueryContext`]; identical results to
+    /// [`PmLsh::query_bc`], allocation-free at steady state.
+    pub fn query_bc_with_context(
         &self,
         q: &[f32],
-        k: usize,
-        budget: usize,
+        r: f64,
         ctx: &mut QueryContext,
-    ) -> QueryResult {
-        // lint: allow(hot-path) -- owned-result convenience; query_fanout_into is zero-alloc
-        let mut neighbors = Vec::new();
-        let stats = self.query_fanout_into(q, k, budget, ctx, &mut neighbors);
-        QueryResult { neighbors, stats }
+    ) -> Option<Neighbor> {
+        let mut hit = std::mem::take(&mut ctx.hit);
+        self.search(q, SearchSpec::BallCover { r }, ctx, &mut hit);
+        let answer = hit.first().copied();
+        ctx.hit = hit;
+        answer
     }
 
-    fn query_into_mode(
+    /// The one search routine behind every query form: project `q`, walk
+    /// the PM-tree's incremental range query `B(q', t·r)`, verify each
+    /// candidate in the original space, and stop as `spec` says. The
+    /// neighbors land in `out` (cleared first), ascending by
+    /// `(dist, id)`; the traversal scratch goes back into `ctx`.
+    ///
+    /// Verification runs in the squared-distance domain: each candidate is
+    /// measured with the early-abandoning [`sq_dist_within`] against a
+    /// conservative squared bound derived from the current k-th neighbor
+    /// distance, so candidates that cannot enter the top-k stop mid-kernel
+    /// and never pay a `sqrt`. Kept candidates are completed exactly (same
+    /// kernel, same accumulation order) and take one `sqrt` on insertion,
+    /// which keeps every distance the verifier stores — and therefore every
+    /// result and every [`QueryStats`] counter — identical to the
+    /// pre-abandonment implementation (`PmLsh::query_reference`).
+    fn search(
         &self,
         q: &[f32],
-        k: usize,
-        c: f64,
+        spec: SearchSpec,
         ctx: &mut QueryContext,
         out: &mut Vec<Neighbor>,
-        fanout_budget: Option<usize>,
     ) -> QueryStats {
         assert_eq!(q.len(), self.data.dim(), "query has wrong dimensionality");
+        let (k, c) = match spec {
+            SearchSpec::Ann { k, c } => (k, c),
+            SearchSpec::Fanout { k, .. } => (k, self.params.c),
+            SearchSpec::BallCover { .. } => (1, self.params.c),
+        };
+        // Only plain Algorithm 2 stops on line 4: a fan-out leg's local
+        // top-k is not the final answer, and Algorithm 1 judges its one
+        // ball after the fact.
+        let line4_stop = matches!(spec, SearchSpec::Ann { .. });
+        let one_ball = matches!(spec, SearchSpec::BallCover { .. });
         assert!(k >= 1, "k must be positive");
         assert!(c > 1.0, "approximation ratio must exceed 1");
         let derived = if c == self.params.c {
@@ -779,13 +731,19 @@ impl PmLsh {
             }
             .derive()
         };
-
-        // Live count: deletions shrink both the candidate budget and the
-        // radius-selection population. A fan-out leg spends the pooled
-        // budget its caller computed over all shards instead.
-        let budget = match fanout_budget {
-            Some(b) => b.min(self.len()),
-            None => self.budget_with(derived.beta, k),
+        // Budgets and the start radius read the live count: deletions
+        // shrink both the candidate budget and the radius-selection
+        // population.
+        let (budget, mut r) = match spec {
+            SearchSpec::Ann { .. } => (self.budget_with(derived.beta, k), self.select_rmin(k)),
+            SearchSpec::Fanout { budget, .. } => (budget.min(self.len()), self.select_rmin(k)),
+            SearchSpec::BallCover { r } => {
+                assert!(r > 0.0, "radius must be positive");
+                // Deliberately unclamped: a cap beyond the live count can
+                // never be reached, which is what sends a small index
+                // through the lines 6–9 test below.
+                ((derived.beta * self.len() as f64).ceil() as usize + 1, r)
+            }
         };
         ctx.qp.resize(self.params.m as usize, 0.0);
         self.projector.project_into(q, &mut ctx.qp);
@@ -797,7 +755,6 @@ impl PmLsh {
         top.reset(k);
         let mut verified = 0usize;
         let mut rounds = 0u32;
-        let mut r = self.select_rmin(k);
         // Invariant: `bound == abandon_bound(top.kth_dist())`, refreshed
         // only when an insertion changes the k-th distance — not per
         // candidate.
@@ -809,9 +766,8 @@ impl PmLsh {
             // within c·r of the query. (Linear domain on purpose: squaring
             // both sides would round differently and could flip the
             // comparison at the boundary, breaking exact parity with the
-            // reference path.) Skipped on the fan-out path, where the local
-            // top-k is not the final answer.
-            if fanout_budget.is_none() && top.is_full() && (top.kth_dist() as f64) <= c * r {
+            // reference path.)
+            if line4_stop && top.is_full() && (top.kth_dist() as f64) <= c * r {
                 break;
             }
             // Pull candidates from the incremental range query B(q', t·r).
@@ -835,8 +791,17 @@ impl PmLsh {
                     None => break,
                 }
             }
-            // Termination test of line 9: candidate budget exhausted.
+            // Termination test of line 9 (Algorithm 1 line 3): candidate
+            // budget exhausted.
             if verified >= budget {
+                break;
+            }
+            if one_ball {
+                // Algorithm 1 lines 6–9: fewer than βn+1 candidates in the
+                // one ball — answer only when the best lies inside B(q, cr).
+                if (top.kth_dist() as f64) > c * r {
+                    top.reset(1);
+                }
                 break;
             }
             // The whole tree was consumed below the current radius.
@@ -856,132 +821,28 @@ impl PmLsh {
         stats
     }
 
-    /// Algorithm 1: the `(r, c)`-ball-cover query. Returns a point within
-    /// `c·r` of `q` (the closest verified candidate) or `None`, with the
-    /// guarantees of Lemma 5.
-    pub fn query_bc(&self, q: &[f32], r: f64) -> Option<Neighbor> {
-        self.query_bc_with_context(q, r, &mut QueryContext::new())
-    }
-
-    /// Algorithm 1 over a reused [`QueryContext`]; identical results to
-    /// [`PmLsh::query_bc`], allocation-free at steady state. Candidates
-    /// that cannot beat the current best are early-abandoned mid-kernel,
-    /// exactly as in [`PmLsh::query_into`].
-    pub fn query_bc_with_context(
-        &self,
-        q: &[f32],
-        r: f64,
-        ctx: &mut QueryContext,
-    ) -> Option<Neighbor> {
-        assert_eq!(q.len(), self.data.dim(), "query has wrong dimensionality");
-        assert!(r > 0.0, "radius must be positive");
-        let n = self.len();
-        let beta_n = (self.derived.beta * n as f64).ceil() as usize;
-        ctx.qp.resize(self.params.m as usize, 0.0);
-        self.projector.project_into(q, &mut ctx.qp);
-        let mut cursor = self
-            .tree
-            .cursor_with_scratch(&ctx.qp, std::mem::take(&mut ctx.scratch));
-        let proj_radius = (self.derived.t * r) as f32;
-
-        let mut best: Option<Neighbor> = None;
-        let mut count = 0usize;
-        // Invariant: `bound == abandon_bound(best.dist)` (infinite until a
-        // first candidate is verified), refreshed only when `best` changes.
-        let mut bound = f32::INFINITY;
-        let verdict = loop {
-            match cursor.next_within(proj_radius) {
-                Some((id, _)) => {
-                    let sq = sq_dist_within(q, self.data.point_id(id), bound);
-                    if sq <= bound {
-                        let d = sq.sqrt();
-                        if best.is_none_or(|b| Neighbor::new(d, id) < b) {
-                            best = Some(Neighbor::new(d, id));
-                            bound = abandon_bound(d);
-                        }
-                    }
-                    count += 1;
-                    if count > beta_n {
-                        // Line 3–4: enough candidates guarantee one inside
-                        // B(q, cr).
-                        break best;
-                    }
-                }
-                None => {
-                    // Line 6–9: fewer than βn+1 candidates — only answer
-                    // when a verified point is inside B(q, cr).
-                    break match best {
-                        Some(b) if (b.dist as f64) <= self.params.c * r => Some(b),
-                        _ => None,
-                    };
-                }
-            }
-        };
-        ctx.scratch = cursor.recycle();
-        verdict
-    }
-
     /// Projects an arbitrary point with this index's hash functions.
     pub fn project(&self, point: &[f32]) -> Vec<f32> {
         self.projector.project(point)
     }
+}
 
-    /// Answers a batch of queries in parallel over `threads` OS threads
-    /// (0 = available parallelism). Queries never mutate the index, so
-    /// they share it without synchronization; results keep query order.
-    ///
-    /// The threads are spawned per call, which suits one-shot workloads
-    /// with no extra dependencies. For sustained serving — a persistent
-    /// pool, request coalescing and latency statistics — use
-    /// `pm_lsh_engine::Engine::query_batch`, which returns bit-identical
-    /// results.
-    pub fn query_batch(
-        &self,
-        queries: pm_lsh_metric::MatrixView<'_>,
-        k: usize,
-        threads: usize,
-    ) -> Vec<QueryResult> {
-        assert_eq!(
-            queries.dim(),
-            self.data.dim(),
-            "queries have wrong dimensionality"
-        );
-        let nq = queries.len();
-        if nq == 0 {
-            // lint: allow(hot-path) -- empty batch early-out, never per-query
-            return Vec::new();
-        }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(nq);
-        let mut results: Vec<Option<QueryResult>> = (0..nq).map(|_| None).collect();
-        let chunk = nq.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, out_chunk) in results.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                scope.spawn(move || {
-                    // One context per worker: every query after the first
-                    // reuses the projection buffer, traversal frontier and
-                    // top-k collector of its predecessors in the chunk.
-                    let mut ctx = QueryContext::new();
-                    for (j, slot) in out_chunk.iter_mut().enumerate() {
-                        *slot =
-                            Some(self.query_with_context(queries.point(start + j), k, &mut ctx));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            // lint: allow(hot-path) -- batch API join; the scope above filled every chunk
-            .map(|r| r.expect("all query slots filled"))
-            .collect()
-    }
+/// How one [`PmLsh::search`] stops — the only thing the query forms
+/// disagree on.
+#[derive(Clone, Copy)]
+enum SearchSpec {
+    /// Algorithm 2: the radius grows from `r_min` by `c` per round until
+    /// the k-th candidate lies within `c·r` (line 4) or the local budget
+    /// `⌈βn⌉ + k` is verified (line 9).
+    Ann { k: usize, c: f64 },
+    /// Algorithm 2 as one shard's leg of a scatter-gather query: the
+    /// caller's pooled `budget`, no line-4 stop.
+    Fanout { k: usize, budget: usize },
+    /// Algorithm 1: `k = 1`, the one radius `r`, cap `⌈βn⌉ + 1`; the best
+    /// candidate is kept only if the cap was reached or it lies within
+    /// `c·r`. `TopK(1)` replaces on a strictly smaller `(dist, id)`, the
+    /// tie-break Algorithm 1 has always used.
+    BallCover { r: f64 },
 }
 
 #[cfg(test)]
@@ -1050,37 +911,6 @@ mod tests {
                 assert_eq!(a.stats, b.stats, "{threads}-thread traversal diverged");
             }
         }
-    }
-
-    #[test]
-    fn batch_matches_sequential() {
-        let data = blob(800, 16, 61);
-        let queries = blob(13, 16, 62);
-        let index = PmLsh::build(data, PmLshParams::default());
-        let batch = index.query_batch(queries.view(), 5, 4);
-        assert_eq!(batch.len(), 13);
-        for (qi, q) in queries.iter().enumerate() {
-            let single = index.query(q, 5);
-            assert_eq!(batch[qi].neighbors, single.neighbors);
-            assert_eq!(batch[qi].stats, single.stats);
-        }
-    }
-
-    #[test]
-    fn batch_with_more_threads_than_queries() {
-        let data = blob(300, 8, 63);
-        let queries = blob(2, 8, 64);
-        let index = PmLsh::build(data, PmLshParams::default());
-        let batch = index.query_batch(queries.view(), 3, 16);
-        assert_eq!(batch.len(), 2);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let data = blob(100, 4, 65);
-        let queries = Dataset::with_capacity(4, 0);
-        let index = PmLsh::build(data, PmLshParams::default());
-        assert!(index.query_batch(queries.view(), 3, 0).is_empty());
     }
 
     #[test]

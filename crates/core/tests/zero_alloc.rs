@@ -73,8 +73,7 @@ fn steady_state_queries_do_not_allocate() {
     let mut out: Vec<Neighbor> = Vec::new();
 
     // Warm-up: every buffer (projection, traversal frontier, top-k heap,
-    // output vector) grows to its high-water mark for this exact workload,
-    // and the r_min memo slot for K is populated.
+    // output vector) grows to its high-water mark for this exact workload.
     let mut warm = Vec::new();
     for q in &queries {
         index.query_into(q, K, c, &mut ctx, &mut out);

@@ -7,30 +7,37 @@
 //! construction and query answering are Sections 4–5; serving them under
 //! concurrent traffic is ours):
 //!
-//! * [`Engine`] holds the current `Arc<PmLsh>` snapshot in an atomic
-//!   snapshot cell plus a fixed pool of worker threads (`std::thread` +
-//!   `std::sync::mpsc`, like everything else in the workspace: no external
-//!   dependencies). [`Engine::query`] is a blocking call that travels
-//!   through the micro-batching request queue; [`Engine::query_batch`]
-//!   shards a whole query set across the pool and returns results in input
-//!   order.
-//! * [`Engine::reindex`] rebuilds the index over a new dataset on a
-//!   background thread and atomically swaps the snapshot in. Queries are
-//!   never blocked and never fail during a reindex: every request pins
-//!   the current snapshot when it enters the engine (a batch pins one
-//!   snapshot for all its queries), so in-flight work completes on the
-//!   index it started with while new work sees the new one.
-//!   [`Engine::info`] reports the snapshot generation ([`IndexInfo`]).
-//! * [`Engine::apply`] is the one write path, *between* rebuilds: a
-//!   batch of W interleaved inserts/deletes is published copy-on-write —
-//!   under the writer lock the current snapshot is cloned once (lazily,
-//!   by the first op that is admitted), patched in place and swapped in,
-//!   one epoch bump for the whole batch, write cost O(n) + O(W) instead
-//!   of O(W·n); readers keep pinning immutable snapshots and never block
-//!   on a mutation ([`BatchReport`], [`MutationError`]).
-//!   [`Engine::insert`] / [`Engine::delete`] are one-op batches
-//!   ([`MutationReport`]). On the wire these are the AUTH-gated
-//!   `BATCH` and `INSERT`/`DELETE` verbs, which share one executor too.
+//! * [`ShardedEngine`] is the one serving surface: `S ≥ 1` shards behind
+//!   one API ([`ShardedEngine::build`], or `Engine::new(index,
+//!   config).into()` for a pre-built index — a shard set of one, which
+//!   `tests/sharded_parity.rs` pins bit-for-bit to the plain index).
+//!   [`ShardedEngine::query`] is a blocking call that travels through the
+//!   micro-batching request queue; [`ShardedEngine::query_batch`] deals a
+//!   whole query set across the pool and returns results in input order.
+//! * [`Engine`] is one shard's worker: the current `Arc<PmLsh>` snapshot
+//!   in an atomic snapshot cell plus a fixed pool of worker threads
+//!   (`std::thread` + `std::sync::mpsc`, like everything else in the
+//!   workspace: no external dependencies). It mirrors none of the
+//!   serving API.
+//! * [`ShardedEngine::reindex`] rebuilds the index over a new dataset on
+//!   background threads and atomically swaps the snapshots in. Queries
+//!   are never blocked and never fail during a reindex: every request
+//!   pins the current snapshot when it enters the engine (a batch pins
+//!   one snapshot per shard for all its queries), so in-flight work
+//!   completes on the index it started with while new work sees the new
+//!   one. [`ShardedEngine::info`] reports the snapshot generation
+//!   ([`IndexInfo`]).
+//! * [`ShardedEngine::apply`] is the one write path, *between* rebuilds:
+//!   a batch of W interleaved inserts/deletes is published copy-on-write
+//!   — under the owning shard's writer lock the current snapshot is
+//!   cloned once (lazily, by the first op that is admitted), patched in
+//!   place and swapped in, one epoch bump per touched shard, write cost
+//!   O(n) + O(W) instead of O(W·n); readers keep pinning immutable
+//!   snapshots and never block on a mutation ([`BatchReport`],
+//!   [`MutationError`]). [`ShardedEngine::insert`] /
+//!   [`ShardedEngine::delete`] are one-op batches ([`MutationReport`]).
+//!   On the wire these are the AUTH-gated `BATCH` and `INSERT`/`DELETE`
+//!   verbs, which share one executor too.
 //! * The micro-batcher (a bounded channel and a collector thread) groups
 //!   up to `batch_size` concurrent requests, waiting at most `max_wait`
 //!   after the first, before handing them to the pool — one channel send
@@ -39,14 +46,12 @@
 //! * [`EngineStats`] aggregates throughput, p50/p99 latency and the summed
 //!   per-query [`QueryStats`] counters, so benchmarks can draw scaling
 //!   curves against thread count.
-//! * [`Engine::try_query`] is the non-panicking query entry point: every
-//!   failure mode, a mid-execution worker panic included, is a typed
-//!   [`QueryError`] — what lets the TCP layer answer `ERR` lines instead
-//!   of dropping clients.
-//! * There is one read path: every query form here and on
-//!   [`ShardedEngine`] is a thin wrapper over the single scatter/gather
-//!   in [`sharded`], which a monolithic engine enters as a shard set of
-//!   one.
+//! * [`ShardedEngine::try_query`] is the non-panicking query entry point:
+//!   every failure mode, a mid-execution worker panic included, is a
+//!   typed [`QueryError`] — what lets the TCP layer answer `ERR` lines
+//!   instead of dropping clients.
+//! * There is one read path: every query form is a thin wrapper over the
+//!   single scatter/gather in [`sharded`].
 //! * [`Router`] maps index *names* to engines so one process serves
 //!   several datasets; [`serve_router`] exposes the whole map over TCP
 //!   with per-connection index selection (`USE`), attach/detach verbs,
@@ -58,14 +63,15 @@
 //!
 //! Queries on a built snapshot are pure reads, so the hot path takes no
 //! locks beyond one snapshot load per request (one per *batch* for
-//! [`Engine::query_batch`]); the compile-time assertions at the bottom of
-//! this module pin down that [`PmLsh`] and [`Dataset`] stay `Send + Sync`.
+//! [`ShardedEngine::query_batch`]); the compile-time assertions at the
+//! bottom of this module pin down that [`PmLsh`] and [`Dataset`] stay
+//! `Send + Sync`.
 //!
 //! # Quick start
 //!
 //! ```
 //! use pm_lsh_core::{PmLsh, PmLshParams};
-//! use pm_lsh_engine::{Engine, EngineConfig};
+//! use pm_lsh_engine::{Engine, EngineConfig, ShardedEngine};
 //! use pm_lsh_metric::Dataset;
 //! use pm_lsh_stats::Rng;
 //!
@@ -79,7 +85,8 @@
 //! let queries: Vec<Vec<f32>> = (0..8).map(|i| data.point(i).to_vec()).collect();
 //!
 //! let index = PmLsh::build(data, PmLshParams::default());
-//! let engine = Engine::new(index, EngineConfig { threads: 4, ..Default::default() });
+//! let config = EngineConfig { threads: 4, ..Default::default() };
+//! let engine: ShardedEngine = Engine::new(index, config).into();
 //!
 //! let results = engine.query_batch(&queries, 5);
 //! assert_eq!(results.len(), 8);
@@ -152,11 +159,15 @@ impl EngineConfig {
     }
 }
 
-/// A concurrent query engine over one immutable PM-LSH snapshot.
+/// One shard's worker: a snapshot cell, a worker pool, a micro-batcher
+/// and a statistics collector over one [`PmLsh`]. It has no serving API
+/// of its own — wrap it (`Engine::new(index, config).into()`) or build a
+/// [`ShardedEngine`] directly, and query, mutate, save and inspect
+/// through that; [`ShardedEngine::shards`] hands the workers back for
+/// snapshot inspection ([`Engine::index`]).
 ///
 /// Cloning is cheap and shares the pool, the queue and the statistics
-/// (everything is behind `Arc`s), so one engine can serve many threads —
-/// the TCP layer clones it into every connection handler.
+/// (everything is behind `Arc`s).
 #[derive(Clone)]
 pub struct Engine {
     snapshot: Arc<SnapshotCell>,
@@ -194,66 +205,27 @@ impl Engine {
     /// The currently served index snapshot.
     ///
     /// The returned `Arc` stays fully usable for as long as the caller
-    /// holds it, even across a concurrent [`Engine::reindex`] — it just
-    /// stops being *current* once a swap lands. Load it once per logical
-    /// operation rather than caching it long-term.
+    /// holds it, even across a concurrent [`ShardedEngine::reindex`] or
+    /// mutation — it just stops being *current* once a swap lands. Load
+    /// it once per logical operation rather than caching it long-term.
     pub fn index(&self) -> Arc<PmLsh> {
         self.snapshot.load()
     }
 
-    /// The snapshot generation: 0 at construction, +1 per snapshot
-    /// publication — a completed [`Engine::reindex`] swap or a
-    /// single-point [`Engine::insert`]/[`Engine::delete`].
-    pub fn epoch(&self) -> u64 {
+    /// The snapshot generation: 0 at construction, +1 per publication (a
+    /// completed reindex swap or an [`Engine::apply`] that admitted an op).
+    pub(crate) fn epoch(&self) -> u64 {
         self.snapshot.epoch()
     }
 
-    /// Inserts one point into the served index and publishes the mutated
-    /// snapshot, returning the assigned external id and the new epoch — a
-    /// one-op [`Engine::apply`], the single write path.
-    ///
-    /// Publication is copy-on-write: readers keep pinning immutable
-    /// `Arc<PmLsh>` snapshots and never wait on the clone, in-flight
-    /// queries finish on the snapshot they started with, and queries
-    /// arriving after the swap see the new point. The clone makes a single
-    /// mutation O(n); batch several through [`Engine::apply`], and for
-    /// bulk loads use [`Engine::reindex`], which pays the build once for
-    /// the whole dataset.
-    pub fn insert(&self, point: &[f32]) -> Result<MutationReport, MutationError> {
-        self.apply(&[MutOp::Insert(point.to_vec())])?.into_single()
-    }
-
-    /// Deletes the point with external id `id` and publishes the mutated
-    /// snapshot — a one-op [`Engine::apply`]; a refused delete (unknown
-    /// id, last live point) is O(1), it never clones. The last live point
-    /// cannot be deleted: a served index is non-empty by construction,
-    /// and every connected client holds protocol state derived from it.
-    pub fn delete(&self, id: pm_lsh_metric::PointId) -> Result<MutationReport, MutationError> {
-        self.apply(&[MutOp::Delete(id)])?.into_single()
-    }
-
-    /// The single write path: applies a batch of interleaved inserts and
-    /// deletes as *one* copy-on-write publication. The writer lock is
-    /// taken once, the current snapshot is cloned once — lazily, by the
-    /// first op that is admitted ([`PmLsh::apply_cow`]) — all `W` ops are
-    /// patched into the clone, and the result is swapped in once: one
-    /// epoch bump for the whole batch. Against `W` one-op calls this
-    /// turns write cost from O(W·n) into O(n) + O(W), and readers observe
-    /// a single atomic transition instead of `W` intermediate snapshots.
-    ///
-    /// Failures are per-op, not per-batch: a rejected op (wrong
-    /// dimensionality, non-finite component, unknown id, would-empty) is
-    /// reported in its slot of [`BatchReport::results`] while the rest of
-    /// the batch still applies. Ops apply in order, so a delete may target
-    /// an id inserted earlier in the same batch, and
-    /// [`MutationError::WouldEmptyIndex`] is judged against the evolving
-    /// state. If *no* op applies, nothing is cloned, nothing is published
+    /// The single write path of one shard — see [`ShardedEngine::apply`]
+    /// for the contract. The writer lock is taken once, the current
+    /// snapshot is cloned once — lazily, by the first op that is admitted
+    /// ([`PmLsh::apply_cow`]) — all `W` ops are patched into the clone,
+    /// and the result is swapped in once: one epoch bump for the whole
+    /// batch. If *no* op applies, nothing is cloned, nothing is published
     /// and the epoch does not move.
-    ///
-    /// The batch-level error is [`MutationError::ReindexInProgress`]: a
-    /// background rebuild's swap would silently discard the whole batch,
-    /// so mutations wait it out.
-    pub fn apply(&self, ops: &[MutOp]) -> Result<BatchReport, MutationError> {
+    pub(crate) fn apply(&self, ops: &[MutOp]) -> Result<BatchReport, MutationError> {
         let _writer = self.snapshot.begin_write();
         if self.snapshot.is_rebuilding() {
             return Err(MutationError::ReindexInProgress);
@@ -276,10 +248,10 @@ impl Engine {
         })
     }
 
-    /// A summary of the served snapshot (the TCP `INDEXINFO` payload).
-    /// Snapshot fields and `epoch` are read under one lock, so the pair is
-    /// always consistent; `reindexing` is inherently transient.
-    pub fn info(&self) -> IndexInfo {
+    /// A summary of this shard's snapshot. Snapshot fields and `epoch` are
+    /// read under one lock, so the pair is always consistent;
+    /// `reindexing` is inherently transient.
+    pub(crate) fn info(&self) -> IndexInfo {
         let (index, epoch) = self.snapshot.load_with_epoch();
         let reindexing = self.snapshot.is_rebuilding();
         IndexInfo {
@@ -297,20 +269,6 @@ impl Engine {
             },
             shards: 1,
         }
-    }
-
-    /// Atomically writes the currently served snapshot to `path` as a
-    /// `.pmlsh` file (see `pm-lsh-persist`). The snapshot is pinned once
-    /// at entry: serialization runs on the calling thread against that
-    /// immutable `Arc`, holding no engine locks, so concurrent queries,
-    /// mutations and reindexes proceed undisturbed — a mutation landing
-    /// mid-save is simply not part of the saved snapshot.
-    pub fn save(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<pm_lsh_persist::SaveReport, pm_lsh_persist::PersistError> {
-        let snapshot = self.snapshot.load();
-        pm_lsh_persist::save(&snapshot, path)
     }
 
     /// Rebuilds the served index over `data` on a background thread and
@@ -400,91 +358,8 @@ impl Engine {
         }
     }
 
-    /// [`Engine::begin_reindex`] + [`ReindexTicket::wait`]: blocks the
-    /// *calling* thread until the swap lands (concurrent queries keep
-    /// flowing the whole time) and returns the completion report.
-    pub fn reindex(
-        &self,
-        data: impl Into<Arc<Dataset>>,
-        params: PmLshParams,
-        opts: BuildOptions,
-    ) -> Result<ReindexReport, ReindexError> {
-        Ok(self.begin_reindex(data, params, opts)?.wait())
-    }
-
-    /// The configuration the engine was built with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Worker threads actually running.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Answers one `(c, k)`-ANN query, blocking until a worker replies.
-    ///
-    /// The request travels through the micro-batching queue, so concurrent
-    /// callers (e.g. TCP connections) are coalesced automatically. Results
-    /// are bit-identical to [`PmLsh::query`] — the engine adds concurrency,
-    /// never approximation. `k` larger than the indexed point count is
-    /// clamped to it (a kNN answer can never exceed `n`), which also keeps
-    /// an absurd client-supplied `k` from forcing a giant allocation.
-    ///
-    /// # Panics
-    ///
-    /// On a dimension mismatch, a non-finite query component, or `k == 0`
-    /// — every [`QueryError`]. Callers serving untrusted input (the TCP
-    /// layer) use [`Engine::try_query`] instead and turn each variant
-    /// into an `ERR` reply.
-    pub fn query(&self, q: &[f32], k: usize) -> QueryResult {
-        self.try_query(q, k)
-            .unwrap_or_else(|e| panic_for_query_error(e))
-    }
-
-    /// The non-panicking [`Engine::query`]: every way a query can fail is
-    /// a typed [`QueryError`] instead of a panic — including a worker
-    /// panic mid-execution ([`QueryError::Internal`]), which used to
-    /// propagate out of `query` and tear down whatever thread was serving
-    /// the caller (a TCP client saw a raw disconnect with no reply).
-    pub fn try_query(&self, q: &[f32], k: usize) -> Result<QueryResult, QueryError> {
-        sharded::try_query(std::slice::from_ref(self), q, k)
-    }
-
-    /// The completion-callback twin of [`Engine::try_query`], for callers
-    /// that must not park a thread per request — the serving reactor.
-    ///
-    /// Validation runs synchronously: an invalid query is returned as
-    /// `Err` *without* invoking `cb`. A valid query is enqueued through
-    /// the same micro-batching queue as [`Engine::try_query`] (results
-    /// stay bit-identical) and `cb` fires exactly once, on a worker
-    /// thread, with the result — `Err(QueryError::Internal)` when the
-    /// worker panicked. Note `enqueue` applies backpressure: when the
-    /// bounded queue is full this call blocks until space frees, exactly
-    /// like the blocking entry point.
-    pub fn submit_query<F>(&self, q: &[f32], k: usize, cb: F) -> Result<(), QueryError>
-    where
-        F: FnOnce(Result<QueryResult, QueryError>) + Send + 'static,
-    {
-        sharded::submit_query(std::slice::from_ref(self), q, k, cb)
-    }
-
-    /// Answers a batch of queries across the whole pool, preserving input
-    /// order. The batch bypasses the micro-batcher (it is already a batch)
-    /// and is sharded into one contiguous chunk per worker; one snapshot
-    /// pin serves the whole batch, so even if a reindex swap lands
-    /// mid-batch every result indexes the same dataset. `k` is clamped
-    /// to the indexed point count, as in [`Engine::query`].
-    ///
-    /// # Panics
-    ///
-    /// On a dimension mismatch, a non-finite query component, or `k == 0`.
-    pub fn query_batch(&self, queries: &[impl AsRef<[f32]>], k: usize) -> Vec<QueryResult> {
-        sharded::query_batch(std::slice::from_ref(self), queries, k)
-    }
-
-    /// A point-in-time snapshot of the serving statistics.
-    pub fn stats(&self) -> EngineStats {
+    /// A point-in-time snapshot of this shard's serving statistics.
+    pub(crate) fn stats(&self) -> EngineStats {
         self.stats.snapshot()
     }
 }
@@ -525,7 +400,8 @@ fn try_validate(snapshot: &PmLsh, q: &[f32], k: usize) -> Result<(), QueryError>
     Ok(())
 }
 
-/// The panicking contract of [`Engine::query`]/[`Engine::query_batch`]:
+/// The panicking contract of [`ShardedEngine::query`] /
+/// [`ShardedEngine::query_batch`]:
 /// each [`QueryError`] maps to its historical panic message.
 fn panic_for_query_error(e: QueryError) -> ! {
     match e {
@@ -551,9 +427,9 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Why a query failed ([`Engine::try_query`]).
+/// Why a query failed ([`ShardedEngine::try_query`]).
 ///
-/// [`Engine::query`] turns each variant into a panic with the historical
+/// [`ShardedEngine::query`] turns each variant into a panic with the historical
 /// message; the TCP layer turns each into an `ERR` reply line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryError {
@@ -636,7 +512,8 @@ impl std::fmt::Display for ReindexError {
 
 impl std::error::Error for ReindexError {}
 
-/// Why a single-point mutation ([`Engine::insert`]/[`Engine::delete`])
+/// Why a mutation ([`ShardedEngine::insert`] / [`ShardedEngine::delete`],
+/// or one op of a [`ShardedEngine::apply`] batch)
 /// was refused. The TCP layer turns each variant into an `ERR` reply.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MutationError {
@@ -695,8 +572,7 @@ fn mutation_error_for_reject(r: MutReject) -> MutationError {
     }
 }
 
-/// Summary of a published batch mutation ([`Engine::apply`] /
-/// [`ShardedEngine::apply`]).
+/// Summary of a published batch mutation ([`ShardedEngine::apply`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchReport {
     /// The epoch after the batch: the single publication's epoch for a
@@ -779,7 +655,7 @@ impl ReindexTicket {
 }
 
 /// A point-in-time description of the served snapshot, as reported by
-/// [`Engine::info`] and the TCP `INDEXINFO` verb.
+/// [`ShardedEngine::info`] and the TCP `INDEXINFO` verb.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexInfo {
     /// Indexed points `n`.
@@ -871,7 +747,7 @@ mod tests {
         let data = blob(500, 16, 1);
         let q = data.point(7).to_vec();
         let index = Arc::new(PmLsh::build(data, PmLshParams::default()));
-        let engine = Engine::new(Arc::clone(&index), EngineConfig::default());
+        let engine: ShardedEngine = Engine::new(Arc::clone(&index), EngineConfig::default()).into();
         let direct = index.query(&q, 5);
         let served = engine.query(&q, 5);
         assert_eq!(served.neighbors, direct.neighbors);
@@ -884,13 +760,14 @@ mod tests {
         let data = blob(600, 12, 2);
         let queries: Vec<Vec<f32>> = (0..17).map(|i| data.point(i).to_vec()).collect();
         let index = Arc::new(PmLsh::build(data, PmLshParams::default()));
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             Arc::clone(&index),
             EngineConfig {
                 threads: 4,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         let batch = engine.query_batch(&queries, 3);
         assert_eq!(batch.len(), 17);
         for (qi, q) in queries.iter().enumerate() {
@@ -910,13 +787,14 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let data = blob(100, 8, 3);
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             PmLsh::build(data, PmLshParams::default()),
             EngineConfig {
                 threads: 2,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         let no_queries: &[Vec<f32>] = &[];
         assert!(engine.query_batch(no_queries, 4).is_empty());
         assert_eq!(engine.stats().queries, 0);
@@ -927,7 +805,7 @@ mod tests {
         let data = blob(400, 10, 4);
         let queries: Vec<Vec<f32>> = (0..24).map(|i| data.point(i).to_vec()).collect();
         let index = Arc::new(PmLsh::build(data, PmLshParams::default()));
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             Arc::clone(&index),
             EngineConfig {
                 threads: 3,
@@ -935,7 +813,8 @@ mod tests {
                 max_wait: Duration::from_millis(1),
                 ..Default::default()
             },
-        );
+        )
+        .into();
         std::thread::scope(|scope| {
             for chunk in queries.chunks(6) {
                 let engine = engine.clone();
@@ -959,13 +838,14 @@ mod tests {
     fn absurd_k_is_clamped_to_n() {
         let data = blob(60, 6, 7);
         let q = data.point(0).to_vec();
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             PmLsh::build(data, PmLshParams::default()),
             EngineConfig {
                 threads: 2,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         // Would be a multi-terabyte TopK allocation if not clamped.
         let res = engine.query(&q, usize::MAX / 2);
         assert_eq!(res.neighbors.len(), 60);
@@ -978,13 +858,14 @@ mod tests {
         let data = blob(80, 8, 8);
         let q = data.point(0).to_vec();
         let index = Arc::new(PmLsh::build(data, PmLshParams::default()));
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             Arc::clone(&index),
             EngineConfig {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .into();
 
         // The happy path is bit-identical to the panicking entry point.
         let direct = index.query(&q, 3);
@@ -1031,13 +912,14 @@ mod tests {
     fn insert_and_delete_publish_new_snapshots() {
         let data = blob(200, 8, 90);
         let q = data.point(0).to_vec();
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             PmLsh::build(data, PmLshParams::default()),
             EngineConfig {
                 threads: 2,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         assert_eq!(engine.epoch(), 0);
 
         // Insert: fresh id, epoch bump, immediately queryable at dist 0.
@@ -1053,7 +935,7 @@ mod tests {
 
         // A snapshot pinned before the delete keeps answering with the
         // point; the served index no longer returns it.
-        let held = engine.index();
+        let held = engine.shards()[0].index();
         let del = engine.delete(200).expect("delete");
         assert_eq!(del.epoch, 2);
         assert_eq!(del.points, 200);
@@ -1086,13 +968,14 @@ mod tests {
     #[test]
     fn delete_refuses_to_empty_the_index() {
         let ds = Dataset::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             PmLsh::build(ds, PmLshParams::default()),
             EngineConfig {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         engine.delete(0).expect("first delete");
         assert_eq!(
             engine.delete(1).unwrap_err(),
@@ -1105,13 +988,14 @@ mod tests {
     fn concurrent_queries_never_fail_during_mutation_churn() {
         let data = blob(500, 10, 91);
         let queries: Vec<Vec<f32>> = (0..8).map(|i| data.point(i).to_vec()).collect();
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             PmLsh::build(data, PmLshParams::default()),
             EngineConfig {
                 threads: 2,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         std::thread::scope(|scope| {
             let mutator = {
                 let engine = engine.clone();
@@ -1148,13 +1032,14 @@ mod tests {
     #[should_panic(expected = "non-finite component")]
     fn non_finite_query_panics_on_the_caller_thread() {
         let data = blob(50, 8, 6);
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             PmLsh::build(data, PmLshParams::default()),
             EngineConfig {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         let mut q = [0.5f32; 8];
         q[3] = f32::NAN;
         engine.query(&q, 1);
@@ -1164,13 +1049,14 @@ mod tests {
     #[should_panic(expected = "wrong dimensionality")]
     fn dimension_mismatch_panics_on_the_caller_thread() {
         let data = blob(50, 8, 5);
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             PmLsh::build(data, PmLshParams::default()),
             EngineConfig {
                 threads: 1,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         engine.query(&[0.0f32; 4], 1);
     }
 }

@@ -9,10 +9,11 @@
 //! serving reactor alike). Jobs travel in small vectors (a micro-batch
 //! shard), so one channel receive and one mutex acquisition amortize
 //! over several queries. Because the snapshot is pinned per request (and a whole
-//! `query_batch` shares one pin), a concurrent [`crate::Engine::reindex`]
-//! swap never disturbs running work: requests enqueued before the swap
-//! are answered by the old index, requests after it by the new one, and a
-//! single batch is never split across epochs.
+//! `query_batch` shares one pin per shard), a concurrent
+//! [`crate::ShardedEngine::reindex`] swap never disturbs running work:
+//! requests enqueued before the swap are answered by the old index,
+//! requests after it by the new one, and a single batch is never split
+//! across epochs.
 
 use crate::stats::StatsCollector;
 use pm_lsh_core::{PmLsh, QueryContext, QueryResult};
@@ -24,7 +25,7 @@ use std::time::Instant;
 /// Test-only fault injection: a query whose FIRST component equals this
 /// finite, validation-passing sentinel panics inside the worker's
 /// catch_unwind, exercising the panicked-leg path
-/// (`Engine::try_query -> Err(QueryError::Internal)`, `ERR internal
+/// (`ShardedEngine::try_query -> Err(QueryError::Internal)`, `ERR internal
 /// error` on the wire) that no validated input can reach. Keying the
 /// injection on the job itself keeps concurrently running tests from
 /// stealing each other's fault.
@@ -45,9 +46,8 @@ pub(crate) struct QueryJob {
     pub k: usize,
     /// `Some(pooled_budget)` when this job is one shard's leg of a
     /// scatter-gather query: the worker answers it with
-    /// [`PmLsh::query_fanout_with_context`], which spends the pooled
-    /// candidate budget instead of stopping at the local (non-final)
-    /// top-k.
+    /// [`PmLsh::query_fanout_into`], which spends the pooled candidate
+    /// budget instead of stopping at the local (non-final) top-k.
     pub fanout_budget: Option<usize>,
     /// When the request entered the engine; latency is measured from here.
     pub enqueued: Instant,
@@ -156,9 +156,17 @@ fn worker_loop(rx: &Mutex<Receiver<Vec<QueryJob>>>, stats: &StatsCollector) {
                     panic!("injected worker panic (test only)");
                 }
                 match job.fanout_budget {
-                    Some(budget) => job
-                        .snapshot
-                        .query_fanout_with_context(&job.query, job.k, budget, &mut ctx),
+                    Some(budget) => {
+                        let mut neighbors = Vec::new();
+                        let stats = job.snapshot.query_fanout_into(
+                            &job.query,
+                            job.k,
+                            budget,
+                            &mut ctx,
+                            &mut neighbors,
+                        );
+                        QueryResult { neighbors, stats }
+                    }
                     None => job.snapshot.query_with_context(&job.query, job.k, &mut ctx),
                 }
             }));

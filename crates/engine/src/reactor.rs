@@ -406,11 +406,22 @@ impl WakeReceiver {
         self.rx.as_raw_fd()
     }
 
-    /// Empties the pipe and re-arms `waker`. Clearing the pending flag
-    /// *before* reading keeps the pair race-free: a wake that lands
-    /// mid-drain at worst writes one extra byte and re-fires the poller.
+    /// Empties the pipe and re-arms `waker` — in that order. A wake that
+    /// lands before the flag clears is a no-op (the flag is still set),
+    /// which is safe only because the caller looks at its completion
+    /// queue *after* `drain` returns: whatever that waker announced was
+    /// queued before its `wake`, hence before the clear. A wake after the
+    /// clear writes a fresh byte and re-fires the poller. Clearing first
+    /// loses wakeups for good: a wake between the clear and the read has
+    /// its byte swallowed while the flag stays set, and every later wake
+    /// is then a no-op on an empty pipe.
     pub(crate) fn drain(&self, waker: &Waker) {
+        self.empty_pipe();
         waker.pending.store(false, Ordering::SeqCst);
+    }
+
+    /// The read half of [`WakeReceiver::drain`].
+    fn empty_pipe(&self) {
         let mut buf = [0u8; 64];
         loop {
             match (&self.rx).read(&mut buf) {
@@ -475,8 +486,8 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 7);
         assert!(events[0].readable);
-        // Join before draining: a wake that lands mid-drain is allowed to
-        // write a fresh byte (by design), which would re-fire the poller.
+        // Join before draining: a wake that lands after the drain is allowed
+        // to write a fresh byte (by design), which would re-fire the poller.
         handle.join().unwrap();
         receiver.drain(&waker);
         // Drained and re-armed: the next wait times out quietly...
@@ -490,6 +501,31 @@ mod tests {
             .wait(&mut events, Some(Duration::from_secs(10)))
             .unwrap();
         assert_eq!(events.len(), 1);
+    }
+
+    /// The lost-wakeup schedule, replayed deterministically by driving the
+    /// two halves of `drain` by hand with a wake between them and one
+    /// after. Clearing the flag before the read lets the read swallow the
+    /// middle wake's byte while the flag stays set, so the last wake writes
+    /// nothing and a reactor blocked in `wait` never hears of it.
+    #[test]
+    fn a_wake_that_lands_mid_drain_does_not_silence_the_next_one() {
+        let poller = Poller::new().unwrap();
+        let (waker, receiver) = wake_pair().unwrap();
+        poller.add(receiver.fd(), 7, Interest::READ).unwrap();
+
+        waker.wake(); // the byte that sent the reactor into drain
+        receiver.empty_pipe();
+        waker.wake(); // lands between the halves: flag still set, no byte
+        waker.pending.store(false, Ordering::SeqCst);
+        waker.wake(); // a completion queued after the drain
+
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(0)))
+            .unwrap();
+        assert_eq!(events.len(), 1, "the post-drain wake left no byte behind");
+        assert!(events[0].token == 7 && events[0].readable);
     }
 
     #[test]

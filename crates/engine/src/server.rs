@@ -63,7 +63,7 @@
 //! `BATCH_MAX_OPS` of them) are collected without being interpreted as
 //! top-level commands, syntactically validated *all-or-nothing* (any
 //! malformed line answers one `ERR batch line <i>: ...` and nothing
-//! applies), then applied through [`Engine::apply`] as one copy-on-write
+//! applies), then applied through [`ShardedEngine::apply`] as one copy-on-write
 //! publication — the epoch bumps once per batch, not once per op. The
 //! reply is one `OK applied=<a> failed=<f> epoch=<e> points=<n>` line
 //! followed by exactly `f` lines `FAIL <op-index> <message>` for ops the

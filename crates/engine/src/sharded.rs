@@ -1,10 +1,10 @@
-//! Sharded scatter-gather serving: `S` independent [`Engine`]s behind the
-//! monolithic engine's API.
+//! The serving surface: `S ≥ 1` independent [`Engine`] shard workers
+//! behind one API.
 //!
 //! A [`ShardedEngine`] deals the dataset round-robin into `S` shards
 //! (`pm_lsh_core::shard::partition`), builds one [`PmLsh`] per shard, and
 //! gives every shard its own snapshot cell, worker pool and micro-batcher
-//! — an [`Engine`] each. The pay-off over one monolithic engine:
+//! — an [`Engine`] each. The pay-off of `S > 1` over one shard:
 //!
 //! * **Build parallelism beyond the pivot regions.** The bulk loader's
 //!   concurrency is bounded by the `s ≈ 5` pivot regions; `S` shards
@@ -26,7 +26,7 @@
 //! to the shard's own size — see [`PmLsh::query_fanout_into`]. Because a
 //! verified set is always a prefix of the projected-distance order, and
 //! a point's rank within its shard never exceeds its global rank, every
-//! candidate the monolithic engine verifies is verified by some shard:
+//! candidate a one-shard engine verifies is verified by some shard:
 //! the merged candidate pool is a superset of the monolith's, the
 //! per-shard budgets sum to `Σ_s min(B, n_s) ≥ B = ⌈β·n⌉ + k`, and
 //! `recall(sharded) ≥ recall(monolithic)` holds *deterministically*, not
@@ -42,32 +42,31 @@
 //! related by the interleaved bijection in [`pm_lsh_core::shard`]
 //! (`global = local·S + shard`), and inserts go to the shard with the
 //! fewest stored rows (ties to the lowest shard index), which keeps the
-//! globally visible id sequence *identical* to a monolithic engine's —
+//! globally visible id sequence *identical* to a one-shard engine's —
 //! freshly built or mid-churn. The equivalence harness in
 //! `tests/sharded_parity.rs` and `tests/sharded_model.rs` holds a
-//! monolithic twin to exactly that standard.
+//! one-shard twin to exactly that standard.
 //!
 //! # One read path
 //!
-//! Every query form of both engine types — `query`, `try_query`,
-//! `submit_query`, `query_batch`, on [`Engine`] and on [`ShardedEngine`]
-//! — is a few-line wrapper over the private `scatter` below, called
-//! with the shard slice (a monolithic [`Engine`] passes itself as a slice
-//! of one). `scatter` is the only code that pins snapshots, validates,
+//! Every query form — `query`, `try_query`, `submit_query`,
+//! `query_batch` — is a few-line wrapper over the private `scatter`
+//! below. `scatter` is the only code that pins snapshots, validates,
 //! clamps `k`, computes the pooled budget and builds pool jobs; each
 //! job's reply closure folds its leg into the query's `Gather`, and the
 //! last leg fires the caller's reply. With `S == 1` the one leg runs
 //! plain Algorithm 2 (early stop, local budget), the id mapping is the
 //! identity and the merge of one sorted list is that list, so a
-//! `ShardedEngine` of one shard is bit-for-bit the monolithic engine.
+//! `ShardedEngine` of one shard answers bit-for-bit like the plain
+//! [`PmLsh`] it wraps.
 //!
 //! # One write path
 //!
 //! [`ShardedEngine::apply`] routes a batch's ops to their owning shards
-//! and runs each non-empty sub-batch through [`Engine::apply`], the only
-//! code that clones, patches and swaps a snapshot;
+//! and runs each non-empty sub-batch through the shard worker's `apply`,
+//! the only code that clones, patches and swaps a snapshot;
 //! [`ShardedEngine::insert`] / [`ShardedEngine::delete`] are one-op
-//! batches, like [`Engine::insert`] / [`Engine::delete`].
+//! batches.
 
 use crate::pool::QueryJob;
 use crate::{
@@ -84,8 +83,9 @@ use std::time::Instant;
 /// `S` independent [`Engine`]s serving one logical index — see the
 /// module docs for the partitioning, budget and id-mapping story.
 ///
-/// Cloning is cheap and shares every shard's pool, queue and statistics,
-/// exactly like cloning an [`Engine`].
+/// Cloning is cheap and shares every shard's pool, queue and statistics
+/// (everything is behind `Arc`s), so one engine can serve many threads —
+/// the TCP layer clones it into every connection handler.
 #[derive(Clone)]
 pub struct ShardedEngine {
     shards: Vec<Engine>,
@@ -155,16 +155,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Wraps already-running engines as shards (shard order is
-    /// id-significant).
-    ///
-    /// # Panics
-    /// Panics when `engines` is empty.
-    pub fn from_engines(engines: Vec<Engine>) -> Self {
-        assert!(!engines.is_empty(), "a sharded engine needs >= 1 shard");
-        Self { shards: engines }
-    }
-
     /// Number of shards `S`.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -197,10 +187,10 @@ impl ShardedEngine {
         self.len() == 0
     }
 
-    /// The logical snapshot generation: the *sum* of the shard epochs.
-    /// Every single-point mutation bumps exactly one shard (+1) and a
-    /// reindex bumps every shard (+S), so the sum is monotone and starts
-    /// at 0, like the monolithic epoch.
+    /// The logical snapshot generation: the *sum* of the shard epochs
+    /// (each 0 at construction, +1 per snapshot publication). Every
+    /// single-point mutation bumps exactly one shard (+1) and a reindex
+    /// bumps every shard (+S), so the sum is monotone and starts at 0.
     pub fn epoch(&self) -> u64 {
         self.shards.iter().map(Engine::epoch).sum()
     }
@@ -272,10 +262,24 @@ impl ShardedEngine {
     /// Scatter-gather `(c, k)`-ANN: fans the query to every shard's
     /// micro-batcher concurrently, merges the `S` answers through one
     /// [`TopK`], and maps shard-local ids back to global ids. Blocks
-    /// until the last leg lands; results and failure modes are
-    /// [`Engine::try_query`]'s (the same code runs both).
+    /// until the last leg lands. Every way a query can fail is a typed
+    /// [`QueryError`] instead of a panic — including a worker panic
+    /// mid-execution ([`QueryError::Internal`]) — which is what lets the
+    /// TCP layer answer `ERR` instead of dropping the client.
+    ///
+    /// Results are bit-identical to [`PmLsh::query`] at `S == 1` — the
+    /// engine adds concurrency, never approximation. `k` larger than the
+    /// live point count is clamped to it (a kNN answer can never exceed
+    /// `n`), which also keeps an absurd client-supplied `k` from forcing
+    /// a giant allocation.
     pub fn try_query(&self, q: &[f32], k: usize) -> Result<QueryResult, QueryError> {
-        try_query(&self.shards, q, k)
+        let (tx, rx) = channel();
+        self.submit_query(q, k, move |result| {
+            // A dropped receiver means the caller gave up waiting.
+            let _ = tx.send(result);
+        })?;
+        // The sender dies unanswered only when a pool dropped a leg unrun.
+        rx.recv().unwrap_or(Err(QueryError::Internal))
     }
 
     /// The completion-callback twin of [`ShardedEngine::try_query`], for
@@ -287,19 +291,33 @@ impl ShardedEngine {
     /// `k` clamp, same local→global id mapping, bit-identical merged
     /// answer — and `cb` fires exactly once, on the worker thread that
     /// finishes the last leg. A panicked leg yields
-    /// `Err(QueryError::Internal)`, like the monolith.
+    /// `Err(QueryError::Internal)`. Enqueueing applies backpressure: when
+    /// a shard's bounded queue is full this call blocks until space
+    /// frees, exactly like the blocking entry point.
     pub fn submit_query<F>(&self, q: &[f32], k: usize, cb: F) -> Result<(), QueryError>
     where
         F: FnOnce(Result<QueryResult, QueryError>) + Send + 'static,
     {
-        submit_query(&self.shards, q, k, cb)
+        let jobs = scatter(
+            &self.shards,
+            &[q],
+            k,
+            std::iter::once(Box::new(cb) as Reply),
+        )?;
+        for (shard, job) in self.shards.iter().zip(jobs) {
+            shard.queue.enqueue(job);
+        }
+        Ok(())
     }
 
-    /// The panicking [`ShardedEngine::try_query`], mirroring
-    /// [`Engine::query`].
+    /// The panicking [`ShardedEngine::try_query`].
     ///
     /// # Panics
-    /// On a dimension mismatch, a non-finite query component, or `k == 0`.
+    /// On a dimension mismatch, a non-finite query component, or `k == 0`
+    /// — every [`QueryError`]. Callers serving untrusted input (the TCP
+    /// layer) use [`ShardedEngine::try_query`] /
+    /// [`ShardedEngine::submit_query`] instead and turn each variant into
+    /// an `ERR` reply.
     pub fn query(&self, q: &[f32], k: usize) -> QueryResult {
         self.try_query(q, k)
             .unwrap_or_else(|e| panic_for_query_error(e))
@@ -307,13 +325,40 @@ impl ShardedEngine {
 
     /// Scatter-gather batch: every query is fanned to every shard's
     /// worker pool (bypassing the micro-batcher — a batch already is a
-    /// batch), answers are merged per query, and input order is
-    /// preserved. Mirrors [`Engine::query_batch`], panics included.
+    /// batch) in one contiguous chunk per worker, answers are merged per
+    /// query, and input order is preserved. One snapshot pin per shard
+    /// serves the whole batch, so even if a reindex swap lands mid-batch
+    /// every result indexes the same dataset. `k` is clamped to the live
+    /// point count, as in [`ShardedEngine::try_query`].
     ///
     /// # Panics
     /// On a dimension mismatch, a non-finite query component, or `k == 0`.
     pub fn query_batch(&self, queries: &[impl AsRef<[f32]>], k: usize) -> Vec<QueryResult> {
-        query_batch(&self.shards, queries, k)
+        let (tx, rx) = channel();
+        let replies = (0..queries.len()).map(|qi| -> Reply {
+            let tx = tx.clone();
+            Box::new(move |result| {
+                let _ = tx.send((qi, result));
+            })
+        });
+        // Batch callers keep the panicking contract of `query`.
+        let mut jobs = scatter(&self.shards, queries, k, replies)
+            .unwrap_or_else(|e| panic_for_query_error(e))
+            .into_iter();
+        drop(tx);
+        for shard in &self.shards {
+            shard
+                .pool
+                .submit_sharded(jobs.by_ref().take(queries.len()).collect());
+        }
+        let mut results: Vec<Option<QueryResult>> = queries.iter().map(|_| None).collect();
+        for (qi, result) in rx {
+            results[qi] = Some(result.unwrap_or_else(|e| panic_for_query_error(e)));
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("query execution panicked in the engine worker pool"))
+            .collect()
     }
 
     /// Scatter-gather `(r, c)`-ball-cover (Algorithm 1): every shard
@@ -338,9 +383,13 @@ impl ShardedEngine {
     /// Inserts one point into the shard with the fewest stored rows (ties
     /// to the lowest shard index) and reports the *global* id — a
     /// placement rule that keeps the assigned id sequence identical to a
-    /// monolithic engine's (see the module docs). A one-op
+    /// one-shard engine's (see the module docs). A one-op
     /// [`ShardedEngine::apply`]: the copy-on-write clone touches only
-    /// that shard, O(n/S), and nothing runs on the others.
+    /// that shard, O(n/S), and nothing runs on the others. Readers keep
+    /// pinning immutable `Arc<PmLsh>` snapshots and never wait on the
+    /// clone; queries arriving after the swap see the new point. Batch
+    /// several mutations through [`ShardedEngine::apply`], and bulk-load
+    /// through [`ShardedEngine::reindex`], which pays the build once.
     ///
     /// `points` and `epoch` in the report aggregate over all shards, like
     /// [`ShardedEngine::info`].
@@ -350,38 +399,48 @@ impl ShardedEngine {
 
     /// Deletes the point with *global* id `id` — a one-op
     /// [`ShardedEngine::apply`] routed to its owning shard (`id mod S`);
-    /// the clone is O(n/S). A shard's last live point cannot be deleted
-    /// ([`MutationError::WouldEmptyIndex`]) — with ids dealt round-robin
-    /// a shard only runs that low when the whole index is nearly empty.
+    /// the clone is O(n/S), and a refused delete (unknown id, last live
+    /// point) is O(1), it never clones. A shard's last live point cannot
+    /// be deleted ([`MutationError::WouldEmptyIndex`]): a served index is
+    /// non-empty by construction — with ids dealt round-robin a shard
+    /// only runs that low when the whole index is nearly empty.
     pub fn delete(&self, id: PointId) -> Result<MutationReport, MutationError> {
         self.apply(&[MutOp::Delete(id)])?.into_single()
     }
 
-    /// Applies a batch of interleaved inserts and deletes across the
-    /// shard set — the sharded [`Engine::apply`]. Ops are bucketed by
-    /// owning shard (a delete to `global mod S`, an insert to the shard
-    /// with the fewest stored rows at its point in the sequence, ties to
-    /// the lowest shard index — the same placement rule as
-    /// [`ShardedEngine::insert`], so the assigned global-id sequence
-    /// stays identical to a monolithic engine's), and the non-empty
-    /// sub-batches apply *concurrently* — except that a lone one runs on
-    /// the calling thread, so a batch that touches one shard spawns
-    /// nothing and costs the untouched shards nothing — each paying one
-    /// O(n/S) clone and at most one epoch bump. Where the monolith's batch bumps the logical epoch by
-    /// exactly 1, the sharded batch bumps it by the number of shards that
-    /// applied at least one op (between 1 and S) — still one publication
-    /// per touched shard instead of one per op.
+    /// The single write path: applies a batch of interleaved inserts and
+    /// deletes as one copy-on-write publication per touched shard. Ops
+    /// are bucketed by owning shard (a delete to `global mod S`, an
+    /// insert to the shard with the fewest stored rows at its point in
+    /// the sequence, ties to the lowest shard index — the same placement
+    /// rule as [`ShardedEngine::insert`], so the assigned global-id
+    /// sequence stays identical to a one-shard engine's), and the
+    /// non-empty sub-batches apply *concurrently* — except that a lone
+    /// one runs on the calling thread, so a batch that touches one shard
+    /// spawns nothing and costs the untouched shards nothing. Each shard
+    /// takes its writer lock once, clones its snapshot once — lazily, by
+    /// the first op it admits — patches its ops into the clone and swaps
+    /// once: against `W` one-op calls, write cost falls from O(W·n/S) to
+    /// O(n/S) + O(W) per shard, and readers observe one atomic
+    /// transition per shard. The logical epoch moves by the number of
+    /// shards that applied at least one op (between 0 and S; exactly 1 at
+    /// `S == 1`); if *no* op applies, nothing is cloned, nothing is
+    /// published and the epoch does not move.
     ///
-    /// Failures are per-op, in input order, exactly as in
-    /// [`Engine::apply`]: invalid inserts are rejected up front (and do
-    /// not consume a global id, matching the monolith), unknown-id and
-    /// would-empty deletes are rejected by their owning shard against its
-    /// evolving state. A shard-level refusal (a mid-rebuild shard
-    /// returning [`MutationError::ReindexInProgress`]) marks *that
-    /// shard's* ops failed while the other sub-batches stand — there is
-    /// no cross-shard rollback; each shard's sub-batch is individually
-    /// atomic. [`MutationError::WouldEmptyIndex`] guards each *shard's*
-    /// last live point, mirroring single-op sharded deletes.
+    /// Failures are per-op, in input order, reported in their slot of
+    /// [`BatchReport::results`] while the rest of the batch still
+    /// applies: invalid inserts (wrong dimensionality, non-finite
+    /// component) are rejected up front and do not consume a global id;
+    /// unknown-id and would-empty deletes are rejected by their owning
+    /// shard against its evolving state, so a delete may target an id
+    /// inserted earlier in the same batch.
+    /// [`MutationError::WouldEmptyIndex`] guards each *shard's* last live
+    /// point. The batch-level refusal is
+    /// [`MutationError::ReindexInProgress`] — a background rebuild's swap
+    /// would silently discard the mutation, so mutations wait it out; at
+    /// `S > 1` it marks only the rebuilding *shard's* ops failed while
+    /// the other sub-batches stand (no cross-shard rollback; each shard's
+    /// sub-batch is individually atomic).
     pub fn apply(&self, ops: &[MutOp]) -> Result<BatchReport, MutationError> {
         let shards = self.shards.len();
         if shards == 1 {
@@ -481,14 +540,16 @@ impl ShardedEngine {
     }
 
     /// Rebuilds every shard over a fresh round-robin partition of `data`
-    /// on background threads and returns once every shard has swapped —
-    /// the sharded [`Engine::reindex`]. Queries keep flowing throughout;
-    /// a query that lands mid-swap may see a mix of old and new shards
-    /// for one fan-out (each shard swap is individually atomic).
+    /// on background threads ([`Engine::begin_reindex`] per shard) and
+    /// returns once every shard has swapped, blocking only the *calling*
+    /// thread. Queries keep flowing throughout: in-flight work finishes
+    /// on the snapshot it started with, and a query that lands mid-swap
+    /// may see a mix of old and new shards for one fan-out (each shard
+    /// swap is individually atomic).
     ///
-    /// In addition to the monolithic validations, `data` must hold at
+    /// `data` must keep the served dimensionality, be finite, and hold at
     /// least `S` points ([`ReindexError::EmptyDataset`] otherwise — every
-    /// shard must stay non-empty).
+    /// shard must stay non-empty); only one reindex runs at a time.
     pub fn reindex(
         &self,
         data: impl Into<Arc<Dataset>>,
@@ -497,10 +558,11 @@ impl ShardedEngine {
     ) -> Result<ReindexReport, ReindexError> {
         let data = data.into();
         if self.shards.len() == 1 {
-            return self.shards[0].reindex(data, params, opts);
+            // Nothing to partition: hand the shared dataset over as is.
+            return Ok(self.shards[0].begin_reindex(data, params, opts)?.wait());
         }
-        // Validate the whole dataset first so the caller sees exactly the
-        // monolithic engine's errors, then the shard-count floor.
+        // Validate the whole dataset first so the caller sees the errors
+        // of a one-shard engine, then the shard-count floor.
         if data.is_empty() || data.len() < self.shards.len() {
             return Err(ReindexError::EmptyDataset);
         }
@@ -550,16 +612,19 @@ impl ShardedEngine {
     /// `.pmlsh` file per shard plus a checksummed manifest at `path`
     /// (`pm_lsh_persist::save_sharded`), which `ATTACH` and the CLI
     /// restore as a whole set. Every shard snapshot is pinned up front,
-    /// so the saved set is one consistent fan-out view.
+    /// so the saved set is one consistent fan-out view; serialization
+    /// runs on the calling thread against those immutable `Arc`s, holding
+    /// no engine locks — a mutation landing mid-save is simply not part
+    /// of the saved snapshot.
     pub fn save(
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<pm_lsh_persist::SaveReport, pm_lsh_persist::PersistError> {
-        if self.shards.len() == 1 {
-            return self.shards[0].save(path);
-        }
         let snaps: Vec<Arc<PmLsh>> = self.shards.iter().map(|s| s.index()).collect();
-        pm_lsh_persist::save_sharded(&snaps, path)
+        match &snaps[..] {
+            [only] => pm_lsh_persist::save(only, path),
+            _ => pm_lsh_persist::save_sharded(&snaps, path),
+        }
     }
 
     /// Restores a [`ShardedEngine`] from `path`: a sharded manifest
@@ -699,70 +764,6 @@ fn scatter<Q: AsRef<[f32]>>(
     Ok(jobs)
 }
 
-/// [`Engine::submit_query`] / [`ShardedEngine::submit_query`]: one
-/// scattered query through every shard's micro-batcher. `enqueue` applies
-/// backpressure: when a bounded queue is full this blocks until space
-/// frees.
-pub(crate) fn submit_query(
-    shards: &[Engine],
-    q: &[f32],
-    k: usize,
-    cb: impl FnOnce(Result<QueryResult, QueryError>) + Send + 'static,
-) -> Result<(), QueryError> {
-    let jobs = scatter(shards, &[q], k, std::iter::once(Box::new(cb) as Reply))?;
-    for (shard, job) in shards.iter().zip(jobs) {
-        shard.queue.enqueue(job);
-    }
-    Ok(())
-}
-
-/// [`Engine::try_query`] / [`ShardedEngine::try_query`]: a submit plus a
-/// channel to park on.
-pub(crate) fn try_query(shards: &[Engine], q: &[f32], k: usize) -> Result<QueryResult, QueryError> {
-    let (tx, rx) = channel();
-    submit_query(shards, q, k, move |result| {
-        // A dropped receiver means the caller gave up waiting.
-        let _ = tx.send(result);
-    })?;
-    // The sender dies unanswered only when a pool dropped a leg unrun.
-    rx.recv().unwrap_or(Err(QueryError::Internal))
-}
-
-/// [`Engine::query_batch`] / [`ShardedEngine::query_batch`]: the same
-/// scatter over a list, sent straight to the pools (a batch already is a
-/// batch), gathered back into input order.
-pub(crate) fn query_batch<Q: AsRef<[f32]>>(
-    shards: &[Engine],
-    queries: &[Q],
-    k: usize,
-) -> Vec<QueryResult> {
-    let (tx, rx) = channel();
-    let replies = (0..queries.len()).map(|qi| -> Reply {
-        let tx = tx.clone();
-        Box::new(move |result| {
-            let _ = tx.send((qi, result));
-        })
-    });
-    // Batch callers keep the panicking contract of `query`.
-    let mut jobs = scatter(shards, queries, k, replies)
-        .unwrap_or_else(|e| panic_for_query_error(e))
-        .into_iter();
-    drop(tx);
-    for shard in shards {
-        shard
-            .pool
-            .submit_sharded(jobs.by_ref().take(queries.len()).collect());
-    }
-    let mut results: Vec<Option<QueryResult>> = queries.iter().map(|_| None).collect();
-    for (qi, result) in rx {
-        results[qi] = Some(result.unwrap_or_else(|e| panic_for_query_error(e)));
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("query execution panicked in the engine worker pool"))
-        .collect()
-}
-
 impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
@@ -829,7 +830,7 @@ mod tests {
             .record_query(Duration::from_millis(50), &qs);
         let per_shard: Vec<crate::EngineStats> = engines.iter().map(Engine::stats).collect();
 
-        let sharded = ShardedEngine::from_engines(engines);
+        let sharded = ShardedEngine { shards: engines };
         let merged = sharded.stats();
 
         assert_eq!(merged.batches, 4);
@@ -863,7 +864,9 @@ mod tests {
     /// point, and the shard pools live to answer the next query.
     #[test]
     fn panicking_legs_fail_the_query_once_and_the_pools_survive() {
-        let sharded = ShardedEngine::from_engines(vec![tiny_engine(6), tiny_engine(7)]);
+        let sharded = ShardedEngine {
+            shards: vec![tiny_engine(6), tiny_engine(7)],
+        };
         let good = [0.25f32; 4];
         let mut crashing = good;
         crashing[0] = crate::pool::CRASH_TEST_SENTINEL;
@@ -897,7 +900,9 @@ mod tests {
 
     #[test]
     fn stats_merge_with_no_batches_reports_zero_mean() {
-        let sharded = ShardedEngine::from_engines(vec![tiny_engine(4), tiny_engine(5)]);
+        let sharded = ShardedEngine {
+            shards: vec![tiny_engine(4), tiny_engine(5)],
+        };
         let merged = sharded.stats();
         assert_eq!(merged.batches, 0);
         assert_eq!(merged.mean_batch, 0.0);

@@ -1,4 +1,4 @@
-//! The amortized batch write path: `Engine::apply` pays one
+//! The amortized batch write path: `ShardedEngine::apply` pays one
 //! copy-on-write clone and one epoch bump for a whole batch, answers
 //! bit-identically to the same ops applied one at a time, and the wire
 //! `BATCH` verb carries all of it end to end — all-or-nothing syntax,
@@ -28,7 +28,7 @@ fn blob(n: usize, d: usize, seed: u64) -> Dataset {
     ds
 }
 
-fn engine_over(data: Dataset) -> Engine {
+fn engine_over(data: Dataset) -> ShardedEngine {
     Engine::new(
         PmLsh::build(data, PmLshParams::default()),
         EngineConfig {
@@ -36,6 +36,7 @@ fn engine_over(data: Dataset) -> Engine {
             ..Default::default()
         },
     )
+    .into()
 }
 
 /// A batch of W mutations does exactly ONE publication: the epoch moves
@@ -540,7 +541,7 @@ fn wire_single_ops_match_a_batch_of_one_twin() {
 #[test]
 fn wire_single_op_reply_lines_are_golden() {
     let two = Dataset::from_rows(vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-    let engine: ShardedEngine = engine_over(two).into();
+    let engine = engine_over(two);
     let config = ServerConfig {
         auth_token: Some("sekrit".to_string()),
         ..Default::default()

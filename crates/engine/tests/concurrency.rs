@@ -4,7 +4,7 @@
 
 use pm_lsh_core::{PmLsh, PmLshParams, QueryResult, QueryStats};
 use pm_lsh_data::{PaperDataset, Scale};
-use pm_lsh_engine::{Engine, EngineConfig};
+use pm_lsh_engine::{Engine, EngineConfig, ShardedEngine};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,13 +26,14 @@ fn audio_workload(n_queries: usize) -> (Arc<PmLsh>, Vec<Vec<f32>>, Vec<QueryResu
 #[test]
 fn four_worker_batch_is_bit_identical_to_sequential() {
     let (index, queries, sequential) = audio_workload(40);
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         Arc::clone(&index),
         EngineConfig {
             threads: 4,
             ..Default::default()
         },
-    );
+    )
+    .into();
     let batch = engine.query_batch(&queries, K);
     assert_eq!(batch.len(), sequential.len());
     for (qi, (got, want)) in batch.iter().zip(&sequential).enumerate() {
@@ -51,13 +52,14 @@ fn four_worker_batch_is_bit_identical_to_sequential() {
 fn every_pool_size_agrees_with_every_other() {
     let (index, queries, sequential) = audio_workload(20);
     for threads in [1usize, 2, 3, 8] {
-        let engine = Engine::new(
+        let engine: ShardedEngine = Engine::new(
             Arc::clone(&index),
             EngineConfig {
                 threads,
                 ..Default::default()
             },
-        );
+        )
+        .into();
         let batch = engine.query_batch(&queries, K);
         for (got, want) in batch.iter().zip(&sequential) {
             assert_eq!(got.neighbors, want.neighbors, "{threads} workers diverged");
@@ -68,7 +70,7 @@ fn every_pool_size_agrees_with_every_other() {
 #[test]
 fn micro_batched_single_queries_match_sequential() {
     let (index, queries, sequential) = audio_workload(16);
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         Arc::clone(&index),
         EngineConfig {
             threads: 4,
@@ -76,7 +78,8 @@ fn micro_batched_single_queries_match_sequential() {
             max_wait: Duration::from_micros(500),
             ..Default::default()
         },
-    );
+    )
+    .into();
     // Issue the queries from concurrent caller threads so the batcher has
     // something to coalesce.
     std::thread::scope(|scope| {
@@ -98,13 +101,14 @@ fn micro_batched_single_queries_match_sequential() {
 #[test]
 fn engine_stats_equal_the_summed_query_stats() {
     let (index, queries, sequential) = audio_workload(25);
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         Arc::clone(&index),
         EngineConfig {
             threads: 4,
             ..Default::default()
         },
-    );
+    )
+    .into();
     let batch = engine.query_batch(&queries, K);
     let summed: QueryStats = batch.iter().map(|r| r.stats).sum();
     let expected: QueryStats = sequential.iter().map(|r| r.stats).sum();
@@ -122,13 +126,14 @@ fn results_keep_input_order_under_adversarial_sharding() {
     // More workers than queries, then batch smaller than the worker count:
     // order must survive any sharding.
     let (index, queries, sequential) = audio_workload(5);
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         Arc::clone(&index),
         EngineConfig {
             threads: 16,
             ..Default::default()
         },
-    );
+    )
+    .into();
     let batch = engine.query_batch(&queries, K);
     for (got, want) in batch.iter().zip(&sequential) {
         assert_eq!(got.neighbors, want.neighbors);

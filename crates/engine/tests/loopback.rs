@@ -6,7 +6,9 @@
 use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
 use pm_lsh_data::{exact_knn_batch, recall, PaperDataset, Scale};
 use pm_lsh_engine::server::parse_ok_response;
-use pm_lsh_engine::{serve, serve_router, Engine, EngineConfig, Router, ServerConfig};
+use pm_lsh_engine::{
+    serve, serve_router, Engine, EngineConfig, Router, ServerConfig, ShardedEngine,
+};
 use pm_lsh_metric::{Dataset, Neighbor};
 use pm_lsh_stats::Rng;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -38,13 +40,14 @@ fn hundred_concurrent_tcp_queries_match_sequential_recall() {
         PmLshParams::paper_defaults(),
     ));
 
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         Arc::clone(&index),
         EngineConfig {
             threads: 4,
             ..Default::default()
         },
-    );
+    )
+    .into();
     let handle = serve(engine.clone(), ("127.0.0.1", 0)).expect("bind port 0");
     let addr = handle.addr();
 

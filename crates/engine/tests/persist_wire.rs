@@ -3,7 +3,7 @@
 //! the `INDEXINFO` state/progress fields.
 
 use pm_lsh_core::{PmLsh, PmLshParams};
-use pm_lsh_engine::{serve_router, Engine, EngineConfig, Router, ServerConfig};
+use pm_lsh_engine::{serve_router, Engine, EngineConfig, Router, ServerConfig, ShardedEngine};
 use pm_lsh_metric::Dataset;
 use pm_lsh_persist::crc32;
 use pm_lsh_stats::Rng;
@@ -209,11 +209,15 @@ fn indexinfo_reports_state_and_progress() {
         },
     );
 
+    // The shard worker keeps `begin_reindex`; everything else is asked of
+    // the one-shard serving surface sharing its state.
+    let served: ShardedEngine = engine.clone().into();
+
     // Serving steady state, both in-process and over the wire.
-    let info = engine.info();
+    let info = served.info();
     assert_eq!(info.state, "serving");
     assert_eq!(info.pct, 100);
-    let router = Router::with_engine("main", engine.clone()).unwrap();
+    let router = Router::with_engine("main", served.clone()).unwrap();
     let handle = serve_router(router, ("127.0.0.1", 0), ServerConfig::default()).expect("bind");
     let mut client = Client::connect(handle.addr());
     let line = client.exchange("INDEXINFO");
@@ -234,7 +238,7 @@ fn indexinfo_reports_state_and_progress() {
         .expect("begin reindex");
     let mut observed_building = false;
     while !ticket.is_done() {
-        let info = engine.info();
+        let info = served.info();
         if info.reindexing {
             assert_eq!(info.state, "building", "{info:?}");
             assert!(info.pct < 100, "{info:?}");
@@ -247,7 +251,7 @@ fn indexinfo_reports_state_and_progress() {
         observed_building,
         "a 20k-point single-threaded build finished before one poll"
     );
-    let info = engine.info();
+    let info = served.info();
     assert_eq!(info.state, "serving");
     assert_eq!(info.pct, 100);
     let line = client.exchange("INDEXINFO");

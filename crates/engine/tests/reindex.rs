@@ -1,11 +1,11 @@
-//! Live snapshot swap: queries issued while `Engine::reindex` runs must
+//! Live snapshot swap: queries issued while `ShardedEngine::reindex` runs must
 //! all complete successfully against the old or the new snapshot — never
 //! error, never block until the build finishes — and the TCP `REINDEX` /
 //! `INDEXINFO` verbs must drive the same machinery end to end.
 
 use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
 use pm_lsh_engine::{
-    serve, serve_router, Engine, EngineConfig, ReindexError, Router, ServerConfig,
+    serve, serve_router, Engine, EngineConfig, ReindexError, Router, ServerConfig, ShardedEngine,
 };
 use pm_lsh_metric::Dataset;
 use pm_lsh_stats::Rng;
@@ -32,13 +32,14 @@ fn queries_during_reindex_complete_against_old_or_new_snapshot() {
     let queries = blob(40, d, 102);
     let params = PmLshParams::default();
 
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         PmLsh::build(old_data.clone(), params),
         EngineConfig {
             threads: 2,
             ..Default::default()
         },
-    );
+    )
+    .into();
     assert_eq!(engine.epoch(), 0);
 
     // Hammer the engine from several threads for the whole duration of a
@@ -75,10 +76,9 @@ fn queries_during_reindex_complete_against_old_or_new_snapshot() {
             });
         }
 
-        let ticket = engine
-            .begin_reindex(new_data.clone(), params, BuildOptions::with_threads(2))
+        let report = engine
+            .reindex(new_data.clone(), params, BuildOptions::with_threads(2))
             .expect("reindex must start");
-        let report = ticket.wait();
         // Let the query threads observe the new snapshot for a few rounds.
         for q in queries.iter().take(5) {
             let _ = engine.query(q, 5);
@@ -111,18 +111,19 @@ fn queries_during_reindex_complete_against_old_or_new_snapshot() {
 #[test]
 fn reindex_rejects_bad_datasets_and_serializes_rebuilds() {
     let d = 8;
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         PmLsh::build(blob(300, d, 200), PmLshParams::default()),
         EngineConfig {
             threads: 1,
             ..Default::default()
         },
-    );
+    )
+    .into();
 
     let wrong_dim = blob(100, d + 1, 201);
     assert_eq!(
         engine
-            .begin_reindex(wrong_dim, PmLshParams::default(), BuildOptions::default())
+            .reindex(wrong_dim, PmLshParams::default(), BuildOptions::default())
             .err(),
         Some(ReindexError::DimensionMismatch {
             served: d,
@@ -133,7 +134,7 @@ fn reindex_rejects_bad_datasets_and_serializes_rebuilds() {
     let empty = Dataset::with_capacity(d, 0);
     assert_eq!(
         engine
-            .begin_reindex(empty, PmLshParams::default(), BuildOptions::default())
+            .reindex(empty, PmLshParams::default(), BuildOptions::default())
             .err(),
         Some(ReindexError::EmptyDataset)
     );
@@ -144,7 +145,7 @@ fn reindex_rejects_bad_datasets_and_serializes_rebuilds() {
     poisoned.point_mut(42)[3] = f32::NAN;
     assert_eq!(
         engine
-            .begin_reindex(poisoned, PmLshParams::default(), BuildOptions::default())
+            .reindex(poisoned, PmLshParams::default(), BuildOptions::default())
             .err(),
         Some(ReindexError::NonFiniteData)
     );
@@ -182,7 +183,8 @@ fn tcp_reindex_and_indexinfo_roundtrip() {
     ));
     pm_lsh_data::write_fvecs(&path, &new_data).expect("write temp fvecs");
 
-    let engine = Engine::new(PmLsh::build(old_data, params), EngineConfig::default());
+    let engine: ShardedEngine =
+        Engine::new(PmLsh::build(old_data, params), EngineConfig::default()).into();
     let handle = serve(engine.clone(), ("127.0.0.1", 0)).expect("bind");
     let stream = TcpStream::connect(handle.addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -240,13 +242,14 @@ fn auth_gates_mutating_verbs() {
     ));
     pm_lsh_data::write_fvecs(&path, &new_data).expect("write temp fvecs");
 
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         PmLsh::build(old_data, PmLshParams::default()),
         EngineConfig {
             threads: 1,
             ..Default::default()
         },
-    );
+    )
+    .into();
     let router = Router::with_engine("main", engine).unwrap();
     let config = ServerConfig {
         auth_token: Some("sekrit-token".to_string()),

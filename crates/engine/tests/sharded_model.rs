@@ -49,7 +49,7 @@ fn config() -> EngineConfig {
 /// ways, structural invariants on every shard's tree, and a bit-identical
 /// exhaustive-k answer from both engines.
 fn checkpoint(
-    mono: &Engine,
+    mono: &ShardedEngine,
     sharded: &ShardedEngine,
     model: &BTreeMap<PointId, Vec<f32>>,
     rng: &mut Rng,
@@ -57,7 +57,12 @@ fn checkpoint(
 ) {
     let shards = sharded.shard_count();
     let model_ids: BTreeSet<PointId> = model.keys().copied().collect();
-    let mono_ids: BTreeSet<PointId> = mono.index().live_ids().iter().copied().collect();
+    let mono_ids: BTreeSet<PointId> = mono.shards()[0]
+        .index()
+        .live_ids()
+        .iter()
+        .copied()
+        .collect();
     assert_eq!(mono_ids, model_ids, "{tag}: monolithic live-id set drifted");
 
     let mut sharded_ids = BTreeSet::new();
@@ -99,7 +104,7 @@ fn interleaved_mutations_stay_in_lockstep_with_a_monolithic_twin() {
     for shards in [1usize, 2, 4] {
         let data = blob(n0, dim, 0xA11CE + shards as u64);
         let params = PmLshParams::default();
-        let mono = Engine::new(PmLsh::build(data.clone(), params), config());
+        let mono: ShardedEngine = Engine::new(PmLsh::build(data.clone(), params), config()).into();
         let sharded =
             ShardedEngine::build(&data, params, BuildOptions::default(), shards, config());
         let mut model: BTreeMap<PointId, Vec<f32>> = data
@@ -114,7 +119,7 @@ fn interleaved_mutations_stay_in_lockstep_with_a_monolithic_twin() {
         // divergence the reindex leg introduces.
         let mut epoch_offset = 0u64;
 
-        let step = |mono: &Engine,
+        let step = |mono: &ShardedEngine,
                     sharded: &ShardedEngine,
                     model: &mut BTreeMap<PointId, Vec<f32>>,
                     rng: &mut Rng,
@@ -278,10 +283,11 @@ fn batched_mutations_stay_in_lockstep_with_single_op_oracles() {
     for shards in [1usize, 2, 4] {
         let data = blob(n0, dim, 0xBA7C + shards as u64);
         let params = PmLshParams::default();
-        let mono = Engine::new(PmLsh::build(data.clone(), params), config());
+        let mono: ShardedEngine = Engine::new(PmLsh::build(data.clone(), params), config()).into();
         let sharded =
             ShardedEngine::build(&data, params, BuildOptions::default(), shards, config());
-        let oracle = Engine::new(PmLsh::build(data.clone(), params), config());
+        let oracle: ShardedEngine =
+            Engine::new(PmLsh::build(data.clone(), params), config()).into();
         let mut model: BTreeMap<PointId, Vec<f32>> = data
             .iter()
             .enumerate()

@@ -1,7 +1,7 @@
 //! Equivalence harness for the sharded scatter-gather engine: a
 //! [`ShardedEngine`] over a round-robin partition must answer at least as
-//! well as the monolithic [`Engine`] it replaces, against a linear-scan
-//! oracle, for *every* entry point — `query`, `query_batch`, `query_bc`
+//! well as the monolithic (one-shard) engine it replaces, against a
+//! linear-scan oracle, for *every* entry point — `query`, `query_batch`, `query_bc`
 //! and the TCP wire — plus the budget-sum inequality the module docs
 //! claim, exact-id parity where the budgets make answers deterministic,
 //! and a save→load→parity leg for the sharded manifest snapshot.
@@ -92,7 +92,7 @@ fn sharded_recall_never_below_monolithic_on_paper_datasets() {
         let (data, queries) = smoke(ds, 40);
         let truth = exact_knn_batch(data.view(), queries.view(), K, 0);
         let params = PmLshParams::paper_defaults();
-        let mono = Engine::new(PmLsh::build(data.clone(), params), config(2));
+        let mono: ShardedEngine = Engine::new(PmLsh::build(data.clone(), params), config(2)).into();
         let mono_results: Vec<_> = queries.iter().map(|q| mono.query(q, K).neighbors).collect();
         let mono_recall = avg_recall(&mono_results, &truth);
 
@@ -136,7 +136,7 @@ fn exhaustive_k_is_bit_identical_across_shard_counts() {
     let k = data.len();
     let params = PmLshParams::paper_defaults();
     let truth = exact_knn_batch(data.view(), queries.view(), k, 0);
-    let mono = Engine::new(PmLsh::build(data.clone(), params), config(2));
+    let mono: ShardedEngine = Engine::new(PmLsh::build(data.clone(), params), config(2)).into();
     let mono_results: Vec<_> = queries.iter().map(|q| mono.query(q, k).neighbors).collect();
     for (qi, found) in mono_results.iter().enumerate() {
         assert_eq!(found.len(), k);
@@ -176,11 +176,11 @@ fn query_bc_success_rate_never_below_monolithic() {
         .iter()
         .map(|t| f64::from(t[0].dist) * 1.01 + 1e-6)
         .collect();
-    let mono = Engine::new(PmLsh::build(data.clone(), params), config(1));
+    let mono = PmLsh::build(data.clone(), params);
     let mono_hits = queries
         .iter()
         .zip(&radii)
-        .filter(|(q, &r)| mono.index().query_bc(q, r).is_some())
+        .filter(|(q, &r)| mono.query_bc(q, r).is_some())
         .count();
     for shards in [2, 4] {
         let sharded =
@@ -213,42 +213,55 @@ fn query_bc_success_rate_never_below_monolithic() {
     }
 }
 
-/// One shard is the degenerate case: a `ShardedEngine` wrapping the same
-/// snapshot as an [`Engine`] must be bit-for-bit that engine on every
-/// entry point, mutations included.
+/// One shard is the degenerate case: a `ShardedEngine` wrapping one
+/// snapshot must be bit-for-bit the plain [`PmLsh`] underneath on every
+/// entry point — neighbors and every `QueryStats` counter — mutations
+/// included.
 #[test]
 fn single_shard_is_bitwise_the_monolithic_engine() {
     let (data, queries) = smoke(PaperDataset::Trevi, 12);
     let index = Arc::new(PmLsh::build(data, PmLshParams::paper_defaults()));
-    let mono = Engine::new(Arc::clone(&index), config(2));
     let sharded: ShardedEngine = Engine::new(Arc::clone(&index), config(2)).into();
     assert_eq!(sharded.shard_count(), 1);
-    assert_eq!(sharded.len(), mono.index().len());
+    assert_eq!(sharded.len(), index.len());
     assert_eq!(sharded.candidate_budget(K), index.candidate_budget(K));
 
     let query_vecs: Vec<&[f32]> = queries.iter().collect();
-    let mono_batch = mono.query_batch(&query_vecs, K);
     let sharded_batch = sharded.query_batch(&query_vecs, K);
     for (qi, q) in queries.iter().enumerate() {
-        assert_eq!(sharded.query(q, K).neighbors, mono.query(q, K).neighbors);
-        assert_eq!(sharded_batch[qi].neighbors, mono_batch[qi].neighbors);
+        let mono = index.query(q, K);
+        let one = sharded.query(q, K);
+        assert_eq!(
+            (one.neighbors, one.stats),
+            (mono.neighbors.clone(), mono.stats)
+        );
+        assert_eq!(sharded_batch[qi].neighbors, mono.neighbors);
+        assert_eq!(sharded_batch[qi].stats, mono.stats);
         assert_eq!(sharded.query_bc(q, 1.0), index.query_bc(q, 1.0));
     }
 
-    // Mutations: both engines copy-on-write from the same pinned
-    // snapshot, so lock-step mutations report identical ids and counts.
+    // Mutations: the engine copies-on-write from the same snapshot a
+    // plain clone starts from, so lock-step mutations report identical
+    // ids and counts, one epoch per publication.
+    let mut mono = PmLsh::clone(&index);
     let point = vec![0.125f32; sharded.dim()];
-    let a = mono.insert(&point).expect("monolithic insert");
     let b = sharded.insert(&point).expect("sharded insert");
-    assert_eq!((a.id, a.epoch, a.points), (b.id, b.epoch, b.points));
-    let a = mono.delete(b.id).expect("monolithic delete");
+    assert_eq!(
+        (mono.insert(&point), 1, mono.len()),
+        (b.id, b.epoch, b.points)
+    );
     let b = sharded.delete(b.id).expect("sharded delete");
-    assert_eq!((a.id, a.epoch, a.points), (b.id, b.epoch, b.points));
-    assert_eq!(sharded.epoch(), mono.epoch());
+    assert!(mono.delete(b.id));
+    assert_eq!((2, mono.len()), (b.epoch, b.points));
+    assert_eq!(sharded.epoch(), 2);
+    for q in queries.iter() {
+        let (one, mono) = (sharded.query(q, K), mono.query(q, K));
+        assert_eq!((one.neighbors, one.stats), (mono.neighbors, mono.stats));
+    }
 
     let info = sharded.info();
     assert_eq!(info.shards, 1);
-    assert_eq!(info.points, mono.info().points);
+    assert_eq!(info.points, mono.len());
 }
 
 /// The wire entry point: a served `ShardedEngine` answers `QUERY`

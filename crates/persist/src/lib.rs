@@ -28,10 +28,10 @@
 //! Stored: user parameters, the Gaussian projection matrix, the raw dataset
 //! (including tombstoned rows — external ids are stable row indexes), the
 //! projected live points, the free-list-compacted PM-tree and the sampled
-//! distance distribution. Recomputed at load: the Eq. 10 derived parameters
-//! and the memoized `r_min` table, both deterministic functions of the
-//! stored state — which is what makes save→load→query parity *bitwise*, down
-//! to the `QueryStats` counters.
+//! distance distribution. Recomputed at load: the Eq. 10 derived parameters,
+//! a deterministic function of the stored ones (`r_min` is computed per
+//! query from the stored distribution) — which is what makes
+//! save→load→query parity *bitwise*, down to the `QueryStats` counters.
 //!
 //! # Example
 //!

@@ -106,7 +106,6 @@ fn snapshot_taken_mid_churn_round_trips_with_full_fidelity() {
 
     // The restored index is not a read-only artifact: keep churning both
     // copies in lock step and they stay interchangeable.
-    let mut index = index;
     let mut restored = restored;
     for _ in 0..60 {
         if rng.bernoulli(0.5) || live.is_empty() {

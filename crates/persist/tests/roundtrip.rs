@@ -2,7 +2,7 @@
 //! every query entry point — same neighbors, same distances, same
 //! [`QueryStats`] counters, bit for bit.
 
-use pm_lsh_core::{PmLsh, PmLshParams};
+use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
 use pm_lsh_data::{PaperDataset, Scale};
 use pm_lsh_persist::{deserialize, is_pmlsh_file, serialize, Snapshot};
 
@@ -36,12 +36,12 @@ fn assert_query_parity(original: &PmLsh, restored: &PmLsh, queries: &pm_lsh_metr
     }
     assert!(hits > 0, "ball-cover parity never exercised a hit");
 
-    let want = original.query_batch(queries.view(), 10, 4);
-    let got = restored.query_batch(queries.view(), 10, 4);
-    assert_eq!(got.len(), want.len());
-    for (qi, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(g.neighbors, w.neighbors, "batch q{qi} neighbors");
-        assert_eq!(g.stats, w.stats, "batch q{qi} stats");
+    let (mut want_ctx, mut got_ctx) = (QueryContext::new(), QueryContext::new());
+    for (qi, q) in queries.iter().enumerate() {
+        let w = original.query_with_context(q, 10, &mut want_ctx);
+        let g = restored.query_with_context(q, 10, &mut got_ctx);
+        assert_eq!(g.neighbors, w.neighbors, "reused-context q{qi} neighbors");
+        assert_eq!(g.stats, w.stats, "reused-context q{qi} stats");
     }
 }
 

@@ -928,91 +928,29 @@ impl PmTree {
         }
     }
 
-    /// Validates every structural invariant; used by tests and proptests.
+    /// Validates every invariant; used by tests and proptests.
     ///
-    /// Checks, for every routing entry: (1) all points of its subtree lie
+    /// [`PmTree::verify_structure`] runs first — index ranges, the id
+    /// map, `leaf_of`, reachability and the free list — so a corrupted
+    /// tree comes back as `Err` from there, never as an out-of-bounds
+    /// panic here. The geometric audit then recomputes distances and
+    /// checks, for every routing entry: (1) all points of its subtree lie
     /// within `radius` of its center, (2) each hyper-ring contains the
-    /// pivot distance of every point below it, (3) children's `parent_dist`
-    /// matches the distance to the routing object, and (4) the leaf entries
-    /// cover exactly the live points. On top of the geometry, the mutable
-    /// layer's bookkeeping is audited: external ids are unique and
-    /// round-trip through the id map, `leaf_of` points at the leaf really
-    /// holding each row, and every arena slot is either reachable from the
-    /// root or parked on the free list — never both, never neither.
+    /// pivot distance of every point below it, and (3) children's
+    /// `parent_dist` matches the distance to the routing object; for
+    /// every leaf entry, that its stored pivot distances are current.
     pub fn verify_invariants(&self) -> Result<(), String> {
-        if self.externals.len() != self.points.len() {
-            return Err(format!(
-                "{} external ids but {} stored points",
-                self.externals.len(),
-                self.points.len()
-            ));
-        }
-        if self.leaf_of.len() != self.externals.len() {
-            return Err(format!(
-                "leaf map covers {} rows, point store holds {}",
-                self.leaf_of.len(),
-                self.externals.len()
-            ));
-        }
-        if self.ext_index.len() != self.externals.len() {
-            return Err(format!(
-                "id map holds {} entries for {} points (duplicate external id?)",
-                self.ext_index.len(),
-                self.externals.len()
-            ));
-        }
-        for (internal, &external) in self.externals.iter().enumerate() {
-            if self.ext_index.get(&external) != Some(&(internal as u32)) {
-                return Err(format!(
-                    "id map does not send external {external} back to row {internal}"
-                ));
-            }
-        }
-        let mut seen = vec![false; self.len()];
-        let mut reached = vec![false; self.nodes.len()];
-        self.verify_node(self.root, None, &mut seen, &mut reached)?;
-        if let Some(missing) = seen.iter().position(|s| !s) {
-            return Err(format!("point {missing} not reachable from the root"));
-        }
-        let mut free = vec![false; self.nodes.len()];
-        for &f in &self.free_nodes {
-            if reached[f as usize] {
-                return Err(format!("node {f} is both reachable and on the free list"));
-            }
-            if free[f as usize] {
-                return Err(format!("node {f} is on the free list twice"));
-            }
-            free[f as usize] = true;
-        }
-        if let Some(leaked) = (0..self.nodes.len()).find(|&id| !reached[id] && !free[id]) {
-            return Err(format!(
-                "node {leaked} is neither reachable nor on the free list"
-            ));
-        }
-        Ok(())
+        self.verify_structure()?;
+        self.verify_geometry(self.root, None)
     }
 
-    fn verify_node(
-        &self,
-        node: NodeId,
-        parent_center: Option<&[f32]>,
-        seen: &mut [bool],
-        reached: &mut [bool],
-    ) -> Result<(), String> {
+    /// The geometric half of [`PmTree::verify_invariants`]; indexes
+    /// freely, so only call it on a tree `verify_structure` accepted.
+    fn verify_geometry(&self, node: NodeId, parent_center: Option<&[f32]>) -> Result<(), String> {
         const EPS: f32 = 1e-3;
-        if reached[node as usize] {
-            return Err(format!("node {node} reachable through two parents"));
-        }
-        reached[node as usize] = true;
         match &self.nodes[node as usize] {
             Node::Leaf(entries) => {
                 for e in entries {
-                    if self.leaf_of[e.internal as usize] != node {
-                        return Err(format!(
-                            "leaf map sends row {} to node {}, found in node {node}",
-                            e.internal, self.leaf_of[e.internal as usize]
-                        ));
-                    }
                     let p = self.points.point(e.internal as usize);
                     if let Some(pc) = parent_center {
                         let d = euclidean(p, pc);
@@ -1031,23 +969,10 @@ impl PmTree {
                             return Err(format!("leaf pivot_dist[{i}] stale for {}", e.internal));
                         }
                     }
-                    if seen[e.internal as usize] {
-                        return Err(format!("point {} reachable twice", e.internal));
-                    }
-                    seen[e.internal as usize] = true;
-                    if e.external != self.externals[e.internal as usize] {
-                        return Err(format!(
-                            "leaf entry for row {} carries external {} (store says {})",
-                            e.internal, e.external, self.externals[e.internal as usize]
-                        ));
-                    }
                 }
                 Ok(())
             }
             Node::Inner(entries) => {
-                if entries.is_empty() {
-                    return Err("inner node with no entries".into());
-                }
                 for e in entries {
                     if let Some(pc) = parent_center {
                         let d = euclidean(&e.center, pc);
@@ -1084,7 +1009,7 @@ impl PmTree {
                             }
                         }
                     }
-                    self.verify_node(e.child, Some(&e.center), seen, reached)?;
+                    self.verify_geometry(e.child, Some(&e.center))?;
                 }
                 Ok(())
             }
@@ -1154,4 +1079,46 @@ fn promote_mm_rad(
         })
         .collect();
     (pi, pj, assign)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn two_level_tree() -> PmTree {
+        let mut rng = Rng::new(5);
+        let mut ds = pm_lsh_metric::Dataset::with_capacity(4, 120);
+        let mut buf = [0.0f32; 4];
+        for _ in 0..120 {
+            rng.fill_normal(&mut buf);
+            ds.push(&buf);
+        }
+        let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
+        assert!(tree.height() >= 2, "corruption tests need an inner root");
+        tree.verify_invariants().expect("fresh tree is valid");
+        tree
+    }
+
+    /// A corrupted tree must come back as `Err` from both validators —
+    /// the full audit used to index the arena with whatever id it found
+    /// and panic instead.
+    #[test]
+    fn validators_reject_corruption_instead_of_panicking() {
+        let mut bad_child = two_level_tree();
+        let arena = bad_child.nodes.len() as NodeId;
+        let root = bad_child.root as usize;
+        let Node::Inner(entries) = &mut bad_child.nodes[root] else {
+            unreachable!("height >= 2")
+        };
+        entries[0].child = arena + 7;
+        let structure = bad_child.verify_structure().unwrap_err();
+        assert!(structure.contains("outside the"), "{structure}");
+        assert_eq!(bad_child.verify_invariants().unwrap_err(), structure);
+
+        let mut bad_leaf_map = two_level_tree();
+        bad_leaf_map.leaf_of[3] = arena + 7;
+        let structure = bad_leaf_map.verify_structure().unwrap_err();
+        assert!(structure.contains("leaf map sends row 3"), "{structure}");
+        assert_eq!(bad_leaf_map.verify_invariants().unwrap_err(), structure);
+    }
 }

@@ -526,8 +526,8 @@ fn cmd_batch_query(opts: &HashMap<String, String>) -> Result<(), String> {
             queries.dim()
         ));
     }
-    let engine = Engine::new(Arc::clone(&index), config);
-    println!("engine: {} worker thread(s)", engine.threads());
+    let engine: ShardedEngine = Engine::new(Arc::clone(&index), config).into();
+    println!("engine: {} worker thread(s)", config.effective_threads());
 
     let query_vecs: Vec<&[f32]> = queries.iter().collect();
     let start = Instant::now();

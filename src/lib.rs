@@ -14,10 +14,13 @@
 //!   cost models of Section 4.2.
 //! * [`hash`] — p-stable hash families, collision probabilities and
 //!   multi-probe perturbation sequences.
-//! * [`engine`] — the serving subsystem: a fixed worker pool and
-//!   micro-batching queue over one immutable index snapshot
-//!   ([`engine::Engine`]), aggregate throughput/latency statistics
-//!   ([`engine::EngineStats`]), multi-index routing by name
+//! * [`engine`] — the serving subsystem: one serving surface over
+//!   `S ≥ 1` shards ([`engine::ShardedEngine`];
+//!   `Engine::new(index, config).into()` is the one-shard engine), each
+//!   shard a fixed worker pool and micro-batching queue over one
+//!   immutable index snapshot ([`engine::Engine`]), aggregate
+//!   throughput/latency statistics ([`engine::EngineStats`]),
+//!   multi-index routing by name
 //!   ([`engine::Router`]), and a newline-delimited TCP protocol with
 //!   optional token auth, a connection cap and graceful drain
 //!   ([`engine::serve`] / [`engine::serve_router`], wire grammar in

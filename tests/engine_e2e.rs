@@ -15,13 +15,14 @@ fn prelude_covers_the_serving_workflow() {
     let truth = exact_knn_batch(data.view(), queries.view(), 5, 0);
 
     let index = PmLsh::build(Arc::clone(&data), PmLshParams::paper_defaults());
-    let engine = Engine::new(
+    let engine: ShardedEngine = Engine::new(
         index,
         EngineConfig {
             threads: 2,
             ..Default::default()
         },
-    );
+    )
+    .into();
 
     // Batched path: same recall as the per-query path, order preserved.
     let query_vecs: Vec<&[f32]> = queries.iter().collect();

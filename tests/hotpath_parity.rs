@@ -78,13 +78,15 @@ fn query_bc_matches_reference() {
 
 #[test]
 fn query_batch_matches_reference() {
+    // The whole query set through one reused context, as an engine worker
+    // runs a batch shard.
     let (index, queries) = audio_smoke();
-    let batch = index.query_batch(queries.view(), 10, 4);
-    assert_eq!(batch.len(), queries.len());
+    let mut ctx = QueryContext::new();
     for (qi, q) in queries.iter().enumerate() {
+        let got = index.query_with_context(q, 10, &mut ctx);
         let reference = index.query_reference(q, 10);
-        assert_eq!(batch[qi].neighbors, reference.neighbors, "q{qi}");
-        assert_eq!(batch[qi].stats, reference.stats, "q{qi} stats");
+        assert_eq!(got.neighbors, reference.neighbors, "q{qi}");
+        assert_eq!(got.stats, reference.stats, "q{qi} stats");
     }
 }
 

@@ -1,7 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the two design choices of the PM-tree layer that
+//! still have an alternative to measure against:
 //!
-//! * **Lazy vs eager lower-bound refinement** in the PM-tree cursor — the
-//!   lazy discipline is what makes the PM-tree's filtering pay off.
 //! * **Pivot count s = 0 (plain M-tree) vs s = 5 (PM-tree)** — the paper's
 //!   headline structural claim (Table 2 / Fig. 6a).
 //! * **Incremental cursor vs restarted range queries** for Algorithm 2's
@@ -10,7 +9,7 @@
 use pm_lsh_bench::micro::Criterion;
 use pm_lsh_data::{PaperDataset, Scale};
 use pm_lsh_hash::GaussianProjector;
-use pm_lsh_pmtree::{PmTree, PmTreeConfig, RefineMode};
+use pm_lsh_pmtree::{PmTree, PmTreeConfig};
 use pm_lsh_stats::{distance_distribution, Rng};
 use std::hint::black_box;
 use std::time::Duration;
@@ -41,33 +40,6 @@ fn bench_ablation(criterion: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(500));
-
-    group.bench_function("refine_lazy", |bencher| {
-        let mut qi = 0usize;
-        bencher.iter(|| {
-            let q = proj_queries.point(qi % proj_queries.len());
-            qi += 1;
-            let mut cur = pm5.cursor_with_mode(black_box(q), RefineMode::Lazy);
-            let mut count = 0u32;
-            while cur.next_within(rq).is_some() {
-                count += 1;
-            }
-            black_box(count)
-        });
-    });
-    group.bench_function("refine_eager", |bencher| {
-        let mut qi = 0usize;
-        bencher.iter(|| {
-            let q = proj_queries.point(qi % proj_queries.len());
-            qi += 1;
-            let mut cur = pm5.cursor_with_mode(black_box(q), RefineMode::Eager);
-            let mut count = 0u32;
-            while cur.next_within(rq).is_some() {
-                count += 1;
-            }
-            black_box(count)
-        });
-    });
 
     group.bench_function("pivots_s5", |bencher| {
         let mut qi = 0usize;

@@ -18,7 +18,11 @@ use std::sync::Arc;
 pub struct QueryStats {
     /// Candidates whose original-space distance was verified.
     pub candidates_verified: usize,
-    /// Distance computations inside the projected space (PM-tree traversal).
+    /// Distance computations inside the projected space (PM-tree
+    /// traversal), exactly: the `s` query-to-pivot distances, plus one per
+    /// entry — routing or leaf — of a visited node that the distance-free
+    /// filters of Eq. 5 (parent distance, pivot rings) failed to keep
+    /// outside the radius the query had reached.
     pub projected_dist_computations: u64,
     /// Radius-enlargement rounds executed (1 means `r_min` sufficed).
     pub rounds: u32,

@@ -12,53 +12,34 @@
 //!    the cursor simply continues popping the preserved frontier — no work is
 //!    repeated across rounds, which is how PM-LSH "combines the ideas of the
 //!    RE and MI methods".
-//! 2. Lower bounds are refined lazily: an entry is first enqueued under its
-//!    cheap bound (parent-distance and pivot-ring filters, no new distance
-//!    computation) and the exact center/point distance is only computed when
-//!    the entry reaches the top of the frontier. Entries pruned by radius
-//!    never cost a distance computation, mirroring the M-tree/PM-tree
-//!    filtering rules (Eq. 5).
+//! 2. There is one refinement discipline, the paper's (Eq. 5): an entry of a
+//!    visited node first meets the parent-distance and pivot-ring filters,
+//!    which cost no new distance, and its exact center/point distance is
+//!    computed — once, in full — only if that cheap bound comes within the
+//!    radius. An entry the filters keep outside every radius the query
+//!    reaches never costs a distance computation. The distance is not
+//!    early-abandoned against the round's radius: in the m = 15 projected
+//!    space the whole kernel is fifteen multiply-adds, less than the heap
+//!    round-trip and the repeated measurement that parking an abandoned
+//!    entry costs in every later round (early abandonment pays at the
+//!    original dimensionality, where `pm-lsh-core` applies it).
 
-use crate::entry::{InnerEntry, LeafEntry};
 use crate::tree::{Node, PmTree};
 use crate::NodeId;
-use pm_lsh_metric::{euclidean, sq_dist_within, PointId};
+use pm_lsh_metric::{euclidean, PointId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 #[derive(Clone, Copy, Debug)]
 enum ItemKind {
-    /// Routing entry not yet resolved: only cheap bounds applied.
-    InnerApprox { node: NodeId, idx: u32 },
-    /// Routing entry with exact center distance; pops by expanding its child.
-    InnerReady { child: NodeId, dq_center: f32 },
-    /// Leaf entry not yet resolved (pivot/parent bounds only).
-    LeafApprox { node: NodeId, idx: u32 },
-    /// Leaf entry whose exact distance computation was abandoned
-    /// mid-kernel: the distance provably exceeds the radius of the round
-    /// that touched it. Resurfaces in a later (larger-radius) round and is
-    /// then re-measured against that round's bound — without recounting
-    /// the distance computation, which was paid on first touch.
-    LeafAbandoned { node: NodeId, idx: u32 },
+    /// Entry `idx` of `node`, routing or leaf, keyed by its cheap bound;
+    /// pops by paying its exact distance ([`RangeCursor::resolve`]).
+    Pending { node: NodeId, idx: u32 },
+    /// Node whose routing entry has exact center distance `dq_center` (NaN
+    /// for the root, which has no routing entry); pops by expanding.
+    Node { node: NodeId, dq_center: f32 },
     /// Point with exact projected distance; pops by yielding.
-    LeafExact { external: PointId, dist: f32 },
-}
-
-/// Conservative squared-radius admission bound for early-abandoning leaf
-/// distances: every squared distance whose rounded `sqrt` is `<= radius`
-/// satisfies `sq <= sq_bound(radius)`, so abandonment can only drop
-/// points the exact comparison would also have kept *outside* the radius.
-/// Squaring and stepping up two ulps covers the worst-case rounding of
-/// both the square and the candidate's own `sqrt` (the same argument as
-/// the verification bound in `pm-lsh-core`); borderline over-admitted
-/// points are simply computed in full, exactly as before abandonment.
-#[inline]
-fn sq_bound(radius: f32) -> f32 {
-    if radius.is_infinite() {
-        f32::INFINITY
-    } else {
-        (radius * radius).next_up().next_up()
-    }
+    Point { external: PointId, dist: f32 },
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -70,7 +51,7 @@ struct Item {
 
 impl PartialEq for Item {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for Item {}
@@ -80,8 +61,7 @@ impl Ord for Item {
         // tie-break on insertion sequence for determinism.
         other
             .key
-            .partial_cmp(&self.key)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.key)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -91,20 +71,14 @@ impl PartialOrd for Item {
     }
 }
 
-/// When the cursor computes exact distances (an ablation knob; the paper's
-/// design corresponds to [`RefineMode::Lazy`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RefineMode {
-    /// Entries enter the frontier under cheap bounds (parent-distance and
-    /// pivot-ring filters); the exact center/point distance is computed only
-    /// when an entry surfaces. Entries pruned by the radius never cost a
-    /// distance computation — the M-tree/PM-tree filtering discipline.
-    #[default]
-    Lazy,
-    /// Exact distances are computed for every entry of every expanded node
-    /// immediately. Fewer heap operations, strictly more distance
-    /// computations; the `ablation` bench quantifies the difference.
-    Eager,
+/// The filters of Eq. 5 that need no new distance, as a lower bound on the
+/// query's distance to anything below an entry: `pivot_lb` is the entry's
+/// ring / pivot-distance bound, the other operand the parent-distance bound
+/// (`radius` is 0 for a leaf entry). `dq_parent` is NaN under the root,
+/// which has no routing object; `max` then keeps `pivot_lb`.
+#[inline]
+fn cheap_bound(pivot_lb: f32, parent_dist: f32, radius: f32, dq_parent: f32) -> f32 {
+    pivot_lb.max((dq_parent - parent_dist).abs() - radius)
 }
 
 /// Reusable buffers for a [`RangeCursor`]: the frontier heap's storage,
@@ -139,27 +113,12 @@ pub struct RangeCursor<'t> {
     scratch: CursorScratch,
     seq: u32,
     dist_computations: u64,
-    mode: RefineMode,
 }
 
 impl<'t> RangeCursor<'t> {
-    /// Starts a cursor for `query` (projected-space coordinates).
-    pub fn new(tree: &'t PmTree, query: &[f32]) -> Self {
-        Self::with_mode(tree, query, RefineMode::Lazy)
-    }
-
-    /// Starts a cursor with an explicit refinement mode.
-    pub fn with_mode(tree: &'t PmTree, query: &[f32], mode: RefineMode) -> Self {
-        Self::with_scratch_and_mode(tree, query, CursorScratch::new(), mode)
-    }
-
-    /// Starts a cursor over recycled buffers (see [`CursorScratch`]).
-    pub fn with_scratch_and_mode(
-        tree: &'t PmTree,
-        query: &[f32],
-        mut scratch: CursorScratch,
-        mode: RefineMode,
-    ) -> Self {
+    /// Starts a cursor for `query` (projected-space coordinates) over the
+    /// buffers of `scratch` (see [`CursorScratch`]).
+    pub fn new(tree: &'t PmTree, query: &[f32], mut scratch: CursorScratch) -> Self {
         assert_eq!(query.len(), tree.dim(), "query has wrong dimensionality");
         scratch.query.clear();
         scratch.query.extend_from_slice(query);
@@ -173,13 +132,12 @@ impl<'t> RangeCursor<'t> {
             scratch,
             seq: 0,
             dist_computations: tree.pivots.len() as u64,
-            mode,
         };
         if !tree.is_empty() {
             cursor.push(
                 0.0,
-                ItemKind::InnerReady {
-                    child: tree.root,
+                ItemKind::Node {
+                    node: tree.root,
                     dq_center: f32::NAN,
                 },
             );
@@ -189,7 +147,7 @@ impl<'t> RangeCursor<'t> {
 
     /// Finishes this cursor and hands its buffers back for reuse, keeping
     /// their capacities. The contents are stale; the next
-    /// [`RangeCursor::with_scratch_and_mode`] clears and refills them.
+    /// [`RangeCursor::new`] clears and refills them.
     pub fn recycle(self) -> CursorScratch {
         self.scratch
     }
@@ -211,149 +169,65 @@ impl<'t> RangeCursor<'t> {
         self.scratch.heap.push(Item { key, seq, kind });
     }
 
-    /// Cheap lower bound for a routing entry whose exact center distance is
-    /// unknown: parent-distance filter plus pivot rings.
-    fn inner_cheap_bound(&self, e: &InnerEntry, dq_parent: f32) -> f32 {
-        let mut lb = e.ring_lower_bound(&self.scratch.qp_dists);
-        if !dq_parent.is_nan() {
-            let b = (dq_parent - e.parent_dist).abs() - e.radius;
-            if b > lb {
-                lb = b;
+    /// Pays the one exact distance of entry `idx` of `node`, whose cheap
+    /// bound is `lb`, and pushes what the entry becomes: a routing entry its
+    /// child under the tightened bound, a leaf entry its point.
+    fn resolve(&mut self, node: NodeId, idx: u32, lb: f32) {
+        let tree = self.tree;
+        self.dist_computations += 1;
+        let (key, kind) = match &tree.nodes[node as usize] {
+            Node::Inner(entries) => {
+                let e = &entries[idx as usize];
+                let dq_center = euclidean(&self.scratch.query, &e.center);
+                let child = ItemKind::Node {
+                    node: e.child,
+                    dq_center,
+                };
+                (lb.max(dq_center - e.radius), child)
             }
-        }
-        lb.max(0.0)
-    }
-
-    /// Cheap lower bound for a leaf entry: parent distance plus pivot
-    /// distances, both via the triangle inequality.
-    fn leaf_cheap_bound(&self, e: &LeafEntry, dq_parent: f32) -> f32 {
-        let mut lb = e.pivot_lower_bound(&self.scratch.qp_dists);
-        if !dq_parent.is_nan() {
-            let b = (dq_parent - e.parent_dist).abs();
-            if b > lb {
-                lb = b;
+            Node::Leaf(entries) => {
+                let e = &entries[idx as usize];
+                let point = tree.points.point(e.internal as usize);
+                let dist = euclidean(&self.scratch.query, point);
+                let external = e.external;
+                (dist, ItemKind::Point { external, dist })
             }
-        }
-        lb
+        };
+        self.push(key, kind);
     }
 
     /// Expands a node whose routing entry has exact center distance
-    /// `dq_center` (NaN for the root, which has no routing entry).
-    ///
-    /// In [`RefineMode::Lazy`], entries whose cheap bound already lies
-    /// within `radius` are resolved immediately — they will surface before
-    /// the frontier empties anyway, and resolving them now saves one heap
-    /// round-trip per entry. Laziness is kept exactly where it pays:
-    /// entries beyond the current radius, which may never be touched again.
+    /// `dq_center`: every entry gets its cheap bound and is enqueued.
     fn expand(&mut self, node: NodeId, dq_center: f32, radius: f32) {
-        match &self.tree.nodes[node as usize] {
-            Node::Inner(entries) => match self.mode {
-                RefineMode::Lazy => {
-                    for (i, e) in entries.iter().enumerate() {
-                        let lb = self.inner_cheap_bound(e, dq_center);
-                        if lb <= radius {
-                            let dqc = euclidean(&self.scratch.query, &e.center);
-                            self.dist_computations += 1;
-                            let lb = lb.max((dqc - e.radius).max(0.0));
-                            self.push(
-                                lb,
-                                ItemKind::InnerReady {
-                                    child: e.child,
-                                    dq_center: dqc,
-                                },
-                            );
-                        } else {
-                            self.push(
-                                lb,
-                                ItemKind::InnerApprox {
-                                    node,
-                                    idx: i as u32,
-                                },
-                            );
-                        }
-                    }
+        let tree = self.tree;
+        match &tree.nodes[node as usize] {
+            Node::Inner(entries) => {
+                for (idx, e) in entries.iter().enumerate() {
+                    let ring_lb = e.ring_lower_bound(&self.scratch.qp_dists);
+                    let lb = cheap_bound(ring_lb, e.parent_dist, e.radius, dq_center);
+                    self.enqueue(node, idx as u32, lb, radius);
                 }
-                RefineMode::Eager => {
-                    for e in entries.iter() {
-                        let dqc = euclidean(&self.scratch.query, &e.center);
-                        self.dist_computations += 1;
-                        let lb = self
-                            .inner_cheap_bound(e, dq_center)
-                            .max((dqc - e.radius).max(0.0));
-                        self.push(
-                            lb,
-                            ItemKind::InnerReady {
-                                child: e.child,
-                                dq_center: dqc,
-                            },
-                        );
-                    }
+            }
+            Node::Leaf(entries) => {
+                for (idx, e) in entries.iter().enumerate() {
+                    let pivot_lb = e.pivot_lower_bound(&self.scratch.qp_dists);
+                    let lb = cheap_bound(pivot_lb, e.parent_dist, 0.0, dq_center);
+                    self.enqueue(node, idx as u32, lb, radius);
                 }
-            },
-            Node::Leaf(entries) => match self.mode {
-                RefineMode::Lazy => {
-                    let bound = sq_bound(radius);
-                    for (i, e) in entries.iter().enumerate() {
-                        let lb = self.leaf_cheap_bound(e, dq_center);
-                        if lb <= radius {
-                            // Early-abandoning measurement: a point whose
-                            // squared distance exceeds the round's bound
-                            // provably lies beyond `radius`, so it would
-                            // not have surfaced this round anyway — park
-                            // it just past the radius instead of paying
-                            // the rest of the kernel and the sqrt.
-                            let sq = sq_dist_within(
-                                &self.scratch.query,
-                                self.tree.points.point(e.internal as usize),
-                                bound,
-                            );
-                            self.dist_computations += 1;
-                            if sq <= bound {
-                                let dist = sq.sqrt();
-                                self.push(
-                                    dist,
-                                    ItemKind::LeafExact {
-                                        external: e.external,
-                                        dist,
-                                    },
-                                );
-                            } else {
-                                self.push(
-                                    lb.max(radius.next_up()),
-                                    ItemKind::LeafAbandoned {
-                                        node,
-                                        idx: i as u32,
-                                    },
-                                );
-                            }
-                        } else {
-                            self.push(
-                                lb,
-                                ItemKind::LeafApprox {
-                                    node,
-                                    idx: i as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-                RefineMode::Eager => {
-                    for e in entries.iter() {
-                        let dist = euclidean(
-                            &self.scratch.query,
-                            self.tree.points.point(e.internal as usize),
-                        );
-                        self.dist_computations += 1;
-                        self.push(
-                            dist,
-                            ItemKind::LeafExact {
-                                external: e.external,
-                                dist,
-                            },
-                        );
-                    }
-                }
-            },
+            }
+        }
+    }
+
+    /// Files entry `idx` of `node` under its cheap bound `lb`. One that
+    /// already lies within the round's `radius` is resolved on the spot — it
+    /// would surface before the round ends anyway, and resolving it now saves
+    /// its heap round-trip; one beyond `radius` may never be touched again
+    /// and waits in the frontier without having cost a distance.
+    fn enqueue(&mut self, node: NodeId, idx: u32, lb: f32, radius: f32) {
+        if lb <= radius {
+            self.resolve(node, idx, lb);
+        } else {
+            self.push(lb, ItemKind::Pending { node, idx });
         }
     }
 
@@ -371,87 +245,9 @@ impl<'t> RangeCursor<'t> {
             }
             self.scratch.heap.pop();
             match top.kind {
-                ItemKind::InnerApprox { node, idx } => {
-                    let Node::Inner(entries) = &self.tree.nodes[node as usize] else {
-                        unreachable!()
-                    };
-                    let e = &entries[idx as usize];
-                    let dq_center = euclidean(&self.scratch.query, &e.center);
-                    self.dist_computations += 1;
-                    let key = top.key.max((dq_center - e.radius).max(0.0));
-                    self.push(
-                        key,
-                        ItemKind::InnerReady {
-                            child: e.child,
-                            dq_center,
-                        },
-                    );
-                }
-                ItemKind::InnerReady { child, dq_center } => {
-                    self.expand(child, dq_center, radius);
-                }
-                ItemKind::LeafApprox { node, idx } => {
-                    let Node::Leaf(entries) = &self.tree.nodes[node as usize] else {
-                        unreachable!()
-                    };
-                    let e = &entries[idx as usize];
-                    let bound = sq_bound(radius);
-                    let sq = sq_dist_within(
-                        &self.scratch.query,
-                        self.tree.points.point(e.internal as usize),
-                        bound,
-                    );
-                    self.dist_computations += 1;
-                    if sq <= bound {
-                        let dist = sq.sqrt();
-                        self.push(
-                            dist,
-                            ItemKind::LeafExact {
-                                external: e.external,
-                                dist,
-                            },
-                        );
-                    } else {
-                        self.push(
-                            top.key.max(radius.next_up()),
-                            ItemKind::LeafAbandoned { node, idx },
-                        );
-                    }
-                }
-                ItemKind::LeafAbandoned { node, idx } => {
-                    // Re-measure against the current (larger) round's
-                    // bound. The distance computation was counted on
-                    // first touch; finishing an abandoned kernel is the
-                    // remainder of that same computation, not a new one.
-                    let Node::Leaf(entries) = &self.tree.nodes[node as usize] else {
-                        unreachable!()
-                    };
-                    let e = &entries[idx as usize];
-                    let bound = sq_bound(radius);
-                    let sq = sq_dist_within(
-                        &self.scratch.query,
-                        self.tree.points.point(e.internal as usize),
-                        bound,
-                    );
-                    if sq <= bound {
-                        let dist = sq.sqrt();
-                        self.push(
-                            dist,
-                            ItemKind::LeafExact {
-                                external: e.external,
-                                dist,
-                            },
-                        );
-                    } else {
-                        self.push(
-                            top.key.max(radius.next_up()),
-                            ItemKind::LeafAbandoned { node, idx },
-                        );
-                    }
-                }
-                ItemKind::LeafExact { external, dist } => {
-                    return Some((external, dist));
-                }
+                ItemKind::Pending { node, idx } => self.resolve(node, idx, top.key),
+                ItemKind::Node { node, dq_center } => self.expand(node, dq_center, radius),
+                ItemKind::Point { external, dist } => return Some((external, dist)),
             }
         }
     }
@@ -468,7 +264,7 @@ impl PmTree {
     /// All points within `radius` of `query` (the paper's `range(q, r)`),
     /// sorted by ascending distance.
     pub fn range(&self, query: &[f32], radius: f32) -> Vec<(PointId, f32)> {
-        let mut cursor = RangeCursor::new(self, query);
+        let mut cursor = self.cursor(query);
         // lint: allow(hot-path) -- owned-result convenience; Algorithm 2 uses the cursor directly
         let mut out = Vec::new();
         while let Some(hit) = cursor.next_within(radius) {
@@ -479,7 +275,7 @@ impl PmTree {
 
     /// Exact k nearest neighbors of `query` in the indexed (projected) space.
     pub fn knn(&self, query: &[f32], k: usize) -> Vec<(PointId, f32)> {
-        let mut cursor = RangeCursor::new(self, query);
+        let mut cursor = self.cursor(query);
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
             match cursor.next() {
@@ -492,7 +288,7 @@ impl PmTree {
 
     /// Starts an incremental cursor.
     pub fn cursor(&self, query: &[f32]) -> RangeCursor<'_> {
-        RangeCursor::new(self, query)
+        RangeCursor::new(self, query, CursorScratch::new())
     }
 
     /// Starts an incremental cursor over recycled buffers: pass the
@@ -500,12 +296,7 @@ impl PmTree {
     /// [`RangeCursor::recycle`] and repeated queries stop allocating. The
     /// traversal is identical to [`PmTree::cursor`] in every observable way.
     pub fn cursor_with_scratch(&self, query: &[f32], scratch: CursorScratch) -> RangeCursor<'_> {
-        RangeCursor::with_scratch_and_mode(self, query, scratch, RefineMode::Lazy)
-    }
-
-    /// Starts an incremental cursor with an explicit [`RefineMode`].
-    pub fn cursor_with_mode(&self, query: &[f32], mode: RefineMode) -> RangeCursor<'_> {
-        RangeCursor::with_mode(self, query, mode)
+        RangeCursor::new(self, query, scratch)
     }
 }
 
@@ -525,27 +316,6 @@ mod tests {
             ds.push(&buf);
         }
         ds
-    }
-
-    #[test]
-    fn lazy_and_eager_return_identical_results() {
-        let ds = random_dataset(600, 8, 51);
-        let mut rng = Rng::new(52);
-        let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
-        let mut q = vec![0.0f32; 8];
-        for _ in 0..10 {
-            rng.fill_normal(&mut q);
-            let mut lazy = tree.cursor_with_mode(&q, RefineMode::Lazy);
-            let mut eager = tree.cursor_with_mode(&q, RefineMode::Eager);
-            loop {
-                let a = lazy.next_within(3.0);
-                let b = eager.next_within(3.0);
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
     }
 
     #[test]
@@ -579,27 +349,118 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lazy_spends_fewer_distance_computations() {
-        // With a selective radius, deferring exact distances must pay off:
-        // pruned entries never get resolved.
-        let ds = random_dataset(4000, 15, 53);
-        let mut rng = Rng::new(54);
-        let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
-        let (mut lazy_total, mut eager_total) = (0u64, 0u64);
-        let mut q = vec![0.0f32; 15];
-        for _ in 0..10 {
-            rng.fill_normal(&mut q);
-            let mut lazy = tree.cursor_with_mode(&q, RefineMode::Lazy);
-            while lazy.next_within(2.0).is_some() {}
-            lazy_total += lazy.distance_computations();
-            let mut eager = tree.cursor_with_mode(&q, RefineMode::Eager);
-            while eager.next_within(2.0).is_some() {}
-            eager_total += eager.distance_computations();
+    /// The textbook recursive PM-tree range query: per entry the
+    /// parent-distance filter, the ring filter, and only *then* the
+    /// center/point distance (Eq. 5).
+    struct Textbook<'a> {
+        tree: &'a PmTree,
+        q: &'a [f32],
+        qp_dists: Vec<f32>,
+        r: f32,
+        /// Distances paid so far.
+        paid: u64,
+        hits: Vec<PointId>,
+    }
+
+    impl Textbook<'_> {
+        fn visit(&mut self, node: NodeId, dq_parent: Option<f32>) {
+            let (tree, r) = (self.tree, self.r);
+            match &tree.nodes[node as usize] {
+                Node::Inner(entries) => {
+                    for e in entries {
+                        let parent_prunes =
+                            dq_parent.is_some_and(|d| (d - e.parent_dist).abs() - e.radius > r);
+                        let rings_prune = (e.rings.iter().zip(&self.qp_dists))
+                            .any(|(ring, &qp)| ring.lower_bound(qp) > r);
+                        if parent_prunes || rings_prune {
+                            continue;
+                        }
+                        let d = euclidean(self.q, &e.center);
+                        self.paid += 1;
+                        if d - e.radius <= r {
+                            self.visit(e.child, Some(d));
+                        }
+                    }
+                }
+                Node::Leaf(entries) => {
+                    for e in entries {
+                        let parent_prunes =
+                            dq_parent.is_some_and(|d| (d - e.parent_dist).abs() > r);
+                        let pivots_prune = (e.pivot_dists.iter().zip(&self.qp_dists))
+                            .any(|(&pd, &qp)| (qp - pd).abs() > r);
+                        if parent_prunes || pivots_prune {
+                            continue;
+                        }
+                        self.paid += 1;
+                        if euclidean(self.q, tree.points.point(e.internal as usize)) <= r {
+                            self.hits.push(e.external);
+                        }
+                    }
+                }
+            }
         }
-        assert!(
-            lazy_total < eager_total,
-            "lazy {lazy_total} should beat eager {eager_total}"
-        );
+    }
+
+    #[test]
+    fn enlarged_radius_costs_exactly_one_textbook_range_query() {
+        // Draining the cursor at r1 < r2 < r3 must pay, in total, the s pivot
+        // distances plus what ONE textbook range query at r3 pays: enlarging
+        // the radius repeats no work, and the frontier prunes exactly the
+        // entries Eq. 5 prunes — no more (a miss) and no fewer (a wasted
+        // distance). Paper shape, and s = 0 (plain M-tree, no rings).
+        let ds = random_dataset(4000, 15, 53);
+        for num_pivots in [5, 0] {
+            let cfg = PmTreeConfig {
+                num_pivots,
+                ..PmTreeConfig::default()
+            };
+            assert_eq!(cfg.capacity, 16);
+            let mut rng = Rng::new(54);
+            let tree = PmTree::build(ds.view(), cfg, &mut rng);
+            let entries: usize = (tree.nodes.iter())
+                .map(|n| match n {
+                    Node::Inner(es) => es.len(),
+                    Node::Leaf(es) => es.len(),
+                })
+                .sum();
+            const RADII: [f32; 3] = [1.5, 2.0, 3.0];
+            let (mut total_paid, mut total_hits) = (0, 0);
+            let mut q = vec![0.0f32; 15];
+            for _ in 0..10 {
+                rng.fill_normal(&mut q);
+                let mut cursor = tree.cursor(&q);
+                let mut yielded = Vec::new();
+                for radius in RADII {
+                    while let Some((id, _)) = cursor.next_within(radius) {
+                        yielded.push(id);
+                    }
+                }
+                let mut textbook = Textbook {
+                    tree: &tree,
+                    q: &q,
+                    qp_dists: tree.pivots.iter().map(|p| euclidean(&q, p)).collect(),
+                    r: RADII[2],
+                    paid: 0,
+                    hits: Vec::new(),
+                };
+                textbook.visit(tree.root, None);
+                let Textbook { paid, mut hits, .. } = textbook;
+                assert_eq!(
+                    cursor.distance_computations(),
+                    num_pivots as u64 + paid,
+                    "s = {num_pivots}"
+                );
+                // Nothing was lost or yielded twice on the way.
+                yielded.sort_unstable();
+                hits.sort_unstable();
+                assert_eq!(yielded, hits, "s = {num_pivots}");
+                total_paid += paid as usize;
+                total_hits += hits.len();
+            }
+            // The filters bit and the balls were not empty (else the
+            // equalities above say little).
+            assert!(total_paid < 10 * entries, "s = {num_pivots}: {total_paid}");
+            assert!(total_hits > 0, "s = {num_pivots}");
+        }
     }
 }

@@ -96,19 +96,6 @@ impl InnerEntry {
         }
         lb
     }
-
-    /// Eq. 5: whether a range ball `B(q, r)` can intersect this entry's
-    /// region, given the exact center distance `d(q, center)`.
-    #[inline]
-    pub fn may_intersect(&self, dq_center: f32, r: f32, qp_dists: &[f32]) -> bool {
-        if dq_center > self.radius + r {
-            return false;
-        }
-        self.rings
-            .iter()
-            .zip(qp_dists)
-            .all(|(ring, &qp)| ring.intersects(qp, r))
-    }
 }
 
 /// Entry of a leaf node: one indexed point.

@@ -11,8 +11,11 @@
 //!   region concurrently and merges them; its output is identical for
 //!   every thread count.
 //! * [`cursor::RangeCursor`] — a best-first incremental traversal yielding
-//!   points in non-decreasing projected distance, with lazily refined lower
-//!   bounds. `next_within(r)` is the building block of the paper's
+//!   points in non-decreasing projected distance. Its one discipline is the
+//!   paper's: an entry pays its exact distance — once, in full; fifteen
+//!   multiply-adds at m = 15 are not worth abandoning — only after the
+//!   distance-free filters of Eq. 5 fail to keep it outside the radius.
+//!   `next_within(r)` is the building block of the paper's
 //!   radius-enlarging Algorithm 2, and plain `next()` provides exact
 //!   incremental NN search. [`cursor::CursorScratch`] recycles the
 //!   traversal's heap and buffers across queries, so a serving loop stops
@@ -30,7 +33,7 @@ pub mod pivots;
 pub mod tree;
 
 pub use cost::expected_distance_computations;
-pub use cursor::{CursorScratch, RangeCursor, RefineMode};
+pub use cursor::{CursorScratch, RangeCursor};
 pub use entry::{InnerEntry, LeafEntry, Ring};
 pub use pivots::select_pivots;
 pub use tree::{PmTree, PmTreeConfig, PmTreeParts, RawNode};

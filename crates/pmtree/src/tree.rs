@@ -304,7 +304,7 @@ impl PmTree {
             });
             self.leaf_of[internal as usize] = node;
             if entries.len() > capacity {
-                return Some(self.split_leaf(node, node_parent_center));
+                return Some(self.split_leaf(node));
             }
             return None;
         }
@@ -324,7 +324,7 @@ impl PmTree {
             entries[best] = e1;
             entries.push(e2);
             if entries.len() > capacity {
-                return Some(self.split_inner(node, node_parent_center));
+                return Some(self.split_inner(node));
             }
         }
         None
@@ -382,7 +382,7 @@ impl PmTree {
 
     /// Splits an overflowing leaf node; returns the two replacement routing
     /// entries (their `parent_dist` is filled in by the caller).
-    fn split_leaf(&mut self, node: NodeId, _parent: Option<&[f32]>) -> (InnerEntry, InnerEntry) {
+    fn split_leaf(&mut self, node: NodeId) -> (InnerEntry, InnerEntry) {
         let entries = {
             let Node::Leaf(entries) = &mut self.nodes[node as usize] else {
                 unreachable!()
@@ -463,7 +463,7 @@ impl PmTree {
     }
 
     /// Splits an overflowing inner node.
-    fn split_inner(&mut self, node: NodeId, _parent: Option<&[f32]>) -> (InnerEntry, InnerEntry) {
+    fn split_inner(&mut self, node: NodeId) -> (InnerEntry, InnerEntry) {
         let entries = {
             let Node::Inner(entries) = &mut self.nodes[node as usize] else {
                 unreachable!()

@@ -97,9 +97,11 @@
 #![warn(missing_docs)]
 
 mod batch;
+mod command;
 pub mod frame;
 mod pool;
 mod reactor;
+mod reply;
 pub mod router;
 pub mod server;
 pub mod sharded;

@@ -3,81 +3,14 @@
 //! binary mode) over a [`Router`] of named engines, with graceful drain,
 //! connection caps, and optional token authentication.
 //!
-//! # Wire protocol
-//!
-//! One request per line, one response line per request, UTF-8, fields
-//! separated by single spaces:
-//!
-//! ```text
-//! QUERY <k> <v1> ... <vd>  ->  OK <id>:<dist>,<id>:<dist>,...
-//! PING                     ->  PONG
-//! HELLO [text|binary]      ->  OK text | OK binary (switches framing)
-//! STATS                    ->  STATS index=<name> <EngineStats as one line>
-//! INDEXINFO                ->  INDEXINFO name=<name> points=... dim=... m=... c=... epoch=... reindexing=... state=... pct=... shards=...
-//! LISTINDEXES              ->  INDEXES <name1>,<name2>,...   (sorted; bare "INDEXES" when empty)
-//! USE <name>               ->  OK using <name>
-//! AUTH <token>             ->  OK authenticated
-//! ATTACH <name> <path>     ->  OK attached <name> points=<n> dim=<d> secs=<s>   (auth-gated)
-//! DETACH <name>            ->  OK detached <name>                               (auth-gated)
-//! REINDEX <path>           ->  OK index=<name> epoch=<e> points=<n> secs=<s>    (auth-gated)
-//! INSERT <v1> ... <vd>     ->  OK id=<id> epoch=<e> points=<n>                  (auth-gated)
-//! DELETE <id>              ->  OK deleted <id> epoch=<e> points=<n>             (auth-gated)
-//! BATCH <count>            ->  OK applied=<a> failed=<f> epoch=<e> points=<n>   (auth-gated;
-//!                              <count> op lines follow, then the reply + <f> FAIL lines)
-//! SAVE <path>              ->  OK saved <name> points=<n> bytes=<b> secs=<s>    (auth-gated)
-//! QUIT                     ->  BYE (and the server closes the connection)
-//! anything else            ->  ERR <message>
-//! ```
-//!
-//! `HELLO binary` switches the connection to the length-prefixed binary
-//! frame format of [`crate::frame`] — the server answers `OK binary` in
-//! text and both directions speak frames from the next byte on. Binary
-//! mode carries `QUERY` and `PING` only; everything else (attach,
-//! auth, index management) stays on text connections. Text remains the
-//! default: a client that never says `HELLO` sees the protocol above,
-//! byte for byte.
-//!
-//! `QUERY`, `STATS`, `INDEXINFO`, `REINDEX`, `INSERT`, `DELETE` and
-//! `SAVE` operate on the connection's *current* index — the router's
-//! default at connect time, switched with `USE`. When
-//! [`ServerConfig::auth_token`] is set, the mutating verbs
-//! (`REINDEX`/`ATTACH`/`DETACH`/`INSERT`/`DELETE`) and `SAVE` (which
-//! writes server-side files) answer `ERR authentication required` until
-//! the connection sends a matching `AUTH <token>`; without a configured
-//! token they are open (and `AUTH` answers `OK authentication not
-//! required`). [`ServerHandle::set_auth_token`] swaps the accepted token
-//! at runtime without a restart.
-//!
-//! `ATTACH` auto-detects the file format: a `.pmlsh` snapshot (by magic
-//! bytes — see `pm-lsh-persist`) is loaded directly and serves within
-//! milliseconds with its saved parameters; a sharded manifest (also by
-//! magic bytes) restores the whole shard set as one [`ShardedEngine`];
-//! fvecs/csv datasets are built from scratch with
-//! [`ServerConfig::attach_params`].
-//! `INSERT`/`DELETE` publish a fresh snapshot per call (each bumps the
-//! `INDEXINFO` epoch); a `QUERY` after an `OK` reply observes the
-//! mutation.
-//!
-//! `BATCH <count>` amortizes that cost: the `count` lines that follow
-//! (each a bare `INSERT <v1> ... <vd>` or `DELETE <id>`, at most
-//! `BATCH_MAX_OPS` of them) are collected without being interpreted as
-//! top-level commands, syntactically validated *all-or-nothing* (any
-//! malformed line answers one `ERR batch line <i>: ...` and nothing
-//! applies), then applied through [`ShardedEngine::apply`] as one copy-on-write
-//! publication — the epoch bumps once per batch, not once per op. The
-//! reply is one `OK applied=<a> failed=<f> epoch=<e> points=<n>` line
-//! followed by exactly `f` lines `FAIL <op-index> <message>` for ops the
-//! engine refused semantically (wrong dimensionality, non-finite after
-//! parse, unknown id, would-empty); the rest of the batch still applies.
-//! `BATCH` is text-only and auth-gated like the other mutating verbs.
-//!
-//! Malformed input never takes the server down: every parse failure is an
-//! `ERR` response, every I/O failure closes only that connection, a `k`
-//! beyond the indexed point count is clamped, and request lines are
-//! capped at `max(512, 64 + 32·d)` bytes of the current index (512 with
-//! none selected; binary frames at [`crate::frame::frame_cap`]). The
-//! full specification, with a worked `nc` transcript, lives in
-//! `docs/PROTOCOL.md`.
+//! A request passes three layers that each know one thing:
+//! `crate::command` (the wire grammar — the *only* tokenizer — turns a
+//! line or a decoded frame into a typed `Command` plus the checks that
+//! outrank its arguments), the executor in this module (one auth gate,
+//! one current-index lookup, then inline / worker-pool / `pmlsh-op`
+//! dispatch, both framings alike), and `crate::reply` (the one encoder
+//! that knows `ERR <message>` from an ERR frame). The protocol itself is
+//! specified in `docs/PROTOCOL.md` and summarized in `command.rs`.
 //!
 //! # Serving reactor
 //!
@@ -94,7 +27,7 @@
 //!   client throttles itself, never the reactor.
 //! * **Query offload** — `QUERY` is validated inline, then submitted to
 //!   the engine's worker pool with a completion callback; the callback
-//!   formats the reply on the worker thread and wakes the reactor to
+//!   encodes the reply on the worker thread and wakes the reactor to
 //!   write it out. Slow verbs (`ATTACH`/`REINDEX`/`INSERT`/`DELETE`/
 //!   `BATCH`/`SAVE`/`DETACH`) run on one-off `pmlsh-op` threads the
 //!   same way.
@@ -122,12 +55,14 @@
 //! Binding port 0 picks a free port — [`ServerHandle::addr`] reports it,
 //! which is how the loopback tests run without port clashes.
 
+pub use crate::command::parse_mut_op;
+use crate::command::{from_frame, parse_line, Command, Gate, Request};
 use crate::frame;
 use crate::reactor::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
+use crate::reply::{encode, Reply};
 use crate::router::Router;
-use crate::{Engine, EngineConfig, QueryError, ShardedEngine};
+use crate::{Engine, EngineConfig, MutOp, QueryError, ShardedEngine};
 use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
-use pm_lsh_metric::Neighbor;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -150,8 +85,9 @@ const AUTH_THROTTLE: Duration = Duration::from_millis(100);
 const WRITE_HIGH_WATER: usize = 64 * 1024;
 
 /// Most op lines one `BATCH <count>` request may carry. Bounds how much
-/// a single connection can buffer server-side before the batch applies.
-const BATCH_MAX_OPS: usize = 4096;
+/// a single connection can buffer server-side before the batch applies:
+/// `BATCH_MAX_OPS` lines of at most `line_cap` bytes each.
+pub(crate) const BATCH_MAX_OPS: usize = 4096;
 
 /// First token pair of a successful `BATCH` reply:
 /// `OK applied=<a> failed=<f> epoch=<e> points=<n>`.
@@ -329,38 +265,8 @@ pub fn serve_router(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let poller = Poller::new()?;
-    let (waker, waker_rx) = wake_pair()?;
-    poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
-    poller.add(waker_rx.fd(), WAKER, Interest::READ)?;
-    let shared = Arc::new(Shared {
-        router,
-        auth: RwLock::new(config.auth_token.clone()),
-        drain_timeout: Mutex::new(config.drain_timeout),
-        config,
-        stop: AtomicBool::new(false),
-        live: AtomicUsize::new(0),
-        completions: Mutex::new(Vec::new()),
-        waker,
-        report: Mutex::new(None),
-    });
-    let reactor = Reactor {
-        shared: Arc::clone(&shared),
-        poller,
-        waker_rx,
-        listener: Some(listener),
-        accept_errors: 0,
-        accept_resume: None,
-        conns: HashMap::new(),
-        next_token: FIRST_CONN,
-        timers: Vec::new(),
-        per_index: HashMap::new(),
-        draining: false,
-        drain_deadline: None,
-        forced: 0,
-        events: Vec::new(),
-    };
+    let reactor = Reactor::new(listener, router, config)?;
+    let shared = Arc::clone(&reactor.shared);
     let thread = std::thread::Builder::new()
         .name("pmlsh-reactor".to_string())
         .spawn(move || reactor.run())?;
@@ -377,7 +283,7 @@ pub fn serve_router(
 struct Completion {
     /// The connection's poller token.
     conn: u64,
-    /// The fully formatted reply (text line or binary frame).
+    /// The fully encoded reply (text line or binary frame).
     reply: Vec<u8>,
 }
 
@@ -401,14 +307,22 @@ struct Shared {
 }
 
 impl Shared {
-    /// Queues `reply` for `conn` and wakes the reactor. Callable from any
-    /// thread; a reply for a connection that died in the meantime is
-    /// silently dropped by the reactor.
-    fn complete(&self, conn: u64, reply: Vec<u8>) {
+    /// The `AUTH` token accepted right now (`None`: authentication off).
+    fn token(&self) -> std::sync::RwLockReadGuard<'_, Option<String>> {
+        self.auth.read().expect("auth token lock poisoned")
+    }
+
+    /// Encodes `reply` in the connection's framing — here, on the calling
+    /// worker/op thread — queues it for `conn` and wakes the reactor. A
+    /// reply for a connection that died in the meantime is silently
+    /// dropped by the reactor.
+    fn complete(&self, conn: u64, reply: Reply, binary: bool) {
+        let mut bytes = Vec::new();
+        encode(reply, binary, &mut bytes);
         self.completions
             .lock()
             .expect("completion queue poisoned")
-            .push(Completion { conn, reply });
+            .push(Completion { conn, reply: bytes });
         self.waker.wake();
     }
 }
@@ -435,10 +349,15 @@ fn refuse(mut stream: TcpStream, message: &[u8]) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Per-connection protocol state (cloned into `pmlsh-op` threads for
-/// offloaded verbs, so it must stay cheap to copy).
-#[derive(Clone, Debug)]
-struct ConnState {
+/// One live connection owned by the reactor.
+struct Conn {
+    stream: TcpStream,
+    token: u64,
+    /// Bytes read but not yet consumed as requests.
+    buf_in: Vec<u8>,
+    /// Reply bytes not yet written; `out_pos` is how far the socket got.
+    buf_out: Vec<u8>,
+    out_pos: usize,
     /// The index `QUERY`/`STATS`/`INDEXINFO`/`REINDEX` route to. Starts
     /// at the router's default; switched with `USE`. The name can go
     /// stale (`DETACH`), in which case routed verbs answer `ERR`.
@@ -456,9 +375,31 @@ struct ConnState {
     line_cap: usize,
     /// Binary-frame payload cap, derived from `dim` (512 floor).
     frame_cap: usize,
+    /// `true` after `HELLO binary`: requests and replies are frames.
+    binary: bool,
+    /// A request is off on a worker/op thread; input is paused until its
+    /// completion arrives (which also keeps replies in request order).
+    inflight: bool,
+    /// Mid-`BATCH` accumulation: `Some((owed, lines))` from a valid
+    /// `BATCH <count>` header until the `owed` count of op lines still to
+    /// come reaches zero — lines collected here are never interpreted as
+    /// top-level commands. The whole request gets one reply, delivered
+    /// after the last line. `lines` is `None` on a connection that may
+    /// not mutate: `authed` cannot change mid-batch (op lines are never
+    /// commands), so the batch will answer `ERR authentication required`
+    /// whatever it holds, and an unauthenticated peer must not be able
+    /// to make the server buffer `BATCH_MAX_OPS` × `line_cap` bytes for
+    /// it. Such lines are counted, never stored.
+    batch: Option<(usize, Option<Vec<String>>)>,
+    /// The peer finished writing (read returned 0).
+    eof: bool,
+    /// No further requests will be accepted; close once `buf_out` flushes.
+    closing: bool,
+    /// The interest currently registered in the poller.
+    interest: Interest,
 }
 
-impl ConnState {
+impl Conn {
     /// Points this connection at `engine` under `name` (or at nothing).
     fn select(&mut self, name: Option<String>, engine: Option<&ShardedEngine>) {
         self.index = name;
@@ -470,37 +411,7 @@ impl ConnState {
         self.line_cap = (64 + 32 * self.dim).max(512);
         self.frame_cap = frame::frame_cap(self.dim);
     }
-}
 
-/// One live connection owned by the reactor.
-struct Conn {
-    stream: TcpStream,
-    token: u64,
-    /// Bytes read but not yet consumed as requests.
-    buf_in: Vec<u8>,
-    /// Reply bytes not yet written; `out_pos` is how far the socket got.
-    buf_out: Vec<u8>,
-    out_pos: usize,
-    state: ConnState,
-    /// `true` after `HELLO binary`: requests and replies are frames.
-    binary: bool,
-    /// A request is off on a worker/op thread; input is paused until its
-    /// completion arrives (which also keeps replies in request order).
-    inflight: bool,
-    /// Mid-`BATCH` accumulation: `Some((expected, ops))` from a valid
-    /// `BATCH <count>` header until `expected` op lines have arrived —
-    /// lines collected here are never interpreted as top-level commands.
-    /// The whole request gets one reply, delivered after the last line.
-    batch: Option<(usize, Vec<String>)>,
-    /// The peer finished writing (read returned 0).
-    eof: bool,
-    /// No further requests will be accepted; close once `buf_out` flushes.
-    closing: bool,
-    /// The interest currently registered in the poller.
-    interest: Interest,
-}
-
-impl Conn {
     /// Flushed everything it ever will — safe to close.
     fn done(&self) -> bool {
         self.closing && self.out_pos >= self.buf_out.len()
@@ -511,28 +422,15 @@ impl Conn {
     /// pipelined requests beyond it simply wait in the kernel buffer.
     fn in_cap(&self) -> usize {
         if self.binary {
-            self.state.frame_cap + 4
+            self.frame_cap + 4
         } else {
-            self.state.line_cap + 1
+            self.line_cap + 1
         }
     }
 
-    /// Queues a text reply line (text-mode verbs only).
-    fn reply_line(&mut self, line: &str) {
-        self.buf_out.extend_from_slice(line.as_bytes());
-        self.buf_out.push(b'\n');
-    }
-
-    /// Queues an error reply in the connection's current framing.
-    /// `prefixed` is the text form (`ERR ...`); binary mode strips the
-    /// prefix and sends the message as an ERR frame.
-    fn reply_err(&mut self, prefixed: &str) {
-        if self.binary {
-            let message = prefixed.strip_prefix("ERR ").unwrap_or(prefixed);
-            frame::encode_err(message, &mut self.buf_out);
-        } else {
-            self.reply_line(prefixed);
-        }
+    /// Queues a reply in the connection's current framing.
+    fn reply(&mut self, reply: Reply) {
+        encode(reply, self.binary, &mut self.buf_out);
     }
 
     /// Declares the connection unusable (hard I/O error): drop any
@@ -542,12 +440,6 @@ impl Conn {
         self.buf_out.clear();
         self.out_pos = 0;
     }
-}
-
-/// One parsed request, either framing.
-enum WireRequest {
-    Line(String),
-    Frame(frame::Request),
 }
 
 /// The event loop: owns the poller, the listener, and every connection.
@@ -576,6 +468,41 @@ struct Reactor {
 }
 
 impl Reactor {
+    fn new(listener: TcpListener, router: Router, config: ServerConfig) -> std::io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let poller = Poller::new()?;
+        let (waker, waker_rx) = wake_pair()?;
+        poller.add(listener.as_raw_fd(), LISTENER, Interest::READ)?;
+        poller.add(waker_rx.fd(), WAKER, Interest::READ)?;
+        let shared = Arc::new(Shared {
+            router,
+            auth: RwLock::new(config.auth_token.clone()),
+            drain_timeout: Mutex::new(config.drain_timeout),
+            config,
+            stop: AtomicBool::new(false),
+            live: AtomicUsize::new(0),
+            completions: Mutex::new(Vec::new()),
+            waker,
+            report: Mutex::new(None),
+        });
+        Ok(Reactor {
+            shared,
+            poller,
+            waker_rx,
+            listener: Some(listener),
+            accept_errors: 0,
+            accept_resume: None,
+            conns: HashMap::new(),
+            next_token: FIRST_CONN,
+            timers: Vec::new(),
+            per_index: HashMap::new(),
+            draining: false,
+            drain_deadline: None,
+            forced: 0,
+            events: Vec::new(),
+        })
+    }
+
     fn run(mut self) {
         loop {
             if self.shared.stop.load(Ordering::SeqCst) && !self.draining {
@@ -727,43 +654,33 @@ impl Reactor {
             // cleanup.
             return;
         }
-        let mut state = ConnState {
+        let mut conn = Conn {
+            stream,
+            token,
+            buf_in: Vec::new(),
+            buf_out: Vec::new(),
+            out_pos: 0,
             index: None,
-            authed: self
-                .shared
-                .auth
-                .read()
-                .expect("auth token lock poisoned")
-                .is_none(),
+            authed: self.shared.token().is_none(),
             dim: 0,
             line_cap: 0,
             frame_cap: 0,
+            binary: false,
+            inflight: false,
+            batch: None,
+            eof: false,
+            closing: false,
+            interest: Interest::READ,
         };
         let engine = default
             .as_deref()
             .and_then(|name| self.shared.router.get(name));
-        state.select(default, engine.as_ref());
-        if let Some(name) = state.index.clone() {
+        conn.select(default, engine.as_ref());
+        if let Some(name) = conn.index.clone() {
             *self.per_index.entry(name).or_insert(0) += 1;
         }
         self.shared.live.fetch_add(1, Ordering::SeqCst);
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                token,
-                buf_in: Vec::new(),
-                buf_out: Vec::new(),
-                out_pos: 0,
-                state,
-                binary: false,
-                inflight: false,
-                batch: None,
-                eof: false,
-                closing: false,
-                interest: Interest::READ,
-            },
-        );
+        self.conns.insert(token, conn);
     }
 
     fn index_full(&self, name: &str) -> bool {
@@ -851,14 +768,18 @@ impl Reactor {
     /// force-closes its socket.)
     fn process_input(&mut self, conn: &mut Conn) {
         while !conn.inflight && !conn.closing {
-            match self.take_request(conn) {
-                Some(request) => self.handle_request(conn, request),
-                None => break,
+            let Some(request) = self.take_request(conn) else {
+                break;
+            };
+            match self.execute(conn, request) {
+                Ok(Some(reply)) => conn.reply(reply),
+                Ok(None) => {}
+                Err(message) => conn.reply(Reply::Err(message)),
             }
         }
         if !conn.inflight && !conn.closing {
             if self.draining {
-                conn.reply_err("ERR server shutting down");
+                conn.reply(Reply::Err("server shutting down".to_string()));
                 conn.closing = true;
             } else if conn.eof {
                 conn.closing = true;
@@ -870,42 +791,61 @@ impl Reactor {
     /// Extracts one complete request from `buf_in`, if any. Protocol
     /// violations (oversized line/frame, malformed frame) queue their
     /// `ERR` and mark the connection closing.
-    fn take_request(&mut self, conn: &mut Conn) -> Option<WireRequest> {
+    fn take_request(&mut self, conn: &mut Conn) -> Option<Request> {
         if conn.binary {
             return self.take_frame(conn);
         }
-        let cap = conn.state.line_cap;
-        let window = conn.buf_in.len().min(cap + 1);
-        if let Some(i) = conn.buf_in[..window].iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = conn.buf_in.drain(..=i).collect();
-            return Some(WireRequest::Line(
-                String::from_utf8_lossy(&line).into_owned(),
-            ));
+        loop {
+            let line = self.take_line(conn)?;
+            let Some((owed, lines)) = conn.batch.as_mut() else {
+                match parse_line(&line, conn.dim) {
+                    Some(request) => return Some(request),
+                    None => continue, // blank lines get no reply
+                }
+            };
+            // Mid-BATCH: this line is an op, never a command — even a
+            // line that spells "QUIT" is just a (malformed) op. Once the
+            // header's count is reached the batch is one request.
+            if let Some(lines) = lines {
+                lines.push(line);
+            }
+            *owed -= 1;
+            if *owed == 0 {
+                let ops = Command::BatchOps(lines.take().unwrap_or_default());
+                conn.batch = None;
+                return Some((Gate::Mutate, Ok(ops)));
+            }
         }
-        if conn.buf_in.len() > cap {
-            conn.reply_line("ERR line exceeds protocol maximum");
-            conn.closing = true;
-            return None;
-        }
-        if conn.eof && !conn.buf_in.is_empty() {
-            // A final unterminated line still gets answered.
-            let line = std::mem::take(&mut conn.buf_in);
-            return Some(WireRequest::Line(
-                String::from_utf8_lossy(&line).into_owned(),
-            ));
-        }
-        None
     }
 
-    fn take_frame(&mut self, conn: &mut Conn) -> Option<WireRequest> {
+    fn take_line(&mut self, conn: &mut Conn) -> Option<String> {
+        let cap = conn.line_cap;
+        let window = conn.buf_in.len().min(cap + 1);
+        let line: Vec<u8> = if let Some(i) = conn.buf_in[..window].iter().position(|&b| b == b'\n')
+        {
+            conn.buf_in.drain(..=i).collect()
+        } else if conn.buf_in.len() > cap {
+            conn.reply(Reply::Err("line exceeds protocol maximum".to_string()));
+            conn.closing = true;
+            return None;
+        } else if conn.eof && !conn.buf_in.is_empty() {
+            // A final unterminated line still gets answered.
+            std::mem::take(&mut conn.buf_in)
+        } else {
+            return None;
+        };
+        Some(String::from_utf8_lossy(&line).into_owned())
+    }
+
+    fn take_frame(&mut self, conn: &mut Conn) -> Option<Request> {
         if conn.buf_in.len() < 4 {
             // A truncated length prefix at EOF is a clean close, not an
             // error: the peer simply hung up between frames.
             return None;
         }
         let len = u32::from_le_bytes(conn.buf_in[..4].try_into().expect("4-byte slice")) as usize;
-        if len > conn.state.frame_cap {
-            conn.reply_err("ERR frame exceeds protocol maximum");
+        if len > conn.frame_cap {
+            conn.reply(Reply::Err("frame exceeds protocol maximum".to_string()));
             conn.closing = true;
             return None;
         }
@@ -913,276 +853,195 @@ impl Reactor {
             // Mid-frame EOF: nothing sensible to answer; close cleanly.
             return None;
         }
-        let mut framed: Vec<u8> = conn.buf_in.drain(..4 + len).collect();
-        let payload = framed.split_off(4);
-        match frame::decode_request(&payload) {
-            Ok(request) => Some(WireRequest::Frame(request)),
+        let decoded = frame::decode_request(&conn.buf_in[4..4 + len]);
+        conn.buf_in.drain(..4 + len);
+        match decoded {
+            Ok(request) => Some(from_frame(request)),
             Err(e) => {
-                conn.reply_err(&format!("ERR {e}"));
+                conn.reply(Reply::Err(e.to_string()));
                 conn.closing = true;
                 None
             }
         }
     }
 
-    fn handle_request(&mut self, conn: &mut Conn, request: WireRequest) {
-        match request {
-            WireRequest::Line(text) => self.handle_line(conn, &text),
-            WireRequest::Frame(frame::Request::Ping) => frame::encode_pong(&mut conn.buf_out),
-            WireRequest::Frame(frame::Request::Query { k, query }) => {
-                self.start_query(conn, query, k as usize);
-            }
-        }
-    }
+    // -- the executor -----------------------------------------------------
 
-    fn handle_line(&mut self, conn: &mut Conn, line: &str) {
-        if conn.batch.is_some() {
-            // Mid-BATCH: this line is an op, never a command — even a
-            // line that spells "QUIT" is just a (malformed) op.
-            return self.accumulate_batch(conn, line);
+    /// Executes one request of either framing. Errors win in the order
+    /// the request's [`Gate`] states — the one auth gate, the one
+    /// current-index lookup, then the arguments' own verdict — and a
+    /// verb then runs where its cost belongs: inline, on the engine's
+    /// worker pool (`QUERY`), or on a `pmlsh-op` thread (builds, file
+    /// I/O, engine teardown, copy-on-write clones). `Ok(None)` means no
+    /// reply *yet*: it arrives as a completion or a timer, or the request
+    /// (a `BATCH` header) is still collecting its lines.
+    fn execute(&mut self, conn: &mut Conn, request: Request) -> Result<Option<Reply>, String> {
+        let (gate, command) = request;
+        if gate.auth() && !conn.authed {
+            return Err("authentication required (AUTH <token>)".to_string());
         }
-        let line = line.trim();
-        if line.is_empty() {
-            return;
-        }
-        let mut fields = line.split_ascii_whitespace();
-        match fields.next() {
-            Some("QUERY") => {
-                let k: usize = match fields.next().map(str::parse) {
-                    Some(Ok(k)) if k >= 1 => k,
-                    _ => return conn.reply_line("ERR QUERY needs a positive integer k"),
-                };
-                // Sized off the connection's cached dimensionality so a
-                // well-formed high-d query never reallocates mid-parse.
-                let mut query = Vec::with_capacity(conn.state.dim.max(16));
-                for field in fields {
-                    match field.parse::<f32>() {
-                        Ok(v) if v.is_finite() => query.push(v),
-                        _ => {
-                            return conn.reply_line(&format!("ERR bad vector component '{field}'"))
-                        }
-                    }
-                }
-                self.start_query(conn, query, k);
+        let current = if gate.index() {
+            Some(current_engine(&self.shared, conn.index.as_deref())?)
+        } else {
+            None
+        };
+        let current = move || current.expect("the grammar gates every routed verb on the index");
+        Ok(Some(match command? {
+            Command::Query(k, query) => {
+                let (_name, engine) = current();
+                let (shared, token, binary) = (Arc::clone(&self.shared), conn.token, conn.binary);
+                // Validation failing synchronously (dimension mismatch,
+                // k = 0, NaN component) is an ERR reply; the connection
+                // lives on. Otherwise the reply is encoded off-reactor.
+                engine
+                    .submit_query(&query, k, move |result| {
+                        let reply = match result {
+                            Ok(result) => Reply::Neighbors(result.neighbors),
+                            Err(e) => Reply::Err(query_err_message(&e)),
+                        };
+                        shared.complete(token, reply, binary);
+                    })
+                    .map_err(|e| query_err_message(&e))?;
+                conn.inflight = true;
+                return Ok(None);
             }
-            Some("PING") => conn.reply_line("PONG"),
-            Some("HELLO") => match (fields.next(), fields.next()) {
-                (None, _) | (Some("text"), None) => {
-                    conn.binary = false;
-                    conn.reply_line("OK text");
-                }
-                (Some("binary"), None) => {
-                    // The acknowledgement itself is text; everything
-                    // after it speaks frames.
-                    conn.reply_line("OK binary");
-                    conn.binary = true;
-                }
-                _ => conn.reply_line("ERR HELLO supports: text, binary"),
-            },
-            Some("STATS") => match current_engine(&self.shared, &conn.state) {
-                Ok((name, engine)) => {
-                    conn.reply_line(&format!("STATS index={name} {}", engine.stats()));
-                }
-                Err(err) => conn.reply_line(&err),
-            },
-            Some("INDEXINFO") => match current_engine(&self.shared, &conn.state) {
-                Ok((name, engine)) => {
-                    conn.reply_line(&format!("INDEXINFO name={name} {}", engine.info()));
-                }
-                Err(err) => conn.reply_line(&err),
-            },
-            Some("LISTINDEXES") => {
-                let names = self.shared.router.names();
-                conn.reply_line(&if names.is_empty() {
-                    "INDEXES".to_string()
-                } else {
-                    format!("INDEXES {}", names.join(","))
-                });
+            Command::Ping => Reply::Pong,
+            Command::Hello(binary) => {
+                // The acknowledgement itself is text; everything after
+                // it speaks the negotiated framing.
+                conn.binary = binary;
+                Reply::Line(if binary { "OK binary" } else { "OK text" }.to_string())
             }
-            Some("USE") => self.answer_use(conn, fields),
-            Some("AUTH") => self.answer_auth(conn, fields),
-            Some("BATCH") => {
-                let count: usize = match fields.next().map(str::parse) {
-                    Some(Ok(c)) if c >= 1 => c,
-                    _ => return conn.reply_line("ERR BATCH needs a positive op count"),
-                };
-                if fields.next().is_some() {
-                    return conn.reply_line("ERR BATCH takes exactly one op count");
-                }
-                if count > BATCH_MAX_OPS {
-                    return conn
-                        .reply_line(&format!("ERR BATCH accepts at most {BATCH_MAX_OPS} ops"));
-                }
+            Command::Stats => {
+                let (name, engine) = current();
+                Reply::Line(format!("STATS index={name} {}", engine.stats()))
+            }
+            Command::IndexInfo => {
+                let (name, engine) = current();
+                Reply::Line(format!("INDEXINFO name={name} {}", engine.info()))
+            }
+            Command::ListIndexes => {
+                // Sorted names; a bare `INDEXES` when there are none.
+                let names = self.shared.router.names().join(",");
+                Reply::Line(format!("INDEXES {names}").trim_end().to_string())
+            }
+            Command::Use(name) => self.answer_use(conn, &name)?,
+            Command::Auth(token) => return Ok(self.answer_auth(conn, &token)),
+            Command::Batch(count) => {
                 // No header ack: the single reply comes once all `count`
                 // op lines have arrived (and been validated + applied).
-                conn.batch = Some((count, Vec::with_capacity(count.min(256))));
+                let lines = conn.authed.then(|| Vec::with_capacity(count.min(256)));
+                conn.batch = Some((count, lines));
+                return Ok(None);
             }
-            Some("ATTACH" | "DETACH" | "REINDEX" | "SAVE") => {
-                let line = line.to_string();
-                self.offload(conn, move |shared, state| answer_slow(&line, shared, state));
+            Command::Attach(name, path) => {
+                return self.offload(conn, move |shared| answer_attach(shared, &name, &path));
+            }
+            Command::Detach(name) => {
+                return self.offload(conn, move |shared| {
+                    // Dropping the engine joins its worker pools — which
+                    // is exactly why DETACH runs on an op thread.
+                    let _engine = shared.router.detach(&name).map_err(|e| e.to_string())?;
+                    Ok(format!("OK detached {name}"))
+                });
+            }
+            Command::Reindex(path) => {
+                let (name, engine) = current();
+                return self.offload(conn, move |_| answer_reindex(&name, &engine, &path));
+            }
+            Command::Save(path) => {
+                let (name, engine) = current();
+                return self.offload(conn, move |_| answer_save(&name, &engine, &path));
             }
             // A single-op mutation is a one-line batch through the same
             // executor; only the reply wording differs.
-            Some("INSERT" | "DELETE") => {
-                let op = [line.to_string()];
-                self.offload(conn, move |shared, state| {
-                    answer_mutation(&op, false, shared, state)
+            Command::Mutate(op) => {
+                let (_name, engine) = current();
+                return self.offload(conn, move |_| answer_mutation(&engine, &[op], false));
+            }
+            Command::BatchOps(lines) => {
+                let (_name, engine) = current();
+                return self.offload(conn, move |_| {
+                    // Syntax is all-or-nothing: the first malformed line
+                    // fails the whole batch before anything applies.
+                    let ops: Vec<MutOp> = (lines.iter().enumerate())
+                        .map(|(i, line)| {
+                            parse_mut_op(line).map_err(|msg| format!("batch line {i}: {msg}"))
+                        })
+                        .collect::<Result<_, _>>()?;
+                    answer_mutation(&engine, &ops, true)
                 });
             }
-            Some("QUIT") => {
-                conn.reply_line("BYE");
+            Command::Quit => {
                 conn.closing = true;
+                Reply::Bye
             }
-            Some(other) => conn.reply_line(&format!("ERR unknown command '{other}'")),
-            None => {}
-        }
+        }))
     }
 
-    fn answer_use<'a>(&mut self, conn: &mut Conn, mut fields: impl Iterator<Item = &'a str>) {
-        let Some(name) = fields.next() else {
-            return conn.reply_line("ERR USE needs an index name");
+    fn answer_use(&mut self, conn: &mut Conn, name: &str) -> Result<Reply, String> {
+        let Some(engine) = self.shared.router.get(name) else {
+            return Err(format!("unknown index '{name}' (see LISTINDEXES)"));
         };
-        if fields.next().is_some() {
-            return conn.reply_line("ERR USE takes exactly one index name");
-        }
-        match self.shared.router.get(name) {
-            Some(engine) => {
-                if conn.state.index.as_deref() == Some(name) {
-                    // Re-selecting the current index refreshes the cached
-                    // dimensionality without touching the quota ledger.
-                    conn.state.select(Some(name.to_string()), Some(&engine));
-                    return conn.reply_line(&format!("OK using {name}"));
-                }
-                if self.index_full(name) {
-                    return conn.reply_line(&format!("ERR index '{name}' at connection capacity"));
-                }
-                if let Some(old) = conn.state.index.clone() {
-                    self.release_quota(&old);
-                }
-                *self.per_index.entry(name.to_string()).or_insert(0) += 1;
-                conn.state.select(Some(name.to_string()), Some(&engine));
-                conn.reply_line(&format!("OK using {name}"));
+        // Re-selecting the current index only refreshes the cached
+        // dimensionality; a switch goes through the quota ledger.
+        if conn.index.as_deref() != Some(name) {
+            if self.index_full(name) {
+                return Err(format!("index '{name}' at connection capacity"));
             }
-            None => conn.reply_line(&format!("ERR unknown index '{name}' (see LISTINDEXES)")),
+            if let Some(old) = conn.index.clone() {
+                self.release_quota(&old);
+            }
+            *self.per_index.entry(name.to_string()).or_insert(0) += 1;
         }
+        conn.select(Some(name.to_string()), Some(&engine));
+        Ok(Reply::Line(format!("OK using {name}")))
     }
 
-    fn answer_auth<'a>(&mut self, conn: &mut Conn, mut fields: impl Iterator<Item = &'a str>) {
-        let Some(token) = fields.next() else {
-            return conn.reply_line("ERR AUTH needs a token");
-        };
-        if fields.next().is_some() {
-            return conn.reply_line("ERR AUTH takes exactly one (whitespace-free) token");
-        }
-        let expected = self
-            .shared
-            .auth
-            .read()
-            .expect("auth token lock poisoned")
-            .clone();
-        match expected.as_deref() {
-            None => conn.reply_line("OK authentication not required"),
+    fn answer_auth(&mut self, conn: &mut Conn, token: &str) -> Option<Reply> {
+        let expected = self.shared.token().clone();
+        let line = match expected.as_deref() {
+            None => "OK authentication not required",
             Some(expected) if token_matches(expected, token) => {
-                conn.state.authed = true;
-                conn.reply_line("OK authenticated");
+                conn.authed = true;
+                "OK authenticated"
             }
             Some(_) => {
                 // Throttle online brute force: one failed guess costs
                 // this connection (and only this connection) a beat. The
                 // delay is a reactor timer — nobody sleeps.
                 conn.inflight = true;
-                self.timers.push((
-                    Instant::now() + AUTH_THROTTLE,
-                    conn.token,
-                    b"ERR bad token\n".to_vec(),
-                ));
+                let mut reply = Vec::new();
+                encode(Reply::Err("bad token".to_string()), conn.binary, &mut reply);
+                self.timers
+                    .push((Instant::now() + AUTH_THROTTLE, conn.token, reply));
+                return None;
             }
-        }
-    }
-
-    /// Submits a validated-enough `QUERY` to the engine's worker pool
-    /// with a completion callback that formats the reply off-reactor.
-    fn start_query(&mut self, conn: &mut Conn, query: Vec<f32>, k: usize) {
-        let engine = match current_engine(&self.shared, &conn.state) {
-            Ok((_name, engine)) => engine,
-            Err(err) => return conn.reply_err(&err),
         };
-        let shared = Arc::clone(&self.shared);
-        let token = conn.token;
-        let binary = conn.binary;
-        let submitted = engine.submit_query(&query, k, move |result| {
-            let reply = match result {
-                Ok(result) => {
-                    if binary {
-                        let mut out = Vec::new();
-                        frame::encode_ok(&result.neighbors, &mut out);
-                        out
-                    } else {
-                        format_ok_text(&result.neighbors)
-                    }
-                }
-                Err(e) => {
-                    let message = query_err_message(&e);
-                    if binary {
-                        let mut out = Vec::new();
-                        frame::encode_err(&message, &mut out);
-                        out
-                    } else {
-                        format!("ERR {message}\n").into_bytes()
-                    }
-                }
-            };
-            shared.complete(token, reply);
-        });
-        match submitted {
-            Ok(()) => conn.inflight = true,
-            // Validation failed synchronously (dimension mismatch, k=0,
-            // NaN component): an ERR reply, and the connection lives on.
-            Err(e) => conn.reply_err(&format!("ERR {}", query_err_message(&e))),
-        }
+        Some(Reply::Line(line.to_string()))
     }
 
-    /// Runs slow work (`ATTACH`/`DETACH`/`REINDEX`/`SAVE` and every
-    /// mutation — builds, file I/O, engine teardown, copy-on-write
-    /// clones) on a one-off thread so the reactor keeps serving every
-    /// other connection meanwhile. `work` returns the whole reply, which
-    /// may span several lines (a `BATCH` summary plus its `FAIL` lines).
+    /// Runs slow work on a one-off thread so the reactor keeps serving
+    /// every other connection meanwhile. `work` returns the whole reply
+    /// (which may span several lines: a `BATCH` summary plus its `FAIL`
+    /// lines) or the error message.
     fn offload(
         &mut self,
         conn: &mut Conn,
-        work: impl FnOnce(&Shared, &ConnState) -> String + Send + 'static,
-    ) {
+        work: impl FnOnce(&Shared) -> Result<String, String> + Send + 'static,
+    ) -> Result<Option<Reply>, String> {
         let shared = Arc::clone(&self.shared);
-        let state = conn.state.clone();
-        let token = conn.token;
-        let spawned = std::thread::Builder::new()
+        let (token, binary) = (conn.token, conn.binary);
+        std::thread::Builder::new()
             .name("pmlsh-op".to_string())
             .spawn(move || {
-                let mut reply = work(&shared, &state).into_bytes();
-                reply.push(b'\n');
-                shared.complete(token, reply);
-            });
-        match spawned {
-            Ok(_) => conn.inflight = true,
+                let reply = work(&shared).map_or_else(Reply::Err, Reply::Line);
+                shared.complete(token, reply, binary);
+            })
             // Out of threads: fail the request, not the connection.
-            Err(_) => conn.reply_line("ERR internal error"),
-        }
-    }
-
-    /// Collects one op line of an in-progress `BATCH`; once the header's
-    /// count is reached, the whole batch is offloaded as one unit.
-    fn accumulate_batch(&mut self, conn: &mut Conn, line: &str) {
-        let Some((expected, mut ops)) = conn.batch.take() else {
-            return;
-        };
-        ops.push(line.trim().to_string());
-        if ops.len() < expected {
-            conn.batch = Some((expected, ops));
-        } else {
-            self.offload(conn, move |shared, state| {
-                answer_mutation(&ops, true, shared, state)
-            });
-        }
+            .map_err(|_| "internal error".to_string())?;
+        conn.inflight = true;
+        Ok(None)
     }
 
     // -- completions and timers -------------------------------------------
@@ -1272,7 +1131,7 @@ impl Reactor {
 
     fn close_conn(&mut self, conn: Conn) {
         let _ = self.poller.delete(conn.stream.as_raw_fd());
-        if let Some(name) = conn.state.index.as_deref() {
+        if let Some(name) = conn.index.as_deref() {
             let name = name.to_string();
             self.release_quota(&name);
         }
@@ -1330,67 +1189,25 @@ impl Reactor {
     }
 }
 
-/// The text `OK` line for a neighbor list, newline included.
-fn format_ok_text(neighbors: &[Neighbor]) -> Vec<u8> {
-    let mut out = String::with_capacity(16 * neighbors.len() + 4);
-    out.push_str("OK ");
-    for (i, n) in neighbors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", n.id, n.dist));
-    }
-    out.push('\n');
-    out.into_bytes()
-}
-
-/// The unprefixed error message for a failed query — shared by text
-/// (`ERR <message>`) and binary (ERR frame) replies.
+/// The unprefixed error message for a failed query — one wording for
+/// both framings.
 fn query_err_message(e: &QueryError) -> String {
     match e {
-        QueryError::DimensionMismatch { expected, got } => {
-            format!("query has {got} components, index dimensionality is {expected}")
-        }
         QueryError::ZeroK => "QUERY needs a positive integer k".to_string(),
-        QueryError::NonFiniteComponent => "query contains a non-finite component".to_string(),
         QueryError::Internal => "internal error".to_string(),
+        // A wrong dimensionality and a non-finite component are worded
+        // for the wire already.
+        QueryError::DimensionMismatch { .. } | QueryError::NonFiniteComponent => e.to_string(),
     }
 }
 
-/// Dispatches an offloaded slow verb on a `pmlsh-op` thread. `line` is
-/// the whole trimmed request; the caller guaranteed its verb is one of
-/// the offloaded set.
-fn answer_slow(line: &str, shared: &Shared, conn: &ConnState) -> String {
-    let mut fields = line.split_ascii_whitespace();
-    match fields.next() {
-        Some("ATTACH") => answer_attach(fields, shared, conn),
-        Some("DETACH") => answer_detach(fields, shared, conn),
-        Some("REINDEX") => answer_reindex(fields, shared, conn),
-        Some("SAVE") => answer_save(fields, shared, conn),
-        _ => "ERR internal error".to_string(),
-    }
-}
-
-/// Resolves the connection's current index to a live engine, or the `ERR`
-/// line explaining why it cannot.
-fn current_engine(shared: &Shared, conn: &ConnState) -> Result<(String, ShardedEngine), String> {
-    let Some(name) = conn.index.as_deref() else {
-        return Err("ERR no index attached (ATTACH one, then USE it)".to_string());
-    };
+/// Resolves a connection's current index to a live engine, or the
+/// message explaining why it cannot.
+fn current_engine(shared: &Shared, index: Option<&str>) -> Result<(String, ShardedEngine), String> {
+    let name = index.ok_or("no index attached (ATTACH one, then USE it)")?;
     match shared.router.get(name) {
         Some(engine) => Ok((name.to_string(), engine)),
-        None => Err(format!(
-            "ERR index '{name}' is not attached (see LISTINDEXES)"
-        )),
-    }
-}
-
-/// The `ERR` line for an unauthenticated mutating verb, if any.
-fn auth_err(conn: &ConnState) -> Option<String> {
-    if conn.authed {
-        None
-    } else {
-        Some("ERR authentication required (AUTH <token>)".to_string())
+        None => Err(format!("index '{name}' is not attached (see LISTINDEXES)")),
     }
 }
 
@@ -1414,207 +1231,109 @@ fn token_matches(expected: &str, offered: &str) -> bool {
     diff == 0
 }
 
-fn answer_attach<'a>(
-    mut fields: impl Iterator<Item = &'a str>,
-    shared: &Shared,
-    conn: &ConnState,
-) -> String {
-    if let Some(err) = auth_err(conn) {
-        return err;
-    }
-    let (Some(name), Some(path), None) = (fields.next(), fields.next(), fields.next()) else {
-        return "ERR ATTACH needs <name> <path> (both whitespace-free)".to_string();
-    };
+// The handlers below run on `pmlsh-op` threads, past the executor's
+// gates, and answer `Ok(reply line)` or `Err(unprefixed message)`.
+
+/// `ATTACH <name> <path>`: detects what kind of file `path` is, makes an
+/// engine of it, and attaches that under `name`.
+fn answer_attach(shared: &Shared, name: &str, path: &str) -> Result<String, String> {
     // Fail the cheap checks before the expensive build. The final
     // Router::attach re-checks both (another connection may have raced an
     // attach of the same name), so TOCTOU costs a wasted build, never an
     // inconsistent router.
-    if let Err(e) = Router::validate_name(name) {
-        return format!("ERR {e}");
-    }
+    Router::validate_name(name).map_err(|e| e.to_string())?;
     if shared.router.get(name).is_some() {
-        return format!("ERR an index named '{name}' is already attached");
+        return Err(format!("an index named '{name}' is already attached"));
     }
-    // A sharded manifest (detected by magic bytes, not extension)
-    // restores every shard file it names and serves them as one
-    // scatter-gather engine — the set a wire `SAVE` of a sharded index
-    // wrote.
-    if pm_lsh_persist::is_manifest_file(path) {
-        let start = Instant::now();
-        let engine = match pm_lsh_persist::load_sharded(path) {
-            Ok(shards) => ShardedEngine::from_indexes(shards, shared.config.attach_engine_config),
-            Err(e) => return format!("ERR reading {path}: {e}"),
-        };
-        let points = engine.len();
-        let dim = engine.dim();
-        return match shared.router.attach(name, engine) {
-            Ok(()) => format!(
-                "OK attached {name} points={points} dim={dim} secs={:.3}",
-                start.elapsed().as_secs_f64()
-            ),
-            Err(e) => format!("ERR {e}"),
-        };
-    }
-    // A `.pmlsh` snapshot (detected by magic bytes, not extension) skips
-    // the build entirely: the index inside is already constructed, with
-    // its own saved parameters, and serves as soon as it deserializes.
-    if pm_lsh_persist::is_pmlsh_file(path) {
-        let start = Instant::now();
-        let index = match pm_lsh_persist::load(path) {
-            Ok(index) => index,
-            Err(e) => return format!("ERR reading {path}: {e}"),
-        };
-        let points = index.len();
-        let dim = index.data().dim();
-        let engine = Engine::new(index, shared.config.attach_engine_config);
-        return match shared.router.attach(name, engine) {
-            Ok(()) => format!(
-                "OK attached {name} points={points} dim={dim} secs={:.3}",
-                start.elapsed().as_secs_f64()
-            ),
-            Err(e) => format!("ERR {e}"),
-        };
-    }
-    let data = match pm_lsh_data::read_auto(path, None) {
-        Ok(data) => data,
-        Err(e) => return format!("ERR reading {path}: {e}"),
-    };
-    if data.is_empty() {
-        return "ERR cannot attach an empty dataset".to_string();
-    }
-    // A NaN/Inf component would panic deep inside the build, which runs
-    // on this op thread — the client would see a bare `ERR internal`
-    // instead of this diagnosis. Name the poisoned row so a
-    // multi-gigabyte file is debuggable from the reply alone.
-    if let Err(flat) = crate::validate_points(data.as_flat()) {
-        return format!(
-            "ERR dataset contains a non-finite (NaN/Inf) component at row {} component {}",
-            flat / data.dim(),
-            flat % data.dim()
+    let config = shared.config.attach_engine_config;
+    let mut start = Instant::now();
+    let engine: ShardedEngine = if pm_lsh_persist::is_manifest_file(path) {
+        // A sharded manifest (detected by magic bytes, not extension)
+        // restores every shard file it names and serves them as one
+        // scatter-gather engine — the set a wire `SAVE` of a sharded
+        // index wrote.
+        let shards =
+            pm_lsh_persist::load_sharded(path).map_err(|e| format!("reading {path}: {e}"))?;
+        ShardedEngine::from_indexes(shards, config)
+    } else if pm_lsh_persist::is_pmlsh_file(path) {
+        // A `.pmlsh` snapshot (also by magic bytes) skips the build
+        // entirely: the index inside is already constructed, with its own
+        // saved parameters, and serves as soon as it deserializes.
+        let index = pm_lsh_persist::load(path).map_err(|e| format!("reading {path}: {e}"))?;
+        Engine::new(index, config).into()
+    } else {
+        let data =
+            pm_lsh_data::read_auto(path, None).map_err(|e| format!("reading {path}: {e}"))?;
+        if data.is_empty() {
+            return Err("cannot attach an empty dataset".to_string());
+        }
+        // A NaN/Inf component would panic deep inside the build, which
+        // runs on this op thread — the client would see a bare `ERR
+        // internal` instead of this diagnosis. Name the poisoned row so a
+        // multi-gigabyte file is debuggable from the reply alone.
+        if let Err(flat) = crate::validate_points(data.as_flat()) {
+            return Err(format!(
+                "dataset contains a non-finite (NaN/Inf) component at row {} component {}",
+                flat / data.dim(),
+                flat % data.dim()
+            ));
+        }
+        // For a dataset `secs` times the build, not the file read.
+        start = Instant::now();
+        let index = PmLsh::build_with_opts(
+            Arc::new(data),
+            shared.config.attach_params,
+            BuildOptions::all_cores(),
         );
-    }
-    let start = Instant::now();
-    let points = data.len();
-    let dim = data.dim();
-    let index = PmLsh::build_with_opts(
-        Arc::new(data),
-        shared.config.attach_params,
-        BuildOptions::all_cores(),
-    );
-    let engine = Engine::new(index, shared.config.attach_engine_config);
-    match shared.router.attach(name, engine) {
-        Ok(()) => format!(
-            "OK attached {name} points={points} dim={dim} secs={:.3}",
-            start.elapsed().as_secs_f64()
-        ),
-        Err(e) => format!("ERR {e}"),
-    }
+        Engine::new(index, config).into()
+    };
+    let (points, dim) = (engine.len(), engine.dim());
+    shared
+        .router
+        .attach(name, engine)
+        .map_err(|e| e.to_string())?;
+    Ok(format!(
+        "OK attached {name} points={points} dim={dim} secs={:.3}",
+        start.elapsed().as_secs_f64()
+    ))
 }
 
-fn answer_detach<'a>(
-    mut fields: impl Iterator<Item = &'a str>,
-    shared: &Shared,
-    conn: &ConnState,
-) -> String {
-    if let Some(err) = auth_err(conn) {
-        return err;
-    }
-    let Some(name) = fields.next() else {
-        return "ERR DETACH needs an index name".to_string();
-    };
-    if fields.next().is_some() {
-        return "ERR DETACH takes exactly one index name".to_string();
-    }
-    match shared.router.detach(name) {
-        // Dropping the engine joins its worker pools — which is exactly
-        // why DETACH runs on an op thread, not on the reactor.
-        Ok(_engine) => format!("OK detached {name}"),
-        Err(e) => format!("ERR {e}"),
-    }
-}
-
-/// Executes `REINDEX <path>` against the connection's current index:
-/// loads the server-side dataset file, rebuilds with that snapshot's
-/// parameters on all cores, and swaps. Returns the one-line wire reply.
-fn answer_reindex<'a>(
-    mut fields: impl Iterator<Item = &'a str>,
-    shared: &Shared,
-    conn: &ConnState,
-) -> String {
-    if let Some(err) = auth_err(conn) {
-        return err;
-    }
-    let (name, engine) = match current_engine(shared, conn) {
-        Ok(pair) => pair,
-        Err(err) => return err,
-    };
-    let Some(path) = fields.next() else {
-        return "ERR REINDEX needs a dataset file path".to_string();
-    };
-    if fields.next().is_some() {
-        return "ERR REINDEX takes exactly one (whitespace-free) path".to_string();
-    }
-    let data = match pm_lsh_data::read_auto(path, None) {
-        Ok(data) => data,
-        Err(e) => return format!("ERR reading {path}: {e}"),
-    };
+/// `REINDEX <path>` against the connection's current index: loads the
+/// server-side dataset file, rebuilds with that snapshot's parameters on
+/// all cores, and swaps.
+fn answer_reindex(name: &str, engine: &ShardedEngine, path: &str) -> Result<String, String> {
+    let data = pm_lsh_data::read_auto(path, None).map_err(|e| format!("reading {path}: {e}"))?;
     // Keep the serving parameters; only the dataset changes. The build
     // runs on the op thread, so this connection blocks while every
     // other connection keeps being served.
-    let params = engine.params();
-    match engine.reindex(data, params, BuildOptions::all_cores()) {
-        Ok(report) => format!(
-            "OK index={name} epoch={} points={} secs={:.3}",
-            report.epoch, report.points, report.build_secs
-        ),
-        Err(e) => format!("ERR {e}"),
-    }
+    let report = engine
+        .reindex(data, engine.params(), BuildOptions::all_cores())
+        .map_err(|e| e.to_string())?;
+    Ok(format!(
+        "OK index={name} epoch={} points={} secs={:.3}",
+        report.epoch, report.points, report.build_secs
+    ))
 }
 
-/// The one wire mutation executor, against the connection's current
-/// index: a lone `INSERT <v1> ... <vd>` / `DELETE <id>` line
-/// (`batch == false`) or the op lines of a completed `BATCH`. Auth-gates,
-/// syntactically validates every line *all-or-nothing* (one malformed
-/// line fails the whole request — `ERR <message>` for a single op,
-/// `ERR batch line <i>: <message>` for a batch — and nothing applies),
-/// then applies the parsed ops through [`ShardedEngine::apply`]: one
-/// copy-on-write clone and one epoch bump per request (per touched shard
-/// when sharded). A single op answers `OK id=...` / `OK deleted ...` or
-/// its refusal as `ERR <message>`. In a batch, semantic refusals (wrong
-/// dimensionality, unknown id, would-empty) fail only their own op: they
-/// come back as `FAIL <op-index> <message>` lines after the `OK` summary
-/// while the rest of the batch applies.
-fn answer_mutation(lines: &[String], batch: bool, shared: &Shared, conn: &ConnState) -> String {
-    if let Some(err) = auth_err(conn) {
-        return err;
-    }
-    let (_name, engine) = match current_engine(shared, conn) {
-        Ok(pair) => pair,
-        Err(err) => return err,
-    };
-    let mut ops = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match parse_batch_op(line, conn.dim) {
-            Ok(op) => ops.push(op),
-            Err(msg) if batch => return format!("ERR batch line {i}: {msg}"),
-            Err(msg) => return format!("ERR {msg}"),
-        }
-    }
-    let report = match engine.apply(&ops) {
-        Ok(report) => report,
-        Err(e) => return format!("ERR {e}"),
-    };
+/// The one wire mutation handler, against the connection's current
+/// index: a lone `INSERT <v1> ... <vd>` / `DELETE <id>` (`batch ==
+/// false`) or the parsed ops of a completed `BATCH`, applied through
+/// [`ShardedEngine::apply`]: one copy-on-write clone and one epoch bump
+/// per request (per touched shard when sharded). A single op answers
+/// `OK id=...` / `OK deleted ...` or its refusal as the error. In a
+/// batch, semantic refusals (wrong dimensionality, unknown id,
+/// would-empty) fail only their own op: they come back as
+/// `FAIL <op-index> <message>` lines after the `OK` summary while the
+/// rest of the batch applies.
+fn answer_mutation(engine: &ShardedEngine, ops: &[MutOp], batch: bool) -> Result<String, String> {
+    let report = engine.apply(ops).map_err(|e| e.to_string())?;
     let (epoch, points) = (report.epoch, report.points);
     if !batch {
-        return match (&ops[0], report.results[0]) {
-            (_, Err(e)) => format!("ERR {e}"),
-            (crate::MutOp::Insert(_), Ok(id)) => {
-                format!("OK id={id} epoch={epoch} points={points}")
-            }
-            (crate::MutOp::Delete(_), Ok(id)) => {
-                format!("OK deleted {id} epoch={epoch} points={points}")
-            }
-        };
+        let id = report.results[0].map_err(|e| e.to_string())?;
+        return Ok(match ops[0] {
+            MutOp::Insert(_) => format!("OK id={id} epoch={epoch} points={points}"),
+            MutOp::Delete(_) => format!("OK deleted {id} epoch={epoch} points={points}"),
+        });
     }
     let mut out = format!(
         "{BATCH_OK_PREFIX}{} failed={} epoch={epoch} points={points}",
@@ -1626,78 +1345,26 @@ fn answer_mutation(lines: &[String], batch: bool, shared: &Shared, conn: &ConnSt
             out.push_str(&format!("\n{BATCH_FAIL_PREFIX}{i} {e}"));
         }
     }
-    out
+    Ok(out)
 }
 
-/// Parses one mutation line — a top-level `INSERT <v1> ... <vd>` /
-/// `DELETE <id>` request or a `BATCH` op line, one grammar for both
-/// (finite float components, a `u32` id). `dim` only sizes the parse
-/// buffer; a wrong-dimensionality insert is the engine's per-op call.
-fn parse_batch_op(line: &str, dim: usize) -> Result<crate::MutOp, String> {
-    let mut fields = line.split_ascii_whitespace();
-    match fields.next() {
-        Some("INSERT") => {
-            let mut point = Vec::with_capacity(dim.max(16));
-            for field in fields {
-                match field.parse::<f32>() {
-                    Ok(v) if v.is_finite() => point.push(v),
-                    _ => return Err(format!("bad vector component '{field}'")),
-                }
-            }
-            if point.is_empty() {
-                return Err("INSERT needs <v1> ... <vd>".to_string());
-            }
-            Ok(crate::MutOp::Insert(point))
-        }
-        Some("DELETE") => {
-            let id = match fields.next().map(str::parse::<u32>) {
-                Some(Ok(id)) => id,
-                _ => return Err("DELETE needs a point id".to_string()),
-            };
-            if fields.next().is_some() {
-                return Err("DELETE takes exactly one point id".to_string());
-            }
-            Ok(crate::MutOp::Delete(id))
-        }
-        Some(other) => Err(format!("unknown batch op '{other}' (INSERT or DELETE)")),
-        None => Err("empty op line".to_string()),
-    }
-}
-
-/// Executes `SAVE <path>` against the connection's current index: pins
-/// the served snapshot and writes it to a server-side `.pmlsh` file
-/// (atomic tmp-file + rename). Serialization runs on the op thread with
-/// no engine locks held, so every other connection keeps being served;
-/// the saved snapshot excludes mutations that land mid-save.
-/// Auth-gated: it writes files on the server's filesystem.
-fn answer_save<'a>(
-    mut fields: impl Iterator<Item = &'a str>,
-    shared: &Shared,
-    conn: &ConnState,
-) -> String {
-    if let Some(err) = auth_err(conn) {
-        return err;
-    }
-    let (name, engine) = match current_engine(shared, conn) {
-        Ok(pair) => pair,
-        Err(err) => return err,
-    };
-    let Some(path) = fields.next() else {
-        return "ERR SAVE needs a destination file path".to_string();
-    };
-    if fields.next().is_some() {
-        return "ERR SAVE takes exactly one (whitespace-free) path".to_string();
-    }
+/// `SAVE <path>` against the connection's current index: pins the served
+/// snapshot and writes it to a server-side `.pmlsh` file (atomic
+/// tmp-file + rename). Serialization runs on the op thread with no
+/// engine locks held, so every other connection keeps being served; the
+/// saved snapshot excludes mutations that land mid-save. Auth-gated: it
+/// writes files on the server's filesystem.
+fn answer_save(name: &str, engine: &ShardedEngine, path: &str) -> Result<String, String> {
     let start = Instant::now();
-    match engine.save(path) {
-        Ok(report) => format!(
-            "OK saved {name} points={} bytes={} secs={:.3}",
-            report.points,
-            report.bytes,
-            start.elapsed().as_secs_f64()
-        ),
-        Err(e) => format!("ERR saving {path}: {e}"),
-    }
+    let report = engine
+        .save(path)
+        .map_err(|e| format!("saving {path}: {e}"))?;
+    Ok(format!(
+        "OK saved {name} points={} bytes={} secs={:.3}",
+        report.points,
+        report.bytes,
+        start.elapsed().as_secs_f64()
+    ))
 }
 
 /// Parses one `OK` response line back into `(id, dist)` pairs — the client
@@ -1764,6 +1431,54 @@ mod tests {
         assert!(!token_matches("", ""));
         assert!(!token_matches("", "x"));
         assert!(!token_matches("", "anything-at-all"));
+    }
+
+    /// An unauthenticated connection's `BATCH` is answered `ERR
+    /// authentication required` whatever its op lines say, so its `Conn`
+    /// counts them and holds none of their bytes; one that may mutate
+    /// keeps every line for the op thread. The reply and the
+    /// consumed-lines rule are the same either way.
+    #[test]
+    fn unauthenticated_pending_batch_holds_no_line_bytes() {
+        for (token, stored, want) in [
+            (
+                Some("sekrit"),
+                false,
+                "ERR authentication required (AUTH <token>)\n",
+            ),
+            (
+                None,
+                true,
+                "ERR no index attached (ATTACH one, then USE it)\n",
+            ),
+        ] {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let config = ServerConfig {
+                auth_token: token.map(str::to_string),
+                ..Default::default()
+            };
+            let mut reactor = Reactor::new(listener, Router::new(), config).unwrap();
+            reactor.accept_ready();
+            let mut conn = reactor.conns.remove(&FIRST_CONN).expect("admitted");
+
+            conn.buf_in
+                .extend_from_slice(b"BATCH 3\nINSERT 1 2 3\nQUIT\n");
+            reactor.process_input(&mut conn);
+            let (owed, lines) = conn.batch.as_ref().expect("mid-batch");
+            assert_eq!(*owed, 1);
+            assert_eq!(lines.as_ref().map(Vec::len), stored.then_some(2));
+            assert!(conn.buf_out.is_empty(), "no reply before the last op line");
+
+            conn.buf_in.extend_from_slice(b"DELETE 0\nPING\n");
+            reactor.process_input(&mut conn);
+            assert!(conn.batch.is_none() && !conn.closing);
+            let mut reader = BufReader::new(client);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reader.read_line(&mut reply).unwrap();
+            assert_eq!(reply, format!("{want}PONG\n"));
+        }
     }
 
     /// Every connection alive when a shutdown lands — idle, mid-line,

@@ -550,7 +550,16 @@ fn wire_single_op_reply_lines_are_golden() {
     for (request, want) in [
         ("INSERT 1 1 1", "ERR authentication required (AUTH <token>)"),
         ("DELETE 0", "ERR authentication required (AUTH <token>)"),
+        // The gate answers before the arguments are judged; a BATCH
+        // header alone is validated first.
+        ("INSERT", "ERR authentication required (AUTH <token>)"),
+        ("DELETE x y", "ERR authentication required (AUTH <token>)"),
+        ("BATCH 1\nFROB", "ERR authentication required (AUTH <token>)"),
+        ("BATCH 0", "ERR BATCH needs a positive op count"),
         ("AUTH sekrit", "OK authenticated"),
+        ("BATCH 1\nINSERT 1 nan 3", "ERR batch line 0: bad vector component 'nan'"),
+        ("BATCH 2\nDELETE 0\nDELETE", "ERR batch line 1: DELETE needs a point id"),
+        ("BATCH 1\nQUERY 1 1 2 3", "ERR batch line 0: unknown batch op 'QUERY' (INSERT or DELETE)"),
         ("INSERT", "ERR INSERT needs <v1> ... <vd>"),
         ("INSERT 1 nan 3", "ERR bad vector component 'nan'"),
         ("INSERT 1 1e39 3", "ERR bad vector component '1e39'"),

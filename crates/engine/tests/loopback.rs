@@ -153,6 +153,107 @@ fn protocol_control_commands_and_errors() {
     assert!(roundtrip("QUERY 3 1.0 2.0").starts_with("ERR query has 2 components"));
     assert!(roundtrip("QUERY 3 nan").starts_with("ERR bad vector component"));
 
+    // PROTOCOL.md's "Error replies" catalogue as golden lines: on an open
+    // server with an index attached, every verb words its own argument
+    // errors (and tolerates what it always tolerated).
+    for (request, want) in [
+        ("FROB 1 2 3", "ERR unknown command 'FROB'"),
+        ("ping", "ERR unknown command 'ping'"),
+        ("PING extra", "PONG"),
+        ("HELLO gopher", "ERR HELLO supports: text, binary"),
+        ("HELLO text binary", "ERR HELLO supports: text, binary"),
+        ("HELLO", "OK text"),
+        ("LISTINDEXES", "INDEXES default"),
+        ("QUERY", "ERR QUERY needs a positive integer k"),
+        ("QUERY x", "ERR QUERY needs a positive integer k"),
+        ("QUERY -1 1.0", "ERR QUERY needs a positive integer k"),
+        ("QUERY 0 abc", "ERR QUERY needs a positive integer k"),
+        ("QUERY 1 abc", "ERR bad vector component 'abc'"),
+        ("QUERY 1 1 inf", "ERR bad vector component 'inf'"),
+        (
+            "QUERY 1",
+            "ERR query has 0 components, index dimensionality is 192",
+        ),
+        (
+            "QUERY 1 1 2",
+            "ERR query has 2 components, index dimensionality is 192",
+        ),
+        ("USE", "ERR USE needs an index name"),
+        ("USE a b", "ERR USE takes exactly one index name"),
+        ("USE deep", "ERR unknown index 'deep' (see LISTINDEXES)"),
+        ("USE default", "OK using default"),
+        ("AUTH", "ERR AUTH needs a token"),
+        (
+            "AUTH a b",
+            "ERR AUTH takes exactly one (whitespace-free) token",
+        ),
+        ("AUTH anything", "OK authentication not required"),
+        (
+            "ATTACH",
+            "ERR ATTACH needs <name> <path> (both whitespace-free)",
+        ),
+        (
+            "ATTACH extra",
+            "ERR ATTACH needs <name> <path> (both whitespace-free)",
+        ),
+        (
+            "ATTACH extra a b",
+            "ERR ATTACH needs <name> <path> (both whitespace-free)",
+        ),
+        (
+            "ATTACH bad/name x.fvecs",
+            "ERR invalid index name 'bad/name' (1..=64 chars of [A-Za-z0-9_.-])",
+        ),
+        (
+            "ATTACH default x.fvecs",
+            "ERR an index named 'default' is already attached",
+        ),
+        ("DETACH", "ERR DETACH needs an index name"),
+        ("DETACH a b", "ERR DETACH takes exactly one index name"),
+        ("DETACH deep", "ERR unknown index 'deep'"),
+        ("REINDEX", "ERR REINDEX needs a dataset file path"),
+        (
+            "REINDEX a b",
+            "ERR REINDEX takes exactly one (whitespace-free) path",
+        ),
+        ("SAVE", "ERR SAVE needs a destination file path"),
+        (
+            "SAVE a b",
+            "ERR SAVE takes exactly one (whitespace-free) path",
+        ),
+        ("INSERT", "ERR INSERT needs <v1> ... <vd>"),
+        ("DELETE", "ERR DELETE needs a point id"),
+        ("DELETE 1 2", "ERR DELETE takes exactly one point id"),
+        ("BATCH", "ERR BATCH needs a positive op count"),
+        ("BATCH 2 3", "ERR BATCH takes exactly one op count"),
+        ("BATCH 4097", "ERR BATCH accepts at most 4096 ops"),
+        (
+            "BATCH 1\nFROB",
+            "ERR batch line 0: unknown batch op 'FROB' (INSERT or DELETE)",
+        ),
+        ("BATCH 2\nDELETE 0\n", "ERR batch line 1: empty op line"),
+    ] {
+        assert_eq!(roundtrip(request), want, "{request}");
+    }
+    // The I/O failures carry the OS's wording after the path.
+    for (request, prefix) in [
+        (
+            "ATTACH extra /nonexistent/x.fvecs",
+            "ERR reading /nonexistent/x.fvecs: ",
+        ),
+        (
+            "REINDEX /nonexistent/x.fvecs",
+            "ERR reading /nonexistent/x.fvecs: ",
+        ),
+        (
+            "SAVE /nonexistent/x.pmlsh",
+            "ERR saving /nonexistent/x.pmlsh: ",
+        ),
+    ] {
+        let reply = roundtrip(request);
+        assert!(reply.starts_with(prefix), "{request}: {reply}");
+    }
+
     // A well-formed query still works on the same connection after errors.
     let q = vec![0.25f32; dim];
     let ok = roundtrip(query_line(&q, 3).trim());
@@ -165,6 +266,51 @@ fn protocol_control_commands_and_errors() {
     assert_eq!(pairs.len(), 2000, "k beyond n must clamp to n");
 
     assert_eq!(roundtrip("QUIT"), "BYE");
+    handle.shutdown();
+
+    // Error precedence with nothing attached (and no token configured, so
+    // the connection may mutate): the index-routed mutating verbs answer
+    // the missing index before their own arguments; QUERY answers its
+    // arguments first; ATTACH/DETACH/BATCH headers never look at an index.
+    let handle = serve_router(Router::new(), ("127.0.0.1", 0), ServerConfig::default())
+        .expect("bind port 0");
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut roundtrip = |line: &str| -> String {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        response.trim_end().to_string()
+    };
+    let no_index = "ERR no index attached (ATTACH one, then USE it)";
+    for (request, want) in [
+        ("LISTINDEXES", "INDEXES"),
+        ("QUERY x", "ERR QUERY needs a positive integer k"),
+        ("QUERY 1 abc", "ERR bad vector component 'abc'"),
+        ("QUERY 1 1 2", no_index),
+        ("STATS", no_index),
+        ("INDEXINFO", no_index),
+        ("REINDEX", no_index),
+        ("REINDEX a b", no_index),
+        ("SAVE", no_index),
+        ("SAVE a b", no_index),
+        ("INSERT", no_index),
+        ("INSERT 1 nan", no_index),
+        ("DELETE", no_index),
+        ("DELETE 1 2", no_index),
+        ("BATCH 1\nFROB", no_index),
+        ("BATCH 0", "ERR BATCH needs a positive op count"),
+        (
+            "ATTACH",
+            "ERR ATTACH needs <name> <path> (both whitespace-free)",
+        ),
+        ("DETACH", "ERR DETACH needs an index name"),
+        ("DETACH a b", "ERR DETACH takes exactly one index name"),
+        ("PING", "PONG"),
+    ] {
+        assert_eq!(roundtrip(request), want, "{request}");
+    }
     handle.shutdown();
 }
 
@@ -638,12 +784,39 @@ fn malformed_mutations_get_specific_errors_and_change_nothing() {
         response.trim_end().to_string()
     };
 
-    // Mutations before AUTH are refused wholesale.
-    for unauthed in ["INSERT 1 2 3 4 5 6", "DELETE 0"] {
+    // Mutations before AUTH are refused wholesale — well-formed or not:
+    // the auth gate answers before any gated verb's arguments are judged.
+    // Only a BATCH header is validated first (no op line follows a bad
+    // one, so there is nothing to consume).
+    for unauthed in [
+        "INSERT 1 2 3 4 5 6",
+        "DELETE 0",
+        "INSERT",
+        "INSERT 1 nan",
+        "DELETE",
+        "DELETE 1 2",
+        "ATTACH",
+        "ATTACH a b c",
+        "DETACH",
+        "DETACH a b",
+        "REINDEX",
+        "REINDEX a b",
+        "SAVE",
+        "SAVE a b",
+        "BATCH 2\nFROB\nDELETE x",
+    ] {
         assert_eq!(
             roundtrip(unauthed),
-            "ERR authentication required (AUTH <token>)"
+            "ERR authentication required (AUTH <token>)",
+            "for request '{unauthed}'"
         );
+    }
+    for (header, want) in [
+        ("BATCH 0", "ERR BATCH needs a positive op count"),
+        ("BATCH 1 2", "ERR BATCH takes exactly one op count"),
+        ("BATCH 4097", "ERR BATCH accepts at most 4096 ops"),
+    ] {
+        assert_eq!(roundtrip(header), want);
     }
     assert_eq!(roundtrip("AUTH sekrit"), "OK authenticated");
 
@@ -666,6 +839,22 @@ fn malformed_mutations_get_specific_errors_and_change_nothing() {
         ("DELETE -3", "ERR DELETE needs a point id"),
         ("DELETE 5 6", "ERR DELETE takes exactly one point id"),
         ("DELETE 99999", "ERR unknown point id 99999"),
+        // Authenticated, the gated verbs word their own arity errors.
+        (
+            "ATTACH a b c",
+            "ERR ATTACH needs <name> <path> (both whitespace-free)",
+        ),
+        ("DETACH a b", "ERR DETACH takes exactly one index name"),
+        ("REINDEX", "ERR REINDEX needs a dataset file path"),
+        ("SAVE", "ERR SAVE needs a destination file path"),
+        (
+            "BATCH 1\nINSERT",
+            "ERR batch line 0: INSERT needs <v1> ... <vd>",
+        ),
+        (
+            "BATCH 2\nDELETE 0\nDELETE 1 2",
+            "ERR batch line 1: DELETE takes exactly one point id",
+        ),
     ];
     for (request, want) in table {
         assert_eq!(&roundtrip(request), want, "for request '{request}'");

@@ -6,7 +6,9 @@
 use pm_lsh_core::{PmLsh, PmLshParams};
 use pm_lsh_engine::frame;
 use pm_lsh_engine::server::parse_ok_response;
-use pm_lsh_engine::{serve, Engine, EngineConfig, ServerHandle};
+use pm_lsh_engine::{
+    serve, serve_router, Engine, EngineConfig, Router, ServerConfig, ServerHandle,
+};
 use pm_lsh_metric::Dataset;
 use pm_lsh_stats::Rng;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -92,6 +94,35 @@ impl BinClient {
     fn at_eof(&mut self) -> bool {
         let mut b = [0u8; 1];
         matches!(self.stream.read(&mut b), Ok(0))
+    }
+}
+
+/// A loopback client that stays on the default text framing.
+struct TextClient {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl TextClient {
+    fn connect(handle: &ServerHandle) -> Self {
+        let stream = TcpStream::connect(handle.addr()).expect("connect");
+        Self {
+            reader: BufReader::new(stream.try_clone().unwrap()),
+            writer: stream,
+        }
+    }
+
+    fn recv_line(&mut self) -> String {
+        let mut response = String::new();
+        self.reader.read_line(&mut response).unwrap();
+        response.trim_end().to_string()
+    }
+
+    fn exchange(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        self.recv_line()
     }
 }
 
@@ -218,7 +249,43 @@ fn well_framed_bad_queries_err_without_closing() {
         other => panic!("unexpected reply {other:?}"),
     }
 
-    handle.shutdown();
+    // One wording, two framings: every QUERY failure both can express
+    // comes back as an ERR frame whose message is the text line minus
+    // `ERR ` — on this server, on one with nothing attached, and for the
+    // drain notice.
+    let empty = serve_router(Router::new(), ("127.0.0.1", 0), ServerConfig::default())
+        .expect("bind port 0");
+    let mut text = TextClient::connect(&handle);
+    let mut text_empty = TextClient::connect(&empty);
+    let mut bin_empty = BinClient::connect(&empty);
+    for (on_empty, k, q) in [
+        (false, 3u32, &[1.0f32, 2.0][..]),
+        (false, 3, &[]),
+        (false, 0, &[0.5; 8]),
+        (true, 3, &[1.0, 2.0]),
+    ] {
+        let (bin, text) = if on_empty {
+            (&mut bin_empty, &mut text_empty)
+        } else {
+            (&mut bin, &mut text)
+        };
+        let components: Vec<String> = q.iter().map(|v| format!(" {v}")).collect();
+        let line = text.exchange(&format!("QUERY {k}{}", components.concat()));
+        match bin.query(k, q).expect("reply") {
+            frame::Reply::Err(msg) => assert_eq!(format!("ERR {msg}"), line, "k={k} q={q:?}"),
+            other => panic!("k={k} q={q:?}: unexpected reply {other:?}"),
+        }
+    }
+    for (handle, mut bin, mut text) in [(handle, bin, text), (empty, bin_empty, text_empty)] {
+        handle.shutdown();
+        match bin.read_reply() {
+            Some(frame::Reply::Err(msg)) => {
+                assert_eq!(msg, "server shutting down");
+                assert_eq!(text.recv_line(), format!("ERR {msg}"));
+            }
+            other => panic!("drain notice: unexpected {other:?}"),
+        }
+    }
 }
 
 /// The hostile-frame gauntlet: every malformed input either earns an ERR

@@ -1073,37 +1073,15 @@ fn cmd_batch_mutate(opts: &HashMap<String, String>) -> Result<(), String> {
     // Validate locally first, like `insert` does for --vector: a malformed
     // op line should fail before any network traffic, with a message naming
     // the file line — the server would reject the whole batch anyway
-    // (syntactic errors are all-or-nothing).
+    // (syntactic errors are all-or-nothing), in the same words.
     let mut ops: Vec<&str> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let at = |msg: String| format!("{path}:{}: {msg}", lineno + 1);
-        let mut fields = line.split_ascii_whitespace();
-        match fields.next() {
-            Some("INSERT") => {
-                let mut components = 0usize;
-                for field in fields {
-                    match field.parse::<f32>() {
-                        Ok(v) if v.is_finite() => components += 1,
-                        _ => return Err(at(format!("bad vector component '{field}'"))),
-                    }
-                }
-                if components == 0 {
-                    return Err(at("INSERT needs at least one component".into()));
-                }
-            }
-            Some("DELETE") => match (fields.next().map(str::parse::<u32>), fields.next()) {
-                (Some(Ok(_)), None) => {}
-                _ => return Err(at("DELETE takes exactly one point id".into())),
-            },
-            Some(other) => {
-                return Err(at(format!("unknown batch op '{other}' (INSERT or DELETE)")));
-            }
-            None => unreachable!("blank lines are skipped above"),
-        }
+        pm_lsh_engine::server::parse_mut_op(line)
+            .map_err(|msg| format!("{path}:{}: {msg}", lineno + 1))?;
         ops.push(line);
     }
     if ops.is_empty() {

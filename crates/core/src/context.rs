@@ -2,8 +2,8 @@
 //!
 //! Reusable per-thread query state.
 //!
-//! Every query needs a projected-query buffer (`m` floats), a PM-tree
-//! traversal frontier and a top-k collector. Allocating them per query is
+//! Every query needs a projected-query buffer (`m` floats), the PM-tree
+//! traversal's lists and a top-k collector. Allocating them per query is
 //! invisible for one-off calls but dominates small-`d` serving workloads;
 //! a [`QueryContext`] owns all three and is threaded through
 //! [`crate::PmLsh::query_with_context`] / [`crate::PmLsh::query_into`] so
@@ -42,7 +42,8 @@ use pm_lsh_pmtree::CursorScratch;
 /// ```
 #[derive(Debug)]
 pub struct QueryContext {
-    /// PM-tree traversal buffers (frontier heap, pivot distances, query).
+    /// PM-tree traversal buffers (sorted run, waiting regions and points,
+    /// stack, pivot distances, query).
     pub(crate) scratch: CursorScratch,
     /// The projected query `q' = (h*_1(q), …, h*_m(q))`.
     pub(crate) qp: Vec<f32>,

@@ -22,7 +22,15 @@ pub struct QueryStats {
     /// traversal), exactly: the `s` query-to-pivot distances, plus one per
     /// entry — routing or leaf — of a visited node that the distance-free
     /// filters of Eq. 5 (parent distance, pivot rings) failed to keep
-    /// outside the radius the query had reached.
+    /// outside the largest radius the query asked for — what one textbook
+    /// range query at that radius pays. The traversal is a round-at-a-time
+    /// range scan into a sorted run, so a last round the candidate budget
+    /// cuts short is still opened in full: more than a best-first
+    /// traversal stopping at the cut would count, by 0.6–0.7 % on the
+    /// benchmark's Audio workloads (56 018 vs 55 660 per query on
+    /// `audio_verify`, 2 168 vs 2 152 on `audio_wire`), 1.2 % on
+    /// `trevi_highdim` and 4.8 % on `deep_churn`, where every query ends
+    /// on the cut.
     pub projected_dist_computations: u64,
     /// Radius-enlargement rounds executed (1 means `r_min` sufficed).
     pub rounds: u32,

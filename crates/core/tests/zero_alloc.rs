@@ -66,19 +66,25 @@ fn steady_state_queries_do_not_allocate() {
         rng.fill_normal(&mut buf);
         queries.push(buf);
     }
+    // A query well outside the cloud starts far below the radius that
+    // reaches anything, so it enlarges the radius several times: the
+    // traversal's waiting lists are partitioned and its run re-sorted warm.
+    queries.push(queries[0].map(|x| 3.0 * x));
     let index = PmLsh::build(ds, PmLshParams::default());
     let c = index.params().c;
 
     let mut ctx = QueryContext::new();
     let mut out: Vec<Neighbor> = Vec::new();
 
-    // Warm-up: every buffer (projection, traversal frontier, top-k heap,
+    // Warm-up: every buffer (projection, traversal lists, top-k heap,
     // output vector) grows to its high-water mark for this exact workload.
     let mut warm = Vec::new();
+    let mut rounds = 0;
     for q in &queries {
-        index.query_into(q, K, c, &mut ctx, &mut out);
+        rounds = index.query_into(q, K, c, &mut ctx, &mut out).rounds;
         warm.push(out.clone());
     }
+    assert!(rounds >= 3, "the far query took {rounds} rounds");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..25 {

@@ -10,16 +10,18 @@
 //!   partitions points by nearest global pivot, builds one subtree per
 //!   region concurrently and merges them; its output is identical for
 //!   every thread count.
-//! * [`cursor::RangeCursor`] — a best-first incremental traversal yielding
-//!   points in non-decreasing projected distance. Its one discipline is the
-//!   paper's: an entry pays its exact distance — once, in full; fifteen
-//!   multiply-adds at m = 15 are not worth abandoning — only after the
-//!   distance-free filters of Eq. 5 fail to keep it outside the radius.
-//!   `next_within(r)` is the building block of the paper's
+//! * [`cursor::RangeCursor`] — a round-at-a-time range scan yielding
+//!   points ascending by (projected distance, id) from a sorted run: each
+//!   larger radius is one textbook range query over what earlier rounds
+//!   left unopened, one scan and one sort, no priority queue. Its one
+//!   discipline is the paper's: an entry pays its exact distance — once,
+//!   in full; fifteen multiply-adds at m = 15 are not worth abandoning —
+//!   only after the distance-free filters of Eq. 5 fail to keep it outside
+//!   the radius. `next_within(r)` is the building block of the paper's
 //!   radius-enlarging Algorithm 2, and plain `next()` provides exact
-//!   incremental NN search. [`cursor::CursorScratch`] recycles the
-//!   traversal's heap and buffers across queries, so a serving loop stops
-//!   allocating once warm.
+//!   incremental NN search by enlarging its own radius.
+//!   [`cursor::CursorScratch`] recycles the traversal's buffers across
+//!   queries, so a serving loop stops allocating once warm.
 //! * [`cost::expected_distance_computations`] — the node-based cost model of
 //!   Eqs. 5–7 that regenerates the PM-tree column of Table 2.
 

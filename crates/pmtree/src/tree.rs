@@ -55,9 +55,10 @@ pub enum RawNode {
 ///
 /// The node arena is *free-list-compacted*: freed slots are dropped and
 /// surviving nodes renumbered densely, preserving their relative order.
-/// Node ids never influence traversal order or query answers (the
-/// cursor orders by distance key and push sequence), so a round-tripped
-/// tree answers every query bit-identically. `ext_index` and
+/// Node ids never influence query answers or their order (the cursor
+/// yields by projected distance, then external id — a function of the
+/// indexed points alone), so a round-tripped tree answers every query
+/// bit-identically. `ext_index` and
 /// `free_nodes` are not part of the export — the id map is rebuilt by
 /// inverting `externals`, and a compacted arena has no free slots.
 #[derive(Clone, Debug)]

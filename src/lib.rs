@@ -10,7 +10,7 @@
 //!   intervals (Lemma 3 / Eq. 10), the `(r,c)`-ball-cover query
 //!   (Algorithm 1) and the `(c,k)`-ANN query (Algorithm 2).
 //! * [`pmtree`] / [`rtree`] / [`bptree`] — the index substrates (PM-tree,
-//!   R-tree, B+-tree) with incremental best-first cursors and the node-based
+//!   R-tree, B+-tree) with incremental cursors and the node-based
 //!   cost models of Section 4.2.
 //! * [`hash`] — p-stable hash families, collision probabilities and
 //!   multi-probe perturbation sequences.

@@ -10,6 +10,12 @@
 //! point, `neighbors` and the full `QueryStats` (candidates verified,
 //! projected distance computations, rounds) must be identical to the old
 //! code, which is preserved verbatim in `pm_lsh_core::reference`.
+//!
+//! The reference keeps its own Algorithm 2 loop, verification and top-k,
+//! but pulls candidates from the same `PmTree::cursor` as the hot path, so
+//! candidate-order parity (ascending projected distance, ties by id) and
+//! the projected distance count hold by construction; what these tests
+//! compare is everything after the cursor.
 
 use pm_lsh::prelude::*;
 

@@ -34,9 +34,9 @@
 //! operating point) and by region skew; that is the price of a
 //! thread-count-invariant partition.
 
-use crate::entry::{InnerEntry, Ring};
+use crate::block::{point_spans, Node};
 use crate::pivots::select_pivots;
-use crate::tree::{Node, PmTree, PmTreeConfig};
+use crate::tree::{PmTree, PmTreeConfig};
 use crate::NodeId;
 use pm_lsh_metric::{euclidean, MatrixView, PointId};
 use pm_lsh_stats::Rng;
@@ -140,7 +140,7 @@ impl PmTree {
                     };
                     let mut sub = PmTree::new(view.dim(), cfg, pivots.to_vec());
                     for &row in rows {
-                        let pd_row: Box<[f32]> = pd[row * s..(row + 1) * s].into();
+                        let pd_row = &pd[row * s..(row + 1) * s];
                         sub.insert_with_pivot_dists(view.point(row), row as PointId, pd_row);
                     }
                     let _ = results_tx.send((t, sub));
@@ -169,9 +169,10 @@ impl PmTree {
         // Step 4: splice the subtree arenas into one tree in region order
         // and crown them with a root of per-region routing entries.
         let mut tree = PmTree::new(view.dim(), cfg, pivots);
+        let lay = tree.layout();
         tree.nodes.clear();
         tree.add_build_dist_computations((n * s) as u64);
-        let mut root_entries = Vec::with_capacity(tasks.len());
+        let mut root = Node::with_capacity(false, tasks.len(), lay);
         for ((region, rows), sub) in tasks.iter().zip(subtrees) {
             let sub = sub.expect("every region task completed");
             let node_offset = tree.nodes.len() as NodeId;
@@ -179,21 +180,18 @@ impl PmTree {
             let sub_root = sub.root + node_offset;
             tree.add_build_dist_computations(sub.build_distance_computations());
             for mut node in sub.nodes {
-                match &mut node {
-                    Node::Inner(entries) => {
-                        for e in entries {
-                            e.child += node_offset;
-                        }
-                    }
-                    Node::Leaf(entries) => {
-                        for e in entries {
-                            e.internal += internal_offset;
-                        }
-                    }
-                }
+                // Leaf entries refer to internal rows, routing entries to
+                // nodes; the points travel inside their leaf entries.
+                node.shift_links(
+                    lay,
+                    if node.is_leaf() {
+                        internal_offset
+                    } else {
+                        node_offset
+                    },
+                );
                 tree.nodes.push(node);
             }
-            tree.points.extend_from_view(sub.points.view());
             tree.externals.extend_from_slice(&sub.externals);
             // The mutable layer's bookkeeping splices with the same
             // offsets as the arena: subtrees never free nodes during a
@@ -211,45 +209,31 @@ impl PmTree {
             // distances must be relative to that pivot. Leaf entries already
             // carry the distance (it *is* a pivot distance); inner entries
             // need one fresh computation each.
-            let pivot = tree.pivots[*region].clone();
-            let fresh = match &mut tree.nodes[sub_root as usize] {
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        e.parent_dist = e.pivot_dists[*region];
-                    }
-                    0
-                }
-                Node::Inner(entries) => {
-                    for e in entries.iter_mut() {
-                        e.parent_dist = euclidean(&e.center, &pivot);
-                    }
-                    entries.len() as u64
-                }
-            };
-            tree.add_build_dist_computations(fresh);
+            let pivot = &tree.pivots[*region];
+            let top = &mut tree.nodes[sub_root as usize];
+            for idx in 0..top.len(lay) {
+                let parent_dist = if top.is_leaf() {
+                    top.leaf_at(idx, lay).pivot_dists[*region]
+                } else {
+                    euclidean(top.inner_at(idx, lay).center, pivot)
+                };
+                top.set_parent_dist(idx, lay, parent_dist);
+            }
+            let fresh = if top.is_leaf() { 0 } else { top.len(lay) };
 
             // Covering radius and hyper-rings of the region, folded from
             // the assignment phase's pivot-distance rows.
-            let mut radius = 0.0f32;
-            let mut rings = vec![Ring::EMPTY; s];
+            let entry = root.len(lay);
+            root.push_routing(lay, sub_root, pivot);
             for &row in rows {
                 let pd_row = &pd[row * s..(row + 1) * s];
-                radius = radius.max(pd_row[*region]);
-                for (ring, &d) in rings.iter_mut().zip(pd_row) {
-                    ring.include(d);
-                }
+                root.cover(entry, lay, pd_row[*region], point_spans(pd_row));
             }
-            root_entries.push(InnerEntry {
-                center: pivot,
-                radius,
-                parent_dist: 0.0,
-                child: sub_root,
-                rings: rings.into_boxed_slice(),
-            });
+            tree.add_build_dist_computations(fresh as u64);
         }
 
         tree.root = tree.nodes.len() as NodeId;
-        tree.nodes.push(Node::Inner(root_entries));
+        tree.nodes.push(root);
         tree
     }
 }
@@ -274,34 +258,14 @@ mod tests {
         assert_eq!(a.root, b.root);
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.externals, b.externals);
-        assert_eq!(a.points.as_flat(), b.points.as_flat());
         assert_eq!(
             a.build_distance_computations(),
             b.build_distance_computations()
         );
+        // Every field of every entry, points included, ids bit for bit.
         for (na, nb) in a.nodes.iter().zip(&b.nodes) {
-            match (na, nb) {
-                (Node::Leaf(ea), Node::Leaf(eb)) => {
-                    assert_eq!(ea.len(), eb.len());
-                    for (x, y) in ea.iter().zip(eb) {
-                        assert_eq!(x.internal, y.internal);
-                        assert_eq!(x.external, y.external);
-                        assert_eq!(x.parent_dist, y.parent_dist);
-                        assert_eq!(x.pivot_dists, y.pivot_dists);
-                    }
-                }
-                (Node::Inner(ea), Node::Inner(eb)) => {
-                    assert_eq!(ea.len(), eb.len());
-                    for (x, y) in ea.iter().zip(eb) {
-                        assert_eq!(x.center, y.center);
-                        assert_eq!(x.radius, y.radius);
-                        assert_eq!(x.parent_dist, y.parent_dist);
-                        assert_eq!(x.child, y.child);
-                        assert_eq!(x.rings, y.rings);
-                    }
-                }
-                _ => panic!("node kind mismatch"),
-            }
+            assert_eq!(na.is_leaf(), nb.is_leaf(), "node kind mismatch");
+            assert_eq!(na.bits(), nb.bits());
         }
     }
 

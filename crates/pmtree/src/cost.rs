@@ -13,18 +13,20 @@
 //! (Eq. 7). The same model instantiated for R-trees lives in
 //! `pm-lsh-rtree::cost`; together they regenerate Table 2.
 
-use crate::tree::{Node, PmTree};
+use crate::block::InnerRef;
+use crate::tree::PmTree;
 use pm_lsh_stats::Ecdf;
 
 /// Eq. 6: access probability of the node behind routing entry `e`.
-fn access_probability(f: &Ecdf, radius: f64, rings: &[crate::entry::Ring], rq: f64) -> f64 {
-    let mut pr = f.cdf(radius + rq);
-    for ring in rings {
-        let hi = f.cdf(ring.max as f64 + rq);
-        let lo = if (ring.min as f64 - rq) <= 0.0 {
+fn access_probability(f: &Ecdf, e: InnerRef<'_>, rq: f64) -> f64 {
+    let mut pr = f.cdf(e.radius as f64 + rq);
+    for (min, max) in e.spans() {
+        let (min, max) = (min as f64, max as f64);
+        let hi = f.cdf(max + rq);
+        let lo = if min - rq <= 0.0 {
             0.0
         } else {
-            f.cdf(ring.min as f64 - rq)
+            f.cdf(min - rq)
         };
         pr *= (hi - lo).clamp(0.0, 1.0);
     }
@@ -37,19 +39,16 @@ fn access_probability(f: &Ecdf, radius: f64, rings: &[crate::entry::Ring], rq: f
 /// The root is always accessed; every other node contributes its entry count
 /// weighted by its routing entry's access probability.
 pub fn expected_distance_computations(tree: &PmTree, f: &Ecdf, rq: f64) -> f64 {
-    let entries_of = |node: u32| -> f64 {
-        match &tree.nodes[node as usize] {
-            Node::Inner(es) => es.len() as f64,
-            Node::Leaf(es) => es.len() as f64,
-        }
-    };
+    let lay = tree.layout();
+    let entries_of = |node: u32| tree.nodes[node as usize].len(lay) as f64;
 
     let mut cc = entries_of(tree.root);
     let mut stack = vec![tree.root];
     while let Some(nid) = stack.pop() {
-        if let Node::Inner(entries) = &tree.nodes[nid as usize] {
-            for e in entries {
-                let pr = access_probability(f, e.radius as f64, &e.rings, rq);
+        let entries = &tree.nodes[nid as usize];
+        if !entries.is_leaf() {
+            for e in entries.inners(lay) {
+                let pr = access_probability(f, e, rq);
                 cc += entries_of(e.child) * pr;
                 stack.push(e.child);
             }
@@ -102,11 +101,8 @@ mod tests {
         let mut rng = Rng::new(2);
         let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
         let f = distance_distribution(ds.view(), 4000, &mut rng);
-        let total_entries: f64 = (0..tree.node_count())
-            .map(|i| match &tree.nodes[i] {
-                Node::Inner(es) => es.len() as f64,
-                Node::Leaf(es) => es.len() as f64,
-            })
+        let total_entries: f64 = (tree.nodes.iter())
+            .map(|node| node.len(tree.layout()) as f64)
             .sum();
         let cc = expected_distance_computations(&tree, &f, f.max());
         assert!(cc <= total_entries + 1e-6, "cc={cc} total={total_entries}");

@@ -35,8 +35,8 @@
 //! of the indexed points alone: two trees over the same points yield the
 //! same sequence whatever their shape or node numbering.
 
-use crate::entry::{InnerEntry, LeafEntry};
-use crate::tree::{Node, PmTree};
+use crate::block::{InnerRef, LeafRef};
+use crate::tree::PmTree;
 use crate::NodeId;
 use pm_lsh_metric::{euclidean, PointId};
 
@@ -117,20 +117,19 @@ impl CursorScratch {
     /// Pays the exact center distance of routing entry `e` and hands its
     /// child to the round under the covering-ball bound.
     #[inline]
-    fn measure_center(&mut self, e: &InnerEntry) {
-        let dq_center = euclidean(&self.query, &e.center);
+    fn measure_center(&mut self, e: InnerRef<'_>) {
+        let dq_center = euclidean(&self.query, e.center);
         let node = e.child;
         self.stack
             .push((dq_center - e.radius, Region::Node { node, dq_center }));
     }
 
-    /// Pays the exact distance of `point`, the payload of leaf entry `e`,
-    /// and files it by the round's `radius`. A NaN distance (NaN in the
-    /// query) lies in no ball: the point is dropped, so the cursor still
-    /// exhausts.
+    /// Pays the exact distance of the point of leaf entry `e` and files it
+    /// by the round's `radius`. A NaN distance (NaN in the query) lies in
+    /// no ball: the point is dropped, so the cursor still exhausts.
     #[inline]
-    fn measure_point(&mut self, e: &LeafEntry, point: &[f32], radius: f32) {
-        let dist = euclidean(&self.query, point);
+    fn measure_point(&mut self, e: LeafRef<'_>, radius: f32) {
+        let dist = euclidean(&self.query, e.point);
         if dist <= radius {
             self.run.push(point_key(dist, e.external));
         } else if dist > radius {
@@ -221,6 +220,7 @@ impl<'t> RangeCursor<'t> {
     fn advance(&mut self, radius: f32) {
         self.covered = radius;
         let tree = self.tree;
+        let lay = tree.layout();
         let s = &mut self.scratch;
         s.run.drain(..self.pos);
         self.pos = 0;
@@ -244,20 +244,33 @@ impl<'t> RangeCursor<'t> {
             match region {
                 Region::Pending { node, idx } => {
                     self.dist_computations += 1;
-                    match &tree.nodes[node as usize] {
-                        Node::Inner(entries) => s.measure_center(&entries[idx as usize]),
-                        Node::Leaf(entries) => {
-                            let e = &entries[idx as usize];
-                            s.measure_point(e, tree.points.point(e.internal as usize), radius);
-                        }
+                    let entries = &tree.nodes[node as usize];
+                    if entries.is_leaf() {
+                        s.measure_point(entries.leaf_at(idx as usize, lay), radius);
+                    } else {
+                        s.measure_center(entries.inner_at(idx as usize, lay));
                     }
                 }
                 // Every entry meets the distance-free filters; one they do
                 // not keep beyond `radius` pays its exact distance now, the
-                // others wait without having cost one.
-                Region::Node { node, dq_center } => match &tree.nodes[node as usize] {
-                    Node::Inner(entries) => {
-                        for (idx, e) in entries.iter().enumerate() {
+                // others wait without having cost one. Filter fields and
+                // coordinates of an entry, and the entries of a node, are
+                // consecutive words of one block.
+                Region::Node { node, dq_center } => {
+                    let entries = &tree.nodes[node as usize];
+                    if entries.is_leaf() {
+                        for (idx, e) in entries.leaves(lay).enumerate() {
+                            let pivot_lb = e.pivot_lower_bound(&s.qp_dists);
+                            let lb = cheap_bound(pivot_lb, e.parent_dist, 0.0, dq_center);
+                            if lb <= radius {
+                                self.dist_computations += 1;
+                                s.measure_point(e, radius);
+                            } else {
+                                s.park(lb, node, idx);
+                            }
+                        }
+                    } else {
+                        for (idx, e) in entries.inners(lay).enumerate() {
                             let ring_lb = e.ring_lower_bound(&s.qp_dists);
                             let lb = cheap_bound(ring_lb, e.parent_dist, e.radius, dq_center);
                             if lb <= radius {
@@ -268,19 +281,7 @@ impl<'t> RangeCursor<'t> {
                             }
                         }
                     }
-                    Node::Leaf(entries) => {
-                        for (idx, e) in entries.iter().enumerate() {
-                            let pivot_lb = e.pivot_lower_bound(&s.qp_dists);
-                            let lb = cheap_bound(pivot_lb, e.parent_dist, 0.0, dq_center);
-                            if lb <= radius {
-                                self.dist_computations += 1;
-                                s.measure_point(e, tree.points.point(e.internal as usize), radius);
-                            } else {
-                                s.park(lb, node, idx);
-                            }
-                        }
-                    }
-                },
+                }
             }
         }
         s.run[found..].sort_unstable();
@@ -373,7 +374,7 @@ impl PmTree {
 mod tests {
     use super::*;
     use crate::tree::PmTreeConfig;
-    use pm_lsh_metric::Dataset;
+    use pm_lsh_metric::{Dataset, MatrixView};
     use pm_lsh_stats::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -451,48 +452,129 @@ mod tests {
         node: NodeId,
         dq_parent: Option<f32>,
     ) -> u64 {
+        let lay = tree.layout();
+        let entries = &tree.nodes[node as usize];
         let mut paid = 0;
-        match &tree.nodes[node as usize] {
-            Node::Inner(entries) => {
-                for e in entries {
-                    let parent_prunes =
-                        dq_parent.is_some_and(|d| (d - e.parent_dist).abs() - e.radius > r);
-                    let rings_prune =
-                        (e.rings.iter().zip(qp_dists)).any(|(ring, &qp)| ring.lower_bound(qp) > r);
-                    if parent_prunes || rings_prune {
-                        continue;
-                    }
-                    let d = euclidean(q, &e.center);
+        if entries.is_leaf() {
+            for e in entries.leaves(lay) {
+                let parent_prunes = dq_parent.is_some_and(|d| (d - e.parent_dist).abs() > r);
+                let pivots_prune =
+                    (e.pivot_dists.iter().zip(qp_dists)).any(|(&pd, &qp)| (qp - pd).abs() > r);
+                if !(parent_prunes || pivots_prune) {
                     paid += 1;
-                    if d - e.radius <= r {
-                        paid += textbook_cost(tree, q, qp_dists, r, e.child, Some(d));
-                    }
                 }
             }
-            Node::Leaf(entries) => {
-                for e in entries {
-                    let parent_prunes = dq_parent.is_some_and(|d| (d - e.parent_dist).abs() > r);
-                    let pivots_prune =
-                        (e.pivot_dists.iter().zip(qp_dists)).any(|(&pd, &qp)| (qp - pd).abs() > r);
-                    if !(parent_prunes || pivots_prune) {
-                        paid += 1;
-                    }
-                }
+            return paid;
+        }
+        for e in entries.inners(lay) {
+            let parent_prunes = dq_parent.is_some_and(|d| (d - e.parent_dist).abs() - e.radius > r);
+            let rings_prune =
+                (e.spans().zip(qp_dists)).any(|((min, max), &qp)| qp - max > r || min - qp > r);
+            if parent_prunes || rings_prune {
+                continue;
+            }
+            let d = euclidean(q, e.center);
+            paid += 1;
+            if d - e.radius <= r {
+                paid += textbook_cost(tree, q, qp_dists, r, e.child, Some(d));
             }
         }
         paid
     }
 
+    /// What [`drive_schedules`] saw: per step the yields so far and
+    /// `distance_computations()`, the textbook cost summed over the queries
+    /// (each at its largest finite radius), and the steps left half-drained.
+    #[derive(Debug, PartialEq)]
+    struct Driven {
+        steps: Vec<(usize, u64)>,
+        paid: usize,
+        abandoned: usize,
+    }
+
+    /// Ten random queries against `tree`, each under a random schedule of
+    /// radii — repeated, shrinking, growing, drained fully or abandoned
+    /// after a few yields, a final ∞. Whatever is asked, the cursor must
+    /// hand out `expected(q)` (every indexed `(id, dist)`, ascending) in
+    /// order, and must have paid the s pivot distances plus what ONE
+    /// textbook range query at the largest radius asked pays: enlarging the
+    /// radius repeats no work, and the rounds prune exactly the entries
+    /// Eq. 5 prunes — no more (a miss) and no fewer (a wasted distance).
+    fn drive_schedules(
+        tree: &PmTree,
+        expected: impl Fn(&[f32]) -> Vec<(PointId, f32)>,
+        rng: &mut Rng,
+        what: &str,
+    ) -> Driven {
+        let s = tree.pivots.len() as u64;
+        let mut driven = Driven {
+            steps: Vec::new(),
+            paid: 0,
+            abandoned: 0,
+        };
+        let mut q = vec![0.0f32; tree.dim()];
+        for _ in 0..10 {
+            rng.fill_normal(&mut q);
+            let all = expected(&q);
+            assert_eq!(all.len(), tree.len(), "{what}");
+            let qp_dists: Vec<f32> = tree.pivots.iter().map(|p| euclidean(&q, p)).collect();
+            let mut cursor = tree.cursor(&q);
+            let (mut yielded, mut max_asked) = (0, f32::NEG_INFINITY);
+            let mut query_paid = 0;
+            let mut schedule: Vec<f32> = (0..8).map(|_| 1.0 + 3.0 * rng.f32()).collect();
+            schedule.insert(3, schedule[1]);
+            schedule.push(f32::INFINITY);
+            for (step, &radius) in schedule.iter().enumerate() {
+                // Two steps in three stop after a few yields; the last
+                // one drains.
+                let take = if radius == f32::INFINITY || rng.below(3) == 0 {
+                    usize::MAX
+                } else {
+                    1 + rng.below(40)
+                };
+                let mut taken = 0;
+                while taken < take {
+                    let Some(hit) = cursor.next_within(radius) else {
+                        let rest = all.get(yielded);
+                        assert!(rest.is_none_or(|&(_, d)| d > radius), "{what}: missed");
+                        break;
+                    };
+                    assert_eq!(Some(&hit), all.get(yielded), "{what} step {step}");
+                    assert!(hit.1 <= radius, "{what} step {step}");
+                    yielded += 1;
+                    taken += 1;
+                }
+                driven.abandoned += usize::from(taken == take);
+                max_asked = max_asked.max(radius);
+                let paid = textbook_cost(tree, &q, &qp_dists, max_asked, tree.root, None);
+                assert_eq!(
+                    cursor.distance_computations(),
+                    s + paid,
+                    "{what} step {step}"
+                );
+                let exhausted = yielded == tree.len();
+                assert_eq!(cursor.is_exhausted(), exhausted, "{what} step {step}");
+                driven.steps.push((yielded, s + paid));
+                if radius.is_finite() {
+                    // Ends as the cost at the largest finite radius.
+                    query_paid = paid as usize;
+                }
+            }
+            assert_eq!(yielded, tree.len(), "{what}");
+            driven.paid += query_paid;
+        }
+        driven
+    }
+
+    fn entry_count(tree: &PmTree) -> usize {
+        (tree.nodes.iter().map(|n| n.len(tree.layout()))).sum()
+    }
+
     #[test]
     fn enlarged_radius_costs_exactly_one_textbook_range_query() {
-        // Whatever radii the caller asks — repeated, shrinking, growing,
-        // drained fully or abandoned after a few yields — the cursor hands
-        // out the brute-force order, and has paid the s pivot distances plus
-        // what ONE textbook range query at the largest radius asked pays:
-        // enlarging the radius repeats no work, and the rounds prune exactly
-        // the entries Eq. 5 prunes — no more (a miss) and no fewer (a wasted
-        // distance). Paper shape and s = 0 (plain M-tree, no rings); a tree
-        // of several levels, a single leaf, and no points at all.
+        // See `drive_schedules`. Paper shape and s = 0 (plain M-tree, no
+        // rings); a tree of several levels, a single leaf, and no points at
+        // all.
         let mut rng = Rng::new(54);
         for (n, num_pivots) in [(4000, 5), (4000, 0), (9, 5), (9, 0), (0, 5), (0, 0)] {
             let what = format!("n = {n}, s = {num_pivots}");
@@ -505,66 +587,101 @@ mod tests {
             } else {
                 PmTree::build(ds.view(), cfg, &mut rng)
             };
-            let entries: usize = (tree.nodes.iter())
-                .map(|n| match n {
-                    Node::Inner(es) => es.len(),
-                    Node::Leaf(es) => es.len(),
-                })
-                .sum();
-            let (mut total_paid, mut abandoned) = (0, 0);
-            let mut q = vec![0.0f32; 15];
-            for _ in 0..10 {
-                rng.fill_normal(&mut q);
-                let all = brute_force(&ds, &q);
-                let qp_dists: Vec<f32> = tree.pivots.iter().map(|p| euclidean(&q, p)).collect();
-                let mut cursor = tree.cursor(&q);
-                let (mut yielded, mut max_asked) = (0, f32::NEG_INFINITY);
-                let mut query_paid = 0;
-                let mut schedule: Vec<f32> = (0..8).map(|_| 1.0 + 3.0 * rng.f32()).collect();
-                schedule.insert(3, schedule[1]);
-                schedule.push(f32::INFINITY);
-                for (step, &radius) in schedule.iter().enumerate() {
-                    // Two steps in three stop after a few yields; the last
-                    // one drains.
-                    let take = if radius == f32::INFINITY || rng.below(3) == 0 {
-                        usize::MAX
-                    } else {
-                        1 + rng.below(40)
-                    };
-                    let mut taken = 0;
-                    while taken < take {
-                        let Some(hit) = cursor.next_within(radius) else {
-                            let rest = all.get(yielded);
-                            assert!(rest.is_none_or(|&(_, d)| d > radius), "{what}: missed");
-                            break;
-                        };
-                        assert_eq!(Some(&hit), all.get(yielded), "{what} step {step}");
-                        assert!(hit.1 <= radius, "{what} step {step}");
-                        yielded += 1;
-                        taken += 1;
-                    }
-                    abandoned += usize::from(taken == take);
-                    max_asked = max_asked.max(radius);
-                    let paid = textbook_cost(&tree, &q, &qp_dists, max_asked, tree.root, None);
-                    assert_eq!(
-                        cursor.distance_computations(),
-                        num_pivots as u64 + paid,
-                        "{what} step {step}"
-                    );
-                    assert_eq!(cursor.is_exhausted(), yielded == n, "{what} step {step}");
-                    if radius.is_finite() {
-                        // Ends as the cost at the largest finite radius.
-                        query_paid = paid as usize;
-                    }
-                }
-                assert_eq!(yielded, n, "{what}");
-                total_paid += query_paid;
-            }
+            let driven = drive_schedules(&tree, |q| brute_force(&ds, q), &mut rng, &what);
             if n == 4000 {
                 // The filters bit, the balls were not empty and some were
                 // left half-drained (else the equalities above say little).
-                assert!(total_paid < 10 * entries, "{what}: {total_paid}");
-                assert!(total_paid > 0 && abandoned > 0, "{what}");
+                assert!(driven.paid < 10 * entry_count(&tree), "{what}: {driven:?}");
+                assert!(driven.paid > 0 && driven.abandoned > 0, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn churned_tree_and_its_copies_traverse_alike() {
+        // The same differential on a tree whose blocks have been through
+        // everything a mutation does to them — pushes that grow a block,
+        // removals that shrink one, leaf and inner splits, emptied leaves,
+        // a root collapse, freed arena slots taken up again — and on its
+        // two copies: `clone()` (block for block) and `from_parts(to_parts())`
+        // (every entry unpacked, the arena renumbered, every entry packed
+        // again). All three must yield and count alike. External id = row
+        // of `ds`, never reused; `live` says which rows are indexed.
+        for num_pivots in [5, 0] {
+            let what = format!("churned, s = {num_pivots}");
+            let mut rng = Rng::new(70 + num_pivots as u64);
+            let ds = random_dataset(6000, 15, 71);
+            let first = MatrixView::new(&ds.as_flat()[..1500 * 15], 15);
+            let mut tree = PmTree::build(first, with_pivots(num_pivots), &mut rng);
+            let mut live: Vec<PointId> = (0..1500).collect();
+            let mut next = 1500;
+            let mut insert = |tree: &mut PmTree, live: &mut Vec<PointId>| {
+                tree.insert(ds.point(next), next as PointId);
+                live.push(next as PointId);
+                next += 1;
+            };
+            let delete = |tree: &mut PmTree, live: &mut Vec<PointId>, rng: &mut Rng| {
+                let victim = live.swap_remove(rng.below(live.len()));
+                assert!(tree.delete(victim), "{victim} was live");
+            };
+
+            // Interleaved inserts and deletes: blocks grow and shrink,
+            // leaves split and some run empty.
+            for _ in 0..1500 {
+                match rng.below(2) {
+                    0 => insert(&mut tree, &mut live),
+                    _ => delete(&mut tree, &mut live, &mut rng),
+                }
+            }
+            // Down to one point: every subtree but its own is pruned and
+            // the root collapses onto its leaf.
+            let tall = tree.height();
+            assert!(tall >= 3, "{what}: height {tall}");
+            while live.len() > 1 {
+                delete(&mut tree, &mut live, &mut rng);
+            }
+            assert_eq!(tree.height(), 1, "{what}: the root did not collapse");
+            let (freed, arena) = (tree.free_nodes.len(), tree.node_count());
+            assert_eq!(freed, arena - 1, "{what}: emptied nodes not freed");
+            // Back up: freed slots are taken first, leaves and then inner
+            // nodes split again.
+            for _ in 0..2800 {
+                insert(&mut tree, &mut live);
+            }
+            assert!(tree.free_nodes.len() < freed, "{what}: no slot reused");
+            assert!(tree.node_count() >= arena && tree.height() >= 3, "{what}");
+            for _ in 0..500 {
+                match rng.below(2) {
+                    0 => insert(&mut tree, &mut live),
+                    _ => delete(&mut tree, &mut live, &mut rng),
+                }
+            }
+            tree.check_invariants();
+            assert_eq!(tree.len(), live.len());
+
+            let mut is_live = vec![false; ds.len()];
+            live.iter().for_each(|&id| is_live[id as usize] = true);
+            let expected = |q: &[f32]| {
+                let mut all = brute_force(&ds, q);
+                all.retain(|&(id, _)| is_live[id as usize]);
+                all
+            };
+            let twin = PmTree::from_parts(tree.to_parts()).expect("round trip");
+            assert!(
+                twin.node_count() < tree.node_count(),
+                "{what}: arena not renumbered"
+            );
+            let driven = drive_schedules(&tree, expected, &mut Rng::new(72), &what);
+            assert!(
+                driven.paid < 10 * entry_count(&tree),
+                "{what}: {}",
+                driven.paid
+            );
+            assert!(driven.paid > 0 && driven.abandoned > 0, "{what}");
+            for (copy, name) in [(tree.clone(), "clone"), (twin, "from_parts twin")] {
+                let what = format!("{what}, {name}");
+                let copied = drive_schedules(&copy, expected, &mut Rng::new(72), &what);
+                assert_eq!(copied, driven, "{what}");
             }
         }
     }

@@ -5,7 +5,12 @@
 //!
 //! * [`tree::PmTree`] — incremental construction with mM_RAD node splits and
 //!   per-entry hyper-ring (`HR`) maintenance; `num_pivots = 0` degrades to a
-//!   plain M-tree (used by the Fig. 6 parameter ablation).
+//!   plain M-tree (used by the Fig. 6 parameter ablation). A node is one
+//!   contiguous block (`block.rs`): its entries at a fixed stride in a
+//!   single allocation, each entry's Eq. 5 filter fields ahead of its
+//!   coordinates, a leaf entry's projected point inline — what a range
+//!   query reads, in the order it reads it. [`entry`] keeps the per-entry
+//!   structs as the export form of [`tree::PmTreeParts`].
 //! * [`bulk`] — `PmTree::build_parallel`, a parallel bulk loader that
 //!   partitions points by nearest global pivot, builds one subtree per
 //!   region concurrently and merges them; its output is identical for
@@ -27,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+pub(crate) mod block;
 pub mod bulk;
 pub mod cost;
 pub mod cursor;

@@ -1,21 +1,19 @@
 //! PM-tree construction: M-tree insertion with mM_RAD splits plus global
 //! pivot hyper-rings (Skopal et al., DASFAA'05; Section 4.1 of the paper).
+//!
+//! The arena is a `Vec` of node blocks (`block.rs`): every node is one
+//! allocation holding its entries at a fixed stride, leaf
+//! entries with their projected point inline. Insertion, splits, deletion
+//! and the validators all work on the blocks; the per-entry structs of
+//! [`crate::entry`] exist only in [`PmTreeParts`], the export form.
 
+use crate::block::{point_spans, InnerRef, Layout, LeafRef, Node};
 use crate::entry::{InnerEntry, LeafEntry, Ring};
 use crate::pivots::select_pivots;
 use crate::NodeId;
 use pm_lsh_metric::{euclidean, Dataset, MatrixView, PointId};
 use pm_lsh_stats::Rng;
 use std::collections::HashMap;
-
-/// A PM-tree node: either routing entries or point entries.
-#[derive(Clone, Debug)]
-pub(crate) enum Node {
-    /// Inner node holding routing entries.
-    Inner(Vec<InnerEntry>),
-    /// Leaf node holding point entries.
-    Leaf(Vec<LeafEntry>),
-}
 
 /// Construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -39,8 +37,9 @@ impl Default for PmTreeConfig {
     }
 }
 
-/// One node of a [`PmTreeParts`] snapshot: the public mirror of the
-/// private arena node, with children referring to *compacted* node ids.
+/// One node of a [`PmTreeParts`] snapshot: the private arena block taken
+/// apart into per-entry structs, with children referring to *compacted*
+/// node ids.
 #[derive(Clone, Debug)]
 pub enum RawNode {
     /// Inner node holding routing entries.
@@ -73,7 +72,9 @@ pub struct PmTreeParts {
     pub nodes: Vec<RawNode>,
     /// Root node id (into the compacted arena).
     pub root: NodeId,
-    /// Dense internal point store (projected points).
+    /// The projected points, row `i` being the point of internal row `i`
+    /// (inside the tree they live in their leaf entries; the export gathers
+    /// them).
     pub points: Dataset,
     /// Internal row -> external id.
     pub externals: Vec<PointId>,
@@ -85,10 +86,12 @@ pub struct PmTreeParts {
 
 /// A PM-tree over points in `R^dim` under the Euclidean distance.
 ///
-/// The tree owns a copy of every inserted point (60 bytes per point in the
-/// paper's m = 15 projected space), so callers may drop their own projected
-/// data after building. Point payloads are addressed by *internal* row
-/// while queries report the caller-supplied *external* [`PointId`].
+/// The tree owns a copy of every inserted point, inline in the point's leaf
+/// entry (92 bytes per entry in the paper's m = 15, s = 5 projected space:
+/// 60 of coordinates, 20 of pivot distances, 12 of ids and parent
+/// distance), so callers may drop their own projected data after building.
+/// The tree's id maps are addressed by *internal* row while queries report
+/// the caller-supplied *external* [`PointId`].
 #[derive(Clone, Debug)]
 pub struct PmTree {
     pub(crate) dim: usize,
@@ -96,7 +99,7 @@ pub struct PmTree {
     pub(crate) pivots: Vec<Box<[f32]>>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: NodeId,
-    pub(crate) points: Dataset,
+    /// Internal row -> external id.
     pub(crate) externals: Vec<PointId>,
     /// External id -> internal row, the lookup [`PmTree::delete`] starts
     /// from (and what makes duplicate external ids detectable at insert).
@@ -105,6 +108,9 @@ pub struct PmTree {
     pub(crate) leaf_of: Vec<NodeId>,
     /// Arena slots released by deletions, reused by the next allocation.
     pub(crate) free_nodes: Vec<NodeId>,
+    /// The pivot distances of the point being inserted; kept between
+    /// inserts so that none allocates for them.
+    pivot_dists: Vec<f32>,
     build_dist_computations: u64,
 }
 
@@ -125,14 +131,23 @@ impl PmTree {
             dim,
             cfg,
             pivots,
-            nodes: vec![Node::Leaf(Vec::new())],
+            nodes: vec![Node::empty()],
             root: 0,
-            points: Dataset::with_capacity(dim, 0),
             externals: Vec::new(),
             ext_index: HashMap::new(),
             leaf_of: Vec::new(),
             free_nodes: Vec::new(),
+            pivot_dists: Vec::new(),
             build_dist_computations: 0,
+        }
+    }
+
+    /// The shape of this tree's node entries.
+    #[inline]
+    pub(crate) fn layout(&self) -> Layout {
+        Layout {
+            dim: self.dim,
+            pivots: self.pivots.len(),
         }
     }
 
@@ -175,16 +190,12 @@ impl PmTree {
     /// Height of the tree (1 for a single leaf).
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node as usize] {
-                Node::Leaf(_) => return h,
-                Node::Inner(entries) => {
-                    node = entries[0].child;
-                    h += 1;
-                }
-            }
+        let mut node = &self.nodes[self.root as usize];
+        while !node.is_leaf() {
+            node = &self.nodes[node.inner_at(0, self.layout()).child as usize];
+            h += 1;
         }
+        h
     }
 
     /// Distance computations spent on inserts so far (preprocessing cost).
@@ -212,14 +223,12 @@ impl PmTree {
         // message (not inside the distance kernel) and without counting
         // distance computations it never really did.
         assert_eq!(vector.len(), self.dim, "point has wrong dimensionality");
-        let pd: Box<[f32]> = self
-            .pivots
-            .iter()
-            .map(|p| euclidean(vector, p))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let mut pd = std::mem::take(&mut self.pivot_dists);
+        pd.clear();
+        pd.extend(self.pivots.iter().map(|p| euclidean(vector, p)));
         self.build_dist_computations += self.pivots.len() as u64;
-        self.insert_with_pivot_dists(vector, external, pd);
+        self.insert_with_pivot_dists(vector, external, &pd);
+        self.pivot_dists = pd;
     }
 
     /// Inserts one point whose pivot distances are already known (the bulk
@@ -229,7 +238,7 @@ impl PmTree {
         &mut self,
         vector: &[f32],
         external: PointId,
-        pd: Box<[f32]>,
+        pd: &[f32],
     ) {
         assert_eq!(vector.len(), self.dim, "point has wrong dimensionality");
         debug_assert_eq!(pd.len(), self.pivots.len());
@@ -238,15 +247,13 @@ impl PmTree {
             !self.ext_index.contains_key(&external),
             "external id {external} is already indexed"
         );
-        self.points.push(vector);
         self.externals.push(external);
         self.ext_index.insert(external, internal);
         // Placeholder; insert_rec records the leaf that receives the entry.
         self.leaf_of.push(self.root);
 
-        if let Some((e1, e2)) = self.insert_rec(self.root, vector, internal, &pd, 0.0, None) {
-            let new_root = self.alloc(Node::Inner(vec![e1, e2]));
-            self.root = new_root;
+        if let Some(pair) = self.insert_rec(self.root, vector, internal, pd, 0.0, None) {
+            self.root = self.alloc(pair);
         }
     }
 
@@ -274,14 +281,15 @@ impl PmTree {
     /// Releases an arena slot for reuse, blanking it so a stale routing
     /// entry can never be traversed by mistake.
     fn free(&mut self, node: NodeId) {
-        self.nodes[node as usize] = Node::Leaf(Vec::new());
+        self.nodes[node as usize] = Node::empty();
         self.free_nodes.push(node);
     }
 
-    /// Recursive single-path insert. Returns the two replacement entries when
-    /// `node` split; `dist_to_node` is the distance from the new point to the
-    /// routing object of the entry pointing at `node` (0 at the root), and
-    /// `node_parent_center` that routing object's coordinates.
+    /// Recursive single-path insert. When `node` split, returns the two
+    /// replacement routing entries as a two-entry inner block (the new root,
+    /// if `node` was the root). `dist_to_node` is the distance from the new
+    /// point to the routing object of the entry pointing at `node` (0 at
+    /// the root), and `parent` says where that entry is: `(node, index)`.
     fn insert_rec(
         &mut self,
         node: NodeId,
@@ -289,247 +297,131 @@ impl PmTree {
         internal: u32,
         pd: &[f32],
         dist_to_node: f32,
-        node_parent_center: Option<&[f32]>,
-    ) -> Option<(InnerEntry, InnerEntry)> {
-        let is_leaf = matches!(self.nodes[node as usize], Node::Leaf(_));
-        if is_leaf {
-            let capacity = self.cfg.capacity;
-            let Node::Leaf(entries) = &mut self.nodes[node as usize] else {
-                unreachable!()
-            };
-            entries.push(LeafEntry {
-                internal,
-                external: self.externals[internal as usize],
+        parent: Option<(NodeId, usize)>,
+    ) -> Option<Node> {
+        let lay = self.layout();
+        let capacity = self.cfg.capacity;
+        if self.nodes[node as usize].is_leaf() {
+            let entry = LeafRef {
                 parent_dist: dist_to_node,
-                pivot_dists: pd.into(),
-            });
+                external: self.externals[internal as usize],
+                internal,
+                pivot_dists: pd,
+                point: vector,
+            };
+            self.nodes[node as usize].push_leaf(lay, entry);
             self.leaf_of[internal as usize] = node;
-            if entries.len() > capacity {
-                return Some(self.split_leaf(node));
-            }
-            return None;
+            let overflows = self.nodes[node as usize].len(lay) > capacity;
+            return overflows.then(|| self.split(node));
         }
 
-        let (best, center, child, d) = self.choose_subtree(node, vector, pd);
-        let split = self.insert_rec(child, vector, internal, pd, d, Some(&center));
-        if let Some((mut e1, mut e2)) = split {
-            if let Some(pc) = node_parent_center {
-                e1.parent_dist = euclidean(&e1.center, pc);
-                e2.parent_dist = euclidean(&e2.center, pc);
-                self.build_dist_computations += 2;
-            }
-            let capacity = self.cfg.capacity;
-            let Node::Inner(entries) = &mut self.nodes[node as usize] else {
-                unreachable!()
-            };
-            entries[best] = e1;
-            entries.push(e2);
-            if entries.len() > capacity {
-                return Some(self.split_inner(node));
-            }
+        let (best, child, d) = self.choose_subtree(node, vector, pd);
+        let pair = self.insert_rec(child, vector, internal, pd, d, Some((node, best)))?;
+        let mut parent_dists = [0.0f32; 2];
+        if let Some((up, idx)) = parent {
+            let center = self.nodes[up as usize].inner_at(idx, lay).center;
+            parent_dists = [0, 1].map(|half| euclidean(pair.coords(half, lay), center));
+            self.build_dist_computations += 2;
         }
-        None
+        let entries = &mut self.nodes[node as usize];
+        entries.replace_from(best, lay, &pair, 0, parent_dists[0]);
+        entries.push_from(lay, &pair, 1, parent_dists[1]);
+        let overflows = entries.len(lay) > capacity;
+        overflows.then(|| self.split(node))
     }
 
     /// Picks the routing entry of `node` for the new point: prefer the
     /// closest entry already covering the point; otherwise minimize radius
-    /// enlargement. Updates the chosen entry's radius and rings on the way.
-    fn choose_subtree(
-        &mut self,
-        node: NodeId,
-        vector: &[f32],
-        pd: &[f32],
-    ) -> (usize, Vec<f32>, NodeId, f32) {
-        let Node::Inner(entries) = &mut self.nodes[node as usize] else {
-            unreachable!("choose_subtree on a leaf")
-        };
-        let dists: Vec<f32> = entries
-            .iter()
-            .map(|e| euclidean(vector, &e.center))
-            .collect();
-        self.build_dist_computations += entries.len() as u64;
+    /// enlargement. Updates the chosen entry's radius and rings on the way
+    /// and returns its index, its child and the point's distance to its
+    /// center.
+    fn choose_subtree(&mut self, node: NodeId, vector: &[f32], pd: &[f32]) -> (usize, NodeId, f32) {
+        let lay = self.layout();
+        let entries = &mut self.nodes[node as usize];
+        self.build_dist_computations += entries.len(lay) as u64;
 
-        let mut best = usize::MAX;
+        // (index, child, distance to its center) of the best entry so far.
+        let mut best = (usize::MAX, 0, 0.0f32);
         let mut best_key = f32::INFINITY;
         let mut covered = false;
-        for (i, e) in entries.iter().enumerate() {
-            let d = dists[i];
+        for (i, e) in entries.inners(lay).enumerate() {
+            let d = euclidean(vector, e.center);
             if d <= e.radius {
                 if !covered || d < best_key {
                     covered = true;
-                    best = i;
+                    best = (i, e.child, d);
                     best_key = d;
                 }
             } else if !covered {
                 let enlarge = d - e.radius;
                 if enlarge < best_key {
-                    best = i;
+                    best = (i, e.child, d);
                     best_key = enlarge;
                 }
             }
         }
-        debug_assert!(best != usize::MAX);
+        debug_assert!(best.0 != usize::MAX);
 
-        let e = &mut entries[best];
-        let d = dists[best];
-        if d > e.radius {
-            e.radius = d;
-        }
-        for (ring, &p) in e.rings.iter_mut().zip(pd) {
-            ring.include(p);
-        }
-        (best, e.center.to_vec(), e.child, d)
+        entries.cover(best.0, lay, best.2, point_spans(pd));
+        best
     }
 
-    /// Splits an overflowing leaf node; returns the two replacement routing
-    /// entries (their `parent_dist` is filled in by the caller).
-    fn split_leaf(&mut self, node: NodeId) -> (InnerEntry, InnerEntry) {
-        let entries = {
-            let Node::Leaf(entries) = &mut self.nodes[node as usize] else {
-                unreachable!()
-            };
-            std::mem::take(entries)
-        };
-        let n = entries.len();
+    /// Splits the overflowing `node`, leaf or inner, in two by mM_RAD:
+    /// `node` keeps the first group, a newly allocated node takes the
+    /// second. Returns their two routing entries (parent distance 0, for
+    /// the caller to fill in) as a two-entry inner block.
+    fn split(&mut self, node: NodeId) -> Node {
+        let lay = self.layout();
+        let full = std::mem::replace(&mut self.nodes[node as usize], Node::empty());
+        let leaf = full.is_leaf();
+        let n = full.len(lay);
         debug_assert!(n >= 2);
 
-        // Pairwise distance matrix between member points.
+        // Pairwise distances between the members' points / routing objects.
         let mut dmat = vec![0.0f32; n * n];
         for i in 0..n {
             for j in i + 1..n {
-                let d = euclidean(
-                    self.points.point(entries[i].internal as usize),
-                    self.points.point(entries[j].internal as usize),
-                );
+                let d = euclidean(full.coords(i, lay), full.coords(j, lay));
                 dmat[i * n + j] = d;
                 dmat[j * n + i] = d;
             }
         }
         self.build_dist_computations += (n * (n - 1) / 2) as u64;
 
-        let (pi, pj, assign) = promote_mm_rad(n, &dmat, |_k| 0.0);
-        let c1: Box<[f32]> = self.points.point(entries[pi].internal as usize).into();
-        let c2: Box<[f32]> = self.points.point(entries[pj].internal as usize).into();
-
-        let (mut g1, mut g2) = (Vec::new(), Vec::new());
-        let (mut r1, mut r2) = (0.0f32, 0.0f32);
-        let s = self.pivots.len();
-        let (mut rings1, mut rings2) = (vec![Ring::EMPTY; s], vec![Ring::EMPTY; s]);
-        for (k, mut e) in entries.into_iter().enumerate() {
-            if assign[k] {
-                e.parent_dist = dmat[k * n + pi];
-                r1 = r1.max(e.parent_dist);
-                for (ring, &p) in rings1.iter_mut().zip(e.pivot_dists.iter()) {
-                    ring.include(p);
-                }
-                g1.push(e);
+        // A routing member reaches its own covering radius beyond its center.
+        let own_radius = |k: usize| {
+            if leaf {
+                0.0
             } else {
-                e.parent_dist = dmat[k * n + pj];
-                r2 = r2.max(e.parent_dist);
-                for (ring, &p) in rings2.iter_mut().zip(e.pivot_dists.iter()) {
-                    ring.include(p);
-                }
-                g2.push(e);
+                full.inner_at(k, lay).radius
             }
-        }
-
-        for e in &g1 {
-            self.leaf_of[e.internal as usize] = node;
-        }
-        self.nodes[node as usize] = Node::Leaf(g1);
-        let new_node = self.alloc(Node::Leaf(g2));
-        let Node::Leaf(moved) = &self.nodes[new_node as usize] else {
-            unreachable!()
         };
-        for e in moved {
-            self.leaf_of[e.internal as usize] = new_node;
-        }
+        let (pi, pj, assign) = promote_mm_rad(n, &dmat, own_radius);
+        let promoted = [pi, pj];
+        let firsts = assign.iter().filter(|&&first| first).count();
+        let mut halves = [firsts, n - firsts].map(|len| Node::with_capacity(leaf, len, lay));
+        let ids = [node, self.alloc(Node::empty())];
 
-        (
-            InnerEntry {
-                center: c1,
-                radius: r1,
-                parent_dist: 0.0,
-                child: node,
-                rings: rings1.into_boxed_slice(),
-            },
-            InnerEntry {
-                center: c2,
-                radius: r2,
-                parent_dist: 0.0,
-                child: new_node,
-                rings: rings2.into_boxed_slice(),
-            },
-        )
-    }
-
-    /// Splits an overflowing inner node.
-    fn split_inner(&mut self, node: NodeId) -> (InnerEntry, InnerEntry) {
-        let entries = {
-            let Node::Inner(entries) = &mut self.nodes[node as usize] else {
-                unreachable!()
-            };
-            std::mem::take(entries)
-        };
-        let n = entries.len();
-        debug_assert!(n >= 2);
-
-        let mut dmat = vec![0.0f32; n * n];
-        for i in 0..n {
-            for j in i + 1..n {
-                let d = euclidean(&entries[i].center, &entries[j].center);
-                dmat[i * n + j] = d;
-                dmat[j * n + i] = d;
-            }
-        }
-        self.build_dist_computations += (n * (n - 1) / 2) as u64;
-
-        let (pi, pj, assign) = promote_mm_rad(n, &dmat, |k| entries[k].radius);
-
-        let c1: Box<[f32]> = entries[pi].center.clone();
-        let c2: Box<[f32]> = entries[pj].center.clone();
-
-        let (mut g1, mut g2) = (Vec::new(), Vec::new());
-        let (mut r1, mut r2) = (0.0f32, 0.0f32);
-        let s = self.pivots.len();
-        let (mut rings1, mut rings2) = (vec![Ring::EMPTY; s], vec![Ring::EMPTY; s]);
-        for (k, mut e) in entries.into_iter().enumerate() {
-            if assign[k] {
-                e.parent_dist = dmat[k * n + pi];
-                r1 = r1.max(e.parent_dist + e.radius);
-                for (ring, &er) in rings1.iter_mut().zip(e.rings.iter()) {
-                    ring.merge(er);
-                }
-                g1.push(e);
+        let mut pair = Node::with_capacity(false, 2, lay);
+        pair.push_routing(lay, ids[0], full.coords(pi, lay));
+        pair.push_routing(lay, ids[1], full.coords(pj, lay));
+        for k in 0..n {
+            let half = usize::from(!assign[k]);
+            let parent_dist = dmat[k * n + promoted[half]];
+            halves[half].push_from(lay, &full, k, parent_dist);
+            if leaf {
+                let e = full.leaf_at(k, lay);
+                self.leaf_of[e.internal as usize] = ids[half];
+                pair.cover(half, lay, parent_dist, point_spans(e.pivot_dists));
             } else {
-                e.parent_dist = dmat[k * n + pj];
-                r2 = r2.max(e.parent_dist + e.radius);
-                for (ring, &er) in rings2.iter_mut().zip(e.rings.iter()) {
-                    ring.merge(er);
-                }
-                g2.push(e);
+                let e = full.inner_at(k, lay);
+                pair.cover(half, lay, parent_dist + e.radius, e.spans());
             }
         }
-
-        self.nodes[node as usize] = Node::Inner(g1);
-        let new_node = self.alloc(Node::Inner(g2));
-
-        (
-            InnerEntry {
-                center: c1,
-                radius: r1,
-                parent_dist: 0.0,
-                child: node,
-                rings: rings1.into_boxed_slice(),
-            },
-            InnerEntry {
-                center: c2,
-                radius: r2,
-                parent_dist: 0.0,
-                child: new_node,
-                rings: rings2.into_boxed_slice(),
-            },
-        )
+        for (id, half) in ids.into_iter().zip(halves) {
+            self.nodes[id as usize] = half;
+        }
+        pair
     }
 
     /// Removes the point with external id `external`; `false` when no such
@@ -540,8 +432,9 @@ impl PmTree {
     /// (recursively — a routing entry never points at an empty subtree), a
     /// root left with a single routing entry collapses into its child, and
     /// the freed arena slots go on a free list the next allocation reuses.
-    /// The internal point store stays dense via swap-removal, so memory
-    /// tracks the live point count.
+    /// The internal rows stay dense (the last row takes the freed number)
+    /// and the leaf's block gives back the room of the entry it lost, so
+    /// memory tracks the live point count.
     ///
     /// Covering radii and hyper-rings of the surviving ancestors are *not*
     /// shrunk: they remain correct upper/outer bounds (every remaining
@@ -555,28 +448,26 @@ impl PmTree {
         let Some(&internal) = self.ext_index.get(&external) else {
             return false;
         };
+        let lay = self.layout();
         let leaf = self.leaf_of[internal as usize];
         // The prune path is only needed when this removal empties the
         // leaf; don't pay the DFS for the overwhelmingly common case.
-        let will_empty = matches!(&self.nodes[leaf as usize], Node::Leaf(e) if e.len() == 1);
+        let will_empty = self.nodes[leaf as usize].len(lay) == 1;
         let path = if will_empty {
             self.path_to(leaf)
         } else {
             Vec::new()
         };
-        let Node::Leaf(entries) = &mut self.nodes[leaf as usize] else {
-            unreachable!("leaf_of points at an inner node")
-        };
-        let pos = entries
-            .iter()
+        let entries = &mut self.nodes[leaf as usize];
+        let pos = (entries.leaves(lay))
             .position(|e| e.internal == internal)
             .expect("leaf_of points at the holding leaf");
-        entries.remove(pos);
-        if entries.is_empty() {
+        entries.remove(pos, lay);
+        if will_empty {
             self.prune(leaf, path);
         }
         self.ext_index.remove(&external);
-        self.compact_point_store(internal);
+        self.compact_rows(internal);
         true
     }
 
@@ -592,10 +483,11 @@ impl PmTree {
     }
 
     fn dfs_path(&self, node: NodeId, target: NodeId, path: &mut Vec<(NodeId, usize)>) -> bool {
-        let Node::Inner(entries) = &self.nodes[node as usize] else {
+        let entries = &self.nodes[node as usize];
+        if entries.is_leaf() {
             return false;
-        };
-        for (i, e) in entries.iter().enumerate() {
+        }
+        for (i, e) in entries.inners(self.layout()).enumerate() {
             path.push((node, i));
             if e.child == target || self.dfs_path(e.child, target, path) {
                 return true;
@@ -610,18 +502,17 @@ impl PmTree {
     /// emptied *root* is normalized back to the empty-leaf state
     /// [`PmTree::new`] starts from.
     fn prune(&mut self, mut node: NodeId, mut path: Vec<(NodeId, usize)>) {
+        let lay = self.layout();
         loop {
             let Some((parent, idx)) = path.pop() else {
                 // The whole tree emptied out.
-                self.nodes[node as usize] = Node::Leaf(Vec::new());
+                self.nodes[node as usize] = Node::empty();
                 return;
             };
             self.free(node);
-            let Node::Inner(entries) = &mut self.nodes[parent as usize] else {
-                unreachable!("path holds a leaf as a parent")
-            };
-            entries.remove(idx);
-            if !entries.is_empty() {
+            let entries = &mut self.nodes[parent as usize];
+            entries.remove(idx, lay);
+            if entries.len(lay) > 0 {
                 break;
             }
             node = parent;
@@ -634,38 +525,37 @@ impl PmTree {
     /// entries' `parent_dist` is ignored by both the cursor and the
     /// invariant checker, so no distances need recomputing.
     fn collapse_root(&mut self) {
-        while let Node::Inner(entries) = &self.nodes[self.root as usize] {
-            if entries.len() != 1 {
+        let lay = self.layout();
+        loop {
+            let root = &self.nodes[self.root as usize];
+            if root.is_leaf() || root.len(lay) != 1 {
                 break;
             }
-            let child = entries[0].child;
+            let child = root.inner_at(0, lay).child;
             self.free(self.root);
             self.root = child;
         }
     }
 
-    /// Keeps the internal point store dense after the removal of row
-    /// `internal`: the last row moves into the hole (leaf entry, external
-    /// map and leaf map rewritten to match) and every buffer shrinks by
-    /// one. The *deleted* entry is already gone from its leaf, so scanning
-    /// for the moved row's entry is unambiguous.
-    fn compact_point_store(&mut self, internal: u32) {
+    /// Keeps the internal rows dense after the removal of row `internal`:
+    /// the last row takes its number (leaf entry, external map and leaf map
+    /// rewritten to match) and both maps shrink by one. The *deleted* entry
+    /// is already gone from its leaf, so scanning for the renumbered row's
+    /// entry is unambiguous. No point moves: each lives in its leaf entry.
+    fn compact_rows(&mut self, internal: u32) {
+        let lay = self.layout();
         let last = (self.externals.len() - 1) as u32;
-        self.points.swap_remove(internal as usize);
         if internal != last {
             let moved_external = self.externals[last as usize];
             self.externals[internal as usize] = moved_external;
             self.ext_index.insert(moved_external, internal);
             let moved_leaf = self.leaf_of[last as usize];
             self.leaf_of[internal as usize] = moved_leaf;
-            let Node::Leaf(entries) = &mut self.nodes[moved_leaf as usize] else {
-                unreachable!("leaf_of points at an inner node")
-            };
-            let entry = entries
-                .iter_mut()
-                .find(|e| e.internal == last)
+            let entries = &mut self.nodes[moved_leaf as usize];
+            let pos = (entries.leaves(lay))
+                .position(|e| e.internal == last)
                 .expect("leaf_of points at the holding leaf");
-            entry.internal = internal;
+            entries.set_internal(pos, lay, internal);
         }
         self.externals.pop();
         self.leaf_of.pop();
@@ -689,22 +579,34 @@ impl PmTree {
                 next += 1;
             }
         }
+        let lay = self.layout();
         let mut nodes = Vec::with_capacity(next as usize);
+        let mut points = vec![0.0f32; self.len() * self.dim];
         for (id, node) in self.nodes.iter().enumerate() {
             if free[id] {
                 continue;
             }
-            nodes.push(match node {
-                Node::Inner(es) => RawNode::Inner(
-                    es.iter()
-                        .map(|e| {
-                            let mut e = e.clone();
-                            e.child = remap[e.child as usize];
-                            e
-                        })
-                        .collect(),
-                ),
-                Node::Leaf(es) => RawNode::Leaf(es.clone()),
+            nodes.push(if node.is_leaf() {
+                let export = |e: LeafRef<'_>| {
+                    let row = e.internal as usize * self.dim;
+                    points[row..row + self.dim].copy_from_slice(e.point);
+                    LeafEntry {
+                        internal: e.internal,
+                        external: e.external,
+                        parent_dist: e.parent_dist,
+                        pivot_dists: e.pivot_dists.into(),
+                    }
+                };
+                RawNode::Leaf(node.leaves(lay).map(export).collect())
+            } else {
+                let export = |e: InnerRef<'_>| InnerEntry {
+                    center: e.center.into(),
+                    radius: e.radius,
+                    parent_dist: e.parent_dist,
+                    child: remap[e.child as usize],
+                    rings: e.spans().map(|(min, max)| Ring { min, max }).collect(),
+                };
+                RawNode::Inner(node.inners(lay).map(export).collect())
             });
         }
         PmTreeParts {
@@ -713,16 +615,18 @@ impl PmTree {
             pivots: self.pivots.clone(),
             nodes,
             root: remap[self.root as usize],
-            points: self.points.clone(),
+            points: Dataset::from_flat(points, self.dim),
             externals: self.externals.clone(),
             leaf_of: self.leaf_of.iter().map(|&l| remap[l as usize]).collect(),
             build_dist_computations: self.build_dist_computations,
         }
     }
 
-    /// Reassembles a tree from exported parts, rebuilding the id map by
-    /// inverting `externals` and starting with an empty free list (the
-    /// exported arena is compacted). The result is validated with
+    /// Reassembles a tree from exported parts, packing every node into its
+    /// block (each leaf entry takes its point out of `points`), rebuilding
+    /// the id map by inverting `externals` and starting with an empty free
+    /// list (the exported arena is compacted). Entries that do not have the
+    /// tree's shape are refused here, and the result is validated with
     /// [`PmTree::verify_structure`] before it is returned, so corrupted
     /// or internally inconsistent parts come back as `Err`, never as a
     /// tree that panics later.
@@ -740,61 +644,127 @@ impl PmTree {
                 parts.cfg.num_pivots
             ));
         }
-        let mut ext_index = HashMap::with_capacity(parts.externals.len());
+        let n = parts.externals.len();
+        if n != parts.points.len() {
+            return Err(format!(
+                "{n} external ids but {} stored points",
+                parts.points.len()
+            ));
+        }
+        if !parts.points.is_empty() && parts.points.dim() != parts.dim {
+            return Err(format!(
+                "point store in R^{}, tree in R^{}",
+                parts.points.dim(),
+                parts.dim
+            ));
+        }
+        let mut ext_index = HashMap::with_capacity(n);
         for (internal, &external) in parts.externals.iter().enumerate() {
             if ext_index.insert(external, internal as u32).is_some() {
                 return Err(format!("external id {external} appears twice"));
             }
         }
+        let lay = Layout {
+            dim: parts.dim,
+            pivots: parts.pivots.len(),
+        };
+        let mut nodes = Vec::with_capacity(parts.nodes.len());
+        let mut rings = Vec::with_capacity(2 * lay.pivots);
+        // Each node is taken apart as it is packed, so its boxes are free
+        // again before the next block is allocated.
+        for raw in parts.nodes {
+            nodes.push(match raw {
+                RawNode::Leaf(entries) => {
+                    let mut node = Node::with_capacity(true, entries.len(), lay);
+                    for e in &entries {
+                        if e.internal as usize >= n {
+                            return Err(format!(
+                                "leaf row {} outside the {n}-point store",
+                                e.internal
+                            ));
+                        }
+                        if e.pivot_dists.len() != lay.pivots {
+                            return Err(format!(
+                                "{} pivot distances on a leaf entry, {} pivots",
+                                e.pivot_dists.len(),
+                                lay.pivots
+                            ));
+                        }
+                        node.push_leaf(
+                            lay,
+                            LeafRef {
+                                parent_dist: e.parent_dist,
+                                external: e.external,
+                                internal: e.internal,
+                                pivot_dists: &e.pivot_dists,
+                                point: parts.points.point(e.internal as usize),
+                            },
+                        );
+                    }
+                    node
+                }
+                RawNode::Inner(entries) => {
+                    let mut node = Node::with_capacity(false, entries.len(), lay);
+                    for e in &entries {
+                        if e.center.len() != lay.dim {
+                            return Err(format!(
+                                "routing center in R^{}, tree in R^{}",
+                                e.center.len(),
+                                lay.dim
+                            ));
+                        }
+                        if e.rings.len() != lay.pivots {
+                            return Err(format!(
+                                "{} rings on a routing entry, {} pivots",
+                                e.rings.len(),
+                                lay.pivots
+                            ));
+                        }
+                        rings.clear();
+                        rings.extend(e.rings.iter().flat_map(|ring| [ring.min, ring.max]));
+                        node.push_inner(
+                            lay,
+                            InnerRef {
+                                parent_dist: e.parent_dist,
+                                radius: e.radius,
+                                child: e.child,
+                                rings: &rings,
+                                center: &e.center,
+                            },
+                        );
+                    }
+                    node
+                }
+            });
+        }
         let tree = Self {
             dim: parts.dim,
             cfg: parts.cfg,
             pivots: parts.pivots,
-            nodes: parts
-                .nodes
-                .into_iter()
-                .map(|n| match n {
-                    RawNode::Inner(es) => Node::Inner(es),
-                    RawNode::Leaf(es) => Node::Leaf(es),
-                })
-                .collect(),
+            nodes,
             root: parts.root,
-            points: parts.points,
             externals: parts.externals,
             ext_index,
             leaf_of: parts.leaf_of,
             free_nodes: Vec::new(),
+            pivot_dists: Vec::new(),
             build_dist_computations: parts.build_dist_computations,
         };
         tree.verify_structure()?;
         Ok(tree)
     }
 
-    /// Validates the *structural* invariants only — index ranges, map
-    /// consistency, arena reachability — without recomputing a single
-    /// distance. This is the cheap load-time check snapshot restoration
+    /// Validates the *structural* invariants only — whole-entry blocks,
+    /// node fill, index ranges, map consistency, arena reachability —
+    /// without recomputing a single distance. This is the cheap load-time check snapshot restoration
     /// runs ([`PmTree::verify_invariants`] adds the O(n · height)
     /// geometric audit on top; checksums already guard against bit-rot,
     /// structure checks guard against panics and out-of-bounds access).
     pub fn verify_structure(&self) -> Result<(), String> {
         let n = self.externals.len();
-        if n != self.points.len() {
-            return Err(format!(
-                "{} external ids but {} stored points",
-                n,
-                self.points.len()
-            ));
-        }
-        if !self.points.is_empty() && self.points.dim() != self.dim {
-            return Err(format!(
-                "point store in R^{}, tree in R^{}",
-                self.points.dim(),
-                self.dim
-            ));
-        }
         if self.leaf_of.len() != n {
             return Err(format!(
-                "leaf map covers {} rows, point store holds {n}",
+                "leaf map covers {} rows, the tree holds {n}",
                 self.leaf_of.len()
             ));
         }
@@ -816,7 +786,7 @@ impl PmTree {
                 return Err(format!("pivot in R^{}, tree in R^{}", p.len(), self.dim));
             }
         }
-        let s = self.pivots.len();
+        let lay = self.layout();
         if self.root as usize >= self.nodes.len() {
             return Err(format!(
                 "root {} outside the {}-node arena",
@@ -832,66 +802,58 @@ impl PmTree {
                 return Err(format!("node {node} reachable through two parents"));
             }
             reached[node as usize] = true;
-            match &self.nodes[node as usize] {
-                Node::Inner(entries) => {
-                    if entries.is_empty() {
-                        return Err("inner node with no entries".into());
-                    }
-                    for e in entries {
-                        if e.center.len() != self.dim {
-                            return Err(format!(
-                                "routing center in R^{}, tree in R^{}",
-                                e.center.len(),
-                                self.dim
-                            ));
-                        }
-                        if e.rings.len() != s {
-                            return Err(format!(
-                                "{} rings on a routing entry, {s} pivots",
-                                e.rings.len()
-                            ));
-                        }
-                        if e.child as usize >= self.nodes.len() {
-                            return Err(format!(
-                                "child {} outside the {}-node arena",
-                                e.child,
-                                self.nodes.len()
-                            ));
-                        }
-                        stack.push(e.child);
-                    }
+            let entries = &self.nodes[node as usize];
+            let (words, stride) = (entries.extent().0, entries.stride(lay));
+            if words % stride != 0 {
+                return Err(format!(
+                    "node {node} holds {words} words, not a whole number of {stride}-word entries"
+                ));
+            }
+            if entries.len(lay) > self.cfg.capacity {
+                return Err(format!(
+                    "node {node} holds {} entries, capacity is {}",
+                    entries.len(lay),
+                    self.cfg.capacity
+                ));
+            }
+            if !entries.is_leaf() {
+                if entries.len(lay) == 0 {
+                    return Err("inner node with no entries".into());
                 }
-                Node::Leaf(entries) => {
-                    for e in entries {
-                        if e.internal as usize >= n {
-                            return Err(format!(
-                                "leaf row {} outside the {n}-point store",
-                                e.internal
-                            ));
-                        }
-                        if e.pivot_dists.len() != s {
-                            return Err(format!(
-                                "{} pivot distances on a leaf entry, {s} pivots",
-                                e.pivot_dists.len()
-                            ));
-                        }
-                        if seen[e.internal as usize] {
-                            return Err(format!("point {} reachable twice", e.internal));
-                        }
-                        seen[e.internal as usize] = true;
-                        if self.leaf_of[e.internal as usize] != node {
-                            return Err(format!(
-                                "leaf map sends row {} to node {}, found in node {node}",
-                                e.internal, self.leaf_of[e.internal as usize]
-                            ));
-                        }
-                        if e.external != self.externals[e.internal as usize] {
-                            return Err(format!(
-                                "leaf entry for row {} carries external {} (store says {})",
-                                e.internal, e.external, self.externals[e.internal as usize]
-                            ));
-                        }
+                for e in entries.inners(lay) {
+                    if e.child as usize >= self.nodes.len() {
+                        return Err(format!(
+                            "child {} outside the {}-node arena",
+                            e.child,
+                            self.nodes.len()
+                        ));
                     }
+                    stack.push(e.child);
+                }
+                continue;
+            }
+            for e in entries.leaves(lay) {
+                if e.internal as usize >= n {
+                    return Err(format!(
+                        "leaf row {} outside the {n} rows of the tree",
+                        e.internal
+                    ));
+                }
+                if seen[e.internal as usize] {
+                    return Err(format!("point {} reachable twice", e.internal));
+                }
+                seen[e.internal as usize] = true;
+                if self.leaf_of[e.internal as usize] != node {
+                    return Err(format!(
+                        "leaf map sends row {} to node {}, found in node {node}",
+                        e.internal, self.leaf_of[e.internal as usize]
+                    ));
+                }
+                if e.external != self.externals[e.internal as usize] {
+                    return Err(format!(
+                        "leaf entry for row {} carries external {} (store says {})",
+                        e.internal, e.external, self.externals[e.internal as usize]
+                    ));
                 }
             }
         }
@@ -949,72 +911,63 @@ impl PmTree {
     /// freely, so only call it on a tree `verify_structure` accepted.
     fn verify_geometry(&self, node: NodeId, parent_center: Option<&[f32]>) -> Result<(), String> {
         const EPS: f32 = 1e-3;
-        match &self.nodes[node as usize] {
-            Node::Leaf(entries) => {
-                for e in entries {
-                    let p = self.points.point(e.internal as usize);
-                    if let Some(pc) = parent_center {
-                        let d = euclidean(p, pc);
-                        if (d - e.parent_dist).abs() > EPS * (1.0 + d) {
+        let lay = self.layout();
+        let entries = &self.nodes[node as usize];
+        if entries.is_leaf() {
+            for e in entries.leaves(lay) {
+                if let Some(pc) = parent_center {
+                    let d = euclidean(e.point, pc);
+                    if (d - e.parent_dist).abs() > EPS * (1.0 + d) {
+                        return Err(format!(
+                            "leaf parent_dist {} != {} for point {}",
+                            e.parent_dist, d, e.internal
+                        ));
+                    }
+                }
+                for (i, (&pd, pivot)) in e.pivot_dists.iter().zip(&self.pivots).enumerate() {
+                    let d = euclidean(e.point, pivot);
+                    if (d - pd).abs() > EPS * (1.0 + d) {
+                        return Err(format!("leaf pivot_dist[{i}] stale for {}", e.internal));
+                    }
+                }
+            }
+            return Ok(());
+        }
+        for e in entries.inners(lay) {
+            if let Some(pc) = parent_center {
+                let d = euclidean(e.center, pc);
+                if (d - e.parent_dist).abs() > EPS * (1.0 + d) {
+                    return Err(format!("inner parent_dist {} != {d}", e.parent_dist));
+                }
+            }
+            // every point below must respect radius and rings
+            let mut stack = vec![e.child];
+            while let Some(nid) = stack.pop() {
+                let below = &self.nodes[nid as usize];
+                if !below.is_leaf() {
+                    stack.extend(below.inners(lay).map(|c| c.child));
+                    continue;
+                }
+                for l in below.leaves(lay) {
+                    let d = euclidean(l.point, e.center);
+                    if d > e.radius + EPS * (1.0 + d) {
+                        return Err(format!(
+                            "point {} at {d} outside radius {}",
+                            l.internal, e.radius
+                        ));
+                    }
+                    for (ri, ((min, max), &pd)) in e.spans().zip(l.pivot_dists).enumerate() {
+                        if pd < min - EPS || pd > max + EPS {
                             return Err(format!(
-                                "leaf parent_dist {} != {} for point {}",
-                                e.parent_dist, d, e.internal
+                                "pivot dist {pd} outside ring {ri} [{min}, {max}]"
                             ));
                         }
                     }
-                    for (i, (&pd, pivot)) in
-                        e.pivot_dists.iter().zip(self.pivots.iter()).enumerate()
-                    {
-                        let d = euclidean(p, pivot);
-                        if (d - pd).abs() > EPS * (1.0 + d) {
-                            return Err(format!("leaf pivot_dist[{i}] stale for {}", e.internal));
-                        }
-                    }
                 }
-                Ok(())
             }
-            Node::Inner(entries) => {
-                for e in entries {
-                    if let Some(pc) = parent_center {
-                        let d = euclidean(&e.center, pc);
-                        if (d - e.parent_dist).abs() > EPS * (1.0 + d) {
-                            return Err(format!("inner parent_dist {} != {d}", e.parent_dist));
-                        }
-                    }
-                    // every point below must respect radius and rings
-                    let mut stack = vec![e.child];
-                    while let Some(nid) = stack.pop() {
-                        match &self.nodes[nid as usize] {
-                            Node::Inner(es) => stack.extend(es.iter().map(|c| c.child)),
-                            Node::Leaf(ls) => {
-                                for l in ls {
-                                    let p = self.points.point(l.internal as usize);
-                                    let d = euclidean(p, &e.center);
-                                    if d > e.radius + EPS * (1.0 + d) {
-                                        return Err(format!(
-                                            "point {} at {d} outside radius {}",
-                                            l.internal, e.radius
-                                        ));
-                                    }
-                                    for (ri, (ring, &pd)) in
-                                        e.rings.iter().zip(l.pivot_dists.iter()).enumerate()
-                                    {
-                                        if pd < ring.min - EPS || pd > ring.max + EPS {
-                                            return Err(format!(
-                                                "pivot dist {pd} outside ring {ri} [{}, {}]",
-                                                ring.min, ring.max
-                                            ));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    self.verify_geometry(e.child, Some(&e.center))?;
-                }
-                Ok(())
-            }
+            self.verify_geometry(e.child, Some(e.center))?;
         }
+        Ok(())
     }
 }
 
@@ -1105,21 +1058,169 @@ mod tests {
     /// and panic instead.
     #[test]
     fn validators_reject_corruption_instead_of_panicking() {
-        let mut bad_child = two_level_tree();
-        let arena = bad_child.nodes.len() as NodeId;
-        let root = bad_child.root as usize;
-        let Node::Inner(entries) = &mut bad_child.nodes[root] else {
-            unreachable!("height >= 2")
+        let rejected = |bad: &PmTree, needle: &str| {
+            let structure = bad.verify_structure().unwrap_err();
+            assert!(structure.contains(needle), "{structure}");
+            assert_eq!(bad.verify_invariants().unwrap_err(), structure);
         };
-        entries[0].child = arena + 7;
-        let structure = bad_child.verify_structure().unwrap_err();
-        assert!(structure.contains("outside the"), "{structure}");
-        assert_eq!(bad_child.verify_invariants().unwrap_err(), structure);
+        let good = two_level_tree();
+        let lay = good.layout();
+        let arena = good.nodes.len() as NodeId;
+        let root = good.root as usize;
+        let a_leaf = good.leaf_of[0] as usize;
 
-        let mut bad_leaf_map = two_level_tree();
+        let mut bad_child = good.clone();
+        // Word 2 of a routing entry is its child.
+        bad_child.nodes[root].words_mut()[2] = f32::from_bits(arena + 7);
+        rejected(&bad_child, "outside the");
+
+        let mut bad_leaf_map = good.clone();
         bad_leaf_map.leaf_of[3] = arena + 7;
-        let structure = bad_leaf_map.verify_structure().unwrap_err();
-        assert!(structure.contains("leaf map sends row 3"), "{structure}");
-        assert_eq!(bad_leaf_map.verify_invariants().unwrap_err(), structure);
+        rejected(&bad_leaf_map, "leaf map sends row 3");
+
+        // The block invariants: a whole number of entries of the tree's
+        // stride, at most `capacity` of them, at least one routing entry.
+        for node in [root, a_leaf] {
+            let mut ragged = good.clone();
+            ragged.nodes[node].words_mut().pop();
+            rejected(&ragged, "not a whole number of");
+        }
+        let mut wrong_stride = good.clone();
+        wrong_stride.pivots.pop();
+        wrong_stride.cfg.num_pivots -= 1;
+        rejected(&wrong_stride, "not a whole number of");
+        for node in [root, a_leaf] {
+            let mut overfull = good.clone();
+            let one = overfull.nodes[node].clone();
+            while overfull.nodes[node].len(lay) <= good.cfg.capacity {
+                overfull.nodes[node].push_from(lay, &one, 0, 0.0);
+            }
+            rejected(&overfull, "entries, capacity is 16");
+        }
+        let mut hollow = good.clone();
+        hollow.nodes[root].words_mut().clear();
+        rejected(&hollow, "inner node with no entries");
+    }
+
+    /// `from_parts` packs entries into fixed-stride blocks, so it must
+    /// refuse — not slice-panic on — parts whose entries do not have the
+    /// tree's shape or whose nodes could not have been built.
+    #[test]
+    fn from_parts_rejects_parts_that_do_not_fit_the_blocks() {
+        let good = two_level_tree().to_parts();
+        PmTree::from_parts(good.clone()).expect("untouched parts load");
+        let rejected = |bad: PmTreeParts, needle: &str| {
+            let err = PmTree::from_parts(bad).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        };
+        let is_leaf = |n: &RawNode| matches!(n, RawNode::Leaf(_));
+        let leaf_at = good.nodes.iter().position(is_leaf).unwrap();
+        let inner_at = good.nodes.iter().position(|n| !is_leaf(n)).unwrap();
+        let with_leaf = |edit: &dyn Fn(&mut Vec<LeafEntry>)| {
+            let mut bad = good.clone();
+            let RawNode::Leaf(entries) = &mut bad.nodes[leaf_at] else {
+                unreachable!()
+            };
+            edit(entries);
+            bad
+        };
+        let with_inner = |edit: &dyn Fn(&mut Vec<InnerEntry>)| {
+            let mut bad = good.clone();
+            let RawNode::Inner(entries) = &mut bad.nodes[inner_at] else {
+                unreachable!()
+            };
+            edit(entries);
+            bad
+        };
+
+        rejected(
+            with_leaf(&|es| es[0].pivot_dists = vec![0.0; 4].into()),
+            "4 pivot distances on a leaf entry, 5 pivots",
+        );
+        rejected(
+            with_leaf(&|es| es[0].internal = 120),
+            "leaf row 120 outside the 120-point store",
+        );
+        rejected(
+            with_leaf(&|es| es.extend(vec![es[0].clone(); 17])),
+            "entries, capacity is 16",
+        );
+        rejected(
+            with_inner(&|es| es[0].center = vec![0.0; 5].into()),
+            "routing center in R^5, tree in R^4",
+        );
+        // One center a coordinate short and the next one long: the block
+        // would still be a whole number of entries.
+        rejected(
+            with_inner(&|es| {
+                es[0].center = vec![0.0; 3].into();
+                es[1].center = vec![0.0; 5].into();
+            }),
+            "routing center in R^3, tree in R^4",
+        );
+        rejected(
+            with_inner(&|es| es[0].rings = vec![es[0].rings[0]; 6].into()),
+            "6 rings on a routing entry, 5 pivots",
+        );
+        rejected(
+            with_inner(&|es| es.extend(vec![es[0].clone(); 17])),
+            "entries, capacity is 16",
+        );
+        rejected(with_inner(&|es| es.clear()), "inner node with no entries");
+        let mut short = good.clone();
+        short.points = Dataset::from_flat(good.points.as_flat()[4..].to_vec(), 4);
+        rejected(short, "120 external ids but 119 stored points");
+        let mut flat = good.clone();
+        flat.points = Dataset::from_flat(good.points.as_flat().to_vec(), 2);
+        flat.externals.extend(120..240);
+        flat.leaf_of.extend(good.leaf_of.clone());
+        rejected(flat, "point store in R^2, tree in R^4");
+    }
+
+    fn block_words(tree: &PmTree) -> (usize, usize) {
+        (tree.nodes.iter().map(Node::extent))
+            .fold((0, 0), |(l, c), (len, capacity)| (l + len, c + capacity))
+    }
+
+    /// The growth policy of [`crate::block`] leaves a block room for at
+    /// most a quarter more entries than it holds, so the whole arena never
+    /// carries more than 25 % of slack — what keeps the index's resident
+    /// set where per-entry boxes had it. Copies carry none.
+    #[test]
+    fn blocks_carry_at_most_a_quarter_of_slack() {
+        let mut rng = Rng::new(31);
+        let mut ds = Dataset::with_capacity(15, 5000);
+        let mut buf = [0.0f32; 15];
+        for _ in 0..5000 {
+            rng.fill_normal(&mut buf);
+            ds.push(&buf);
+        }
+        let first = MatrixView::new(&ds.as_flat()[..3000 * 15], 15);
+        let check = |tree: &PmTree, when: &str| {
+            let (len, capacity) = block_words(tree);
+            assert!(len >= tree.len() * tree.layout().stride(true), "{when}");
+            assert!(
+                capacity * 4 <= len * 5,
+                "{when}: {capacity} words for {len}"
+            );
+            assert_eq!(block_words(&tree.clone()), (len, len), "{when}");
+        };
+        let mut tree = PmTree::build(first, PmTreeConfig::default(), &mut rng);
+        check(&tree, "after build");
+        let bulk = PmTree::build_parallel(first, PmTreeConfig::default(), &mut rng, 2);
+        check(&bulk, "after bulk load");
+        let mut live: Vec<PointId> = (0..3000).collect();
+        for next in 3000..5000 {
+            tree.insert(ds.point(next), next as PointId);
+            live.push(next as PointId);
+            for _ in 0..rng.below(3) {
+                let victim = live.swap_remove(rng.below(live.len()));
+                assert!(tree.delete(victim));
+            }
+        }
+        assert!(!tree.free_nodes.is_empty() && tree.len() > 2000);
+        check(&tree, "after churn");
+        let twin = PmTree::from_parts(tree.to_parts()).expect("round trip");
+        assert_eq!(block_words(&twin).0, block_words(&twin).1);
     }
 }

@@ -63,11 +63,10 @@ const OPCODE_NAMES: [(&str, &str); 5] = [
 ];
 
 /// ARCHITECTURE.md layout-table section names → `SEC_*` constants.
-const SECTION_NAMES: [(&str, &str); 8] = [
+const SECTION_NAMES: [(&str, &str); 7] = [
     ("HEADER", "SEC_HEADER"),
     ("PROJ", "SEC_PROJ"),
     ("DATA", "SEC_DATA"),
-    ("PROJ_POINTS", "SEC_PROJ_POINTS"),
     ("PIVOTS", "SEC_PIVOTS"),
     ("NODES", "SEC_NODES"),
     ("IDMAPS", "SEC_IDMAPS"),
@@ -624,9 +623,9 @@ mod tests {
     );
     const FORMAT: &str = concat!(
         "pub const MAGIC: [u8; 8] = *b\"PMLSHSNP\";\n",
-        "pub const FORMAT_VERSION: u32 = 1;\n",
+        "pub const FORMAT_VERSION: u32 = 2;\n",
         "const SEC_HEADER: u32 = 1;\nconst SEC_PROJ: u32 = 2;\nconst SEC_DATA: u32 = 3;\n",
-        "const SEC_PROJ_POINTS: u32 = 4;\nconst SEC_PIVOTS: u32 = 5;\nconst SEC_NODES: u32 = 6;\n",
+        "const SEC_PIVOTS: u32 = 5;\nconst SEC_NODES: u32 = 6;\n",
         "const SEC_IDMAPS: u32 = 7;\nconst SEC_ECDF: u32 = 8;\n",
     );
     const MANIFEST: &str = "pub const MANIFEST_MAGIC: [u8; 8] = *b\"PMLSHMAN\";\n";
@@ -654,11 +653,11 @@ mod tests {
 
     fn good_architecture() -> String {
         concat!(
-            "The file layout (format version 1): magic \"PMLSHSNP\",\n",
+            "The file layout (format version 2): magic \"PMLSHSNP\",\n",
             "manifest magic \"PMLSHMAN\".\n",
             "| id | section | payload |\n|---|---|---|\n",
             "| 1 | HEADER | params |\n| 2 | PROJ | matrix |\n| 3 | DATA | rows |\n",
-            "| 4 | PROJ_POINTS | proj |\n| 5 | PIVOTS | pivots |\n| 6 | NODES | arena |\n",
+            "| 5 | PIVOTS | pivots |\n| 6 | NODES | arena |\n",
             "| 7 | IDMAPS | maps |\n| 8 | ECDF | samples |\n",
         )
         .to_string()
@@ -671,7 +670,7 @@ mod tests {
         assert_eq!(c.line_cap, (512, 64, 32));
         assert_eq!(c.magic, "PMLSHSNP");
         assert_eq!(c.manifest_magic, "PMLSHMAN");
-        assert_eq!(c.sections.len(), 8);
+        assert_eq!(c.sections.len(), 7);
         assert_eq!(c.opcodes[0], ("OP_QUERY", 1));
         assert_eq!(c.batch_max_ops, 4096);
         assert_eq!(c.batch_ok_prefix, "OK applied=");

@@ -129,32 +129,13 @@ impl Dataset {
         MatrixView::new(&self.data, self.dim)
     }
 
-    /// Appends every point of `view` in order (one flat copy, used by the
-    /// PM-tree bulk loader when splicing subtree point stores together).
+    /// Appends every point of `view` in order (one flat copy).
     ///
     /// # Panics
     /// Panics if `view.dim() != self.dim()`.
     pub fn extend_from_view(&mut self, view: MatrixView<'_>) {
         assert_eq!(view.dim(), self.dim, "view has wrong dimensionality");
         self.data.extend_from_slice(view.as_flat());
-    }
-
-    /// Removes point `i` by moving the last point into its row and
-    /// truncating — O(dim), no shifting. The caller owns the id remap
-    /// (the PM-tree rewrites the one leaf entry referencing the moved
-    /// row); every other row keeps its index.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.len()`.
-    pub fn swap_remove(&mut self, i: usize) {
-        let n = self.len();
-        assert!(i < n, "swap_remove index {i} out of bounds (len {n})");
-        let last = n - 1;
-        if i != last {
-            let (head, tail) = self.data.split_at_mut(last * self.dim);
-            head[i * self.dim..(i + 1) * self.dim].copy_from_slice(&tail[..self.dim]);
-        }
-        self.data.truncate(last * self.dim);
     }
 
     /// Copies the selected points (in the given order) into a new dataset.
@@ -199,28 +180,6 @@ mod tests {
         let sub = ds.gather(&[3, 1]);
         assert_eq!(sub.point(0), &[3.0]);
         assert_eq!(sub.point(1), &[1.0]);
-    }
-
-    #[test]
-    fn swap_remove_moves_last_row_and_truncates() {
-        let mut ds = Dataset::from_rows(vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 2.0]]);
-        ds.swap_remove(0);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds.point(0), &[2.0, 2.0]);
-        assert_eq!(ds.point(1), &[1.0, 1.0]);
-        // Removing the last row is a pure truncation.
-        ds.swap_remove(1);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds.point(0), &[2.0, 2.0]);
-        ds.swap_remove(0);
-        assert!(ds.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn swap_remove_rejects_out_of_range() {
-        let mut ds = Dataset::from_rows(vec![vec![1.0]]);
-        ds.swap_remove(1);
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The `.pmlsh` byte format: [`serialize`] and [`deserialize`].
 //!
-//! Everything is little-endian. The file is `MAGIC | version u32 | eight
+//! Everything is little-endian. The file is `MAGIC | version u32 | seven
 //! sections | whole-file crc32 u32`, each section being `id u32 |
 //! payload_len u64 | payload | crc32(payload) u32`. Sections appear in this
-//! fixed order:
+//! fixed order (id 4, format 1's separate projected points, is retired):
 //!
 //! | id | name        | payload                                                        |
 //! |----|-------------|----------------------------------------------------------------|
 //! | 1  | HEADER      | dimensions, counts and build parameters (see below)            |
 //! | 2  | PROJ        | Gaussian projection matrix, `m·d` f32 row-major                |
 //! | 3  | DATA        | raw point store, `n_rows·d` f32 (tombstoned rows included)     |
-//! | 4  | PROJ_POINTS | projected live points, `live·m` f32                            |
 //! | 5  | PIVOTS      | the `s` global pivots, `s·m` f32                               |
-//! | 6  | NODES       | compacted PM-tree arena, variable-length records               |
+//! | 6  | NODES       | compacted PM-tree arena, one block of words per node           |
 //! | 7  | IDMAPS      | `live` external ids (u32) then `live` holding-leaf ids (u32)   |
 //! | 8  | ECDF        | sampled distance distribution, `ecdf_len` f64 ascending        |
 //!
@@ -21,18 +20,18 @@
 //! capacity u64, pivot_sample u64, distance_samples u64, seed u64,
 //! build_dist_computations u64, node_count u64, root u32, ecdf_len u64`.
 //!
-//! NODES payload, per node: `tag u8` (0 = leaf, 1 = inner),
-//! `entry_count u32`, then the entries. An inner entry is `center m·f32,
-//! radius f32, parent_dist f32, child u32, rings s·(min f32, max f32)`; a
-//! leaf entry is `internal u32, external u32, parent_dist f32,
-//! pivot_dists s·f32`.
+//! NODES payload, per node: `tag u8` (0 = leaf, 1 = inner), `word_count
+//! u32`, then the node's block, `word_count` f32 words exactly as the
+//! PM-tree lays them out ([`PmTreeParts`]; ids are bit patterns, children
+//! compacted node ids). This module never learns an entry's stride: whether
+//! the words fit the tree is `PmTree::from_parts`' call.
 
 use std::sync::Arc;
 
 use pm_lsh_core::{PmLsh, PmLshParams};
 use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::Dataset;
-use pm_lsh_pmtree::{InnerEntry, LeafEntry, PmTree, PmTreeConfig, PmTreeParts, RawNode, Ring};
+use pm_lsh_pmtree::{PmTree, PmTreeConfig, PmTreeParts, RawNode};
 use pm_lsh_stats::{chi2_cdf, chi2_upper_quantile, Ecdf};
 
 use crate::crc::crc32;
@@ -42,26 +41,18 @@ use crate::PersistError;
 pub const MAGIC: [u8; 8] = *b"PMLSHSNP";
 
 /// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const SEC_HEADER: u32 = 1;
 const SEC_PROJ: u32 = 2;
 const SEC_DATA: u32 = 3;
-const SEC_PROJ_POINTS: u32 = 4;
 const SEC_PIVOTS: u32 = 5;
 const SEC_NODES: u32 = 6;
 const SEC_IDMAPS: u32 = 7;
 const SEC_ECDF: u32 = 8;
 
-const SECTION_ORDER: [u32; 8] = [
-    SEC_HEADER,
-    SEC_PROJ,
-    SEC_DATA,
-    SEC_PROJ_POINTS,
-    SEC_PIVOTS,
-    SEC_NODES,
-    SEC_IDMAPS,
-    SEC_ECDF,
+const SECTION_ORDER: [u32; 7] = [
+    SEC_HEADER, SEC_PROJ, SEC_DATA, SEC_PIVOTS, SEC_NODES, SEC_IDMAPS, SEC_ECDF,
 ];
 
 // ---------------------------------------------------------------------------
@@ -73,10 +64,6 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -136,9 +123,6 @@ pub fn serialize(index: &PmLsh) -> Vec<u8> {
     let mut raw = Vec::new();
     put_f32s(&mut raw, data.as_flat());
 
-    let mut proj_points = Vec::new();
-    put_f32s(&mut proj_points, parts.points.as_flat());
-
     let mut pivots = Vec::new();
     for p in &parts.pivots {
         put_f32s(&mut pivots, p);
@@ -146,32 +130,9 @@ pub fn serialize(index: &PmLsh) -> Vec<u8> {
 
     let mut nodes = Vec::new();
     for node in &parts.nodes {
-        match node {
-            RawNode::Leaf(entries) => {
-                nodes.push(0u8);
-                put_u32(&mut nodes, entries.len() as u32);
-                for e in entries {
-                    put_u32(&mut nodes, e.internal);
-                    put_u32(&mut nodes, e.external);
-                    put_f32(&mut nodes, e.parent_dist);
-                    put_f32s(&mut nodes, &e.pivot_dists);
-                }
-            }
-            RawNode::Inner(entries) => {
-                nodes.push(1u8);
-                put_u32(&mut nodes, entries.len() as u32);
-                for e in entries {
-                    put_f32s(&mut nodes, &e.center);
-                    put_f32(&mut nodes, e.radius);
-                    put_f32(&mut nodes, e.parent_dist);
-                    put_u32(&mut nodes, e.child);
-                    for ring in e.rings.iter() {
-                        put_f32(&mut nodes, ring.min);
-                        put_f32(&mut nodes, ring.max);
-                    }
-                }
-            }
-        }
+        nodes.push(u8::from(!node.leaf));
+        put_u32(&mut nodes, node.words.len() as u32);
+        put_f32s(&mut nodes, &node.words);
     }
 
     let mut idmaps = Vec::with_capacity(live * 8);
@@ -191,19 +152,17 @@ pub fn serialize(index: &PmLsh) -> Vec<u8> {
         32 + header.len()
             + proj.len()
             + raw.len()
-            + proj_points.len()
             + pivots.len()
             + nodes.len()
             + idmaps.len()
             + ecdf_bytes.len()
-            + 8 * 16,
+            + 7 * 16,
     );
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, FORMAT_VERSION);
     put_section(&mut out, SEC_HEADER, &header);
     put_section(&mut out, SEC_PROJ, &proj);
     put_section(&mut out, SEC_DATA, &raw);
-    put_section(&mut out, SEC_PROJ_POINTS, &proj_points);
     put_section(&mut out, SEC_PIVOTS, &pivots);
     put_section(&mut out, SEC_NODES, &nodes);
     put_section(&mut out, SEC_IDMAPS, &idmaps);
@@ -252,10 +211,6 @@ impl<'a> ByteReader<'a> {
 
     fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, PersistError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     fn f64(&mut self) -> Result<f64, PersistError> {
@@ -448,63 +403,21 @@ fn f32s_exact(payload: &[u8], count: usize, what: &str) -> Result<Vec<f32>, Pers
         .collect())
 }
 
-fn parse_nodes(payload: &[u8], h: &Header) -> Result<Vec<RawNode>, PersistError> {
+fn parse_nodes(payload: &[u8], node_count: usize) -> Result<Vec<RawNode>, PersistError> {
     let mut r = ByteReader::new(payload);
-    let mut nodes = Vec::with_capacity(h.node_count.min(payload.len()));
-    let leaf_entry_size = 4 + 4 + 4 + h.s * 4;
-    let inner_entry_size = h.m * 4 + 4 + 4 + 4 + h.s * 8;
-    for _ in 0..h.node_count {
-        let tag = r.u8()?;
-        let count = r.u32()? as usize;
-        let node = match tag {
-            0 => {
-                if count.saturating_mul(leaf_entry_size) > r.remaining() {
-                    return Err(PersistError::Truncated);
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let internal = r.u32()?;
-                    let external = r.u32()?;
-                    let parent_dist = r.f32()?;
-                    let pivot_dists = r.f32s(h.s)?.into_boxed_slice();
-                    entries.push(LeafEntry {
-                        internal,
-                        external,
-                        parent_dist,
-                        pivot_dists,
-                    });
-                }
-                RawNode::Leaf(entries)
-            }
-            1 => {
-                if count.saturating_mul(inner_entry_size) > r.remaining() {
-                    return Err(PersistError::Truncated);
-                }
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let center = r.f32s(h.m)?.into_boxed_slice();
-                    let radius = r.f32()?;
-                    let parent_dist = r.f32()?;
-                    let child = r.u32()?;
-                    let mut rings = Vec::with_capacity(h.s);
-                    for _ in 0..h.s {
-                        let min = r.f32()?;
-                        let max = r.f32()?;
-                        rings.push(Ring { min, max });
-                    }
-                    entries.push(InnerEntry {
-                        center,
-                        radius,
-                        parent_dist,
-                        child,
-                        rings: rings.into_boxed_slice(),
-                    });
-                }
-                RawNode::Inner(entries)
-            }
+    // A record is at least its 5-byte tag and word count.
+    let mut nodes = Vec::with_capacity(node_count.min(payload.len() / 5));
+    for _ in 0..node_count {
+        let leaf = match r.u8()? {
+            0 => true,
+            1 => false,
             other => return Err(corrupt(format!("unknown node tag {other}"))),
         };
-        nodes.push(node);
+        let word_count = r.u32()? as usize;
+        // `f32s` takes the bytes before it allocates: a hostile count
+        // fails as `Truncated` without reserving what it declares.
+        let words = r.f32s(word_count)?;
+        nodes.push(RawNode { leaf, words });
     }
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes in node section"));
@@ -537,7 +450,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
     }
 
     let mut r = ByteReader::new(&bytes[12..body_end]);
-    let mut sections: [&[u8]; 8] = [&[]; 8];
+    let mut sections: [&[u8]; 7] = [&[]; 7];
     for (slot, &expected_id) in sections.iter_mut().zip(&SECTION_ORDER) {
         let id = r.u32()?;
         if id != expected_id {
@@ -561,11 +474,10 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
 
     let coeffs = f32s_exact(sections[1], counted(h.m, h.d)?, "projection matrix")?;
     let raw = f32s_exact(sections[2], counted(h.n_rows, h.d)?, "point store")?;
-    let proj_points = f32s_exact(sections[3], counted(h.live, h.m)?, "projected points")?;
-    let pivot_flat = f32s_exact(sections[4], counted(h.s, h.m)?, "pivots")?;
-    let nodes = parse_nodes(sections[5], &h)?;
+    let pivot_flat = f32s_exact(sections[3], counted(h.s, h.m)?, "pivots")?;
+    let nodes = parse_nodes(sections[4], h.node_count)?;
 
-    let idmaps = sized_section(sections[6], h.live, 8, "id maps")?;
+    let idmaps = sized_section(sections[5], h.live, 8, "id maps")?;
     let mut externals = Vec::with_capacity(h.live);
     let mut leaf_of = Vec::with_capacity(h.live);
     {
@@ -578,7 +490,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
         }
     }
 
-    let ecdf_bytes = sized_section(sections[7], h.ecdf_len, 8, "distance distribution")?;
+    let ecdf_bytes = sized_section(sections[6], h.ecdf_len, 8, "distance distribution")?;
     let mut ecdf_samples = Vec::with_capacity(h.ecdf_len);
     {
         let mut r = ByteReader::new(ecdf_bytes);
@@ -602,7 +514,6 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
         pivots,
         nodes,
         root: h.root,
-        points: Dataset::from_flat(proj_points, h.m),
         externals,
         leaf_of,
         build_dist_computations: h.build_dist_computations,

@@ -1,34 +1,36 @@
 //! Persistent `.pmlsh` index snapshots.
 //!
 //! This crate defines a versioned, little-endian on-disk format for a fully
-//! built [`PmLsh`] index — projection matrix, raw point store, projected
-//! points, PM-tree node arena and id maps — so a serving process can restart
-//! and answer queries *bit-identically* to the index it saved, without
-//! re-deriving hashes or rebuilding the tree. Every section carries a CRC-32
-//! and the file as a whole carries one more, so torn writes and bit rot are
-//! detected at load time instead of surfacing as wrong answers.
+//! built [`PmLsh`] index — projection matrix, raw point store, PM-tree node
+//! blocks and id maps — so a serving process can restart and answer queries
+//! *bit-identically* to the index it saved, without re-deriving hashes or
+//! rebuilding the tree. Every section carries a CRC-32 and the file as a
+//! whole carries one more, so torn writes and bit rot are detected at load
+//! time instead of surfacing as wrong answers.
 //!
-//! # File layout (format version 1)
+//! # File layout (format version 2)
 //!
 //! ```text
 //! magic      8 bytes   b"PMLSHSNP"
-//! version    u32 LE    1
-//! section ×8           fixed order: HEADER, PROJ, DATA, PROJ_POINTS,
-//!                      PIVOTS, NODES, IDMAPS, ECDF
+//! version    u32 LE    2
+//! section ×7           fixed order: HEADER, PROJ, DATA, PIVOTS, NODES,
+//!                      IDMAPS, ECDF
 //! file crc   u32 LE    CRC-32 of every preceding byte
 //! ```
 //!
 //! Each section is `id: u32 | payload_len: u64 | payload | crc32(payload):
 //! u32`, all little-endian. The full byte layout of each payload is
 //! documented in [`mod@format`]. The layout is fixed-offset within each section,
-//! so a future version can memory-map the large arrays in place.
+//! so a future version can memory-map the large arrays in place. Format 1
+//! (projected points in a section of their own) is refused with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! # What round-trips, what is recomputed
 //!
 //! Stored: user parameters, the Gaussian projection matrix, the raw dataset
 //! (including tombstoned rows — external ids are stable row indexes), the
-//! projected live points, the free-list-compacted PM-tree and the sampled
-//! distance distribution. Recomputed at load: the Eq. 10 derived parameters,
+//! free-list-compacted PM-tree — its node blocks as they are, projected
+//! points inline in the leaves — and the sampled distance distribution. Recomputed at load: the Eq. 10 derived parameters,
 //! a deterministic function of the stored ones (`r_min` is computed per
 //! query from the stored distribution) — which is what makes
 //! save→load→query parity *bitwise*, down to the `QueryStats` counters.

@@ -7,6 +7,10 @@ use pm_lsh_core::{PmLsh, PmLshParams};
 use pm_lsh_data::{PaperDataset, Scale};
 use pm_lsh_persist::{crc32, deserialize, serialize, PersistError, FORMAT_VERSION, MAGIC};
 
+/// The ids of the seven format-2 sections, in file order (4 is retired).
+const SECTIONS: [u32; 7] = [1, 2, 3, 5, 6, 7, 8];
+const SEC_NODES: u32 = 6;
+
 fn snapshot() -> Vec<u8> {
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
     let index = PmLsh::build(generator.dataset(), PmLshParams::paper_defaults());
@@ -39,6 +43,44 @@ fn resign(bytes: &mut [u8]) {
     }
     let crc = crc32(&bytes[..body_end]);
     bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One NODES record: the node's tag and its block's words as bit patterns.
+type Record = (u8, Vec<u32>);
+
+fn node_records(bytes: &[u8]) -> Vec<Record> {
+    let (start, len) = section_bounds(bytes, SEC_NODES);
+    let mut payload = &bytes[start..start + len];
+    let mut records = Vec::new();
+    while !payload.is_empty() {
+        let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
+        let (record, rest) = payload.split_at(5 + 4 * count);
+        let words = record[5..].chunks_exact(4);
+        let words = words.map(|w| u32::from_le_bytes(w.try_into().unwrap()));
+        records.push((record[0], words.collect()));
+        payload = rest;
+    }
+    records
+}
+
+/// `bytes` with its NODES payload re-encoded from `records` (the section
+/// length follows) and every checksum re-signed.
+fn with_node_records(bytes: &[u8], records: &[Record]) -> Vec<u8> {
+    let (start, len) = section_bounds(bytes, SEC_NODES);
+    let mut payload = Vec::new();
+    for (tag, words) in records {
+        payload.push(*tag);
+        payload.extend_from_slice(&(words.len() as u32).to_le_bytes());
+        words
+            .iter()
+            .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
+    }
+    let mut out = bytes[..start - 8].to_vec();
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&bytes[start + len..]);
+    resign(&mut out);
+    out
 }
 
 /// Recomputes only the whole-file CRC, leaving section CRCs untouched.
@@ -91,6 +133,21 @@ fn future_version_is_rejected() {
 }
 
 #[test]
+fn format_1_is_refused_by_its_version() {
+    // Format 1 kept the projected points apart from their leaf entries;
+    // this build has no reader for it, by design.
+    let mut old = snapshot();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    resign(&mut old);
+    let err = deserialize(&old).unwrap_err();
+    assert!(
+        matches!(err, PersistError::UnsupportedVersion(1)),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("this build reads 2"), "{err}");
+}
+
+#[test]
 fn bit_flip_fails_the_file_checksum() {
     let good = snapshot();
     // Flip one bit in a spread of positions; all must fail CRC (or the
@@ -115,7 +172,7 @@ fn bit_flip_fails_the_file_checksum() {
 #[test]
 fn bit_flip_in_each_section_fails_its_section_checksum() {
     let good = snapshot();
-    for section in 1u32..=8 {
+    for section in SECTIONS {
         let (start, len) = section_bounds(&good, section);
         assert!(len > 0, "section {section} is empty");
         let mut bad = good.clone();
@@ -183,6 +240,68 @@ fn hostile_header_values_never_panic() {
             }
         }
     }
+}
+
+#[test]
+fn hostile_node_blocks_are_errors_not_panics() {
+    let good = snapshot();
+    let index = deserialize(&good).expect("untouched snapshot loads");
+    let tree = index.tree();
+    let (m, s, capacity) = (
+        tree.dim(),
+        tree.pivots().len(),
+        index.params().tree.capacity,
+    );
+    let (live, arena) = (tree.len() as u32, tree.node_count() as u32);
+    let records = node_records(&good);
+    assert_eq!(with_node_records(&good, &records), good);
+    let leaf = records.iter().position(|r| r.0 == 0).unwrap();
+    let inner = records.iter().position(|r| r.0 == 1).unwrap();
+    let leaf_stride = 3 + s + m;
+    let rejected = |edit: &dyn Fn(&mut Vec<Record>), needle: &str| {
+        let mut bad = records.clone();
+        edit(&mut bad);
+        match deserialize(&with_node_records(&good, &bad)) {
+            Err(PersistError::Corrupt(why)) => assert!(why.contains(needle), "{why}"),
+            other => panic!("expected Corrupt({needle}), got {other:?}"),
+        }
+    };
+
+    rejected(&|r| r[leaf].0 = 2, "unknown node tag 2");
+    rejected(
+        &|r| {
+            r[leaf].1.pop();
+        },
+        "not a whole number of",
+    );
+    // Word 2 of a routing entry is its child, of a leaf entry its internal
+    // row; word 1 of a leaf entry is its external id.
+    rejected(
+        &|r| r[inner].1[2] = arena,
+        &format!("child {arena} outside the {arena}-node arena"),
+    );
+    rejected(
+        &|r| r[leaf].1[2] = live,
+        &format!("leaf row {live} outside the {live} rows"),
+    );
+    rejected(&|r| r[leaf].1[1] ^= 1, "carries external");
+    rejected(
+        &|r| {
+            let first = r[leaf].1[..leaf_stride].to_vec();
+            while r[leaf].1.len() <= capacity * leaf_stride {
+                r[leaf].1.extend_from_slice(&first);
+            }
+        },
+        &format!("entries, capacity is {capacity}"),
+    );
+
+    // A word count no payload can hold is refused by the length check
+    // that precedes the read, before anything of its size is allocated.
+    let (nodes, _) = section_bounds(&good, SEC_NODES);
+    let mut huge = good.clone();
+    huge[nodes + 1..nodes + 5].copy_from_slice(&u32::MAX.to_le_bytes());
+    resign(&mut huge);
+    assert!(matches!(deserialize(&huge), Err(PersistError::Truncated)));
 }
 
 #[test]

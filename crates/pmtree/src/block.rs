@@ -29,8 +29,11 @@
 //! will then hold and a block that lost entries gives the excess back, so a
 //! block never holds room for more than `len + len / 4` entries; cloned and
 //! split blocks are exact.
+//!
+//! A snapshot stores the blocks as they are ([`Node::export`] /
+//! `From<RawNode>`), so this module alone decides the layout.
 
-use crate::entry::Ring;
+use crate::tree::RawNode;
 use crate::NodeId;
 use pm_lsh_metric::PointId;
 
@@ -66,6 +69,16 @@ impl Layout {
 /// Most entries a block holding `entries` may have room for.
 fn room(entries: usize) -> usize {
     entries + entries / 4
+}
+
+/// Lower bound on `d(q, x)` for any `x` whose distance to a pivot lies in
+/// the ring `[min, max]`, given the distance `qp` from the query to that
+/// pivot (triangle inequality both ways). At most `r` exactly when the
+/// ball of radius `r` around the query meets the ring — the two ring
+/// conditions of Eq. 5.
+#[inline]
+fn ring_lower_bound(min: f32, max: f32, qp: f32) -> f32 {
+    (qp - max).max(min - qp).max(0.0)
 }
 
 /// What a point at pivot distances `pivot_dists` spans for [`Node::cover`]:
@@ -117,7 +130,7 @@ impl<'a> InnerRef<'a> {
     pub fn ring_lower_bound(&self, qp_dists: &[f32]) -> f32 {
         let mut lb = 0.0f32;
         for ((min, max), &qp) in self.spans().zip(qp_dists) {
-            let b = Ring { min, max }.lower_bound(qp);
+            let b = ring_lower_bound(min, max, qp);
             if b > lb {
                 lb = b;
             }
@@ -218,6 +231,21 @@ impl Node {
         (self.words.len(), self.words.capacity())
     }
 
+    /// The block as a snapshot stores it: one exact copy of its words, the
+    /// child of every routing entry renumbered through `remap`.
+    pub fn export(&self, lay: Layout, remap: &[NodeId]) -> RawNode {
+        let mut words = self.words.clone();
+        if !self.leaf {
+            for e in words.chunks_exact_mut(lay.stride(false)) {
+                e[LINK] = f32::from_bits(remap[e[LINK].to_bits() as usize]);
+            }
+        }
+        RawNode {
+            leaf: self.leaf,
+            words,
+        }
+    }
+
     /// The block's words as bit patterns (ids are not comparable as floats).
     #[cfg(test)]
     pub fn bits(&self) -> Vec<u32> {
@@ -297,19 +325,6 @@ impl Node {
             .extend_from_slice(&[e.parent_dist, external, internal]);
         self.words.extend_from_slice(e.pivot_dists);
         self.words.extend_from_slice(e.point);
-    }
-
-    /// Appends a routing entry.
-    pub fn push_inner(&mut self, lay: Layout, e: InnerRef<'_>) {
-        debug_assert!(!self.leaf);
-        assert_eq!(e.rings.len(), 2 * lay.pivots, "one ring per pivot");
-        assert_eq!(e.center.len(), lay.dim, "center has wrong dimensionality");
-        self.grow(lay);
-        let child = f32::from_bits(e.child);
-        self.words
-            .extend_from_slice(&[e.parent_dist, e.radius, child]);
-        self.words.extend_from_slice(e.rings);
-        self.words.extend_from_slice(e.center);
     }
 
     /// Appends a routing entry for `child` around `center` that covers
@@ -412,11 +427,32 @@ impl Node {
     }
 }
 
+/// Takes a snapshot's block in as it is, by move: whether its words fit
+/// the tree is for `PmTree::verify_structure` to say.
+impl From<RawNode> for Node {
+    fn from(raw: RawNode) -> Self {
+        Self {
+            leaf: raw.leaf,
+            words: raw.words,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const LAY: Layout = Layout { dim: 3, pivots: 2 };
+
+    #[test]
+    fn ring_lower_bound_cases() {
+        // query's pivot distance inside the ring [2, 5]: bound is 0
+        assert_eq!(ring_lower_bound(2.0, 5.0, 3.0), 0.0);
+        // query closer to pivot than the ring: min - qp
+        assert_eq!(ring_lower_bound(2.0, 5.0, 0.5), 1.5);
+        // query farther than the ring: qp - max
+        assert_eq!(ring_lower_bound(2.0, 5.0, 7.0), 2.0);
+    }
 
     fn leaf_entry<'a>(internal: u32, pivot_dists: &'a [f32], point: &'a [f32]) -> LeafRef<'a> {
         LeafRef {
@@ -465,7 +501,7 @@ mod tests {
         // Quiet and signalling NaN patterns, infinities, ±0, the extremes:
         // an id is moved, never computed with, so every bit comes back —
         // through a push, a copy into another block, a clone, a removal
-        // next to it.
+        // next to it, an export and the move back in.
         let ids = [
             0u32,
             1,
@@ -489,8 +525,8 @@ mod tests {
         }
         moved.replace_from(0, LAY, &leaf, 0, 9.0);
         let mut routed = Node::with_capacity(false, 0, LAY);
-        for e in inner.inners(LAY) {
-            routed.push_inner(LAY, e);
+        for idx in 0..ids.len() {
+            routed.push_from(LAY, &inner, idx, 0.0);
         }
         leaf.remove(1, LAY);
         leaf.push_leaf(LAY, leaf_entry(1, &[1.0, 2.0], &[3.0, 4.0, 5.0]));
@@ -500,6 +536,7 @@ mod tests {
         let got: Vec<u32> = leaf.clone().leaves(LAY).map(|e| e.internal).collect();
         assert_eq!(got, want);
         assert!(leaf.leaves(LAY).all(|e| e.external == !e.internal));
+        assert_eq!(Node::from(leaf.export(LAY, &[])).bits(), leaf.bits());
         let got: Vec<u32> = moved.leaves(LAY).map(|e| e.internal).collect();
         assert_eq!(got, ids);
         assert!(moved.leaves(LAY).all(|e| e.parent_dist == 9.0));

@@ -604,8 +604,8 @@ mod tests {
         // removals that shrink one, leaf and inner splits, emptied leaves,
         // a root collapse, freed arena slots taken up again — and on its
         // two copies: `clone()` (block for block) and `from_parts(to_parts())`
-        // (every entry unpacked, the arena renumbered, every entry packed
-        // again). All three must yield and count alike. External id = row
+        // (the arena renumbered, every block copied out and moved back in).
+        // All three must yield and count alike. External id = row
         // of `ds`, never reused; `live` says which rows are indexed.
         for num_pivots in [5, 0] {
             let what = format!("churned, s = {num_pivots}");

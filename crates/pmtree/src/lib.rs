@@ -9,8 +9,9 @@
 //!   contiguous block (`block.rs`): its entries at a fixed stride in a
 //!   single allocation, each entry's Eq. 5 filter fields ahead of its
 //!   coordinates, a leaf entry's projected point inline — what a range
-//!   query reads, in the order it reads it. [`entry`] keeps the per-entry
-//!   structs as the export form of [`tree::PmTreeParts`].
+//!   query reads, in the order it reads it. [`tree::PmTreeParts`], the
+//!   form a snapshot is written from and read back to, holds those blocks
+//!   as they are ([`tree::RawNode`]).
 //! * [`bulk`] — `PmTree::build_parallel`, a parallel bulk loader that
 //!   partitions points by nearest global pivot, builds one subtree per
 //!   region concurrently and merges them; its output is identical for
@@ -36,13 +37,11 @@ pub(crate) mod block;
 pub mod bulk;
 pub mod cost;
 pub mod cursor;
-pub mod entry;
 pub mod pivots;
 pub mod tree;
 
 pub use cost::expected_distance_computations;
 pub use cursor::{CursorScratch, RangeCursor};
-pub use entry::{InnerEntry, LeafEntry, Ring};
 pub use pivots::select_pivots;
 pub use tree::{PmTree, PmTreeConfig, PmTreeParts, RawNode};
 

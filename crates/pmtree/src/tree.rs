@@ -3,15 +3,14 @@
 //!
 //! The arena is a `Vec` of node blocks (`block.rs`): every node is one
 //! allocation holding its entries at a fixed stride, leaf
-//! entries with their projected point inline. Insertion, splits, deletion
-//! and the validators all work on the blocks; the per-entry structs of
-//! [`crate::entry`] exist only in [`PmTreeParts`], the export form.
+//! entries with their projected point inline. Insertion, splits, deletion,
+//! the validators and the export all work on the blocks: [`PmTreeParts`]
+//! holds each one as it is.
 
-use crate::block::{point_spans, InnerRef, Layout, LeafRef, Node};
-use crate::entry::{InnerEntry, LeafEntry, Ring};
+use crate::block::{point_spans, Layout, LeafRef, Node};
 use crate::pivots::select_pivots;
 use crate::NodeId;
-use pm_lsh_metric::{euclidean, Dataset, MatrixView, PointId};
+use pm_lsh_metric::{euclidean, MatrixView, PointId};
 use pm_lsh_stats::Rng;
 use std::collections::HashMap;
 
@@ -37,15 +36,16 @@ impl Default for PmTreeConfig {
     }
 }
 
-/// One node of a [`PmTreeParts`] snapshot: the private arena block taken
-/// apart into per-entry structs, with children referring to *compacted*
-/// node ids.
+/// One node of a [`PmTreeParts`] snapshot: the arena block exactly as the
+/// tree lays it out (docs/ARCHITECTURE.md, "PM-tree node blocks") and
+/// trimmed to its entries, each routing entry's `child` word naming a
+/// *compacted* node id.
 #[derive(Clone, Debug)]
-pub enum RawNode {
-    /// Inner node holding routing entries.
-    Inner(Vec<InnerEntry>),
-    /// Leaf node holding point entries.
-    Leaf(Vec<LeafEntry>),
+pub struct RawNode {
+    /// `true` for a node of leaf entries, `false` for routing entries.
+    pub leaf: bool,
+    /// The entries' words, ids stored by `f32::from_bits`.
+    pub words: Vec<f32>,
 }
 
 /// The complete state of a [`PmTree`], exported with
@@ -72,10 +72,6 @@ pub struct PmTreeParts {
     pub nodes: Vec<RawNode>,
     /// Root node id (into the compacted arena).
     pub root: NodeId,
-    /// The projected points, row `i` being the point of internal row `i`
-    /// (inside the tree they live in their leaf entries; the export gathers
-    /// them).
-    pub points: Dataset,
     /// Internal row -> external id.
     pub externals: Vec<PointId>,
     /// Internal row -> holding leaf (compacted ids).
@@ -580,56 +576,30 @@ impl PmTree {
             }
         }
         let lay = self.layout();
-        let mut nodes = Vec::with_capacity(next as usize);
-        let mut points = vec![0.0f32; self.len() * self.dim];
-        for (id, node) in self.nodes.iter().enumerate() {
-            if free[id] {
-                continue;
-            }
-            nodes.push(if node.is_leaf() {
-                let export = |e: LeafRef<'_>| {
-                    let row = e.internal as usize * self.dim;
-                    points[row..row + self.dim].copy_from_slice(e.point);
-                    LeafEntry {
-                        internal: e.internal,
-                        external: e.external,
-                        parent_dist: e.parent_dist,
-                        pivot_dists: e.pivot_dists.into(),
-                    }
-                };
-                RawNode::Leaf(node.leaves(lay).map(export).collect())
-            } else {
-                let export = |e: InnerRef<'_>| InnerEntry {
-                    center: e.center.into(),
-                    radius: e.radius,
-                    parent_dist: e.parent_dist,
-                    child: remap[e.child as usize],
-                    rings: e.spans().map(|(min, max)| Ring { min, max }).collect(),
-                };
-                RawNode::Inner(node.inners(lay).map(export).collect())
-            });
-        }
+        let nodes = (self.nodes.iter().enumerate())
+            .filter(|&(id, _)| !free[id])
+            .map(|(_, node)| node.export(lay, &remap))
+            .collect();
         PmTreeParts {
             dim: self.dim,
             cfg: self.cfg,
             pivots: self.pivots.clone(),
             nodes,
             root: remap[self.root as usize],
-            points: Dataset::from_flat(points, self.dim),
             externals: self.externals.clone(),
             leaf_of: self.leaf_of.iter().map(|&l| remap[l as usize]).collect(),
             build_dist_computations: self.build_dist_computations,
         }
     }
 
-    /// Reassembles a tree from exported parts, packing every node into its
-    /// block (each leaf entry takes its point out of `points`), rebuilding
-    /// the id map by inverting `externals` and starting with an empty free
-    /// list (the exported arena is compacted). Entries that do not have the
-    /// tree's shape are refused here, and the result is validated with
-    /// [`PmTree::verify_structure`] before it is returned, so corrupted
-    /// or internally inconsistent parts come back as `Err`, never as a
-    /// tree that panics later.
+    /// Reassembles a tree from exported parts: every block moves into the
+    /// arena as it is, the id map is rebuilt by inverting `externals` and
+    /// the free list starts empty (the exported arena is compacted). The
+    /// result is validated with [`PmTree::verify_structure`] — whole-entry
+    /// blocks, capacity, `child` and `internal` ranges, leaf / external /
+    /// `leaf_of` agreement — before it is returned, so corrupted or
+    /// internally inconsistent parts come back as `Err`, never as a tree
+    /// that panics later.
     pub fn from_parts(parts: PmTreeParts) -> Result<Self, String> {
         if parts.dim == 0 {
             return Err("dimension must be positive".into());
@@ -644,104 +614,17 @@ impl PmTree {
                 parts.cfg.num_pivots
             ));
         }
-        let n = parts.externals.len();
-        if n != parts.points.len() {
-            return Err(format!(
-                "{n} external ids but {} stored points",
-                parts.points.len()
-            ));
-        }
-        if !parts.points.is_empty() && parts.points.dim() != parts.dim {
-            return Err(format!(
-                "point store in R^{}, tree in R^{}",
-                parts.points.dim(),
-                parts.dim
-            ));
-        }
-        let mut ext_index = HashMap::with_capacity(n);
+        let mut ext_index = HashMap::with_capacity(parts.externals.len());
         for (internal, &external) in parts.externals.iter().enumerate() {
             if ext_index.insert(external, internal as u32).is_some() {
                 return Err(format!("external id {external} appears twice"));
             }
         }
-        let lay = Layout {
-            dim: parts.dim,
-            pivots: parts.pivots.len(),
-        };
-        let mut nodes = Vec::with_capacity(parts.nodes.len());
-        let mut rings = Vec::with_capacity(2 * lay.pivots);
-        // Each node is taken apart as it is packed, so its boxes are free
-        // again before the next block is allocated.
-        for raw in parts.nodes {
-            nodes.push(match raw {
-                RawNode::Leaf(entries) => {
-                    let mut node = Node::with_capacity(true, entries.len(), lay);
-                    for e in &entries {
-                        if e.internal as usize >= n {
-                            return Err(format!(
-                                "leaf row {} outside the {n}-point store",
-                                e.internal
-                            ));
-                        }
-                        if e.pivot_dists.len() != lay.pivots {
-                            return Err(format!(
-                                "{} pivot distances on a leaf entry, {} pivots",
-                                e.pivot_dists.len(),
-                                lay.pivots
-                            ));
-                        }
-                        node.push_leaf(
-                            lay,
-                            LeafRef {
-                                parent_dist: e.parent_dist,
-                                external: e.external,
-                                internal: e.internal,
-                                pivot_dists: &e.pivot_dists,
-                                point: parts.points.point(e.internal as usize),
-                            },
-                        );
-                    }
-                    node
-                }
-                RawNode::Inner(entries) => {
-                    let mut node = Node::with_capacity(false, entries.len(), lay);
-                    for e in &entries {
-                        if e.center.len() != lay.dim {
-                            return Err(format!(
-                                "routing center in R^{}, tree in R^{}",
-                                e.center.len(),
-                                lay.dim
-                            ));
-                        }
-                        if e.rings.len() != lay.pivots {
-                            return Err(format!(
-                                "{} rings on a routing entry, {} pivots",
-                                e.rings.len(),
-                                lay.pivots
-                            ));
-                        }
-                        rings.clear();
-                        rings.extend(e.rings.iter().flat_map(|ring| [ring.min, ring.max]));
-                        node.push_inner(
-                            lay,
-                            InnerRef {
-                                parent_dist: e.parent_dist,
-                                radius: e.radius,
-                                child: e.child,
-                                rings: &rings,
-                                center: &e.center,
-                            },
-                        );
-                    }
-                    node
-                }
-            });
-        }
         let tree = Self {
             dim: parts.dim,
             cfg: parts.cfg,
             pivots: parts.pivots,
-            nodes,
+            nodes: parts.nodes.into_iter().map(Node::from).collect(),
             root: parts.root,
             externals: parts.externals,
             ext_index,
@@ -1038,10 +921,11 @@ fn promote_mm_rad(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_lsh_metric::Dataset;
 
     fn two_level_tree() -> PmTree {
         let mut rng = Rng::new(5);
-        let mut ds = pm_lsh_metric::Dataset::with_capacity(4, 120);
+        let mut ds = Dataset::with_capacity(4, 120);
         let mut buf = [0.0f32; 4];
         for _ in 0..120 {
             rng.fill_normal(&mut buf);
@@ -1102,79 +986,72 @@ mod tests {
         rejected(&hollow, "inner node with no entries");
     }
 
-    /// `from_parts` packs entries into fixed-stride blocks, so it must
-    /// refuse — not slice-panic on — parts whose entries do not have the
-    /// tree's shape or whose nodes could not have been built.
+    /// `from_parts` moves the blocks in as they are, so it must refuse —
+    /// not slice-panic on — words that do not have the tree's shape or
+    /// nodes that could not have been built, and must keep every other
+    /// bit, ids that look like NaNs included.
     #[test]
     fn from_parts_rejects_parts_that_do_not_fit_the_blocks() {
-        let good = two_level_tree().to_parts();
-        PmTree::from_parts(good.clone()).expect("untouched parts load");
+        let mut tree = two_level_tree();
+        // External ids whose bits are signalling and quiet NaN patterns.
+        tree.insert(&[0.25; 4], 0x7F80_0001);
+        tree.insert(&[-0.5; 4], 0x7FC0_0001);
+        let good = tree.to_parts();
+        let twin = PmTree::from_parts(good.clone()).expect("untouched parts load");
+        let bits = |t: &PmTree| t.nodes.iter().map(Node::bits).collect::<Vec<_>>();
+        assert_eq!(bits(&twin), bits(&tree));
+        assert_eq!(twin.externals, tree.externals);
+
         let rejected = |bad: PmTreeParts, needle: &str| {
             let err = PmTree::from_parts(bad).unwrap_err();
             assert!(err.contains(needle), "{err}");
         };
-        let is_leaf = |n: &RawNode| matches!(n, RawNode::Leaf(_));
-        let leaf_at = good.nodes.iter().position(is_leaf).unwrap();
-        let inner_at = good.nodes.iter().position(|n| !is_leaf(n)).unwrap();
-        let with_leaf = |edit: &dyn Fn(&mut Vec<LeafEntry>)| {
+        let edit = |at: usize, change: &dyn Fn(&mut RawNode)| {
             let mut bad = good.clone();
-            let RawNode::Leaf(entries) = &mut bad.nodes[leaf_at] else {
-                unreachable!()
-            };
-            edit(entries);
+            change(&mut bad.nodes[at]);
             bad
         };
-        let with_inner = |edit: &dyn Fn(&mut Vec<InnerEntry>)| {
-            let mut bad = good.clone();
-            let RawNode::Inner(entries) = &mut bad.nodes[inner_at] else {
-                unreachable!()
+        let (n, arena, root) = (tree.len(), good.nodes.len(), good.root as usize);
+        let leaf_at = good.nodes.iter().position(|node| node.leaf).unwrap();
+        let inner_at = good.nodes.iter().position(|node| !node.leaf).unwrap();
+        for at in [leaf_at, inner_at] {
+            let ragged = |node: &mut RawNode| {
+                node.words.pop();
             };
-            edit(entries);
-            bad
-        };
-
+            rejected(edit(at, &ragged), "not a whole number of");
+            // Read with the other kind's stride (12 routing entries make
+            // 17 leaf entries, so the capacity check may be what fires).
+            assert!(PmTree::from_parts(edit(at, &|node| node.leaf ^= true)).is_err());
+        }
+        let mut narrow = good.clone();
+        narrow.pivots.pop();
+        narrow.cfg.num_pivots -= 1;
+        rejected(narrow, "not a whole number of");
+        // Word 2 is a leaf entry's `internal` and a routing entry's `child`.
         rejected(
-            with_leaf(&|es| es[0].pivot_dists = vec![0.0; 4].into()),
-            "4 pivot distances on a leaf entry, 5 pivots",
+            edit(leaf_at, &|node| node.words[2] = f32::from_bits(n as u32)),
+            &format!("leaf row {n} outside the {n} rows"),
         );
         rejected(
-            with_leaf(&|es| es[0].internal = 120),
-            "leaf row 120 outside the 120-point store",
-        );
-        rejected(
-            with_leaf(&|es| es.extend(vec![es[0].clone(); 17])),
-            "entries, capacity is 16",
-        );
-        rejected(
-            with_inner(&|es| es[0].center = vec![0.0; 5].into()),
-            "routing center in R^5, tree in R^4",
-        );
-        // One center a coordinate short and the next one long: the block
-        // would still be a whole number of entries.
-        rejected(
-            with_inner(&|es| {
-                es[0].center = vec![0.0; 3].into();
-                es[1].center = vec![0.0; 5].into();
+            edit(inner_at, &|node| {
+                node.words[2] = f32::from_bits(arena as u32)
             }),
-            "routing center in R^3, tree in R^4",
+            &format!("child {arena} outside the {arena}-node arena"),
         );
+        for at in [leaf_at, inner_at] {
+            let overfull = |node: &mut RawNode| {
+                let stride = tree.layout().stride(node.leaf);
+                let first = node.words[..stride].to_vec();
+                while node.words.len() <= 16 * stride {
+                    node.words.extend_from_slice(&first);
+                }
+            };
+            rejected(edit(at, &overfull), "entries, capacity is 16");
+        }
         rejected(
-            with_inner(&|es| es[0].rings = vec![es[0].rings[0]; 6].into()),
-            "6 rings on a routing entry, 5 pivots",
+            edit(root, &|node| node.words.clear()),
+            "inner node with no entries",
         );
-        rejected(
-            with_inner(&|es| es.extend(vec![es[0].clone(); 17])),
-            "entries, capacity is 16",
-        );
-        rejected(with_inner(&|es| es.clear()), "inner node with no entries");
-        let mut short = good.clone();
-        short.points = Dataset::from_flat(good.points.as_flat()[4..].to_vec(), 4);
-        rejected(short, "120 external ids but 119 stored points");
-        let mut flat = good.clone();
-        flat.points = Dataset::from_flat(good.points.as_flat().to_vec(), 2);
-        flat.externals.extend(120..240);
-        flat.leaf_of.extend(good.leaf_of.clone());
-        rejected(flat, "point store in R^2, tree in R^4");
     }
 
     fn block_words(tree: &PmTree) -> (usize, usize) {

@@ -11,22 +11,22 @@ use pm_lsh_metric::{Dataset, MatrixView, PointId};
 
 /// Routing entry of an inner node.
 #[derive(Clone, Debug)]
-pub(crate) struct InnerEntry {
+pub(crate) struct ChildEntry {
     pub mbr: Mbr,
     pub child: NodeId,
 }
 
 /// Point entry of a leaf node.
 #[derive(Clone, Debug)]
-pub(crate) struct LeafEntry {
+pub(crate) struct PointEntry {
     pub internal: u32,
     pub external: PointId,
 }
 
 #[derive(Clone, Debug)]
 pub(crate) enum Node {
-    Inner(Vec<InnerEntry>),
-    Leaf(Vec<LeafEntry>),
+    Inner(Vec<ChildEntry>),
+    Leaf(Vec<PointEntry>),
 }
 
 /// Construction parameters.
@@ -139,7 +139,7 @@ impl RTree {
         }
     }
 
-    fn insert_rec(&mut self, node: NodeId, internal: u32) -> Option<(InnerEntry, InnerEntry)> {
+    fn insert_rec(&mut self, node: NodeId, internal: u32) -> Option<(ChildEntry, ChildEntry)> {
         let vector = self.points.point(internal as usize).to_vec();
         match &self.nodes[node as usize] {
             Node::Leaf(_) => {
@@ -147,7 +147,7 @@ impl RTree {
                 let Node::Leaf(entries) = &mut self.nodes[node as usize] else {
                     unreachable!()
                 };
-                entries.push(LeafEntry {
+                entries.push(PointEntry {
                     internal,
                     external: self.externals[internal as usize],
                 });
@@ -195,7 +195,7 @@ impl RTree {
         }
     }
 
-    fn split_leaf(&mut self, node: NodeId) -> (InnerEntry, InnerEntry) {
+    fn split_leaf(&mut self, node: NodeId) -> (ChildEntry, ChildEntry) {
         let entries = {
             let Node::Leaf(entries) = &mut self.nodes[node as usize] else {
                 unreachable!()
@@ -210,18 +210,18 @@ impl RTree {
         self.nodes[node as usize] = Node::Leaf(g1);
         let new_node = self.alloc(Node::Leaf(g2));
         (
-            InnerEntry {
+            ChildEntry {
                 mbr: m1,
                 child: node,
             },
-            InnerEntry {
+            ChildEntry {
                 mbr: m2,
                 child: new_node,
             },
         )
     }
 
-    fn split_inner(&mut self, node: NodeId) -> (InnerEntry, InnerEntry) {
+    fn split_inner(&mut self, node: NodeId) -> (ChildEntry, ChildEntry) {
         let entries = {
             let Node::Inner(entries) = &mut self.nodes[node as usize] else {
                 unreachable!()
@@ -233,11 +233,11 @@ impl RTree {
         self.nodes[node as usize] = Node::Inner(g1);
         let new_node = self.alloc(Node::Inner(g2));
         (
-            InnerEntry {
+            ChildEntry {
                 mbr: m1,
                 child: node,
             },
-            InnerEntry {
+            ChildEntry {
                 mbr: m2,
                 child: new_node,
             },

@@ -44,8 +44,8 @@
 //!   per worker per batch instead of one per query, and a natural
 //!   backpressure point when the queue fills.
 //! * [`EngineStats`] aggregates throughput, p50/p99 latency and the summed
-//!   per-query [`QueryStats`] counters, so benchmarks can draw scaling
-//!   curves against thread count.
+//!   per-query [`QueryStats`] counters; the wire `STATS` verb and the
+//!   benchmark (`benchmark/`) read them.
 //! * [`ShardedEngine::try_query`] is the non-panicking query entry point:
 //!   every failure mode, a mid-execution worker panic included, is a
 //!   typed [`QueryError`] — what lets the TCP layer answer `ERR` lines

@@ -5,8 +5,8 @@
 //! a geometrically-bucketed latency histogram); [`EngineStats`] is a cheap
 //! point-in-time snapshot. Quantiles are read from the histogram, so they
 //! are exact to within one bucket (~25% relative width) — plenty for the
-//! p50/p99 scaling curves the bench crate draws, at zero coordination cost
-//! on the hot path.
+//! p50/p99 that `STATS` reports, at zero coordination cost on the hot
+//! path.
 
 use pm_lsh_core::QueryStats;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -52,7 +52,7 @@ fn per_shard_budgets_sum_to_at_least_the_monolithic_budget() {
         let (data, _) = smoke(ds, 1);
         let params = PmLshParams::paper_defaults();
         let mono = PmLsh::build(data.clone(), params);
-        for shards in [2, 3, 4, 7] {
+        for shards in [2, 3, 4, 7, 8] {
             let sharded =
                 ShardedEngine::build(&data, params, BuildOptions::default(), shards, config(1));
             // k = 1 (tight), a typical k, a k past the clamp, and k ≥ n.
@@ -96,7 +96,7 @@ fn sharded_recall_never_below_monolithic_on_paper_datasets() {
         let mono_results: Vec<_> = queries.iter().map(|q| mono.query(q, K).neighbors).collect();
         let mono_recall = avg_recall(&mono_results, &truth);
 
-        for shards in [1, 2, 4] {
+        for shards in [1, 2, 4, 8] {
             let sharded =
                 ShardedEngine::build(&data, params, BuildOptions::default(), shards, config(2));
             let single: Vec<_> = queries

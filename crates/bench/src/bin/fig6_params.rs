@@ -2,6 +2,13 @@
 //! varying the number of pivots `s` (a), and time / recall / overall ratio
 //! when varying the number of hash functions `m` (b–d). `k = 50, c = 1.5`.
 //!
+//! Panel (a) reads flat in `s`: PM-LSH's queries take their candidates
+//! from one sweep over the tree's leaf blocks, which measures no pivot
+//! distance and filters on none, so `s` enters a query's cost only
+//! through the width of a leaf entry. The pivots' effect on the
+//! PM-tree's own range query is measured by `benches/ablation.rs`
+//! (`s = 0` vs `5` on `PmTree::range`).
+//!
 //! ```text
 //! cargo run -p pm-lsh-bench --release --bin fig6_params
 //! ```
@@ -23,7 +30,7 @@ fn main() {
         n_queries
     );
 
-    // (a) vary the number of pivots s — only the query time moves.
+    // (a) vary the number of pivots s — the sweep filters on none of them.
     let mut ta = Table::new(&["s", "time(ms)", "recall", "ratio"]);
     for s in 0..=9usize {
         let params = PmLshParams {

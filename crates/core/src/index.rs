@@ -13,24 +13,21 @@ use pm_lsh_stats::{distance_distribution, Ecdf, Rng};
 use std::sync::Arc;
 
 /// Per-query execution counters, used by the benchmark harness and by the
-/// Theorem 2 cost tests (`O(log n + βn)` behaviour).
+/// candidate-budget and mutation tests (`crates/core/tests/quality.rs`,
+/// `mutation.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Candidates whose original-space distance was verified.
     pub candidates_verified: usize,
-    /// Distance computations inside the projected space (PM-tree
-    /// traversal), exactly: the `s` query-to-pivot distances, plus one per
-    /// entry — routing or leaf — of a visited node that the distance-free
-    /// filters of Eq. 5 (parent distance, pivot rings) failed to keep
-    /// outside the largest radius the query asked for — what one textbook
-    /// range query at that radius pays. The traversal is a round-at-a-time
-    /// range scan into a sorted run, so a last round the candidate budget
-    /// cuts short is still opened in full: more than a best-first
-    /// traversal stopping at the cut would count, by 0.6–0.7 % on the
-    /// benchmark's Audio workloads (56 018 vs 55 660 per query on
-    /// `audio_verify`, 2 168 vs 2 152 on `audio_wire`), 1.2 % on
-    /// `trevi_highdim` and 4.8 % on `deep_churn`, where every query ends
-    /// on the cut.
+    /// Distance computations inside the projected space: exactly the live
+    /// count `n`, one per indexed point. The candidate stream comes from
+    /// one sweep over the PM-tree's leaf blocks, which measures every
+    /// point once and nothing else (no pivot, no routing entry). At the
+    /// budgets Algorithm 2 spends, the tree's range traversal would pay
+    /// more than `n`: 56 018 per query on `audio_verify` (n = 54 000),
+    /// 2 168 on `audio_wire` (n = 2 000), 12 974 on `trevi_highdim`
+    /// (n = 12 000). A scatter-gather query sums its legs: the live count
+    /// of every shard it asked.
     pub projected_dist_computations: u64,
     /// Radius-enlargement rounds executed (1 means `r_min` sufficed).
     pub rounds: u32,
@@ -272,10 +269,11 @@ impl PmLsh {
         let derived = params.derive();
         let threads = opts.map(|o| o.effective_threads()).unwrap_or(1);
         let projected = projector.project_all_threaded(data.view(), threads);
-        let tree = match opts {
+        let mut tree = match opts {
             Some(_) => PmTree::build_parallel(projected.view(), params.tree, rng, threads),
             None => PmTree::build(projected.view(), params.tree, rng),
         };
+        tree.set_leaf_sweep(true);
         let dist_f = if data.len() >= 2 {
             let pairs = params
                 .distance_samples
@@ -485,7 +483,9 @@ impl PmLsh {
         self.derived
     }
 
-    /// The underlying PM-tree (exposed for cost-model experiments).
+    /// The underlying PM-tree, marked for sweeping ([`PmTree::set_leaf_sweep`]):
+    /// its cursors stream candidates exactly as [`PmLsh::query`] reads them.
+    /// Clone it and clear the mark for the textbook range traversal.
     pub fn tree(&self) -> &PmTree {
         &self.tree
     }
@@ -514,7 +514,7 @@ impl PmLsh {
     pub fn from_parts(
         data: Arc<Dataset>,
         projector: GaussianProjector,
-        tree: PmTree,
+        mut tree: PmTree,
         params: PmLshParams,
         dist_f: Ecdf,
     ) -> Result<Self, String> {
@@ -568,6 +568,7 @@ impl PmLsh {
             return Err("distance distribution has no samples".into());
         }
         let derived = params.derive();
+        tree.set_leaf_sweep(true);
         Ok(Self {
             data,
             projector,
@@ -697,8 +698,9 @@ impl PmLsh {
     }
 
     /// The one search routine behind every query form: project `q`, walk
-    /// the PM-tree's incremental range query `B(q', t·r)`, verify each
-    /// candidate in the original space, and stop as `spec` says. The
+    /// the incremental range query `B(q', t·r)` — fed by one sweep over the
+    /// PM-tree's leaf blocks, since the tree is marked for sweeping — verify
+    /// each candidate in the original space, and stop as `spec` says. The
     /// neighbors land in `out` (cleared first), ascending by
     /// `(dist, id)`; the traversal scratch goes back into `ctx`.
     ///

@@ -3,10 +3,23 @@
 //! consistent through arbitrary insert/delete interleavings, and queries
 //! must only ever surface live points.
 
-use pm_lsh_core::{MutOp, MutReject, PmLsh, PmLshParams};
+use pm_lsh_core::{MutOp, MutReject, PmLsh, PmLshParams, QueryResult};
 use pm_lsh_metric::{euclidean, Dataset, Neighbor};
 use pm_lsh_stats::Rng;
 use std::collections::{HashMap, HashSet};
+
+/// `index.query(q, k)`, checking that the candidate stream measured every
+/// live point exactly once — the leaf sweep's count, whatever inserts,
+/// deletions, emptied leaves and freed arena slots did to the tree.
+fn query(index: &PmLsh, q: &[f32], k: usize) -> QueryResult {
+    let res = index.query(q, k);
+    let n = index.len() as u64;
+    assert_eq!(
+        res.stats.projected_dist_computations, n,
+        "one per live point"
+    );
+    res
+}
 
 fn blob(n: usize, d: usize, seed: u64) -> Dataset {
     let mut rng = Rng::new(seed);
@@ -57,7 +70,7 @@ fn interleaved_mutations_keep_index_and_model_in_lock_step() {
             );
             live.push(id);
             // The fresh point is its own nearest neighbor at distance 0.
-            let res = index.query(&buf, 1);
+            let res = query(&index, &buf, 1);
             assert_eq!(res.neighbors[0], Neighbor::new(0.0, id));
         } else {
             let victim = live.swap_remove(rng.below(live.len()));
@@ -73,7 +86,7 @@ fn interleaved_mutations_keep_index_and_model_in_lock_step() {
             // Every reported neighbor must be live, with a correct
             // original-space distance.
             rng.fill_normal(&mut buf);
-            let res = index.query(&buf, 5);
+            let res = query(&index, &buf, 5);
             let live_set: HashSet<u32> = live.iter().copied().collect();
             for n in &res.neighbors {
                 assert!(live_set.contains(&n.id), "deleted id {} returned", n.id);
@@ -159,8 +172,8 @@ fn apply_batches_stay_in_lock_step_with_single_op_mutations() {
             "round {round}: live-id sequences diverged"
         );
         rng.fill_normal(&mut buf);
-        let a = batched.query(&buf, 10);
-        let b = twin.query(&buf, 10);
+        let a = query(&batched, &buf, 10);
+        let b = query(&twin, &buf, 10);
         assert_eq!(a.neighbors, b.neighbors, "round {round}: answers diverged");
         assert_eq!(a.stats, b.stats, "round {round}: counters diverged");
     }
@@ -210,7 +223,7 @@ fn apply_cow_clones_only_for_an_admitted_op() {
     assert_eq!(next.live_ids(), in_place.live_ids());
     next.tree().check_invariants();
     let q = [0.25f32; 4];
-    let (a, b) = (next.query(&q, 5), in_place.query(&q, 5));
+    let (a, b) = (query(&next, &q, 5), query(&in_place, &q, 5));
     assert_eq!(a.neighbors, b.neighbors);
     assert_eq!(a.stats, b.stats);
     assert!(index.contains(3) && index.len() == 20, "receiver mutated");
@@ -227,7 +240,7 @@ fn delete_all_then_reinsert_recovers_query_quality() {
     assert!(index.is_empty());
     index.tree().check_invariants();
     // Queries on a fully drained index answer with nothing, not a panic.
-    assert!(index.query(&vec![0.1; d], 3).neighbors.is_empty());
+    assert!(query(&index, &vec![0.1; d], 3).neighbors.is_empty());
 
     // Reinsert the original vectors; they get fresh ids but identical
     // geometry, so exact self-queries must come back at distance 0.
@@ -238,7 +251,7 @@ fn delete_all_then_reinsert_recovers_query_quality() {
     index.tree().check_invariants();
     assert_eq!(index.len(), 300);
     for (row, &id) in new_ids.iter().enumerate().step_by(29) {
-        let res = index.query(data.point(row), 1);
+        let res = query(&index, data.point(row), 1);
         assert_eq!(res.neighbors[0].dist, 0.0);
         assert_eq!(res.neighbors[0].id, id);
     }
@@ -267,7 +280,7 @@ fn mutated_index_tracks_exact_knn_of_live_points() {
     let mut recall_sum = 0.0;
     for q in queries.iter() {
         let truth: HashSet<u32> = exact_live_knn(&index, q, 10).iter().map(|n| n.id).collect();
-        let got = index.query(q, 10);
+        let got = query(&index, q, 10);
         recall_sum += got
             .neighbors
             .iter()

@@ -111,9 +111,12 @@ fn candidate_budget_respected() {
 
 #[test]
 fn probing_is_sublinear_in_n() {
-    // Doubling n should far less than double the projected-space distance
-    // computations per query when the radius is selective (O(log n + βn)
-    // with small β — the βn verification term dominates, so normalize by n).
+    // The PM-tree's own range query: quadrupling n should not grow the
+    // share of the tree a selective radius pays distances for (O(log n +
+    // βn) with small β — the βn term dominates, so normalize by n). The
+    // index itself sweeps, paying exactly n per query, so this measures a
+    // standalone copy of its tree, unmarked, at each query's first-round
+    // radius t·r_min.
     let d = 16;
     let params = PmLshParams::default();
     let mut per_n = Vec::new();
@@ -121,12 +124,26 @@ fn probing_is_sublinear_in_n() {
         let data = clustered(n, d, seed);
         let queries = clustered(8, d, seed + 50);
         let index = PmLsh::build(data, params);
+        let mut tree = index.tree().clone();
+        tree.set_leaf_sweep(false);
+        let radius = (index.derived().t * index.select_rmin(10)) as f32;
         let mut comps = 0u64;
         for q in queries.iter() {
-            comps += index.query(q, 10).stats.projected_dist_computations;
+            assert_eq!(
+                index.query(q, 10).stats.projected_dist_computations,
+                n as u64
+            );
+            let mut cursor = tree.cursor(&index.project(q));
+            while cursor.next_within(radius).is_some() {}
+            comps += cursor.distance_computations();
         }
         per_n.push(comps as f64 / (8.0 * n as f64));
     }
+    assert!(
+        per_n[0] < 1.0,
+        "the radius is not selective: {:.3}",
+        per_n[0]
+    );
     // fraction of the tree touched should not grow with n
     assert!(
         per_n[1] <= per_n[0] * 1.3,

@@ -1,39 +1,52 @@
 //! lint: hot-path
 //!
-//! Round-at-a-time range traversal of the PM-tree.
+//! Round-at-a-time range queries over the points of a PM-tree.
 //!
 //! [`RangeCursor`] answers the paper's `range(q', r)` as what it is, a
 //! range query: the first `next_within(r)` with a radius larger than any
-//! seen opens — with a plain stack, no priority queue — every region whose
-//! lower bound on the projected distance is within `r`, sorts the points it
-//! finds within `r` once, and then yields from that sorted run. Two
-//! properties make it the right engine for the paper's Algorithm 2:
+//! seen files every unyielded point within `r` into a run, sorts that run
+//! once, and then yields from it. When Algorithm 2 enlarges the radius
+//! (`r ← c·r`), nothing is repeated: the measured points a round finds
+//! beyond its radius wait in one unsorted list, which the next round splits
+//! by the larger radius in one branchless pass (each point is written to
+//! both lists and kept in one). Everything a later round files lies beyond
+//! the earlier radius, so the unyielded remainder of a run always precedes
+//! it and yields stay non-decreasing — this is how PM-LSH "combines the
+//! ideas of the RE and MI methods".
 //!
-//! 1. When Algorithm 2 enlarges the radius (`r ← c·r`), nothing is
-//!    repeated: the regions and the measured points an earlier round found
-//!    beyond its radius wait in two unsorted lists, which the next round
-//!    partitions by the larger radius. Everything a later round finds lies
-//!    beyond the earlier radius, so the unyielded remainder of a run always
-//!    precedes it and yields stay non-decreasing — this is how PM-LSH
-//!    "combines the ideas of the RE and MI methods". Over all rounds the
-//!    cursor pays the `s` pivot distances plus exactly what one textbook
-//!    range query at the largest radius asked pays, whether or not the
-//!    caller drained the last round.
-//! 2. There is one refinement discipline, the paper's (Eq. 5): an entry of a
+//! Where the measured points come from is fixed per tree
+//! ([`PmTree::set_leaf_sweep`]):
+//!
+//! 1. **The range traversal** — every tree as built or loaded. A round
+//!    opens, with a plain stack and no priority queue, every region whose
+//!    lower bound on the projected distance is within its radius; the
+//!    regions it leaves unopened wait in a second list for a larger radius.
+//!    There is one refinement discipline, the paper's (Eq. 5): an entry of a
 //!    visited node first meets the parent-distance and pivot-ring filters,
 //!    which cost no new distance, and its exact center/point distance is
 //!    computed — once, in full — only if that cheap bound comes within the
-//!    radius. An entry the filters keep outside every radius the query
-//!    reaches never costs a distance computation. The distance is not
-//!    early-abandoned against the round's radius: in the m = 15 projected
-//!    space the whole kernel is fifteen multiply-adds, less than the
-//!    repeated measurement that parking an abandoned entry costs in every
-//!    later round (early abandonment pays at the original dimensionality,
-//!    where `pm-lsh-core` applies it).
+//!    radius. The distance is not early-abandoned against the round's
+//!    radius: in the m = 15 projected space the whole kernel is fifteen
+//!    multiply-adds, less than the repeated measurement that parking an
+//!    abandoned entry costs in every later round (early abandonment pays at
+//!    the original dimensionality, where `pm-lsh-core` applies it). Over all
+//!    rounds the cursor pays the `s` pivot distances plus exactly what one
+//!    textbook range query at the largest radius asked pays, whether or not
+//!    the caller drained the last round.
+//! 2. **The leaf sweep** — the tree `pm-lsh-core`'s index queries. The
+//!    cursor starts by measuring every entry of every leaf block, in arena
+//!    order, into the waiting list: no pivot distance, no routing entry, no
+//!    region list, exactly `n` distances at unit stride inside each block.
+//!    Algorithm 2's candidate budget `βn + k` is a large share of `n` (28 %
+//!    at the paper's β = 0.2809), and the radius that reaches it opens
+//!    nearly every node anyway: there the traversal pays more distances
+//!    than there are points, and the sweep is faster at every operating
+//!    point the index reaches.
 //!
 //! Yields are ascending by `(projected distance, external id)`, a function
-//! of the indexed points alone: two trees over the same points yield the
-//! same sequence whatever their shape or node numbering.
+//! of the indexed points alone: two trees over the same points — and the
+//! two sources over one tree — yield the same sequence whatever their shape
+//! or node numbering, and agree on `is_exhausted` after every call.
 
 use crate::block::{InnerRef, LeafRef};
 use crate::tree::PmTree;
@@ -91,7 +104,8 @@ pub struct CursorScratch {
     /// Points within the covered radius as `point_key`s, ascending from
     /// the cursor's `pos` on (what lies before it has been yielded).
     run: Vec<u64>,
-    /// Measured points beyond the covered radius, unsorted.
+    /// Measured points not in the run, unsorted: between rounds, those
+    /// beyond the covered radius.
     far: Vec<u64>,
     /// Unopened regions under their lower bounds, all beyond the covered
     /// radius, unsorted.
@@ -124,17 +138,48 @@ impl CursorScratch {
             .push((dq_center - e.radius, Region::Node { node, dq_center }));
     }
 
-    /// Pays the exact distance of the point of leaf entry `e` and files it
-    /// by the round's `radius`. A NaN distance (NaN in the query) lies in
-    /// no ball: the point is dropped, so the cursor still exhausts.
+    /// Pays the exact distance of the point of leaf entry `e` and leaves
+    /// it in `far` for the round to file. A NaN distance (NaN in the
+    /// query) lies in no ball: the point is dropped, so the cursor still
+    /// exhausts.
     #[inline]
-    fn measure_point(&mut self, e: LeafRef<'_>, radius: f32) {
+    fn measure_point(&mut self, e: LeafRef<'_>) {
         let dist = euclidean(&self.query, e.point);
-        if dist <= radius {
-            self.run.push(point_key(dist, e.external));
-        } else if dist > radius {
+        if !dist.is_nan() {
             self.far.push(point_key(dist, e.external));
         }
+    }
+
+    /// Measures every point of `tree` into `far`, leaf block by leaf block
+    /// in arena order (a freed slot is an empty leaf).
+    fn sweep(&mut self, tree: &PmTree) {
+        let lay = tree.layout();
+        for node in tree.nodes.iter().filter(|node| node.is_leaf()) {
+            for e in node.leaves(lay) {
+                self.measure_point(e);
+            }
+        }
+    }
+
+    /// Files the points waiting in `far` by `radius`: those within it join
+    /// the run (unsorted), the others stay, in their order. Branchless — a
+    /// first round sends about a third of all points to the run, so a
+    /// branch per point would mispredict often: each key is written to both
+    /// lists and only the length of the one it belongs to advances.
+    fn file(&mut self, radius: f32) {
+        let (run, far) = (&mut self.run, &mut self.far);
+        let (mut within, mut beyond) = (run.len(), 0);
+        run.resize(within + far.len(), 0);
+        for i in 0..far.len() {
+            let key = far[i];
+            let inside = key_dist(key) <= radius;
+            run[within] = key;
+            far[beyond] = key;
+            within += usize::from(inside);
+            beyond += usize::from(!inside);
+        }
+        run.truncate(within);
+        far.truncate(beyond);
     }
 }
 
@@ -164,32 +209,40 @@ pub struct RangeCursor<'t> {
 
 impl<'t> RangeCursor<'t> {
     /// Starts a cursor for `query` (projected-space coordinates) over the
-    /// buffers of `scratch` (see [`CursorScratch`]).
+    /// buffers of `scratch` (see [`CursorScratch`]). On a tree marked for
+    /// sweeping this measures every point; otherwise it measures the
+    /// pivots and leaves the root waiting.
     pub fn new(tree: &'t PmTree, query: &[f32], mut scratch: CursorScratch) -> Self {
         assert_eq!(query.len(), tree.dim(), "query has wrong dimensionality");
         scratch.query.clear();
         scratch.query.extend_from_slice(query);
         scratch.qp_dists.clear();
-        scratch
-            .qp_dists
-            .extend(tree.pivots.iter().map(|p| euclidean(query, p)));
         scratch.run.clear();
         scratch.far.clear();
         scratch.frontier.clear();
         scratch.stack.clear();
-        if !tree.is_empty() {
-            let root = Region::Node {
-                node: tree.root,
-                dq_center: f32::NAN,
-            };
-            scratch.frontier.push((0.0, root));
-        }
+        let dist_computations = if tree.leaf_sweep {
+            scratch.sweep(tree);
+            tree.len()
+        } else {
+            scratch
+                .qp_dists
+                .extend(tree.pivots.iter().map(|p| euclidean(query, p)));
+            if !tree.is_empty() {
+                let root = Region::Node {
+                    node: tree.root,
+                    dq_center: f32::NAN,
+                };
+                scratch.frontier.push((0.0, root));
+            }
+            tree.pivots.len()
+        };
         Self {
             tree,
             scratch,
             pos: 0,
             covered: f32::NEG_INFINITY,
-            dist_computations: tree.pivots.len() as u64,
+            dist_computations: dist_computations as u64,
         }
     }
 
@@ -200,9 +253,10 @@ impl<'t> RangeCursor<'t> {
         self.scratch
     }
 
-    /// Exact distance computations so far (pivot distances included): the
-    /// `s` pivot distances plus what one textbook range query at the
-    /// largest radius asked pays, however many of its points were taken.
+    /// Exact distance computations so far. On a sweeping tree, one per
+    /// indexed point ([`PmTree::len`]); otherwise the `s` pivot distances
+    /// plus what one textbook range query at the largest radius asked
+    /// pays, however many of its points were taken.
     pub fn distance_computations(&self) -> u64 {
         self.dist_computations
     }
@@ -215,8 +269,9 @@ impl<'t> RangeCursor<'t> {
     }
 
     /// One round: the textbook range query at `radius` over what earlier
-    /// rounds left unopened. Appends the points within `radius` to the run,
-    /// sorted; whatever lies beyond it waits for a larger radius.
+    /// rounds left unopened (nothing, on a sweeping tree), then every
+    /// waiting point within `radius` appended to the run, sorted; whatever
+    /// lies beyond it waits for a larger radius.
     fn advance(&mut self, radius: f32) {
         self.covered = radius;
         let tree = self.tree;
@@ -225,15 +280,6 @@ impl<'t> RangeCursor<'t> {
         s.run.drain(..self.pos);
         self.pos = 0;
         let found = s.run.len();
-
-        let run = &mut s.run;
-        s.far.retain(|&key| {
-            let within = key_dist(key) <= radius;
-            if within {
-                run.push(key);
-            }
-            !within
-        });
 
         std::mem::swap(&mut s.frontier, &mut s.stack);
         while let Some((lb, region)) = s.stack.pop() {
@@ -246,7 +292,7 @@ impl<'t> RangeCursor<'t> {
                     self.dist_computations += 1;
                     let entries = &tree.nodes[node as usize];
                     if entries.is_leaf() {
-                        s.measure_point(entries.leaf_at(idx as usize, lay), radius);
+                        s.measure_point(entries.leaf_at(idx as usize, lay));
                     } else {
                         s.measure_center(entries.inner_at(idx as usize, lay));
                     }
@@ -264,7 +310,7 @@ impl<'t> RangeCursor<'t> {
                             let lb = cheap_bound(pivot_lb, e.parent_dist, 0.0, dq_center);
                             if lb <= radius {
                                 self.dist_computations += 1;
-                                s.measure_point(e, radius);
+                                s.measure_point(e);
                             } else {
                                 s.park(lb, node, idx);
                             }
@@ -284,6 +330,7 @@ impl<'t> RangeCursor<'t> {
                 }
             }
         }
+        s.file(radius);
         s.run[found..].sort_unstable();
     }
 
@@ -408,12 +455,14 @@ mod tests {
     #[test]
     fn recycled_scratch_traverses_identically() {
         // One scratch alternates between two trees of different
-        // dimensionality and pivot count, as its docs allow.
+        // dimensionality and pivot count, as its docs allow: one sweeps,
+        // the other traverses.
         let mut rng = Rng::new(56);
-        let trees = [(10, 5, 55), (6, 0, 57)].map(|(dim, num_pivots, seed)| {
+        let mut trees = [(10, 5, 55), (6, 0, 57)].map(|(dim, num_pivots, seed)| {
             let ds = random_dataset(1500, dim, seed);
             PmTree::build(ds.view(), with_pivots(num_pivots), &mut rng)
         });
+        trees[0].set_leaf_sweep(true);
         let mut scratch = CursorScratch::new();
         for round in 0..12 {
             let tree = &trees[round % 2];
@@ -500,12 +549,28 @@ mod tests {
     /// textbook range query at the largest radius asked pays: enlarging the
     /// radius repeats no work, and the rounds prune exactly the entries
     /// Eq. 5 prunes — no more (a miss) and no fewer (a wasted distance).
+    ///
+    /// A clone of `tree` marked for sweeping is driven in lock-step: after
+    /// every call it must have yielded the same and agree on
+    /// `is_exhausted`, having paid exactly one distance per point. The
+    /// index reads its cursor through those three calls only, so this is
+    /// what makes its answers and counters independent of the source.
     fn drive_schedules(
         tree: &PmTree,
         expected: impl Fn(&[f32]) -> Vec<(PointId, f32)>,
         rng: &mut Rng,
         what: &str,
     ) -> Driven {
+        assert!(
+            !tree.leaf_sweep,
+            "{what}: built, loaded and cloned unmarked"
+        );
+        let mut sweeping = tree.clone();
+        sweeping.set_leaf_sweep(true);
+        assert!(
+            sweeping.clone().leaf_sweep,
+            "{what}: `Clone` keeps the mark"
+        );
         let s = tree.pivots.len() as u64;
         let mut driven = Driven {
             steps: Vec::new(),
@@ -519,10 +584,16 @@ mod tests {
             assert_eq!(all.len(), tree.len(), "{what}");
             let qp_dists: Vec<f32> = tree.pivots.iter().map(|p| euclidean(&q, p)).collect();
             let mut cursor = tree.cursor(&q);
+            let mut swept = sweeping.cursor(&q);
             let (mut yielded, mut max_asked) = (0, f32::NEG_INFINITY);
             let mut query_paid = 0;
             let mut schedule: Vec<f32> = (0..8).map(|_| 1.0 + 3.0 * rng.f32()).collect();
             schedule.insert(3, schedule[1]);
+            // Balls are closed: a first radius of exactly the nearest
+            // point's distance holds that point.
+            if let Some(&(_, nearest)) = all.first() {
+                schedule.insert(0, nearest);
+            }
             schedule.push(f32::INFINITY);
             for (step, &radius) in schedule.iter().enumerate() {
                 // Two steps in three stop after a few yields; the last
@@ -534,7 +605,9 @@ mod tests {
                 };
                 let mut taken = 0;
                 while taken < take {
-                    let Some(hit) = cursor.next_within(radius) else {
+                    let hit = cursor.next_within(radius);
+                    assert_eq!(swept.next_within(radius), hit, "{what} step {step}: sweep");
+                    let Some(hit) = hit else {
                         let rest = all.get(yielded);
                         assert!(rest.is_none_or(|&(_, d)| d > radius), "{what}: missed");
                         break;
@@ -552,8 +625,11 @@ mod tests {
                     s + paid,
                     "{what} step {step}"
                 );
+                let n = tree.len() as u64;
+                assert_eq!(swept.distance_computations(), n, "{what} step {step}");
                 let exhausted = yielded == tree.len();
                 assert_eq!(cursor.is_exhausted(), exhausted, "{what} step {step}");
+                assert_eq!(swept.is_exhausted(), exhausted, "{what} step {step}");
                 driven.steps.push((yielded, s + paid));
                 if radius.is_finite() {
                     // Ends as the cost at the largest finite radius.
@@ -605,8 +681,10 @@ mod tests {
         // a root collapse, freed arena slots taken up again — and on its
         // two copies: `clone()` (block for block) and `from_parts(to_parts())`
         // (the arena renumbered, every block copied out and moved back in).
-        // All three must yield and count alike. External id = row
-        // of `ds`, never reused; `live` says which rows are indexed.
+        // All three must yield and count alike, and each sweeps as it
+        // traverses — over an arena with freed slots in the first, over a
+        // compacted one in the twin. External id = row of `ds`, never
+        // reused; `live` says which rows are indexed.
         for num_pivots in [5, 0] {
             let what = format!("churned, s = {num_pivots}");
             let mut rng = Rng::new(70 + num_pivots as u64);
@@ -690,14 +768,19 @@ mod tests {
     fn nan_query_yields_nothing_and_terminates() {
         let ds = random_dataset(300, 4, 58);
         let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut Rng::new(59));
+        let mut sweeping = tree.clone();
+        sweeping.set_leaf_sweep(true);
         let q = [0.5, f32::NAN, 0.0, 1.0];
-        let mut cursor = tree.cursor(&q);
-        assert_eq!(cursor.next_within(1.0), None);
-        assert_eq!(cursor.next_within(f32::NAN), None);
-        assert_eq!(cursor.next_within(f32::INFINITY), None);
-        assert_eq!(cursor.next(), None);
-        assert_eq!(tree.cursor(&q).next(), None);
-        assert!(tree.knn(&q, 3).is_empty());
+        for tree in [&tree, &sweeping] {
+            let mut cursor = tree.cursor(&q);
+            assert_eq!(cursor.next_within(1.0), None);
+            assert_eq!(cursor.next_within(f32::NAN), None);
+            assert_eq!(cursor.next_within(f32::INFINITY), None);
+            assert!(cursor.is_exhausted());
+            assert_eq!(cursor.next(), None);
+            assert_eq!(tree.cursor(&q).next(), None);
+            assert!(tree.knn(&q, 3).is_empty());
+        }
     }
 
     #[test]

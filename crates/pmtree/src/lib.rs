@@ -16,17 +16,22 @@
 //!   partitions points by nearest global pivot, builds one subtree per
 //!   region concurrently and merges them; its output is identical for
 //!   every thread count.
-//! * [`cursor::RangeCursor`] — a round-at-a-time range scan yielding
+//! * [`cursor::RangeCursor`] — a round-at-a-time range query yielding
 //!   points ascending by (projected distance, id) from a sorted run: each
-//!   larger radius is one textbook range query over what earlier rounds
-//!   left unopened, one scan and one sort, no priority queue. Its one
-//!   discipline is the paper's: an entry pays its exact distance — once,
+//!   larger radius files the measured points within it (one branchless
+//!   split) and sorts them once, no priority queue. The points come from
+//!   one of two sources with identical yields. By default each round is
+//!   one textbook range traversal over what earlier rounds left unopened,
+//!   with the paper's discipline: an entry pays its exact distance — once,
 //!   in full; fifteen multiply-adds at m = 15 are not worth abandoning —
 //!   only after the distance-free filters of Eq. 5 fail to keep it outside
-//!   the radius. `next_within(r)` is the building block of the paper's
-//!   radius-enlarging Algorithm 2, and plain `next()` provides exact
-//!   incremental NN search by enlarging its own radius.
-//!   [`cursor::CursorScratch`] recycles the traversal's buffers across
+//!   the radius. On a tree marked with [`tree::PmTree::set_leaf_sweep`] —
+//!   the one PM-LSH queries — the cursor instead measures every point once,
+//!   leaf block by leaf block, which is cheaper at the candidate budgets
+//!   Algorithm 2 spends. `next_within(r)` is the building block of the
+//!   paper's radius-enlarging Algorithm 2, and plain `next()` provides
+//!   exact incremental NN search by enlarging its own radius.
+//!   [`cursor::CursorScratch`] recycles the cursor's buffers across
 //!   queries, so a serving loop stops allocating once warm.
 //! * [`cost::expected_distance_computations`] — the node-based cost model of
 //!   Eqs. 5–7 that regenerates the PM-tree column of Table 2.

@@ -57,9 +57,10 @@ pub struct RawNode {
 /// Node ids never influence query answers or their order (the cursor
 /// yields by projected distance, then external id — a function of the
 /// indexed points alone), so a round-tripped tree answers every query
-/// bit-identically. `ext_index` and
-/// `free_nodes` are not part of the export — the id map is rebuilt by
-/// inverting `externals`, and a compacted arena has no free slots.
+/// bit-identically. `ext_index`,
+/// `free_nodes` and the sweep mark are not part of the export — the id map
+/// is rebuilt by inverting `externals`, a compacted arena has no free
+/// slots, and [`PmTree::from_parts`] leaves the mark off.
 #[derive(Clone, Debug)]
 pub struct PmTreeParts {
     /// Dimensionality of the indexed space.
@@ -108,6 +109,9 @@ pub struct PmTree {
     /// inserts so that none allocates for them.
     pivot_dists: Vec<f32>,
     build_dist_computations: u64,
+    /// Whether cursors open with a sweep over the leaf blocks instead of
+    /// the range traversal; see [`PmTree::set_leaf_sweep`].
+    pub(crate) leaf_sweep: bool,
 }
 
 impl PmTree {
@@ -135,7 +139,20 @@ impl PmTree {
             free_nodes: Vec::new(),
             pivot_dists: Vec::new(),
             build_dist_computations: 0,
+            leaf_sweep: false,
         }
+    }
+
+    /// Marks the tree for sweeping (`true`) or for the textbook range
+    /// traversal (`false`, what every constructor leaves). A cursor over a
+    /// marked tree opens by measuring every indexed point, leaf block by
+    /// leaf block in arena order, instead of opening regions from the
+    /// root: no pivot or routing-entry distance, exactly [`PmTree::len`]
+    /// point distances, and the same yields and `is_exhausted` after every
+    /// call (see [`crate::cursor`]). `Clone` copies the mark; snapshots do
+    /// not store it.
+    pub fn set_leaf_sweep(&mut self, sweep: bool) {
+        self.leaf_sweep = sweep;
     }
 
     /// The shape of this tree's node entries.
@@ -632,6 +649,7 @@ impl PmTree {
             free_nodes: Vec::new(),
             pivot_dists: Vec::new(),
             build_dist_computations: parts.build_dist_computations,
+            leaf_sweep: false,
         };
         tree.verify_structure()?;
         Ok(tree)

@@ -12,10 +12,13 @@
 //! code, which is preserved verbatim in `pm_lsh_core::reference`.
 //!
 //! The reference keeps its own Algorithm 2 loop, verification and top-k,
-//! but pulls candidates from the same `PmTree::cursor` as the hot path, so
-//! candidate-order parity (ascending projected distance, ties by id) and
-//! the projected distance count hold by construction; what these tests
-//! compare is everything after the cursor.
+//! but pulls candidates from the same `PmTree::cursor` of `index.tree()` as
+//! the hot path — the leaf sweep, since the index marks its tree for
+//! sweeping — so candidate-order parity (ascending projected distance,
+//! ties by id) and the projected distance count (the live count `n`) hold
+//! by construction; what these tests compare is everything after the
+//! cursor. That the sweep yields what the range traversal yields is the
+//! cursor's own differential test (`pm-lsh-pmtree`, `cursor.rs`).
 
 use pm_lsh::prelude::*;
 

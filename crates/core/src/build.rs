@@ -11,14 +11,9 @@
 /// projection of all `n` points (`GaussianProjector::project_all_threaded`)
 /// and the PM-tree bulk-load (`PmTree::build_parallel`, one subtree per
 /// pivot region). Both phases are **thread-count invariant**: the index
-/// built with 8 threads is identical to the one built with 1, so parallel
+/// built with 8 threads is identical to the one built with 1 — and to
+/// [`crate::PmLsh::build`]'s, which is the 1-thread build — so parallel
 /// builds stay reproducible and a snapshot can be rebuilt bit-for-bit.
-///
-/// Note that the bulk-loaded PM-tree legitimately differs in shape from
-/// the incrementally grown tree of [`crate::PmLsh::build`] (which predates
-/// the bulk loader and is kept for the paper-faithful construction path);
-/// both satisfy every PM-tree invariant and answer queries with the same
-/// guarantees.
 ///
 /// ```
 /// use pm_lsh_core::BuildOptions;

@@ -192,16 +192,14 @@ impl PmLsh {
     /// shared with other indexes (the benchmark harness compares six
     /// algorithms over one in-memory copy).
     pub fn build(data: impl Into<Arc<Dataset>>, params: PmLshParams) -> Self {
-        let data = data.into();
-        let mut rng = Rng::new(params.seed);
-        let projector = GaussianProjector::new(data.dim(), params.m as usize, &mut rng);
-        Self::build_with_projector(data, projector, params, &mut rng)
+        Self::build_with_opts(data, params, BuildOptions::default())
     }
 
     /// Builds the index in parallel. `opts.threads` workers split the
     /// Gaussian projection by row chunk and the PM-tree bulk-load by pivot
-    /// region; the result is identical for every thread count (see
-    /// [`BuildOptions`]), so `opts` trades wall-clock time only.
+    /// region; the result is identical for every thread count and to
+    /// [`PmLsh::build`]'s (see [`BuildOptions`]), so `opts` trades
+    /// wall-clock time only.
     ///
     /// ```
     /// use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
@@ -228,7 +226,7 @@ impl PmLsh {
         let data = data.into();
         let mut rng = Rng::new(params.seed);
         let projector = GaussianProjector::new(data.dim(), params.m as usize, &mut rng);
-        Self::build_inner(data, projector, params, &mut rng, Some(opts))
+        Self::build_inner(data, projector, params, &mut rng, opts.effective_threads())
     }
 
     /// Builds with a caller-supplied projector (used by ablations that share
@@ -239,20 +237,19 @@ impl PmLsh {
         params: PmLshParams,
         rng: &mut Rng,
     ) -> Self {
-        Self::build_inner(data, projector, params, rng, None)
+        Self::build_inner(data, projector, params, rng, 1)
     }
 
-    /// Shared build pipeline. `opts: None` keeps the incremental (insert
-    /// one point at a time) PM-tree construction that `build` has always
-    /// used; `Some(opts)` routes through the parallel bulk loader, whose
-    /// output is invariant in the thread count but differs in tree shape
-    /// from the incremental path.
+    /// Shared build pipeline: project every point, bulk-load the PM-tree
+    /// (`PmTree::build_parallel`), sample `F`. Both parallel stages give
+    /// the same result on any number of `threads`, so every build entry
+    /// point yields the same index.
     fn build_inner(
         data: impl Into<Arc<Dataset>>,
         projector: GaussianProjector,
         params: PmLshParams,
         rng: &mut Rng,
-        opts: Option<BuildOptions>,
+        threads: usize,
     ) -> Self {
         let data = data.into();
         assert!(!data.is_empty(), "cannot index an empty dataset");
@@ -267,12 +264,8 @@ impl PmLsh {
             "projector m mismatch"
         );
         let derived = params.derive();
-        let threads = opts.map(|o| o.effective_threads()).unwrap_or(1);
         let projected = projector.project_all_threaded(data.view(), threads);
-        let mut tree = match opts {
-            Some(_) => PmTree::build_parallel(projected.view(), params.tree, rng, threads),
-            None => PmTree::build(projected.view(), params.tree, rng),
-        };
+        let mut tree = PmTree::build_parallel(projected.view(), params.tree, rng, threads);
         tree.set_leaf_sweep(true);
         let dist_f = if data.len() >= 2 {
             let pairs = params

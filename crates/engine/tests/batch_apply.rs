@@ -15,7 +15,6 @@ use pm_lsh_metric::Dataset;
 use pm_lsh_stats::Rng;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 
 fn blob(n: usize, d: usize, seed: u64) -> Dataset {
     let mut rng = Rng::new(seed);
@@ -381,30 +380,33 @@ fn wire_batch_requires_auth() {
 }
 
 /// The batch path composes with the rest of the engine: snapshots taken
-/// by concurrent readers stay self-consistent while batches land.
+/// by concurrent readers stay self-consistent while batches land. The
+/// writer waits for a query to get through before each batch, so every
+/// batch lands under a live reader.
 #[test]
 fn concurrent_queries_see_consistent_snapshots_across_batches() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
     let data = blob(400, 8, 70);
     let extra = blob(64, 8, 71);
-    let engine = Arc::new(engine_over(data));
+    let engine = engine_over(data);
     let q = extra.point(0).to_vec();
+    let (stop, served) = (AtomicBool::new(false), AtomicU64::new(0));
 
     std::thread::scope(|scope| {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let reader_stop = Arc::clone(&stop);
-        let reader_engine = Arc::clone(&engine);
-        let reader_q = q.clone();
-        let reader = scope.spawn(move || {
-            let mut served = 0u64;
-            while !reader_stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let r = reader_engine.query(&reader_q, 5);
+        let reader = scope.spawn(|| {
+            while !stop.load(Relaxed) {
+                let r = engine.query(&q, 5);
                 assert_eq!(r.neighbors.len(), 5);
-                served += 1;
+                served.fetch_add(1, Relaxed);
             }
-            served
         });
 
         for round in 0..8 {
+            let before = served.load(Relaxed);
+            while served.load(Relaxed) == before {
+                assert!(!reader.is_finished(), "the reader stopped querying");
+                std::thread::yield_now();
+            }
             let ops: Vec<MutOp> = (0..8)
                 .map(|i| MutOp::Insert(extra.point(round * 8 + i).to_vec()))
                 .collect();
@@ -412,10 +414,10 @@ fn concurrent_queries_see_consistent_snapshots_across_batches() {
             assert_eq!(report.applied, 8);
             assert_eq!(report.epoch, round as u64 + 1);
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let served = reader.join().expect("reader thread");
-        assert!(served > 0, "the reader never got a query through");
+        stop.store(true, Relaxed);
+        reader.join().expect("reader thread");
     });
+    assert!(served.into_inner() >= 8, "fewer queries than batches");
     assert_eq!(engine.epoch(), 8);
     assert_eq!(engine.info().points, 400 + 64);
 }

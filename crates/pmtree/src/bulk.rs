@@ -1,34 +1,41 @@
-//! Parallel PM-tree bulk-loading.
+//! The PM-tree loader: every build goes through it.
 //!
-//! [`PmTree::build`] inserts points one at a time — inherently serial,
-//! because every insert descends from the current root. The bulk loader
-//! exploits the structure the PM-tree already has: the global pivots
-//! (Section 4.1 of the paper) induce a Voronoi-style partition of the
-//! dataset, and points in different pivot regions end up in disjoint
-//! subtrees anyway. So it
+//! The global pivots (Section 4.1 of the paper) induce a Voronoi-style
+//! partition of the dataset, and points in different pivot regions end up
+//! in disjoint subtrees anyway. So [`PmTree::build_parallel`]
 //!
-//! 1. selects the global pivots exactly as the incremental build does
-//!    (same RNG consumption, so downstream seeded sampling is unaffected),
+//! 1. selects the global pivots from a sample,
 //! 2. assigns every point to its nearest pivot (ties to the lowest pivot
-//!    index), computing the per-point pivot-distance rows the leaf entries
-//!    need anyway,
-//! 3. builds one subtree per non-empty region **concurrently** — each
-//!    subtree is an ordinary incremental PM-tree over that region's points
-//!    in ascending row order — and
-//! 4. merges the subtrees under a fresh root whose routing entries use the
-//!    region pivots as routing objects, with covering radii and hyper-rings
-//!    folded from the pivot-distance rows of step 2.
+//!    index), keeping one region number per row,
+//! 3. grows one subtree per non-empty region by M-tree insertion
+//!    ([`PmTree::insert`]'s mM_RAD splits and ring upkeep), rows in
+//!    ascending order, the regions shared out among `threads` workers of
+//!    which the caller is the first, and
+//! 4. splices the subtrees into one arena — the first subtree's arena and
+//!    row maps *are* the tree's — under a root holding one routing entry
+//!    per region: the region pivot as routing object, covering radius and
+//!    hyper-rings folded from the exact pivot distances of the leaf entries
+//!    below it.
+//!
+//! Degenerate inputs are one region, grown by insertion alone: no pivots,
+//! more pivots than a node holds, at most two nodes' worth of points, or
+//! fewer points than pivots — a shape sharded builds hit routinely, where
+//! `select_pivots` pads the pivot set with duplicates and a partitioned
+//! root would carry degenerate zero-radius routing entries.
+//!
+//! The loader keeps no build scratch beside the tree: one `u32` region per
+//! row, no pivot-distance matrix (insertion measures a point's pivot
+//! distances where it files it), and no per-region id map (`ext_index` is
+//! built once, by inverting `externals`, as [`PmTree::from_parts`] does).
 //!
 //! # Determinism
 //!
-//! The partition, every subtree, and the merge order depend only on the
+//! The partition, every subtree and the splice order depend only on the
 //! input — never on `threads`, which merely sets how many workers drain the
-//! region queue. A 1-thread and an 8-thread bulk-load therefore produce
-//! **identical** trees (same nodes, same entry order, same counters), which
-//! is what lets `PmLsh` promise reproducible parallel builds. Note the
-//! bulk-loaded tree legitimately differs from the one [`PmTree::build`]
-//! grows by repeated root splits; both satisfy every PM-tree invariant and
-//! answer queries through the same cursor.
+//! region queue. Every thread count therefore builds the **same** tree
+//! (same nodes, same entry order, same counters): [`PmTree::build`] is
+//! this loader on one thread, and a snapshot of an index built on eight
+//! threads is byte-equal to one built on one.
 //!
 //! Parallelism is bounded by the region count `s` (5 at the paper's
 //! operating point) and by region skew; that is the price of a
@@ -40,22 +47,17 @@ use crate::tree::{PmTree, PmTreeConfig};
 use crate::NodeId;
 use pm_lsh_metric::{euclidean, MatrixView, PointId};
 use pm_lsh_stats::Rng;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
 
 impl PmTree {
     /// Builds a tree over every row of `view` (external id = row index),
-    /// constructing one subtree per pivot region on up to `threads` OS
-    /// threads (0 = available parallelism).
+    /// growing one subtree per pivot region on up to `threads` threads, the
+    /// calling one included (0 = available parallelism).
     ///
     /// The result is identical for every `threads` value — see the module
-    /// docs for why — and satisfies [`PmTree::verify_invariants`]. Falls
-    /// back to the incremental [`PmTree::build`] when partitioning cannot
-    /// help (no pivots, more pivots than node capacity, fewer points than
-    /// two nodes' worth, or fewer points than pivots — a shape sharded
-    /// builds hit routinely, where `select_pivots` pads the set with
-    /// duplicates and a partitioned root would carry degenerate
-    /// zero-radius routing entries).
+    /// docs for why and for the degenerate inputs that are grown as one
+    /// region — and satisfies [`PmTree::verify_invariants`].
     pub fn build_parallel(
         view: MatrixView<'_>,
         cfg: PmTreeConfig,
@@ -63,179 +65,161 @@ impl PmTree {
         threads: usize,
     ) -> Self {
         let pivots = select_pivots(view, cfg.num_pivots, cfg.pivot_sample, rng);
-        let n = view.len();
-        if pivots.is_empty()
-            || pivots.len() > cfg.capacity
-            || n <= 2 * cfg.capacity
-            || n < pivots.len()
-        {
-            // Degenerate shapes where a partitioned root is impossible or
-            // pointless; the incremental build is equally deterministic.
-            let mut tree = Self::new(view.dim(), cfg, pivots);
-            for (i, p) in view.iter().enumerate() {
-                tree.insert(p, i as PointId);
-            }
-            return tree;
-        }
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+        let (n, s) = (view.len(), pivots.len());
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            threads => threads,
+        };
+        let partition = !(s == 0 || s > cfg.capacity || n <= 2 * cfg.capacity || n < s);
+        let (region, regions) = if partition {
+            let region = nearest_pivots(view, &pivots, threads);
+            let mut filled = vec![false; s];
+            region.iter().for_each(|&r| filled[r as usize] = true);
+            let regions: Vec<usize> = (0..s).filter(|&r| filled[r]).collect();
+            (region, regions)
         } else {
-            threads
+            (vec![0; n], vec![0])
         };
 
-        let s = pivots.len();
-        // Step 2: pivot-distance rows and nearest-pivot assignment, chunked
-        // across the workers (pure per-row computation, deterministic).
-        let mut pd = vec![0.0f32; n * s];
-        let rows_per_chunk = n.div_ceil(threads.min(n));
-        std::thread::scope(|scope| {
-            for (c, pd_chunk) in pd.chunks_mut(rows_per_chunk * s).enumerate() {
-                let start = c * rows_per_chunk;
-                let pivots = &pivots;
-                scope.spawn(move || {
-                    for (j, pd_row) in pd_chunk.chunks_mut(s).enumerate() {
-                        let point = view.point(start + j);
-                        for (slot, pivot) in pd_row.iter_mut().zip(pivots) {
-                            *slot = euclidean(point, pivot);
-                        }
-                    }
-                });
-            }
-        });
-        let mut regions: Vec<Vec<usize>> = vec![Vec::new(); s];
-        for i in 0..n {
-            let row = &pd[i * s..(i + 1) * s];
-            let mut best = 0usize;
-            for (j, &d) in row.iter().enumerate().skip(1) {
-                if d < row[best] {
-                    best = j;
+        // Step 3: workers take regions off a shared counter, and each
+        // subtree is keyed by its slot in `regions`, so the splice order
+        // never depends on which worker finished first.
+        let next = AtomicUsize::new(0);
+        let grow = || {
+            let mut grown = Vec::new();
+            while let Some(&r) = regions.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let mut sub = PmTree::new(view.dim(), cfg, pivots.clone());
+                if r == regions[0] {
+                    // The first subtree becomes the tree: room for every row.
+                    sub.externals.reserve_exact(n);
+                    sub.leaf_of.reserve_exact(n);
                 }
+                for row in (0..n).filter(|&row| region[row] as usize == r) {
+                    sub.add_point(view.point(row), row as PointId);
+                }
+                grown.push((r, sub));
             }
-            regions[best].push(i);
-        }
-        let tasks: Vec<(usize, Vec<usize>)> = regions
-            .into_iter()
-            .enumerate()
-            .filter(|(_, rows)| !rows.is_empty())
-            .collect();
-
-        // Step 3: one subtree per non-empty region, workers draining a
-        // shared task counter. Results are keyed by task index so the merge
-        // order below never depends on completion order.
-        let next_task = AtomicUsize::new(0);
-        let (results_tx, results_rx) = channel::<(usize, PmTree)>();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(tasks.len()) {
-                let next_task = &next_task;
-                let results_tx = results_tx.clone();
-                let tasks = &tasks;
-                let pivots = &pivots;
-                let pd = &pd;
-                scope.spawn(move || loop {
-                    let t = next_task.fetch_add(1, Ordering::Relaxed);
-                    let Some((_, rows)) = tasks.get(t) else {
-                        return;
-                    };
-                    let mut sub = PmTree::new(view.dim(), cfg, pivots.to_vec());
-                    for &row in rows {
-                        let pd_row = &pd[row * s..(row + 1) * s];
-                        sub.insert_with_pivot_dists(view.point(row), row as PointId, pd_row);
-                    }
-                    let _ = results_tx.send((t, sub));
-                });
+            grown
+        };
+        let mut grown = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads.min(regions.len()))
+                .map(|_| scope.spawn(grow))
+                .collect();
+            let mut grown = grow();
+            for helper in helpers {
+                grown.extend(
+                    helper
+                        .join()
+                        .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+                );
             }
+            grown
         });
-        drop(results_tx);
-        let mut subtrees: Vec<Option<PmTree>> = (0..tasks.len()).map(|_| None).collect();
-        for (t, sub) in results_rx {
-            subtrees[t] = Some(sub);
-        }
+        grown.sort_unstable_by_key(|&(r, _)| r);
+        drop(region);
 
-        // A single populated region needs no splice and no extra root:
-        // its subtree already is the whole tree (root entries keep their
-        // "no parent" convention). Only the assignment-phase distance
-        // computations must be accounted for.
-        if tasks.len() == 1 {
-            let mut sub = subtrees
-                .pop()
-                .flatten()
-                .expect("the single region task completed");
-            sub.add_build_dist_computations((n * s) as u64);
-            return sub;
+        // Step 4: splice the other subtrees behind the first, in region
+        // order, and crown them with a root of per-region routing entries.
+        let more_nodes: usize = grown[1..].iter().map(|(_, sub)| sub.nodes.len()).sum();
+        let mut subtrees = grown.into_iter().map(|(_, sub)| sub);
+        let mut tree = subtrees.next().expect("every build has a region");
+        if partition {
+            tree.build_dist_computations += (n * s) as u64;
         }
-
-        // Step 4: splice the subtree arenas into one tree in region order
-        // and crown them with a root of per-region routing entries.
-        let mut tree = PmTree::new(view.dim(), cfg, pivots);
-        let lay = tree.layout();
-        tree.nodes.clear();
-        tree.add_build_dist_computations((n * s) as u64);
-        let mut root = Node::with_capacity(false, tasks.len(), lay);
-        for ((region, rows), sub) in tasks.iter().zip(subtrees) {
-            let sub = sub.expect("every region task completed");
-            let node_offset = tree.nodes.len() as NodeId;
-            let internal_offset = tree.externals.len() as u32;
-            let sub_root = sub.root + node_offset;
-            tree.add_build_dist_computations(sub.build_distance_computations());
-            for mut node in sub.nodes {
-                // Leaf entries refer to internal rows, routing entries to
-                // nodes; the points travel inside their leaf entries.
-                node.shift_links(
-                    lay,
-                    if node.is_leaf() {
+        if regions.len() > 1 {
+            let lay = tree.layout();
+            tree.nodes.reserve_exact(more_nodes + 1);
+            // Per region: the subtree's top node and its span of the arena.
+            let mut spans = vec![(tree.root, 0..tree.nodes.len())];
+            for sub in subtrees {
+                let node_offset = tree.nodes.len() as NodeId;
+                let internal_offset = tree.externals.len() as u32;
+                tree.build_dist_computations += sub.build_dist_computations;
+                tree.externals.extend_from_slice(&sub.externals);
+                (tree.leaf_of).extend(sub.leaf_of.iter().map(|&leaf| leaf + node_offset));
+                // Leaf entries refer to rows, routing entries to nodes.
+                for mut node in sub.nodes {
+                    let by = if node.is_leaf() {
                         internal_offset
                     } else {
                         node_offset
-                    },
-                );
-                tree.nodes.push(node);
+                    };
+                    node.shift_links(lay, by);
+                    tree.nodes.push(node);
+                }
+                spans.push((
+                    sub.root + node_offset,
+                    node_offset as usize..tree.nodes.len(),
+                ));
             }
-            tree.externals.extend_from_slice(&sub.externals);
-            // The mutable layer's bookkeeping splices with the same
-            // offsets as the arena: subtrees never free nodes during a
-            // build, so only the id map and the leaf map carry over.
-            debug_assert!(sub.free_nodes.is_empty());
-            for (local, &external) in sub.externals.iter().enumerate() {
-                tree.ext_index
-                    .insert(external, internal_offset + local as u32);
-            }
-            tree.leaf_of
-                .extend(sub.leaf_of.iter().map(|&leaf| leaf + node_offset));
 
-            // The subtree's top node now hangs under a routing object (the
-            // region pivot) instead of the root, so its entries' parent
-            // distances must be relative to that pivot. Leaf entries already
-            // carry the distance (it *is* a pivot distance); inner entries
-            // need one fresh computation each.
-            let pivot = &tree.pivots[*region];
-            let top = &mut tree.nodes[sub_root as usize];
-            for idx in 0..top.len(lay) {
-                let parent_dist = if top.is_leaf() {
-                    top.leaf_at(idx, lay).pivot_dists[*region]
-                } else {
-                    euclidean(top.inner_at(idx, lay).center, pivot)
-                };
-                top.set_parent_dist(idx, lay, parent_dist);
+            let mut root = Node::with_capacity(false, regions.len(), lay);
+            for (entry, (&r, (top, arena))) in regions.iter().zip(spans).enumerate() {
+                // The subtree's top node now hangs under a routing object
+                // (the region pivot), so its entries' parent distances must
+                // be relative to that pivot. Leaf entries already carry the
+                // distance (it *is* a pivot distance); routing entries need
+                // one fresh computation each.
+                let pivot = &tree.pivots[r];
+                let node = &mut tree.nodes[top as usize];
+                for idx in 0..node.len(lay) {
+                    let parent_dist = if node.is_leaf() {
+                        node.leaf_at(idx, lay).pivot_dists[r]
+                    } else {
+                        euclidean(node.inner_at(idx, lay).center, pivot)
+                    };
+                    node.set_parent_dist(idx, lay, parent_dist);
+                }
+                if !node.is_leaf() {
+                    tree.build_dist_computations += node.len(lay) as u64;
+                }
+                root.push_routing(lay, top, pivot);
+                let leaves = tree.nodes[arena].iter().filter(|node| node.is_leaf());
+                for e in leaves.flat_map(|node| node.leaves(lay)) {
+                    root.cover(entry, lay, e.pivot_dists[r], point_spans(e.pivot_dists));
+                }
             }
-            let fresh = if top.is_leaf() { 0 } else { top.len(lay) };
-
-            // Covering radius and hyper-rings of the region, folded from
-            // the assignment phase's pivot-distance rows.
-            let entry = root.len(lay);
-            root.push_routing(lay, sub_root, pivot);
-            for &row in rows {
-                let pd_row = &pd[row * s..(row + 1) * s];
-                root.cover(entry, lay, pd_row[*region], point_spans(pd_row));
-            }
-            tree.add_build_dist_computations(fresh as u64);
+            tree.root = tree.nodes.len() as NodeId;
+            tree.nodes.push(root);
         }
 
-        tree.root = tree.nodes.len() as NodeId;
-        tree.nodes.push(root);
+        tree.ext_index = HashMap::with_capacity(n);
+        (tree.ext_index)
+            .extend((tree.externals.iter().enumerate()).map(|(row, &e)| (e, row as u32)));
         tree
     }
+}
+
+/// Step 2: the nearest pivot of every row, ties to the lowest index. The
+/// rows are cut into one chunk per worker and the caller takes the first.
+fn nearest_pivots(view: MatrixView<'_>, pivots: &[Box<[f32]>], threads: usize) -> Vec<u32> {
+    let mut region = vec![0u32; view.len()];
+    let rows_per_chunk = view.len().div_ceil(threads);
+    let assign = |start: usize, chunk: &mut [u32]| {
+        for (row, slot) in (start..).zip(chunk) {
+            let point = view.point(row);
+            let mut best = (0, euclidean(point, &pivots[0]));
+            for (p, pivot) in pivots.iter().enumerate().skip(1) {
+                let d = euclidean(point, pivot);
+                if d < best.1 {
+                    best = (p, d);
+                }
+            }
+            *slot = best.0 as u32;
+        }
+    };
+    std::thread::scope(|scope| {
+        let assign = &assign;
+        let mut chunks = region.chunks_mut(rows_per_chunk).enumerate();
+        let first = chunks.next();
+        for (c, chunk) in chunks {
+            scope.spawn(move || assign(c * rows_per_chunk, chunk));
+        }
+        if let Some((_, chunk)) = first {
+            assign(0, chunk);
+        }
+    });
+    region
 }
 
 #[cfg(test)]
@@ -254,10 +238,28 @@ mod tests {
         ds
     }
 
+    /// The tree the mutation path grows: the loader's pivots, then one
+    /// [`PmTree::insert`] per row.
+    fn grown_by_insertion(ds: &Dataset, cfg: PmTreeConfig, seed: u64) -> PmTree {
+        let pivots = select_pivots(
+            ds.view(),
+            cfg.num_pivots,
+            cfg.pivot_sample,
+            &mut Rng::new(seed),
+        );
+        let mut tree = PmTree::new(ds.dim(), cfg, pivots);
+        for (row, p) in ds.iter().enumerate() {
+            tree.insert(p, row as PointId);
+        }
+        tree
+    }
+
     fn assert_trees_identical(a: &PmTree, b: &PmTree) {
         assert_eq!(a.root, b.root);
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.externals, b.externals);
+        assert_eq!(a.leaf_of, b.leaf_of);
+        assert_eq!(a.ext_index, b.ext_index);
         assert_eq!(
             a.build_distance_computations(),
             b.build_distance_computations()
@@ -273,9 +275,9 @@ mod tests {
     fn bulk_load_is_thread_count_invariant() {
         let ds = blob(900, 10, 41);
         let cfg = PmTreeConfig::default();
-        let base = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(7), 1);
+        let base = PmTree::build(ds.view(), cfg, &mut Rng::new(7));
         base.verify_invariants().expect("1-thread tree invariants");
-        for threads in [0usize, 2, 3, 4, 8] {
+        for threads in [0usize, 1, 2, 3, 4, 8] {
             let t = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(7), threads);
             assert_trees_identical(&base, &t);
         }
@@ -299,30 +301,27 @@ mod tests {
 
     #[test]
     fn bulk_load_matches_incremental_nn_order() {
-        // Different tree shapes, same geometry: both cursors must yield the
-        // same non-decreasing distance sequence for exact incremental NN.
+        // Different tree shapes, the same points: both cursors must yield
+        // the same `(id, dist)` sequence, ties broken by id, bit for bit.
         let ds = blob(600, 6, 43);
         let cfg = PmTreeConfig::default();
-        let inc = PmTree::build(ds.view(), cfg, &mut Rng::new(5));
-        let par = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(5), 4);
+        let inc = grown_by_insertion(&ds, cfg, 5);
+        let bulk = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(5), 4);
+        assert_ne!(inc.node_count(), bulk.node_count(), "the shapes differ");
         let q = ds.point(11);
-        let mut ci = inc.cursor(q);
-        let mut cp = par.cursor(q);
-        for rank in 0..40 {
-            let (_, di) = ci.next().expect("incremental exhausted early");
-            let (_, dp) = cp.next().expect("bulk exhausted early");
-            assert!(
-                (di - dp).abs() <= 1e-4 * (1.0 + di.abs()),
-                "rank {rank}: incremental {di} vs bulk {dp}"
-            );
+        let (mut ci, mut cb) = (inc.cursor(q), bulk.cursor(q));
+        for rank in 0..600 {
+            let hit = ci.next().expect("incremental exhausted early");
+            assert_eq!(Some(hit), cb.next(), "rank {rank}");
         }
+        assert_eq!((ci.next(), cb.next()), (None, None));
     }
 
     #[test]
     fn duplicate_points_collapse_to_one_region() {
         // All-identical points make every pivot identical, so nearest-pivot
-        // ties send every row to region 0 and the single-region shortcut
-        // runs: the subtree IS the tree, no wrapper root.
+        // ties send every row to region 0: its subtree IS the tree, no
+        // wrapper root.
         let ds = Dataset::from_rows(vec![vec![3.0f32, -1.0, 2.0]; 200]);
         let tree = PmTree::build_parallel(ds.view(), PmTreeConfig::default(), &mut Rng::new(8), 4);
         tree.verify_invariants().expect("single-region invariants");
@@ -339,11 +338,11 @@ mod tests {
     #[test]
     fn fewer_points_than_pivots_falls_back_to_incremental() {
         // Sharding deals a dataset round-robin, so a shard can easily hold
-        // fewer points than the configured pivot count. The bulk loader
-        // must take the incremental fallback there (select_pivots pads the
-        // pivot set with duplicates, which would otherwise become
-        // degenerate partitioned-root routing entries) and match
-        // PmTree::build exactly for every thread count.
+        // fewer points than the configured pivot count. The loader must
+        // grow such a shard as one region (select_pivots pads the pivot set
+        // with duplicates, which would otherwise become degenerate
+        // partitioned-root routing entries): exactly the tree insertion
+        // grows, for every thread count.
         for n in [1usize, 2, 3, 4] {
             let ds = blob(n, 6, 46);
             let cfg = PmTreeConfig {
@@ -351,7 +350,7 @@ mod tests {
                 ..Default::default()
             };
             assert!(n < cfg.num_pivots);
-            let inc = PmTree::build(ds.view(), cfg, &mut Rng::new(11));
+            let inc = grown_by_insertion(&ds, cfg, 11);
             for threads in [1usize, 4] {
                 let par = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(11), threads);
                 par.verify_invariants().expect("tiny-shard invariants");

@@ -793,9 +793,17 @@ mod tests {
         }
         let cfg = PmTreeConfig::default();
         let mut tree = PmTree::build(ds.view(), cfg, &mut Rng::new(61));
-        let mut twin = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(61), 2);
-        // Deletions free nodes, so `to_parts` renumbers the arena.
-        for id in (0..600).filter(|id| id % 7 < 3) {
+        // The other shape: the same points grown by insertion.
+        let mut twin = PmTree::new(6, cfg, tree.pivots.clone());
+        for (row, p) in ds.iter().enumerate() {
+            twin.insert(p, row as PointId);
+        }
+        // Deletions free nodes, so `to_parts` renumbers the arena: a
+        // pattern over the ids, and every point of one leaf.
+        let lay = tree.layout();
+        let leaf = &tree.nodes[tree.leaf_of[0] as usize];
+        let emptied: Vec<PointId> = leaf.leaves(lay).map(|e| e.external).collect();
+        for id in (0..600).filter(|id| id % 7 < 3 || emptied.contains(id)) {
             assert!(tree.delete(id) && twin.delete(id));
         }
         assert!(!tree.free_nodes.is_empty());

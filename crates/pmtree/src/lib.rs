@@ -3,19 +3,21 @@
 //! This is the metric index PM-LSH builds in the projected space
 //! (Section 4.1, Fig. 4 of the paper). The crate provides:
 //!
-//! * [`tree::PmTree`] — incremental construction with mM_RAD node splits and
-//!   per-entry hyper-ring (`HR`) maintenance; `num_pivots = 0` degrades to a
-//!   plain M-tree (used by the Fig. 6 parameter ablation). A node is one
+//! * [`tree::PmTree`] — M-tree insertion with mM_RAD node splits and
+//!   per-entry hyper-ring (`HR`) maintenance, and true leaf deletion: the
+//!   mutation path. `num_pivots = 0` degrades to a plain M-tree (used by
+//!   the Fig. 6 parameter ablation). A node is one
 //!   contiguous block (`block.rs`): its entries at a fixed stride in a
 //!   single allocation, each entry's Eq. 5 filter fields ahead of its
 //!   coordinates, a leaf entry's projected point inline — what a range
 //!   query reads, in the order it reads it. [`tree::PmTreeParts`], the
 //!   form a snapshot is written from and read back to, holds those blocks
 //!   as they are ([`tree::RawNode`]).
-//! * [`bulk`] — `PmTree::build_parallel`, a parallel bulk loader that
-//!   partitions points by nearest global pivot, builds one subtree per
-//!   region concurrently and merges them; its output is identical for
-//!   every thread count.
+//! * [`bulk`] — `PmTree::build_parallel`, the one loader every build goes
+//!   through (`PmTree::build` runs it on one thread): it partitions the
+//!   points by nearest global pivot, grows one subtree per region by
+//!   insertion, on as many threads as asked, and splices them under a root
+//!   of region pivots; its output is identical for every thread count.
 //! * [`cursor::RangeCursor`] — a round-at-a-time range query yielding
 //!   points ascending by (projected distance, id) from a sorted run: each
 //!   larger radius files the measured points within it (one branchless

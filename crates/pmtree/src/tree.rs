@@ -8,7 +8,6 @@
 //! holds each one as it is.
 
 use crate::block::{point_spans, Layout, LeafRef, Node};
-use crate::pivots::select_pivots;
 use crate::NodeId;
 use pm_lsh_metric::{euclidean, MatrixView, PointId};
 use pm_lsh_stats::Rng;
@@ -108,7 +107,7 @@ pub struct PmTree {
     /// The pivot distances of the point being inserted; kept between
     /// inserts so that none allocates for them.
     pivot_dists: Vec<f32>,
-    build_dist_computations: u64,
+    pub(crate) build_dist_computations: u64,
     /// Whether cursors open with a sweep over the leaf blocks instead of
     /// the range traversal; see [`PmTree::set_leaf_sweep`].
     pub(crate) leaf_sweep: bool,
@@ -165,14 +164,10 @@ impl PmTree {
     }
 
     /// Builds a tree over every row of `view` (external id = row index),
-    /// selecting pivots from a sample first.
+    /// selecting pivots from a sample first: the bulk loader
+    /// ([`PmTree::build_parallel`]) on the calling thread alone.
     pub fn build(view: MatrixView<'_>, cfg: PmTreeConfig, rng: &mut Rng) -> Self {
-        let pivots = select_pivots(view, cfg.num_pivots, cfg.pivot_sample, rng);
-        let mut tree = Self::new(view.dim(), cfg, pivots);
-        for (i, p) in view.iter().enumerate() {
-            tree.insert(p, i as PointId);
-        }
-        tree
+        Self::build_parallel(view, cfg, rng, 1)
     }
 
     /// Number of indexed points.
@@ -200,15 +195,23 @@ impl PmTree {
         self.nodes.len()
     }
 
-    /// Height of the tree (1 for a single leaf).
+    /// Height of the tree: the nodes on the path from the root to its
+    /// deepest leaf (1 for a single leaf). Leaves need not share a depth:
+    /// the bulk loader hangs one subtree per pivot region under the root,
+    /// each as deep as its region is large.
     pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = &self.nodes[self.root as usize];
-        while !node.is_leaf() {
-            node = &self.nodes[node.inner_at(0, self.layout()).child as usize];
-            h += 1;
+        let lay = self.layout();
+        let mut deepest = 0;
+        let mut stack = vec![(self.root, 1)];
+        while let Some((node, depth)) = stack.pop() {
+            let entries = &self.nodes[node as usize];
+            if entries.is_leaf() {
+                deepest = deepest.max(depth);
+            } else {
+                stack.extend(entries.inners(lay).map(|e| (e.child, depth + 1)));
+            }
         }
-        h
+        deepest
     }
 
     /// Distance computations spent on inserts so far (preprocessing cost).
@@ -236,45 +239,30 @@ impl PmTree {
         // message (not inside the distance kernel) and without counting
         // distance computations it never really did.
         assert_eq!(vector.len(), self.dim, "point has wrong dimensionality");
-        let mut pd = std::mem::take(&mut self.pivot_dists);
-        pd.clear();
-        pd.extend(self.pivots.iter().map(|p| euclidean(vector, p)));
-        self.build_dist_computations += self.pivots.len() as u64;
-        self.insert_with_pivot_dists(vector, external, &pd);
-        self.pivot_dists = pd;
-    }
-
-    /// Inserts one point whose pivot distances are already known (the bulk
-    /// loader computes them during region assignment and must not pay for —
-    /// or count — them twice).
-    pub(crate) fn insert_with_pivot_dists(
-        &mut self,
-        vector: &[f32],
-        external: PointId,
-        pd: &[f32],
-    ) {
-        assert_eq!(vector.len(), self.dim, "point has wrong dimensionality");
-        debug_assert_eq!(pd.len(), self.pivots.len());
-        let internal = self.externals.len() as u32;
         assert!(
             !self.ext_index.contains_key(&external),
             "external id {external} is already indexed"
         );
-        self.externals.push(external);
-        self.ext_index.insert(external, internal);
-        // Placeholder; insert_rec records the leaf that receives the entry.
-        self.leaf_of.push(self.root);
-
-        if let Some(pair) = self.insert_rec(self.root, vector, internal, pd, 0.0, None) {
-            self.root = self.alloc(pair);
-        }
+        self.ext_index.insert(external, self.externals.len() as u32);
+        self.add_point(vector, external);
     }
 
-    /// Adds `count` build-time distance computations to the preprocessing
-    /// counter (used by the bulk loader, whose assignment phase computes
-    /// pivot distances outside [`PmTree::insert`]).
-    pub(crate) fn add_build_dist_computations(&mut self, count: u64) {
-        self.build_dist_computations += count;
+    /// Everything [`PmTree::insert`] does but the id map: the bulk loader
+    /// grows its region subtrees with this and inverts `externals` once at
+    /// the end, so no region keeps a map of its own.
+    pub(crate) fn add_point(&mut self, vector: &[f32], external: PointId) {
+        let mut pd = std::mem::take(&mut self.pivot_dists);
+        pd.clear();
+        pd.extend(self.pivots.iter().map(|p| euclidean(vector, p)));
+        self.build_dist_computations += self.pivots.len() as u64;
+        let internal = self.externals.len() as u32;
+        self.externals.push(external);
+        // Placeholder; insert_rec records the leaf that receives the entry.
+        self.leaf_of.push(self.root);
+        if let Some(pair) = self.insert_rec(self.root, vector, internal, &pd, 0.0, None) {
+            self.root = self.alloc(pair);
+        }
+        self.pivot_dists = pd;
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
@@ -1004,6 +992,36 @@ mod tests {
         rejected(&hollow, "inner node with no entries");
     }
 
+    /// A bulk-loaded tree's leaves sit at different depths: here the first
+    /// pivot region holds some of five far outliers, one leaf right under
+    /// the root, while the large regions grow several levels. `height`
+    /// must report the deepest leaf, not the first child chain.
+    #[test]
+    fn height_is_the_depth_of_the_deepest_leaf() {
+        let mut rng = Rng::new(37);
+        let mut ds = Dataset::with_capacity(4, 3005);
+        let mut buf = [0.0f32; 4];
+        for row in 0..3005 {
+            rng.fill_normal(&mut buf);
+            if row < 5 {
+                buf.iter_mut().for_each(|x| *x += 100.0);
+            }
+            ds.push(&buf);
+        }
+        let cfg = PmTreeConfig {
+            pivot_sample: ds.len(),
+            ..PmTreeConfig::default()
+        };
+        let tree = PmTree::build(ds.view(), cfg, &mut rng);
+        let lay = tree.layout();
+        let first = tree.nodes[tree.root as usize].inner_at(0, lay).child;
+        let first = &tree.nodes[first as usize];
+        assert!(first.is_leaf() && first.len(lay) <= 5, "outlier region");
+        let deepest = (tree.leaf_of.iter()).map(|&leaf| tree.path_to(leaf).len() + 1);
+        assert_eq!(Some(tree.height()), deepest.max());
+        assert!(tree.height() >= 4, "height {}", tree.height());
+    }
+
     /// `from_parts` moves the blocks in as they are, so it must refuse —
     /// not slice-panic on — words that do not have the tree's shape or
     /// nodes that could not have been built, and must keep every other
@@ -1102,8 +1120,11 @@ mod tests {
         };
         let mut tree = PmTree::build(first, PmTreeConfig::default(), &mut rng);
         check(&tree, "after build");
-        let bulk = PmTree::build_parallel(first, PmTreeConfig::default(), &mut rng, 2);
-        check(&bulk, "after bulk load");
+        let mut grown = PmTree::new(15, PmTreeConfig::default(), tree.pivots.clone());
+        for (row, p) in first.iter().enumerate() {
+            grown.insert(p, row as PointId);
+        }
+        check(&grown, "after insertion");
         let mut live: Vec<PointId> = (0..3000).collect();
         for next in 3000..5000 {
             tree.insert(ds.point(next), next as PointId);
@@ -1112,6 +1133,15 @@ mod tests {
                 let victim = live.swap_remove(rng.below(live.len()));
                 assert!(tree.delete(victim));
             }
+        }
+        // Scattered deletions seldom empty a leaf; emptying one frees it.
+        let leaf = &tree.nodes[tree.leaf_of[0] as usize];
+        for victim in leaf
+            .leaves(tree.layout())
+            .map(|e| e.external)
+            .collect::<Vec<_>>()
+        {
+            assert!(tree.delete(victim));
         }
         assert!(!tree.free_nodes.is_empty() && tree.len() > 2000);
         check(&tree, "after churn");

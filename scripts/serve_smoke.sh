@@ -25,6 +25,16 @@ echo "== generating smoke datasets"
 # A second audio-shaped file to REINDEX onto (same dimensionality).
 "$BIN" gen --dataset audio --scale smoke --out "$TMP/audio2.fvecs"
 
+echo "== local save: the snapshot does not depend on --build-threads"
+"$BIN" save --data "$TMP/audio.fvecs" --out "$TMP/one.pmlsh" > /dev/null
+"$BIN" save --data "$TMP/audio.fvecs" --out "$TMP/three.pmlsh" --build-threads 3 > /dev/null
+if cmp "$TMP/one.pmlsh" "$TMP/three.pmlsh"; then
+  printf 'ok: %-18s -> 1- and 3-thread builds save identical bytes\n' "SAVE"
+else
+  echo "FAIL: --build-threads 3 saved a different snapshot" >&2
+  exit 1
+fi
+
 echo "== starting pmlsh serve (two indexes, auth-gated mutating verbs)"
 "$BIN" serve --data "audio=$TMP/audio.fvecs,cifar=$TMP/cifar.fvecs" \
   --port "$PORT" --threads 2 --auth-token "$TOKEN" &

@@ -193,8 +193,8 @@ clone and publishes once (one epoch bump per batch instead of one per
 op); semantic per-op failures are reported as FAIL lines, syntactic
 errors reject the whole batch unapplied.
 `--threads 0` (the default) uses all available cores per index;
-`--build-threads` parallelizes index construction (0 = all cores,
-omitted = the single-threaded paper-faithful build). `--shards <n>`
+`--build-threads <n>` builds an index on n threads (0 = all cores,
+default 1); the index is the same for every n. `--shards <n>`
 partitions each dataset round-robin into n independent PM-LSH shards
 queried scatter-gather (INDEXINFO reports shards=n); a sharded SAVE
 writes a manifest plus one `.s<k>` file per shard, and serving that
@@ -514,10 +514,10 @@ fn cmd_batch_query(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     let (k, c) = parse_kc(opts)?;
     let config = parse_engine_config(opts)?;
-    let build_threads = parse_build_threads(opts)?;
+    let build = parse_build_opts(opts)?;
     let with_truth = !opts.contains_key("no-truth");
 
-    let index = Arc::new(load_or_build_index(path, c, build_threads)?);
+    let index = Arc::new(load_or_build_index(path, c, build)?);
     let queries = load(opts.get("queries").ok_or("batch-query needs --queries")?)?;
     if queries.dim() != index.data().dim() {
         return Err(format!(
@@ -644,7 +644,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|_| "--port must be 0..=65535")?;
     let c = parse_c(opts)?;
     let config = parse_engine_config(opts)?;
-    let build_threads = parse_build_threads(opts)?;
+    let build = parse_build_opts(opts)?;
     let max_connections: usize = opts
         .get("max-connections")
         .map(|s| {
@@ -677,7 +677,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let router = Router::new();
     for (name, path) in &specs {
         print!("[{name}] ");
-        let engine = load_or_build_engine(path, c, build_threads, shards, config)?;
+        let engine = load_or_build_engine(path, c, build, shards, config)?;
         router.attach(name, engine).map_err(|e| e.to_string())?;
     }
 
@@ -759,8 +759,8 @@ fn cmd_save(opts: &HashMap<String, String>) -> Result<(), String> {
                 }
             }
             let c = parse_c(opts)?;
-            let build_threads = parse_build_threads(opts)?;
-            let index = load_or_build_index(data_path, c, build_threads)?;
+            let build = parse_build_opts(opts)?;
+            let index = load_or_build_index(data_path, c, build)?;
             let start = Instant::now();
             let report = index.save(out).map_err(|e| format!("writing {out}: {e}"))?;
             println!(
@@ -778,7 +778,7 @@ fn cmd_save(opts: &HashMap<String, String>) -> Result<(), String> {
 /// (detected by magic bytes, not extension) deserializes in milliseconds
 /// with its *saved* parameters — `--c`/`--build-threads` do not apply;
 /// anything else is read as a dataset (fvecs/csv) and built from scratch.
-fn load_or_build_index(path: &str, c: f64, build_threads: Option<usize>) -> Result<PmLsh, String> {
+fn load_or_build_index(path: &str, c: f64, build: BuildOptions) -> Result<PmLsh, String> {
     let start = Instant::now();
     if pm_lsh::persist::is_pmlsh_file(path) {
         let index = PmLsh::load(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -791,7 +791,7 @@ fn load_or_build_index(path: &str, c: f64, build_threads: Option<usize>) -> Resu
         Ok(index)
     } else {
         let data = Arc::new(load(path)?);
-        let index = build_pmlsh(data, c, build_threads);
+        let index = PmLsh::build_with_opts(data, pmlsh_params(c), build);
         println!(
             "built PM-LSH over {} points in R^{} in {:.1} s ({path})",
             index.len(),
@@ -812,7 +812,7 @@ fn load_or_build_index(path: &str, c: f64, build_threads: Option<usize>) -> Resu
 fn load_or_build_engine(
     path: &str,
     c: f64,
-    build_threads: Option<usize>,
+    build: BuildOptions,
     shards: usize,
     config: EngineConfig,
 ) -> Result<ShardedEngine, String> {
@@ -831,7 +831,7 @@ fn load_or_build_engine(
         return Ok(engine);
     }
     if shards == 1 || pm_lsh::persist::is_pmlsh_file(path) {
-        return Ok(Engine::new(load_or_build_index(path, c, build_threads)?, config).into());
+        return Ok(Engine::new(load_or_build_index(path, c, build)?, config).into());
     }
     let start = Instant::now();
     let data = load(path)?;
@@ -841,11 +841,7 @@ fn load_or_build_engine(
             data.len()
         ));
     }
-    let opts = match build_threads {
-        Some(threads) => BuildOptions::with_threads(threads),
-        None => BuildOptions::default(),
-    };
-    let engine = ShardedEngine::build(&data, pmlsh_params(c), opts, shards, config);
+    let engine = ShardedEngine::build(&data, pmlsh_params(c), build, shards, config);
     println!(
         "built PM-LSH over {} points in R^{} as {shards} shard(s) in {:.1} s ({path})",
         engine.len(),
@@ -855,25 +851,15 @@ fn load_or_build_engine(
     Ok(engine)
 }
 
-/// Builds the PM-LSH index, routing through the parallel bulk loader when
-/// `--build-threads` was given (0 = all cores) and the classic
-/// single-threaded incremental build otherwise.
-fn build_pmlsh(data: Arc<Dataset>, c: f64, build_threads: Option<usize>) -> PmLsh {
-    match build_threads {
-        Some(threads) => {
-            PmLsh::build_with_opts(data, pmlsh_params(c), BuildOptions::with_threads(threads))
-        }
-        None => PmLsh::build(data, pmlsh_params(c)),
-    }
-}
-
-fn parse_build_threads(opts: &HashMap<String, String>) -> Result<Option<usize>, String> {
-    opts.get("build-threads")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| "--build-threads must be an integer".to_string())
-        })
-        .transpose()
+/// `--build-threads <n>` (0 = all cores); one thread when omitted. The
+/// index built is the same either way.
+fn parse_build_opts(opts: &HashMap<String, String>) -> Result<BuildOptions, String> {
+    let threads = opts
+        .get("build-threads")
+        .map(|s| s.parse().map_err(|_| "--build-threads must be an integer"))
+        .transpose()?
+        .unwrap_or(1);
+    Ok(BuildOptions::with_threads(threads))
 }
 
 /// A newline-delimited protocol client over one TCP connection, shared by

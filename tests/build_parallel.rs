@@ -1,9 +1,12 @@
-//! Parallel builds must be reproducible: a 1-thread and a 4-thread
-//! `BuildOptions` build of the same dataset are required to answer every
-//! query identically (ISSUE 2 acceptance criterion, exercised through the
-//! facade on the Audio smoke stand-in).
+//! Builds must be reproducible: one loader serves every thread count, so a
+//! plain `PmLsh::build` and a `BuildOptions` build on any number of threads
+//! are required to be the same index — the same answers and counters on
+//! every query and the same snapshot bytes (exercised through the facade on
+//! the Audio smoke stand-in).
 
+use pm_lsh::persist::serialize;
 use pm_lsh::prelude::*;
+use std::sync::Arc;
 
 #[test]
 fn one_and_four_thread_builds_answer_identically_on_audio_smoke() {
@@ -32,32 +35,28 @@ fn one_and_four_thread_builds_answer_identically_on_audio_smoke() {
 }
 
 #[test]
-fn parallel_build_recall_matches_incremental_build() {
-    // The bulk-loaded tree differs in shape from the incremental one, but
-    // both index the same projections and must deliver comparable answer
-    // quality against exact ground truth.
+fn plain_and_threaded_builds_are_bit_identical() {
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
-    let data = std::sync::Arc::new(generator.dataset());
+    let data = Arc::new(generator.dataset());
     let queries = generator.queries(30);
-    let truth = exact_knn_batch(data.view(), queries.view(), 10, 0);
     let params = PmLshParams::paper_defaults();
 
-    let incremental = PmLsh::build(std::sync::Arc::clone(&data), params);
-    let bulk = PmLsh::build_with_opts(
-        std::sync::Arc::clone(&data),
-        params,
+    let plain = PmLsh::build(Arc::clone(&data), params);
+    let bytes = serialize(&plain);
+    for opts in [
+        BuildOptions::with_threads(1),
+        BuildOptions::with_threads(4),
         BuildOptions::all_cores(),
-    );
-
-    let (mut r_inc, mut r_bulk) = (0.0, 0.0);
-    for (qi, q) in queries.iter().enumerate() {
-        r_inc += recall(&incremental.query(q, 10).neighbors, &truth[qi]);
-        r_bulk += recall(&bulk.query(q, 10).neighbors, &truth[qi]);
+    ] {
+        let threaded = PmLsh::build_with_opts(Arc::clone(&data), params, opts);
+        for (qi, q) in queries.iter().enumerate() {
+            let (a, b) = (plain.query(q, 10), threaded.query(q, 10));
+            assert_eq!(a.neighbors, b.neighbors, "{opts:?}, query {qi}");
+            assert_eq!(a.stats, b.stats, "{opts:?}, query {qi}");
+        }
+        assert!(
+            serialize(&threaded) == bytes,
+            "{opts:?}: snapshot bytes differ"
+        );
     }
-    let n = queries.len() as f64;
-    let (r_inc, r_bulk) = (r_inc / n, r_bulk / n);
-    assert!(
-        (r_inc - r_bulk).abs() < 0.15,
-        "bulk-load recall {r_bulk} drifted from incremental recall {r_inc}"
-    );
 }

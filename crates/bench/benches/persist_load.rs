@@ -34,7 +34,6 @@
 use pm_lsh_bench::{f, queries_from_env, scale_from_env, Table};
 use pm_lsh_core::{PmLsh, PmLshParams, QueryResult};
 use pm_lsh_data::{read_auto, write_fvecs, PaperDataset};
-use pm_lsh_persist::Snapshot;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -92,14 +91,16 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale, floor: Option<f64>) 
     let built = built.unwrap();
     let reference: Vec<QueryResult> = queries.iter().map(|q| built.query(q, K)).collect();
 
-    let snapshot_bytes = built.save(&snap).expect("save snapshot").bytes;
+    let snapshot_bytes = pm_lsh_persist::save(&built, &snap)
+        .expect("save snapshot")
+        .bytes;
 
     // --- path B: cold start from the snapshot -------------------------------
     let mut loaded: Option<PmLsh> = None;
     let mut load_best_s = f64::INFINITY;
     for _ in 0..REPEATS {
         let start = Instant::now();
-        let index = PmLsh::load(&snap).expect("load snapshot");
+        let index = pm_lsh_persist::load(&snap).expect("load snapshot");
         load_best_s = load_best_s.min(start.elapsed().as_secs_f64());
         loaded = Some(index);
     }

@@ -57,9 +57,10 @@
 //!
 //! `ATTACH` auto-detects the file format: a `.pmlsh` snapshot (by magic
 //! bytes — see `pm-lsh-persist`) is loaded directly and serves within
-//! milliseconds with its saved parameters; a sharded manifest (also by
-//! magic bytes) restores the whole shard set as one
-//! [`crate::ShardedEngine`]; fvecs/csv datasets are built from scratch
+//! milliseconds with its saved parameters, as one
+//! [`crate::ShardedEngine`] of as many shards as the file holds (a
+//! `SAVE` writes one file at every shard count); fvecs/csv datasets are
+//! built from scratch
 //! with [`crate::ServerConfig::attach_params`].
 //! `INSERT`/`DELETE` publish a fresh snapshot per call (each bumps the
 //! `INDEXINFO` epoch); a `QUERY` after an `OK` reply observes the

@@ -1247,20 +1247,12 @@ fn answer_attach(shared: &Shared, name: &str, path: &str) -> Result<String, Stri
     }
     let config = shared.config.attach_engine_config;
     let mut start = Instant::now();
-    let engine: ShardedEngine = if pm_lsh_persist::is_manifest_file(path) {
-        // A sharded manifest (detected by magic bytes, not extension)
-        // restores every shard file it names and serves them as one
-        // scatter-gather engine — the set a wire `SAVE` of a sharded
-        // index wrote.
-        let shards =
-            pm_lsh_persist::load_sharded(path).map_err(|e| format!("reading {path}: {e}"))?;
-        ShardedEngine::from_indexes(shards, config)
-    } else if pm_lsh_persist::is_pmlsh_file(path) {
-        // A `.pmlsh` snapshot (also by magic bytes) skips the build
-        // entirely: the index inside is already constructed, with its own
-        // saved parameters, and serves as soon as it deserializes.
-        let index = pm_lsh_persist::load(path).map_err(|e| format!("reading {path}: {e}"))?;
-        Engine::new(index, config).into()
+    let engine: ShardedEngine = if pm_lsh_persist::is_pmlsh_file(path) {
+        // A `.pmlsh` snapshot (detected by magic bytes, not extension)
+        // skips the build entirely: its shards are already constructed,
+        // with their own saved parameters, and serve as one engine of as
+        // many shards as soon as they deserialize.
+        ShardedEngine::load(path, config).map_err(|e| format!("reading {path}: {e}"))?
     } else {
         let data =
             pm_lsh_data::read_auto(path, None).map_err(|e| format!("reading {path}: {e}"))?;

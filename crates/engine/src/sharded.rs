@@ -139,13 +139,13 @@ impl ShardedEngine {
         Self::from_indexes(indexes, config)
     }
 
-    /// Wraps pre-built per-shard indexes (the `.pmlsh` manifest load
-    /// path) into engines; shard order is id-significant and must match
+    /// Wraps pre-built per-shard indexes (a build's, or a snapshot's
+    /// shards) into engines; shard order is id-significant and must match
     /// the order they were built or saved in.
     ///
     /// # Panics
     /// Panics when `indexes` is empty.
-    pub fn from_indexes(indexes: Vec<PmLsh>, config: EngineConfig) -> Self {
+    fn from_indexes(indexes: Vec<PmLsh>, config: EngineConfig) -> Self {
         assert!(!indexes.is_empty(), "a sharded engine needs >= 1 shard");
         Self {
             shards: indexes
@@ -607,10 +607,9 @@ impl ShardedEngine {
         }
     }
 
-    /// Atomically snapshots the served state to disk. One shard writes
-    /// the plain single-file `.pmlsh` format; `S > 1` writes one
-    /// `.pmlsh` file per shard plus a checksummed manifest at `path`
-    /// (`pm_lsh_persist::save_sharded`), which `ATTACH` and the CLI
+    /// Atomically snapshots the served state to disk as one `.pmlsh`
+    /// file holding every shard in id order
+    /// (`pm_lsh_persist::save_shards`), which `ATTACH` and the CLI
     /// restore as a whole set. Every shard snapshot is pinned up front,
     /// so the saved set is one consistent fan-out view; serialization
     /// runs on the calling thread against those immutable `Arc`s, holding
@@ -621,28 +620,19 @@ impl ShardedEngine {
         path: impl AsRef<std::path::Path>,
     ) -> Result<pm_lsh_persist::SaveReport, pm_lsh_persist::PersistError> {
         let snaps: Vec<Arc<PmLsh>> = self.shards.iter().map(|s| s.index()).collect();
-        match &snaps[..] {
-            [only] => pm_lsh_persist::save(only, path),
-            _ => pm_lsh_persist::save_sharded(&snaps, path),
-        }
+        pm_lsh_persist::save_shards(&snaps, path)
     }
 
-    /// Restores a [`ShardedEngine`] from `path`: a sharded manifest
-    /// (written by [`ShardedEngine::save`] at `S > 1`) restores the whole
-    /// set; a plain `.pmlsh` file restores a single shard.
+    /// Restores a [`ShardedEngine`] of as many shards as the `.pmlsh`
+    /// file at `path` holds.
     pub fn load(
         path: impl AsRef<std::path::Path>,
         config: EngineConfig,
     ) -> Result<Self, pm_lsh_persist::PersistError> {
-        let path = path.as_ref();
-        if pm_lsh_persist::is_manifest_file(path) {
-            Ok(Self::from_indexes(
-                pm_lsh_persist::load_sharded(path)?,
-                config,
-            ))
-        } else {
-            Ok(Engine::new(pm_lsh_persist::load(path)?, config).into())
-        }
+        Ok(Self::from_indexes(
+            pm_lsh_persist::load_shards(path)?,
+            config,
+        ))
     }
 }
 

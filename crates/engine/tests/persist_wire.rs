@@ -103,11 +103,14 @@ fn save_then_attach_answers_bit_identically() {
         reply.starts_with("OK saved main points=800 bytes="),
         "unexpected SAVE reply: {reply}"
     );
-    let bytes_on_disk = std::fs::metadata(&path).expect("snapshot written").len();
+    let on_disk = std::fs::read(&path).expect("snapshot written");
     assert!(
-        reply.contains(&format!("bytes={bytes_on_disk}")),
-        "reported size must match the file: {reply} vs {bytes_on_disk}"
+        reply.contains(&format!("bytes={}", on_disk.len())),
+        "reported size must match the file: {reply} vs {}",
+        on_disk.len()
     );
+    // A one-shard engine's SAVE and `serialize` of its index are one writer.
+    assert!(on_disk == pm_lsh_persist::serialize(&index));
 
     // ATTACH auto-detects the snapshot by magic and serves it without a
     // rebuild.

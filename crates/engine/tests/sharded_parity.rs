@@ -4,7 +4,7 @@
 //! linear-scan oracle, for *every* entry point — `query`, `query_batch`, `query_bc`
 //! and the TCP wire — plus the budget-sum inequality the module docs
 //! claim, exact-id parity where the budgets make answers deterministic,
-//! and a save→load→parity leg for the sharded manifest snapshot.
+//! and a save→load→parity leg for the one-file sharded snapshot.
 
 use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
 use pm_lsh_data::{exact_knn_batch, recall, PaperDataset, Scale};
@@ -316,8 +316,8 @@ fn wire_queries_match_in_process_sharded_answers() {
     handle.shutdown();
 }
 
-/// Save→load→parity for the sharded snapshot: `save` at `S > 1` writes a
-/// manifest plus one `.s<k>` sibling per shard, `load` restores the whole
+/// Save→load→parity for the sharded snapshot: `save` at `S > 1` writes
+/// one `.pmlsh` file and no per-shard siblings, `load` restores the whole
 /// set, and the restored engine answers bit-identically — shard count,
 /// global ids and distances all preserved.
 #[test]
@@ -341,9 +341,12 @@ fn sharded_snapshot_roundtrip_preserves_answers() {
     ));
     let report = sharded.save(&path).expect("sharded save");
     assert_eq!(report.points as usize, sharded.len());
+    assert!(pm_lsh_persist::is_pmlsh_file(&path));
+    let mut sibling = path.as_os_str().to_os_string();
+    sibling.push(".s0");
     assert!(
-        pm_lsh_persist::is_manifest_file(&path),
-        "an S=3 save must write a manifest, not a single-file snapshot"
+        !std::path::Path::new(&sibling).exists(),
+        "an S=3 save must write one file, not one per shard"
     );
 
     let restored = ShardedEngine::load(&path, config(1)).expect("sharded load");
@@ -359,9 +362,41 @@ fn sharded_snapshot_roundtrip_preserves_answers() {
     }
 
     let _ = std::fs::remove_file(&path);
-    for s in 0..3 {
-        let mut sibling = path.as_os_str().to_os_string();
-        sibling.push(format!(".s{s}"));
-        let _ = std::fs::remove_file(sibling);
-    }
+}
+
+/// A re-save that fails leaves the previous shard set whole: the load
+/// after it holds the old set's shards or the new set's, never a mix.
+/// The directory blocks the temp file a per-shard save of shard 1 writes.
+#[test]
+fn failed_resave_leaves_the_previous_set_whole() {
+    let (data, _) = smoke(PaperDataset::Audio, 0);
+    let params = PmLshParams::paper_defaults();
+    let set = |n: usize| {
+        let part = Dataset::from_flat(data.as_flat()[..n * data.dim()].to_vec(), data.dim());
+        ShardedEngine::build(&part, params, BuildOptions::default(), 2, config(1))
+    };
+    let path =
+        std::env::temp_dir().join(format!("pmlsh-failed-resave-{}.pmlsh", std::process::id()));
+    set(400).save(&path).expect("save set A");
+    let mut blocker = path.as_os_str().to_os_string();
+    blocker.push(format!(".s1.tmp.{}", std::process::id()));
+    std::fs::create_dir_all(&blocker).unwrap();
+
+    let resaved = set(600).save(&path);
+    let loaded = ShardedEngine::load(&path, config(1)).expect("load after re-save");
+    let sizes: Vec<usize> = loaded.shards().iter().map(|s| s.index().len()).collect();
+    let want = if resaved.is_ok() {
+        [300, 300]
+    } else {
+        [200, 200]
+    };
+    assert_eq!(
+        sizes,
+        want,
+        "re-save returned {:?}",
+        resaved.map(|r| r.points)
+    );
+
+    std::fs::remove_dir(&blocker).unwrap();
+    let _ = std::fs::remove_file(&path);
 }

@@ -162,13 +162,12 @@ fn rel_str(rel: &Path) -> String {
         .join("/")
 }
 
-/// The four files the protocol pass extracts its constants from, and the
+/// The three files the protocol pass extracts its constants from, and the
 /// two docs it checks them against.
-const PROTO_SOURCES: [&str; 4] = [
+const PROTO_SOURCES: [&str; 3] = [
     "crates/engine/src/frame.rs",
     "crates/engine/src/server.rs",
     "crates/persist/src/format.rs",
-    "crates/persist/src/manifest.rs",
 ];
 const PROTO_DOCS: [&str; 2] = ["docs/PROTOCOL.md", "docs/ARCHITECTURE.md"];
 
@@ -224,10 +223,8 @@ pub fn run_check(root: &Path, fix_ledger: bool) -> std::io::Result<Report> {
             }
         }
     }
-    if let [frame, server, format, manifest, protocol_md, architecture_md] = proto_srcs.as_slice() {
-        if let Some(consts) =
-            protocol::extract(frame, server, format, manifest, &mut report.findings)
-        {
+    if let [frame, server, format, protocol_md, architecture_md] = proto_srcs.as_slice() {
+        if let Some(consts) = protocol::extract(frame, server, format, &mut report.findings) {
             protocol::check_docs(&consts, protocol_md, architecture_md, &mut report.findings);
         }
     }

@@ -15,7 +15,7 @@
 //!   (`line_cap = ...`) vs every `max(F, B + M·d)` formula cited in
 //!   either doc;
 //! * the `.pmlsh` magic, format version and section ids vs
-//!   ARCHITECTURE.md's layout table, and the shard-manifest magic;
+//!   ARCHITECTURE.md's layout table;
 //! * the `BATCH` verb's cap (`BATCH_MAX_OPS`) and reply shapes
 //!   (`BATCH_OK_PREFIX`, `BATCH_FAIL_PREFIX`) vs the PROTOCOL.md prose
 //!   that external clients parse replies by.
@@ -41,8 +41,6 @@ pub struct ProtoConsts {
     pub format_version: u128,
     /// `(section name, id)` in file order.
     pub sections: Vec<(&'static str, u128)>,
-    /// Sharded-manifest magic bytes, as text.
-    pub manifest_magic: String,
     /// Most op lines one `BATCH` request may carry (`BATCH_MAX_OPS`).
     pub batch_max_ops: u128,
     /// Verbatim prefix of a successful `BATCH` reply (`BATCH_OK_PREFIX`).
@@ -209,14 +207,13 @@ fn triple(
     }
 }
 
-/// Extracts [`ProtoConsts`] from the four source files' contents. Missing
+/// Extracts [`ProtoConsts`] from the three source files' contents. Missing
 /// constants are findings — renaming a wire constant without updating the
 /// lint is itself drift.
 pub fn extract(
     frame_src: &str,
     server_src: &str,
     format_src: &str,
-    manifest_src: &str,
     findings: &mut Vec<Finding>,
 ) -> Option<ProtoConsts> {
     let mut lex_ok = |src: &str, path: &str| match lex(src) {
@@ -234,7 +231,6 @@ pub fn extract(
     let frame = lex_ok(frame_src, "crates/engine/src/frame.rs")?;
     let server = lex_ok(server_src, "crates/engine/src/server.rs")?;
     let format = lex_ok(format_src, "crates/persist/src/format.rs")?;
-    let manifest = lex_ok(manifest_src, "crates/persist/src/manifest.rs")?;
 
     let before = findings.len();
     let mut opcodes = Vec::new();
@@ -299,15 +295,6 @@ pub fn extract(
             )),
         }
     }
-    let manifest_magic = const_str(&manifest, "MANIFEST_MAGIC");
-    if manifest_magic.is_none() {
-        findings.push(Finding::new(
-            "crates/persist/src/manifest.rs",
-            0,
-            Pass::Protocol,
-            "const `MANIFEST_MAGIC` not found",
-        ));
-    }
     let batch_max_ops = const_int(&server, "BATCH_MAX_OPS");
     if batch_max_ops.is_none() {
         findings.push(Finding::new(
@@ -345,7 +332,6 @@ pub fn extract(
         magic: magic?,
         format_version: format_version?,
         sections,
-        manifest_magic: manifest_magic?,
         batch_max_ops: batch_max_ops?,
         batch_ok_prefix: batch_ok_prefix?,
         batch_fail_prefix: batch_fail_prefix?,
@@ -518,17 +504,6 @@ pub fn check_docs(
             ));
         }
     }
-    if !architecture_md.contains(&consts.manifest_magic) {
-        findings.push(Finding::new(
-            ARCH,
-            0,
-            Pass::Protocol,
-            format!(
-                "sharded-manifest magic `{}` is not cited in docs/ARCHITECTURE.md",
-                consts.manifest_magic
-            ),
-        ));
-    }
     let version_phrase = format!("format version {}", consts.format_version);
     if !architecture_md.contains(&version_phrase) {
         findings.push(Finding::new(
@@ -623,16 +598,15 @@ mod tests {
     );
     const FORMAT: &str = concat!(
         "pub const MAGIC: [u8; 8] = *b\"PMLSHSNP\";\n",
-        "pub const FORMAT_VERSION: u32 = 2;\n",
+        "pub const FORMAT_VERSION: u32 = 3;\n",
         "const SEC_HEADER: u32 = 1;\nconst SEC_PROJ: u32 = 2;\nconst SEC_DATA: u32 = 3;\n",
         "const SEC_PIVOTS: u32 = 5;\nconst SEC_NODES: u32 = 6;\n",
         "const SEC_IDMAPS: u32 = 7;\nconst SEC_ECDF: u32 = 8;\n",
     );
-    const MANIFEST: &str = "pub const MANIFEST_MAGIC: [u8; 8] = *b\"PMLSHMAN\";\n";
 
     fn consts() -> ProtoConsts {
         let mut findings = Vec::new();
-        let c = extract(FRAME, SERVER, FORMAT, MANIFEST, &mut findings);
+        let c = extract(FRAME, SERVER, FORMAT, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
         c.unwrap()
     }
@@ -653,8 +627,7 @@ mod tests {
 
     fn good_architecture() -> String {
         concat!(
-            "The file layout (format version 2): magic \"PMLSHSNP\",\n",
-            "manifest magic \"PMLSHMAN\".\n",
+            "The file layout (format version 3): magic \"PMLSHSNP\".\n",
             "| id | section | payload |\n|---|---|---|\n",
             "| 1 | HEADER | params |\n| 2 | PROJ | matrix |\n| 3 | DATA | rows |\n",
             "| 5 | PIVOTS | pivots |\n| 6 | NODES | arena |\n",
@@ -669,7 +642,6 @@ mod tests {
         assert_eq!(c.frame_cap, (512, 64, 8));
         assert_eq!(c.line_cap, (512, 64, 32));
         assert_eq!(c.magic, "PMLSHSNP");
-        assert_eq!(c.manifest_magic, "PMLSHMAN");
         assert_eq!(c.sections.len(), 7);
         assert_eq!(c.opcodes[0], ("OP_QUERY", 1));
         assert_eq!(c.batch_max_ops, 4096);
@@ -727,11 +699,11 @@ mod tests {
 
     #[test]
     fn missing_magic_is_caught() {
-        let doc = good_architecture().replace("PMLSHMAN", "PMLSHXXX");
+        let doc = good_architecture().replace("PMLSHSNP", "PMLSHXXX");
         let mut findings = Vec::new();
         check_docs(&consts(), &good_protocol(), &doc, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("PMLSHMAN"));
+        assert!(findings[0].message.contains("PMLSHSNP"));
     }
 
     #[test]
@@ -739,7 +711,7 @@ mod tests {
         // Simulate the *source* changing while docs stay stale.
         let frame = FRAME.replace("OP_PING: u8 = 2", "OP_PING: u8 = 7");
         let mut findings = Vec::new();
-        let c = extract(&frame, SERVER, FORMAT, MANIFEST, &mut findings).unwrap();
+        let c = extract(&frame, SERVER, FORMAT, &mut findings).unwrap();
         check_docs(&c, &good_protocol(), &good_architecture(), &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("PING"));
@@ -770,7 +742,7 @@ mod tests {
         // The source raises the cap; the doc still says 4096.
         let server = SERVER.replace("BATCH_MAX_OPS: usize = 4096", "BATCH_MAX_OPS: usize = 8192");
         let mut findings = Vec::new();
-        let c = extract(FRAME, &server, FORMAT, MANIFEST, &mut findings).unwrap();
+        let c = extract(FRAME, &server, FORMAT, &mut findings).unwrap();
         check_docs(&c, &good_protocol(), &good_architecture(), &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("at most 8192 ops"));
@@ -780,7 +752,7 @@ mod tests {
     fn renamed_batch_constant_is_extraction_drift() {
         let server = SERVER.replace("BATCH_OK_PREFIX", "BATCH_SUMMARY_PREFIX");
         let mut findings = Vec::new();
-        assert!(extract(FRAME, &server, FORMAT, MANIFEST, &mut findings).is_none());
+        assert!(extract(FRAME, &server, FORMAT, &mut findings).is_none());
         assert!(findings
             .iter()
             .any(|f| f.message.contains("BATCH_OK_PREFIX")));
@@ -790,7 +762,7 @@ mod tests {
     fn renamed_constant_is_extraction_drift() {
         let frame = FRAME.replace("OP_QUERY", "OPCODE_QUERY");
         let mut findings = Vec::new();
-        assert!(extract(&frame, SERVER, FORMAT, MANIFEST, &mut findings).is_none());
+        assert!(extract(&frame, SERVER, FORMAT, &mut findings).is_none());
         assert!(!findings.is_empty());
     }
 }

@@ -1,9 +1,12 @@
-//! The `.pmlsh` byte format: [`serialize`] and [`deserialize`].
+//! The `.pmlsh` byte format: [`serialize_shards`] and [`deserialize_shards`],
+//! with [`serialize`] and [`deserialize`] their one-shard case.
 //!
-//! Everything is little-endian. The file is `MAGIC | version u32 | seven
-//! sections | whole-file crc32 u32`, each section being `id u32 |
-//! payload_len u64 | payload | crc32(payload) u32`. Sections appear in this
-//! fixed order (id 4, format 1's separate projected points, is retired):
+//! Everything is little-endian. The file is `MAGIC | version u32 | shards
+//! u32 | shards × seven sections | whole-file crc32 u32`: one run of seven
+//! sections per shard, in shard (= id) order, each section being `id u32 |
+//! payload_len u64 | payload | crc32(payload) u32`. A shard's sections
+//! appear in this fixed order (id 4, format 1's separate projected points,
+//! is retired):
 //!
 //! | id | name        | payload                                                        |
 //! |----|-------------|----------------------------------------------------------------|
@@ -25,7 +28,11 @@
 //! PM-tree lays them out ([`PmTreeParts`]; ids are bit patterns, children
 //! compacted node ids). This module never learns an entry's stride: whether
 //! the words fit the tree is `PmTree::from_parts`' call.
+//!
+//! The shards of one file must agree on `d`, `m`, `c` and β; a set that
+//! does not is [`PersistError::Corrupt`].
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use pm_lsh_core::{PmLsh, PmLshParams};
@@ -41,7 +48,7 @@ use crate::PersistError;
 pub const MAGIC: [u8; 8] = *b"PMLSHSNP";
 
 /// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const SEC_HEADER: u32 = 1;
 const SEC_PROJ: u32 = 2;
@@ -85,12 +92,35 @@ fn put_section(out: &mut Vec<u8>, id: u32, payload: &[u8]) {
     put_u32(out, crc32(payload));
 }
 
-/// Serializes `index` into an in-memory `.pmlsh` image.
+/// Serializes `index` into an in-memory one-shard `.pmlsh` image.
+pub fn serialize(index: &PmLsh) -> Vec<u8> {
+    serialize_shards(&[index])
+}
+
+/// Serializes a shard set, in id order, into one in-memory `.pmlsh` image.
 ///
-/// Deterministic: the same index always produces the same bytes (the tree
+/// Deterministic: the same shards always produce the same bytes (the tree
 /// export compacts the node free list with a stable renumbering, and no
 /// hash-map iteration order leaks into the output).
-pub fn serialize(index: &PmLsh) -> Vec<u8> {
+///
+/// # Panics
+/// Panics when `shards` is empty — an index set cannot be empty.
+pub fn serialize_shards(shards: &[impl Borrow<PmLsh>]) -> Vec<u8> {
+    assert!(!shards.is_empty(), "cannot serialize zero shards");
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    put_u32(&mut out, FORMAT_VERSION);
+    put_u32(&mut out, shards.len() as u32);
+    for shard in shards {
+        put_index(&mut out, shard.borrow());
+    }
+    let file_crc = crc32(&out);
+    put_u32(&mut out, file_crc);
+    out
+}
+
+/// Appends one index's seven sections to `out`.
+fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
     let parts = index.tree().to_parts();
     let params = index.params();
     let data = index.data();
@@ -148,28 +178,24 @@ pub fn serialize(index: &PmLsh) -> Vec<u8> {
         put_f64(&mut ecdf_bytes, v);
     }
 
-    let mut out = Vec::with_capacity(
-        32 + header.len()
+    out.reserve_exact(
+        header.len()
             + proj.len()
             + raw.len()
             + pivots.len()
             + nodes.len()
             + idmaps.len()
             + ecdf_bytes.len()
-            + 7 * 16,
+            + 7 * 16 // section frames
+            + 4, // the file crc, after the last shard
     );
-    out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_section(&mut out, SEC_HEADER, &header);
-    put_section(&mut out, SEC_PROJ, &proj);
-    put_section(&mut out, SEC_DATA, &raw);
-    put_section(&mut out, SEC_PIVOTS, &pivots);
-    put_section(&mut out, SEC_NODES, &nodes);
-    put_section(&mut out, SEC_IDMAPS, &idmaps);
-    put_section(&mut out, SEC_ECDF, &ecdf_bytes);
-    let file_crc = crc32(&out);
-    put_u32(&mut out, file_crc);
-    out
+    put_section(out, SEC_HEADER, &header);
+    put_section(out, SEC_PROJ, &proj);
+    put_section(out, SEC_DATA, &raw);
+    put_section(out, SEC_PIVOTS, &pivots);
+    put_section(out, SEC_NODES, &nodes);
+    put_section(out, SEC_IDMAPS, &idmaps);
+    put_section(out, SEC_ECDF, &ecdf_bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -425,8 +451,21 @@ fn parse_nodes(payload: &[u8], node_count: usize) -> Result<Vec<RawNode>, Persis
     Ok(nodes)
 }
 
-/// Reassembles a [`PmLsh`] from an in-memory `.pmlsh` image.
+/// Reassembles the [`PmLsh`] of an in-memory one-shard `.pmlsh` image; an
+/// image of more shards is [`PersistError::Corrupt`], naming its count.
 pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
+    <[PmLsh; 1]>::try_from(deserialize_shards(bytes)?)
+        .map(|[index]| index)
+        .map_err(|set| {
+            corrupt(format!(
+                "snapshot holds {} shards, not one index; load it as a shard set",
+                set.len()
+            ))
+        })
+}
+
+/// Reassembles the shard set of an in-memory `.pmlsh` image, in id order.
+pub fn deserialize_shards(bytes: &[u8]) -> Result<Vec<PmLsh>, PersistError> {
     if bytes.len() < MAGIC.len() {
         return Err(PersistError::Truncated);
     }
@@ -440,7 +479,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
     if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    if bytes.len() < 12 + 4 {
+    if bytes.len() < 16 + 4 {
         return Err(PersistError::Truncated);
     }
     let body_end = bytes.len() - 4;
@@ -450,6 +489,35 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
     }
 
     let mut r = ByteReader::new(&bytes[12..body_end]);
+    let count = r.u32()?;
+    if count == 0 {
+        return Err(PersistError::EmptyIndex);
+    }
+    // No capacity from the count: a hostile one fails as `Truncated` once
+    // the sections run out, before it reserves anything.
+    let mut shards = Vec::new();
+    for _ in 0..count {
+        shards.push(read_index(&mut r)?);
+    }
+    if r.remaining() != 0 {
+        return Err(corrupt(format!(
+            "trailing bytes after the last of {count} shards"
+        )));
+    }
+    // A sharded engine reads these from shard 0 and applies them to all.
+    let shape = |i: &PmLsh| (i.data().dim(), i.params().m, i.params().c, i.derived().beta);
+    if let Some(s) = (1..shards.len()).find(|&s| shape(&shards[s]) != shape(&shards[0])) {
+        return Err(corrupt(format!(
+            "shard {s} has (d, m, c, beta) = {:?}, shard 0 has {:?}",
+            shape(&shards[s]),
+            shape(&shards[0])
+        )));
+    }
+    Ok(shards)
+}
+
+/// Reads one index's seven sections from `r` and reassembles it.
+fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
     let mut sections: [&[u8]; 7] = [&[]; 7];
     for (slot, &expected_id) in sections.iter_mut().zip(&SECTION_ORDER) {
         let id = r.u32()?;
@@ -465,9 +533,6 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
             return Err(PersistError::SectionCrc { section: id });
         }
         *slot = payload;
-    }
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes after last section"));
     }
 
     let h = parse_header(sections[0])?;

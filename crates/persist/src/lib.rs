@@ -1,29 +1,32 @@
 //! Persistent `.pmlsh` index snapshots.
 //!
-//! This crate defines a versioned, little-endian on-disk format for a fully
-//! built [`PmLsh`] index — projection matrix, raw point store, PM-tree node
-//! blocks and id maps — so a serving process can restart and answer queries
-//! *bit-identically* to the index it saved, without re-deriving hashes or
-//! rebuilding the tree. Every section carries a CRC-32 and the file as a
-//! whole carries one more, so torn writes and bit rot are detected at load
-//! time instead of surfacing as wrong answers.
+//! This crate defines a versioned, little-endian on-disk format for a set
+//! of fully built [`PmLsh`] shards — per shard the projection matrix, raw
+//! point store, PM-tree node blocks and id maps — so a serving process can
+//! restart and answer queries *bit-identically* to the index it saved,
+//! without re-deriving hashes or rebuilding the tree. A snapshot is one
+//! file at every shard count; a plain index is the one-shard case. Every
+//! section carries a CRC-32 and the file as a whole carries one more, so
+//! torn writes and bit rot are detected at load time instead of surfacing
+//! as wrong answers.
 //!
-//! # File layout (format version 2)
+//! # File layout (format version 3)
 //!
 //! ```text
 //! magic      8 bytes   b"PMLSHSNP"
-//! version    u32 LE    2
-//! section ×7           fixed order: HEADER, PROJ, DATA, PIVOTS, NODES,
-//!                      IDMAPS, ECDF
+//! version    u32 LE    3
+//! shards     u32 LE    S >= 1
+//! section ×7 per shard fixed order: HEADER, PROJ, DATA, PIVOTS, NODES,
+//!                      IDMAPS, ECDF; shards in id order
 //! file crc   u32 LE    CRC-32 of every preceding byte
 //! ```
 //!
 //! Each section is `id: u32 | payload_len: u64 | payload | crc32(payload):
 //! u32`, all little-endian. The full byte layout of each payload is
 //! documented in [`mod@format`]. The layout is fixed-offset within each section,
-//! so a future version can memory-map the large arrays in place. Format 1
-//! (projected points in a section of their own) is refused with
-//! [`PersistError::UnsupportedVersion`].
+//! so a future version can memory-map the large arrays in place. Formats 1
+//! (projected points in a section of their own) and 2 (one index, no shard
+//! count) are refused with [`PersistError::UnsupportedVersion`].
 //!
 //! # What round-trips, what is recomputed
 //!
@@ -38,12 +41,10 @@
 //! # Example
 //!
 //! ```no_run
-//! use pm_lsh_persist::Snapshot;
-//!
 //! # fn demo(index: pm_lsh_core::PmLsh) -> Result<(), pm_lsh_persist::PersistError> {
-//! let report = index.save("audio.pmlsh")?;
+//! let report = pm_lsh_persist::save(&index, "audio.pmlsh")?;
 //! println!("wrote {} bytes", report.bytes);
-//! let restored = pm_lsh_core::PmLsh::load("audio.pmlsh")?;
+//! let restored = pm_lsh_persist::load("audio.pmlsh")?;
 //! # let _ = restored; Ok(())
 //! # }
 //! ```
@@ -54,27 +55,27 @@
 // with a scoped `allow` the way the SIMD kernels in `pm-lsh-metric` do.
 #![deny(unsafe_code)]
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pm_lsh_core::PmLsh;
 
 pub mod crc;
 pub mod format;
-pub mod manifest;
 
 pub use crc::{crc32, Crc32};
-pub use format::{deserialize, serialize, FORMAT_VERSION, MAGIC};
-pub use manifest::{
-    is_manifest_file, load_sharded, save_sharded, MANIFEST_MAGIC, MANIFEST_VERSION,
+pub use format::{
+    deserialize, deserialize_shards, serialize, serialize_shards, FORMAT_VERSION, MAGIC,
 };
 
 /// Why a `.pmlsh` snapshot could not be saved or loaded.
 ///
 /// Every malformed input maps to a typed error — a corrupt file must never
-/// panic the loader, whether it arrives via [`PmLsh::load`](Snapshot::load)
-/// or over the wire through `ATTACH`.
+/// panic the loader, whether it arrives via [`load`] or over the wire
+/// through `ATTACH`.
 #[derive(Debug)]
 pub enum PersistError {
     /// The underlying filesystem operation failed.
@@ -135,27 +136,43 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// What [`save`] wrote.
+/// What [`save_shards`] wrote.
 #[derive(Clone, Copy, Debug)]
 pub struct SaveReport {
     /// Total size of the snapshot file in bytes.
     pub bytes: u64,
-    /// Number of live (queryable) points in the saved index.
+    /// Number of live (queryable) points across the saved shards.
     pub points: u64,
 }
 
-/// Serializes `index` and atomically writes it to `path`.
-///
-/// The snapshot is first written to a `.tmp.<pid>` sibling and then renamed
-/// into place, so a crash mid-save never leaves a half-written file under
-/// the target name. The caller holds only a shared reference: saving a
-/// pinned `Arc<PmLsh>` snapshot never blocks concurrent readers.
+/// Serializes `index` and atomically writes it to `path` as a one-shard
+/// snapshot (see [`save_shards`]).
 pub fn save(index: &PmLsh, path: impl AsRef<Path>) -> Result<SaveReport, PersistError> {
+    save_shards(&[index], path)
+}
+
+/// Serializes a shard set, in id order, and atomically writes it to `path`.
+///
+/// The snapshot is first written to a `.tmp.<pid>.<n>` sibling, `n` unique
+/// to this save within the process, and then renamed into place, so a
+/// crash or failure mid-save never leaves a half-written file — or half of
+/// a shard set — under the target name, and concurrent saves to one path
+/// never share a temp file. The caller holds only shared references:
+/// saving pinned `Arc<PmLsh>` snapshots never blocks concurrent readers.
+///
+/// # Panics
+/// Panics when `shards` is empty — an index set cannot be empty.
+pub fn save_shards(
+    shards: &[impl Borrow<PmLsh>],
+    path: impl AsRef<Path>,
+) -> Result<SaveReport, PersistError> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
     let path = path.as_ref();
-    let bytes = serialize(index);
+    let bytes = serialize_shards(shards);
     let tmp = {
         let mut name = path.as_os_str().to_os_string();
-        name.push(format!(".tmp.{}", std::process::id()));
+        let n = SAVES.fetch_add(1, Ordering::Relaxed);
+        name.push(format!(".tmp.{}.{n}", std::process::id()));
         std::path::PathBuf::from(name)
     };
     let result = (|| {
@@ -170,14 +187,20 @@ pub fn save(index: &PmLsh, path: impl AsRef<Path>) -> Result<SaveReport, Persist
     }
     Ok(SaveReport {
         bytes: bytes.len() as u64,
-        points: index.len() as u64,
+        points: shards.iter().map(|s| s.borrow().len() as u64).sum(),
     })
 }
 
-/// Reads a `.pmlsh` snapshot from `path` and reassembles the index.
+/// Reads a one-shard `.pmlsh` snapshot from `path` and reassembles the
+/// index (see [`deserialize`]).
 pub fn load(path: impl AsRef<Path>) -> Result<PmLsh, PersistError> {
-    let bytes = std::fs::read(path)?;
-    deserialize(&bytes)
+    deserialize(&std::fs::read(path)?)
+}
+
+/// Reads a `.pmlsh` snapshot of any shard count from `path` and
+/// reassembles its shards, in id order.
+pub fn load_shards(path: impl AsRef<Path>) -> Result<Vec<PmLsh>, PersistError> {
+    deserialize_shards(&std::fs::read(path)?)
 }
 
 /// `true` if `path` starts with the `.pmlsh` magic bytes.
@@ -191,24 +214,5 @@ pub fn is_pmlsh_file(path: impl AsRef<Path>) -> bool {
     match std::fs::File::open(path) {
         Ok(mut f) => f.read_exact(&mut head).is_ok() && head == MAGIC,
         Err(_) => false,
-    }
-}
-
-/// Method-syntax access to snapshot save/load: `index.save(path)` and
-/// `PmLsh::load(path)`.
-pub trait Snapshot: Sized {
-    /// Atomically writes a `.pmlsh` snapshot of `self` to `path`.
-    fn save(&self, path: impl AsRef<Path>) -> Result<SaveReport, PersistError>;
-    /// Loads a `.pmlsh` snapshot from `path`.
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError>;
-}
-
-impl Snapshot for PmLsh {
-    fn save(&self, path: impl AsRef<Path>) -> Result<SaveReport, PersistError> {
-        save(self, path)
-    }
-
-    fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        load(path)
     }
 }

@@ -5,9 +5,14 @@
 
 use pm_lsh_core::{PmLsh, PmLshParams};
 use pm_lsh_data::{PaperDataset, Scale};
-use pm_lsh_persist::{crc32, deserialize, serialize, PersistError, FORMAT_VERSION, MAGIC};
+use pm_lsh_metric::Dataset;
+use pm_lsh_persist::{
+    crc32, deserialize, deserialize_shards, serialize, serialize_shards, PersistError,
+    FORMAT_VERSION, MAGIC,
+};
+use pm_lsh_stats::Rng;
 
-/// The ids of the seven format-2 sections, in file order (4 is retired).
+/// The ids of a shard's seven sections, in file order (4 is retired).
 const SECTIONS: [u32; 7] = [1, 2, 3, 5, 6, 7, 8];
 const SEC_NODES: u32 = 6;
 
@@ -17,9 +22,44 @@ fn snapshot() -> Vec<u8> {
     serialize(&index)
 }
 
+/// An index over `n` Gaussian points in `R^d`.
+fn blob_index(n: usize, d: usize, seed: u64) -> PmLsh {
+    let mut rng = Rng::new(seed);
+    let mut data = Dataset::with_capacity(d, n);
+    let mut buf = vec![0.0f32; d];
+    for _ in 0..n {
+        rng.fill_normal(&mut buf);
+        data.push(&buf);
+    }
+    PmLsh::build(data, PmLshParams::default())
+}
+
+/// A 2-shard image of two small `R^8` indexes.
+fn two_shards() -> Vec<u8> {
+    serialize_shards(&[blob_index(100, 8, 31), blob_index(120, 8, 32)])
+}
+
+/// Byte offset where shard 1's sections start: past shard 0's seven.
+fn shard_boundary(bytes: &[u8]) -> usize {
+    let mut pos = 16;
+    for _ in SECTIONS {
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        pos += 16 + len;
+    }
+    pos
+}
+
+/// `bytes` with its shard count set to `count` and every checksum re-signed.
+fn with_shard_count(bytes: &[u8], count: u32) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[12..16].copy_from_slice(&count.to_le_bytes());
+    resign(&mut out);
+    out
+}
+
 /// Byte offset where a section's payload starts, plus its length.
 fn section_bounds(bytes: &[u8], section_id: u32) -> (usize, usize) {
-    let mut pos = 12; // magic + version
+    let mut pos = 16; // magic + version + shard count
     loop {
         let id = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
         let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
@@ -33,7 +73,7 @@ fn section_bounds(bytes: &[u8], section_id: u32) -> (usize, usize) {
 /// Recomputes every section CRC and the whole-file CRC, so a tamper test
 /// can target validation layers *behind* the checksums.
 fn resign(bytes: &mut [u8]) {
-    let mut pos = 12;
+    let mut pos = 16;
     let body_end = bytes.len() - 4;
     while pos < body_end {
         let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
@@ -134,17 +174,21 @@ fn future_version_is_rejected() {
 
 #[test]
 fn format_1_is_refused_by_its_version() {
-    // Format 1 kept the projected points apart from their leaf entries;
-    // this build has no reader for it, by design.
-    let mut old = snapshot();
-    old[8..12].copy_from_slice(&1u32.to_le_bytes());
-    resign(&mut old);
-    let err = deserialize(&old).unwrap_err();
-    assert!(
-        matches!(err, PersistError::UnsupportedVersion(1)),
-        "{err:?}"
-    );
-    assert!(err.to_string().contains("this build reads 2"), "{err}");
+    // Format 1 kept the projected points apart from their leaf entries and
+    // format 2 held one index with no shard count; this build has no
+    // reader for either, by design.
+    let good = snapshot();
+    for version in [1u32, 2] {
+        let mut old = good.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        resign(&mut old);
+        let err = deserialize_shards(&old).unwrap_err();
+        assert!(
+            matches!(err, PersistError::UnsupportedVersion(v) if v == version),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("this build reads 3"), "{err}");
+    }
 }
 
 #[test]
@@ -320,4 +364,60 @@ fn magic_constant_matches_spec() {
     assert_eq!(&MAGIC, b"PMLSHSNP");
     let good = snapshot();
     assert_eq!(&good[..8], b"PMLSHSNP");
+}
+
+#[test]
+fn zero_shard_count_is_empty_index() {
+    let bad = with_shard_count(&two_shards(), 0);
+    assert!(matches!(
+        deserialize_shards(&bad),
+        Err(PersistError::EmptyIndex)
+    ));
+}
+
+#[test]
+fn shard_count_off_by_one_is_a_typed_error() {
+    // A count that disagrees with the shards present never yields a
+    // shorter or longer set.
+    let good = two_shards();
+    assert_eq!(deserialize_shards(&good).expect("2-shard set").len(), 2);
+    assert!(matches!(
+        deserialize_shards(&with_shard_count(&good, 3)),
+        Err(PersistError::Truncated)
+    ));
+    match deserialize_shards(&with_shard_count(&good, 1)) {
+        Err(PersistError::Corrupt(why)) => assert!(why.contains("trailing bytes"), "{why}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn cut_at_the_shard_boundary_is_a_typed_error() {
+    // Shard 1 gone, every checksum re-signed: the count still says 2.
+    let good = two_shards();
+    let mut cut = good[..shard_boundary(&good)].to_vec();
+    cut.extend_from_slice(&[0; 4]);
+    resign(&mut cut);
+    assert!(matches!(
+        deserialize_shards(&cut),
+        Err(PersistError::Truncated)
+    ));
+}
+
+#[test]
+fn deserialize_of_a_shard_set_names_its_count() {
+    match deserialize(&two_shards()) {
+        Err(PersistError::Corrupt(why)) => assert!(why.contains("2 shards"), "{why}"),
+        other => panic!("expected Corrupt, got {:?}", other.map(|i| i.len())),
+    }
+}
+
+#[test]
+fn shards_that_disagree_are_corrupt() {
+    // A sharded engine applies shard 0's d, m, c and beta to every shard.
+    let mixed = serialize_shards(&[blob_index(100, 8, 41), blob_index(100, 16, 42)]);
+    match deserialize_shards(&mixed) {
+        Err(PersistError::Corrupt(why)) => assert!(why.contains("shard 1"), "{why}"),
+        other => panic!("expected Corrupt, got {:?}", other.map(|s| s.len())),
+    }
 }

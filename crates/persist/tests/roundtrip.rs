@@ -4,12 +4,36 @@
 
 use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
 use pm_lsh_data::{PaperDataset, Scale};
-use pm_lsh_persist::{deserialize, is_pmlsh_file, serialize, Snapshot};
+use pm_lsh_metric::Dataset;
+use pm_lsh_persist::{
+    deserialize, deserialize_shards, is_pmlsh_file, load, load_shards, save, save_shards,
+    serialize, serialize_shards,
+};
+use pm_lsh_stats::Rng;
 
-fn audio_smoke() -> (PmLsh, pm_lsh_metric::Dataset) {
+fn audio_smoke() -> (PmLsh, Dataset) {
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
     let index = PmLsh::build(generator.dataset(), PmLshParams::paper_defaults());
     (index, generator.queries(40))
+}
+
+/// An index over `n` Gaussian points in `R^8`.
+fn blob_index(n: usize, seed: u64) -> PmLsh {
+    let mut rng = Rng::new(seed);
+    let mut data = Dataset::with_capacity(8, n);
+    let mut buf = [0.0f32; 8];
+    for _ in 0..n {
+        rng.fill_normal(&mut buf);
+        data.push(&buf);
+    }
+    PmLsh::build(data, PmLshParams::default())
+}
+
+fn temp_path(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "pmlsh-roundtrip-{tag}-{}.pmlsh",
+        std::process::id()
+    ))
 }
 
 fn assert_query_parity(original: &PmLsh, restored: &PmLsh, queries: &pm_lsh_metric::Dataset) {
@@ -71,19 +95,15 @@ fn serialization_is_deterministic_and_stable() {
 }
 
 #[test]
-fn file_round_trip_via_extension_trait() {
+fn file_round_trip_via_save_and_load() {
     let (index, queries) = audio_smoke();
-    let path = std::env::temp_dir().join(format!(
-        "pmlsh-roundtrip-{}-{:x}.pmlsh",
-        std::process::id(),
-        index.len()
-    ));
-    let report = index.save(&path).expect("save");
+    let path = temp_path("file");
+    let report = save(&index, &path).expect("save");
     assert_eq!(report.points, index.len() as u64);
     assert_eq!(report.bytes, std::fs::metadata(&path).unwrap().len());
     assert!(is_pmlsh_file(&path));
 
-    let restored = PmLsh::load(&path).expect("load");
+    let restored = load(&path).expect("load");
     assert_query_parity(&index, &restored, &queries);
     std::fs::remove_file(&path).unwrap();
     assert!(!is_pmlsh_file(&path), "missing file never sniffs as .pmlsh");
@@ -104,4 +124,64 @@ fn round_trip_preserves_mutation_ability() {
         .tree()
         .verify_invariants()
         .expect("tree invariants");
+}
+
+#[test]
+fn sharded_set_round_trips_in_order() {
+    let shards: Vec<PmLsh> = (0..3).map(|k| blob_index(120, 500 + k)).collect();
+    let path = temp_path("sharded");
+    let report = save_shards(&shards, &path).expect("save");
+    assert_eq!(report.points, 360);
+    assert_eq!(report.bytes, std::fs::metadata(&path).unwrap().len());
+    assert!(is_pmlsh_file(&path));
+
+    let loaded = load_shards(&path).expect("load");
+    assert_eq!(loaded.len(), 3);
+    for (k, (orig, back)) in shards.iter().zip(&loaded).enumerate() {
+        let q = orig.data().point(5);
+        let (a, b) = (orig.query(q, 7), back.query(q, 7));
+        assert_eq!(a.neighbors, b.neighbors, "shard {k} diverged");
+        assert_eq!(a.stats, b.stats, "shard {k} did different work");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn one_shard_set_is_the_single_index_format() {
+    let index = blob_index(200, 600);
+    let image = serialize(&index);
+    assert_eq!(serialize_shards(&[&index]), image);
+    let set = deserialize_shards(&image).expect("one-shard set");
+    assert_eq!(set.len(), 1);
+    assert_eq!(serialize(&set[0]), image);
+}
+
+#[test]
+fn concurrent_saves_to_one_path_never_collide() {
+    // Two saves of one path in flight must not share a temp file: each
+    // returns Ok and the file left behind is whole, one index or the other.
+    let (a, b) = (blob_index(150, 700), blob_index(220, 701));
+    let images = [serialize(&a), serialize(&b)];
+    let path = temp_path("concurrent");
+    let start = std::sync::Barrier::new(2);
+    let save_after_start = |index: &PmLsh| {
+        start.wait();
+        save(index, &path)
+    };
+    for round in 0..20 {
+        std::thread::scope(|s| {
+            let saves = [
+                s.spawn(|| save_after_start(&a)),
+                s.spawn(|| save_after_start(&b)),
+            ];
+            for (who, h) in saves.into_iter().enumerate() {
+                h.join()
+                    .unwrap()
+                    .unwrap_or_else(|e| panic!("round {round} save {who}: {e}"));
+            }
+        });
+    }
+    let last = serialize(&load(&path).expect("final file loads"));
+    assert!(images.contains(&last), "the final file is neither index");
+    std::fs::remove_file(&path).unwrap();
 }

@@ -58,6 +58,16 @@ wait_ready() { # blocks until the serve process accepts connections
 echo "== waiting for the server to accept connections"
 wait_ready
 
+echo "== wire SAVE before any mutation: one writer at one shard"
+"$BIN" save --addr "127.0.0.1:$PORT" --out "$TMP/wire.pmlsh" \
+  --index audio --auth-token "$TOKEN" > /dev/null
+if cmp "$TMP/one.pmlsh" "$TMP/wire.pmlsh"; then
+  printf 'ok: %-18s -> wire SAVE and local save write identical bytes\n' "SAVE"
+else
+  echo "FAIL: wire SAVE differs from pmlsh save --data" >&2
+  exit 1
+fi
+
 # One persistent connection for the whole scripted session (auth and the
 # current index are per-connection state).
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
@@ -285,13 +295,15 @@ expect "DELETE $NEW_ID" "OK deleted $NEW_ID *"
 expect "QUIT" "BYE"
 exec 3<&- 3>&-
 
-echo "== sharded snapshot: SAVE writes a manifest, re-serve restores all shards"
+echo "== sharded snapshot: SAVE writes one .pmlsh file, re-serve restores all shards"
 "$BIN" save --addr "127.0.0.1:$PORT" --out "$TMP/sharded.pmlsh" \
   --index audio --auth-token "$TOKEN"
-[ -s "$TMP/sharded.pmlsh" ] || { echo "FAIL: sharded manifest not written" >&2; exit 1; }
-for s in 0 1 2 3; do
-  [ -s "$TMP/sharded.pmlsh.s$s" ] || { echo "FAIL: shard file .s$s missing" >&2; exit 1; }
-done
+[ "$(head -c 8 "$TMP/sharded.pmlsh")" = "PMLSHSNP" ] \
+  || { echo "FAIL: sharded SAVE did not write a .pmlsh file" >&2; exit 1; }
+if compgen -G "$TMP/sharded.pmlsh.s*" > /dev/null; then
+  echo "FAIL: sharded SAVE wrote per-shard sibling files" >&2
+  exit 1
+fi
 
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
 PARITY_LINE=$(query_line)
@@ -309,7 +321,7 @@ exec 3<>"/dev/tcp/127.0.0.1/$PORT"
 expect "INDEXINFO" "INDEXINFO name=audio *state=serving pct=100 shards=4"
 PARITY_AFTER=$(req "$PARITY_LINE")
 if [ "$PARITY_BEFORE" = "$PARITY_AFTER" ]; then
-  printf 'ok: %-18s -> restored sharded manifest answers identically\n' "PARITY"
+  printf 'ok: %-18s -> restored sharded snapshot answers identically\n' "PARITY"
 else
   echo "FAIL: sharded snapshot parity broke:" >&2
   echo "  before: $PARITY_BEFORE" >&2

@@ -196,10 +196,9 @@ errors reject the whole batch unapplied.
 `--build-threads <n>` builds an index on n threads (0 = all cores,
 default 1); the index is the same for every n. `--shards <n>`
 partitions each dataset round-robin into n independent PM-LSH shards
-queried scatter-gather (INDEXINFO reports shards=n); a sharded SAVE
-writes a manifest plus one `.s<k>` file per shard, and serving that
-manifest path restores the whole set. Single-file `.pmlsh` snapshots
-always serve monolithic regardless of --shards.";
+queried scatter-gather (INDEXINFO reports shards=n); a SAVE writes
+one `.pmlsh` file at every shard count, and serving that file restores
+the shard set it holds regardless of --shards.";
 
 fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut map: HashMap<String, String> = HashMap::new();
@@ -762,7 +761,8 @@ fn cmd_save(opts: &HashMap<String, String>) -> Result<(), String> {
             let build = parse_build_opts(opts)?;
             let index = load_or_build_index(data_path, c, build)?;
             let start = Instant::now();
-            let report = index.save(out).map_err(|e| format!("writing {out}: {e}"))?;
+            let report =
+                pm_lsh::persist::save(&index, out).map_err(|e| format!("writing {out}: {e}"))?;
             println!(
                 "wrote {} points ({} bytes) to {out} in {:.2} s",
                 report.points,
@@ -781,7 +781,7 @@ fn cmd_save(opts: &HashMap<String, String>) -> Result<(), String> {
 fn load_or_build_index(path: &str, c: f64, build: BuildOptions) -> Result<PmLsh, String> {
     let start = Instant::now();
     if pm_lsh::persist::is_pmlsh_file(path) {
-        let index = PmLsh::load(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let index = pm_lsh::persist::load(path).map_err(|e| format!("reading {path}: {e}"))?;
         println!(
             "loaded .pmlsh snapshot {path}: {} points in R^{} in {:.3} s",
             index.len(),
@@ -804,11 +804,10 @@ fn load_or_build_index(path: &str, c: f64, build: BuildOptions) -> Result<PmLsh,
 
 /// Materializes `path` as a ready-to-serve engine, honoring `--shards`.
 ///
-/// A sharded manifest (magic bytes) restores its whole shard set; a
-/// single-file `.pmlsh` snapshot serves monolithic (its shape is fixed at
-/// save time — `--shards` does not re-partition it); a dataset file is
-/// partitioned round-robin into `shards` independent indexes when
-/// `shards > 1` and built monolithic otherwise.
+/// A `.pmlsh` snapshot (magic bytes) restores the shard set it holds (its
+/// shape is fixed at save time — `--shards` does not re-partition it); a
+/// dataset file is partitioned round-robin into `shards` independent
+/// indexes when `shards > 1` and built monolithic otherwise.
 fn load_or_build_engine(
     path: &str,
     c: f64,
@@ -816,13 +815,12 @@ fn load_or_build_engine(
     shards: usize,
     config: EngineConfig,
 ) -> Result<ShardedEngine, String> {
-    if pm_lsh::persist::is_manifest_file(path) {
-        let start = Instant::now();
-        let parts =
-            pm_lsh::persist::load_sharded(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let engine = ShardedEngine::from_indexes(parts, config);
+    let start = Instant::now();
+    if pm_lsh::persist::is_pmlsh_file(path) {
+        let engine =
+            ShardedEngine::load(path, config).map_err(|e| format!("reading {path}: {e}"))?;
         println!(
-            "loaded sharded manifest {path}: {} points in R^{} across {} shard(s) in {:.3} s",
+            "loaded .pmlsh snapshot {path}: {} points in R^{} across {} shard(s) in {:.3} s",
             engine.len(),
             engine.dim(),
             engine.shard_count(),
@@ -830,10 +828,9 @@ fn load_or_build_engine(
         );
         return Ok(engine);
     }
-    if shards == 1 || pm_lsh::persist::is_pmlsh_file(path) {
+    if shards == 1 {
         return Ok(Engine::new(load_or_build_index(path, c, build)?, config).into());
     }
-    let start = Instant::now();
     let data = load(path)?;
     if data.len() < shards {
         return Err(format!(

@@ -27,10 +27,11 @@
 //!   [`engine::server`]).
 //! * [`baselines`] — the evaluation's competitors: SRS, QALSH, Multi-Probe
 //!   LSH, R-LSH and LScan, behind one [`baselines::AnnIndex`] trait.
-//! * [`persist`] — versioned, checksummed `.pmlsh` on-disk snapshots:
-//!   [`persist::Snapshot`] gives `index.save(path)` / `PmLsh::load(path)`
-//!   with bit-identical query answers after a restart, and the serving
-//!   layer ATTACHes snapshot files instantly instead of rebuilding.
+//! * [`persist`] — versioned, checksummed `.pmlsh` on-disk snapshots, one
+//!   file per index at every shard count: [`persist::save`] /
+//!   [`persist::load`] give bit-identical query answers after a restart,
+//!   and the serving layer ATTACHes snapshot files instantly instead of
+//!   rebuilding.
 //! * [`data`] — seeded synthetic stand-ins for the paper's seven datasets,
 //!   exact ground truth and the recall / overall-ratio metrics.
 //! * [`stats`] / [`metric`] — numerics (χ², Φ, ECDFs, RC/LID/HV) and dense
@@ -86,6 +87,6 @@ pub mod prelude {
         ServerHandle, ShardedEngine,
     };
     pub use pm_lsh_metric::{Dataset, Neighbor, PointId};
-    pub use pm_lsh_persist::{PersistError, SaveReport, Snapshot};
+    pub use pm_lsh_persist::{PersistError, SaveReport};
     pub use pm_lsh_stats::Rng;
 }

@@ -3,9 +3,10 @@
 //! Reusable per-thread query state.
 //!
 //! Every query needs a projected-query buffer (`m` floats), the PM-tree
-//! traversal's lists and a top-k collector. Allocating them per query is
-//! invisible for one-off calls but dominates small-`d` serving workloads;
-//! a [`QueryContext`] owns all three and is threaded through
+//! traversal's lists, a bitmap that puts each round's candidates in row
+//! order and a top-k collector. Allocating them per query is invisible for
+//! one-off calls but dominates small-`d` serving workloads; a
+//! [`QueryContext`] owns all four and is threaded through
 //! [`crate::PmLsh::query_with_context`] / [`crate::PmLsh::query_into`] so
 //! repeated queries run without touching the allocator at steady state
 //! (asserted by `crates/core/tests/zero_alloc.rs` with a counting global
@@ -42,11 +43,18 @@ use pm_lsh_pmtree::CursorScratch;
 /// ```
 #[derive(Debug)]
 pub struct QueryContext {
-    /// PM-tree traversal buffers (sorted run, waiting regions and points,
-    /// stack, pivot distances, query).
+    /// PM-tree traversal buffers (run, waiting regions and points, stack,
+    /// pivot distances, query).
     pub(crate) scratch: CursorScratch,
     /// The projected query `q' = (h*_1(q), …, h*_m(q))`.
     pub(crate) qp: Vec<f32>,
+    /// One bit per stored row of the index being queried: a round's
+    /// candidates are marked here, then verified and cleared in one walk
+    /// by ascending row id, so the bitmap is all zeros between rounds. A
+    /// query zeroes it and sizes it to its index before the first round,
+    /// which is what keeps a query that panicked mid-round from leaking
+    /// marks into the next.
+    pub(crate) marks: Vec<u64>,
     /// Top-k collector, reset per query.
     pub(crate) top: TopK,
     /// Where `query_bc_with_context` receives its one answer, so
@@ -63,6 +71,8 @@ impl QueryContext {
             scratch: CursorScratch::new(),
             // lint: allow(hot-path) -- one-time constructor; queries reuse the buffers
             qp: Vec::new(),
+            // lint: allow(hot-path) -- one-time constructor; queries reuse the buffer
+            marks: Vec::new(),
             // Placeholder k; every query resets the collector to its own k.
             top: TopK::new(1),
             // lint: allow(hot-path) -- one-time constructor; queries reuse the buffer

@@ -7,7 +7,7 @@ use crate::build::BuildOptions;
 use crate::context::QueryContext;
 use crate::params::{DerivedParams, PmLshParams};
 use pm_lsh_hash::GaussianProjector;
-use pm_lsh_metric::{sq_dist_within, Dataset, Neighbor};
+use pm_lsh_metric::{sq_dist_within, Dataset, Neighbor, PointId};
 use pm_lsh_pmtree::PmTree;
 use pm_lsh_stats::{distance_distribution, Ecdf, Rng};
 use std::sync::Arc;
@@ -697,6 +697,16 @@ impl PmLsh {
     /// neighbors land in `out` (cleared first), ascending by
     /// `(dist, id)`; the traversal scratch goes back into `ctx`.
     ///
+    /// A round is a set. Algorithm 2 tests termination only between
+    /// rounds (line 4 at the top, the budget by count), so the order in
+    /// which a round's candidates are verified is unobservable; what is
+    /// observable is which candidates the budget cut keeps, and the cursor
+    /// ([`pm_lsh_pmtree::RangeCursor::take_within`]) keeps the first
+    /// `budget − verified` by `(projected dist, id)` — the prefix a stream
+    /// would have yielded. The round is then verified in ascending row id,
+    /// a forward walk through the row store, through a bitmap of one bit
+    /// per stored row in `ctx`. No served query sorts its candidates.
+    ///
     /// Verification runs in the squared-distance domain: each candidate is
     /// measured with the early-abandoning [`sq_dist_within`] against a
     /// conservative squared bound derived from the current k-th neighbor
@@ -760,6 +770,9 @@ impl PmLsh {
 
         let top = &mut ctx.top;
         top.reset(k);
+        let marks = &mut ctx.marks;
+        marks.clear();
+        marks.resize(self.data.len().div_ceil(64), 0);
         let mut verified = 0usize;
         let mut rounds = 0u32;
         // Invariant: `bound == abandon_bound(top.kth_dist())`, refreshed
@@ -777,25 +790,35 @@ impl PmLsh {
             if line4_stop && top.is_full() && (top.kth_dist() as f64) <= c * r {
                 break;
             }
-            // Pull candidates from the incremental range query B(q', t·r).
+            // This round's candidates from the incremental range query
+            // B(q', t·r), as a set: all of them, or the first
+            // `budget − verified` by (projected dist, id) when the budget
+            // cuts the round.
             let proj_radius = (derived.t * r) as f32;
-            while verified < budget {
-                match cursor.next_within(proj_radius) {
-                    Some((id, _proj_dist)) => {
-                        let sq = sq_dist_within(q, self.data.point_id(id), bound);
-                        if sq <= bound {
-                            // Kept: `sq` is exact; one sqrt, then the same
-                            // (dist, id) insertion the reference performs.
-                            if top.push(sq.sqrt(), id) && top.is_full() {
-                                bound = abandon_bound(top.kth_dist());
-                            }
-                        }
-                        // else: sq > bound ≥ any squared distance whose
-                        // sqrt could still displace the k-th neighbor, so
-                        // the reference's push would have rejected it too.
-                        verified += 1;
+            let round = cursor.take_within(proj_radius, budget - verified);
+            verified += round.len();
+            for (id, _proj_dist) in round {
+                marks[id as usize / 64] |= 1 << (id % 64);
+            }
+            // Verify the set in ascending row id — ascending address in the
+            // row store — clearing the marks on the way. Nothing observable
+            // depends on the order: the top-k is the k smallest under the
+            // total order (dist, id), and the bound below only decides how
+            // early a rejected candidate stops.
+            for (word_idx, word) in marks.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let id = (64 * word_idx) as PointId + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let sq = sq_dist_within(q, self.data.point_id(id), bound);
+                    // Kept: `sq` is exact; one sqrt, then the same (dist, id)
+                    // insertion the reference performs. Otherwise sq > bound
+                    // ≥ any squared distance whose sqrt could still displace
+                    // the k-th neighbor, so the reference's push would have
+                    // rejected it too.
+                    if sq <= bound && top.push(sq.sqrt(), id) && top.is_full() {
+                        bound = abandon_bound(top.kth_dist());
                     }
-                    None => break,
                 }
             }
             // Termination test of line 9 (Algorithm 1 line 3): candidate

@@ -68,7 +68,7 @@ fn steady_state_queries_do_not_allocate() {
     }
     // A query well outside the cloud starts far below the radius that
     // reaches anything, so it enlarges the radius several times: the
-    // traversal's waiting lists are partitioned and its run re-sorted warm.
+    // traversal's waiting list is partitioned and its run refilled warm.
     queries.push(queries[0].map(|x| 3.0 * x));
     let index = PmLsh::build(ds, PmLshParams::default());
     let c = index.params().c;
@@ -76,8 +76,9 @@ fn steady_state_queries_do_not_allocate() {
     let mut ctx = QueryContext::new();
     let mut out: Vec<Neighbor> = Vec::new();
 
-    // Warm-up: every buffer (projection, traversal lists, top-k heap,
-    // output vector) grows to its high-water mark for this exact workload.
+    // Warm-up: every buffer (projection, traversal lists, row bitmap, top-k
+    // heap, output vector) grows to its high-water mark for this exact
+    // workload.
     let mut warm = Vec::new();
     let mut rounds = 0;
     for q in &queries {
@@ -119,4 +120,25 @@ fn steady_state_queries_do_not_allocate() {
         0,
         "steady-state query_bc_with_context calls must not allocate"
     );
+
+    // So must a fan-out leg, whose budget a round's set is cut to (one
+    // select, below n) or never reaches (above n).
+    for budget in [N / 3, 2 * N] {
+        for q in &queries {
+            index.query_fanout_into(q, K, budget, &mut ctx, &mut out);
+        }
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..10 {
+            for q in &queries {
+                let stats = index.query_fanout_into(q, K, budget, &mut ctx, &mut out);
+                assert_eq!(stats.candidates_verified, budget.min(N));
+            }
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state query_fanout_into calls (budget {budget}) must not allocate"
+        );
+    }
 }

@@ -3,16 +3,28 @@
 //! Round-at-a-time range queries over the points of a PM-tree.
 //!
 //! [`RangeCursor`] answers the paper's `range(q', r)` as what it is, a
-//! range query: the first `next_within(r)` with a radius larger than any
-//! seen files every unyielded point within `r` into a run, sorts that run
-//! once, and then yields from it. When Algorithm 2 enlarges the radius
-//! (`r ← c·r`), nothing is repeated: the measured points a round finds
-//! beyond its radius wait in one unsorted list, which the next round splits
-//! by the larger radius in one branchless pass (each point is written to
-//! both lists and kept in one). Everything a later round files lies beyond
-//! the earlier radius, so the unyielded remainder of a run always precedes
-//! it and yields stay non-decreasing — this is how PM-LSH "combines the
-//! ideas of the RE and MI methods".
+//! range query: the first call with a radius larger than any seen runs a
+//! round, which files every unyielded point within `r` into a run,
+//! unordered. The run leaves the cursor in one of two ways:
+//!
+//! - **as a set** — [`RangeCursor::take_within`] hands out every unyielded
+//!   point within `r` at once, in no particular order. When the caller has
+//!   room for fewer, one `select_nth_unstable` keeps the first `room` by
+//!   `(dist, id)`. This is what Algorithm 2 reads: its termination tests
+//!   run between rounds and its budget is a count, so within a round only
+//!   the cut decides anything.
+//! - **as a stream** — [`RangeCursor::next_within`] yields one point at a
+//!   time, ascending. It sorts the run's unordered tail on first demand, so
+//!   only a caller that asks for order pays for it.
+//!
+//! When Algorithm 2 enlarges the radius (`r ← c·r`), nothing is repeated:
+//! the measured points a round finds beyond its radius wait in one
+//! unordered list, which the next round splits by the larger radius in one
+//! branchless pass (each point is written to both lists and kept in one).
+//! Everything a later round files lies beyond the earlier radius, so the
+//! unyielded remainder of a run always precedes it and yields stay
+//! non-decreasing — this is how PM-LSH "combines the ideas of the RE and MI
+//! methods".
 //!
 //! Where the measured points come from is fixed per tree
 //! ([`PmTree::set_leaf_sweep`]):
@@ -46,7 +58,9 @@
 //! Yields are ascending by `(projected distance, external id)`, a function
 //! of the indexed points alone: two trees over the same points — and the
 //! two sources over one tree — yield the same sequence whatever their shape
-//! or node numbering, and agree on `is_exhausted` after every call.
+//! or node numbering, and agree on `is_exhausted` after every call. A set
+//! is the set of the `room` yields the stream would have handed out next,
+//! at the same cost.
 
 use crate::block::{InnerRef, LeafRef};
 use crate::tree::PmTree;
@@ -87,9 +101,9 @@ fn key_dist(key: u64) -> f32 {
     f32::from_bits((key >> 32) as u32)
 }
 
-/// Reusable buffers for a [`RangeCursor`]: the sorted run, the two
-/// waiting lists, the traversal stack, the query-to-pivot distances and an
-/// owned copy of the query point.
+/// Reusable buffers for a [`RangeCursor`]: the run, the two waiting
+/// lists, the traversal stack, the query-to-pivot distances and an owned
+/// copy of the query point.
 ///
 /// A fresh scratch owns no heap memory (`Vec::new` does not allocate);
 /// after a query it keeps its capacities, so threading one scratch through
@@ -101,8 +115,10 @@ fn key_dist(key: u64) -> f32 {
 pub struct CursorScratch {
     query: Vec<f32>,
     qp_dists: Vec<f32>,
-    /// Points within the covered radius as `point_key`s, ascending from
-    /// the cursor's `pos` on (what lies before it has been yielded).
+    /// Points within the covered radius as `point_key`s; what lies before
+    /// the cursor's `pos` has been yielded. `run[pos..sorted]` is
+    /// ascending and precedes every key of `run[sorted..]`, which is
+    /// unordered.
     run: Vec<u64>,
     /// Measured points not in the run, unsorted: between rounds, those
     /// beyond the covered radius.
@@ -201,6 +217,8 @@ pub struct RangeCursor<'t> {
     scratch: CursorScratch,
     /// Next unyielded slot of `scratch.run`.
     pos: usize,
+    /// End of the run's sorted stretch (see [`CursorScratch`]), `>= pos`.
+    sorted: usize,
     /// Largest radius a round has opened; everything within it is in the
     /// run, everything beyond it in `far` or `frontier`.
     covered: f32,
@@ -241,6 +259,7 @@ impl<'t> RangeCursor<'t> {
             tree,
             scratch,
             pos: 0,
+            sorted: 0,
             covered: f32::NEG_INFINITY,
             dist_computations: dist_computations as u64,
         }
@@ -270,16 +289,16 @@ impl<'t> RangeCursor<'t> {
 
     /// One round: the textbook range query at `radius` over what earlier
     /// rounds left unopened (nothing, on a sweeping tree), then every
-    /// waiting point within `radius` appended to the run, sorted; whatever
-    /// lies beyond it waits for a larger radius.
+    /// waiting point within `radius` appended to the run, unordered;
+    /// whatever lies beyond it waits for a larger radius.
     fn advance(&mut self, radius: f32) {
         self.covered = radius;
         let tree = self.tree;
         let lay = tree.layout();
         let s = &mut self.scratch;
         s.run.drain(..self.pos);
+        self.sorted -= self.pos;
         self.pos = 0;
-        let found = s.run.len();
 
         std::mem::swap(&mut s.frontier, &mut s.stack);
         while let Some((lb, region)) = s.stack.pop() {
@@ -331,7 +350,6 @@ impl<'t> RangeCursor<'t> {
             }
         }
         s.file(radius);
-        s.run[found..].sort_unstable();
     }
 
     /// Returns the next point whose exact projected distance is at most
@@ -339,12 +357,18 @@ impl<'t> RangeCursor<'t> {
     ///
     /// What lies beyond `radius` is preserved across calls, so callers may
     /// re-invoke with a larger radius and continue exactly where they
-    /// stopped; successive yields are ascending by `(distance, id)`.
+    /// stopped; successive yields are ascending by `(distance, id)`. The
+    /// first call that reaches the run's unordered tail sorts it.
     pub fn next_within(&mut self, radius: f32) -> Option<(PointId, f32)> {
         if radius > self.covered {
             self.advance(radius);
         }
-        let key = *self.scratch.run.get(self.pos)?;
+        let run = &mut self.scratch.run;
+        if self.pos == self.sorted {
+            run[self.sorted..].sort_unstable();
+            self.sorted = run.len();
+        }
+        let key = *run.get(self.pos)?;
         let dist = key_dist(key);
         if dist <= radius {
             self.pos += 1;
@@ -352,6 +376,40 @@ impl<'t> RangeCursor<'t> {
         } else {
             None
         }
+    }
+
+    /// Hands out a round as a set: every unyielded point within `radius`
+    /// or, when more than `room` qualify, the first `room` of them by
+    /// `(distance, id)`, in no particular order. These are the points, and
+    /// this is the cost, of up to `room` calls of
+    /// [`RangeCursor::next_within`] at `radius`, and the cursor carries on
+    /// exactly as it would after them; `room == 0` takes nothing and runs
+    /// no round.
+    ///
+    /// At or beyond the covered radius the whole run qualifies, so nothing
+    /// is sorted: a cut is one `select_nth_unstable`. A smaller radius —
+    /// a schedule Algorithm 2 never runs — takes the stream's prefix.
+    pub fn take_within(
+        &mut self,
+        radius: f32,
+        room: usize,
+    ) -> impl ExactSizeIterator<Item = (PointId, f32)> + '_ {
+        if room > 0 && radius > self.covered {
+            self.advance(radius);
+        }
+        let from = self.pos;
+        if room > 0 && radius >= self.covered {
+            let unyielded = &mut self.scratch.run[from..];
+            if unyielded.len() > room {
+                unyielded.select_nth_unstable(room);
+            }
+            self.pos += unyielded.len().min(room);
+            self.sorted = self.pos;
+        } else {
+            while self.pos - from < room && self.next_within(radius).is_some() {}
+        }
+        let taken = &self.scratch.run[from..self.pos];
+        taken.iter().map(|&key| (key as PointId, key_dist(key)))
     }
 
     /// Incremental nearest-neighbor iteration: the next unseen point in
@@ -673,70 +731,75 @@ mod tests {
         }
     }
 
+    /// A tree over rows of `ds` (external id = row, never reused) whose
+    /// blocks have been through everything a mutation does to them —
+    /// pushes that grow a block, removals that shrink one, leaf and inner
+    /// splits, emptied leaves, a root collapse, freed arena slots taken up
+    /// again — and the ids it holds.
+    fn churned_tree(num_pivots: usize, what: &str) -> (Dataset, PmTree, Vec<PointId>) {
+        let mut rng = Rng::new(70 + num_pivots as u64);
+        let ds = random_dataset(6000, 15, 71);
+        let first = MatrixView::new(&ds.as_flat()[..1500 * 15], 15);
+        let mut tree = PmTree::build(first, with_pivots(num_pivots), &mut rng);
+        let mut live: Vec<PointId> = (0..1500).collect();
+        let mut next = 1500;
+        let mut insert = |tree: &mut PmTree, live: &mut Vec<PointId>| {
+            tree.insert(ds.point(next), next as PointId);
+            live.push(next as PointId);
+            next += 1;
+        };
+        let delete = |tree: &mut PmTree, live: &mut Vec<PointId>, rng: &mut Rng| {
+            let victim = live.swap_remove(rng.below(live.len()));
+            assert!(tree.delete(victim), "{victim} was live");
+        };
+
+        // Interleaved inserts and deletes: blocks grow and shrink, leaves
+        // split and some run empty.
+        for _ in 0..1500 {
+            match rng.below(2) {
+                0 => insert(&mut tree, &mut live),
+                _ => delete(&mut tree, &mut live, &mut rng),
+            }
+        }
+        // Down to one point: every subtree but its own is pruned and the
+        // root collapses onto its leaf.
+        let tall = tree.height();
+        assert!(tall >= 3, "{what}: height {tall}");
+        while live.len() > 1 {
+            delete(&mut tree, &mut live, &mut rng);
+        }
+        assert_eq!(tree.height(), 1, "{what}: the root did not collapse");
+        let (freed, arena) = (tree.free_nodes.len(), tree.node_count());
+        assert_eq!(freed, arena - 1, "{what}: emptied nodes not freed");
+        // Back up: freed slots are taken first, leaves and then inner nodes
+        // split again.
+        for _ in 0..2800 {
+            insert(&mut tree, &mut live);
+        }
+        assert!(tree.free_nodes.len() < freed, "{what}: no slot reused");
+        assert!(tree.node_count() >= arena && tree.height() >= 3, "{what}");
+        for _ in 0..500 {
+            match rng.below(2) {
+                0 => insert(&mut tree, &mut live),
+                _ => delete(&mut tree, &mut live, &mut rng),
+            }
+        }
+        tree.check_invariants();
+        assert_eq!(tree.len(), live.len());
+        (ds, tree, live)
+    }
+
     #[test]
     fn churned_tree_and_its_copies_traverse_alike() {
-        // The same differential on a tree whose blocks have been through
-        // everything a mutation does to them — pushes that grow a block,
-        // removals that shrink one, leaf and inner splits, emptied leaves,
-        // a root collapse, freed arena slots taken up again — and on its
-        // two copies: `clone()` (block for block) and `from_parts(to_parts())`
-        // (the arena renumbered, every block copied out and moved back in).
-        // All three must yield and count alike, and each sweeps as it
-        // traverses — over an arena with freed slots in the first, over a
-        // compacted one in the twin. External id = row of `ds`, never
-        // reused; `live` says which rows are indexed.
+        // The same differential on a churned tree (see `churned_tree`) and
+        // on its two copies: `clone()` (block for block) and
+        // `from_parts(to_parts())` (the arena renumbered, every block
+        // copied out and moved back in). All three must yield and count
+        // alike, and each sweeps as it traverses — over an arena with freed
+        // slots in the first, over a compacted one in the twin.
         for num_pivots in [5, 0] {
             let what = format!("churned, s = {num_pivots}");
-            let mut rng = Rng::new(70 + num_pivots as u64);
-            let ds = random_dataset(6000, 15, 71);
-            let first = MatrixView::new(&ds.as_flat()[..1500 * 15], 15);
-            let mut tree = PmTree::build(first, with_pivots(num_pivots), &mut rng);
-            let mut live: Vec<PointId> = (0..1500).collect();
-            let mut next = 1500;
-            let mut insert = |tree: &mut PmTree, live: &mut Vec<PointId>| {
-                tree.insert(ds.point(next), next as PointId);
-                live.push(next as PointId);
-                next += 1;
-            };
-            let delete = |tree: &mut PmTree, live: &mut Vec<PointId>, rng: &mut Rng| {
-                let victim = live.swap_remove(rng.below(live.len()));
-                assert!(tree.delete(victim), "{victim} was live");
-            };
-
-            // Interleaved inserts and deletes: blocks grow and shrink,
-            // leaves split and some run empty.
-            for _ in 0..1500 {
-                match rng.below(2) {
-                    0 => insert(&mut tree, &mut live),
-                    _ => delete(&mut tree, &mut live, &mut rng),
-                }
-            }
-            // Down to one point: every subtree but its own is pruned and
-            // the root collapses onto its leaf.
-            let tall = tree.height();
-            assert!(tall >= 3, "{what}: height {tall}");
-            while live.len() > 1 {
-                delete(&mut tree, &mut live, &mut rng);
-            }
-            assert_eq!(tree.height(), 1, "{what}: the root did not collapse");
-            let (freed, arena) = (tree.free_nodes.len(), tree.node_count());
-            assert_eq!(freed, arena - 1, "{what}: emptied nodes not freed");
-            // Back up: freed slots are taken first, leaves and then inner
-            // nodes split again.
-            for _ in 0..2800 {
-                insert(&mut tree, &mut live);
-            }
-            assert!(tree.free_nodes.len() < freed, "{what}: no slot reused");
-            assert!(tree.node_count() >= arena && tree.height() >= 3, "{what}");
-            for _ in 0..500 {
-                match rng.below(2) {
-                    0 => insert(&mut tree, &mut live),
-                    _ => delete(&mut tree, &mut live, &mut rng),
-                }
-            }
-            tree.check_invariants();
-            assert_eq!(tree.len(), live.len());
-
+            let (ds, tree, live) = churned_tree(num_pivots, &what);
             let mut is_live = vec![false; ds.len()];
             live.iter().for_each(|&id| is_live[id as usize] = true);
             let expected = |q: &[f32]| {
@@ -764,6 +827,78 @@ mod tests {
         }
     }
 
+    /// Ten random queries against `tree`, each under a random schedule of
+    /// radii — repeated, shrinking, growing, a final ∞ — and a random
+    /// `room` per step, from nothing to everything. One cursor takes each
+    /// step as a set, a twin streams the same step through up to `room`
+    /// `next_within` calls; now and then both stream instead, so the set
+    /// cursor must keep its stream in order after a cut. After every step
+    /// the sorted set must be what the twin yielded, and the two must agree
+    /// on `is_exhausted` and `distance_computations`. Returns how many
+    /// steps filled their room.
+    fn drive_sets_beside_streams(tree: &PmTree, rng: &mut Rng, what: &str) -> usize {
+        let mut filled = 0;
+        let mut q = vec![0.0f32; tree.dim()];
+        for _ in 0..10 {
+            rng.fill_normal(&mut q);
+            let (mut set, mut stream) = (tree.cursor(&q), tree.cursor(&q));
+            let mut schedule: Vec<f32> = (0..10).map(|_| 2.0 + 4.0 * rng.f32()).collect();
+            schedule.insert(4, schedule[2]);
+            schedule.push(f32::INFINITY);
+            for (step, &radius) in schedule.iter().enumerate() {
+                let room = match rng.below(5) {
+                    _ if radius == f32::INFINITY => usize::MAX,
+                    0 => 0,
+                    1 => 1 + rng.below(4),
+                    4 => usize::MAX,
+                    _ => 1 + rng.below(200),
+                };
+                let want: Vec<_> = std::iter::from_fn(|| stream.next_within(radius))
+                    .take(room)
+                    .collect();
+                let got: Vec<_> = if rng.below(4) == 0 {
+                    std::iter::from_fn(|| set.next_within(radius))
+                        .take(room)
+                        .collect()
+                } else {
+                    let mut got: Vec<_> = set.take_within(radius, room).collect();
+                    got.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                    got
+                };
+                assert_eq!(got, want, "{what} step {step}: room {room}");
+                let (a, b) = (set.is_exhausted(), stream.is_exhausted());
+                assert_eq!(a, b, "{what} step {step}: is_exhausted");
+                let (a, b) = (set.distance_computations(), stream.distance_computations());
+                assert_eq!(a, b, "{what} step {step}: distance_computations");
+                filled += usize::from(room > 0 && got.len() == room);
+            }
+            assert!(set.is_exhausted(), "{what}: ∞ took everything");
+        }
+        filled
+    }
+
+    #[test]
+    fn a_set_is_what_the_stream_yields_next() {
+        // See `drive_sets_beside_streams`: both sources, on a built tree
+        // and on a churned one, with pivots and without.
+        let mut rng = Rng::new(73);
+        for num_pivots in [5, 0] {
+            let what = format!("s = {num_pivots}");
+            let ds = random_dataset(4000, 15, 53);
+            let built = PmTree::build(ds.view(), with_pivots(num_pivots), &mut rng);
+            let (_, churned, _) = churned_tree(num_pivots, &what);
+            for (tree, shape) in [(built, "built"), (churned, "churned")] {
+                let mut sweeping = tree.clone();
+                sweeping.set_leaf_sweep(true);
+                for (tree, source) in [(&tree, "traversal"), (&sweeping, "sweep")] {
+                    let what = format!("{what}, {shape}, {source}");
+                    let filled = drive_sets_beside_streams(tree, &mut rng, &what);
+                    assert!(filled > 10, "{what}: only {filled} steps filled");
+                }
+            }
+        }
+    }
+
     #[test]
     fn nan_query_yields_nothing_and_terminates() {
         let ds = random_dataset(300, 4, 58);
@@ -775,6 +910,8 @@ mod tests {
             let mut cursor = tree.cursor(&q);
             assert_eq!(cursor.next_within(1.0), None);
             assert_eq!(cursor.next_within(f32::NAN), None);
+            assert_eq!(cursor.take_within(f32::NAN, usize::MAX).len(), 0);
+            assert_eq!(cursor.take_within(f32::INFINITY, usize::MAX).len(), 0);
             assert_eq!(cursor.next_within(f32::INFINITY), None);
             assert!(cursor.is_exhausted());
             assert_eq!(cursor.next(), None);

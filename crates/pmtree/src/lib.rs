@@ -18,10 +18,12 @@
 //!   points by nearest global pivot, grows one subtree per region by
 //!   insertion, on as many threads as asked, and splices them under a root
 //!   of region pivots; its output is identical for every thread count.
-//! * [`cursor::RangeCursor`] — a round-at-a-time range query yielding
-//!   points ascending by (projected distance, id) from a sorted run: each
-//!   larger radius files the measured points within it (one branchless
-//!   split) and sorts them once, no priority queue. The points come from
+//! * [`cursor::RangeCursor`] — a round-at-a-time range query: each larger
+//!   radius files the measured points within it into a run (one
+//!   branchless split, no priority queue). `take_within(r, room)` hands a
+//!   round out as an unordered set, cut to its first `room` by (projected
+//!   distance, id) with one select; `next_within(r)` yields it ascending,
+//!   sorting the run only when a caller first asks. The points come from
 //!   one of two sources with identical yields. By default each round is
 //!   one textbook range traversal over what earlier rounds left unopened,
 //!   with the paper's discipline: an entry pays its exact distance — once,
@@ -30,8 +32,8 @@
 //!   the radius. On a tree marked with [`tree::PmTree::set_leaf_sweep`] —
 //!   the one PM-LSH queries — the cursor instead measures every point once,
 //!   leaf block by leaf block, which is cheaper at the candidate budgets
-//!   Algorithm 2 spends. `next_within(r)` is the building block of the
-//!   paper's radius-enlarging Algorithm 2, and plain `next()` provides
+//!   Algorithm 2 spends. `take_within(r, room)` is the building block of
+//!   the paper's radius-enlarging Algorithm 2, and plain `next()` provides
 //!   exact incremental NN search by enlarging its own radius.
 //!   [`cursor::CursorScratch`] recycles the cursor's buffers across
 //!   queries, so a serving loop stops allocating once warm.

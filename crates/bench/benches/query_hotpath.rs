@@ -21,8 +21,8 @@
 //! refactor must buy speed, never answers.
 //!
 //! A second table per dataset times the two candidate sources of the
-//! PM-tree cursor alone: the index's tree, marked for sweeping its leaf
-//! blocks, against a standalone clone that runs the textbook range
+//! PM-tree cursor alone: the index's tree, marked for sweeping its point
+//! column, against a standalone clone that runs the textbook range
 //! traversal. Each drains every query's first round, the radius
 //! `t·select_rmin(k)`: at the index's pinned paper β, then for
 //! c ∈ {1.2, 1.5, 2, 3} with β re-derived by Eq. 10 as

@@ -3,9 +3,9 @@
 //! when varying the number of hash functions `m` (b–d). `k = 50, c = 1.5`.
 //!
 //! Panel (a) reads flat in `s`: PM-LSH's queries take their candidates
-//! from one sweep over the tree's leaf blocks, which measures no pivot
-//! distance and filters on none, so `s` enters a query's cost only
-//! through the width of a leaf entry. The pivots' effect on the
+//! from one sweep over the tree's projected point column, which measures
+//! no pivot distance, filters on none and reads no leaf entry, so `s`
+//! does not enter a query's cost. The pivots' effect on the
 //! PM-tree's own range query is measured by `benches/ablation.rs`
 //! (`s = 0` vs `5` on `PmTree::range`).
 //!

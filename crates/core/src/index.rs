@@ -21,8 +21,8 @@ pub struct QueryStats {
     pub candidates_verified: usize,
     /// Distance computations inside the projected space: exactly the live
     /// count `n`, one per indexed point. The candidate stream comes from
-    /// one sweep over the PM-tree's leaf blocks, which measures every
-    /// point once and nothing else (no pivot, no routing entry). At the
+    /// one sweep over the PM-tree's projected point column, which measures
+    /// every point once and nothing else (no pivot, no routing entry). At the
     /// budgets Algorithm 2 spends, the tree's range traversal would pay
     /// more than `n`: 56 018 per query on `audio_verify` (n = 54 000),
     /// 2 168 on `audio_wire` (n = 2 000), 12 974 on `trevi_highdim`
@@ -692,7 +692,7 @@ impl PmLsh {
 
     /// The one search routine behind every query form: project `q`, walk
     /// the incremental range query `B(q', t·r)` — fed by one sweep over the
-    /// PM-tree's leaf blocks, since the tree is marked for sweeping — verify
+    /// PM-tree's point column, since the tree is marked for sweeping — verify
     /// each candidate in the original space, and stop as `spec` says. The
     /// neighbors land in `out` (cleared first), ascending by
     /// `(dist, id)`; the traversal scratch goes back into `ctx`.

@@ -61,10 +61,11 @@ const OPCODE_NAMES: [(&str, &str); 5] = [
 ];
 
 /// ARCHITECTURE.md layout-table section names → `SEC_*` constants.
-const SECTION_NAMES: [(&str, &str); 7] = [
+const SECTION_NAMES: [(&str, &str); 8] = [
     ("HEADER", "SEC_HEADER"),
     ("PROJ", "SEC_PROJ"),
     ("DATA", "SEC_DATA"),
+    ("POINTS", "SEC_POINTS"),
     ("PIVOTS", "SEC_PIVOTS"),
     ("NODES", "SEC_NODES"),
     ("IDMAPS", "SEC_IDMAPS"),
@@ -598,9 +599,9 @@ mod tests {
     );
     const FORMAT: &str = concat!(
         "pub const MAGIC: [u8; 8] = *b\"PMLSHSNP\";\n",
-        "pub const FORMAT_VERSION: u32 = 3;\n",
+        "pub const FORMAT_VERSION: u32 = 4;\n",
         "const SEC_HEADER: u32 = 1;\nconst SEC_PROJ: u32 = 2;\nconst SEC_DATA: u32 = 3;\n",
-        "const SEC_PIVOTS: u32 = 5;\nconst SEC_NODES: u32 = 6;\n",
+        "const SEC_POINTS: u32 = 4;\nconst SEC_PIVOTS: u32 = 5;\nconst SEC_NODES: u32 = 6;\n",
         "const SEC_IDMAPS: u32 = 7;\nconst SEC_ECDF: u32 = 8;\n",
     );
 
@@ -627,9 +628,10 @@ mod tests {
 
     fn good_architecture() -> String {
         concat!(
-            "The file layout (format version 3): magic \"PMLSHSNP\".\n",
+            "The file layout (format version 4): magic \"PMLSHSNP\".\n",
             "| id | section | payload |\n|---|---|---|\n",
             "| 1 | HEADER | params |\n| 2 | PROJ | matrix |\n| 3 | DATA | rows |\n",
+            "| 4 | POINTS | column |\n",
             "| 5 | PIVOTS | pivots |\n| 6 | NODES | arena |\n",
             "| 7 | IDMAPS | maps |\n| 8 | ECDF | samples |\n",
         )
@@ -642,7 +644,7 @@ mod tests {
         assert_eq!(c.frame_cap, (512, 64, 8));
         assert_eq!(c.line_cap, (512, 64, 32));
         assert_eq!(c.magic, "PMLSHSNP");
-        assert_eq!(c.sections.len(), 7);
+        assert_eq!(c.sections.len(), 8);
         assert_eq!(c.opcodes[0], ("OP_QUERY", 1));
         assert_eq!(c.batch_max_ops, 4096);
         assert_eq!(c.batch_ok_prefix, "OK applied=");

@@ -9,6 +9,9 @@
 //! 4-accumulator scalar loop everywhere else (and under
 //! `PMLSH_FORCE_SCALAR=1`).
 //!
+//! [`sq_dist_rows`] is the sweep variant: one dispatch for a whole
+//! row-major column, each row bit-equal to [`sq_dist`].
+//!
 //! [`sq_dist_within`] is the verification-loop variant: it stops
 //! accumulating as soon as the partial sum strictly exceeds a caller
 //! bound, so candidates that cannot displace the current k-th neighbor
@@ -60,6 +63,22 @@ pub fn sq_dist_within(a: &[f32], b: &[f32], bound: f32) -> f32 {
         b.len()
     );
     simd::sq_dist_within_dispatch(a, b, bound)
+}
+
+/// Squared Euclidean distances from `q` to every consecutive `q.len()`-float
+/// row of `rows`, handed to `each` in row order.
+///
+/// This is the kernel for sweeping a row-major column of points: the kernel
+/// level is dispatched once for the whole run, not once per row, and each
+/// row goes through the same kernel body as [`sq_dist`], so every value is
+/// **bit-identical** to `sq_dist(q, row)`.
+///
+/// # Panics
+/// Panics if `q` is empty or `rows.len()` is not a multiple of `q.len()`.
+#[inline]
+pub fn sq_dist_rows(q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
+    simd::check_rows(q, rows);
+    simd::sq_dist_rows_dispatch(q, rows, each)
 }
 
 /// Euclidean distance `||a - b||`.

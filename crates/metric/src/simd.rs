@@ -2,8 +2,9 @@
 //!
 //! Runtime-dispatched SIMD kernels behind [`crate::dist`].
 //!
-//! The public entry points ([`crate::sq_dist`], [`crate::sq_dist_within`],
-//! [`crate::dot`]) pick an implementation once per process:
+//! The public entry points ([`crate::sq_dist`], [`crate::sq_dist_rows`],
+//! [`crate::sq_dist_within`], [`crate::dot`]) pick an implementation once
+//! per process:
 //!
 //! * **x86-64** — SSE2 is the architectural baseline and is always
 //!   available; AVX2 + FMA is selected when the CPU reports both (runtime
@@ -23,6 +24,10 @@
 //! to the scalar kernel on every input. The AVX2+FMA kernel uses 8 lanes
 //! and fused multiply-adds, so it may differ from scalar/SSE2 in the last
 //! ulps; the property tests in `tests/kernel_parity.rs` pin both claims.
+//!
+//! Each row kernel (`sq_dist_rows_*`) runs the full squared-distance body
+//! of its level on every row, behind one dispatch for the whole run, so it
+//! is bit-identical to that level's [`crate::sq_dist`] row by row.
 //!
 //! Each early-abandoning `*_within` kernel shares its accumulation loop
 //! with the corresponding full kernel (one generic body, `CHECK` toggled at
@@ -199,6 +204,14 @@ fn dot_scalar_impl(a: &[f32], b: &[f32]) -> f32 {
         sum += a[j] * b[j];
     }
     sum
+}
+
+/// The scalar row kernel: [`sq_dist_scalar_impl`] on each row in turn.
+#[inline(always)]
+fn sq_dist_rows_scalar_impl(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
+    for row in rows.chunks_exact(q.len()) {
+        each(sq_dist_scalar_impl::<false>(q, row, f32::INFINITY));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -429,6 +442,24 @@ mod x86 {
         }
         sum
     }
+
+    /// # Safety
+    /// Caller must ensure SSE2 is available and `q` is not empty.
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn sq_dist_rows_sse2(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
+        for row in rows.chunks_exact(q.len()) {
+            each(sq_dist_sse2_impl::<false>(q, row, f32::INFINITY));
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 and FMA are available and `q` is not empty.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn sq_dist_rows_avx2(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
+        for row in rows.chunks_exact(q.len()) {
+            each(sq_dist_avx2_impl::<false>(q, row, f32::INFINITY));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -507,6 +538,15 @@ mod arm {
         }
         sum
     }
+
+    /// # Safety
+    /// Caller must ensure `q` is not empty.
+    #[inline]
+    pub(super) unsafe fn sq_dist_rows_neon(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
+        for row in rows.chunks_exact(q.len()) {
+            each(sq_dist_neon_impl::<false>(q, row, f32::INFINITY));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -551,6 +591,25 @@ pub(crate) fn sq_dist_within_dispatch(a: &[f32], b: &[f32], bound: f32) -> f32 {
     }
 }
 
+/// One dispatch for a whole run of rows (callers have asserted that `q` is
+/// not empty and divides `rows`): each row goes through the active level's
+/// full kernel, so every value is bit-equal to [`sq_dist_dispatch`].
+#[inline]
+pub(crate) fn sq_dist_rows_dispatch(q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is the x86-64 baseline; the caller checked `q`.
+        SimdLevel::Sse2 => unsafe { x86::sq_dist_rows_sse2(q, rows, each) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_level()` only returns Avx2Fma after runtime detection.
+        SimdLevel::Avx2Fma => unsafe { x86::sq_dist_rows_avx2(q, rows, each) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is the aarch64 baseline; the caller checked `q`.
+        SimdLevel::Neon => unsafe { arm::sq_dist_rows_neon(q, rows, each) },
+        _ => sq_dist_rows_scalar_impl(q, rows, each),
+    }
+}
+
 #[inline]
 pub(crate) fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
     match active_level() {
@@ -565,6 +624,21 @@ pub(crate) fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
         SimdLevel::Neon => unsafe { arm::dot_neon_impl(a, b) },
         _ => dot_scalar_impl(a, b),
     }
+}
+
+/// The row kernels' contract: a non-empty query whose length divides the
+/// rows.
+///
+/// # Panics
+/// Panics when `q` is empty or `rows.len()` is not a multiple of `q.len()`.
+#[inline]
+pub(crate) fn check_rows(q: &[f32], rows: &[f32]) {
+    assert!(
+        !q.is_empty() && rows.len().is_multiple_of(q.len()),
+        "sq_dist_rows: {} floats are not whole rows of {}",
+        rows.len(),
+        q.len()
+    );
 }
 
 /// Direct access to the individual kernel implementations, bypassing
@@ -590,6 +664,15 @@ pub mod kernels {
         super::dot_scalar_impl(a, b)
     }
 
+    /// Portable scalar row kernel: [`sq_dist_scalar`] of `q` and each row
+    /// of `rows`, in order.
+    pub fn sq_dist_rows_scalar(q: &[f32], rows: &[f32]) -> Vec<f32> {
+        super::check_rows(q, rows);
+        let mut out = Vec::with_capacity(rows.len() / q.len());
+        super::sq_dist_rows_scalar_impl(q, rows, |d| out.push(d));
+        out
+    }
+
     /// SSE2 squared distance (always available on x86-64).
     #[cfg(target_arch = "x86_64")]
     pub fn sq_dist_sse2(a: &[f32], b: &[f32]) -> f32 {
@@ -612,6 +695,16 @@ pub mod kernels {
         assert_eq!(a.len(), b.len(), "dot: slice length mismatch");
         // SAFETY: SSE2 is part of the x86-64 baseline.
         unsafe { super::x86::dot_sse2_impl(a, b) }
+    }
+
+    /// SSE2 row kernel (always available on x86-64).
+    #[cfg(target_arch = "x86_64")]
+    pub fn sq_dist_rows_sse2(q: &[f32], rows: &[f32]) -> Vec<f32> {
+        super::check_rows(q, rows);
+        let mut out = Vec::with_capacity(rows.len() / q.len());
+        // SAFETY: SSE2 is part of the x86-64 baseline; `q` was checked.
+        unsafe { super::x86::sq_dist_rows_sse2(q, rows, |d| out.push(d)) };
+        out
     }
 
     /// AVX2+FMA squared distance.
@@ -651,6 +744,21 @@ pub mod kernels {
         assert!(super::avx2_fma_available(), "AVX2+FMA not available");
         // SAFETY: availability asserted above.
         unsafe { super::x86::dot_avx2_impl(a, b) }
+    }
+
+    /// AVX2+FMA row kernel.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks AVX2 or FMA — check
+    /// [`super::avx2_fma_available`] first.
+    #[cfg(target_arch = "x86_64")]
+    pub fn sq_dist_rows_avx2(q: &[f32], rows: &[f32]) -> Vec<f32> {
+        super::check_rows(q, rows);
+        assert!(super::avx2_fma_available(), "AVX2+FMA not available");
+        let mut out = Vec::with_capacity(rows.len() / q.len());
+        // SAFETY: availability asserted above; `q` was checked.
+        unsafe { super::x86::sq_dist_rows_avx2(q, rows, |d| out.push(d)) };
+        out
     }
 }
 

@@ -4,6 +4,8 @@
 //!
 //! * scalar and SSE2 (and NEON, on aarch64 hardware) are **bit-identical**,
 //! * AVX2+FMA agrees with scalar within a relative tolerance,
+//! * every row kernel (`sq_dist_rows`) is bit-identical, row by row, to
+//!   the full kernel of its own level — also on rows holding NaN,
 //! * every `sq_dist_within` variant returns the exact full kernel value
 //!   whenever it does not abandon, lands on the same side of the bound as
 //!   the full kernel, and treats a partial sum *equal* to the bound as
@@ -13,7 +15,7 @@
 //! the paper's real dimensionalities (Audio-ish 100/960 and Trevi's 4096).
 
 use pm_lsh_metric::simd::{self, kernels};
-use pm_lsh_metric::{dot, sq_dist, sq_dist_within};
+use pm_lsh_metric::{dot, sq_dist, sq_dist_rows, sq_dist_within, SimdLevel};
 use proptest::prelude::*;
 
 const DIMS: &[usize] = &[1, 2, 3, 4, 7, 8, 15, 16, 33, 100, 960, 4096];
@@ -177,4 +179,94 @@ fn partial_sum_equal_to_bound_does_not_abandon() {
         let below = 25.0f32.next_down();
         assert!(sq_dist_within(&a, &b, below) > below, "d={d}");
     }
+}
+
+/// A row kernel's values against its level's one-row kernel: bit for bit,
+/// or NaN for NaN (a NaN's payload is not part of the contract).
+fn assert_rows_match(
+    level: &str,
+    rows_fn: fn(&[f32], &[f32]) -> Vec<f32>,
+    one_fn: fn(&[f32], &[f32]) -> f32,
+) {
+    for m in 1..=40usize {
+        let q = fill(m as u64, m, 3.0);
+        for count in 0..=9usize {
+            let mut rows = fill(((m as u64) << 8) | count as u64, m * count, 3.0);
+            // Some rows carry a NaN, at a spread of positions.
+            for r in (0..count).filter(|r| r % 3 == 1) {
+                rows[r * m + (r * 7) % m] = f32::NAN;
+            }
+            let got = rows_fn(&q, &rows);
+            assert_eq!(got.len(), count, "{level}: m = {m}, {count} rows");
+            for (r, (&got, row)) in got.iter().zip(rows.chunks_exact(m)).enumerate() {
+                let want = one_fn(&q, row);
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{level}: m = {m}, row {r} of {count}: {got} vs {want}"
+                );
+                assert_eq!(got.is_nan(), r % 3 == 1, "{level}: m = {m}, row {r}");
+            }
+        }
+    }
+}
+
+/// `sq_dist_rows` as the tests read it: collected into a `Vec`.
+fn dispatched_rows(q: &[f32], rows: &[f32]) -> Vec<f32> {
+    let mut out = Vec::new();
+    sq_dist_rows(q, rows, |d| out.push(d));
+    out
+}
+
+#[test]
+fn row_kernel_is_the_full_kernel_row_by_row() {
+    assert_rows_match(
+        "scalar",
+        kernels::sq_dist_rows_scalar,
+        kernels::sq_dist_scalar,
+    );
+    assert_rows_match("dispatch", dispatched_rows, sq_dist);
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_rows_match("sse2", kernels::sq_dist_rows_sse2, kernels::sq_dist_sse2);
+        if simd::avx2_fma_available() {
+            assert_rows_match("avx2", kernels::sq_dist_rows_avx2, kernels::sq_dist_avx2);
+        }
+    }
+}
+
+/// The dispatched row kernel under `PMLSH_FORCE_SCALAR=1`. The level is
+/// fixed at a process's first distance call, so unless this process was
+/// started with the variable (as the scalar CI job starts the whole suite)
+/// the test re-runs itself in a child process that was.
+#[test]
+fn row_kernel_under_forced_scalar() {
+    if std::env::var("PMLSH_FORCE_SCALAR").as_deref() == Ok("1") {
+        assert_eq!(simd::active_level(), SimdLevel::Scalar);
+        assert_rows_match("forced scalar", dispatched_rows, sq_dist);
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([
+            "--exact",
+            "row_kernel_under_forced_scalar",
+            "--test-threads",
+            "1",
+        ])
+        .env("PMLSH_FORCE_SCALAR", "1")
+        .output()
+        .expect("re-run under PMLSH_FORCE_SCALAR=1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("1 passed"), "{stdout}");
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn row_kernel_rejects_a_partial_row() {
+    sq_dist_rows(&[1.0, 2.0], &[1.0, 2.0, 3.0], |_| {});
 }

@@ -2,17 +2,17 @@
 //! with [`serialize`] and [`deserialize`] their one-shard case.
 //!
 //! Everything is little-endian. The file is `MAGIC | version u32 | shards
-//! u32 | shards × seven sections | whole-file crc32 u32`: one run of seven
+//! u32 | shards × eight sections | whole-file crc32 u32`: one run of eight
 //! sections per shard, in shard (= id) order, each section being `id u32 |
 //! payload_len u64 | payload | crc32(payload) u32`. A shard's sections
-//! appear in this fixed order (id 4, format 1's separate projected points,
-//! is retired):
+//! appear in this fixed order:
 //!
 //! | id | name        | payload                                                        |
 //! |----|-------------|----------------------------------------------------------------|
 //! | 1  | HEADER      | dimensions, counts and build parameters (see below)            |
 //! | 2  | PROJ        | Gaussian projection matrix, `m·d` f32 row-major                |
 //! | 3  | DATA        | raw point store, `n_rows·d` f32 (tombstoned rows included)     |
+//! | 4  | POINTS      | the PM-tree's projected points, `live·m` f32 in internal-row order |
 //! | 5  | PIVOTS      | the `s` global pivots, `s·m` f32                               |
 //! | 6  | NODES       | compacted PM-tree arena, one block of words per node           |
 //! | 7  | IDMAPS      | `live` external ids (u32) then `live` holding-leaf ids (u32)   |
@@ -26,8 +26,9 @@
 //! NODES payload, per node: `tag u8` (0 = leaf, 1 = inner), `word_count
 //! u32`, then the node's block, `word_count` f32 words exactly as the
 //! PM-tree lays them out ([`PmTreeParts`]; ids are bit patterns, children
-//! compacted node ids). This module never learns an entry's stride: whether
-//! the words fit the tree is `PmTree::from_parts`' call.
+//! compacted node ids). A leaf entry carries no coordinates; its point is
+//! its internal row of POINTS. This module never learns an entry's stride:
+//! whether the words fit the tree is `PmTree::from_parts`' call.
 //!
 //! The shards of one file must agree on `d`, `m`, `c` and β; a set that
 //! does not is [`PersistError::Corrupt`].
@@ -48,18 +49,19 @@ use crate::PersistError;
 pub const MAGIC: [u8; 8] = *b"PMLSHSNP";
 
 /// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const SEC_HEADER: u32 = 1;
 const SEC_PROJ: u32 = 2;
 const SEC_DATA: u32 = 3;
+const SEC_POINTS: u32 = 4;
 const SEC_PIVOTS: u32 = 5;
 const SEC_NODES: u32 = 6;
 const SEC_IDMAPS: u32 = 7;
 const SEC_ECDF: u32 = 8;
 
-const SECTION_ORDER: [u32; 7] = [
-    SEC_HEADER, SEC_PROJ, SEC_DATA, SEC_PIVOTS, SEC_NODES, SEC_IDMAPS, SEC_ECDF,
+const SECTION_ORDER: [u32; 8] = [
+    SEC_HEADER, SEC_PROJ, SEC_DATA, SEC_POINTS, SEC_PIVOTS, SEC_NODES, SEC_IDMAPS, SEC_ECDF,
 ];
 
 // ---------------------------------------------------------------------------
@@ -119,7 +121,7 @@ pub fn serialize_shards(shards: &[impl Borrow<PmLsh>]) -> Vec<u8> {
     out
 }
 
-/// Appends one index's seven sections to `out`.
+/// Appends one index's eight sections to `out`.
 fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
     let parts = index.tree().to_parts();
     let params = index.params();
@@ -153,6 +155,9 @@ fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
     let mut raw = Vec::new();
     put_f32s(&mut raw, data.as_flat());
 
+    let mut points = Vec::new();
+    put_f32s(&mut points, &parts.points);
+
     let mut pivots = Vec::new();
     for p in &parts.pivots {
         put_f32s(&mut pivots, p);
@@ -182,16 +187,18 @@ fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
         header.len()
             + proj.len()
             + raw.len()
+            + points.len()
             + pivots.len()
             + nodes.len()
             + idmaps.len()
             + ecdf_bytes.len()
-            + 7 * 16 // section frames
+            + 8 * 16 // section frames
             + 4, // the file crc, after the last shard
     );
     put_section(out, SEC_HEADER, &header);
     put_section(out, SEC_PROJ, &proj);
     put_section(out, SEC_DATA, &raw);
+    put_section(out, SEC_POINTS, &points);
     put_section(out, SEC_PIVOTS, &pivots);
     put_section(out, SEC_NODES, &nodes);
     put_section(out, SEC_IDMAPS, &idmaps);
@@ -516,9 +523,9 @@ pub fn deserialize_shards(bytes: &[u8]) -> Result<Vec<PmLsh>, PersistError> {
     Ok(shards)
 }
 
-/// Reads one index's seven sections from `r` and reassembles it.
+/// Reads one index's eight sections from `r` and reassembles it.
 fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
-    let mut sections: [&[u8]; 7] = [&[]; 7];
+    let mut sections: [&[u8]; 8] = [&[]; 8];
     for (slot, &expected_id) in sections.iter_mut().zip(&SECTION_ORDER) {
         let id = r.u32()?;
         if id != expected_id {
@@ -539,10 +546,11 @@ fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
 
     let coeffs = f32s_exact(sections[1], counted(h.m, h.d)?, "projection matrix")?;
     let raw = f32s_exact(sections[2], counted(h.n_rows, h.d)?, "point store")?;
-    let pivot_flat = f32s_exact(sections[3], counted(h.s, h.m)?, "pivots")?;
-    let nodes = parse_nodes(sections[4], h.node_count)?;
+    let points = f32s_exact(sections[3], counted(h.live, h.m)?, "projected points")?;
+    let pivot_flat = f32s_exact(sections[4], counted(h.s, h.m)?, "pivots")?;
+    let nodes = parse_nodes(sections[5], h.node_count)?;
 
-    let idmaps = sized_section(sections[5], h.live, 8, "id maps")?;
+    let idmaps = sized_section(sections[6], h.live, 8, "id maps")?;
     let mut externals = Vec::with_capacity(h.live);
     let mut leaf_of = Vec::with_capacity(h.live);
     {
@@ -555,7 +563,7 @@ fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
         }
     }
 
-    let ecdf_bytes = sized_section(sections[6], h.ecdf_len, 8, "distance distribution")?;
+    let ecdf_bytes = sized_section(sections[7], h.ecdf_len, 8, "distance distribution")?;
     let mut ecdf_samples = Vec::with_capacity(h.ecdf_len);
     {
         let mut r = ByteReader::new(ecdf_bytes);
@@ -579,6 +587,7 @@ fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
         pivots,
         nodes,
         root: h.root,
+        points,
         externals,
         leaf_of,
         build_dist_computations: h.build_dist_computations,

@@ -2,7 +2,8 @@
 //!
 //! This crate defines a versioned, little-endian on-disk format for a set
 //! of fully built [`PmLsh`] shards — per shard the projection matrix, raw
-//! point store, PM-tree node blocks and id maps — so a serving process can
+//! point store, projected point column, PM-tree node blocks and id maps —
+//! so a serving process can
 //! restart and answer queries *bit-identically* to the index it saved,
 //! without re-deriving hashes or rebuilding the tree. A snapshot is one
 //! file at every shard count; a plain index is the one-shard case. Every
@@ -10,14 +11,14 @@
 //! torn writes and bit rot are detected at load time instead of surfacing
 //! as wrong answers.
 //!
-//! # File layout (format version 3)
+//! # File layout (format version 4)
 //!
 //! ```text
 //! magic      8 bytes   b"PMLSHSNP"
-//! version    u32 LE    3
+//! version    u32 LE    4
 //! shards     u32 LE    S >= 1
-//! section ×7 per shard fixed order: HEADER, PROJ, DATA, PIVOTS, NODES,
-//!                      IDMAPS, ECDF; shards in id order
+//! section ×8 per shard fixed order: HEADER, PROJ, DATA, POINTS, PIVOTS,
+//!                      NODES, IDMAPS, ECDF; shards in id order
 //! file crc   u32 LE    CRC-32 of every preceding byte
 //! ```
 //!
@@ -25,15 +26,16 @@
 //! u32`, all little-endian. The full byte layout of each payload is
 //! documented in [`mod@format`]. The layout is fixed-offset within each section,
 //! so a future version can memory-map the large arrays in place. Formats 1
-//! (projected points in a section of their own) and 2 (one index, no shard
-//! count) are refused with [`PersistError::UnsupportedVersion`].
+//! (node entries packed field by field), 2 (one index, no shard count)
+//! and 3 (projected points inside the leaf blocks) are refused with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! # What round-trips, what is recomputed
 //!
 //! Stored: user parameters, the Gaussian projection matrix, the raw dataset
 //! (including tombstoned rows — external ids are stable row indexes), the
-//! free-list-compacted PM-tree — its node blocks as they are, projected
-//! points inline in the leaves — and the sampled distance distribution. Recomputed at load: the Eq. 10 derived parameters,
+//! free-list-compacted PM-tree — its projected point column and its node
+//! blocks as they are — and the sampled distance distribution. Recomputed at load: the Eq. 10 derived parameters,
 //! a deterministic function of the stored ones (`r_min` is computed per
 //! query from the stored distribution) — which is what makes
 //! save→load→query parity *bitwise*, down to the `QueryStats` counters.

@@ -12,8 +12,9 @@ use pm_lsh_persist::{
 };
 use pm_lsh_stats::Rng;
 
-/// The ids of a shard's seven sections, in file order (4 is retired).
-const SECTIONS: [u32; 7] = [1, 2, 3, 5, 6, 7, 8];
+/// The ids of a shard's eight sections, in file order.
+const SECTIONS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+const SEC_POINTS: u32 = 4;
 const SEC_NODES: u32 = 6;
 
 fn snapshot() -> Vec<u8> {
@@ -39,7 +40,7 @@ fn two_shards() -> Vec<u8> {
     serialize_shards(&[blob_index(100, 8, 31), blob_index(120, 8, 32)])
 }
 
-/// Byte offset where shard 1's sections start: past shard 0's seven.
+/// Byte offset where shard 1's sections start: past shard 0's eight.
 fn shard_boundary(bytes: &[u8]) -> usize {
     let mut pos = 16;
     for _ in SECTIONS {
@@ -106,7 +107,6 @@ fn node_records(bytes: &[u8]) -> Vec<Record> {
 /// `bytes` with its NODES payload re-encoded from `records` (the section
 /// length follows) and every checksum re-signed.
 fn with_node_records(bytes: &[u8], records: &[Record]) -> Vec<u8> {
-    let (start, len) = section_bounds(bytes, SEC_NODES);
     let mut payload = Vec::new();
     for (tag, words) in records {
         payload.push(*tag);
@@ -115,9 +115,16 @@ fn with_node_records(bytes: &[u8], records: &[Record]) -> Vec<u8> {
             .iter()
             .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
     }
+    with_payload(bytes, SEC_NODES, &payload)
+}
+
+/// `bytes` with one section's payload replaced by `payload` (the section
+/// length follows) and every checksum re-signed.
+fn with_payload(bytes: &[u8], section_id: u32, payload: &[u8]) -> Vec<u8> {
+    let (start, len) = section_bounds(bytes, section_id);
     let mut out = bytes[..start - 8].to_vec();
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     out.extend_from_slice(&bytes[start + len..]);
     resign(&mut out);
     out
@@ -174,11 +181,11 @@ fn future_version_is_rejected() {
 
 #[test]
 fn format_1_is_refused_by_its_version() {
-    // Format 1 kept the projected points apart from their leaf entries and
-    // format 2 held one index with no shard count; this build has no
-    // reader for either, by design.
+    // Format 1 packed node entries field by field, format 2 held one index
+    // with no shard count and format 3 kept each projected point inside
+    // its leaf entry; this build has no reader for any of them, by design.
     let good = snapshot();
-    for version in [1u32, 2] {
+    for version in [1u32, 2, 3] {
         let mut old = good.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         resign(&mut old);
@@ -187,7 +194,7 @@ fn format_1_is_refused_by_its_version() {
             matches!(err, PersistError::UnsupportedVersion(v) if v == version),
             "{err:?}"
         );
-        assert!(err.to_string().contains("this build reads 3"), "{err}");
+        assert!(err.to_string().contains("this build reads 4"), "{err}");
     }
 }
 
@@ -301,7 +308,12 @@ fn hostile_node_blocks_are_errors_not_panics() {
     assert_eq!(with_node_records(&good, &records), good);
     let leaf = records.iter().position(|r| r.0 == 0).unwrap();
     let inner = records.iter().position(|r| r.0 == 1).unwrap();
-    let leaf_stride = 3 + s + m;
+    // A leaf entry is `parent_dist | external | internal | pd₁ … pd_s`:
+    // its point is its row of POINTS, not words of its block.
+    let leaf_stride = 3 + s;
+    let routing_stride = 3 + 2 * s + m;
+    assert_eq!(records[leaf].1.len() % leaf_stride, 0);
+    assert_eq!(records[inner].1.len() % routing_stride, 0);
     let rejected = |edit: &dyn Fn(&mut Vec<Record>), needle: &str| {
         let mut bad = records.clone();
         edit(&mut bad);
@@ -329,6 +341,17 @@ fn hostile_node_blocks_are_errors_not_panics() {
         &format!("leaf row {live} outside the {live} rows"),
     );
     rejected(&|r| r[leaf].1[1] ^= 1, "carries external");
+    // A leaf block with a point's coordinates after each entry, as format
+    // 3 laid it out, is not a whole number of entries of this stride.
+    rejected(
+        &|r| {
+            let entries: Vec<u32> = r[leaf].1.clone();
+            r[leaf].1 = (entries.chunks_exact(leaf_stride))
+                .flat_map(|e| e.iter().copied().chain(std::iter::repeat_n(0, m)))
+                .collect();
+        },
+        "not a whole number of",
+    );
     rejected(
         &|r| {
             let first = r[leaf].1[..leaf_stride].to_vec();
@@ -420,4 +443,37 @@ fn shards_that_disagree_are_corrupt() {
         Err(PersistError::Corrupt(why)) => assert!(why.contains("shard 1"), "{why}"),
         other => panic!("expected Corrupt, got {:?}", other.map(|s| s.len())),
     }
+}
+
+#[test]
+fn points_section_of_the_wrong_length_is_a_typed_error() {
+    // POINTS holds exactly `live·m` floats; one float short or long, or a
+    // ragged byte, is refused before any tree is assembled.
+    let good = snapshot();
+    let index = deserialize(&good).expect("untouched snapshot loads");
+    let (live, m) = (index.tree().len(), index.tree().dim());
+    let (start, len) = section_bounds(&good, SEC_POINTS);
+    assert_eq!(len, live * m * 4, "POINTS is live·m f32");
+    let points = &good[start..start + len];
+    let mut long = points.to_vec();
+    long.extend_from_slice(&0.5f32.to_le_bytes());
+    for (what, payload) in [
+        ("one float short", &points[..len - 4]),
+        ("one float long", &long[..]),
+        ("one byte short", &points[..len - 1]),
+        ("empty", &[][..]),
+    ] {
+        match deserialize(&with_payload(&good, SEC_POINTS, payload)) {
+            Err(PersistError::Corrupt(why)) => {
+                assert!(why.contains("projected points"), "{what}: {why}")
+            }
+            Err(PersistError::Truncated) => {}
+            other => panic!("{what}: expected Corrupt or Truncated, got {other:?}"),
+        }
+    }
+    // A section length past the end of the file is `Truncated`.
+    let mut cut = good.clone();
+    cut[start - 8..start].copy_from_slice(&u64::MAX.to_le_bytes());
+    resign_file_only(&mut cut);
+    assert!(matches!(deserialize(&cut), Err(PersistError::Truncated)));
 }

@@ -4,23 +4,24 @@
 //!
 //! Every entry of a node sits in the node's single allocation at a fixed
 //! stride, its fields in the order a range query reads them — first what
-//! the distance-free filters of Eq. 5 need, then the coordinates the exact
-//! distance needs — so one entry is one forward run over consecutive memory
-//! and one node is one run over its entries:
+//! the distance-free filters of Eq. 5 need, then, in a routing entry, the
+//! center the exact distance needs — so one entry is one forward run over
+//! consecutive memory and one node is one run over its entries:
 //!
 //! ```text
 //! routing entry (3 + 2s + m words; 112 B at m = 15, s = 5)
 //!   parent_dist | radius | child | min₁ max₁ … min_s max_s | center₁ … center_m
-//! leaf entry    (3 + s + m words;   92 B at m = 15, s = 5)
-//!   parent_dist | external | internal | pd₁ … pd_s | point₁ … point_m
+//! leaf entry    (3 + s words;       32 B at s = 5)
+//!   parent_dist | external | internal | pd₁ … pd_s
 //! ```
 //!
 //! The words are `f32`s, which is what the distance kernels take; the three
 //! ids are stored by `f32::from_bits` and read back by `to_bits` (a move,
-//! never arithmetic, so every bit survives) — no `unsafe` anywhere. The
-//! projected point lives *in* its leaf entry: there is no separate point
-//! store, and `internal` is only the key into the tree's `externals` /
-//! `leaf_of` maps.
+//! never arithmetic, so every bit survives) — no `unsafe` anywhere. A leaf
+//! entry holds no coordinates: its projected point is row `internal` of the
+//! tree's one `points` column (`tree.rs`), so a sweep over every point reads
+//! that column and never a block, while the range traversal reads a leaf
+//! entry's filter fields here and its point there.
 //!
 //! A block is sized to its entries, not to the node capacity. PM-tree nodes
 //! run far from full (about 6 of 16 entries at the paper's operating point,
@@ -28,7 +29,8 @@
 //! triple the tree. A full block grows to a quarter more entries than it
 //! will then hold and a block that lost entries gives the excess back, so a
 //! block never holds room for more than `len + len / 4` entries; cloned and
-//! split blocks are exact.
+//! split blocks are exact. The tree's `points` column follows the same
+//! policy row by row ([`grow`], [`give_back`]).
 //!
 //! A snapshot stores the blocks as they are ([`Node::export`] /
 //! `From<RawNode>`), so this module alone decides the layout.
@@ -61,14 +63,33 @@ impl Layout {
     /// Words per leaf entry (`leaf`) or per routing entry.
     #[inline]
     pub fn stride(self, leaf: bool) -> usize {
-        let per_pivot = if leaf { 1 } else { 2 };
-        HEAD + per_pivot * self.pivots + self.dim
+        if leaf {
+            HEAD + self.pivots
+        } else {
+            HEAD + 2 * self.pivots + self.dim
+        }
     }
 }
 
 /// Most entries a block holding `entries` may have room for.
 fn room(entries: usize) -> usize {
     entries + entries / 4
+}
+
+/// Makes room in `words` for one more `stride`-word item — an entry of a
+/// block, a row of the tree's `points` column — by the policy of the
+/// module docs.
+pub(crate) fn grow(words: &mut Vec<f32>, stride: usize) {
+    if words.len() + stride > words.capacity() {
+        let want = room(words.len() / stride + 1) * stride;
+        words.reserve_exact(want - words.len());
+    }
+}
+
+/// Gives back the room `words`, which lost items of `stride` words, may
+/// not keep under the policy of the module docs.
+pub(crate) fn give_back(words: &mut Vec<f32>, stride: usize) {
+    words.shrink_to(room(words.len() / stride) * stride);
 }
 
 /// Lower bound on `d(q, x)` for any `x` whose distance to a pivot lies in
@@ -139,32 +160,32 @@ impl<'a> InnerRef<'a> {
     }
 }
 
-/// A leaf entry read out of its block: one indexed point.
+/// A leaf entry read out of its block: one indexed point's ids and
+/// filter fields (its coordinates are row `internal` of the tree's
+/// `points`).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LeafRef<'a> {
     /// Distance to the routing object of the parent entry.
     pub parent_dist: f32,
     /// Caller-visible identifier of the point.
     pub external: PointId,
-    /// Row of the point in the tree's `externals` / `leaf_of` maps.
+    /// Row of the point in the tree's `points` column and its `externals`
+    /// / `leaf_of` maps.
     pub internal: u32,
     /// Distances from the point to each global pivot.
     pub pivot_dists: &'a [f32],
-    /// The point's coordinates.
-    pub point: &'a [f32],
 }
 
 impl<'a> LeafRef<'a> {
     #[inline]
     fn decode(words: &'a [f32], lay: Layout) -> Self {
-        let (head, rest) = words.split_at(HEAD);
-        let (pivot_dists, point) = rest.split_at(lay.pivots);
+        let (head, pivot_dists) = words.split_at(HEAD);
+        debug_assert_eq!(pivot_dists.len(), lay.pivots);
         Self {
             parent_dist: head[PARENT_DIST],
             external: head[EXTERNAL].to_bits(),
             internal: head[LINK].to_bits(),
             pivot_dists,
-            point,
         }
     }
 
@@ -299,32 +320,15 @@ impl Node {
         &mut self.words[idx * stride..(idx + 1) * stride]
     }
 
-    /// The coordinates of entry `idx`: a leaf entry's point, a routing
-    /// entry's center.
-    pub fn coords(&self, idx: usize, lay: Layout) -> &[f32] {
-        &self.entry(idx, lay)[self.stride(lay) - lay.dim..]
-    }
-
-    /// Makes room for one more entry, by the policy of the module docs.
-    fn grow(&mut self, lay: Layout) {
-        let stride = self.stride(lay);
-        if self.words.len() + stride > self.words.capacity() {
-            let want = room(self.words.len() / stride + 1) * stride;
-            self.words.reserve_exact(want - self.words.len());
-        }
-    }
-
     /// Appends a leaf entry.
     pub fn push_leaf(&mut self, lay: Layout, e: LeafRef<'_>) {
         debug_assert!(self.leaf);
         assert_eq!(e.pivot_dists.len(), lay.pivots, "one distance per pivot");
-        assert_eq!(e.point.len(), lay.dim, "point has wrong dimensionality");
-        self.grow(lay);
+        grow(&mut self.words, lay.stride(self.leaf));
         let (external, internal) = (f32::from_bits(e.external), f32::from_bits(e.internal));
         self.words
             .extend_from_slice(&[e.parent_dist, external, internal]);
         self.words.extend_from_slice(e.pivot_dists);
-        self.words.extend_from_slice(e.point);
     }
 
     /// Appends a routing entry for `child` around `center` that covers
@@ -333,7 +337,7 @@ impl Node {
     pub fn push_routing(&mut self, lay: Layout, child: NodeId, center: &[f32]) {
         debug_assert!(!self.leaf);
         assert_eq!(center.len(), lay.dim, "center has wrong dimensionality");
-        self.grow(lay);
+        grow(&mut self.words, lay.stride(self.leaf));
         self.words
             .extend_from_slice(&[0.0, 0.0, f32::from_bits(child)]);
         for _ in 0..lay.pivots {
@@ -347,7 +351,7 @@ impl Node {
     /// this node lies `parent_dist` from the parent's routing object.
     pub fn push_from(&mut self, lay: Layout, from: &Node, idx: usize, parent_dist: f32) {
         debug_assert_eq!(self.leaf, from.leaf);
-        self.grow(lay);
+        grow(&mut self.words, lay.stride(self.leaf));
         let at = self.words.len();
         self.words.extend_from_slice(from.entry(idx, lay));
         self.words[at + PARENT_DIST] = parent_dist;
@@ -374,8 +378,7 @@ impl Node {
     pub fn remove(&mut self, idx: usize, lay: Layout) {
         let stride = self.stride(lay);
         self.words.drain(idx * stride..(idx + 1) * stride);
-        self.words
-            .shrink_to(room(self.words.len() / stride) * stride);
+        give_back(&mut self.words, stride);
     }
 
     /// Sets the parent distance of entry `idx`.
@@ -454,19 +457,18 @@ mod tests {
         assert_eq!(ring_lower_bound(2.0, 5.0, 7.0), 2.0);
     }
 
-    fn leaf_entry<'a>(internal: u32, pivot_dists: &'a [f32], point: &'a [f32]) -> LeafRef<'a> {
+    fn leaf_entry(internal: u32, pivot_dists: &[f32]) -> LeafRef<'_> {
         LeafRef {
             parent_dist: internal as f32 + 0.5,
             external: !internal,
             internal,
             pivot_dists,
-            point,
         }
     }
 
     #[test]
     fn leaf_pivot_bound_is_symmetric_difference() {
-        let e = leaf_entry(0, &[3.0, 8.0], &[0.0; 3]);
+        let e = leaf_entry(0, &[3.0, 8.0]);
         assert_eq!(e.pivot_lower_bound(&[5.0, 8.5]), 2.0);
         assert_eq!(e.pivot_lower_bound(&[3.0, 8.0]), 0.0);
     }
@@ -516,7 +518,7 @@ mod tests {
         let mut leaf = Node::with_capacity(true, 0, LAY);
         let mut inner = Node::with_capacity(false, 0, LAY);
         for &id in &ids {
-            leaf.push_leaf(LAY, leaf_entry(id, &[1.0, 2.0], &[3.0, 4.0, 5.0]));
+            leaf.push_leaf(LAY, leaf_entry(id, &[1.0, 2.0]));
             inner.push_routing(LAY, id, &[6.0, 7.0, 8.0]);
         }
         let mut moved = Node::with_capacity(true, 0, LAY);
@@ -529,7 +531,7 @@ mod tests {
             routed.push_from(LAY, &inner, idx, 0.0);
         }
         leaf.remove(1, LAY);
-        leaf.push_leaf(LAY, leaf_entry(1, &[1.0, 2.0], &[3.0, 4.0, 5.0]));
+        leaf.push_leaf(LAY, leaf_entry(1, &[1.0, 2.0]));
         let mut want: Vec<u32> = ids.to_vec();
         want.remove(1);
         want.push(1);
@@ -562,7 +564,7 @@ mod tests {
         let mut reallocations = 0;
         for len in 1..=17 {
             let before = node.extent().1;
-            node.push_leaf(LAY, leaf_entry(len, &[0.0; 2], &[0.0; 3]));
+            node.push_leaf(LAY, leaf_entry(len, &[0.0; 2]));
             let (words, capacity) = node.extent();
             assert_eq!(words, len as usize * stride);
             assert!(capacity <= room(len as usize) * stride, "{len}: {capacity}");

@@ -25,8 +25,11 @@
 //!
 //! The loader keeps no build scratch beside the tree: one `u32` region per
 //! row, no pivot-distance matrix (insertion measures a point's pivot
-//! distances where it files it), and no per-region id map (`ext_index` is
-//! built once, by inverting `externals`, as [`PmTree::from_parts`] does).
+//! distances where it files it), no per-region id map (`ext_index` is
+//! built once, by inverting `externals`, as [`PmTree::from_parts`] does)
+//! and no per-region point column: the tree's `points` column is allocated
+//! once, to exactly `n` rows, and filled in its final row order before
+//! anything grows, and each subtree files its rows out of its part of it.
 //!
 //! # Determinism
 //!
@@ -80,6 +83,21 @@ impl PmTree {
         } else {
             (vec![0; n], vec![0])
         };
+        let region_of = &region;
+        let rows_of = |r: usize| (0..n).filter(move |&row| region_of[row] as usize == r);
+
+        // The finished tree's column, filled before anything grows: region
+        // by region, rows ascending — the order the splice appends the
+        // subtrees' rows in. Each subtree files its rows out of its part of
+        // it and keeps no column of its own.
+        let m = view.dim();
+        let mut points = Vec::with_capacity(n * m);
+        let mut parts = vec![0..0; s.max(1)];
+        for &r in &regions {
+            let start = points.len();
+            rows_of(r).for_each(|row| points.extend_from_slice(view.point(row)));
+            parts[r] = start..points.len();
+        }
 
         // Step 3: workers take regions off a shared counter, and each
         // subtree is keyed by its slot in `regions`, so the splice order
@@ -88,14 +106,15 @@ impl PmTree {
         let grow = || {
             let mut grown = Vec::new();
             while let Some(&r) = regions.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let mut sub = PmTree::new(view.dim(), cfg, pivots.clone());
+                let mut sub = PmTree::new(m, cfg, pivots.clone());
                 if r == regions[0] {
                     // The first subtree becomes the tree: room for every row.
                     sub.externals.reserve_exact(n);
                     sub.leaf_of.reserve_exact(n);
                 }
-                for row in (0..n).filter(|&row| region[row] as usize == r) {
-                    sub.add_point(view.point(row), row as PointId);
+                let part = &points[parts[r].clone()];
+                for row in rows_of(r) {
+                    sub.file_row(row as PointId, part);
                 }
                 grown.push((r, sub));
             }
@@ -182,6 +201,7 @@ impl PmTree {
             tree.root = tree.nodes.len() as NodeId;
             tree.nodes.push(root);
         }
+        tree.points = points;
 
         tree.ext_index = HashMap::with_capacity(n);
         (tree.ext_index)
@@ -258,13 +278,15 @@ mod tests {
         assert_eq!(a.root, b.root);
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.externals, b.externals);
+        let bits = |t: &PmTree| t.points.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b));
         assert_eq!(a.leaf_of, b.leaf_of);
         assert_eq!(a.ext_index, b.ext_index);
         assert_eq!(
             a.build_distance_computations(),
             b.build_distance_computations()
         );
-        // Every field of every entry, points included, ids bit for bit.
+        // Every field of every entry, ids bit for bit.
         for (na, nb) in a.nodes.iter().zip(&b.nodes) {
             assert_eq!(na.is_leaf(), nb.is_leaf(), "node kind mismatch");
             assert_eq!(na.bits(), nb.bits());

@@ -46,9 +46,10 @@
 //!    textbook range query at the largest radius asked pays, whether or not
 //!    the caller drained the last round.
 //! 2. **The leaf sweep** — the tree `pm-lsh-core`'s index queries. The
-//!    cursor starts by measuring every entry of every leaf block, in arena
-//!    order, into the waiting list: no pivot distance, no routing entry, no
-//!    region list, exactly `n` distances at unit stride inside each block.
+//!    cursor starts by measuring every indexed point into the waiting list
+//!    in one unit-stride pass over the tree's `points` column, in
+//!    internal-row order, behind one kernel dispatch: no node, no pivot
+//!    distance, no routing entry, no region list, exactly `n` distances.
 //!    Algorithm 2's candidate budget `βn + k` is a large share of `n` (28 %
 //!    at the paper's β = 0.2809), and the radius that reaches it opens
 //!    nearly every node anyway: there the traversal pays more distances
@@ -62,10 +63,10 @@
 //! is the set of the `room` yields the stream would have handed out next,
 //! at the same cost.
 
-use crate::block::{InnerRef, LeafRef};
+use crate::block::InnerRef;
 use crate::tree::PmTree;
 use crate::NodeId;
-use pm_lsh_metric::{euclidean, PointId};
+use pm_lsh_metric::{euclidean, sq_dist_rows, PointId};
 
 /// A part of the tree no round has opened yet.
 #[derive(Clone, Copy, Debug)]
@@ -86,6 +87,15 @@ enum Region {
 #[inline]
 fn cheap_bound(pivot_lb: f32, parent_dist: f32, radius: f32, dq_parent: f32) -> f32 {
     pivot_lb.max((dq_parent - parent_dist).abs() - radius)
+}
+
+/// Leaves a measured point in `far`. A NaN distance (NaN in the query)
+/// lies in no ball: the point is dropped, so the cursor still exhausts.
+#[inline]
+fn keep(far: &mut Vec<u64>, dist: f32, external: PointId) {
+    if !dist.is_nan() {
+        far.push(point_key(dist, external));
+    }
 }
 
 /// A measured point as one sortable word, `(dist, external)` ascending:
@@ -154,27 +164,25 @@ impl CursorScratch {
             .push((dq_center - e.radius, Region::Node { node, dq_center }));
     }
 
-    /// Pays the exact distance of the point of leaf entry `e` and leaves
-    /// it in `far` for the round to file. A NaN distance (NaN in the
-    /// query) lies in no ball: the point is dropped, so the cursor still
-    /// exhausts.
+    /// Pays the exact distance of the point of leaf entry `internal` and
+    /// leaves it in `far` for the round to file.
     #[inline]
-    fn measure_point(&mut self, e: LeafRef<'_>) {
-        let dist = euclidean(&self.query, e.point);
-        if !dist.is_nan() {
-            self.far.push(point_key(dist, e.external));
-        }
+    fn measure_point(&mut self, tree: &PmTree, internal: u32, external: PointId) {
+        let dist = euclidean(&self.query, tree.point(internal));
+        keep(&mut self.far, dist, external);
     }
 
-    /// Measures every point of `tree` into `far`, leaf block by leaf block
-    /// in arena order (a freed slot is an empty leaf).
+    /// Measures every point of `tree` into `far`: one pass over the
+    /// `points` column in internal-row order, beside `externals`, behind
+    /// one kernel dispatch. No node is read.
     fn sweep(&mut self, tree: &PmTree) {
-        let lay = tree.layout();
-        for node in tree.nodes.iter().filter(|node| node.is_leaf()) {
-            for e in node.leaves(lay) {
-                self.measure_point(e);
-            }
-        }
+        let (far, externals) = (&mut self.far, &tree.externals);
+        far.reserve(externals.len());
+        let mut row = 0;
+        sq_dist_rows(&self.query, &tree.points, |sq| {
+            keep(far, sq.sqrt(), externals[row]);
+            row += 1;
+        });
     }
 
     /// Files the points waiting in `far` by `radius`: those within it join
@@ -311,16 +319,17 @@ impl<'t> RangeCursor<'t> {
                     self.dist_computations += 1;
                     let entries = &tree.nodes[node as usize];
                     if entries.is_leaf() {
-                        s.measure_point(entries.leaf_at(idx as usize, lay));
+                        let e = entries.leaf_at(idx as usize, lay);
+                        s.measure_point(tree, e.internal, e.external);
                     } else {
                         s.measure_center(entries.inner_at(idx as usize, lay));
                     }
                 }
                 // Every entry meets the distance-free filters; one they do
                 // not keep beyond `radius` pays its exact distance now, the
-                // others wait without having cost one. Filter fields and
-                // coordinates of an entry, and the entries of a node, are
-                // consecutive words of one block.
+                // others wait without having cost one. The filter fields of
+                // a node's entries are consecutive words of one block; a
+                // leaf entry's point is its row of the `points` column.
                 Region::Node { node, dq_center } => {
                     let entries = &tree.nodes[node as usize];
                     if entries.is_leaf() {
@@ -329,7 +338,7 @@ impl<'t> RangeCursor<'t> {
                             let lb = cheap_bound(pivot_lb, e.parent_dist, 0.0, dq_center);
                             if lb <= radius {
                                 self.dist_computations += 1;
-                                s.measure_point(e);
+                                s.measure_point(tree, e.internal, e.external);
                             } else {
                                 s.park(lb, node, idx);
                             }

@@ -8,11 +8,13 @@
 //!   mutation path. `num_pivots = 0` degrades to a plain M-tree (used by
 //!   the Fig. 6 parameter ablation). A node is one
 //!   contiguous block (`block.rs`): its entries at a fixed stride in a
-//!   single allocation, each entry's Eq. 5 filter fields ahead of its
-//!   coordinates, a leaf entry's projected point inline — what a range
-//!   query reads, in the order it reads it. [`tree::PmTreeParts`], the
-//!   form a snapshot is written from and read back to, holds those blocks
-//!   as they are ([`tree::RawNode`]).
+//!   single allocation, each entry's Eq. 5 filter fields first — what a
+//!   range query reads, in the order it reads it. The projected points are
+//!   not in the blocks: the tree keeps them in one row-indexed `points`
+//!   column, a leaf entry's `internal` naming its row.
+//!   [`tree::PmTreeParts`], the form a snapshot is written from and read
+//!   back to, holds those blocks and that column as they are
+//!   ([`tree::RawNode`]).
 //! * [`bulk`] — `PmTree::build_parallel`, the one loader every build goes
 //!   through (`PmTree::build` runs it on one thread): it partitions the
 //!   points by nearest global pivot, grows one subtree per region by
@@ -31,7 +33,8 @@
 //!   only after the distance-free filters of Eq. 5 fail to keep it outside
 //!   the radius. On a tree marked with [`tree::PmTree::set_leaf_sweep`] —
 //!   the one PM-LSH queries — the cursor instead measures every point once,
-//!   leaf block by leaf block, which is cheaper at the candidate budgets
+//!   in one unit-stride pass over the `points` column that reads no node,
+//!   which is cheaper at the candidate budgets
 //!   Algorithm 2 spends. `take_within(r, room)` is the building block of
 //!   the paper's radius-enlarging Algorithm 2, and plain `next()` provides
 //!   exact incremental NN search by enlarging its own radius.

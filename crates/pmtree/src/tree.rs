@@ -2,12 +2,14 @@
 //! pivot hyper-rings (Skopal et al., DASFAA'05; Section 4.1 of the paper).
 //!
 //! The arena is a `Vec` of node blocks (`block.rs`): every node is one
-//! allocation holding its entries at a fixed stride, leaf
-//! entries with their projected point inline. Insertion, splits, deletion,
-//! the validators and the export all work on the blocks: [`PmTreeParts`]
-//! holds each one as it is.
+//! allocation holding its entries at a fixed stride. The projected points
+//! are not in the blocks but in one tree-wide column, `points`, whose row
+//! `i` is the point of internal row `i` — the row `externals` and `leaf_of`
+//! are indexed by. Insertion, splits, deletion, the validators and the
+//! export all keep the two in step: [`PmTreeParts`] holds each block as it
+//! is, and the column as it is.
 
-use crate::block::{point_spans, Layout, LeafRef, Node};
+use crate::block::{give_back, grow, point_spans, Layout, LeafRef, Node};
 use crate::NodeId;
 use pm_lsh_metric::{euclidean, MatrixView, PointId};
 use pm_lsh_stats::Rng;
@@ -72,6 +74,9 @@ pub struct PmTreeParts {
     pub nodes: Vec<RawNode>,
     /// Root node id (into the compacted arena).
     pub root: NodeId,
+    /// Internal row -> projected point: `externals.len() × dim` f32,
+    /// row-major.
+    pub points: Vec<f32>,
     /// Internal row -> external id.
     pub externals: Vec<PointId>,
     /// Internal row -> holding leaf (compacted ids).
@@ -82,12 +87,13 @@ pub struct PmTreeParts {
 
 /// A PM-tree over points in `R^dim` under the Euclidean distance.
 ///
-/// The tree owns a copy of every inserted point, inline in the point's leaf
-/// entry (92 bytes per entry in the paper's m = 15, s = 5 projected space:
-/// 60 of coordinates, 20 of pivot distances, 12 of ids and parent
-/// distance), so callers may drop their own projected data after building.
-/// The tree's id maps are addressed by *internal* row while queries report
-/// the caller-supplied *external* [`PointId`].
+/// The tree owns a copy of every inserted point, as one row of its `points`
+/// column (60 bytes in the paper's m = 15 projected space), beside the
+/// point's leaf entry in a node block (32 bytes at s = 5: 20 of pivot
+/// distances, 12 of ids and parent distance), so callers may drop their
+/// own projected data after building. The column and the id maps are
+/// addressed by *internal* row while queries report the caller-supplied
+/// *external* [`PointId`].
 #[derive(Clone, Debug)]
 pub struct PmTree {
     pub(crate) dim: usize,
@@ -95,6 +101,9 @@ pub struct PmTree {
     pub(crate) pivots: Vec<Box<[f32]>>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: NodeId,
+    /// Internal row -> projected point, `len() × dim` f32 row-major. It
+    /// never has room for more than a quarter more rows than it holds.
+    pub(crate) points: Vec<f32>,
     /// Internal row -> external id.
     pub(crate) externals: Vec<PointId>,
     /// External id -> internal row, the lookup [`PmTree::delete`] starts
@@ -108,8 +117,8 @@ pub struct PmTree {
     /// inserts so that none allocates for them.
     pivot_dists: Vec<f32>,
     pub(crate) build_dist_computations: u64,
-    /// Whether cursors open with a sweep over the leaf blocks instead of
-    /// the range traversal; see [`PmTree::set_leaf_sweep`].
+    /// Whether cursors open with a sweep over `points` instead of the
+    /// range traversal; see [`PmTree::set_leaf_sweep`].
     pub(crate) leaf_sweep: bool,
 }
 
@@ -132,6 +141,7 @@ impl PmTree {
             pivots,
             nodes: vec![Node::empty()],
             root: 0,
+            points: Vec::new(),
             externals: Vec::new(),
             ext_index: HashMap::new(),
             leaf_of: Vec::new(),
@@ -144,12 +154,12 @@ impl PmTree {
 
     /// Marks the tree for sweeping (`true`) or for the textbook range
     /// traversal (`false`, what every constructor leaves). A cursor over a
-    /// marked tree opens by measuring every indexed point, leaf block by
-    /// leaf block in arena order, instead of opening regions from the
-    /// root: no pivot or routing-entry distance, exactly [`PmTree::len`]
-    /// point distances, and the same yields and `is_exhausted` after every
-    /// call (see [`crate::cursor`]). `Clone` copies the mark; snapshots do
-    /// not store it.
+    /// marked tree opens by measuring every indexed point in one pass over
+    /// the `points` column, in internal-row order, instead of opening
+    /// regions from the root: no node, no pivot or routing-entry distance,
+    /// exactly [`PmTree::len`] point distances, and the same yields and
+    /// `is_exhausted` after every call (see [`crate::cursor`]). `Clone`
+    /// copies the mark; snapshots do not store it.
     pub fn set_leaf_sweep(&mut self, sweep: bool) {
         self.leaf_sweep = sweep;
     }
@@ -161,6 +171,12 @@ impl PmTree {
             dim: self.dim,
             pivots: self.pivots.len(),
         }
+    }
+
+    /// The projected point of internal row `internal`.
+    #[inline]
+    pub(crate) fn point(&self, internal: u32) -> &[f32] {
+        row(&self.points, self.dim, internal)
     }
 
     /// Builds a tree over every row of `view` (external id = row index),
@@ -244,22 +260,32 @@ impl PmTree {
             "external id {external} is already indexed"
         );
         self.ext_index.insert(external, self.externals.len() as u32);
-        self.add_point(vector, external);
+        grow(&mut self.points, self.dim);
+        self.points.extend_from_slice(vector);
+        // Filing reads the column beside `&mut self`, so it borrows it out.
+        let points = std::mem::take(&mut self.points);
+        self.file_row(external, &points);
+        self.points = points;
     }
 
-    /// Everything [`PmTree::insert`] does but the id map: the bulk loader
-    /// grows its region subtrees with this and inverts `externals` once at
-    /// the end, so no region keeps a map of its own.
-    pub(crate) fn add_point(&mut self, vector: &[f32], external: PointId) {
+    /// Files the next internal row, `externals.len()`, whose point is that
+    /// row of `points`, under `external`: everything [`PmTree::insert`]
+    /// does but the id map and the column. `points` is the tree's own
+    /// column, or, for a subtree the bulk loader grows, the rows of the
+    /// finished tree's column that the subtree will own — such a subtree
+    /// keeps no column of its own, and the loader inverts `externals` once
+    /// at the end, so no region keeps a map of its own either.
+    pub(crate) fn file_row(&mut self, external: PointId, points: &[f32]) {
+        let internal = self.externals.len() as u32;
+        let vector = row(points, self.dim, internal);
         let mut pd = std::mem::take(&mut self.pivot_dists);
         pd.clear();
         pd.extend(self.pivots.iter().map(|p| euclidean(vector, p)));
         self.build_dist_computations += self.pivots.len() as u64;
-        let internal = self.externals.len() as u32;
         self.externals.push(external);
         // Placeholder; insert_rec records the leaf that receives the entry.
         self.leaf_of.push(self.root);
-        if let Some(pair) = self.insert_rec(self.root, vector, internal, &pd, 0.0, None) {
+        if let Some(pair) = self.insert_rec(self.root, internal, &pd, 0.0, None, points) {
             self.root = self.alloc(pair);
         }
         self.pivot_dists = pd;
@@ -286,21 +312,23 @@ impl PmTree {
         self.free_nodes.push(node);
     }
 
-    /// Recursive single-path insert. When `node` split, returns the two
-    /// replacement routing entries as a two-entry inner block (the new root,
-    /// if `node` was the root). `dist_to_node` is the distance from the new
-    /// point to the routing object of the entry pointing at `node` (0 at
-    /// the root), and `parent` says where that entry is: `(node, index)`.
+    /// Recursive single-path insert of row `internal` of `points`. When
+    /// `node` split, returns the two replacement routing entries as a
+    /// two-entry inner block (the new root, if `node` was the root).
+    /// `dist_to_node` is the distance from the new point to the routing
+    /// object of the entry pointing at `node` (0 at the root), and `parent`
+    /// says where that entry is: `(node, index)`.
     fn insert_rec(
         &mut self,
         node: NodeId,
-        vector: &[f32],
         internal: u32,
         pd: &[f32],
         dist_to_node: f32,
         parent: Option<(NodeId, usize)>,
+        points: &[f32],
     ) -> Option<Node> {
         let lay = self.layout();
+        let vector = row(points, self.dim, internal);
         let capacity = self.cfg.capacity;
         if self.nodes[node as usize].is_leaf() {
             let entry = LeafRef {
@@ -308,27 +336,26 @@ impl PmTree {
                 external: self.externals[internal as usize],
                 internal,
                 pivot_dists: pd,
-                point: vector,
             };
             self.nodes[node as usize].push_leaf(lay, entry);
             self.leaf_of[internal as usize] = node;
             let overflows = self.nodes[node as usize].len(lay) > capacity;
-            return overflows.then(|| self.split(node));
+            return overflows.then(|| self.split(node, points));
         }
 
         let (best, child, d) = self.choose_subtree(node, vector, pd);
-        let pair = self.insert_rec(child, vector, internal, pd, d, Some((node, best)))?;
+        let pair = self.insert_rec(child, internal, pd, d, Some((node, best)), points)?;
         let mut parent_dists = [0.0f32; 2];
         if let Some((up, idx)) = parent {
             let center = self.nodes[up as usize].inner_at(idx, lay).center;
-            parent_dists = [0, 1].map(|half| euclidean(pair.coords(half, lay), center));
+            parent_dists = [0, 1].map(|half| euclidean(pair.inner_at(half, lay).center, center));
             self.build_dist_computations += 2;
         }
         let entries = &mut self.nodes[node as usize];
         entries.replace_from(best, lay, &pair, 0, parent_dists[0]);
         entries.push_from(lay, &pair, 1, parent_dists[1]);
         let overflows = entries.len(lay) > capacity;
-        overflows.then(|| self.split(node))
+        overflows.then(|| self.split(node, points))
     }
 
     /// Picks the routing entry of `node` for the new point: prefer the
@@ -370,8 +397,9 @@ impl PmTree {
     /// Splits the overflowing `node`, leaf or inner, in two by mM_RAD:
     /// `node` keeps the first group, a newly allocated node takes the
     /// second. Returns their two routing entries (parent distance 0, for
-    /// the caller to fill in) as a two-entry inner block.
-    fn split(&mut self, node: NodeId) -> Node {
+    /// the caller to fill in) as a two-entry inner block. A leaf entry's
+    /// point is its row of `points`.
+    fn split(&mut self, node: NodeId, points: &[f32]) -> Node {
         let lay = self.layout();
         let full = std::mem::replace(&mut self.nodes[node as usize], Node::empty());
         let leaf = full.is_leaf();
@@ -379,10 +407,19 @@ impl PmTree {
         debug_assert!(n >= 2);
 
         // Pairwise distances between the members' points / routing objects.
+        let members: Vec<&[f32]> = (0..n)
+            .map(|k| {
+                if leaf {
+                    row(points, lay.dim, full.leaf_at(k, lay).internal)
+                } else {
+                    full.inner_at(k, lay).center
+                }
+            })
+            .collect();
         let mut dmat = vec![0.0f32; n * n];
         for i in 0..n {
             for j in i + 1..n {
-                let d = euclidean(full.coords(i, lay), full.coords(j, lay));
+                let d = euclidean(members[i], members[j]);
                 dmat[i * n + j] = d;
                 dmat[j * n + i] = d;
             }
@@ -404,8 +441,8 @@ impl PmTree {
         let ids = [node, self.alloc(Node::empty())];
 
         let mut pair = Node::with_capacity(false, 2, lay);
-        pair.push_routing(lay, ids[0], full.coords(pi, lay));
-        pair.push_routing(lay, ids[1], full.coords(pj, lay));
+        pair.push_routing(lay, ids[0], members[pi]);
+        pair.push_routing(lay, ids[1], members[pj]);
         for k in 0..n {
             let half = usize::from(!assign[k]);
             let parent_dist = dmat[k * n + promoted[half]];
@@ -539,14 +576,18 @@ impl PmTree {
     }
 
     /// Keeps the internal rows dense after the removal of row `internal`:
-    /// the last row takes its number (leaf entry, external map and leaf map
-    /// rewritten to match) and both maps shrink by one. The *deleted* entry
-    /// is already gone from its leaf, so scanning for the renumbered row's
-    /// entry is unambiguous. No point moves: each lives in its leaf entry.
+    /// the last row takes its number — its point moves into the freed row
+    /// of `points`, and its leaf entry, external map and leaf map are
+    /// rewritten to match — and the column and both maps shrink by one row.
+    /// The *deleted* entry is already gone from its leaf, so scanning for
+    /// the renumbered row's entry is unambiguous.
     fn compact_rows(&mut self, internal: u32) {
-        let lay = self.layout();
+        let (lay, m) = (self.layout(), self.dim);
         let last = (self.externals.len() - 1) as u32;
         if internal != last {
+            let from = last as usize * m;
+            self.points
+                .copy_within(from..from + m, internal as usize * m);
             let moved_external = self.externals[last as usize];
             self.externals[internal as usize] = moved_external;
             self.ext_index.insert(moved_external, internal);
@@ -560,6 +601,8 @@ impl PmTree {
         }
         self.externals.pop();
         self.leaf_of.pop();
+        self.points.truncate(last as usize * m);
+        give_back(&mut self.points, m);
     }
 
     /// Exports the complete tree state with the node arena free-list-
@@ -591,6 +634,7 @@ impl PmTree {
             pivots: self.pivots.clone(),
             nodes,
             root: remap[self.root as usize],
+            points: self.points.clone(),
             externals: self.externals.clone(),
             leaf_of: self.leaf_of.iter().map(|&l| remap[l as usize]).collect(),
             build_dist_computations: self.build_dist_computations,
@@ -602,7 +646,8 @@ impl PmTree {
     /// the free list starts empty (the exported arena is compacted). The
     /// result is validated with [`PmTree::verify_structure`] — whole-entry
     /// blocks, capacity, `child` and `internal` ranges, leaf / external /
-    /// `leaf_of` agreement — before it is returned, so corrupted or
+    /// `leaf_of` agreement, one `points` row per point — before it is
+    /// returned, so corrupted or
     /// internally inconsistent parts come back as `Err`, never as a tree
     /// that panics later.
     pub fn from_parts(parts: PmTreeParts) -> Result<Self, String> {
@@ -631,6 +676,7 @@ impl PmTree {
             pivots: parts.pivots,
             nodes: parts.nodes.into_iter().map(Node::from).collect(),
             root: parts.root,
+            points: parts.points,
             externals: parts.externals,
             ext_index,
             leaf_of: parts.leaf_of,
@@ -644,7 +690,7 @@ impl PmTree {
     }
 
     /// Validates the *structural* invariants only — whole-entry blocks,
-    /// node fill, index ranges, map consistency, arena reachability —
+    /// node fill, index ranges, map and column sizes, arena reachability —
     /// without recomputing a single distance. This is the cheap load-time check snapshot restoration
     /// runs ([`PmTree::verify_invariants`] adds the O(n · height)
     /// geometric audit on top; checksums already guard against bit-rot,
@@ -655,6 +701,13 @@ impl PmTree {
             return Err(format!(
                 "leaf map covers {} rows, the tree holds {n}",
                 self.leaf_of.len()
+            ));
+        }
+        if self.points.len() != n * self.dim {
+            return Err(format!(
+                "point column holds {} floats, not {n} rows of {}",
+                self.points.len(),
+                self.dim
             ));
         }
         if self.ext_index.len() != n {
@@ -790,7 +843,8 @@ impl PmTree {
     /// within `radius` of its center, (2) each hyper-ring contains the
     /// pivot distance of every point below it, and (3) children's
     /// `parent_dist` matches the distance to the routing object; for
-    /// every leaf entry, that its stored pivot distances are current.
+    /// every leaf entry, that its parent distance and its stored pivot
+    /// distances are those of its row of `points`.
     pub fn verify_invariants(&self) -> Result<(), String> {
         self.verify_structure()?;
         self.verify_geometry(self.root, None)
@@ -804,8 +858,9 @@ impl PmTree {
         let entries = &self.nodes[node as usize];
         if entries.is_leaf() {
             for e in entries.leaves(lay) {
+                let point = self.point(e.internal);
                 if let Some(pc) = parent_center {
-                    let d = euclidean(e.point, pc);
+                    let d = euclidean(point, pc);
                     if (d - e.parent_dist).abs() > EPS * (1.0 + d) {
                         return Err(format!(
                             "leaf parent_dist {} != {} for point {}",
@@ -814,7 +869,7 @@ impl PmTree {
                     }
                 }
                 for (i, (&pd, pivot)) in e.pivot_dists.iter().zip(&self.pivots).enumerate() {
-                    let d = euclidean(e.point, pivot);
+                    let d = euclidean(point, pivot);
                     if (d - pd).abs() > EPS * (1.0 + d) {
                         return Err(format!("leaf pivot_dist[{i}] stale for {}", e.internal));
                     }
@@ -838,7 +893,7 @@ impl PmTree {
                     continue;
                 }
                 for l in below.leaves(lay) {
-                    let d = euclidean(l.point, e.center);
+                    let d = euclidean(self.point(l.internal), e.center);
                     if d > e.radius + EPS * (1.0 + d) {
                         return Err(format!(
                             "point {} at {d} outside radius {}",
@@ -858,6 +913,13 @@ impl PmTree {
         }
         Ok(())
     }
+}
+
+/// Row `internal` of a `dim`-wide row-major column.
+#[inline]
+fn row(points: &[f32], dim: usize, internal: u32) -> &[f32] {
+    let at = internal as usize * dim;
+    &points[at..at + dim]
 }
 
 /// mM_RAD promotion: evaluates every pair of members as routing objects,
@@ -1037,6 +1099,7 @@ mod tests {
         let bits = |t: &PmTree| t.nodes.iter().map(Node::bits).collect::<Vec<_>>();
         assert_eq!(bits(&twin), bits(&tree));
         assert_eq!(twin.externals, tree.externals);
+        assert_eq!(twin.points, tree.points);
 
         let rejected = |bad: PmTreeParts, needle: &str| {
             let err = PmTree::from_parts(bad).unwrap_err();
@@ -1055,9 +1118,19 @@ mod tests {
                 node.words.pop();
             };
             rejected(edit(at, &ragged), "not a whole number of");
-            // Read with the other kind's stride (12 routing entries make
-            // 17 leaf entries, so the capacity check may be what fires).
+            // Read with the other kind's stride (whole entries of one kind
+            // may be whole entries of the other, and then more than a node
+            // holds, so the capacity check may be what fires).
             assert!(PmTree::from_parts(edit(at, &|node| node.leaf ^= true)).is_err());
+        }
+        // The column holds exactly one row of `dim` floats per point.
+        for floats in [n * 4 - 1, n * 4 + 1, n * 4 - 4, 0] {
+            let mut bad = good.clone();
+            bad.points.resize(floats, 0.5);
+            rejected(
+                bad,
+                &format!("point column holds {floats} floats, not {n} rows of 4"),
+            );
         }
         let mut narrow = good.clone();
         narrow.pivots.pop();
@@ -1098,7 +1171,9 @@ mod tests {
     /// The growth policy of [`crate::block`] leaves a block room for at
     /// most a quarter more entries than it holds, so the whole arena never
     /// carries more than 25 % of slack — what keeps the index's resident
-    /// set where per-entry boxes had it. Copies carry none.
+    /// set where per-entry boxes had it. The `points` column follows the
+    /// same rule row by row, and a build reserves it exactly. Copies carry
+    /// no slack.
     #[test]
     fn blocks_carry_at_most_a_quarter_of_slack() {
         let mut rng = Rng::new(31);
@@ -1117,9 +1192,21 @@ mod tests {
                 "{when}: {capacity} words for {len}"
             );
             assert_eq!(block_words(&tree.clone()), (len, len), "{when}");
+            let (len, capacity) = (tree.points.len(), tree.points.capacity());
+            assert_eq!(len, tree.len() * 15, "{when}");
+            assert!(
+                capacity * 4 <= len * 5,
+                "{when}: room for {capacity} floats of points, {len} held"
+            );
+            assert_eq!(tree.clone().points.capacity(), len, "{when}");
         };
         let mut tree = PmTree::build(first, PmTreeConfig::default(), &mut rng);
         check(&tree, "after build");
+        assert_eq!(
+            tree.points.capacity(),
+            3000 * 15,
+            "a build reserves exactly"
+        );
         let mut grown = PmTree::new(15, PmTreeConfig::default(), tree.pivots.clone());
         for (row, p) in first.iter().enumerate() {
             grown.insert(p, row as PointId);
@@ -1145,7 +1232,88 @@ mod tests {
         }
         assert!(!tree.free_nodes.is_empty() && tree.len() > 2000);
         check(&tree, "after churn");
+        // Emptying most of the tree gives the column's room back as it goes.
+        for victim in live.drain(..).skip(200) {
+            if tree.contains_external(victim) {
+                assert!(tree.delete(victim));
+                if tree.len().is_multiple_of(97) {
+                    check(&tree, "while shrinking");
+                }
+            }
+        }
+        check(&tree, "after shrinking");
         let twin = PmTree::from_parts(tree.to_parts()).expect("round trip");
         assert_eq!(block_words(&twin).0, block_words(&twin).1);
+        assert_eq!(twin.points.capacity(), twin.points.len());
+    }
+
+    /// Every live external's row of `points` is the point it was inserted
+    /// with, and the tree's invariants hold.
+    fn assert_rows_hold_their_points(tree: &PmTree, inserted: &Dataset, when: &str) {
+        tree.check_invariants();
+        assert_eq!(tree.points.len(), tree.len() * tree.dim(), "{when}");
+        for (internal, &external) in tree.externals.iter().enumerate() {
+            let got = tree.point(internal as u32);
+            assert_eq!(got, inserted.point(external as usize), "{when}: {external}");
+        }
+    }
+
+    /// A delete frees a row in the middle of `points`; the last row moves
+    /// into it, with its external and leaf entry renumbered. Deleting a
+    /// middle row, the last row, and a leaf's only entry (which prunes the
+    /// leaf) each leave every live point at its own row — a `compact_rows`
+    /// that renumbered the maps but left the row behind fails here.
+    #[test]
+    fn deleting_moves_the_last_row_into_the_hole() {
+        let mut rng = Rng::new(81);
+        let mut ds = Dataset::with_capacity(4, 400);
+        let mut buf = [0.0f32; 4];
+        for _ in 0..400 {
+            rng.fill_normal(&mut buf);
+            ds.push(&buf);
+        }
+        let mut tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
+        assert_rows_hold_their_points(&tree, &ds, "built");
+
+        let hole = tree.len() / 2;
+        let middle = tree.externals[hole];
+        let last = *tree.externals.last().unwrap();
+        assert!(tree.delete(middle));
+        assert_eq!(tree.externals[hole], last, "the last row took the hole");
+        assert_rows_hold_their_points(&tree, &ds, "middle row deleted");
+
+        let last = *tree.externals.last().unwrap();
+        assert!(tree.delete(last));
+        assert_rows_hold_their_points(&tree, &ds, "last row deleted");
+
+        // Bring a leaf down to one entry, then delete that entry: the leaf
+        // is pruned and the last row moves into the freed one.
+        let leaf = tree.leaf_of[0];
+        let lay = tree.layout();
+        let held: Vec<PointId> = tree.nodes[leaf as usize]
+            .leaves(lay)
+            .map(|e| e.external)
+            .collect();
+        for &victim in &held[1..] {
+            assert!(tree.delete(victim));
+        }
+        assert_rows_hold_their_points(&tree, &ds, "leaf down to one entry");
+        let arena_free = tree.free_nodes.len();
+        let only = held[0];
+        assert_ne!(
+            tree.externals.last(),
+            Some(&only),
+            "the hole is not the last row"
+        );
+        assert!(tree.delete(only));
+        assert!(
+            tree.free_nodes.len() > arena_free,
+            "the emptied leaf was pruned"
+        );
+        assert_rows_hold_their_points(&tree, &ds, "a leaf's only entry deleted");
+
+        // The same through a snapshot of the churned tree.
+        let twin = PmTree::from_parts(tree.to_parts()).expect("round trip");
+        assert_rows_hold_their_points(&twin, &ds, "round trip");
     }
 }

@@ -13,8 +13,8 @@
 //!   (early-abandoning squared-distance verification, but a new
 //!   `QueryContext` per call);
 //! * `reused-context` — the refactored path through
-//!   `PmLsh::query_with_context` with one long-lived context (the engine
-//!   worker configuration: zero steady-state allocation).
+//!   `PmLsh::query_into` with one long-lived context (the engine worker
+//!   configuration: zero steady-state allocation of scratch).
 //!
 //! Every configuration's `neighbors` **and** `QueryStats` are asserted
 //! bit-identical to the reference before any number is reported — the
@@ -26,7 +26,7 @@
 //! traversal. Each drains every query's first round, the radius
 //! `t·select_rmin(k)`: at the index's pinned paper β, then for
 //! c ∈ {1.2, 1.5, 2, 3} with β re-derived by Eq. 10 as
-//! `PmLsh::query_with_c` re-derives it (an index built at that c starts
+//! `PmLsh::query_into` re-derives it for its `c` (an index built at that c starts
 //! from that radius). A smaller β is a more selective radius, where the
 //! traversal's pruning pays most. The two sources' yields are asserted
 //! equal before either is timed. The tables on stdout are the whole
@@ -104,7 +104,11 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
         let start = Instant::now();
         let r: Vec<QueryResult> = queries
             .iter()
-            .map(|q| index.query_with_context(q, K, &mut ctx))
+            .map(|q| {
+                let mut neighbors = Vec::new();
+                let stats = index.query_into(q, K, index.params().c, &mut ctx, &mut neighbors);
+                QueryResult { neighbors, stats }
+            })
             .collect();
         reused_best_s = reused_best_s.min(start.elapsed().as_secs_f64());
         assert_parity(&r, &reference, "reused-context");

@@ -12,7 +12,7 @@ use pm_lsh_baselines::{
     LScan, LScanParams, MultiProbe, MultiProbeParams, Qalsh, QalshParams, RLsh, Srs, SrsParams,
 };
 use pm_lsh_bench::{f, queries_from_env, scale_from_env, Table, Workbench};
-use pm_lsh_core::{PmLsh, PmLshParams};
+use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
 use pm_lsh_data::PaperDataset;
 
 fn main() {
@@ -36,18 +36,15 @@ fn main() {
         // PM-LSH and R-LSH: one index, vary c per query (the candidate
         // budget re-derives from Eq. 10).
         let pm = PmLsh::build(wb.data.clone(), PmLshParams::default());
+        let mut ctx = QueryContext::new();
+        let mut found = Vec::new();
         for &c in &cs {
             let mut acc = pm_lsh_data::MetricsAccumulator::new();
             for (qi, q) in wb.queries.iter().enumerate() {
                 let start = std::time::Instant::now();
-                let res = pm.query_with_c(q, k, c);
+                let stats = pm.query_into(q, k, c, &mut ctx, &mut found);
                 let ms = start.elapsed().as_secs_f64() * 1e3;
-                acc.record(
-                    ms,
-                    &res.neighbors,
-                    &wb.truth[qi][..k],
-                    res.stats.candidates_verified,
-                );
+                acc.record(ms, &found, &wb.truth[qi][..k], stats.candidates_verified);
             }
             let m = acc.finish();
             table.row(vec![

@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn empty_tree_yields_nothing() {
-        let tree = BPlusTree::new();
+        let tree = BPlusTree::bulk_load(&[]);
         let mut cur = ExpandingCursor::new(&tree, 0.0);
         assert!(cur.next_nearest().is_none());
         assert!(cur.peek_offset().is_none());

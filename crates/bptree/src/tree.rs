@@ -2,11 +2,10 @@
 //!
 //! QALSH stores the projected value `h_i(o) = a_i · o` of every point in one
 //! B+-tree per hash function and answers queries by *expanding a window*
-//! around the query's own projection (virtual rehashing). The tree provides
-//! ordered bulk loading, point inserts, bidirectional leaf scans, and lazy
-//! point deletes ([`BPlusTree::delete`]: entries leave their leaves, nodes
-//! are never rebalanced — occupancy, not correctness, is what a
-//! delete-heavy sequence degrades).
+//! around the query's own projection (virtual rehashing). QALSH rebuilds its
+//! trees wholesale and never edits one, so the tree is static: it is
+//! bulk-loaded from sorted pairs, full nodes bottom-up, and then only read —
+//! range scans and bidirectional leaf walks.
 
 use pm_lsh_metric::PointId;
 
@@ -35,44 +34,17 @@ pub(crate) enum Node {
     Inner(InnerNode),
 }
 
-/// A B+-tree mapping `f32` keys (not NaN) to [`PointId`] values, duplicates
-/// allowed.
+/// A static B+-tree mapping `f32` keys (not NaN) to [`PointId`] values,
+/// duplicates allowed. Every leaf of a non-empty tree holds at least one
+/// pair; an empty tree is one empty leaf.
 #[derive(Clone, Debug)]
 pub struct BPlusTree {
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: u32,
-    order: usize,
     len: usize,
 }
 
-impl Default for BPlusTree {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BPlusTree {
-    /// An empty tree with the default node order.
-    pub fn new() -> Self {
-        Self::with_order(DEFAULT_ORDER)
-    }
-
-    /// An empty tree with `order` keys per node (at least 4).
-    pub fn with_order(order: usize) -> Self {
-        assert!(order >= 4, "order must be at least 4");
-        Self {
-            nodes: vec![Node::Leaf(LeafNode {
-                keys: Vec::new(),
-                vals: Vec::new(),
-                prev: None,
-                next: None,
-            })],
-            root: 0,
-            order,
-            len: 0,
-        }
-    }
-
     /// Bulk-loads from `(key, value)` pairs sorted by key.
     ///
     /// # Panics
@@ -81,7 +53,8 @@ impl BPlusTree {
         Self::bulk_load_with_order(pairs, DEFAULT_ORDER)
     }
 
-    /// Bulk-loads with an explicit node order.
+    /// Bulk-loads with an explicit node order: at most `order` keys per
+    /// leaf and `order + 1` children per inner node (`order` at least 4).
     pub fn bulk_load_with_order(pairs: &[(f32, PointId)], order: usize) -> Self {
         assert!(order >= 4, "order must be at least 4");
         for w in pairs.windows(2) {
@@ -91,18 +64,25 @@ impl BPlusTree {
             pairs.iter().all(|p| !p.0.is_nan()),
             "NaN keys are not allowed"
         );
-        let mut tree = Self::with_order(order);
+        let mut tree = Self {
+            nodes: Vec::new(),
+            root: 0,
+            len: pairs.len(),
+        };
         if pairs.is_empty() {
+            tree.nodes.push(Node::Leaf(LeafNode {
+                keys: Vec::new(),
+                vals: Vec::new(),
+                prev: None,
+                next: None,
+            }));
             return tree;
         }
-        tree.nodes.clear();
-        tree.len = pairs.len();
 
-        // Fill leaves at ~80% occupancy so later inserts don't split at once.
-        let per_leaf = (order * 4 / 5).max(2);
+        // Nothing is ever inserted, so every leaf is filled to `order`.
         let mut leaf_ids = Vec::new();
         let mut level_keys = Vec::new(); // first key of each leaf (split keys)
-        for chunk in pairs.chunks(per_leaf) {
+        for chunk in pairs.chunks(order) {
             let id = tree.nodes.len() as u32;
             tree.nodes.push(Node::Leaf(LeafNode {
                 keys: chunk.iter().map(|p| p.0).collect(),
@@ -125,13 +105,12 @@ impl BPlusTree {
 
         // Build inner levels bottom-up.
         let mut level = leaf_ids;
-        let per_inner = (order * 4 / 5).max(2);
         while level.len() > 1 {
             let mut next_level = Vec::new();
             let mut next_keys = Vec::new();
             let mut i = 0;
             while i < level.len() {
-                let end = (i + per_inner).min(level.len());
+                let end = (i + order).min(level.len());
                 // avoid a trailing single-child inner node
                 let end = if level.len() - end == 1 { end + 1 } else { end };
                 let children: Vec<u32> = level[i..end].to_vec();
@@ -191,124 +170,6 @@ impl BPlusTree {
                 }
             }
         }
-    }
-
-    /// Inserts one pair.
-    ///
-    /// # Panics
-    /// Panics on NaN keys.
-    pub fn insert(&mut self, key: f32, value: PointId) {
-        assert!(!key.is_nan(), "NaN keys are not allowed");
-        self.len += 1;
-        if let Some((split_key, right)) = self.insert_rec(self.root, key, value) {
-            let new_root = InnerNode {
-                keys: vec![split_key],
-                children: vec![self.root, right],
-            };
-            self.root = self.nodes.len() as u32;
-            self.nodes.push(Node::Inner(new_root));
-        }
-    }
-
-    fn insert_rec(&mut self, node: u32, key: f32, value: PointId) -> Option<(f32, u32)> {
-        let order = self.order;
-        match &mut self.nodes[node as usize] {
-            Node::Leaf(leaf) => {
-                let idx = leaf.keys.partition_point(|&k| k <= key);
-                leaf.keys.insert(idx, key);
-                leaf.vals.insert(idx, value);
-                if leaf.keys.len() <= order {
-                    return None;
-                }
-                // split leaf
-                let mid = leaf.keys.len() / 2;
-                let right_keys = leaf.keys.split_off(mid);
-                let right_vals = leaf.vals.split_off(mid);
-                let split_key = right_keys[0];
-                let old_next = leaf.next;
-                let right_id = self.nodes.len() as u32;
-                {
-                    let Node::Leaf(leaf) = &mut self.nodes[node as usize] else {
-                        unreachable!()
-                    };
-                    leaf.next = Some(right_id);
-                }
-                self.nodes.push(Node::Leaf(LeafNode {
-                    keys: right_keys,
-                    vals: right_vals,
-                    prev: Some(node),
-                    next: old_next,
-                }));
-                if let Some(nxt) = old_next {
-                    if let Node::Leaf(l) = &mut self.nodes[nxt as usize] {
-                        l.prev = Some(right_id);
-                    }
-                }
-                Some((split_key, right_id))
-            }
-            Node::Inner(inner) => {
-                let idx = inner.keys.partition_point(|&k| k <= key);
-                let child = inner.children[idx];
-                let split = self.insert_rec(child, key, value)?;
-                let Node::Inner(inner) = &mut self.nodes[node as usize] else {
-                    unreachable!()
-                };
-                inner.keys.insert(idx, split.0);
-                inner.children.insert(idx + 1, split.1);
-                if inner.keys.len() <= order {
-                    return None;
-                }
-                // split inner: middle key moves up
-                let mid = inner.keys.len() / 2;
-                let up_key = inner.keys[mid];
-                let right_keys = inner.keys.split_off(mid + 1);
-                inner.keys.pop(); // remove up_key from the left side
-                let right_children = inner.children.split_off(mid + 1);
-                let right_id = self.nodes.len() as u32;
-                self.nodes.push(Node::Inner(InnerNode {
-                    keys: right_keys,
-                    children: right_children,
-                }));
-                Some((up_key, right_id))
-            }
-        }
-    }
-
-    /// Removes one `(key, value)` pair; `false` when no exact match is
-    /// stored. With duplicate keys, the first matching pair in leaf-chain
-    /// order goes.
-    ///
-    /// Deletion is *lazy*: the pair leaves its leaf, but nodes are never
-    /// merged or rebalanced and separator keys stay put — an emptied leaf
-    /// simply remains in the chain, which every scan already skips. All
-    /// ordering, depth and chain invariants are preserved
-    /// ([`BPlusTree::verify_invariants`] holds after any delete
-    /// sequence); only node *occupancy* degrades under delete-heavy
-    /// workloads, which matches this crate's QALSH usage, where indexes
-    /// are rebuilt wholesale rather than compacted in place.
-    ///
-    /// # Panics
-    /// Panics on NaN keys.
-    pub fn delete(&mut self, key: f32, value: PointId) -> bool {
-        assert!(!key.is_nan(), "NaN keys are not allowed");
-        let mut pos = self.seek(key);
-        while let Some(p) = pos {
-            let (k, v) = self.entry_at(p);
-            if k != key {
-                return false;
-            }
-            if v == value {
-                let Node::Leaf(leaf) = &mut self.nodes[p.0 as usize] else {
-                    unreachable!()
-                };
-                leaf.keys.remove(p.1);
-                leaf.vals.remove(p.1);
-                self.len -= 1;
-                return true;
-            }
-            pos = self.next_pos(p);
-        }
-        false
     }
 
     /// All `(key, value)` pairs with `lo <= key <= hi`, in key order.
@@ -387,6 +248,8 @@ impl BPlusTree {
         (l.keys[pos.1], l.vals[pos.1])
     }
 
+    /// The entry after `pos` in key order; leaves are never empty, so it
+    /// is in this leaf or first in the next.
     pub(crate) fn next_pos(&self, pos: (u32, usize)) -> Option<(u32, usize)> {
         let Node::Leaf(l) = &self.nodes[pos.0 as usize] else {
             unreachable!()
@@ -394,19 +257,11 @@ impl BPlusTree {
         if pos.1 + 1 < l.keys.len() {
             return Some((pos.0, pos.1 + 1));
         }
-        let mut leaf = l.next;
-        while let Some(n) = leaf {
-            let Node::Leaf(l) = &self.nodes[n as usize] else {
-                unreachable!()
-            };
-            if !l.keys.is_empty() {
-                return Some((n, 0));
-            }
-            leaf = l.next;
-        }
-        None
+        l.next.map(|n| (n, 0))
     }
 
+    /// The entry before `pos` in key order: in this leaf or last in the
+    /// previous one.
     pub(crate) fn prev_pos(&self, pos: (u32, usize)) -> Option<(u32, usize)> {
         if pos.1 > 0 {
             return Some((pos.0, pos.1 - 1));
@@ -414,20 +269,15 @@ impl BPlusTree {
         let Node::Leaf(l) = &self.nodes[pos.0 as usize] else {
             unreachable!()
         };
-        let mut leaf = l.prev;
-        while let Some(p) = leaf {
-            let Node::Leaf(l) = &self.nodes[p as usize] else {
-                unreachable!()
-            };
-            if !l.keys.is_empty() {
-                return Some((p, l.keys.len() - 1));
-            }
-            leaf = l.prev;
-        }
-        None
+        let p = l.prev?;
+        let Node::Leaf(prev) = &self.nodes[p as usize] else {
+            unreachable!()
+        };
+        Some((p, prev.keys.len() - 1))
     }
 
-    /// Validates key ordering, balanced depth and the leaf chain; test hook.
+    /// Validates key ordering, balanced depth, the leaf chain and that no
+    /// leaf of a non-empty tree is empty; test hook.
     pub fn verify_invariants(&self) -> Result<(), String> {
         // (1) every key reachable via the leaf chain, in sorted order, len matches
         let mut leftmost = self.root;
@@ -441,6 +291,9 @@ impl BPlusTree {
             let Node::Leaf(l) = &self.nodes[id as usize] else {
                 return Err("leaf chain reaches an inner node".into());
             };
+            if l.keys.is_empty() && self.len > 0 {
+                return Err(format!("leaf {id} of a non-empty tree is empty"));
+            }
             for &k in &l.keys {
                 if k < last {
                     return Err(format!("key order violated: {k} after {last}"));

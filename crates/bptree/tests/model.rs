@@ -1,5 +1,5 @@
-//! Model-based tests: the B+-tree must agree with a sorted-vector oracle
-//! under arbitrary operation sequences.
+//! Model-based tests: a bulk-loaded B+-tree of any order must agree with a
+//! sorted-vector oracle on arbitrary range queries.
 
 use pm_lsh_bptree::BPlusTree;
 use proptest::prelude::*;
@@ -29,77 +29,15 @@ fn bulk_load_and_range_basic() {
 }
 
 #[test]
-fn inserts_build_same_content_as_bulk_load() {
-    let mut pairs: Vec<(f32, u32)> = (0..500).map(|i| ((i * 37 % 500) as f32, i)).collect();
-    let mut tree = BPlusTree::with_order(8);
-    for &(k, v) in &pairs {
-        tree.insert(k, v);
-    }
-    tree.verify_invariants().unwrap();
-    pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-    let bulk = BPlusTree::bulk_load_with_order(&pairs, 8);
-    bulk.verify_invariants().unwrap();
-    let lo = f32::NEG_INFINITY;
-    let hi = f32::INFINITY;
-    let a: Vec<u32> = tree.range(lo, hi).iter().map(|p| p.1).collect();
-    let b: Vec<u32> = bulk.range(lo, hi).iter().map(|p| p.1).collect();
-    let mut a_sorted = a.clone();
-    a_sorted.sort_unstable();
-    let mut b_sorted = b;
-    b_sorted.sort_unstable();
-    assert_eq!(a_sorted, b_sorted);
-}
-
-#[test]
 fn small_order_deep_tree() {
-    let mut tree = BPlusTree::with_order(4);
-    for i in 0..200 {
-        tree.insert((i % 50) as f32, i);
-    }
+    let mut pairs: Vec<(f32, u32)> = (0..200).map(|i| ((i % 50) as f32, i)).collect();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let tree = BPlusTree::bulk_load_with_order(&pairs, 4);
     tree.verify_invariants().unwrap();
     assert!(tree.height() >= 3);
     assert_eq!(tree.len(), 200);
     // duplicate-heavy range
     assert_eq!(tree.range(10.0, 10.0).len(), 4);
-}
-
-#[test]
-fn delete_basics() {
-    let mut tree = BPlusTree::with_order(4);
-    for i in 0..40u32 {
-        tree.insert((i % 10) as f32, i);
-    }
-    assert_eq!(tree.len(), 40);
-    // Exact pair required: right key with the wrong value is no match.
-    assert!(!tree.delete(3.0, 999));
-    assert!(!tree.delete(99.0, 3));
-    assert!(tree.delete(3.0, 3));
-    assert!(!tree.delete(3.0, 3), "a pair deletes only once");
-    // Duplicates of the key survive.
-    assert_eq!(tree.range(3.0, 3.0).len(), 3);
-    assert_eq!(tree.len(), 39);
-    tree.verify_invariants().unwrap();
-}
-
-#[test]
-fn delete_everything_leaves_a_consistent_empty_tree() {
-    let mut tree = BPlusTree::with_order(4);
-    for i in 0..120u32 {
-        tree.insert((i * 7 % 30) as f32, i);
-    }
-    for i in 0..120u32 {
-        assert!(
-            tree.delete((i * 7 % 30) as f32, i),
-            "pair {i} vanished early"
-        );
-        tree.verify_invariants().unwrap();
-    }
-    assert!(tree.is_empty());
-    assert_eq!(tree.range(f32::NEG_INFINITY, f32::INFINITY), vec![]);
-    // The hollowed-out tree still accepts inserts.
-    tree.insert(5.0, 1000);
-    tree.verify_invariants().unwrap();
-    assert_eq!(tree.range(5.0, 5.0), vec![(5.0, 1000)]);
 }
 
 proptest! {
@@ -111,13 +49,11 @@ proptest! {
         order in 4usize..16,
         ranges in proptest::collection::vec((-1000i32..1000, 0i32..200), 1..8),
     ) {
-        let mut tree = BPlusTree::with_order(order);
-        let mut model: Vec<(f32, u32)> = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            let kf = k as f32 * 0.25;
-            tree.insert(kf, i as u32);
-            model.push((kf, i as u32));
-        }
+        let model: Vec<(f32, u32)> =
+            keys.iter().enumerate().map(|(i, &k)| (k as f32 * 0.25, i as u32)).collect();
+        let mut pairs = model.clone();
+        pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let tree = BPlusTree::bulk_load_with_order(&pairs, order);
         tree.verify_invariants().map_err(TestCaseError::fail)?;
         prop_assert_eq!(tree.len(), model.len());
 
@@ -127,64 +63,6 @@ proptest! {
             let got = tree.range(lo, hi);
             let want = model_range(&model, lo, hi);
             // same multiset of keys and same ids
-            let got_keys: Vec<f32> = got.iter().map(|p| p.0).collect();
-            let want_keys: Vec<f32> = want.iter().map(|p| p.0).collect();
-            prop_assert_eq!(got_keys, want_keys);
-            let mut got_ids: Vec<u32> = got.iter().map(|p| p.1).collect();
-            let mut want_ids: Vec<u32> = want.iter().map(|p| p.1).collect();
-            got_ids.sort_unstable();
-            want_ids.sort_unstable();
-            prop_assert_eq!(got_ids, want_ids);
-        }
-    }
-
-    // The deletion counterpart of `tree_matches_model`: random interleaved
-    // inserts and deletes against the sorted-vector oracle, with the
-    // structural invariants audited and range queries compared after the
-    // whole sequence (and a mid-sequence audit every 32 operations).
-    #[test]
-    fn interleaved_insert_delete_matches_model(
-        ops in proptest::collection::vec((0u8..4, -200i32..200), 50..400),
-        order in 4usize..16,
-        ranges in proptest::collection::vec((-200i32..200, 0i32..100), 1..8),
-    ) {
-        let mut tree = BPlusTree::with_order(order);
-        let mut model: Vec<(f32, u32)> = Vec::new();
-        for (i, &(choice, k)) in ops.iter().enumerate() {
-            let kf = k as f32 * 0.5;
-            if choice == 0 && !model.is_empty() {
-                // Delete a pair that really exists (picked pseudo-randomly
-                // from the model), so coverage includes deep duplicates.
-                let victim = model.remove(i % model.len());
-                prop_assert!(tree.delete(victim.0, victim.1));
-            } else if choice == 1 {
-                // Delete *by key*. u32::MAX is never inserted, so the
-                // first attempt must always miss — when pairs with this
-                // key exist that exercises the right-key-wrong-value
-                // scan across duplicates; then remove a specific real
-                // pair when one exists (hit coverage through duplicate
-                // keys).
-                prop_assert!(!tree.delete(kf, u32::MAX), "wrong value matched");
-                if let Some(at) = model.iter().position(|&(mk, _)| mk == kf) {
-                    let (mk, mv) = model.remove(at);
-                    prop_assert!(tree.delete(mk, mv));
-                }
-            } else {
-                tree.insert(kf, i as u32);
-                model.push((kf, i as u32));
-            }
-            prop_assert_eq!(tree.len(), model.len());
-            if i % 32 == 0 {
-                tree.verify_invariants().map_err(TestCaseError::fail)?;
-            }
-        }
-        tree.verify_invariants().map_err(TestCaseError::fail)?;
-
-        for &(lo_raw, span) in &ranges {
-            let lo = lo_raw as f32 * 0.5;
-            let hi = lo + span as f32 * 0.5;
-            let got = tree.range(lo, hi);
-            let want = model_range(&model, lo, hi);
             let got_keys: Vec<f32> = got.iter().map(|p| p.0).collect();
             let want_keys: Vec<f32> = want.iter().map(|p| p.0).collect();
             prop_assert_eq!(got_keys, want_keys);

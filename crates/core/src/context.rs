@@ -7,10 +7,10 @@
 //! order and a top-k collector. Allocating them per query is invisible for
 //! one-off calls but dominates small-`d` serving workloads; a
 //! [`QueryContext`] owns all four and is threaded through
-//! [`crate::PmLsh::query_with_context`] / [`crate::PmLsh::query_into`] so
-//! repeated queries run without touching the allocator at steady state
-//! (asserted by `crates/core/tests/zero_alloc.rs` with a counting global
-//! allocator).
+//! [`crate::PmLsh::query_into`], [`crate::PmLsh::query_fanout_into`] and
+//! [`crate::PmLsh::query_bc`] so repeated queries run without touching the
+//! allocator at steady state (asserted by `crates/core/tests/zero_alloc.rs`
+//! with a counting global allocator).
 //!
 //! A context is **not** tied to an index: the engine keeps one per worker
 //! thread and reuses it across reindex snapshot swaps — buffers simply
@@ -38,8 +38,9 @@ use pm_lsh_pmtree::CursorScratch;
 /// let index = PmLsh::build(ds, PmLshParams::default());
 ///
 /// let mut ctx = QueryContext::new();
-/// let reused = index.query_with_context(&q, 5, &mut ctx);
-/// assert_eq!(reused.neighbors, index.query(&q, 5).neighbors);
+/// let mut reused = Vec::new();
+/// index.query_into(&q, 5, index.params().c, &mut ctx, &mut reused);
+/// assert_eq!(reused, index.query(&q, 5).neighbors);
 /// ```
 #[derive(Debug)]
 pub struct QueryContext {
@@ -57,7 +58,7 @@ pub struct QueryContext {
     pub(crate) marks: Vec<u64>,
     /// Top-k collector, reset per query.
     pub(crate) top: TopK,
-    /// Where `query_bc_with_context` receives its one answer, so
+    /// Where [`crate::PmLsh::query_bc`] receives its one answer, so
     /// Algorithm 1 stays allocation-free too.
     pub(crate) hit: Vec<Neighbor>,
 }

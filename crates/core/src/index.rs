@@ -587,38 +587,28 @@ impl PmLsh {
         r * self.params.rmin_shrink
     }
 
-    /// Algorithm 2: the `(c, k)`-ANN query with the build-time `c`.
+    /// Algorithm 2: the `(c, k)`-ANN query with the build-time `c`, as an
+    /// owned result.
     ///
-    /// Allocates a fresh [`QueryContext`] per call; serving loops should
-    /// hold one and use [`PmLsh::query_with_context`] instead, which is
-    /// allocation-free at steady state and returns identical results.
+    /// Allocates a fresh [`QueryContext`] and result vector per call;
+    /// serving loops should hold one context and use [`PmLsh::query_into`]
+    /// instead, which is allocation-free at steady state and returns
+    /// identical results.
     pub fn query(&self, q: &[f32], k: usize) -> QueryResult {
-        self.query_with_context(q, k, &mut QueryContext::new())
-    }
-
-    /// Algorithm 2 over a reused [`QueryContext`] (see the context docs:
-    /// results are bit-identical to [`PmLsh::query`], only the allocation
-    /// behavior differs).
-    pub fn query_with_context(&self, q: &[f32], k: usize, ctx: &mut QueryContext) -> QueryResult {
         // lint: allow(hot-path) -- owned-result convenience; query_into is the zero-alloc entry
         let mut neighbors = Vec::new();
-        let stats = self.query_into(q, k, self.params.c, ctx, &mut neighbors);
-        QueryResult { neighbors, stats }
-    }
-
-    /// Algorithm 2 with an explicit approximation ratio (the Figs. 10–11
-    /// time/quality trade-off sweeps vary `c` per query). The candidate
-    /// budget `βn + k` is re-derived for the given `c` unless the index was
-    /// built with a pinned `β`.
-    pub fn query_with_c(&self, q: &[f32], k: usize, c: f64) -> QueryResult {
-        // lint: allow(hot-path) -- owned-result convenience; query_into is the zero-alloc entry
-        let mut neighbors = Vec::new();
-        let stats = self.query_into(q, k, c, &mut QueryContext::new(), &mut neighbors);
+        let mut ctx = QueryContext::new();
+        let stats = self.query_into(q, k, self.params.c, &mut ctx, &mut neighbors);
         QueryResult { neighbors, stats }
     }
 
     /// The `(c, k)`-ANN workhorse: Algorithm 2 over a reused
     /// [`QueryContext`], writing the neighbors into `out` (cleared first).
+    ///
+    /// `c` is the approximation ratio (the Figs. 10–11 time/quality sweeps
+    /// vary it per query; `self.params().c` is the build-time one). The
+    /// candidate budget `βn + k` is re-derived for the given `c` unless the
+    /// index was built with a pinned `β`.
     ///
     /// This is the fully allocation-free entry point: with a warmed-up
     /// `ctx` and an `out` whose capacity has reached the working set,
@@ -668,21 +658,11 @@ impl PmLsh {
         self.search(q, SearchSpec::Fanout { k, budget }, ctx, out)
     }
 
-    /// Algorithm 1: the `(r, c)`-ball-cover query. Returns a point within
-    /// `c·r` of `q` (the closest verified candidate) or `None`, with the
-    /// guarantees of Lemma 5.
-    pub fn query_bc(&self, q: &[f32], r: f64) -> Option<Neighbor> {
-        self.query_bc_with_context(q, r, &mut QueryContext::new())
-    }
-
-    /// Algorithm 1 over a reused [`QueryContext`]; identical results to
-    /// [`PmLsh::query_bc`], allocation-free at steady state.
-    pub fn query_bc_with_context(
-        &self,
-        q: &[f32],
-        r: f64,
-        ctx: &mut QueryContext,
-    ) -> Option<Neighbor> {
+    /// Algorithm 1: the `(r, c)`-ball-cover query over a reused
+    /// [`QueryContext`]. Returns a point within `c·r` of `q` (the closest
+    /// verified candidate) or `None`, with the guarantees of Lemma 5;
+    /// allocation-free at steady state.
+    pub fn query_bc(&self, q: &[f32], r: f64, ctx: &mut QueryContext) -> Option<Neighbor> {
         let mut hit = std::mem::take(&mut ctx.hit);
         self.search(q, SearchSpec::BallCover { r }, ctx, &mut hit);
         let answer = hit.first().copied();

@@ -32,7 +32,7 @@ impl PmLsh {
     }
 
     /// Pre-refactor Algorithm 2 with an explicit approximation ratio.
-    /// See the module docs; prefer [`PmLsh::query_with_c`].
+    /// See the module docs; prefer [`PmLsh::query_into`].
     pub fn query_with_c_reference(&self, q: &[f32], k: usize, c: f64) -> QueryResult {
         assert_eq!(q.len(), self.data().dim(), "query has wrong dimensionality");
         assert!(k >= 1, "k must be positive");

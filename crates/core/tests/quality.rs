@@ -1,7 +1,7 @@
 //! Statistical quality tests for PM-LSH: Theorem 1's c²-guarantee, recall on
 //! seeded data, and Theorem 2's sublinear probing behaviour.
 
-use pm_lsh_core::{PmLsh, PmLshParams};
+use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
 use pm_lsh_metric::{euclidean, Dataset, TopK};
 use pm_lsh_stats::Rng;
 
@@ -161,11 +161,16 @@ fn query_with_c_trades_time_for_quality() {
     let queries = clustered(15, 32, 501);
     let index = PmLsh::build(data, PmLshParams::default());
 
+    let (mut ctx, mut out) = (QueryContext::new(), Vec::new());
     let mut verified_tight = 0usize;
     let mut verified_loose = 0usize;
     for q in queries.iter() {
-        verified_tight += index.query_with_c(q, 10, 1.2).stats.candidates_verified;
-        verified_loose += index.query_with_c(q, 10, 2.0).stats.candidates_verified;
+        verified_tight += index
+            .query_into(q, 10, 1.2, &mut ctx, &mut out)
+            .candidates_verified;
+        verified_loose += index
+            .query_into(q, 10, 2.0, &mut ctx, &mut out)
+            .candidates_verified;
     }
     assert!(
         verified_loose < verified_tight,
@@ -183,12 +188,13 @@ fn bc_query_statistical_contract() {
     let c = params.c;
     let index = PmLsh::build(data, params);
 
+    let mut ctx = QueryContext::new();
     let mut answered = 0usize;
     let mut violations = 0usize;
     for q in queries.iter() {
         let r_star = exact_knn(index.data(), q, 1)[0].dist as f64;
         let r = r_star * 1.1; // ball is non-empty
-        if let Some(hit) = index.query_bc(q, r) {
+        if let Some(hit) = index.query_bc(q, r, &mut ctx) {
             answered += 1;
             if hit.dist as f64 > c * r + 1e-6 {
                 violations += 1;

@@ -1,7 +1,7 @@
 //! The paper's running example (Figs. 1 and 4, Examples 1–4) executed
 //! end-to-end on the real implementation.
 
-use pm_lsh_core::{PmLsh, PmLshParams};
+use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
 use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::Dataset;
 use pm_lsh_pmtree::PmTreeConfig;
@@ -139,14 +139,15 @@ fn bc_query_example_2_semantics() {
     let mut rng = Rng::new(3);
     let index = PmLsh::build_with_projector(ds, projector, params, &mut rng);
 
-    if let Some(hit) = index.query_bc(&Q, 1.0) {
+    let mut ctx = QueryContext::new();
+    if let Some(hit) = index.query_bc(&Q, 1.0, &mut ctx) {
         assert!(
             hit.dist <= 2.0,
             "(1,2)-BC must only return points within c·r"
         );
     }
     let hit = index
-        .query_bc(&Q, 1.5)
+        .query_bc(&Q, 1.5, &mut ctx)
         .expect("ball contains o2/o14, must answer");
     assert!(hit.dist <= 3.0);
 }

@@ -105,20 +105,20 @@ fn steady_state_queries_do_not_allocate() {
     index.query_into(queries.last().unwrap(), K, c, &mut ctx, &mut out);
     assert_eq!(&out, warm.last().unwrap());
 
-    // query_bc_with_context shares the same buffers; it must be
-    // allocation-free at steady state too.
+    // query_bc shares the same buffers; it must be allocation-free at
+    // steady state too.
     let r = index.select_rmin(K);
-    let warm_bc = index.query_bc_with_context(&queries[0], r, &mut ctx);
+    let warm_bc = index.query_bc(&queries[0], r, &mut ctx);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..25 {
-        let got = index.query_bc_with_context(&queries[0], r, &mut ctx);
+        let got = index.query_bc(&queries[0], r, &mut ctx);
         assert_eq!(got, warm_bc);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state query_bc_with_context calls must not allocate"
+        "steady-state query_bc calls must not allocate"
     );
 
     // So must a fan-out leg, whose budget a round's set is cut to (one

@@ -155,20 +155,17 @@ fn worker_loop(rx: &Mutex<Receiver<Vec<QueryJob>>>, stats: &StatsCollector) {
                 if job.query.first() == Some(&CRASH_TEST_SENTINEL) {
                     panic!("injected worker panic (test only)");
                 }
-                match job.fanout_budget {
+                let (snapshot, q, k) = (&job.snapshot, &job.query, job.k);
+                let mut neighbors = Vec::new();
+                let stats = match job.fanout_budget {
                     Some(budget) => {
-                        let mut neighbors = Vec::new();
-                        let stats = job.snapshot.query_fanout_into(
-                            &job.query,
-                            job.k,
-                            budget,
-                            &mut ctx,
-                            &mut neighbors,
-                        );
-                        QueryResult { neighbors, stats }
+                        snapshot.query_fanout_into(q, k, budget, &mut ctx, &mut neighbors)
                     }
-                    None => job.snapshot.query_with_context(&job.query, job.k, &mut ctx),
-                }
+                    None => {
+                        snapshot.query_into(q, k, snapshot.params().c, &mut ctx, &mut neighbors)
+                    }
+                };
+                QueryResult { neighbors, stats }
             }));
             if let Ok(result) = &outcome {
                 stats.record_query(job.enqueued.elapsed(), &result.stats);

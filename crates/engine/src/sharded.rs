@@ -74,7 +74,7 @@ use crate::{
     MutationError, MutationReport, QueryError, ReindexError, ReindexReport, ReindexTicket,
 };
 use pm_lsh_core::shard::{owner, partition, to_global, to_local};
-use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams, QueryResult, QueryStats};
+use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams, QueryContext, QueryResult, QueryStats};
 use pm_lsh_metric::{Dataset, Neighbor, PointId, TopK};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
@@ -368,11 +368,12 @@ impl ShardedEngine {
     /// the monolithic `⌈β·n⌉ + 1` bound the same way `query` does.
     pub fn query_bc(&self, q: &[f32], r: f64) -> Option<Neighbor> {
         let shards = self.shards.len();
+        let mut ctx = QueryContext::new();
         self.shards
             .iter()
             .enumerate()
             .filter_map(|(s, shard)| {
-                shard.index().query_bc(q, r).map(|n| Neighbor {
+                shard.index().query_bc(q, r, &mut ctx).map(|n| Neighbor {
                     dist: n.dist,
                     id: to_global(n.id, s, shards),
                 })

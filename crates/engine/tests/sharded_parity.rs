@@ -1,12 +1,14 @@
 //! Equivalence harness for the sharded scatter-gather engine: a
 //! [`ShardedEngine`] over a round-robin partition must answer at least as
 //! well as the monolithic (one-shard) engine it replaces, against a
-//! linear-scan oracle, for *every* entry point — `query`, `query_batch`, `query_bc`
-//! and the TCP wire — plus the budget-sum inequality the module docs
-//! claim, exact-id parity where the budgets make answers deterministic,
-//! and a save→load→parity leg for the one-file sharded snapshot.
+//! linear-scan oracle, for each of its query entry points — `query`,
+//! `query_batch` and `query_bc` — and for the TCP wire, plus the
+//! budget-sum inequality the module docs claim, exact-id parity where the
+//! budgets make answers deterministic, and a save→load→parity leg for the
+//! one-file sharded snapshot. The monolith is a plain [`PmLsh`], asked
+//! through its own `query` and `query_bc`.
 
-use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
+use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams, QueryContext};
 use pm_lsh_data::{exact_knn_batch, recall, PaperDataset, Scale};
 use pm_lsh_engine::server::parse_ok_response;
 use pm_lsh_engine::{serve, Engine, EngineConfig, ShardedEngine};
@@ -177,10 +179,11 @@ fn query_bc_success_rate_never_below_monolithic() {
         .map(|t| f64::from(t[0].dist) * 1.01 + 1e-6)
         .collect();
     let mono = PmLsh::build(data.clone(), params);
+    let mut ctx = QueryContext::new();
     let mono_hits = queries
         .iter()
         .zip(&radii)
-        .filter(|(q, &r)| mono.query_bc(q, r).is_some())
+        .filter(|(q, &r)| mono.query_bc(q, r, &mut ctx).is_some())
         .count();
     for shards in [2, 4] {
         let sharded =
@@ -228,6 +231,7 @@ fn single_shard_is_bitwise_the_monolithic_engine() {
 
     let query_vecs: Vec<&[f32]> = queries.iter().collect();
     let sharded_batch = sharded.query_batch(&query_vecs, K);
+    let mut ctx = QueryContext::new();
     for (qi, q) in queries.iter().enumerate() {
         let mono = index.query(q, K);
         let one = sharded.query(q, K);
@@ -237,7 +241,7 @@ fn single_shard_is_bitwise_the_monolithic_engine() {
         );
         assert_eq!(sharded_batch[qi].neighbors, mono.neighbors);
         assert_eq!(sharded_batch[qi].stats, mono.stats);
-        assert_eq!(sharded.query_bc(q, 1.0), index.query_bc(q, 1.0));
+        assert_eq!(sharded.query_bc(q, 1.0), index.query_bc(q, 1.0, &mut ctx));
     }
 
     // Mutations: the engine copies-on-write from the same snapshot a

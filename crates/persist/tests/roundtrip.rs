@@ -48,24 +48,26 @@ fn assert_query_parity(original: &PmLsh, restored: &PmLsh, queries: &pm_lsh_metr
 
     let base = original.select_rmin(10);
     assert_eq!(base.to_bits(), restored.select_rmin(10).to_bits(), "r_min");
+    let (mut want_ctx, mut got_ctx) = (QueryContext::new(), QueryContext::new());
     let mut hits = 0usize;
     for (qi, q) in queries.iter().enumerate().take(20) {
         for scale in [0.25f64, 0.5, 1.0, 2.0] {
             let r = base * scale;
-            let want = original.query_bc(q, r);
-            let got = restored.query_bc(q, r);
+            let want = original.query_bc(q, r, &mut want_ctx);
+            let got = restored.query_bc(q, r, &mut got_ctx);
             assert_eq!(got, want, "q{qi} r{r} ball cover");
             hits += want.is_some() as usize;
         }
     }
     assert!(hits > 0, "ball-cover parity never exercised a hit");
 
-    let (mut want_ctx, mut got_ctx) = (QueryContext::new(), QueryContext::new());
+    let (mut want, mut got) = (Vec::new(), Vec::new());
+    let c = original.params().c;
     for (qi, q) in queries.iter().enumerate() {
-        let w = original.query_with_context(q, 10, &mut want_ctx);
-        let g = restored.query_with_context(q, 10, &mut got_ctx);
-        assert_eq!(g.neighbors, w.neighbors, "reused-context q{qi} neighbors");
-        assert_eq!(g.stats, w.stats, "reused-context q{qi} stats");
+        let w = original.query_into(q, 10, c, &mut want_ctx, &mut want);
+        let g = restored.query_into(q, 10, c, &mut got_ctx, &mut got);
+        assert_eq!(got, want, "reused-context q{qi} neighbors");
+        assert_eq!(g, w, "reused-context q{qi} stats");
     }
 }
 

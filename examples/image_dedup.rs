@@ -48,9 +48,10 @@ fn main() {
     let mut true_pos = 0usize;
     let mut false_pos = 0usize;
     let mut false_neg = 0usize;
+    let mut ctx = QueryContext::new();
     let start = std::time::Instant::now();
     for (upload, is_dup) in &uploads {
-        let verdict = index.query_bc(upload, r_dup);
+        let verdict = index.query_bc(upload, r_dup, &mut ctx);
         match (verdict.is_some(), is_dup) {
             (true, true) => true_pos += 1,
             (true, false) => false_pos += 1,

@@ -4,7 +4,7 @@
 //! A user profile is the centroid of recently liked items; serving a
 //! recommendation slate is a (c, k)-ANN query around that profile. The
 //! example also shows the time/quality dial: the same index answers with a
-//! tighter or looser approximation ratio per query (`query_with_c`).
+//! tighter or looser approximation ratio per query (`query_into`'s `c`).
 //!
 //! ```text
 //! cargo run --release --example recommender
@@ -65,12 +65,13 @@ fn main() {
 
     // The latency/quality dial: compare candidate work at c = 1.2 vs 2.0.
     let profile = index.data().point(0).to_vec();
-    let tight = index.query_with_c(&profile, k, 1.2);
-    let loose = index.query_with_c(&profile, k, 2.0);
+    let (mut ctx, mut slate) = (QueryContext::new(), Vec::new());
+    let tight = index.query_into(&profile, k, 1.2, &mut ctx, &mut slate);
+    let loose = index.query_into(&profile, k, 2.0, &mut ctx, &mut slate);
     println!(
         "quality dial: c = 1.2 verified {} candidates, c = 2.0 verified {}",
-        tight.stats.candidates_verified, loose.stats.candidates_verified
+        tight.candidates_verified, loose.candidates_verified
     );
-    assert!(tight.stats.candidates_verified >= loose.stats.candidates_verified);
+    assert!(tight.candidates_verified >= loose.candidates_verified);
     println!("ok: tighter guarantees cost more verification, as Eq. 10 predicts");
 }

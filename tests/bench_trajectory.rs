@@ -2,7 +2,9 @@
 //! JSON object for one measured PR × workload, PR numbers never decrease
 //! down the file, and every metric a line records is an `end_to_end` or
 //! `per_layer` metric that `BENCHMARK.json` declares, as a `<metric>.parent`
-//! median beside a `<metric>.change` median.
+//! median beside a `<metric>.change` median. Every `PR N (perf_opt` entry
+//! of CHANGES.md from PR 27 on has a line, and only the newest PR's lines
+//! may still lack their commit.
 //!
 //! The workspace has no JSON dependency, so the test carries the small
 //! parser it needs: objects, arrays, strings, numbers and `null`, which is
@@ -204,6 +206,37 @@ fn declared_names(benchmark: &Json, section: &str) -> BTreeSet<String> {
         .collect()
 }
 
+/// Every line of `BENCH_trajectory.jsonl`, parsed.
+fn trajectory() -> Vec<Json> {
+    (root_file("BENCH_trajectory.jsonl").lines().enumerate())
+        .map(|(at, line)| {
+            Parser::parse(line)
+                .unwrap_or_else(|e| panic!("BENCH_trajectory.jsonl line {}: {e}", at + 1))
+        })
+        .collect()
+}
+
+fn pr(record: &Json) -> u64 {
+    match record.get("pr") {
+        Some(Json::Num(v)) => *v as u64,
+        other => panic!("a trajectory line has `pr` {other:?}"),
+    }
+}
+
+/// The `N` of every `PR N (perf_opt` entry in a CHANGES.md text.
+fn perf_opt_prs(changes: &str) -> BTreeSet<u64> {
+    (changes.split("PR ").skip(1))
+        .filter_map(|rest| {
+            let digits = rest.find(|c: char| !c.is_ascii_digit())?;
+            let (number, tail) = rest.split_at(digits);
+            if !tail.starts_with(" (perf_opt") {
+                return None;
+            }
+            number.parse().ok()
+        })
+        .collect()
+}
+
 /// The fields every line carries beside its medians.
 const REQUIRED: [&str; 6] = ["pr", "commit", "workload", "pairs", "seconds", "vcpus"];
 
@@ -233,7 +266,8 @@ fn every_line_is_a_flat_record_of_declared_metrics() {
                     assert!(*v >= 1.0 && v.fract() == 0.0, "{what}: `{key}` is {v}");
                 }
                 // A PR's commit does not exist yet when its own line is
-                // written; the next change fills it in.
+                // written; the next change fills it in (see
+                // `only_the_newest_pr_may_lack_its_commit`).
                 ("commit", Json::Str(_) | Json::Null) => {}
                 ("workload", Json::Str(name)) => {
                     assert!(workloads.contains(name), "{what}: unknown workload {name}");
@@ -273,6 +307,43 @@ fn every_line_is_a_flat_record_of_declared_metrics() {
 }
 
 #[test]
+fn every_perf_opt_pr_from_27_has_a_trajectory_line() {
+    let recorded: BTreeSet<u64> = trajectory().iter().map(pr).collect();
+    let claimed = perf_opt_prs(&root_file("CHANGES.md"));
+    assert!(
+        claimed.range(27..).next().is_some(),
+        "found no `PR N (perf_opt` entry from PR 27 on in CHANGES.md"
+    );
+    let missing: Vec<&u64> = (claimed.range(27..))
+        .filter(|n| !recorded.contains(n))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "CHANGES.md has perf_opt PRs {missing:?} that BENCH_trajectory.jsonl has no line for"
+    );
+}
+
+#[test]
+fn only_the_newest_pr_may_lack_its_commit() {
+    let records = trajectory();
+    let newest = records
+        .iter()
+        .map(pr)
+        .max()
+        .expect("BENCH_trajectory.jsonl is empty");
+    for record in &records {
+        if matches!(record.get("commit"), Some(Json::Null)) {
+            assert_eq!(
+                pr(record),
+                newest,
+                "PR {}'s line has `commit: null`; only the newest PR ({newest}) may",
+                pr(record)
+            );
+        }
+    }
+}
+
+#[test]
 fn the_parser_refuses_what_the_file_must_not_hold() {
     for bad in [
         "{\"pr\": 1,}",
@@ -287,4 +358,10 @@ fn the_parser_refuses_what_the_file_must_not_hold() {
     }
     let ok = Parser::parse("{\"a\": [1, -2.5e3, null], \"b\": \"x\\\"y\"}").unwrap();
     assert!(matches!(ok.get("b"), Some(Json::Str(s)) if s == "x\"y"));
+}
+
+#[test]
+fn perf_opt_entries_are_read_by_number() {
+    let entries = "PR 40 (perf_opt: a) PR 41 (simplicity: b) PR 4 (perf_opt PR x (perf_opt PR 7";
+    assert_eq!(perf_opt_prs(entries), BTreeSet::from([4, 40]));
 }

@@ -36,6 +36,14 @@ fn audio_smoke() -> (PmLsh, Dataset) {
     (index, queries)
 }
 
+/// Algorithm 2 through `query_into` over `ctx`, as the owned result the
+/// reference returns.
+fn query_in(index: &PmLsh, q: &[f32], k: usize, c: f64, ctx: &mut QueryContext) -> QueryResult {
+    let mut neighbors = Vec::new();
+    let stats = index.query_into(q, k, c, ctx, &mut neighbors);
+    QueryResult { neighbors, stats }
+}
+
 #[test]
 fn query_matches_reference_fresh_and_reused() {
     let (index, queries) = audio_smoke();
@@ -46,7 +54,7 @@ fn query_matches_reference_fresh_and_reused() {
             let fresh = index.query(q, k);
             assert_eq!(fresh.neighbors, reference.neighbors, "q{qi} k{k} fresh");
             assert_eq!(fresh.stats, reference.stats, "q{qi} k{k} fresh stats");
-            let reused = index.query_with_context(q, k, &mut ctx);
+            let reused = query_in(&index, q, k, index.params().c, &mut ctx);
             assert_eq!(reused.neighbors, reference.neighbors, "q{qi} k{k} reused");
             assert_eq!(reused.stats, reference.stats, "q{qi} k{k} reused stats");
         }
@@ -59,7 +67,7 @@ fn query_with_c_matches_reference() {
     for (qi, q) in queries.iter().enumerate().take(15) {
         for c in [1.2f64, 2.0, 3.0] {
             let reference = index.query_with_c_reference(q, 10, c);
-            let got = index.query_with_c(q, 10, c);
+            let got = query_in(&index, q, 10, c, &mut QueryContext::new());
             assert_eq!(got.neighbors, reference.neighbors, "q{qi} c{c}");
             assert_eq!(got.stats, reference.stats, "q{qi} c{c} stats");
         }
@@ -76,9 +84,10 @@ fn query_bc_matches_reference() {
         for scale in [0.25f64, 0.5, 1.0, 2.0] {
             let r = base * scale;
             let reference = index.query_bc_reference(q, r);
-            assert_eq!(index.query_bc(q, r), reference, "q{qi} r{r}");
+            let fresh = index.query_bc(q, r, &mut QueryContext::new());
+            assert_eq!(fresh, reference, "q{qi} r{r}");
             assert_eq!(
-                index.query_bc_with_context(q, r, &mut ctx),
+                index.query_bc(q, r, &mut ctx),
                 reference,
                 "q{qi} r{r} reused"
             );
@@ -98,7 +107,7 @@ fn query_batch_matches_reference() {
     let (index, queries) = audio_smoke();
     let mut ctx = QueryContext::new();
     for (qi, q) in queries.iter().enumerate() {
-        let got = index.query_with_context(q, 10, &mut ctx);
+        let got = query_in(&index, q, 10, index.params().c, &mut ctx);
         let reference = index.query_reference(q, 10);
         assert_eq!(got.neighbors, reference.neighbors, "q{qi}");
         assert_eq!(got.stats, reference.stats, "q{qi} stats");
@@ -116,11 +125,11 @@ fn one_context_survives_mixed_workloads() {
     for (qi, q) in queries.iter().enumerate().take(12) {
         let k = 1 + (qi % 20);
         let reference = index.query_reference(q, k);
-        let got = index.query_with_context(q, k, &mut ctx);
+        let got = query_in(&index, q, k, index.params().c, &mut ctx);
         assert_eq!(got.neighbors, reference.neighbors, "q{qi} k{k}");
         assert_eq!(got.stats, reference.stats, "q{qi} k{k} stats");
         assert_eq!(
-            index.query_bc_with_context(q, r, &mut ctx),
+            index.query_bc(q, r, &mut ctx),
             index.query_bc_reference(q, r),
             "q{qi} bc"
         );
@@ -151,7 +160,7 @@ fn budget_cuts_inside_tie_groups_match_reference() {
             assert_eq!(got.neighbors, reference.neighbors, "q{qi} k{k}");
             assert_eq!(got.stats, reference.stats, "q{qi} k{k} stats");
             let reference = index.query_with_c_reference(q, k, 2.0);
-            let got_c = index.query_with_c(q, k, 2.0);
+            let got_c = query_in(&index, q, k, 2.0, &mut QueryContext::new());
             assert_eq!(got_c.neighbors, reference.neighbors, "q{qi} k{k} c2");
             assert_eq!(got_c.stats, reference.stats, "q{qi} k{k} c2 stats");
             // Verified the first v yields, and the (v+1)-th ties with the
@@ -162,7 +171,7 @@ fn budget_cuts_inside_tie_groups_match_reference() {
         for scale in [0.5f64, 1.0, 2.0] {
             let r = base_r * scale;
             assert_eq!(
-                index.query_bc(q, r),
+                index.query_bc(q, r, &mut QueryContext::new()),
                 index.query_bc_reference(q, r),
                 "q{qi} r{r}"
             );

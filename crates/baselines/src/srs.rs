@@ -38,7 +38,7 @@ pub struct SrsParams {
     /// very early with a valid `c`-approximation but mediocre exact recall.
     /// The PM-LSH paper's reported SRS numbers (recall 0.81–0.93, runtime
     /// ≈ 1.1–1.3 × PM-LSH) match the budget-bound mode — see
-    /// [`SrsParams::paper_operating_point`] and EXPERIMENTS.md.
+    /// [`SrsParams::paper_operating_point`].
     pub early_termination: bool,
     /// R-tree node capacity.
     pub tree: RTreeConfig,

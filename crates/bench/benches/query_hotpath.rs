@@ -1,24 +1,21 @@
-//! Query hot-path bench: before/after the allocation-free, SIMD,
-//! early-abandoning verification refactor.
+//! Query hot-path bench: the served path with a fresh context per query
+//! against the same path over one reused context.
 //!
 //! Two workloads bracket the hot path's regimes: Audio (d = 192,
 //! traversal-heavy) and Trevi (d = 4096, where candidate verification in
 //! the original space dominates — the `βn` term of Theorem 2). For each,
-//! three configurations answer the identical query stream:
+//! two configurations answer the identical query stream:
 //!
-//! * `reference` — the pre-refactor path kept verbatim in
-//!   `pm_lsh_core::reference` (fresh allocations per query, full
-//!   distance + sqrt for every candidate);
-//! * `fresh-context` — the refactored path through `PmLsh::query`
-//!   (early-abandoning squared-distance verification, but a new
-//!   `QueryContext` per call);
-//! * `reused-context` — the refactored path through
-//!   `PmLsh::query_into` with one long-lived context (the engine worker
-//!   configuration: zero steady-state allocation of scratch).
+//! * `fresh-context` — `PmLsh::query`, a new `QueryContext` and result
+//!   vector per call (the 1.00× row);
+//! * `reused-context` — `PmLsh::query_into` with one long-lived context
+//!   (the engine worker configuration: zero steady-state allocation of
+//!   scratch).
 //!
-//! Every configuration's `neighbors` **and** `QueryStats` are asserted
-//! bit-identical to the reference before any number is reported — the
-//! refactor must buy speed, never answers.
+//! The reused context's `neighbors` **and** `QueryStats` are asserted
+//! bit-identical to the fresh context's before any number is reported.
+//! That the answers are Algorithm 2's is `tests/hotpath_parity.rs`'s
+//! job, against a linear scan.
 //!
 //! A second table per dataset times the two candidate sources of the
 //! PM-tree cursor alone: the index's tree, marked for sweeping its point
@@ -75,29 +72,17 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
 
     let index = PmLsh::build(Arc::clone(&data), PmLshParams::paper_defaults());
 
-    // --- reference (pre-refactor) -----------------------------------------
-    let mut reference: Vec<QueryResult> = Vec::new();
-    let mut ref_best_s = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        let r: Vec<QueryResult> = queries
-            .iter()
-            .map(|q| index.query_reference(q, K))
-            .collect();
-        ref_best_s = ref_best_s.min(start.elapsed().as_secs_f64());
-        reference = r;
-    }
-
-    // --- refactored, fresh context per query ------------------------------
+    // --- fresh context per query -------------------------------------------
+    let mut fresh: Vec<QueryResult> = Vec::new();
     let mut fresh_best_s = f64::INFINITY;
     for _ in 0..REPEATS {
         let start = Instant::now();
         let r: Vec<QueryResult> = queries.iter().map(|q| index.query(q, K)).collect();
         fresh_best_s = fresh_best_s.min(start.elapsed().as_secs_f64());
-        assert_parity(&r, &reference, "fresh-context");
+        fresh = r;
     }
 
-    // --- refactored, one reused context (engine-worker configuration) -----
+    // --- one reused context (engine-worker configuration) -----------------
     let mut reused_best_s = f64::INFINITY;
     let mut ctx = QueryContext::new();
     for _ in 0..REPEATS {
@@ -111,16 +96,14 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
             })
             .collect();
         reused_best_s = reused_best_s.min(start.elapsed().as_secs_f64());
-        assert_parity(&r, &reference, "reused-context");
+        assert_parity(&r, &fresh);
     }
 
     let nq = queries.len() as f64;
-    let total_candidates: usize = reference.iter().map(|r| r.stats.candidates_verified).sum();
-    // Per-candidate verification cost: whole-query time over verified
-    // candidates. The refactor attacks exactly this number (early
-    // abandonment + no allocation between candidates).
+    let total_candidates: usize = fresh.iter().map(|r| r.stats.candidates_verified).sum();
+    // Per-candidate cost: whole-query time over verified candidates.
     let ns_per_cand = |secs: f64| secs * 1e9 / total_candidates as f64;
-    let (ref_qps, fresh_qps, reused_qps) = (nq / ref_best_s, nq / fresh_best_s, nq / reused_best_s);
+    let (fresh_qps, reused_qps) = (nq / fresh_best_s, nq / reused_best_s);
 
     let mut table = Table::new(&[
         "configuration",
@@ -130,23 +113,16 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
         "identical",
     ]);
     table.row(vec![
-        "reference (pre-refactor)".into(),
-        f(ref_qps, 0),
-        "1.00x".into(),
-        f(ns_per_cand(ref_best_s), 0),
-        "-".into(),
-    ]);
-    table.row(vec![
         "fresh-context".into(),
         f(fresh_qps, 0),
-        format!("{:.2}x", fresh_qps / ref_qps),
+        "1.00x".into(),
         f(ns_per_cand(fresh_best_s), 0),
-        "yes".into(),
+        "-".into(),
     ]);
     table.row(vec![
         "reused-context".into(),
         f(reused_qps, 0),
-        format!("{:.2}x", reused_qps / ref_qps),
+        format!("{:.2}x", reused_qps / fresh_qps),
         f(ns_per_cand(reused_best_s), 0),
         "yes".into(),
     ]);
@@ -252,15 +228,15 @@ fn time_drains(tree: &PmTree, projected: &[Vec<f32>], radius: f32) -> f64 {
     best_s * 1e6 / projected.len() as f64
 }
 
-fn assert_parity(got: &[QueryResult], reference: &[QueryResult], label: &str) {
-    for (qi, (g, r)) in got.iter().zip(reference).enumerate() {
+fn assert_parity(reused: &[QueryResult], fresh: &[QueryResult]) {
+    for (qi, (got, want)) in reused.iter().zip(fresh).enumerate() {
         assert_eq!(
-            g.neighbors, r.neighbors,
-            "{label}: neighbors diverged from reference at query {qi}"
+            got.neighbors, want.neighbors,
+            "reused-context: neighbors diverged from fresh-context at query {qi}"
         );
         assert_eq!(
-            g.stats, r.stats,
-            "{label}: stats diverged from reference at query {qi}"
+            got.stats, want.stats,
+            "reused-context: stats diverged from fresh-context at query {qi}"
         );
     }
 }

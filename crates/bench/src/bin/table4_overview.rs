@@ -15,6 +15,7 @@ fn main() {
     let k = 50;
     let c = 1.5;
 
+    let mut leaders = Vec::new();
     let mut table = Table::new(&[
         "Dataset",
         "Metric",
@@ -45,6 +46,15 @@ fn main() {
             })
             .collect();
 
+        let names: Vec<&str> = algos.iter().map(|a| a.name()).collect();
+        let times: Vec<f64> = metrics.iter().map(|m| m.avg_query_ms).collect();
+        let recalls: Vec<f64> = metrics.iter().map(|m| m.recall).collect();
+        leaders.push((
+            ds.name(),
+            best(&names, &times, f64::min),
+            best(&names, &recalls, f64::max),
+        ));
+
         table.row(
             std::iter::once(ds.name().to_string())
                 .chain(std::iter::once("Time (ms)".to_string()))
@@ -67,5 +77,19 @@ fn main() {
 
     println!("Table 4 — performance overview (k = 50, c = 1.5, m = 15)");
     println!("{}", table.render());
-    println!("(paper shape: PM-LSH fastest & most accurate; SRS second; LScan slowest floor)");
+    println!("measured ordering:");
+    for (dataset, fastest, most_accurate) in leaders {
+        println!("  {dataset}: fastest {fastest}; highest recall {most_accurate}");
+    }
+}
+
+/// The algorithms whose value `pick` selects from the row, joined: all of
+/// them on a tie.
+fn best(names: &[&str], values: &[f64], pick: fn(f64, f64) -> f64) -> String {
+    let chosen = values.iter().copied().reduce(pick);
+    (names.iter().zip(values))
+        .filter(|&(_, &v)| Some(v) == chosen)
+        .map(|(name, _)| *name)
+        .collect::<Vec<_>>()
+        .join(" = ")
 }

@@ -1,10 +1,10 @@
 //! Shared machinery of the PM-LSH experiment harness.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the experiment index); this library holds
-//! what they share: workload preparation (dataset + queries + exact ground
-//! truth), the algorithm roster of Section 6.1, timed workload execution,
-//! and plain-text table rendering.
+//! paper (the README's "Experiments" section describes them); this
+//! library holds what they share: workload preparation (dataset,
+//! queries and exact ground truth), the algorithm roster of Section 6.1,
+//! timed workload execution, and plain-text table rendering.
 //!
 //! Environment knobs honored by every binary:
 //!

@@ -128,14 +128,14 @@ pub enum MutReject {
 /// Verification compares *squared* distances against this bound, so it has
 /// to over-admit rather than over-reject: every squared distance whose
 /// rounded `sqrt` is `<= kth` must satisfy `sq <= abandon_bound(kth)`,
-/// otherwise early abandonment could drop a candidate the exact
-/// (pre-refactor) comparison would have kept. Squaring `kth` and stepping
-/// up two ulps covers the worst-case rounding of both the square and the
-/// candidate's own `sqrt` (relative error ≤ 2⁻²⁴ each, i.e. ≤ ~1.5 ulp of
-/// `kth²` combined). Over-admitted borderline candidates are simply
-/// computed in full and rejected by the heap — exactly what the reference
-/// implementation does for *every* candidate — so the bound trades a
-/// sliver of abandonment opportunity for bit-exact parity.
+/// otherwise early abandonment could drop a candidate that belongs to the
+/// exact `(dist, id)` top-k of the verified set. Squaring `kth` and
+/// stepping up two ulps covers the worst-case rounding of both the square
+/// and the candidate's own `sqrt` (relative error ≤ 2⁻²⁴ each, i.e. ≤ ~1.5
+/// ulp of `kth²` combined). Over-admitted borderline candidates are simply
+/// computed in full and rejected by the heap, as a full distance for
+/// *every* candidate would be — so the bound trades a sliver of
+/// abandonment opportunity for answers that are exactly that top-k.
 #[inline]
 fn abandon_bound(kth: f32) -> f32 {
     if kth == f32::INFINITY {
@@ -693,9 +693,10 @@ impl PmLsh {
     /// distance, so candidates that cannot enter the top-k stop mid-kernel
     /// and never pay a `sqrt`. Kept candidates are completed exactly (same
     /// kernel, same accumulation order) and take one `sqrt` on insertion,
-    /// which keeps every distance the verifier stores — and therefore every
-    /// result and every [`QueryStats`] counter — identical to the
-    /// pre-abandonment implementation (`PmLsh::query_reference`).
+    /// which keeps every distance the verifier stores equal to
+    /// [`pm_lsh_metric::euclidean`]'s: the answer is the exact `(dist, id)`
+    /// top-k of the verified set (`tests/hotpath_parity.rs` pins it, and
+    /// every [`QueryStats`] counter, against a linear scan).
     fn search(
         &self,
         q: &[f32],
@@ -765,8 +766,8 @@ impl PmLsh {
             // Termination test of Algorithm 2 line 4: k candidates already
             // within c·r of the query. (Linear domain on purpose: squaring
             // both sides would round differently and could flip the
-            // comparison at the boundary, breaking exact parity with the
-            // reference path.)
+            // comparison at the boundary, where Algorithm 2 compares the
+            // k-th distance itself.)
             if line4_stop && top.is_full() && (top.kth_dist() as f64) <= c * r {
                 break;
             }
@@ -791,11 +792,11 @@ impl PmLsh {
                     let id = (64 * word_idx) as PointId + bits.trailing_zeros();
                     bits &= bits - 1;
                     let sq = sq_dist_within(q, self.data.point_id(id), bound);
-                    // Kept: `sq` is exact; one sqrt, then the same (dist, id)
-                    // insertion the reference performs. Otherwise sq > bound
-                    // ≥ any squared distance whose sqrt could still displace
-                    // the k-th neighbor, so the reference's push would have
-                    // rejected it too.
+                    // Kept: `sq` is exact; one sqrt, then the (dist, id)
+                    // insertion a full distance would make. Otherwise sq >
+                    // bound ≥ any squared distance whose sqrt could still
+                    // displace the k-th neighbor, so a full distance's push
+                    // would have been rejected too.
                     if sq <= bound && top.push(sq.sqrt(), id) && top.is_full() {
                         bound = abandon_bound(top.kth_dist());
                     }

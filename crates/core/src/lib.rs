@@ -42,7 +42,6 @@ pub mod context;
 pub mod estimator_study;
 pub mod index;
 pub mod params;
-pub mod reference;
 pub mod shard;
 
 pub use build::BuildOptions;

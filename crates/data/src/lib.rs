@@ -3,8 +3,9 @@
 //! The paper evaluates on seven real datasets (Table 3) that cannot be
 //! bundled here; [`registry::PaperDataset`] provides seeded synthetic
 //! stand-ins whose size, dimensionality and difficulty statistics (RC, LID,
-//! HV) track the originals — see DESIGN.md §3 for the substitution
-//! rationale. [`ground_truth`] computes exact answers in parallel and
+//! HV) track the originals — the [`registry`] table lists the paper's
+//! statistics, and the `table3_datasets` binary prints each stand-in's
+//! beside them. [`ground_truth`] computes exact answers in parallel and
 //! [`metrics`] implements the paper's overall ratio (Eq. 11) and recall
 //! (Eq. 12).
 

@@ -13,8 +13,7 @@
 //! The generator specs below target the RC/LID character of each dataset:
 //! `latent_dim` tracks LID and the center-spread/within-scale ratio tracks
 //! RC. Datasets whose full size exceeds laptop memory are scaled down at
-//! [`Scale::Bench`]; the scaling is part of the experiment record in
-//! EXPERIMENTS.md.
+//! [`Scale::Bench`]; [`PaperDataset::n_at`] states each reduction.
 
 use crate::synth::{Generator, SynthSpec};
 
@@ -171,7 +170,8 @@ impl PaperDataset {
         let stats = self.paper_stats();
         let n = self.n_at(scale);
         // RC grows with center spread; LID tracks latent_dim. The constants
-        // below were calibrated with `table3_datasets` (see EXPERIMENTS.md).
+        // below were calibrated with the `table3_datasets` binary, which
+        // prints each stand-in's statistics beside the paper's Table 3 row.
         let (latent, spread, within, noise, clusters) = match self {
             PaperDataset::Audio => (6, 0.30, 1.0, 0.07, 80),
             PaperDataset::Deep => (15, 0.33, 1.0, 0.030, 150),

@@ -1,29 +1,30 @@
-//! Result parity of the refactored query hot path against the
-//! pre-refactor implementation (`PmLsh::*_reference`), on the Audio smoke
-//! dataset.
+//! Result parity of every query form against a linear-scan reference, on
+//! the Audio smoke dataset.
 //!
-//! The hot-path PR changed *how* every candidate distance is computed
-//! (early-abandoning squared-distance kernels), *where* the working memory
-//! lives (reused `QueryContext` instead of per-query allocation) and *who*
-//! runs the query (batch chunks and engine workers share contexts). None
-//! of that may change a single answer or a single counter: for every entry
-//! point, `neighbors` and the full `QueryStats` (candidates verified,
-//! projected distance computations, rounds) must be identical to the old
-//! code, which is preserved verbatim in `pm_lsh_core::reference`.
+//! One routine serves `query`, `query_into`, `query_fanout_into` and
+//! `query_bc`: it sweeps the PM-tree's projected column, takes each round
+//! of the range query `B(q', t·r)` as a set (the budget cut keeps the first
+//! `budget − verified` by `(projected dist, id)`), verifies the set in row
+//! order with early-abandoning squared-distance kernels over a reused
+//! `QueryContext`, and stops as the form says. None of that may show in an
+//! answer or a counter, so every case compares `neighbors` and the full
+//! `QueryStats` (for `query_bc`, the `Option<Neighbor>`) against
+//! [`Reference`], which knows only the algorithm:
 //!
-//! The reference keeps its own Algorithm 2 loop, verification and top-k,
-//! and reads the same cursor of `index.tree()` as a stream: it verifies
-//! candidates one by one in yield order (ascending projected distance,
-//! ties by id) until the budget runs out. The hot path reads each round
-//! as a set — the budget cut keeps the first `budget − verified` by that
-//! order — and verifies it in ascending row id. Nothing makes the two
-//! agree by construction; these tests are what shows that set-order
-//! verification reproduces yield-order verification, including where the
-//! cut falls inside a group of bit-equal projected distances. That a set
-//! is what the stream would have yielded, and that the sweep yields what
-//! the range traversal yields, are the cursor's own differential tests
-//! (`pm-lsh-pmtree`, `cursor.rs`). The fan-out leg, which has no
-//! reference, is pinned against a linear scan instead.
+//! * every live point, ranked by `(projected distance, id)` — the order in
+//!   which growing balls reach them, ties split by id;
+//! * the radius schedule of Algorithms 1 and 2 replayed over that ranking:
+//!   each round takes the next ranked points within `t·r`, up to the
+//!   budget, and verifies them in full;
+//! * the answer is the exact `(dist, id)` top-k of the verified set;
+//!   `candidates_verified` is its size, `rounds` the rounds replayed, and
+//!   `projected_dist_computations` the live count (the sweep measures each
+//!   live point once).
+//!
+//! Each test also asserts that its cases reach the branches it is there
+//! for: a second round, a line-4 stop, a budget cut (also one inside a
+//! group of bit-equal projected distances), a ball-cover hit and miss, and
+//! every form on a churned index.
 
 use pm_lsh::metric::euclidean;
 use pm_lsh::prelude::*;
@@ -36,68 +37,248 @@ fn audio_smoke() -> (PmLsh, Dataset) {
     (index, queries)
 }
 
-/// Algorithm 2 through `query_into` over `ctx`, as the owned result the
-/// reference returns.
-fn query_in(index: &PmLsh, q: &[f32], k: usize, c: f64, ctx: &mut QueryContext) -> QueryResult {
-    let mut neighbors = Vec::new();
-    let stats = index.query_into(q, k, c, ctx, &mut neighbors);
-    QueryResult { neighbors, stats }
+/// A query form, as the index's one search routine tells them apart.
+#[derive(Clone, Copy, Debug)]
+enum Form {
+    /// Algorithm 2 (`query`, `query_into`).
+    Ann { k: usize, c: f64 },
+    /// One shard's leg of a fan-out query (`query_fanout_into`): the
+    /// caller's budget, no line-4 stop.
+    Fanout { k: usize, budget: usize },
+    /// Algorithm 1 (`query_bc`): one ball, cap `⌈βn⌉ + 1`.
+    BallCover { r: f64 },
+}
+
+/// How a replayed search ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Stop {
+    /// Algorithm 2 line 4: the k-th verified point lies within `c·r`.
+    Line4,
+    /// The budget ran out; `split_tie` when the cut fell between two
+    /// bit-equal projected distances, where only the id decides.
+    Budget { split_tie: bool },
+    /// Algorithm 1 judged its one ball below the cap.
+    OneBall,
+    /// Every live point was verified within the budget.
+    Exhausted,
+}
+
+/// What the index must answer for one case, and how the replay got there.
+struct Replay {
+    neighbors: Vec<Neighbor>,
+    stats: QueryStats,
+    stop: Stop,
+}
+
+impl Replay {
+    /// The `query_bc` answer.
+    fn answer(&self) -> Option<Neighbor> {
+        self.neighbors.first().copied()
+    }
+}
+
+/// The linear-scan reference over one index: every live point, projected
+/// once.
+struct Reference<'a> {
+    index: &'a PmLsh,
+    projected: Vec<(PointId, Vec<f32>)>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(index: &'a PmLsh) -> Self {
+        let projected = (index.live_ids().iter())
+            .map(|&id| (id, index.project(index.data().point_id(id))))
+            .collect();
+        Reference { index, projected }
+    }
+
+    /// Every live point ranked for `q` by `(projected distance, id)`.
+    fn rank<'q>(&self, q: &'q [f32]) -> Ranked<'a, 'q> {
+        let qp = self.index.project(q);
+        let mut order: Vec<(f32, PointId)> = (self.projected.iter())
+            .map(|(id, p)| (euclidean(&qp, p), *id))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        Ranked {
+            index: self.index,
+            q,
+            order,
+        }
+    }
+}
+
+/// One query's ranking, which every case of that query replays.
+struct Ranked<'a, 'q> {
+    index: &'a PmLsh,
+    q: &'q [f32],
+    order: Vec<(f32, PointId)>,
+}
+
+impl Ranked<'_, '_> {
+    /// Algorithms 1 and 2 over the ranking, with the parameters the index
+    /// derives for `form`.
+    fn replay(&self, form: Form) -> Replay {
+        let index = self.index;
+        let params = *index.params();
+        let n = index.len();
+        let (k, c) = match form {
+            Form::Ann { k, c } => (k, c),
+            Form::Fanout { k, .. } => (k, params.c),
+            Form::BallCover { .. } => (1, params.c),
+        };
+        // Eq. 10 re-derives t and β for a per-query c.
+        let derived = if c == params.c {
+            index.derived()
+        } else {
+            PmLshParams {
+                c,
+                beta_override: None,
+                ..params
+            }
+            .derive()
+        };
+        let beta_n = (derived.beta * n as f64).ceil() as usize;
+        let (budget, mut r) = match form {
+            Form::Ann { .. } => ((beta_n + k).min(n), index.select_rmin(k)),
+            Form::Fanout { budget, .. } => (budget.min(n), index.select_rmin(k)),
+            Form::BallCover { r } => (beta_n + 1, r),
+        };
+
+        let mut verified: Vec<Neighbor> = Vec::new();
+        let mut rounds = 0;
+        let stop = loop {
+            rounds += 1;
+            let line4 = matches!(form, Form::Ann { .. });
+            if line4 && verified.len() >= k && verified[k - 1].dist as f64 <= c * r {
+                break Stop::Line4;
+            }
+            let radius = (derived.t * r) as f32;
+            let round: Vec<Neighbor> = (self.order[verified.len()..].iter())
+                .take(budget - verified.len())
+                .take_while(|&&(proj, _)| proj <= radius)
+                .map(|&(_, id)| Neighbor::new(euclidean(self.q, index.data().point_id(id)), id))
+                .collect();
+            verified.extend(round);
+            verified.sort();
+            let taken = verified.len();
+            if taken >= budget {
+                let split_tie = taken < n && self.order[taken - 1].0 == self.order[taken].0;
+                break Stop::Budget { split_tie };
+            }
+            if matches!(form, Form::BallCover { .. }) {
+                break Stop::OneBall;
+            }
+            if taken == n {
+                break Stop::Exhausted;
+            }
+            r *= c;
+        };
+
+        let stats = QueryStats {
+            candidates_verified: verified.len(),
+            projected_dist_computations: n as u64,
+            rounds,
+        };
+        // Algorithm 1 lines 6–9: below the cap, the best verified point
+        // answers only from inside B(q, c·r).
+        if stop == Stop::OneBall && verified.first().is_some_and(|b| b.dist as f64 > c * r) {
+            verified.clear();
+        }
+        verified.truncate(k);
+        Replay {
+            neighbors: verified,
+            stats,
+            stop,
+        }
+    }
+}
+
+/// Asserts one served answer against the reference's replay of its case.
+fn assert_same(neighbors: &[Neighbor], stats: QueryStats, want: &Replay, what: &str) {
+    assert_eq!(neighbors, &want.neighbors[..], "{what}: neighbors");
+    assert_eq!(stats, want.stats, "{what}: stats");
+}
+
+/// Asserts that some replayed case of a test is `what`.
+fn reaches(seen: &[Replay], what: &str, case: impl Fn(&Replay) -> bool) {
+    assert!(seen.iter().any(case), "no case reached {what}");
 }
 
 #[test]
 fn query_matches_reference_fresh_and_reused() {
     let (index, queries) = audio_smoke();
-    let mut ctx = QueryContext::new();
+    let reference = Reference::new(&index);
+    let c = index.params().c;
+    let (mut ctx, mut out) = (QueryContext::new(), Vec::new());
+    let mut seen = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
+        let ranked = reference.rank(q);
         for k in [1usize, 10, 50] {
-            let reference = index.query_reference(q, k);
+            let want = ranked.replay(Form::Ann { k, c });
             let fresh = index.query(q, k);
-            assert_eq!(fresh.neighbors, reference.neighbors, "q{qi} k{k} fresh");
-            assert_eq!(fresh.stats, reference.stats, "q{qi} k{k} fresh stats");
-            let reused = query_in(&index, q, k, index.params().c, &mut ctx);
-            assert_eq!(reused.neighbors, reference.neighbors, "q{qi} k{k} reused");
-            assert_eq!(reused.stats, reference.stats, "q{qi} k{k} reused stats");
+            assert_same(
+                &fresh.neighbors,
+                fresh.stats,
+                &want,
+                &format!("q{qi} k{k} fresh"),
+            );
+            let stats = index.query_into(q, k, c, &mut ctx, &mut out);
+            assert_same(&out, stats, &want, &format!("q{qi} k{k} reused"));
+            seen.push(want);
         }
     }
+    reaches(&seen, "a line-4 stop", |r| r.stop == Stop::Line4);
+    reaches(&seen, "a budget cut", |r| {
+        matches!(r.stop, Stop::Budget { .. })
+    });
 }
 
 #[test]
 fn query_with_c_matches_reference() {
     let (index, queries) = audio_smoke();
+    let reference = Reference::new(&index);
+    let mut out = Vec::new();
+    let mut seen = Vec::new();
     for (qi, q) in queries.iter().enumerate().take(15) {
+        let ranked = reference.rank(q);
         for c in [1.2f64, 2.0, 3.0] {
-            let reference = index.query_with_c_reference(q, 10, c);
-            let got = query_in(&index, q, 10, c, &mut QueryContext::new());
-            assert_eq!(got.neighbors, reference.neighbors, "q{qi} c{c}");
-            assert_eq!(got.stats, reference.stats, "q{qi} c{c} stats");
+            let want = ranked.replay(Form::Ann { k: 10, c });
+            let stats = index.query_into(q, 10, c, &mut QueryContext::new(), &mut out);
+            assert_same(&out, stats, &want, &format!("q{qi} c{c}"));
+            seen.push(want);
         }
     }
+    reaches(&seen, "a second round", |r| r.stats.rounds >= 2);
 }
 
 #[test]
 fn query_bc_matches_reference() {
     let (index, queries) = audio_smoke();
+    let reference = Reference::new(&index);
     let base = index.select_rmin(10);
     let mut ctx = QueryContext::new();
-    let mut hits = 0usize;
+    let mut seen = Vec::new();
     for (qi, q) in queries.iter().enumerate().take(20) {
+        let ranked = reference.rank(q);
         for scale in [0.25f64, 0.5, 1.0, 2.0] {
             let r = base * scale;
-            let reference = index.query_bc_reference(q, r);
+            let want = ranked.replay(Form::BallCover { r });
             let fresh = index.query_bc(q, r, &mut QueryContext::new());
-            assert_eq!(fresh, reference, "q{qi} r{r}");
+            assert_eq!(fresh, want.answer(), "q{qi} r{r}");
             assert_eq!(
                 index.query_bc(q, r, &mut ctx),
-                reference,
+                want.answer(),
                 "q{qi} r{r} reused"
             );
-            hits += reference.is_some() as usize;
+            seen.push(want);
         }
     }
-    assert!(
-        hits > 0,
-        "ball-cover parity needs at least one non-None case"
-    );
+    reaches(&seen, "a ball-cover hit", |r| r.answer().is_some());
+    reaches(&seen, "a ball-cover miss", |r| r.answer().is_none());
+    reaches(&seen, "the ball-cover cap", |r| {
+        matches!(r.stop, Stop::Budget { .. })
+    });
+    reaches(&seen, "a ball below the cap", |r| r.stop == Stop::OneBall);
 }
 
 #[test]
@@ -105,34 +286,38 @@ fn query_batch_matches_reference() {
     // The whole query set through one reused context, as an engine worker
     // runs a batch shard.
     let (index, queries) = audio_smoke();
-    let mut ctx = QueryContext::new();
+    let reference = Reference::new(&index);
+    let c = index.params().c;
+    let (mut ctx, mut out) = (QueryContext::new(), Vec::new());
     for (qi, q) in queries.iter().enumerate() {
-        let got = query_in(&index, q, 10, index.params().c, &mut ctx);
-        let reference = index.query_reference(q, 10);
-        assert_eq!(got.neighbors, reference.neighbors, "q{qi}");
-        assert_eq!(got.stats, reference.stats, "q{qi} stats");
+        let want = reference.rank(q).replay(Form::Ann { k: 10, c });
+        let stats = index.query_into(q, 10, c, &mut ctx, &mut out);
+        assert_same(&out, stats, &want, &format!("q{qi}"));
     }
 }
 
 #[test]
 fn one_context_survives_mixed_workloads() {
-    // A single context serving interleaved k values, c values and
-    // ball-cover queries (the engine-worker lifecycle) never contaminates
-    // a later answer with an earlier query's state.
+    // A single context serving interleaved k values and ball-cover queries
+    // (the engine-worker lifecycle) never contaminates a later answer with
+    // an earlier query's state.
     let (index, queries) = audio_smoke();
-    let mut ctx = QueryContext::new();
+    let reference = Reference::new(&index);
+    let c = index.params().c;
+    let (mut ctx, mut out) = (QueryContext::new(), Vec::new());
     let r = index.select_rmin(5);
     for (qi, q) in queries.iter().enumerate().take(12) {
+        let ranked = reference.rank(q);
         let k = 1 + (qi % 20);
-        let reference = index.query_reference(q, k);
-        let got = query_in(&index, q, k, index.params().c, &mut ctx);
-        assert_eq!(got.neighbors, reference.neighbors, "q{qi} k{k}");
-        assert_eq!(got.stats, reference.stats, "q{qi} k{k} stats");
-        assert_eq!(
-            index.query_bc(q, r, &mut ctx),
-            index.query_bc_reference(q, r),
-            "q{qi} bc"
+        let stats = index.query_into(q, k, c, &mut ctx, &mut out);
+        assert_same(
+            &out,
+            stats,
+            &ranked.replay(Form::Ann { k, c }),
+            &format!("q{qi} k{k}"),
         );
+        let want = ranked.replay(Form::BallCover { r });
+        assert_eq!(index.query_bc(q, r, &mut ctx), want.answer(), "q{qi} bc");
     }
 }
 
@@ -148,46 +333,43 @@ fn budget_cuts_inside_tie_groups_match_reference() {
         base.iter().for_each(|row| data.push(row));
     }
     let index = PmLsh::build(data, PmLshParams::paper_defaults());
-    let queries = generator.queries(20);
+    let reference = Reference::new(&index);
+    let c = index.params().c;
     let base_r = index.select_rmin(10);
-    let mut straddles = 0;
-    for (qi, q) in queries.iter().enumerate() {
-        let mut cursor = index.tree().cursor(&index.project(q));
-        let yields: Vec<_> = std::iter::from_fn(|| cursor.next_within(f32::INFINITY)).collect();
+    let mut out = Vec::new();
+    let mut seen = Vec::new();
+    for (qi, q) in generator.queries(20).iter().enumerate() {
+        let ranked = reference.rank(q);
         for k in [1usize, 10, 50] {
-            let reference = index.query_reference(q, k);
+            let want = ranked.replay(Form::Ann { k, c });
             let got = index.query(q, k);
-            assert_eq!(got.neighbors, reference.neighbors, "q{qi} k{k}");
-            assert_eq!(got.stats, reference.stats, "q{qi} k{k} stats");
-            let reference = index.query_with_c_reference(q, k, 2.0);
-            let got_c = query_in(&index, q, k, 2.0, &mut QueryContext::new());
-            assert_eq!(got_c.neighbors, reference.neighbors, "q{qi} k{k} c2");
-            assert_eq!(got_c.stats, reference.stats, "q{qi} k{k} c2 stats");
-            // Verified the first v yields, and the (v+1)-th ties with the
-            // v-th: the cut split a group.
-            let v = got.stats.candidates_verified;
-            straddles += usize::from(v < yields.len() && yields[v - 1].1 == yields[v].1);
+            assert_same(&got.neighbors, got.stats, &want, &format!("q{qi} k{k}"));
+            seen.push(want);
+            let want = ranked.replay(Form::Ann { k, c: 2.0 });
+            let stats = index.query_into(q, k, 2.0, &mut QueryContext::new(), &mut out);
+            assert_same(&out, stats, &want, &format!("q{qi} k{k} c2"));
+            seen.push(want);
         }
         for scale in [0.5f64, 1.0, 2.0] {
             let r = base_r * scale;
-            assert_eq!(
-                index.query_bc(q, r, &mut QueryContext::new()),
-                index.query_bc_reference(q, r),
-                "q{qi} r{r}"
-            );
+            let want = ranked.replay(Form::BallCover { r });
+            let got = index.query_bc(q, r, &mut QueryContext::new());
+            assert_eq!(got, want.answer(), "q{qi} r{r}");
         }
     }
-    assert!(straddles > 0, "no budget cut fell inside a tie group");
+    let split_tie = Stop::Budget { split_tie: true };
+    reaches(&seen, "a budget cut inside a tie group", |r| {
+        r.stop == split_tie
+    });
 }
 
 #[test]
-fn fanout_leg_verifies_the_projected_prefix() {
-    // A fan-out leg has no line-4 stop, so what it verifies depends on
-    // its budget alone: the first min(B, n) live rows ranked by
-    // (projected distance, id). Its answer is the exact top-k of those;
-    // at k = n that is the whole verified set. The index is churned
-    // first: deleted rows leave holes in the row store, and inserted
-    // copies of every odd live row tie with their originals.
+fn churned_index_matches_reference() {
+    // Deleted rows leave holes in the row store, and inserted copies of
+    // every odd live row tie with their originals. A fan-out leg has no
+    // line-4 stop, so its budget alone decides what it verifies: the first
+    // min(B, n) live rows by (projected distance, id); at k = n its answer
+    // is that whole set.
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
     let data = generator.dataset();
     let mut index = PmLsh::build(data.clone(), PmLshParams::paper_defaults());
@@ -197,31 +379,43 @@ fn fanout_leg_verifies_the_projected_prefix() {
     for row in (1..data.len()).step_by(2).filter(|row| row % 7 != 0) {
         index.insert(data.point(row));
     }
-    let n = index.len();
-    let projected: Vec<(PointId, Vec<f32>)> = (index.live_ids().iter())
-        .map(|&id| (id, index.project(index.data().point_id(id))))
-        .collect();
-
-    let k = 10;
+    let (n, c) = (index.len(), index.params().c);
+    assert!(index.data().len() > n, "the row store keeps no hole");
+    let reference = Reference::new(&index);
+    let base_r = index.select_rmin(10);
     let (mut ctx, mut out) = (QueryContext::new(), Vec::new());
+    let (mut ann, mut fanout, mut ball) = (Vec::new(), Vec::new(), Vec::new());
     for (qi, q) in generator.queries(10).iter().enumerate() {
-        let qp = index.project(q);
-        let mut ranked: Vec<(f32, PointId)> = (projected.iter())
-            .map(|(id, p)| (euclidean(&qp, p), *id))
-            .collect();
-        ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        for budget in [1, k, index.candidate_budget(k), n - 1, n, 2 * n] {
-            let prefix = budget.min(n);
-            let mut want: Vec<Neighbor> = (ranked[..prefix].iter())
-                .map(|&(_, id)| Neighbor::new(euclidean(q, index.data().point_id(id)), id))
-                .collect();
-            want.sort();
-            for k in [k, n] {
+        let ranked = reference.rank(q);
+        for k in [1usize, 10, 50] {
+            let want = ranked.replay(Form::Ann { k, c });
+            let stats = index.query_into(q, k, c, &mut ctx, &mut out);
+            assert_same(&out, stats, &want, &format!("q{qi} k{k}"));
+            ann.push(want);
+        }
+        for budget in [1, 10, index.candidate_budget(10), n - 1, n, 2 * n] {
+            for k in [10, n] {
+                let want = ranked.replay(Form::Fanout { k, budget });
                 let stats = index.query_fanout_into(q, k, budget, &mut ctx, &mut out);
-                let what = format!("q{qi} B{budget} k{k}");
-                assert_eq!(stats.candidates_verified, prefix, "{what}");
-                assert_eq!(out, want[..k.min(prefix)], "{what}");
+                assert_same(&out, stats, &want, &format!("q{qi} B{budget} k{k}"));
+                fanout.push(want);
             }
         }
+        for scale in [0.5f64, 1.0, 2.0] {
+            let r = base_r * scale;
+            let want = ranked.replay(Form::BallCover { r });
+            assert_eq!(index.query_bc(q, r, &mut ctx), want.answer(), "q{qi} r{r}");
+            ball.push(want);
+        }
     }
+    reaches(&ann, "an Ann budget cut", |r| {
+        matches!(r.stop, Stop::Budget { .. })
+    });
+    reaches(&ann, "an Ann line-4 stop", |r| r.stop == Stop::Line4);
+    let split_tie = Stop::Budget { split_tie: true };
+    reaches(&fanout, "a fan-out cut inside a tie group", |r| {
+        r.stop == split_tie
+    });
+    reaches(&ball, "a ball-cover hit", |r| r.answer().is_some());
+    reaches(&ball, "a ball-cover miss", |r| r.answer().is_none());
 }

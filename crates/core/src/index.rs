@@ -7,7 +7,7 @@ use crate::build::BuildOptions;
 use crate::context::QueryContext;
 use crate::params::{DerivedParams, PmLshParams};
 use pm_lsh_hash::GaussianProjector;
-use pm_lsh_metric::{sq_dist_within, Dataset, Neighbor, PointId};
+use pm_lsh_metric::{sq_dist_rows_within, Dataset, Neighbor, PointId};
 use pm_lsh_pmtree::PmTree;
 use pm_lsh_stats::{distance_distribution, Ecdf, Rng};
 use std::sync::Arc;
@@ -132,10 +132,16 @@ pub enum MutReject {
 /// exact `(dist, id)` top-k of the verified set. Squaring `kth` and
 /// stepping up two ulps covers the worst-case rounding of both the square
 /// and the candidate's own `sqrt` (relative error ≤ 2⁻²⁴ each, i.e. ≤ ~1.5
-/// ulp of `kth²` combined). Over-admitted borderline candidates are simply
-/// computed in full and rejected by the heap, as a full distance for
-/// *every* candidate would be — so the bound trades a sliver of
-/// abandonment opportunity for answers that are exactly that top-k.
+/// ulp of `kth²` combined); at `kth = 1`, `sq = 1 + 2⁻²³` has a `sqrt` of
+/// exactly 1, so `kth²` alone is too tight. The unit test
+/// `abandon_bound_admits_every_square_whose_root_is_within_kth` pins the
+/// margin over a sweep of `kth`. It matters most once a round's nearest
+/// candidates have been verified first and the bound sits near the final
+/// k-th distance, with many candidates right at it. Over-admitted
+/// borderline candidates are simply computed in full and rejected by the
+/// heap, as a full distance for *every* candidate would be — so the bound
+/// trades a sliver of abandonment opportunity for answers that are exactly
+/// that top-k.
 #[inline]
 fn abandon_bound(kth: f32) -> f32 {
     if kth == f32::INFINITY {
@@ -660,14 +666,21 @@ impl PmLsh {
 
     /// Algorithm 1: the `(r, c)`-ball-cover query over a reused
     /// [`QueryContext`]. Returns a point within `c·r` of `q` (the closest
-    /// verified candidate) or `None`, with the guarantees of Lemma 5;
-    /// allocation-free at steady state.
-    pub fn query_bc(&self, q: &[f32], r: f64, ctx: &mut QueryContext) -> Option<Neighbor> {
+    /// verified candidate) or `None`, with the guarantees of Lemma 5, and
+    /// the query's counters: `candidates_verified` reaches the cap
+    /// `⌈βn⌉ + 1` exactly when the ball held that many points, and `rounds`
+    /// is 1. Allocation-free at steady state.
+    pub fn query_bc(
+        &self,
+        q: &[f32],
+        r: f64,
+        ctx: &mut QueryContext,
+    ) -> (Option<Neighbor>, QueryStats) {
         let mut hit = std::mem::take(&mut ctx.hit);
-        self.search(q, SearchSpec::BallCover { r }, ctx, &mut hit);
+        let stats = self.search(q, SearchSpec::BallCover { r }, ctx, &mut hit);
         let answer = hit.first().copied();
         ctx.hit = hit;
-        answer
+        (answer, stats)
     }
 
     /// The one search routine behind every query form: project `q`, walk
@@ -683,20 +696,29 @@ impl PmLsh {
     /// observable is which candidates the budget cut keeps, and the cursor
     /// ([`pm_lsh_pmtree::RangeCursor::take_within`]) keeps the first
     /// `budget − verified` by `(projected dist, id)` — the prefix a stream
-    /// would have yielded. The round is then verified in ascending row id,
-    /// a forward walk through the row store, through a bitmap of one bit
-    /// per stored row in `ctx`. No served query sorts its candidates.
+    /// would have yielded. No served query sorts its candidates.
+    ///
+    /// The round is verified in one kernel call
+    /// ([`sq_dist_rows_within`]), in an order chosen for speed alone. While
+    /// the top-k is not yet full and the round holds more than w = 16·k
+    /// candidates, its nearest w by `(projected dist, id)` go first (one
+    /// more `select_nth_unstable`, [`pm_lsh_pmtree::Round::split_nearest`]):
+    /// they fill the top-k with near neighbors, so the abandon bound is
+    /// close to its final value before the bulk is read. The rest follow in
+    /// ascending row id — a forward walk through the row store, through a
+    /// bitmap of one bit per stored row in `ctx` — and the kernel asks for
+    /// the front of the row two candidates ahead while it measures one.
     ///
     /// Verification runs in the squared-distance domain: each candidate is
-    /// measured with the early-abandoning [`sq_dist_within`] against a
-    /// conservative squared bound derived from the current k-th neighbor
-    /// distance, so candidates that cannot enter the top-k stop mid-kernel
-    /// and never pay a `sqrt`. Kept candidates are completed exactly (same
-    /// kernel, same accumulation order) and take one `sqrt` on insertion,
-    /// which keeps every distance the verifier stores equal to
+    /// measured early-abandoning against a conservative squared bound
+    /// derived from the current k-th neighbor distance ([`abandon_bound`]),
+    /// so candidates that cannot enter the top-k stop mid-kernel and never
+    /// pay a `sqrt`. Kept candidates are completed exactly (same kernel,
+    /// same accumulation order) and take one `sqrt` on insertion, which
+    /// keeps every distance the verifier stores equal to
     /// [`pm_lsh_metric::euclidean`]'s: the answer is the exact `(dist, id)`
-    /// top-k of the verified set (`tests/hotpath_parity.rs` pins it, and
-    /// every [`QueryStats`] counter, against a linear scan).
+    /// top-k of the verified set, whatever the order (`tests/hotpath_parity.rs`
+    /// pins it, and every [`QueryStats`] counter, against a linear scan).
     fn search(
         &self,
         q: &[f32],
@@ -778,30 +800,37 @@ impl PmLsh {
             let proj_radius = (derived.t * r) as f32;
             let round = cursor.take_within(proj_radius, budget - verified);
             verified += round.len();
-            for (id, _proj_dist) in round {
+            // While `top` is not full the bound is ∞, and in row order the
+            // first k rows are arbitrary. A round of more than w = 16·k
+            // then puts its nearest w by (projected dist, id) first, so the
+            // bound is near its final value before the row-order walk.
+            let w = WARM_PER_K.saturating_mul(k);
+            let warm = if !top.is_full() && round.len() > w {
+                w
+            } else {
+                0
+            };
+            let (nearest, rest) = round.split_nearest(warm);
+            for (id, _proj_dist) in rest.iter() {
                 marks[id as usize / 64] |= 1 << (id % 64);
             }
-            // Verify the set in ascending row id — ascending address in the
-            // row store — clearing the marks on the way. Nothing observable
-            // depends on the order: the top-k is the k smallest under the
-            // total order (dist, id), and the bound below only decides how
-            // early a rejected candidate stops.
-            for (word_idx, word) in marks.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    let id = (64 * word_idx) as PointId + bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let sq = sq_dist_within(q, self.data.point_id(id), bound);
-                    // Kept: `sq` is exact; one sqrt, then the (dist, id)
-                    // insertion a full distance would make. Otherwise sq >
-                    // bound ≥ any squared distance whose sqrt could still
-                    // displace the k-th neighbor, so a full distance's push
-                    // would have been rejected too.
-                    if sq <= bound && top.push(sq.sqrt(), id) && top.is_full() {
-                        bound = abandon_bound(top.kth_dist());
-                    }
+            // Verify the nearest first, then the rest in ascending row id
+            // — ascending address in the row store — clearing the marks on
+            // the way, in one kernel call. Nothing observable depends on
+            // the order: the top-k is the k smallest under the total order
+            // (dist, id), and the bound only decides how early a rejected
+            // candidate stops. A kept `sq` is exact: one sqrt, then the
+            // (dist, id) insertion a full distance would make. An abandoned
+            // one exceeds the bound, so it exceeds every squared distance
+            // whose sqrt could still displace the k-th neighbor, and a full
+            // distance's push would have been rejected too.
+            let ids = nearest.iter().map(|(id, _)| id).chain(drain_marks(marks));
+            sq_dist_rows_within(q, self.data.as_flat(), ids, bound, |id, sq| {
+                if top.push(sq.sqrt(), id) && top.is_full() {
+                    bound = abandon_bound(top.kth_dist());
                 }
-            }
+                bound
+            });
             // Termination test of line 9 (Algorithm 1 line 3): candidate
             // budget exhausted.
             if verified >= budget {
@@ -838,6 +867,28 @@ impl PmLsh {
     }
 }
 
+/// How many nearest candidates per neighbor sought a round verifies first
+/// while its top-k is not full: w = 16·k by (projected dist, id). At 16·k
+/// the bound they leave is about the final one — Audio reads 126 floats
+/// per verified candidate after them, against 120 with the exact final
+/// k-th from the start — and one select over a round costs little.
+const WARM_PER_K: usize = 16;
+
+/// Walks the bitmap in ascending row id, clearing it on the way: the ids of
+/// the set bits.
+fn drain_marks(marks: &mut [u64]) -> impl Iterator<Item = PointId> + '_ {
+    marks.iter_mut().enumerate().flat_map(|(word_idx, word)| {
+        let mut bits = std::mem::take(word);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let id = (64 * word_idx) as PointId + bits.trailing_zeros();
+                bits &= bits - 1;
+                id
+            })
+        })
+    })
+}
+
 /// How one [`PmLsh::search`] stops — the only thing the query forms
 /// disagree on.
 #[derive(Clone, Copy)]
@@ -870,6 +921,34 @@ mod tests {
             ds.push(&buf);
         }
         ds
+    }
+
+    #[test]
+    fn abandon_bound_admits_every_square_whose_root_is_within_kth() {
+        // At kth = 1 the next float above 1 is 1 + 2⁻²³, whose sqrt rounds
+        // back to 1: a bound of exactly kth² would abandon a candidate that
+        // ties the k-th distance.
+        let tight = 1.0f32.next_up();
+        assert_eq!(tight.sqrt(), 1.0);
+        let mut kths = vec![1.0f32, 2.0, 0.5, 3.0, 10.0, 1e-3, 1e3];
+        let mut rng = Rng::new(0xab);
+        for _ in 0..20_000 {
+            let exponent = rng.range_f64(-60.0, 60.0) as i32;
+            kths.push((1.0 + rng.f32()) * 2.0f32.powi(exponent));
+        }
+        let mut above_square = 0;
+        for kth in kths {
+            let bound = abandon_bound(kth);
+            // Every float from kth² up to the last one whose sqrt is
+            // still <= kth.
+            let mut sq = kth * kth;
+            while sq.sqrt() <= kth {
+                assert!(sq <= bound, "kth {kth}: sq {sq} above bound {bound}");
+                above_square += usize::from(sq > kth * kth);
+                sq = sq.next_up();
+            }
+        }
+        assert!(above_square > 1000, "{above_square} squares above kth²");
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn bc_query_statistical_contract() {
     for q in queries.iter() {
         let r_star = exact_knn(index.data(), q, 1)[0].dist as f64;
         let r = r_star * 1.1; // ball is non-empty
-        if let Some(hit) = index.query_bc(q, r, &mut ctx) {
+        if let (Some(hit), _) = index.query_bc(q, r, &mut ctx) {
             answered += 1;
             if hit.dist as f64 > c * r + 1e-6 {
                 violations += 1;

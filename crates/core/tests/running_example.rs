@@ -140,7 +140,7 @@ fn bc_query_example_2_semantics() {
     let index = PmLsh::build_with_projector(ds, projector, params, &mut rng);
 
     let mut ctx = QueryContext::new();
-    if let Some(hit) = index.query_bc(&Q, 1.0, &mut ctx) {
+    if let (Some(hit), _) = index.query_bc(&Q, 1.0, &mut ctx) {
         assert!(
             hit.dist <= 2.0,
             "(1,2)-BC must only return points within c·r"
@@ -148,6 +148,7 @@ fn bc_query_example_2_semantics() {
     }
     let hit = index
         .query_bc(&Q, 1.5, &mut ctx)
+        .0
         .expect("ball contains o2/o14, must answer");
     assert!(hit.dist <= 3.0);
 }

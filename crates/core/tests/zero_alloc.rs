@@ -122,10 +122,15 @@ fn steady_state_queries_do_not_allocate() {
     );
 
     // So must a fan-out leg, whose budget a round's set is cut to (one
-    // select, below n) or never reaches (above n).
+    // select, below n) or never reaches (above n). A one-round leg verified
+    // all its candidates in a round that began with an empty top-k: beyond
+    // 16·k of them, the round put its nearest 16·k first with one more
+    // select, which the counter then covers too.
+    let mut warm_split = false;
     for budget in [N / 3, 2 * N] {
         for q in &queries {
-            index.query_fanout_into(q, K, budget, &mut ctx, &mut out);
+            let stats = index.query_fanout_into(q, K, budget, &mut ctx, &mut out);
+            warm_split |= stats.rounds == 1 && stats.candidates_verified > 16 * K;
         }
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for _ in 0..10 {
@@ -141,4 +146,5 @@ fn steady_state_queries_do_not_allocate() {
             "steady-state query_fanout_into calls (budget {budget}) must not allocate"
         );
     }
+    assert!(warm_split, "no counted leg split a round larger than 16·k");
 }

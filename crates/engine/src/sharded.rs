@@ -365,20 +365,23 @@ impl ShardedEngine {
     /// answers on the calling thread against its pinned snapshot, and the
     /// closest hit (ties to the lowest global id) wins. Each shard spends
     /// its own `⌈β·n_s⌉ + 1` candidate cap, so the summed work mirrors
-    /// the monolithic `⌈β·n⌉ + 1` bound the same way `query` does.
-    pub fn query_bc(&self, q: &[f32], r: f64) -> Option<Neighbor> {
+    /// the monolithic `⌈β·n⌉ + 1` bound the same way `query` does; the
+    /// returned counters are the shards' sum.
+    pub fn query_bc(&self, q: &[f32], r: f64) -> (Option<Neighbor>, QueryStats) {
         let shards = self.shards.len();
         let mut ctx = QueryContext::new();
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(s, shard)| {
-                shard.index().query_bc(q, r, &mut ctx).map(|n| Neighbor {
-                    dist: n.dist,
-                    id: to_global(n.id, s, shards),
-                })
-            })
-            .min()
+        let mut stats = QueryStats::default();
+        let mut best = None;
+        for (s, shard) in self.shards.iter().enumerate() {
+            let (hit, leg) = shard.index().query_bc(q, r, &mut ctx);
+            stats += leg;
+            let hit = hit.map(|n| Neighbor {
+                dist: n.dist,
+                id: to_global(n.id, s, shards),
+            });
+            best = best.into_iter().chain(hit).min();
+        }
+        (best, stats)
     }
 
     /// Inserts one point into the shard with the fewest stored rows (ties

@@ -183,14 +183,14 @@ fn query_bc_success_rate_never_below_monolithic() {
     let mono_hits = queries
         .iter()
         .zip(&radii)
-        .filter(|(q, &r)| mono.query_bc(q, r, &mut ctx).is_some())
+        .filter(|(q, &r)| mono.query_bc(q, r, &mut ctx).0.is_some())
         .count();
     for shards in [2, 4] {
         let sharded =
             ShardedEngine::build(&data, params, BuildOptions::default(), shards, config(1));
         let mut hits = 0;
         for (qi, (q, &r)) in queries.iter().zip(&radii).enumerate() {
-            if let Some(n) = sharded.query_bc(q, r) {
+            if let (Some(n), _) = sharded.query_bc(q, r) {
                 hits += 1;
                 let id = n.id as usize;
                 assert!(id < data.len(), "S={shards} query {qi}: ghost id {id}");

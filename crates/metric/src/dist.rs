@@ -16,8 +16,13 @@
 //! accumulating as soon as the partial sum strictly exceeds a caller
 //! bound, so candidates that cannot displace the current k-th neighbor
 //! never pay the full `d`-length loop.
+//!
+//! [`sq_dist_rows_within`] is the whole verification loop: one dispatch
+//! for a walk over named rows of a row store, each row measured like
+//! [`sq_dist_within`] against a bound the caller moves as rows are kept,
+//! with a read-ahead of the rows to come.
 
-use crate::simd;
+use crate::{simd, PointId};
 
 /// Squared Euclidean distance between two equal-length slices.
 ///
@@ -79,6 +84,35 @@ pub fn sq_dist_within(a: &[f32], b: &[f32], bound: f32) -> f32 {
 pub fn sq_dist_rows(q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
     simd::check_rows(q, rows);
     simd::sq_dist_rows_dispatch(q, rows, each)
+}
+
+/// Early-abandoning squared distances from `q` to the rows of the
+/// row-major column `rows` that `ids` names (row `id` is
+/// `rows[id·d .. (id+1)·d]`, `d = q.len()`), in the order `ids` yields them.
+///
+/// Each row is measured as [`sq_dist_within`] would measure it against the
+/// bound in force, which starts at `bound`. A kept row — squared distance
+/// `<= bound`, and then bit-identical to [`sq_dist`] — is handed to `keep`
+/// as `(id, sq)`, and `keep` returns the bound for the rows after it. A row
+/// whose distance exceeds the bound is abandoned and never reaches `keep`.
+///
+/// The kernel level is dispatched once for the whole walk. On x86-64 the
+/// walk also asks the memory system for the front of the row two
+/// candidates ahead; a prefetch is a hint, so it changes no value.
+///
+/// # Panics
+/// Panics if `q` is empty, `rows.len()` is not a multiple of `q.len()`, or
+/// an id names a row past the end of `rows`.
+#[inline]
+pub fn sq_dist_rows_within(
+    q: &[f32],
+    rows: &[f32],
+    ids: impl IntoIterator<Item = PointId>,
+    bound: f32,
+    keep: impl FnMut(PointId, f32) -> f32,
+) {
+    simd::check_rows(q, rows);
+    simd::sq_dist_rows_within_dispatch(q, rows, ids, bound, keep)
 }
 
 /// Euclidean distance `||a - b||`.

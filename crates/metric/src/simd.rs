@@ -34,7 +34,15 @@
 //! compile time), so a candidate that is *not* abandoned produces exactly
 //! the full kernel's value — early abandonment can only skip work, never
 //! change a kept result.
+//!
+//! Each row-verification kernel (`sq_dist_rows_within_*`) runs its level's
+//! early-abandoning body on the rows a caller names, behind one dispatch
+//! for the whole walk, and asks for the first `PREFETCH_LINES` cache
+//! lines of the row `READ_AHEAD` candidates ahead (x86-64 only; the
+//! scalar and NEON walks read no ahead). A prefetch is a hint, so kept
+//! values and abandons are those of that level's [`crate::sq_dist_within`].
 
+use crate::PointId;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel implementation the process dispatches to.
@@ -146,6 +154,64 @@ pub fn avx2_fma_available() -> bool {
 // two 32-float iterations, i.e. every 64 floats.
 const CHECK_STRIDE: usize = 4;
 
+/// How many candidates ahead of the row it measures a row-verification
+/// walk asks for a row. The next rows are known before the current one is
+/// measured, and two rows' time is enough for the request to land.
+const READ_AHEAD: usize = 2;
+
+/// How many 64-byte lines of a row the walk asks for: all of an Audio row
+/// (768 B is 12 lines) but the front of a long one. Early abandonment reads
+/// about a quarter of a 16 KiB Trevi row, so asking for a whole long row
+/// wastes bandwidth on the part that is never read.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const PREFETCH_LINES: usize = 8;
+
+/// The row-verification walk every level shares: row `id` of `rows` is
+/// `rows[id·d .. (id+1)·d]`. Each row is measured with `measure` against
+/// the bound in force; a kept `(id, sq)` goes to `keep`, which returns the
+/// bound for the rows after it. `prefetch` is handed the row
+/// [`READ_AHEAD`] candidates ahead of the one being measured.
+#[inline(always)]
+fn walk_rows(
+    d: usize,
+    rows: &[f32],
+    ids: impl IntoIterator<Item = PointId>,
+    mut bound: f32,
+    mut keep: impl FnMut(PointId, f32) -> f32,
+    measure: impl Fn(&[f32], f32) -> f32,
+    prefetch: impl Fn(&[f32]),
+) {
+    let row = |id: PointId| &rows[id as usize * d..][..d];
+    let mut ids = ids.into_iter();
+    // The next `pending` ids in walk order, from `ahead[head]` on, cyclic.
+    let mut ahead = [0 as PointId; READ_AHEAD];
+    let mut pending = 0;
+    for slot in &mut ahead {
+        let Some(id) = ids.next() else { break };
+        prefetch(row(id));
+        *slot = id;
+        pending += 1;
+    }
+    let mut head = 0;
+    while pending > 0 {
+        let id = ahead[head];
+        match ids.next() {
+            Some(next) => {
+                prefetch(row(next));
+                ahead[head] = next;
+            }
+            // Once the ids run out, the slots left behind trail the
+            // pending ones and are never read.
+            None => pending -= 1,
+        }
+        head = (head + 1) % READ_AHEAD;
+        let sq = measure(row(id), bound);
+        if sq <= bound {
+            bound = keep(id, sq);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar kernels (also the reference the SIMD paths are tested against).
 // ---------------------------------------------------------------------------
@@ -214,13 +280,28 @@ fn sq_dist_rows_scalar_impl(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) 
     }
 }
 
+/// The scalar row-verification kernel: [`walk_rows`] over
+/// [`sq_dist_scalar_impl`], with no read-ahead.
+#[inline(always)]
+fn sq_dist_rows_within_scalar_impl(
+    q: &[f32],
+    rows: &[f32],
+    ids: impl IntoIterator<Item = PointId>,
+    bound: f32,
+    keep: impl FnMut(PointId, f32) -> f32,
+) {
+    let measure = |row: &[f32], bound| sq_dist_scalar_impl::<true>(q, row, bound);
+    walk_rows(q.len(), rows, ids, bound, keep, measure, |_| {});
+}
+
 // ---------------------------------------------------------------------------
 // x86-64: SSE2 (baseline) and AVX2 + FMA (runtime-detected).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::CHECK_STRIDE;
+    use super::{walk_rows, CHECK_STRIDE, PREFETCH_LINES};
+    use crate::PointId;
     use core::arch::x86_64::*;
 
     /// Horizontal sum of a 4-lane register in the scalar kernel's order:
@@ -460,6 +541,49 @@ mod x86 {
             each(sq_dist_avx2_impl::<false>(q, row, f32::INFINITY));
         }
     }
+
+    /// Asks for the first [`PREFETCH_LINES`] 64-byte lines of `row`.
+    #[inline(always)]
+    fn prefetch_row(row: &[f32]) {
+        for line in row.chunks(16).take(PREFETCH_LINES) {
+            // SAFETY: a prefetch is a hint that neither faults nor changes
+            // memory, SSE is the x86-64 baseline, and the address lies
+            // inside `row`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) };
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure SSE2 is available and `q` is not empty.
+    #[target_feature(enable = "sse2")]
+    pub(super) unsafe fn sq_dist_rows_within_sse2(
+        q: &[f32],
+        rows: &[f32],
+        ids: impl IntoIterator<Item = PointId>,
+        bound: f32,
+        keep: impl FnMut(PointId, f32) -> f32,
+    ) {
+        // SAFETY: this function's own contract (SSE2) covers the kernel;
+        // every row is a `q.len()` slice.
+        let measure = |row: &[f32], bound| unsafe { sq_dist_sse2_impl::<true>(q, row, bound) };
+        walk_rows(q.len(), rows, ids, bound, keep, measure, prefetch_row);
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 and FMA are available and `q` is not empty.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn sq_dist_rows_within_avx2(
+        q: &[f32],
+        rows: &[f32],
+        ids: impl IntoIterator<Item = PointId>,
+        bound: f32,
+        keep: impl FnMut(PointId, f32) -> f32,
+    ) {
+        // SAFETY: this function's own contract (AVX2 + FMA) covers the
+        // kernel; every row is a `q.len()` slice.
+        let measure = |row: &[f32], bound| unsafe { sq_dist_avx2_impl::<true>(q, row, bound) };
+        walk_rows(q.len(), rows, ids, bound, keep, measure, prefetch_row);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,7 +592,8 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::CHECK_STRIDE;
+    use super::{walk_rows, CHECK_STRIDE};
+    use crate::PointId;
     use core::arch::aarch64::*;
 
     /// Horizontal sum in the scalar kernel's `(l0 + l1) + (l2 + l3)` order
@@ -547,6 +672,22 @@ mod arm {
             each(sq_dist_neon_impl::<false>(q, row, f32::INFINITY));
         }
     }
+
+    /// # Safety
+    /// Caller must ensure `q` is not empty.
+    #[inline]
+    pub(super) unsafe fn sq_dist_rows_within_neon(
+        q: &[f32],
+        rows: &[f32],
+        ids: impl IntoIterator<Item = PointId>,
+        bound: f32,
+        keep: impl FnMut(PointId, f32) -> f32,
+    ) {
+        // SAFETY: NEON is the aarch64 baseline; every row is a `q.len()`
+        // slice.
+        let measure = |row: &[f32], bound| unsafe { sq_dist_neon_impl::<true>(q, row, bound) };
+        walk_rows(q.len(), rows, ids, bound, keep, measure, |_| {});
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -610,6 +751,33 @@ pub(crate) fn sq_dist_rows_dispatch(q: &[f32], rows: &[f32], each: impl FnMut(f3
     }
 }
 
+/// One dispatch for a whole row-verification walk (callers have asserted
+/// that `q` is not empty and divides `rows`): each named row goes through
+/// the active level's early-abandoning kernel, so every kept value is
+/// bit-equal to [`sq_dist_dispatch`] and every abandon is
+/// [`sq_dist_within_dispatch`]'s.
+#[inline]
+pub(crate) fn sq_dist_rows_within_dispatch(
+    q: &[f32],
+    rows: &[f32],
+    ids: impl IntoIterator<Item = PointId>,
+    bound: f32,
+    keep: impl FnMut(PointId, f32) -> f32,
+) {
+    match active_level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: SSE2 is the x86-64 baseline; the caller checked `q`.
+        SimdLevel::Sse2 => unsafe { x86::sq_dist_rows_within_sse2(q, rows, ids, bound, keep) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_level()` only returns Avx2Fma after runtime detection.
+        SimdLevel::Avx2Fma => unsafe { x86::sq_dist_rows_within_avx2(q, rows, ids, bound, keep) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is the aarch64 baseline; the caller checked `q`.
+        SimdLevel::Neon => unsafe { arm::sq_dist_rows_within_neon(q, rows, ids, bound, keep) },
+        _ => sq_dist_rows_within_scalar_impl(q, rows, ids, bound, keep),
+    }
+}
+
 #[inline]
 pub(crate) fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
     match active_level() {
@@ -646,6 +814,8 @@ pub(crate) fn check_rows(q: &[f32], rows: &[f32]) {
 /// the `query_hotpath` bench; production code goes through
 /// [`crate::sq_dist`] / [`crate::dot`] / [`crate::sq_dist_within`].
 pub mod kernels {
+    use crate::PointId;
+
     /// Portable scalar squared distance (the historical kernel).
     pub fn sq_dist_scalar(a: &[f32], b: &[f32]) -> f32 {
         assert_eq!(a.len(), b.len(), "sq_dist: slice length mismatch");
@@ -671,6 +841,19 @@ pub mod kernels {
         let mut out = Vec::with_capacity(rows.len() / q.len());
         super::sq_dist_rows_scalar_impl(q, rows, |d| out.push(d));
         out
+    }
+
+    /// Portable scalar row-verification kernel: [`sq_dist_within_scalar`]
+    /// of `q` and each row `ids` names, with no read-ahead.
+    pub fn sq_dist_rows_within_scalar(
+        q: &[f32],
+        rows: &[f32],
+        ids: impl IntoIterator<Item = PointId>,
+        bound: f32,
+        keep: impl FnMut(PointId, f32) -> f32,
+    ) {
+        super::check_rows(q, rows);
+        super::sq_dist_rows_within_scalar_impl(q, rows, ids, bound, keep);
     }
 
     /// SSE2 squared distance (always available on x86-64).
@@ -705,6 +888,20 @@ pub mod kernels {
         // SAFETY: SSE2 is part of the x86-64 baseline; `q` was checked.
         unsafe { super::x86::sq_dist_rows_sse2(q, rows, |d| out.push(d)) };
         out
+    }
+
+    /// SSE2 row-verification kernel (always available on x86-64).
+    #[cfg(target_arch = "x86_64")]
+    pub fn sq_dist_rows_within_sse2(
+        q: &[f32],
+        rows: &[f32],
+        ids: impl IntoIterator<Item = PointId>,
+        bound: f32,
+        keep: impl FnMut(PointId, f32) -> f32,
+    ) {
+        super::check_rows(q, rows);
+        // SAFETY: SSE2 is part of the x86-64 baseline; `q` was checked.
+        unsafe { super::x86::sq_dist_rows_within_sse2(q, rows, ids, bound, keep) }
     }
 
     /// AVX2+FMA squared distance.
@@ -759,6 +956,25 @@ pub mod kernels {
         // SAFETY: availability asserted above; `q` was checked.
         unsafe { super::x86::sq_dist_rows_avx2(q, rows, |d| out.push(d)) };
         out
+    }
+
+    /// AVX2+FMA row-verification kernel.
+    ///
+    /// # Panics
+    /// Panics when the CPU lacks AVX2 or FMA — check
+    /// [`super::avx2_fma_available`] first.
+    #[cfg(target_arch = "x86_64")]
+    pub fn sq_dist_rows_within_avx2(
+        q: &[f32],
+        rows: &[f32],
+        ids: impl IntoIterator<Item = PointId>,
+        bound: f32,
+        keep: impl FnMut(PointId, f32) -> f32,
+    ) {
+        super::check_rows(q, rows);
+        assert!(super::avx2_fma_available(), "AVX2+FMA not available");
+        // SAFETY: availability asserted above; `q` was checked.
+        unsafe { super::x86::sq_dist_rows_within_avx2(q, rows, ids, bound, keep) }
     }
 }
 

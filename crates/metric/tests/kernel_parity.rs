@@ -9,13 +9,19 @@
 //! * every `sq_dist_within` variant returns the exact full kernel value
 //!   whenever it does not abandon, lands on the same side of the bound as
 //!   the full kernel, and treats a partial sum *equal* to the bound as
-//!   "keep going" (strict-inequality abandonment).
+//!   "keep going" (strict-inequality abandonment),
+//! * every row-verification kernel (`sq_dist_rows_within`) keeps and
+//!   abandons exactly the rows its level's `sq_dist_within` would against
+//!   the bound in force, hands each kept row on with the full kernel's
+//!   value, and follows a bound that moves during the walk.
 //!
 //! Lengths cover every remainder branch of the 4- and 8-lane loops plus
 //! the paper's real dimensionalities (Audio-ish 100/960 and Trevi's 4096).
 
 use pm_lsh_metric::simd::{self, kernels};
-use pm_lsh_metric::{dot, sq_dist, sq_dist_rows, sq_dist_within, SimdLevel};
+use pm_lsh_metric::{
+    dot, sq_dist, sq_dist_rows, sq_dist_rows_within, sq_dist_within, PointId, SimdLevel,
+};
 use proptest::prelude::*;
 
 const DIMS: &[usize] = &[1, 2, 3, 4, 7, 8, 15, 16, 33, 100, 960, 4096];
@@ -234,25 +240,19 @@ fn row_kernel_is_the_full_kernel_row_by_row() {
     }
 }
 
-/// The dispatched row kernel under `PMLSH_FORCE_SCALAR=1`. The level is
-/// fixed at a process's first distance call, so unless this process was
-/// started with the variable (as the scalar CI job starts the whole suite)
-/// the test re-runs itself in a child process that was.
-#[test]
-fn row_kernel_under_forced_scalar() {
+/// `true` when this process runs under `PMLSH_FORCE_SCALAR=1`. Otherwise
+/// the test `name` is re-run in a child process that does, and must pass
+/// there. The level is fixed at a process's first distance call, so a
+/// process started without the variable (unlike the scalar CI job, which
+/// starts the whole suite with it) cannot switch to scalar itself.
+fn under_forced_scalar(name: &str) -> bool {
     if std::env::var("PMLSH_FORCE_SCALAR").as_deref() == Ok("1") {
         assert_eq!(simd::active_level(), SimdLevel::Scalar);
-        assert_rows_match("forced scalar", dispatched_rows, sq_dist);
-        return;
+        return true;
     }
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
-        .args([
-            "--exact",
-            "row_kernel_under_forced_scalar",
-            "--test-threads",
-            "1",
-        ])
+        .args(["--exact", name, "--test-threads", "1"])
         .env("PMLSH_FORCE_SCALAR", "1")
         .output()
         .expect("re-run under PMLSH_FORCE_SCALAR=1");
@@ -263,10 +263,163 @@ fn row_kernel_under_forced_scalar() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("1 passed"), "{stdout}");
+    false
+}
+
+/// The dispatched row kernel under `PMLSH_FORCE_SCALAR=1`.
+#[test]
+fn row_kernel_under_forced_scalar() {
+    if under_forced_scalar("row_kernel_under_forced_scalar") {
+        assert_rows_match("forced scalar", dispatched_rows, sq_dist);
+    }
 }
 
 #[test]
 #[should_panic(expected = "not whole rows")]
 fn row_kernel_rejects_a_partial_row() {
     sq_dist_rows(&[1.0, 2.0], &[1.0, 2.0, 3.0], |_| {});
+}
+
+/// A row-verification kernel as the tests drive it.
+type Walk<'a> = &'a dyn Fn(&[f32], &[f32], &[PointId], f32, &mut dyn FnMut(PointId, f32) -> f32);
+
+/// What one walk did: every `(id, sq bits)` handed to `keep`, in order.
+/// `keep` moves the bound to the third smallest kept squared distance so
+/// far (∞ until three are kept), so the bound changes during the walk.
+fn record(walk: impl FnOnce(&mut dyn FnMut(PointId, f32) -> f32)) -> Vec<(PointId, u32)> {
+    let (mut kept, mut best) = (Vec::new(), Vec::new());
+    walk(&mut |id, sq| {
+        kept.push((id, sq.to_bits()));
+        best.push(sq);
+        best.sort_by(f32::total_cmp);
+        best.truncate(3);
+        if best.len() == 3 {
+            best[2]
+        } else {
+            f32::INFINITY
+        }
+    });
+    kept
+}
+
+/// Checks `walk` against its level's `within` and `full` kernels: row
+/// lengths below, at and above the eight 64-byte lines a walk reads ahead
+/// (128 floats), walks from empty to longer than the store with repeated
+/// ids, rows holding NaN, and start bounds from ∞ to below every distance.
+fn assert_walk_matches(
+    level: &str,
+    walk: Walk<'_>,
+    within: fn(&[f32], &[f32], f32) -> f32,
+    full: fn(&[f32], &[f32]) -> f32,
+) {
+    let mut checked_abandons = 0;
+    for m in [1usize, 5, 16, 100, 127, 128, 129, 192, 300, 1000] {
+        let q = fill(m as u64, m, 3.0);
+        let count = 24usize;
+        let mut rows = fill((m as u64) << 8, m * count, 3.0);
+        rows[5 * m + m / 2] = f32::NAN;
+        let mut fulls: Vec<f32> = rows.chunks_exact(m).map(|row| full(&q, row)).collect();
+        fulls.sort_by(f32::total_cmp);
+        for len in [0usize, 1, 2, 3, 7, 24, 40] {
+            // A scattered walk: row 5 (NaN) is named, some rows twice.
+            let ids: Vec<PointId> = (0..len).map(|i| ((i * 7 + 3) % count) as PointId).collect();
+            for start in [f32::INFINITY, fulls[count / 2], fulls[0] * 0.5, 0.0] {
+                let what = format!("{level}: m = {m}, {len} ids, start bound {start}");
+                let got = record(|keep| walk(&q, &rows, &ids, start, keep));
+                // The same walk, one `within` call per row.
+                let want = record(|keep| {
+                    let mut bound = start;
+                    for &id in &ids {
+                        let row = &rows[id as usize * m..][..m];
+                        let sq = within(&q, row, bound);
+                        if sq <= bound {
+                            bound = keep(id, sq);
+                        } else {
+                            checked_abandons += 1;
+                        }
+                    }
+                });
+                assert_eq!(got, want, "{what}");
+                for &(id, bits) in &got {
+                    let row = &rows[id as usize * m..][..m];
+                    assert_eq!(bits, full(&q, row).to_bits(), "{what}: row {id}");
+                }
+            }
+        }
+    }
+    assert!(
+        checked_abandons > 1000,
+        "{level}: {checked_abandons} abandons"
+    );
+}
+
+/// The dispatched row-verification kernel, as [`Walk`].
+fn dispatched_walk(
+    q: &[f32],
+    rows: &[f32],
+    ids: &[PointId],
+    bound: f32,
+    keep: &mut dyn FnMut(PointId, f32) -> f32,
+) {
+    sq_dist_rows_within(q, rows, ids.iter().copied(), bound, keep);
+}
+
+#[test]
+fn row_verification_keeps_and_abandons_as_within_does() {
+    assert_walk_matches(
+        "scalar",
+        &|q, rows, ids, bound, keep| {
+            kernels::sq_dist_rows_within_scalar(q, rows, ids.iter().copied(), bound, keep)
+        },
+        kernels::sq_dist_within_scalar,
+        kernels::sq_dist_scalar,
+    );
+    assert_walk_matches("dispatch", &dispatched_walk, sq_dist_within, sq_dist);
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert_walk_matches(
+            "sse2",
+            &|q, rows, ids, bound, keep| {
+                kernels::sq_dist_rows_within_sse2(q, rows, ids.iter().copied(), bound, keep)
+            },
+            kernels::sq_dist_within_sse2,
+            kernels::sq_dist_sse2,
+        );
+        if simd::avx2_fma_available() {
+            assert_walk_matches(
+                "avx2",
+                &|q, rows, ids, bound, keep| {
+                    kernels::sq_dist_rows_within_avx2(q, rows, ids.iter().copied(), bound, keep)
+                },
+                kernels::sq_dist_within_avx2,
+                kernels::sq_dist_avx2,
+            );
+        }
+    }
+}
+
+/// The dispatched row-verification kernel under `PMLSH_FORCE_SCALAR=1`.
+#[test]
+fn row_verification_under_forced_scalar() {
+    if under_forced_scalar("row_verification_under_forced_scalar") {
+        assert_walk_matches("forced scalar", &dispatched_walk, sq_dist_within, sq_dist);
+    }
+}
+
+#[test]
+#[should_panic(expected = "not whole rows")]
+fn row_verification_rejects_a_partial_row() {
+    sq_dist_rows_within(
+        &[1.0, 2.0],
+        &[1.0, 2.0, 3.0],
+        [0],
+        f32::INFINITY,
+        |_, sq| sq,
+    );
+}
+
+#[test]
+#[should_panic]
+fn row_verification_rejects_an_id_past_the_store() {
+    sq_dist_rows_within(&[1.0, 2.0], &[1.0, 2.0], [1], f32::INFINITY, |_, sq| sq);
 }

@@ -56,7 +56,7 @@ fn assert_query_parity(original: &PmLsh, restored: &PmLsh, queries: &pm_lsh_metr
             let want = original.query_bc(q, r, &mut want_ctx);
             let got = restored.query_bc(q, r, &mut got_ctx);
             assert_eq!(got, want, "q{qi} r{r} ball cover");
-            hits += want.is_some() as usize;
+            hits += want.0.is_some() as usize;
         }
     }
     assert!(hits > 0, "ball-cover parity never exercised a hit");

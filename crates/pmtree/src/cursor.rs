@@ -8,11 +8,13 @@
 //! unordered. The run leaves the cursor in one of two ways:
 //!
 //! - **as a set** — [`RangeCursor::take_within`] hands out every unyielded
-//!   point within `r` at once, in no particular order. When the caller has
-//!   room for fewer, one `select_nth_unstable` keeps the first `room` by
-//!   `(dist, id)`. This is what Algorithm 2 reads: its termination tests
-//!   run between rounds and its budget is a count, so within a round only
-//!   the cut decides anything.
+//!   point within `r` at once, as a [`Round`] in no particular order. When
+//!   the caller has room for fewer, one `select_nth_unstable` keeps the
+//!   first `room` by `(dist, id)`. This is what Algorithm 2 reads: its
+//!   termination tests run between rounds and its budget is a count, so
+//!   within a round only the cut decides anything. A caller that wants the
+//!   round's nearest points first splits them off with one more select
+//!   ([`Round::split_nearest`]).
 //! - **as a stream** — [`RangeCursor::next_within`] yields one point at a
 //!   time, ascending. It sorts the run's unordered tail on first demand, so
 //!   only a caller that asks for order pays for it.
@@ -216,6 +218,44 @@ impl CursorScratch {
 /// distance pays.
 const NEXT_GROWTH: f32 = 1.25;
 
+/// A round handed out by [`RangeCursor::take_within`]: a set of points,
+/// in no particular order. Its order can change (it is the cursor's own
+/// yielded stretch, which nothing reads again), never its members.
+pub struct Round<'a> {
+    keys: &'a mut [u64],
+}
+
+impl<'a> Round<'a> {
+    /// How many points the round holds.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` when the round holds no point.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The round's points as `(id, projected distance)`, in its present
+    /// order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (PointId, f32)> + '_ {
+        self.keys.iter().map(|&key| (key as PointId, key_dist(key)))
+    }
+
+    /// Splits the round into its first `w` points by `(distance, id)` and
+    /// the rest, each in no particular order: one `select_nth_unstable`
+    /// when `0 < w < len`. With `w >= len` every point is in the first
+    /// part, with `w == 0` every point is in the second.
+    pub fn split_nearest(self, w: usize) -> (Round<'a>, Round<'a>) {
+        let w = w.min(self.keys.len());
+        if w > 0 && w < self.keys.len() {
+            self.keys.select_nth_unstable(w);
+        }
+        let (nearest, rest) = self.keys.split_at_mut(w);
+        (Round { keys: nearest }, Round { keys: rest })
+    }
+}
+
 /// Incremental range cursor over a [`PmTree`].
 pub struct RangeCursor<'t> {
     tree: &'t PmTree,
@@ -398,11 +438,7 @@ impl<'t> RangeCursor<'t> {
     /// At or beyond the covered radius the whole run qualifies, so nothing
     /// is sorted: a cut is one `select_nth_unstable`. A smaller radius —
     /// a schedule Algorithm 2 never runs — takes the stream's prefix.
-    pub fn take_within(
-        &mut self,
-        radius: f32,
-        room: usize,
-    ) -> impl ExactSizeIterator<Item = (PointId, f32)> + '_ {
+    pub fn take_within(&mut self, radius: f32, room: usize) -> Round<'_> {
         if room > 0 && radius > self.covered {
             self.advance(radius);
         }
@@ -417,8 +453,9 @@ impl<'t> RangeCursor<'t> {
         } else {
             while self.pos - from < room && self.next_within(radius).is_some() {}
         }
-        let taken = &self.scratch.run[from..self.pos];
-        taken.iter().map(|&key| (key as PointId, key_dist(key)))
+        Round {
+            keys: &mut self.scratch.run[from..self.pos],
+        }
     }
 
     /// Incremental nearest-neighbor iteration: the next unseen point in
@@ -870,9 +907,23 @@ mod tests {
                         .take(room)
                         .collect()
                 } else {
-                    let mut got: Vec<_> = set.take_within(radius, room).collect();
-                    got.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                    got
+                    // The set is split at a random `w`, from nothing to
+                    // all of it: its nearest `w` must be what the stream
+                    // yielded first.
+                    let w = rng.below(want.len() + 2);
+                    let sorted = |part: &Round<'_>| {
+                        let mut part: Vec<_> = part.iter().collect();
+                        part.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                        part
+                    };
+                    let (nearest, rest) = set.take_within(radius, room).split_nearest(w);
+                    let nearest = sorted(&nearest);
+                    assert_eq!(
+                        nearest,
+                        want[..w.min(want.len())],
+                        "{what} step {step}: w {w}"
+                    );
+                    [nearest, sorted(&rest)].concat()
                 };
                 assert_eq!(got, want, "{what} step {step}: room {room}");
                 let (a, b) = (set.is_exhausted(), stream.is_exhausted());

@@ -53,7 +53,7 @@ pub mod pivots;
 pub mod tree;
 
 pub use cost::expected_distance_computations;
-pub use cursor::{CursorScratch, RangeCursor};
+pub use cursor::{CursorScratch, RangeCursor, Round};
 pub use pivots::select_pivots;
 pub use tree::{PmTree, PmTreeConfig, PmTreeParts, RawNode};
 

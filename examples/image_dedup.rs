@@ -51,7 +51,7 @@ fn main() {
     let mut ctx = QueryContext::new();
     let start = std::time::Instant::now();
     for (upload, is_dup) in &uploads {
-        let verdict = index.query_bc(upload, r_dup, &mut ctx);
+        let (verdict, _) = index.query_bc(upload, r_dup, &mut ctx);
         match (verdict.is_some(), is_dup) {
             (true, true) => true_pos += 1,
             (true, false) => false_pos += 1,

@@ -4,11 +4,12 @@
 //! One routine serves `query`, `query_into`, `query_fanout_into` and
 //! `query_bc`: it sweeps the PM-tree's projected column, takes each round
 //! of the range query `B(q', t·r)` as a set (the budget cut keeps the first
-//! `budget − verified` by `(projected dist, id)`), verifies the set in row
-//! order with early-abandoning squared-distance kernels over a reused
-//! `QueryContext`, and stops as the form says. None of that may show in an
-//! answer or a counter, so every case compares `neighbors` and the full
-//! `QueryStats` (for `query_bc`, the `Option<Neighbor>`) against
+//! `budget − verified` by `(projected dist, id)`), verifies the set with
+//! early-abandoning squared-distance kernels over a reused `QueryContext`
+//! — while its top-k is not full, the round's nearest 16·k first, then the
+//! rest in row order — and stops as the form says. None of that may show
+//! in an answer or a counter, so every case compares `neighbors` (for
+//! `query_bc`, its one answer) and the full `QueryStats` against
 //! [`Reference`], which knows only the algorithm:
 //!
 //! * every live point, ranked by `(projected distance, id)` — the order in
@@ -23,8 +24,9 @@
 //!
 //! Each test also asserts that its cases reach the branches it is there
 //! for: a second round, a line-4 stop, a budget cut (also one inside a
-//! group of bit-equal projected distances), a ball-cover hit and miss, and
-//! every form on a churned index.
+//! group of bit-equal projected distances), a warm split whose boundary
+//! falls inside such a group, a ball-cover hit and miss, and every form on
+//! a churned index.
 
 use pm_lsh::metric::euclidean;
 use pm_lsh::prelude::*;
@@ -68,14 +70,23 @@ struct Replay {
     neighbors: Vec<Neighbor>,
     stats: QueryStats,
     stop: Stop,
+    /// A round was large enough for the index to verify its nearest
+    /// [`WARM_PER_K`]·k first, and its w-th and (w+1)-th points by
+    /// `(projected dist, id)` have bit-equal projected distances, so only
+    /// the id decides which side of the split each falls on.
+    warm_tie: bool,
 }
 
 impl Replay {
-    /// The `query_bc` answer.
-    fn answer(&self) -> Option<Neighbor> {
-        self.neighbors.first().copied()
+    /// The `query_bc` answer: the best point and the counters.
+    fn answer(&self) -> (Option<Neighbor>, QueryStats) {
+        (self.neighbors.first().copied(), self.stats)
     }
 }
+
+/// How many nearest points per neighbor sought the index verifies first in
+/// a round that begins with fewer than k points verified.
+const WARM_PER_K: usize = 16;
 
 /// The linear-scan reference over one index: every live point, projected
 /// once.
@@ -146,6 +157,7 @@ impl Ranked<'_, '_> {
 
         let mut verified: Vec<Neighbor> = Vec::new();
         let mut rounds = 0;
+        let mut warm_tie = false;
         let stop = loop {
             rounds += 1;
             let line4 = matches!(form, Form::Ann { .. });
@@ -158,6 +170,10 @@ impl Ranked<'_, '_> {
                 .take_while(|&&(proj, _)| proj <= radius)
                 .map(|&(_, id)| Neighbor::new(euclidean(self.q, index.data().point_id(id)), id))
                 .collect();
+            let (start, w) = (verified.len(), WARM_PER_K * k);
+            if start < k && round.len() > w {
+                warm_tie |= self.order[start + w - 1].0 == self.order[start + w].0;
+            }
             verified.extend(round);
             verified.sort();
             let taken = verified.len();
@@ -189,6 +205,7 @@ impl Ranked<'_, '_> {
             neighbors: verified,
             stats,
             stop,
+            warm_tie,
         }
     }
 }
@@ -273,8 +290,8 @@ fn query_bc_matches_reference() {
             seen.push(want);
         }
     }
-    reaches(&seen, "a ball-cover hit", |r| r.answer().is_some());
-    reaches(&seen, "a ball-cover miss", |r| r.answer().is_none());
+    reaches(&seen, "a ball-cover hit", |r| r.answer().0.is_some());
+    reaches(&seen, "a ball-cover miss", |r| r.answer().0.is_none());
     reaches(&seen, "the ball-cover cap", |r| {
         matches!(r.stop, Stop::Budget { .. })
     });
@@ -325,7 +342,9 @@ fn one_context_survives_mixed_workloads() {
 fn budget_cuts_inside_tie_groups_match_reference() {
     // Every row three times over: projected distances come in groups of
     // three bit-equal ones, so a budget cut can fall inside a group, where
-    // only the id tie-break decides which copies are verified.
+    // only the id tie-break decides which copies are verified, and so can
+    // the boundary of a round's warm split, where only the id decides
+    // which copies are verified first.
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
     let base = generator.dataset();
     let mut data = Dataset::with_capacity(base.dim(), 3 * base.len());
@@ -337,7 +356,7 @@ fn budget_cuts_inside_tie_groups_match_reference() {
     let c = index.params().c;
     let base_r = index.select_rmin(10);
     let mut out = Vec::new();
-    let mut seen = Vec::new();
+    let (mut seen, mut fanout) = (Vec::new(), Vec::new());
     for (qi, q) in generator.queries(20).iter().enumerate() {
         let ranked = reference.rank(q);
         for k in [1usize, 10, 50] {
@@ -349,6 +368,11 @@ fn budget_cuts_inside_tie_groups_match_reference() {
             let stats = index.query_into(q, k, 2.0, &mut QueryContext::new(), &mut out);
             assert_same(&out, stats, &want, &format!("q{qi} k{k} c2"));
             seen.push(want);
+            let budget = index.candidate_budget(k);
+            let want = ranked.replay(Form::Fanout { k, budget });
+            let stats = index.query_fanout_into(q, k, budget, &mut QueryContext::new(), &mut out);
+            assert_same(&out, stats, &want, &format!("q{qi} k{k} B{budget}"));
+            fanout.push(want);
         }
         for scale in [0.5f64, 1.0, 2.0] {
             let r = base_r * scale;
@@ -360,6 +384,12 @@ fn budget_cuts_inside_tie_groups_match_reference() {
     let split_tie = Stop::Budget { split_tie: true };
     reaches(&seen, "a budget cut inside a tie group", |r| {
         r.stop == split_tie
+    });
+    reaches(&seen, "an Ann warm split inside a tie group", |r| {
+        r.warm_tie
+    });
+    reaches(&fanout, "a fan-out warm split inside a tie group", |r| {
+        r.warm_tie
     });
 }
 
@@ -416,6 +446,6 @@ fn churned_index_matches_reference() {
     reaches(&fanout, "a fan-out cut inside a tie group", |r| {
         r.stop == split_tie
     });
-    reaches(&ball, "a ball-cover hit", |r| r.answer().is_some());
-    reaches(&ball, "a ball-cover miss", |r| r.answer().is_none());
+    reaches(&ball, "a ball-cover hit", |r| r.answer().0.is_some());
+    reaches(&ball, "a ball-cover miss", |r| r.answer().0.is_none());
 }

@@ -12,8 +12,13 @@
 //!   (the engine worker configuration: zero steady-state allocation of
 //!   scratch).
 //!
-//! The reused context's `neighbors` **and** `QueryStats` are asserted
-//! bit-identical to the fresh context's before any number is reported.
+//! Each configuration answers the stream in `PASSES` timed passes, the
+//! two interleaved in ABBA order so that load drifting on a shared box
+//! lands on both alike, and the table prints each one's median and
+//! quartiles over its passes; the speedup column is the median (and
+//! quartiles) of the per-pass ratios. The reused context's `neighbors`
+//! **and** `QueryStats` are asserted bit-identical to the fresh
+//! context's on every pass.
 //! That the answers are Algorithm 2's is `tests/hotpath_parity.rs`'s
 //! job, against a linear scan.
 //!
@@ -37,11 +42,15 @@ use pm_lsh_core::{PmLsh, PmLshParams, QueryContext, QueryResult};
 use pm_lsh_data::PaperDataset;
 use pm_lsh_metric::{simd, Dataset, PointId};
 use pm_lsh_pmtree::{CursorScratch, PmTree};
+use pm_lsh_stats::Ecdf;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 const K: usize = 10;
+/// Timed passes per configuration in the context comparison.
+const PASSES: usize = 7;
+/// Best-of passes per candidate source in the candidate-source table.
 const REPEATS: usize = 3;
 /// The approximation ratios the candidate-source table sweeps.
 const CS: [f64; 4] = [1.2, 1.5, 2.0, 3.0];
@@ -72,63 +81,74 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
 
     let index = PmLsh::build(Arc::clone(&data), PmLshParams::paper_defaults());
 
-    // --- fresh context per query -------------------------------------------
-    let mut fresh: Vec<QueryResult> = Vec::new();
-    let mut fresh_best_s = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        let r: Vec<QueryResult> = queries.iter().map(|q| index.query(q, K)).collect();
-        fresh_best_s = fresh_best_s.min(start.elapsed().as_secs_f64());
-        fresh = r;
-    }
-
-    // --- one reused context (engine-worker configuration) -----------------
-    let mut reused_best_s = f64::INFINITY;
+    let fresh = || -> Vec<QueryResult> { queries.iter().map(|q| index.query(q, K)).collect() };
     let mut ctx = QueryContext::new();
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        let r: Vec<QueryResult> = queries
+    let mut reused = || -> Vec<QueryResult> {
+        queries
             .iter()
             .map(|q| {
                 let mut neighbors = Vec::new();
                 let stats = index.query_into(q, K, index.params().c, &mut ctx, &mut neighbors);
                 QueryResult { neighbors, stats }
             })
-            .collect();
-        reused_best_s = reused_best_s.min(start.elapsed().as_secs_f64());
-        assert_parity(&r, &fresh);
+            .collect()
+    };
+    let want = fresh();
+    let (mut fresh_s, mut reused_s) = (Vec::new(), Vec::new());
+    for pass in 0..PASSES {
+        // ABBA: fresh first on even passes, reused first on odd ones.
+        for reused_turn in [pass % 2 == 1, pass % 2 == 0] {
+            let start = Instant::now();
+            if reused_turn {
+                let got = reused();
+                reused_s.push(start.elapsed().as_secs_f64());
+                assert_parity(&got, &want);
+            } else {
+                black_box(fresh());
+                fresh_s.push(start.elapsed().as_secs_f64());
+            }
+        }
     }
 
     let nq = queries.len() as f64;
-    let total_candidates: usize = fresh.iter().map(|r| r.stats.candidates_verified).sum();
-    // Per-candidate cost: whole-query time over verified candidates.
-    let ns_per_cand = |secs: f64| secs * 1e9 / total_candidates as f64;
-    let (fresh_qps, reused_qps) = (nq / fresh_best_s, nq / reused_best_s);
-
+    let total_candidates: usize = want.iter().map(|r| r.stats.candidates_verified).sum();
+    let speedups: Vec<f64> = fresh_s.iter().zip(&reused_s).map(|(f, r)| f / r).collect();
     let mut table = Table::new(&[
         "configuration",
         "queries/s",
+        "q/s q1-q3",
         "speedup",
+        "speedup q1-q3",
         "ns/candidate",
         "identical",
     ]);
-    table.row(vec![
-        "fresh-context".into(),
-        f(fresh_qps, 0),
-        "1.00x".into(),
-        f(ns_per_cand(fresh_best_s), 0),
-        "-".into(),
-    ]);
-    table.row(vec![
-        "reused-context".into(),
-        f(reused_qps, 0),
-        format!("{:.2}x", reused_qps / fresh_qps),
-        f(ns_per_cand(reused_best_s), 0),
-        "yes".into(),
-    ]);
+    for (name, secs, speedup, identical) in [
+        ("fresh-context", &fresh_s, None, "-"),
+        ("reused-context", &reused_s, Some(&speedups), "yes"),
+    ] {
+        let [q1, med, q3] = quartiles(secs);
+        let (speedup, speedup_iqr) = match speedup {
+            Some(ratios) => {
+                let [lo, mid, hi] = quartiles(ratios);
+                (format!("{mid:.2}x"), format!("{lo:.2}-{hi:.2}x"))
+            }
+            None => ("1.00x".into(), "-".into()),
+        };
+        table.row(vec![
+            name.into(),
+            f(nq / med, 0),
+            // The slower quartile of pass times first, as queries/s.
+            format!("{}-{}", f(nq / q3, 0), f(nq / q1, 0)),
+            speedup,
+            speedup_iqr,
+            // Per-candidate cost: whole-query time over verified candidates.
+            f(med * 1e9 / total_candidates as f64, 0),
+            identical.into(),
+        ]);
+    }
     print!("{}", table.render());
     println!(
-        "mean candidates verified per query: {:.1}\n",
+        "{PASSES} passes each; mean candidates verified per query: {:.1}\n",
         total_candidates as f64 / nq
     );
     compare_sources(&index, &data, &queries);
@@ -226,6 +246,12 @@ fn time_drains(tree: &PmTree, projected: &[Vec<f32>], radius: f32) -> f64 {
         best_s = best_s.min(start.elapsed().as_secs_f64());
     }
     best_s * 1e6 / projected.len() as f64
+}
+
+/// The first quartile, median and third quartile of `values`.
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    let ecdf = Ecdf::new(values.to_vec());
+    [0.25, 0.5, 0.75].map(|p| ecdf.quantile(p))
 }
 
 fn assert_parity(reused: &[QueryResult], fresh: &[QueryResult]) {

@@ -1,26 +1,29 @@
 //! The micro-batching request queue in front of the worker pool.
 //!
 //! Single queries (the TCP serving path: many connections, one query
-//! each) enter through a bounded channel as ready-to-run [`QueryJob`]s —
-//! the batcher has no request type of its own. A collector thread
-//! groups whatever is waiting — up to `batch_size` jobs, waiting at most
+//! each) enter through a channel as ready-to-run [`QueryJob`]s — the
+//! batcher has no request type of its own. A collector thread groups
+//! whatever is waiting — up to `batch_size` jobs, waiting at most
 //! `max_wait` after the first — and hands the group to the pool as one
-//! shard per worker. Coalescing amortizes channel and mutex traffic over
-//! several queries and gives the engine a natural backpressure point: when
-//! the queue is full, callers block instead of piling unbounded work onto
-//! the pool.
+//! shard per worker, amortizing channel and mutex traffic over several
+//! queries.
+//!
+//! The channel is unbounded, like the pool's, so enqueueing never blocks
+//! the reactor thread. What bounds it is upstream: a connection has at
+//! most one query in flight and a blocking caller waits for its answer,
+//! so the queue holds at most one job per connection or caller thread.
 
 use crate::pool::{QueryJob, WorkerPool};
 use crate::stats::StatsCollector;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The bounded queue plus its collector thread. Dropping it closes the
+/// The queue plus its collector thread. Dropping it closes the
 /// queue and joins the collector (which flushes whatever is pending).
 pub(crate) struct BatchQueue {
-    requests: Option<SyncSender<QueryJob>>,
+    requests: Option<Sender<QueryJob>>,
     collector: Option<JoinHandle<()>>,
 }
 
@@ -30,9 +33,8 @@ impl BatchQueue {
         stats: Arc<StatsCollector>,
         batch_size: usize,
         max_wait: Duration,
-        queue_depth: usize,
     ) -> Self {
-        let (tx, rx) = sync_channel::<QueryJob>(queue_depth.max(1));
+        let (tx, rx) = channel::<QueryJob>();
         let batch_size = batch_size.max(1);
         let collector = std::thread::Builder::new()
             .name("pmlsh-batcher".to_string())
@@ -44,7 +46,7 @@ impl BatchQueue {
         }
     }
 
-    /// Enqueues one request, blocking when the queue is full (backpressure).
+    /// Enqueues one request; never blocks.
     pub(crate) fn enqueue(&self, job: QueryJob) {
         self.requests
             .as_ref()

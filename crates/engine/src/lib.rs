@@ -38,11 +38,10 @@
 //!   [`ShardedEngine::delete`] are one-op batches ([`MutationReport`]).
 //!   On the wire these are the AUTH-gated `BATCH` and `INSERT`/`DELETE`
 //!   verbs, which share one executor too.
-//! * The micro-batcher (a bounded channel and a collector thread) groups
-//!   up to `batch_size` concurrent requests, waiting at most `max_wait`
-//!   after the first, before handing them to the pool — one channel send
-//!   per worker per batch instead of one per query, and a natural
-//!   backpressure point when the queue fills.
+//! * The micro-batcher (a channel and a collector thread) groups up to
+//!   `batch_size` concurrent requests, waiting at most `max_wait` after
+//!   the first, before handing them to the pool — one channel send per
+//!   worker per batch instead of one per query. Enqueueing never blocks.
 //! * [`EngineStats`] aggregates throughput, p50/p99 latency and the summed
 //!   per-query [`QueryStats`] counters; the wire `STATS` verb and the
 //!   benchmark (`benchmark/`) read them.
@@ -133,8 +132,6 @@ pub struct EngineConfig {
     pub batch_size: usize,
     /// Longest the batcher waits after a batch's first request.
     pub max_wait: Duration,
-    /// Bounded request-queue capacity; full means callers block.
-    pub queue_depth: usize,
 }
 
 impl Default for EngineConfig {
@@ -143,7 +140,6 @@ impl Default for EngineConfig {
             threads: 0,
             batch_size: 32,
             max_wait: Duration::from_micros(200),
-            queue_depth: 1024,
         }
     }
 }
@@ -193,7 +189,6 @@ impl Engine {
             Arc::clone(&stats),
             config.batch_size,
             config.max_wait,
-            config.queue_depth,
         ));
         Self {
             snapshot,
@@ -813,7 +808,6 @@ mod tests {
                 threads: 3,
                 batch_size: 8,
                 max_wait: Duration::from_millis(1),
-                ..Default::default()
             },
         )
         .into();

@@ -291,9 +291,7 @@ impl ShardedEngine {
     /// `k` clamp, same local→global id mapping, bit-identical merged
     /// answer — and `cb` fires exactly once, on the worker thread that
     /// finishes the last leg. A panicked leg yields
-    /// `Err(QueryError::Internal)`. Enqueueing applies backpressure: when
-    /// a shard's bounded queue is full this call blocks until space
-    /// frees, exactly like the blocking entry point.
+    /// `Err(QueryError::Internal)`. Enqueueing never blocks.
     pub fn submit_query<F>(&self, q: &[f32], k: usize, cb: F) -> Result<(), QueryError>
     where
         F: FnOnce(Result<QueryResult, QueryError>) + Send + 'static,

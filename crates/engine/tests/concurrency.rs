@@ -76,7 +76,6 @@ fn micro_batched_single_queries_match_sequential() {
             threads: 4,
             batch_size: 4,
             max_wait: Duration::from_micros(500),
-            ..Default::default()
         },
     )
     .into();

@@ -375,7 +375,6 @@ fn drain_delivers_inflight_reply_before_closing() {
             threads: 1,
             batch_size: 64,
             max_wait: Duration::from_millis(800),
-            ..Default::default()
         },
     );
     let handle = serve(engine, ("127.0.0.1", 0)).expect("bind port 0");
@@ -1091,7 +1090,6 @@ fn drain_completes_inflight_scatter_gather_query() {
             threads: 1,
             batch_size: 64,
             max_wait: Duration::from_millis(800),
-            ..Default::default()
         },
     );
     let handle = serve(sharded.clone(), ("127.0.0.1", 0)).expect("bind port 0");

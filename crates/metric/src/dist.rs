@@ -22,7 +22,8 @@
 //! [`sq_dist_within`] against a bound the caller moves as rows are kept,
 //! with a read-ahead of the rows to come.
 
-use crate::{simd, PointId};
+use crate::simd::{self, Runnable};
+use crate::PointId;
 
 /// Squared Euclidean distance between two equal-length slices.
 ///
@@ -31,14 +32,7 @@ use crate::{simd, PointId};
 /// silent truncation would mask real dimensionality bugs at full speed).
 #[inline]
 pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "sq_dist: slice length mismatch ({} vs {})",
-        a.len(),
-        b.len()
-    );
-    simd::sq_dist_dispatch(a, b)
+    simd::sq_dist_dispatch(Runnable::active(), a, b)
 }
 
 /// Early-abandoning squared Euclidean distance.
@@ -60,14 +54,7 @@ pub fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn sq_dist_within(a: &[f32], b: &[f32], bound: f32) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "sq_dist_within: slice length mismatch ({} vs {})",
-        a.len(),
-        b.len()
-    );
-    simd::sq_dist_within_dispatch(a, b, bound)
+    simd::sq_dist_within_dispatch(Runnable::active(), a, b, bound)
 }
 
 /// Squared Euclidean distances from `q` to every consecutive `q.len()`-float
@@ -82,8 +69,7 @@ pub fn sq_dist_within(a: &[f32], b: &[f32], bound: f32) -> f32 {
 /// Panics if `q` is empty or `rows.len()` is not a multiple of `q.len()`.
 #[inline]
 pub fn sq_dist_rows(q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
-    simd::check_rows(q, rows);
-    simd::sq_dist_rows_dispatch(q, rows, each)
+    simd::sq_dist_rows_dispatch(Runnable::active(), q, rows, each)
 }
 
 /// Early-abandoning squared distances from `q` to the rows of the
@@ -111,8 +97,7 @@ pub fn sq_dist_rows_within(
     bound: f32,
     keep: impl FnMut(PointId, f32) -> f32,
 ) {
-    simd::check_rows(q, rows);
-    simd::sq_dist_rows_within_dispatch(q, rows, ids, bound, keep)
+    simd::sq_dist_rows_within_dispatch(Runnable::active(), q, rows, ids, bound, keep)
 }
 
 /// Euclidean distance `||a - b||`.
@@ -127,14 +112,7 @@ pub fn euclidean(a: &[f32], b: &[f32]) -> f32 {
 /// Panics if the slices differ in length.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "dot: slice length mismatch ({} vs {})",
-        a.len(),
-        b.len()
-    );
-    simd::dot_dispatch(a, b)
+    simd::dot_dispatch(Runnable::active(), a, b)
 }
 
 /// Euclidean norm `||a||`.

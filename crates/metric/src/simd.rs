@@ -2,9 +2,11 @@
 //!
 //! Runtime-dispatched SIMD kernels behind [`crate::dist`].
 //!
-//! The public entry points ([`crate::sq_dist`], [`crate::sq_dist_rows`],
-//! [`crate::sq_dist_within`], [`crate::dot`]) pick an implementation once
-//! per process:
+//! Each of the five public entry points ([`crate::sq_dist`],
+//! [`crate::sq_dist_within`], [`crate::dot`], [`crate::sq_dist_rows`],
+//! [`crate::sq_dist_rows_within`]) has one dispatcher here, which takes
+//! the kernel level as an argument. The entry points pass the level
+//! [`active_level`] picks once per process:
 //!
 //! * **x86-64** — SSE2 is the architectural baseline and is always
 //!   available; AVX2 + FMA is selected when the CPU reports both (runtime
@@ -13,8 +15,11 @@
 //! * anything else — the portable scalar kernel.
 //!
 //! Setting `PMLSH_FORCE_SCALAR=1` in the environment pins the scalar
-//! kernel regardless of hardware (read once, at first use) so the
-//! non-SIMD path stays testable on SIMD machines.
+//! kernel regardless of hardware (read once, at first use).
+//!
+//! [`kernels`] passes any level this CPU can run
+//! ([`SimdLevel::is_available`]) to the same dispatchers, so a test or a
+//! bench reaches every level through the arms production runs.
 //!
 //! # Numerical contract
 //!
@@ -60,6 +65,25 @@ pub enum SimdLevel {
     Neon,
 }
 
+impl SimdLevel {
+    /// `true` when this CPU can run the level's kernels: scalar anywhere,
+    /// SSE2 on any x86-64, AVX2+FMA on an x86-64 that reports both, NEON
+    /// on any aarch64.
+    pub fn is_available(self) -> bool {
+        match self {
+            SimdLevel::Scalar => true,
+            SimdLevel::Sse2 => cfg!(target_arch = "x86_64"),
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2Fma => {
+                std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            SimdLevel::Avx2Fma => false,
+            SimdLevel::Neon => cfg!(target_arch = "aarch64"),
+        }
+    }
+}
+
 impl std::fmt::Display for SimdLevel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -98,7 +122,12 @@ fn detect_level() -> SimdLevel {
     let level = if scalar_forced_by_env() {
         SimdLevel::Scalar
     } else {
-        hardware_level()
+        // The fastest level this CPU runs; SSE2 and NEON are their
+        // architectures' baselines.
+        [SimdLevel::Avx2Fma, SimdLevel::Sse2, SimdLevel::Neon]
+            .into_iter()
+            .find(|level| level.is_available())
+            .unwrap_or(SimdLevel::Scalar)
     };
     let code = match level {
         SimdLevel::Scalar => LEVEL_SCALAR,
@@ -118,33 +147,28 @@ fn scalar_forced_by_env() -> bool {
     }
 }
 
-fn hardware_level() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma") {
-            return SimdLevel::Avx2Fma;
-        }
-        // SSE2 is part of the x86-64 baseline: always present.
-        return SimdLevel::Sse2;
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        // NEON is part of the aarch64 baseline: always present.
-        return SimdLevel::Neon;
-    }
-    #[allow(unreachable_code)]
-    SimdLevel::Scalar
-}
+/// A [`SimdLevel`] this CPU can run. Only [`Runnable::active`] and
+/// [`Runnable::checked`] make one, so a dispatcher handed one may call
+/// that level's kernels.
+#[derive(Clone, Copy)]
+pub(crate) struct Runnable(SimdLevel);
 
-/// `true` when the AVX2+FMA kernels can run on this CPU (x86-64 only).
-pub fn avx2_fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+impl Runnable {
+    /// The level the public entry points run ([`active_level`] names a
+    /// SIMD level only after detecting it).
+    #[inline]
+    pub(crate) fn active() -> Self {
+        Runnable(active_level())
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// # Panics
+    /// Panics when this CPU cannot run `level`.
+    fn checked(level: SimdLevel) -> Self {
+        assert!(
+            level.is_available(),
+            "the {level} kernels cannot run on this CPU"
+        );
+        Runnable(level)
     }
 }
 
@@ -691,17 +715,49 @@ mod arm {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch (callers have already asserted equal lengths).
+// Dispatch: one dispatcher per public entry point, handed the level to run.
 // ---------------------------------------------------------------------------
 
+/// Equal lengths, the one-vector kernels' contract.
+///
+/// # Panics
+/// Panics when `a` and `b` differ in length (in every build profile — a
+/// silent truncation would mask real dimensionality bugs at full speed).
 #[inline]
-pub(crate) fn sq_dist_dispatch(a: &[f32], b: &[f32]) -> f32 {
-    match active_level() {
+fn check_lens(kernel: &str, a: &[f32], b: &[f32]) {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "{kernel}: slice length mismatch ({} vs {})",
+        a.len(),
+        b.len()
+    );
+}
+
+/// The row kernels' contract: a non-empty query whose length divides the
+/// rows.
+///
+/// # Panics
+/// Panics when `q` is empty or `rows.len()` is not a multiple of `q.len()`.
+#[inline]
+fn check_rows(q: &[f32], rows: &[f32]) {
+    assert!(
+        !q.is_empty() && rows.len().is_multiple_of(q.len()),
+        "sq_dist_rows: {} floats are not whole rows of {}",
+        rows.len(),
+        q.len()
+    );
+}
+
+#[inline]
+pub(crate) fn sq_dist_dispatch(level: Runnable, a: &[f32], b: &[f32]) -> f32 {
+    check_lens("sq_dist", a, b);
+    match level.0 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline.
+        // SAFETY: `level` is runnable, and SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::sq_dist_sse2_impl::<false>(a, b, f32::INFINITY) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_level()` only returns Avx2Fma after runtime detection.
+        // SAFETY: `level` is runnable: AVX2 and FMA were detected.
         SimdLevel::Avx2Fma => unsafe { x86::sq_dist_avx2_impl::<false>(a, b, f32::INFINITY) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is the aarch64 baseline.
@@ -711,19 +767,20 @@ pub(crate) fn sq_dist_dispatch(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[inline]
-pub(crate) fn sq_dist_within_dispatch(a: &[f32], b: &[f32], bound: f32) -> f32 {
+pub(crate) fn sq_dist_within_dispatch(level: Runnable, a: &[f32], b: &[f32], bound: f32) -> f32 {
+    check_lens("sq_dist_within", a, b);
     if bound == f32::INFINITY {
         // Nothing can exceed an infinite bound: skip the periodic checks
         // entirely. The `within` kernels are bit-identical to the full
         // ones when they do not abandon, so this is purely a fast path.
-        return sq_dist_dispatch(a, b);
+        return sq_dist_dispatch(level, a, b);
     }
-    match active_level() {
+    match level.0 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline.
+        // SAFETY: `level` is runnable, and SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::sq_dist_sse2_impl::<true>(a, b, bound) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_level()` only returns Avx2Fma after runtime detection.
+        // SAFETY: `level` is runnable: AVX2 and FMA were detected.
         SimdLevel::Avx2Fma => unsafe { x86::sq_dist_avx2_impl::<true>(a, b, bound) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is the aarch64 baseline.
@@ -732,60 +789,72 @@ pub(crate) fn sq_dist_within_dispatch(a: &[f32], b: &[f32], bound: f32) -> f32 {
     }
 }
 
-/// One dispatch for a whole run of rows (callers have asserted that `q` is
-/// not empty and divides `rows`): each row goes through the active level's
-/// full kernel, so every value is bit-equal to [`sq_dist_dispatch`].
+/// One dispatch for a whole run of rows: each row goes through the
+/// level's full kernel, so every value is bit-equal to
+/// [`sq_dist_dispatch`].
 #[inline]
-pub(crate) fn sq_dist_rows_dispatch(q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
-    match active_level() {
+pub(crate) fn sq_dist_rows_dispatch(
+    level: Runnable,
+    q: &[f32],
+    rows: &[f32],
+    each: impl FnMut(f32),
+) {
+    check_rows(q, rows);
+    match level.0 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; the caller checked `q`.
+        // SAFETY: `level` is runnable, and SSE2 is the x86-64 baseline;
+        // `q` was checked.
         SimdLevel::Sse2 => unsafe { x86::sq_dist_rows_sse2(q, rows, each) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_level()` only returns Avx2Fma after runtime detection.
+        // SAFETY: `level` is runnable: AVX2 and FMA were detected; `q`
+        // was checked.
         SimdLevel::Avx2Fma => unsafe { x86::sq_dist_rows_avx2(q, rows, each) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is the aarch64 baseline; the caller checked `q`.
+        // SAFETY: NEON is the aarch64 baseline; `q` was checked.
         SimdLevel::Neon => unsafe { arm::sq_dist_rows_neon(q, rows, each) },
         _ => sq_dist_rows_scalar_impl(q, rows, each),
     }
 }
 
-/// One dispatch for a whole row-verification walk (callers have asserted
-/// that `q` is not empty and divides `rows`): each named row goes through
-/// the active level's early-abandoning kernel, so every kept value is
+/// One dispatch for a whole row-verification walk: each named row goes
+/// through the level's early-abandoning kernel, so every kept value is
 /// bit-equal to [`sq_dist_dispatch`] and every abandon is
 /// [`sq_dist_within_dispatch`]'s.
 #[inline]
 pub(crate) fn sq_dist_rows_within_dispatch(
+    level: Runnable,
     q: &[f32],
     rows: &[f32],
     ids: impl IntoIterator<Item = PointId>,
     bound: f32,
     keep: impl FnMut(PointId, f32) -> f32,
 ) {
-    match active_level() {
+    check_rows(q, rows);
+    match level.0 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline; the caller checked `q`.
+        // SAFETY: `level` is runnable, and SSE2 is the x86-64 baseline;
+        // `q` was checked.
         SimdLevel::Sse2 => unsafe { x86::sq_dist_rows_within_sse2(q, rows, ids, bound, keep) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_level()` only returns Avx2Fma after runtime detection.
+        // SAFETY: `level` is runnable: AVX2 and FMA were detected; `q`
+        // was checked.
         SimdLevel::Avx2Fma => unsafe { x86::sq_dist_rows_within_avx2(q, rows, ids, bound, keep) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is the aarch64 baseline; the caller checked `q`.
+        // SAFETY: NEON is the aarch64 baseline; `q` was checked.
         SimdLevel::Neon => unsafe { arm::sq_dist_rows_within_neon(q, rows, ids, bound, keep) },
         _ => sq_dist_rows_within_scalar_impl(q, rows, ids, bound, keep),
     }
 }
 
 #[inline]
-pub(crate) fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
-    match active_level() {
+pub(crate) fn dot_dispatch(level: Runnable, a: &[f32], b: &[f32]) -> f32 {
+    check_lens("dot", a, b);
+    match level.0 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is the x86-64 baseline.
+        // SAFETY: `level` is runnable, and SSE2 is the x86-64 baseline.
         SimdLevel::Sse2 => unsafe { x86::dot_sse2_impl(a, b) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_level()` only returns Avx2Fma after runtime detection.
+        // SAFETY: `level` is runnable: AVX2 and FMA were detected.
         SimdLevel::Avx2Fma => unsafe { x86::dot_avx2_impl(a, b) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is the aarch64 baseline.
@@ -794,187 +863,46 @@ pub(crate) fn dot_dispatch(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// The row kernels' contract: a non-empty query whose length divides the
-/// rows.
-///
-/// # Panics
-/// Panics when `q` is empty or `rows.len()` is not a multiple of `q.len()`.
-#[inline]
-pub(crate) fn check_rows(q: &[f32], rows: &[f32]) {
-    assert!(
-        !q.is_empty() && rows.len().is_multiple_of(q.len()),
-        "sq_dist_rows: {} floats are not whole rows of {}",
-        rows.len(),
-        q.len()
-    );
-}
-
-/// Direct access to the individual kernel implementations, bypassing
-/// dispatch. This exists for the cross-implementation property tests and
-/// the `query_hotpath` bench; production code goes through
-/// [`crate::sq_dist`] / [`crate::dot`] / [`crate::sq_dist_within`].
+/// The five public entry points at a level the caller names, for the
+/// property tests (`tests/kernel_parity.rs`) and the `substrates` bench.
+/// Each function takes its public twin's arguments after `level`, panics
+/// when this CPU cannot run `level` ([`super::SimdLevel::is_available`]),
+/// and otherwise runs the dispatcher its twin runs, so
+/// `kernels::sq_dist(active_level(), a, b)` is `sq_dist(a, b)`.
 pub mod kernels {
+    use super::{Runnable, SimdLevel};
     use crate::PointId;
 
-    /// Portable scalar squared distance (the historical kernel).
-    pub fn sq_dist_scalar(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "sq_dist: slice length mismatch");
-        super::sq_dist_scalar_impl::<false>(a, b, f32::INFINITY)
+    /// [`crate::sq_dist`] at `level`.
+    pub fn sq_dist(level: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
+        super::sq_dist_dispatch(Runnable::checked(level), a, b)
     }
 
-    /// Portable scalar early-abandoning squared distance.
-    pub fn sq_dist_within_scalar(a: &[f32], b: &[f32], bound: f32) -> f32 {
-        assert_eq!(a.len(), b.len(), "sq_dist_within: slice length mismatch");
-        super::sq_dist_scalar_impl::<true>(a, b, bound)
+    /// [`crate::sq_dist_within`] at `level`.
+    pub fn sq_dist_within(level: SimdLevel, a: &[f32], b: &[f32], bound: f32) -> f32 {
+        super::sq_dist_within_dispatch(Runnable::checked(level), a, b, bound)
     }
 
-    /// Portable scalar dot product.
-    pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot: slice length mismatch");
-        super::dot_scalar_impl(a, b)
+    /// [`crate::dot`] at `level`.
+    pub fn dot(level: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
+        super::dot_dispatch(Runnable::checked(level), a, b)
     }
 
-    /// Portable scalar row kernel: [`sq_dist_scalar`] of `q` and each row
-    /// of `rows`, in order.
-    pub fn sq_dist_rows_scalar(q: &[f32], rows: &[f32]) -> Vec<f32> {
-        super::check_rows(q, rows);
-        let mut out = Vec::with_capacity(rows.len() / q.len());
-        super::sq_dist_rows_scalar_impl(q, rows, |d| out.push(d));
-        out
+    /// [`crate::sq_dist_rows`] at `level`.
+    pub fn sq_dist_rows(level: SimdLevel, q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
+        super::sq_dist_rows_dispatch(Runnable::checked(level), q, rows, each)
     }
 
-    /// Portable scalar row-verification kernel: [`sq_dist_within_scalar`]
-    /// of `q` and each row `ids` names, with no read-ahead.
-    pub fn sq_dist_rows_within_scalar(
+    /// [`crate::sq_dist_rows_within`] at `level`.
+    pub fn sq_dist_rows_within(
+        level: SimdLevel,
         q: &[f32],
         rows: &[f32],
         ids: impl IntoIterator<Item = PointId>,
         bound: f32,
         keep: impl FnMut(PointId, f32) -> f32,
     ) {
-        super::check_rows(q, rows);
-        super::sq_dist_rows_within_scalar_impl(q, rows, ids, bound, keep);
-    }
-
-    /// SSE2 squared distance (always available on x86-64).
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_sse2(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "sq_dist: slice length mismatch");
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { super::x86::sq_dist_sse2_impl::<false>(a, b, f32::INFINITY) }
-    }
-
-    /// SSE2 early-abandoning squared distance (always available on x86-64).
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_within_sse2(a: &[f32], b: &[f32], bound: f32) -> f32 {
-        assert_eq!(a.len(), b.len(), "sq_dist_within: slice length mismatch");
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { super::x86::sq_dist_sse2_impl::<true>(a, b, bound) }
-    }
-
-    /// SSE2 dot product (always available on x86-64).
-    #[cfg(target_arch = "x86_64")]
-    pub fn dot_sse2(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot: slice length mismatch");
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { super::x86::dot_sse2_impl(a, b) }
-    }
-
-    /// SSE2 row kernel (always available on x86-64).
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_rows_sse2(q: &[f32], rows: &[f32]) -> Vec<f32> {
-        super::check_rows(q, rows);
-        let mut out = Vec::with_capacity(rows.len() / q.len());
-        // SAFETY: SSE2 is part of the x86-64 baseline; `q` was checked.
-        unsafe { super::x86::sq_dist_rows_sse2(q, rows, |d| out.push(d)) };
-        out
-    }
-
-    /// SSE2 row-verification kernel (always available on x86-64).
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_rows_within_sse2(
-        q: &[f32],
-        rows: &[f32],
-        ids: impl IntoIterator<Item = PointId>,
-        bound: f32,
-        keep: impl FnMut(PointId, f32) -> f32,
-    ) {
-        super::check_rows(q, rows);
-        // SAFETY: SSE2 is part of the x86-64 baseline; `q` was checked.
-        unsafe { super::x86::sq_dist_rows_within_sse2(q, rows, ids, bound, keep) }
-    }
-
-    /// AVX2+FMA squared distance.
-    ///
-    /// # Panics
-    /// Panics when the CPU lacks AVX2 or FMA — check
-    /// [`super::avx2_fma_available`] first.
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_avx2(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "sq_dist: slice length mismatch");
-        assert!(super::avx2_fma_available(), "AVX2+FMA not available");
-        // SAFETY: availability asserted above.
-        unsafe { super::x86::sq_dist_avx2_impl::<false>(a, b, f32::INFINITY) }
-    }
-
-    /// AVX2+FMA early-abandoning squared distance.
-    ///
-    /// # Panics
-    /// Panics when the CPU lacks AVX2 or FMA — check
-    /// [`super::avx2_fma_available`] first.
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_within_avx2(a: &[f32], b: &[f32], bound: f32) -> f32 {
-        assert_eq!(a.len(), b.len(), "sq_dist_within: slice length mismatch");
-        assert!(super::avx2_fma_available(), "AVX2+FMA not available");
-        // SAFETY: availability asserted above.
-        unsafe { super::x86::sq_dist_avx2_impl::<true>(a, b, bound) }
-    }
-
-    /// AVX2+FMA dot product.
-    ///
-    /// # Panics
-    /// Panics when the CPU lacks AVX2 or FMA — check
-    /// [`super::avx2_fma_available`] first.
-    #[cfg(target_arch = "x86_64")]
-    pub fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot: slice length mismatch");
-        assert!(super::avx2_fma_available(), "AVX2+FMA not available");
-        // SAFETY: availability asserted above.
-        unsafe { super::x86::dot_avx2_impl(a, b) }
-    }
-
-    /// AVX2+FMA row kernel.
-    ///
-    /// # Panics
-    /// Panics when the CPU lacks AVX2 or FMA — check
-    /// [`super::avx2_fma_available`] first.
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_rows_avx2(q: &[f32], rows: &[f32]) -> Vec<f32> {
-        super::check_rows(q, rows);
-        assert!(super::avx2_fma_available(), "AVX2+FMA not available");
-        let mut out = Vec::with_capacity(rows.len() / q.len());
-        // SAFETY: availability asserted above; `q` was checked.
-        unsafe { super::x86::sq_dist_rows_avx2(q, rows, |d| out.push(d)) };
-        out
-    }
-
-    /// AVX2+FMA row-verification kernel.
-    ///
-    /// # Panics
-    /// Panics when the CPU lacks AVX2 or FMA — check
-    /// [`super::avx2_fma_available`] first.
-    #[cfg(target_arch = "x86_64")]
-    pub fn sq_dist_rows_within_avx2(
-        q: &[f32],
-        rows: &[f32],
-        ids: impl IntoIterator<Item = PointId>,
-        bound: f32,
-        keep: impl FnMut(PointId, f32) -> f32,
-    ) {
-        super::check_rows(q, rows);
-        assert!(super::avx2_fma_available(), "AVX2+FMA not available");
-        // SAFETY: availability asserted above; `q` was checked.
-        unsafe { super::x86::sq_dist_rows_within_avx2(q, rows, ids, bound, keep) }
+        super::sq_dist_rows_within_dispatch(Runnable::checked(level), q, rows, ids, bound, keep)
     }
 }
 
@@ -998,8 +926,8 @@ mod tests {
         for len in [0usize, 1, 3, 4, 7, 15, 16, 33, 100] {
             let a: Vec<f32> = (0..len).map(|i| (i as f32) * 0.25 - 4.0).collect();
             let b: Vec<f32> = (0..len).map(|i| (i as f32) * -0.5 + 2.0).collect();
-            let scalar = kernels::sq_dist_scalar(&a, &b);
-            let fast = sq_dist_dispatch(&a, &b);
+            let scalar = kernels::sq_dist(SimdLevel::Scalar, &a, &b);
+            let fast = sq_dist_dispatch(Runnable::active(), &a, &b);
             let tol = 1e-5f32 * scalar.max(1.0);
             assert!(
                 (fast - scalar).abs() <= tol,
@@ -1015,9 +943,9 @@ mod tests {
         for len in [1usize, 8, 16, 33, 100, 257] {
             let a: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
             let b: Vec<f32> = (0..len).map(|i| (i as f32).cos()).collect();
-            let full = sq_dist_dispatch(&a, &b);
+            let full = sq_dist_dispatch(Runnable::active(), &a, &b);
             for bound in [0.0f32, full * 0.5, full, full * 2.0, f32::INFINITY] {
-                let got = sq_dist_within_dispatch(&a, &b, bound);
+                let got = sq_dist_within_dispatch(Runnable::active(), &a, &b, bound);
                 assert_eq!(got > bound, full > bound, "len {len} bound {bound}");
                 if got <= bound {
                     assert_eq!(got, full, "kept result must be exact");

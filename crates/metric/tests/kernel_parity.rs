@@ -1,15 +1,20 @@
-//! Cross-implementation property tests for the SIMD kernel matrix.
+//! Cross-level property tests for the SIMD kernels.
 //!
-//! Pins the numerical contract of `pm_lsh_metric::simd`:
+//! Every test runs each kernel level this CPU can run through
+//! `simd::kernels`, which hands the level to the same dispatcher the
+//! public entry points run: the arms tested are the arms production
+//! dispatches (NEON's on an aarch64 runner, AVX2+FMA's on a CPU that has
+//! it). Pins the numerical contract of `pm_lsh_metric::simd`:
 //!
-//! * scalar and SSE2 (and NEON, on aarch64 hardware) are **bit-identical**,
+//! * scalar, SSE2 and NEON are **bit-identical**,
 //! * AVX2+FMA agrees with scalar within a relative tolerance,
+//! * the public entry points are the active level's kernels,
 //! * every row kernel (`sq_dist_rows`) is bit-identical, row by row, to
 //!   the full kernel of its own level — also on rows holding NaN,
-//! * every `sq_dist_within` variant returns the exact full kernel value
-//!   whenever it does not abandon, lands on the same side of the bound as
-//!   the full kernel, and treats a partial sum *equal* to the bound as
-//!   "keep going" (strict-inequality abandonment),
+//! * every `sq_dist_within` returns the exact full kernel value of its
+//!   level whenever it does not abandon, lands on the same side of the
+//!   bound as the full kernel, and treats a partial sum *equal* to the
+//!   bound as "keep going" (strict-inequality abandonment),
 //! * every row-verification kernel (`sq_dist_rows_within`) keeps and
 //!   abandons exactly the rows its level's `sq_dist_within` would against
 //!   the bound in force, hands each kept row on with the full kernel's
@@ -25,6 +30,18 @@ use pm_lsh_metric::{
 use proptest::prelude::*;
 
 const DIMS: &[usize] = &[1, 2, 3, 4, 7, 8, 15, 16, 33, 100, 960, 4096];
+
+/// Every kernel level this CPU can run.
+fn runnable_levels() -> impl Iterator<Item = SimdLevel> {
+    [
+        SimdLevel::Scalar,
+        SimdLevel::Sse2,
+        SimdLevel::Avx2Fma,
+        SimdLevel::Neon,
+    ]
+    .into_iter()
+    .filter(|level| level.is_available())
+}
 
 /// Deterministic splitmix64-based vector fill, so each proptest case only
 /// has to draw a seed (the shim cannot generate 4096-long vectors per dim
@@ -42,6 +59,28 @@ fn fill(mut state: u64, len: usize, scale: f32) -> Vec<f32> {
         .collect()
 }
 
+#[test]
+fn levels_this_cpu_runs() {
+    assert!(SimdLevel::Scalar.is_available());
+    assert_eq!(SimdLevel::Sse2.is_available(), cfg!(target_arch = "x86_64"));
+    assert_eq!(
+        SimdLevel::Neon.is_available(),
+        cfg!(target_arch = "aarch64")
+    );
+    assert!(simd::active_level().is_available());
+}
+
+#[test]
+#[should_panic(expected = "cannot run on this CPU")]
+fn kernels_refuse_a_level_this_cpu_cannot_run() {
+    // Every target lacks SSE2 or NEON.
+    let level = [SimdLevel::Sse2, SimdLevel::Neon]
+        .into_iter()
+        .find(|level| !level.is_available())
+        .expect("no target has both SSE2 and NEON");
+    kernels::sq_dist(level, &[1.0], &[2.0]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -53,56 +92,57 @@ proptest! {
         for (di, &d) in DIMS.iter().enumerate() {
             let a = fill(seed ^ ((di as u64) << 1), d, scale);
             let b = fill(seed ^ (((di as u64) << 1) | 1), d, scale);
-            let sq_scalar = kernels::sq_dist_scalar(&a, &b);
-            let dot_scalar = kernels::dot_scalar(&a, &b);
+            let sq_scalar = kernels::sq_dist(SimdLevel::Scalar, &a, &b);
+            let dot_scalar = kernels::dot(SimdLevel::Scalar, &a, &b);
+            // dot has cancellation, so tolerate relative-to-magnitude.
+            let mag: f32 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
 
-            #[cfg(target_arch = "x86_64")]
-            {
-                // SSE2 promises bit-identical results to scalar.
-                prop_assert_eq!(
-                    kernels::sq_dist_sse2(&a, &b).to_bits(),
-                    sq_scalar.to_bits(),
-                    "sse2 sq_dist diverged from scalar at d={}", d
-                );
-                prop_assert_eq!(
-                    kernels::dot_sse2(&a, &b).to_bits(),
-                    dot_scalar.to_bits(),
-                    "sse2 dot diverged from scalar at d={}", d
-                );
-                // AVX2+FMA only promises tolerance (8 lanes + fused rounding).
-                if simd::avx2_fma_available() {
-                    let sq_avx = kernels::sq_dist_avx2(&a, &b);
+            for level in runnable_levels() {
+                let sq = kernels::sq_dist(level, &a, &b);
+                let dot = kernels::dot(level, &a, &b);
+                if level == SimdLevel::Avx2Fma {
+                    // AVX2+FMA only promises tolerance (8 lanes + fused
+                    // rounding).
                     let sq_tol = 1e-5f32 * sq_scalar.abs().max(1.0);
                     prop_assert!(
-                        (sq_avx - sq_scalar).abs() <= sq_tol,
-                        "avx2 sq_dist {} vs scalar {} at d={}", sq_avx, sq_scalar, d
+                        (sq - sq_scalar).abs() <= sq_tol,
+                        "{} sq_dist {} vs scalar {} at d={}", level, sq, sq_scalar, d
                     );
-                    let dot_avx = kernels::dot_avx2(&a, &b);
-                    // dot has cancellation, so tolerate relative-to-magnitude.
-                    let mag: f32 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-                    let dot_tol = 1e-5f32 * mag.max(1.0);
                     prop_assert!(
-                        (dot_avx - dot_scalar).abs() <= dot_tol,
-                        "avx2 dot {} vs scalar {} at d={}", dot_avx, dot_scalar, d
+                        (dot - dot_scalar).abs() <= 1e-5f32 * mag.max(1.0),
+                        "{} dot {} vs scalar {} at d={}", level, dot, dot_scalar, d
+                    );
+                } else {
+                    // Scalar, SSE2 and NEON promise bit-identical results.
+                    prop_assert_eq!(
+                        sq.to_bits(), sq_scalar.to_bits(),
+                        "{} sq_dist diverged from scalar at d={}", level, d
+                    );
+                    prop_assert_eq!(
+                        dot.to_bits(), dot_scalar.to_bits(),
+                        "{} dot diverged from scalar at d={}", level, d
                     );
                 }
             }
 
-            // The dispatched entry points agree with themselves: a disabled
-            // bound is exactly the full kernel, whatever level is active.
+            // The public entry points run the active level's kernels, and
+            // a disabled bound is exactly the full kernel.
+            let active = simd::active_level();
+            prop_assert_eq!(
+                sq_dist(&a, &b).to_bits(),
+                kernels::sq_dist(active, &a, &b).to_bits(),
+                "sq_dist is not the {} kernel at d={}", active, d
+            );
+            prop_assert_eq!(
+                dot(&a, &b).to_bits(),
+                kernels::dot(active, &a, &b).to_bits(),
+                "dot is not the {} kernel at d={}", active, d
+            );
             prop_assert_eq!(
                 sq_dist_within(&a, &b, f32::INFINITY).to_bits(),
                 sq_dist(&a, &b).to_bits(),
                 "within(INF) != full at d={}", d
             );
-            // And dot/sq_dist stay within tolerance of scalar end to end.
-            let sq_fast = sq_dist(&a, &b);
-            prop_assert!(
-                (sq_fast - sq_scalar).abs() <= 1e-5f32 * sq_scalar.abs().max(1.0)
-            );
-            let dot_fast = dot(&a, &b);
-            let mag: f32 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-            prop_assert!((dot_fast - dot_scalar).abs() <= 1e-5f32 * mag.max(1.0));
         }
     }
 
@@ -115,47 +155,43 @@ proptest! {
             let a = fill(seed ^ ((di as u64) << 8), d, 4.0);
             let b = fill(seed ^ (((di as u64) << 8) | 7), d, 4.0);
 
-            // Each implementation is checked against ITS OWN full value
-            // (AVX2's full value differs from scalar's in the last ulps).
-            type Pair = (fn(&[f32], &[f32]) -> f32, fn(&[f32], &[f32], f32) -> f32);
-            let mut impls: Vec<(&str, Pair)> = vec![
-                ("scalar", (kernels::sq_dist_scalar, kernels::sq_dist_within_scalar)),
-                ("dispatch", (sq_dist, sq_dist_within)),
-            ];
-            #[cfg(target_arch = "x86_64")]
-            {
-                impls.push(("sse2", (kernels::sq_dist_sse2, kernels::sq_dist_within_sse2)));
-                if simd::avx2_fma_available() {
-                    impls.push(("avx2", (kernels::sq_dist_avx2, kernels::sq_dist_within_avx2)));
-                }
-            }
-
-            for (name, (full_fn, within_fn)) in impls {
-                let full = full_fn(&a, &b);
+            // Each level is checked against ITS OWN full value (AVX2's
+            // full value differs from scalar's in the last ulps).
+            for level in runnable_levels() {
+                let full = kernels::sq_dist(level, &a, &b);
                 let bound = (full as f64 * frac) as f32;
-                let got = within_fn(&a, &b, bound);
+                let got = kernels::sq_dist_within(level, &a, &b, bound);
                 // Same side of the bound as the full kernel...
                 prop_assert_eq!(
                     got > bound,
                     full > bound,
-                    "{}: within={} full={} bound={} d={}", name, got, full, bound, d
+                    "{}: within={} full={} bound={} d={}", level, got, full, bound, d
                 );
                 // ...and bit-exact whenever the candidate is kept.
                 if got <= bound {
                     prop_assert_eq!(
                         got.to_bits(), full.to_bits(),
-                        "{}: kept value not exact at d={}", name, d
+                        "{}: kept value not exact at d={}", level, d
                     );
                 }
                 // Strict inequality at the boundary: a bound exactly equal
                 // to the full distance must NOT abandon (every partial sum
                 // is <= full, so none strictly exceeds the bound).
-                let at_boundary = within_fn(&a, &b, full);
+                let at_boundary = kernels::sq_dist_within(level, &a, &b, full);
                 prop_assert_eq!(
                     at_boundary.to_bits(), full.to_bits(),
-                    "{}: abandoned at an exactly-equal bound, d={}", name, d
+                    "{}: abandoned at an exactly-equal bound, d={}", level, d
                 );
             }
+
+            // The public entry point is the active level's kernel.
+            let active = simd::active_level();
+            let bound = (sq_dist(&a, &b) as f64 * frac) as f32;
+            prop_assert_eq!(
+                sq_dist_within(&a, &b, bound).to_bits(),
+                kernels::sq_dist_within(active, &a, &b, bound).to_bits(),
+                "sq_dist_within is not the {} kernel at d={}", active, d
+            );
         }
     }
 }
@@ -170,20 +206,22 @@ fn partial_sum_equal_to_bound_does_not_abandon() {
         let b = vec![0.0f32; d];
         a[0] = 3.0;
         a[1] = 4.0;
-        let full = sq_dist(&a, &b); // exactly 25.0, reached by element 2
-        assert_eq!(full, 25.0);
+        assert_eq!(sq_dist(&a, &b), 25.0); // reached by element 2
         assert_eq!(sq_dist_within(&a, &b, 25.0), 25.0, "d={d}");
-        assert_eq!(kernels::sq_dist_within_scalar(&a, &b, 25.0), 25.0, "d={d}");
-        #[cfg(target_arch = "x86_64")]
-        {
-            assert_eq!(kernels::sq_dist_within_sse2(&a, &b, 25.0), 25.0, "d={d}");
-            if simd::avx2_fma_available() {
-                assert_eq!(kernels::sq_dist_within_avx2(&a, &b, 25.0), 25.0, "d={d}");
-            }
-        }
         // One ulp below the mass: must abandon (or at least report > bound).
         let below = 25.0f32.next_down();
-        assert!(sq_dist_within(&a, &b, below) > below, "d={d}");
+        for level in runnable_levels() {
+            assert_eq!(kernels::sq_dist(level, &a, &b), 25.0, "{level}: d={d}");
+            assert_eq!(
+                kernels::sq_dist_within(level, &a, &b, 25.0),
+                25.0,
+                "{level}: d={d}"
+            );
+            assert!(
+                kernels::sq_dist_within(level, &a, &b, below) > below,
+                "{level}: d={d}"
+            );
+        }
     }
 }
 
@@ -191,8 +229,8 @@ fn partial_sum_equal_to_bound_does_not_abandon() {
 /// or NaN for NaN (a NaN's payload is not part of the contract).
 fn assert_rows_match(
     level: &str,
-    rows_fn: fn(&[f32], &[f32]) -> Vec<f32>,
-    one_fn: fn(&[f32], &[f32]) -> f32,
+    rows_fn: impl Fn(&[f32], &[f32], &mut dyn FnMut(f32)),
+    one_fn: impl Fn(&[f32], &[f32]) -> f32,
 ) {
     for m in 1..=40usize {
         let q = fill(m as u64, m, 3.0);
@@ -202,7 +240,8 @@ fn assert_rows_match(
             for r in (0..count).filter(|r| r % 3 == 1) {
                 rows[r * m + (r * 7) % m] = f32::NAN;
             }
-            let got = rows_fn(&q, &rows);
+            let mut got = Vec::new();
+            rows_fn(&q, &rows, &mut |d| got.push(d));
             assert_eq!(got.len(), count, "{level}: m = {m}, {count} rows");
             for (r, (&got, row)) in got.iter().zip(rows.chunks_exact(m)).enumerate() {
                 let want = one_fn(&q, row);
@@ -216,40 +255,33 @@ fn assert_rows_match(
     }
 }
 
-/// `sq_dist_rows` as the tests read it: collected into a `Vec`.
-fn dispatched_rows(q: &[f32], rows: &[f32]) -> Vec<f32> {
-    let mut out = Vec::new();
-    sq_dist_rows(q, rows, |d| out.push(d));
-    out
-}
-
 #[test]
 fn row_kernel_is_the_full_kernel_row_by_row() {
-    assert_rows_match(
-        "scalar",
-        kernels::sq_dist_rows_scalar,
-        kernels::sq_dist_scalar,
-    );
-    assert_rows_match("dispatch", dispatched_rows, sq_dist);
-    #[cfg(target_arch = "x86_64")]
-    {
-        assert_rows_match("sse2", kernels::sq_dist_rows_sse2, kernels::sq_dist_sse2);
-        if simd::avx2_fma_available() {
-            assert_rows_match("avx2", kernels::sq_dist_rows_avx2, kernels::sq_dist_avx2);
-        }
+    for level in runnable_levels() {
+        assert_rows_match(
+            &level.to_string(),
+            |q, rows, each| kernels::sq_dist_rows(level, q, rows, each),
+            |q, row| kernels::sq_dist(level, q, row),
+        );
     }
+    assert_rows_match(
+        "public",
+        |q, rows, each| sq_dist_rows(q, rows, each),
+        sq_dist,
+    );
 }
 
-/// `true` when this process runs under `PMLSH_FORCE_SCALAR=1`. Otherwise
-/// the test `name` is re-run in a child process that does, and must pass
-/// there. The level is fixed at a process's first distance call, so a
-/// process started without the variable (unlike the scalar CI job, which
-/// starts the whole suite with it) cannot switch to scalar itself.
-fn under_forced_scalar(name: &str) -> bool {
+/// `PMLSH_FORCE_SCALAR=1` pins the scalar level. The level is fixed at a
+/// process's first distance call, so unless this process was started with
+/// the variable (as the scalar CI job starts the whole suite), the test
+/// re-runs itself in a child process that is, and must pass there.
+#[test]
+fn forced_scalar_pins_the_scalar_level() {
     if std::env::var("PMLSH_FORCE_SCALAR").as_deref() == Ok("1") {
         assert_eq!(simd::active_level(), SimdLevel::Scalar);
-        return true;
+        return;
     }
+    let name = "forced_scalar_pins_the_scalar_level";
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
         .args(["--exact", name, "--test-threads", "1"])
@@ -263,15 +295,6 @@ fn under_forced_scalar(name: &str) -> bool {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("1 passed"), "{stdout}");
-    false
-}
-
-/// The dispatched row kernel under `PMLSH_FORCE_SCALAR=1`.
-#[test]
-fn row_kernel_under_forced_scalar() {
-    if under_forced_scalar("row_kernel_under_forced_scalar") {
-        assert_rows_match("forced scalar", dispatched_rows, sq_dist);
-    }
 }
 
 #[test]
@@ -279,9 +302,6 @@ fn row_kernel_under_forced_scalar() {
 fn row_kernel_rejects_a_partial_row() {
     sq_dist_rows(&[1.0, 2.0], &[1.0, 2.0, 3.0], |_| {});
 }
-
-/// A row-verification kernel as the tests drive it.
-type Walk<'a> = &'a dyn Fn(&[f32], &[f32], &[PointId], f32, &mut dyn FnMut(PointId, f32) -> f32);
 
 /// What one walk did: every `(id, sq bits)` handed to `keep`, in order.
 /// `keep` moves the bound to the third smallest kept squared distance so
@@ -308,9 +328,9 @@ fn record(walk: impl FnOnce(&mut dyn FnMut(PointId, f32) -> f32)) -> Vec<(PointI
 /// ids, rows holding NaN, and start bounds from ∞ to below every distance.
 fn assert_walk_matches(
     level: &str,
-    walk: Walk<'_>,
-    within: fn(&[f32], &[f32], f32) -> f32,
-    full: fn(&[f32], &[f32]) -> f32,
+    walk: impl Fn(&[f32], &[f32], &[PointId], f32, &mut dyn FnMut(PointId, f32) -> f32),
+    within: impl Fn(&[f32], &[f32], f32) -> f32,
+    full: impl Fn(&[f32], &[f32]) -> f32,
 ) {
     let mut checked_abandons = 0;
     for m in [1usize, 5, 16, 100, 127, 128, 129, 192, 300, 1000] {
@@ -353,57 +373,24 @@ fn assert_walk_matches(
     );
 }
 
-/// The dispatched row-verification kernel, as [`Walk`].
-fn dispatched_walk(
-    q: &[f32],
-    rows: &[f32],
-    ids: &[PointId],
-    bound: f32,
-    keep: &mut dyn FnMut(PointId, f32) -> f32,
-) {
-    sq_dist_rows_within(q, rows, ids.iter().copied(), bound, keep);
-}
-
 #[test]
 fn row_verification_keeps_and_abandons_as_within_does() {
-    assert_walk_matches(
-        "scalar",
-        &|q, rows, ids, bound, keep| {
-            kernels::sq_dist_rows_within_scalar(q, rows, ids.iter().copied(), bound, keep)
-        },
-        kernels::sq_dist_within_scalar,
-        kernels::sq_dist_scalar,
-    );
-    assert_walk_matches("dispatch", &dispatched_walk, sq_dist_within, sq_dist);
-    #[cfg(target_arch = "x86_64")]
-    {
+    for level in runnable_levels() {
         assert_walk_matches(
-            "sse2",
-            &|q, rows, ids, bound, keep| {
-                kernels::sq_dist_rows_within_sse2(q, rows, ids.iter().copied(), bound, keep)
+            &level.to_string(),
+            |q, rows, ids, bound, keep| {
+                kernels::sq_dist_rows_within(level, q, rows, ids.iter().copied(), bound, keep)
             },
-            kernels::sq_dist_within_sse2,
-            kernels::sq_dist_sse2,
+            |a, b, bound| kernels::sq_dist_within(level, a, b, bound),
+            |a, b| kernels::sq_dist(level, a, b),
         );
-        if simd::avx2_fma_available() {
-            assert_walk_matches(
-                "avx2",
-                &|q, rows, ids, bound, keep| {
-                    kernels::sq_dist_rows_within_avx2(q, rows, ids.iter().copied(), bound, keep)
-                },
-                kernels::sq_dist_within_avx2,
-                kernels::sq_dist_avx2,
-            );
-        }
     }
-}
-
-/// The dispatched row-verification kernel under `PMLSH_FORCE_SCALAR=1`.
-#[test]
-fn row_verification_under_forced_scalar() {
-    if under_forced_scalar("row_verification_under_forced_scalar") {
-        assert_walk_matches("forced scalar", &dispatched_walk, sq_dist_within, sq_dist);
-    }
+    assert_walk_matches(
+        "public",
+        |q, rows, ids, bound, keep| sq_dist_rows_within(q, rows, ids.iter().copied(), bound, keep),
+        sq_dist_within,
+        sq_dist,
+    );
 }
 
 #[test]

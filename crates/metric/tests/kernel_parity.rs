@@ -271,17 +271,17 @@ fn row_kernel_is_the_full_kernel_row_by_row() {
     );
 }
 
-/// `PMLSH_FORCE_SCALAR=1` pins the scalar level. The level is fixed at a
-/// process's first distance call, so unless this process was started with
-/// the variable (as the scalar CI job starts the whole suite), the test
-/// re-runs itself in a child process that is, and must pass there.
-#[test]
-fn forced_scalar_pins_the_scalar_level() {
+/// Whether this process runs under `PMLSH_FORCE_SCALAR=1`, which must pin
+/// the scalar level. The level is fixed at a process's first distance
+/// call, so unless this process was started with the variable (as the
+/// scalar CI job starts the whole suite), the test `name` re-runs itself
+/// in a child process that is, must pass there, and has nothing left to
+/// check here.
+fn under_forced_scalar(name: &str) -> bool {
     if std::env::var("PMLSH_FORCE_SCALAR").as_deref() == Ok("1") {
         assert_eq!(simd::active_level(), SimdLevel::Scalar);
-        return;
+        return true;
     }
-    let name = "forced_scalar_pins_the_scalar_level";
     let exe = std::env::current_exe().expect("test binary path");
     let out = std::process::Command::new(exe)
         .args(["--exact", name, "--test-threads", "1"])
@@ -295,6 +295,20 @@ fn forced_scalar_pins_the_scalar_level() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("1 passed"), "{stdout}");
+    false
+}
+
+/// Under `PMLSH_FORCE_SCALAR=1` the public row kernel is the scalar level's
+/// full kernel, row by row.
+#[test]
+fn row_kernel_under_forced_scalar() {
+    if under_forced_scalar("row_kernel_under_forced_scalar") {
+        assert_rows_match(
+            "forced scalar",
+            |q, rows, each| sq_dist_rows(q, rows, each),
+            |q, row| kernels::sq_dist(SimdLevel::Scalar, q, row),
+        );
+    }
 }
 
 #[test]
@@ -391,6 +405,22 @@ fn row_verification_keeps_and_abandons_as_within_does() {
         sq_dist_within,
         sq_dist,
     );
+}
+
+/// Under `PMLSH_FORCE_SCALAR=1` the public row walk keeps and abandons as
+/// the scalar level's `sq_dist_within` does.
+#[test]
+fn row_verification_under_forced_scalar() {
+    if under_forced_scalar("row_verification_under_forced_scalar") {
+        assert_walk_matches(
+            "forced scalar",
+            |q, rows, ids, bound, keep| {
+                sq_dist_rows_within(q, rows, ids.iter().copied(), bound, keep)
+            },
+            |a, b, bound| kernels::sq_dist_within(SimdLevel::Scalar, a, b, bound),
+            |a, b| kernels::sq_dist(SimdLevel::Scalar, a, b),
+        );
+    }
 }
 
 #[test]

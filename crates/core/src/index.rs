@@ -340,6 +340,9 @@ impl PmLsh {
     /// exactly-sampled `F` — the documented trade-off of incremental
     /// maintenance.
     ///
+    /// The asserting one-op form of [`PmLsh::apply`]: the same patch,
+    /// with a malformed point a panic instead of a typed rejection.
+    ///
     /// # Panics
     /// Panics if `point` has the wrong dimensionality or a non-finite
     /// component (serving layers validate first; see
@@ -355,20 +358,22 @@ impl PmLsh {
             point.iter().all(|v| v.is_finite()),
             "point contains a non-finite component"
         );
-        let id = self.data.len() as pm_lsh_metric::PointId;
-        let projected = self.projector.project(point);
-        Arc::make_mut(&mut self.data).push(point);
-        self.tree.insert(&projected, id);
-        id
+        // lint: allow(hot-path) -- a mutation, not a query; the row is copied in anyway
+        self.patch(&MutOp::Insert(point.to_vec()))
     }
 
     /// Deletes the point with external id `id`; `false` when no live
     /// point carries it. The PM-tree entry is removed for real (leaf
     /// removal with subtree pruning — see `PmTree::delete`); the
     /// original-space row stays behind as a stable-id tombstone until the
-    /// next rebuild and is never returned by queries.
+    /// next rebuild and is never returned by queries. Unlike a batch
+    /// delete, it may empty the index.
     pub fn delete(&mut self, id: pm_lsh_metric::PointId) -> bool {
-        self.tree.delete(id)
+        let live = self.contains(id);
+        if live {
+            self.patch(&MutOp::Delete(id));
+        }
+        live
     }
 
     /// Applies a batch of interleaved inserts and deletes in one pass,

@@ -1,5 +1,5 @@
-//! `pm-lsh-engine` — a concurrent, batched query engine and TCP serving
-//! layer over the PM-LSH index.
+//! `pm-lsh-engine` — a concurrent query engine and TCP serving layer
+//! over the PM-LSH index.
 //!
 //! The sibling crates answer one query at a time on the calling thread;
 //! this crate turns the [`PmLsh`] index into a serving system. It is the
@@ -11,9 +11,11 @@
 //!   one API ([`ShardedEngine::build`], or `Engine::new(index,
 //!   config).into()` for a pre-built index — a shard set of one, which
 //!   `tests/sharded_parity.rs` pins bit-for-bit to the plain index).
-//!   [`ShardedEngine::query`] is a blocking call that travels through the
-//!   micro-batching request queue; [`ShardedEngine::query_batch`] deals a
-//!   whole query set across the pool and returns results in input order.
+//!   [`ShardedEngine::query`] is a blocking call that hands its legs
+//!   straight to the shard pools; [`ShardedEngine::query_batch`] deals a
+//!   whole query set across the pools and returns results in input order.
+//!   [`ShardedEngine::open`] turns a file — a `.pmlsh` snapshot or a
+//!   dataset — into a served engine.
 //! * [`Engine`] is one shard's worker: the current `Arc<PmLsh>` snapshot
 //!   in an atomic snapshot cell plus a fixed pool of worker threads
 //!   (`std::thread` + `std::sync::mpsc`, like everything else in the
@@ -38,10 +40,12 @@
 //!   [`ShardedEngine::delete`] are one-op batches ([`MutationReport`]).
 //!   On the wire these are the AUTH-gated `BATCH` and `INSERT`/`DELETE`
 //!   verbs, which share one executor too.
-//! * The micro-batcher (a channel and a collector thread) groups up to
-//!   `batch_size` concurrent requests, waiting at most `max_wait` after
-//!   the first, before handing them to the pool — one channel send per
-//!   worker per batch instead of one per query. Enqueueing never blocks.
+//! * A query leg never waits on a timer. One crate-private dispatch
+//!   hands the legs to their shard pools in runs of at most
+//!   `batch_size`, one submission each: a blocking query or a
+//!   `query_batch` dispatches at once, and the serving reactor collects
+//!   the legs of every `QUERY` of one readiness pass and dispatches them
+//!   before it sleeps again. Dispatching never blocks.
 //! * [`EngineStats`] aggregates throughput, p50/p99 latency and the summed
 //!   per-query [`QueryStats`] counters; the wire `STATS` verb and the
 //!   benchmark (`benchmark/`) read them.
@@ -95,7 +99,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod command;
 pub mod frame;
 mod pool;
@@ -113,7 +116,6 @@ pub use server::{serve, serve_router, DrainReport, ServerConfig, ServerHandle};
 pub use sharded::ShardedEngine;
 pub use stats::EngineStats;
 
-use crate::batch::BatchQueue;
 use crate::pool::WorkerPool;
 use crate::snapshot::SnapshotCell;
 use crate::stats::StatsCollector;
@@ -121,17 +123,18 @@ use pm_lsh_core::{BuildOptions, MutReject, PmLsh, PmLshParams, QueryResult, Quer
 use pm_lsh_metric::Dataset;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Tuning knobs for an [`Engine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
     /// Worker threads in the pool. `0` means available parallelism.
     pub threads: usize,
-    /// Most requests one micro-batch may coalesce.
+    /// Most query legs one pool submission carries (`0` counts as 1).
+    /// Legs dispatched together — one `query_batch`, or the `QUERY`s of
+    /// one reactor pass — are cut into runs of this length; nothing ever
+    /// waits for a run to fill.
     pub batch_size: usize,
-    /// Longest the batcher waits after a batch's first request.
-    pub max_wait: Duration,
 }
 
 impl Default for EngineConfig {
@@ -139,7 +142,6 @@ impl Default for EngineConfig {
         Self {
             threads: 0,
             batch_size: 32,
-            max_wait: Duration::from_micros(200),
         }
     }
 }
@@ -157,43 +159,33 @@ impl EngineConfig {
     }
 }
 
-/// One shard's worker: a snapshot cell, a worker pool, a micro-batcher
-/// and a statistics collector over one [`PmLsh`]. It has no serving API
-/// of its own — wrap it (`Engine::new(index, config).into()`) or build a
-/// [`ShardedEngine`] directly, and query, mutate, save and inspect
-/// through that; [`ShardedEngine::shards`] hands the workers back for
-/// snapshot inspection ([`Engine::index`]).
+/// One shard's worker: a snapshot cell, a worker pool and a statistics
+/// collector over one [`PmLsh`]. It has no serving API of its own — wrap
+/// it (`Engine::new(index, config).into()`) or build a [`ShardedEngine`]
+/// directly, and query, mutate, save and inspect through that;
+/// [`ShardedEngine::shards`] hands the workers back for snapshot
+/// inspection ([`Engine::index`]).
 ///
-/// Cloning is cheap and shares the pool, the queue and the statistics
-/// (everything is behind `Arc`s).
+/// Cloning is cheap and shares the pool and the statistics (everything
+/// is behind `Arc`s).
 #[derive(Clone)]
 pub struct Engine {
     snapshot: Arc<SnapshotCell>,
     pool: Arc<WorkerPool>,
-    queue: Arc<BatchQueue>,
     stats: Arc<StatsCollector>,
     config: EngineConfig,
 }
 
 impl Engine {
-    /// Spins up the worker pool and batcher over a built index.
+    /// Spins up the worker pool over a built index.
     pub fn new(index: impl Into<Arc<PmLsh>>, config: EngineConfig) -> Self {
-        let snapshot = Arc::new(SnapshotCell::new(index.into()));
         let stats = Arc::new(StatsCollector::new());
-        let pool = Arc::new(WorkerPool::new(
-            config.effective_threads(),
-            Arc::clone(&stats),
-        ));
-        let queue = Arc::new(BatchQueue::new(
-            Arc::clone(&pool),
-            Arc::clone(&stats),
-            config.batch_size,
-            config.max_wait,
-        ));
         Self {
-            snapshot,
-            pool,
-            queue,
+            snapshot: Arc::new(SnapshotCell::new(index.into())),
+            pool: Arc::new(WorkerPool::new(
+                config.effective_threads(),
+                Arc::clone(&stats),
+            )),
             stats,
             config,
         }
@@ -365,7 +357,7 @@ impl Engine {
 /// index stack from this crate — queries (every query form), inserts
 /// routed across shards ([`ShardedEngine::apply`]; a lone shard's are
 /// checked by [`PmLsh::apply_cow`] itself), whole-dataset ingest
-/// ([`Engine::begin_reindex`] and the TCP `ATTACH` handler). A NaN/Inf
+/// ([`Engine::begin_reindex`] and [`read_dataset`]). A NaN/Inf
 /// smuggled past any of these panics deep inside distance kernels or pivot
 /// selection on some worker thread; rejecting here, on the caller's
 /// thread, turns every poisoned input into a typed error (an `ERR` line on
@@ -377,6 +369,27 @@ pub fn validate_points(values: &[f32]) -> Result<(), usize> {
         None => Ok(()),
         Some(i) => Err(i),
     }
+}
+
+/// Reads the dataset file at `path` (headerless CSV for a `.csv` name,
+/// `fvecs` otherwise) and refuses what no index can be built over: a
+/// file with no points, or a NaN/Inf component — named by row and
+/// component, so a multi-gigabyte file is debuggable from the message
+/// alone. The one dataset reader behind [`ShardedEngine::open`] and the
+/// `pmlsh` CLI.
+pub fn read_dataset(path: &str) -> Result<Dataset, String> {
+    let data = pm_lsh_data::read_auto(path, None).map_err(|e| format!("reading {path}: {e}"))?;
+    if data.is_empty() {
+        return Err(format!("{path} holds no points"));
+    }
+    if let Err(flat) = validate_points(data.as_flat()) {
+        return Err(format!(
+            "dataset contains a non-finite (NaN/Inf) component at row {} component {}",
+            flat / data.dim(),
+            flat % data.dim()
+        ));
+    }
+    Ok(data)
 }
 
 /// The single source of truth for query validation (called by the one
@@ -807,7 +820,6 @@ mod tests {
             EngineConfig {
                 threads: 3,
                 batch_size: 8,
-                max_wait: Duration::from_millis(1),
             },
         )
         .into();

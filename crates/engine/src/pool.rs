@@ -6,9 +6,11 @@
 //! the only shared mutable state is the job channel and the stats
 //! collector, and the only way out of the pool is the job's own reply
 //! closure (one shape for blocking callers, the batch gather and the
-//! serving reactor alike). Jobs travel in small vectors (a micro-batch
-//! shard), so one channel receive and one mutex acquisition amortize
-//! over several queries. Because the snapshot is pinned per request (and a whole
+//! serving reactor alike). Jobs travel in small vectors — a run of at
+//! most `batch_size` legs that were dispatched together, split across the
+//! workers — so one channel receive and one mutex acquisition amortize
+//! over several queries when several arrive at once, and a lone query
+//! costs one send. Because the snapshot is pinned per request (and a whole
 //! `query_batch` shares one pin per shard), a concurrent
 //! [`crate::ShardedEngine::reindex`] swap never disturbs running work:
 //! requests enqueued before the swap are answered by the old index,
@@ -32,9 +34,8 @@ use std::time::Instant;
 #[cfg(test)]
 pub(crate) const CRASH_TEST_SENTINEL: f32 = 8.0e30;
 
-/// One kNN request travelling through the micro-batcher and the pool —
-/// one shard's leg of one logical query, built only by the scatter in
-/// `crate::sharded`.
+/// One kNN request travelling through the pool — one shard's leg of one
+/// logical query, built only by the scatter in `crate::sharded`.
 pub(crate) struct QueryJob {
     /// The snapshot this request was validated against and must be
     /// answered by (an `Arc` clone: a few ns, and what makes reindex
@@ -107,7 +108,8 @@ impl WorkerPool {
     /// Splits `jobs` into one contiguous shard per worker and submits them,
     /// so a batch costs at most `threads` channel sends while still
     /// spreading across the whole pool. The single place sharding policy
-    /// lives — both the batcher and `query_batch` go through here.
+    /// lives — every run the one dispatch in `crate::sharded` hands over
+    /// goes through here.
     pub(crate) fn submit_sharded(&self, mut jobs: Vec<QueryJob>) {
         if jobs.is_empty() {
             return;

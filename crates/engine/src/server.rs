@@ -25,12 +25,14 @@
 //!   Read interest is suspended while a request is in flight or the
 //!   write buffer is past its high-water mark, so a slow or flooding
 //!   client throttles itself, never the reactor.
-//! * **Query offload** — `QUERY` is validated inline, then submitted to
-//!   the engine's worker pool with a completion callback; the callback
-//!   encodes the reply on the worker thread and wakes the reactor to
-//!   write it out. Slow verbs (`ATTACH`/`REINDEX`/`INSERT`/`DELETE`/
-//!   `BATCH`/`SAVE`/`DETACH`) run on one-off `pmlsh-op` threads the
-//!   same way.
+//! * **Query offload** — `QUERY` is validated inline and scattered into
+//!   legs with a completion callback. The legs of every `QUERY` one
+//!   readiness pass runs are handed to the shard pools together, once,
+//!   just before the reactor sleeps again — no thread hand-off and no
+//!   timer in between. The callback encodes the reply on the worker
+//!   thread and wakes the reactor to write it out. Slow verbs
+//!   (`ATTACH`/`REINDEX`/`INSERT`/`DELETE`/`BATCH`/`SAVE`/`DETACH`) run
+//!   on one-off `pmlsh-op` threads the same way.
 //!   Either way a connection has at most one request in flight; replies
 //!   keep request order by construction.
 //! * **Connection caps** — at [`ServerConfig::max_connections`] live
@@ -61,8 +63,9 @@ use crate::frame;
 use crate::reactor::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
 use crate::reply::{encode, Reply};
 use crate::router::Router;
-use crate::{Engine, EngineConfig, MutOp, QueryError, ShardedEngine};
-use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
+use crate::sharded::Legs;
+use crate::{EngineConfig, MutOp, QueryError, ShardedEngine};
+use pm_lsh_core::{BuildOptions, PmLshParams};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -127,8 +130,8 @@ pub struct ServerConfig {
     /// Index parameters for datasets attached over the wire
     /// (`ATTACH <name> <path>`).
     pub attach_params: PmLshParams,
-    /// Engine configuration (worker pool, batcher) for engines created by
-    /// wire `ATTACH` — each attached index runs its own pool.
+    /// Engine configuration (worker pool, submission size) for engines
+    /// created by wire `ATTACH` — each attached index runs its own pool.
     pub attach_engine_config: EngineConfig,
 }
 
@@ -244,8 +247,8 @@ impl Drop for ServerHandle {
 
 /// Serves a single engine under the index name `"default"` with a default
 /// [`ServerConfig`] — the one-dataset convenience over [`serve_router`].
-/// Accepts a plain [`Engine`] (serving it as a single shard) or a
-/// [`ShardedEngine`].
+/// Accepts a plain [`Engine`](crate::Engine) (serving it as a single
+/// shard) or a [`ShardedEngine`].
 pub fn serve(
     engine: impl Into<ShardedEngine>,
     addr: impl ToSocketAddrs,
@@ -465,6 +468,9 @@ struct Reactor {
     drain_deadline: Option<Instant>,
     forced: usize,
     events: Vec<Event>,
+    /// Legs of the `QUERY`s run since the last `wait`, dispatched to the
+    /// shard pools just before the next one.
+    legs: Legs,
 }
 
 impl Reactor {
@@ -500,6 +506,7 @@ impl Reactor {
             drain_deadline: None,
             forced: 0,
             events: Vec::new(),
+            legs: Legs::default(),
         })
     }
 
@@ -524,6 +531,9 @@ impl Reactor {
                 });
                 return;
             }
+            // Everything this pass ran is in: hand its query legs over
+            // before sleeping, so none waits on the next wakeup.
+            self.legs.dispatch();
             let timeout = self.next_timeout();
             let mut events = std::mem::take(&mut self.events);
             if self.poller.wait(&mut events, timeout).is_err() {
@@ -871,8 +881,9 @@ impl Reactor {
     /// the request's [`Gate`] states — the one auth gate, the one
     /// current-index lookup, then the arguments' own verdict — and a
     /// verb then runs where its cost belongs: inline, on the engine's
-    /// worker pool (`QUERY`), or on a `pmlsh-op` thread (builds, file
-    /// I/O, engine teardown, copy-on-write clones). `Ok(None)` means no
+    /// worker pools (`QUERY`, dispatched at the end of the pass), or on a
+    /// `pmlsh-op` thread (builds, file I/O, engine teardown, copy-on-write
+    /// clones). `Ok(None)` means no
     /// reply *yet*: it arrives as a completion or a timer, or the request
     /// (a `BATCH` header) is still collecting its lines.
     fn execute(&mut self, conn: &mut Conn, request: Request) -> Result<Option<Reply>, String> {
@@ -894,7 +905,7 @@ impl Reactor {
                 // k = 0, NaN component) is an ERR reply; the connection
                 // lives on. Otherwise the reply is encoded off-reactor.
                 engine
-                    .submit_query(&query, k, move |result| {
+                    .submit_query(&mut self.legs, &query, k, move |result| {
                         let reply = match result {
                             Ok(result) => Reply::Neighbors(result.neighbors),
                             Err(e) => Reply::Err(query_err_message(&e)),
@@ -1234,8 +1245,9 @@ fn token_matches(expected: &str, offered: &str) -> bool {
 // The handlers below run on `pmlsh-op` threads, past the executor's
 // gates, and answer `Ok(reply line)` or `Err(unprefixed message)`.
 
-/// `ATTACH <name> <path>`: detects what kind of file `path` is, makes an
-/// engine of it, and attaches that under `name`.
+/// `ATTACH <name> <path>`: opens `path` as an engine
+/// ([`ShardedEngine::open`]: a snapshot, or a dataset built on all cores)
+/// and attaches it under `name`.
 fn answer_attach(shared: &Shared, name: &str, path: &str) -> Result<String, String> {
     // Fail the cheap checks before the expensive build. The final
     // Router::attach re-checks both (another connection may have raced an
@@ -1245,40 +1257,14 @@ fn answer_attach(shared: &Shared, name: &str, path: &str) -> Result<String, Stri
     if shared.router.get(name).is_some() {
         return Err(format!("an index named '{name}' is already attached"));
     }
-    let config = shared.config.attach_engine_config;
-    let mut start = Instant::now();
-    let engine: ShardedEngine = if pm_lsh_persist::is_pmlsh_file(path) {
-        // A `.pmlsh` snapshot (detected by magic bytes, not extension)
-        // skips the build entirely: its shards are already constructed,
-        // with their own saved parameters, and serve as one engine of as
-        // many shards as soon as they deserialize.
-        ShardedEngine::load(path, config).map_err(|e| format!("reading {path}: {e}"))?
-    } else {
-        let data =
-            pm_lsh_data::read_auto(path, None).map_err(|e| format!("reading {path}: {e}"))?;
-        if data.is_empty() {
-            return Err("cannot attach an empty dataset".to_string());
-        }
-        // A NaN/Inf component would panic deep inside the build, which
-        // runs on this op thread — the client would see a bare `ERR
-        // internal` instead of this diagnosis. Name the poisoned row so a
-        // multi-gigabyte file is debuggable from the reply alone.
-        if let Err(flat) = crate::validate_points(data.as_flat()) {
-            return Err(format!(
-                "dataset contains a non-finite (NaN/Inf) component at row {} component {}",
-                flat / data.dim(),
-                flat % data.dim()
-            ));
-        }
-        // For a dataset `secs` times the build, not the file read.
-        start = Instant::now();
-        let index = PmLsh::build_with_opts(
-            Arc::new(data),
-            shared.config.attach_params,
-            BuildOptions::all_cores(),
-        );
-        Engine::new(index, config).into()
-    };
+    let start = Instant::now();
+    let engine = ShardedEngine::open(
+        path,
+        shared.config.attach_params,
+        BuildOptions::all_cores(),
+        1,
+        shared.config.attach_engine_config,
+    )?;
     let (points, dim) = (engine.len(), engine.dim());
     shared
         .router
@@ -1385,6 +1371,8 @@ pub fn parse_ok_response(line: &str) -> Result<Vec<(u32, f32)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
+    use pm_lsh_core::PmLsh;
     use pm_lsh_metric::Dataset;
     use pm_lsh_stats::Rng;
     use std::io::{BufRead, BufReader};

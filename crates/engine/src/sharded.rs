@@ -3,8 +3,8 @@
 //!
 //! A [`ShardedEngine`] deals the dataset round-robin into `S` shards
 //! (`pm_lsh_core::shard::partition`), builds one [`PmLsh`] per shard, and
-//! gives every shard its own snapshot cell, worker pool and micro-batcher
-//! — an [`Engine`] each. The pay-off of `S > 1` over one shard:
+//! gives every shard its own snapshot cell and worker pool — an
+//! [`Engine`] each. The pay-off of `S > 1` over one shard:
 //!
 //! * **Build parallelism beyond the pivot regions.** The bulk loader's
 //!   concurrency is bounded by the `s ≈ 5` pivot regions; `S` shards
@@ -16,7 +16,7 @@
 //! # Scatter-gather and the βn + k budget
 //!
 //! [`ShardedEngine::query`] fans the query to every shard concurrently
-//! (one pinned snapshot and one micro-batched request per shard), then
+//! (one pinned snapshot and one pool job per shard), then
 //! merges the `S` top-k answers through one [`TopK`] heap — `Neighbor`
 //! orders by `(dist, id)`, so the merge is a deterministic total order.
 //! Each fan-out leg runs Algorithm 2 *without* the line-4 early stop
@@ -49,12 +49,18 @@
 //!
 //! # One read path
 //!
-//! Every query form — `query`, `try_query`, `submit_query`,
-//! `query_batch` — is a few-line wrapper over the private `scatter`
-//! below. `scatter` is the only code that pins snapshots, validates,
-//! clamps `k`, computes the pooled budget and builds pool jobs; each
-//! job's reply closure folds its leg into the query's `Gather`, and the
-//! last leg fires the caller's reply. With `S == 1` the one leg runs
+//! Every query form — `query`, `try_query`, `query_batch` and the
+//! serving reactor's crate-private `submit_query` — is a few-line
+//! wrapper over the private `scatter` below. `scatter` is the only code
+//! that pins snapshots, validates, clamps `k`, computes the pooled
+//! budget and builds pool jobs; each job's reply closure folds its leg
+//! into the query's `Gather`, and the last leg fires the caller's reply.
+//! `scatter` files the jobs into `Legs`, whose `dispatch` is the only
+//! code that hands jobs to a pool: per shard, in runs of at most
+//! `batch_size` legs, each run one pool submission and one recorded
+//! batch. The blocking forms dispatch at once; the reactor dispatches
+//! every leg of one readiness pass before it sleeps again, so no leg
+//! ever waits on a timer. With `S == 1` the one leg runs
 //! plain Algorithm 2 (early stop, local budget), the id mapping is the
 //! identity and the merge of one sorted list is that list, so a
 //! `ShardedEngine` of one shard answers bit-for-bit like the plain
@@ -83,7 +89,7 @@ use std::time::Instant;
 /// `S` independent [`Engine`]s serving one logical index — see the
 /// module docs for the partitioning, budget and id-mapping story.
 ///
-/// Cloning is cheap and shares every shard's pool, queue and statistics
+/// Cloning is cheap and shares every shard's pool and statistics
 /// (everything is behind `Arc`s), so one engine can serve many threads —
 /// the TCP layer clones it into every connection handler.
 #[derive(Clone)]
@@ -137,6 +143,39 @@ impl ShardedEngine {
                 .collect()
         });
         Self::from_indexes(indexes, config)
+    }
+
+    /// Opens the file at `path` as a served engine — the one door from a
+    /// file to serving, for the `pmlsh` CLI and the wire `ATTACH` alike.
+    /// A `.pmlsh` snapshot (detected by its magic bytes) restores the
+    /// shard set it holds, with its saved parameters: `params`, `opts`
+    /// and `shards` do not apply. Any other file is read by
+    /// [`crate::read_dataset`], which refuses an empty or non-finite
+    /// dataset and names the offending row and component, and is built
+    /// into `shards` shards.
+    pub fn open(
+        path: &str,
+        params: PmLshParams,
+        opts: BuildOptions,
+        shards: usize,
+        config: EngineConfig,
+    ) -> Result<Self, String> {
+        if pm_lsh_persist::is_pmlsh_file(path) {
+            return Self::load(path, config).map_err(|e| format!("reading {path}: {e}"));
+        }
+        let data = crate::read_dataset(path)?;
+        if shards == 1 {
+            // Nothing to partition: the index keeps the dataset uncopied.
+            let index = PmLsh::build_with_opts(Arc::new(data), params, opts);
+            return Ok(Engine::new(index, config).into());
+        }
+        if shards == 0 || data.len() < shards {
+            return Err(format!(
+                "cannot deal the {} point(s) in {path} into {shards} shard(s)",
+                data.len()
+            ));
+        }
+        Ok(Self::build(&data, params, opts, shards, config))
     }
 
     /// Wraps pre-built per-shard indexes (a build's, or a snapshot's
@@ -233,15 +272,16 @@ impl ShardedEngine {
     /// scatter-gather answer is gated by its slowest leg, so the
     /// per-shard maximum is the conservative logical tail. Work counters
     /// aggregate over all shards (that is where the work actually
-    /// happened): the per-query execution counters and `batches` sum,
-    /// and `mean_batch` is the batches-weighted mean of the per-shard
-    /// means, so `mean_batch × batches` remains the total number of
-    /// coalesced requests — the invariant each shard's own pair obeys.
+    /// happened): the per-query execution counters and `batches` (pool
+    /// submissions) sum, and `mean_batch` is the batches-weighted mean of
+    /// the per-shard means, so `mean_batch × batches` remains the total
+    /// number of legs submitted — the invariant each shard's own pair
+    /// obeys.
     pub fn stats(&self) -> crate::EngineStats {
         let mut merged = self.shards[0].stats();
-        // Recover each shard's total coalesced-request count from its
-        // (mean, count) pair so the merged pair multiplies back to the
-        // true total instead of inheriting shard 0's mean verbatim.
+        // Recover each shard's total leg count from its (mean, count)
+        // pair so the merged pair multiplies back to the true total
+        // instead of inheriting shard 0's mean verbatim.
         let mut batched_requests = merged.mean_batch * merged.batches as f64;
         for shard in &self.shards[1..] {
             let s = shard.stats();
@@ -259,8 +299,8 @@ impl ShardedEngine {
         merged
     }
 
-    /// Scatter-gather `(c, k)`-ANN: fans the query to every shard's
-    /// micro-batcher concurrently, merges the `S` answers through one
+    /// Scatter-gather `(c, k)`-ANN: hands one leg to every shard's pool at
+    /// once, merges the `S` answers through one
     /// [`TopK`], and maps shard-local ids back to global ids. Blocks
     /// until the last leg lands. Every way a query can fail is a typed
     /// [`QueryError`] instead of a panic — including a worker panic
@@ -274,59 +314,63 @@ impl ShardedEngine {
     /// a giant allocation.
     pub fn try_query(&self, q: &[f32], k: usize) -> Result<QueryResult, QueryError> {
         let (tx, rx) = channel();
-        self.submit_query(q, k, move |result| {
+        let mut legs = Legs::default();
+        self.submit_query(&mut legs, q, k, move |result| {
             // A dropped receiver means the caller gave up waiting.
             let _ = tx.send(result);
         })?;
+        legs.dispatch();
         // The sender dies unanswered only when a pool dropped a leg unrun.
         rx.recv().unwrap_or(Err(QueryError::Internal))
     }
 
     /// The completion-callback twin of [`ShardedEngine::try_query`], for
-    /// the serving reactor: no thread parks waiting for the gather.
+    /// the serving reactor: no thread parks waiting for the gather, and
+    /// the legs wait in `legs` for the caller's [`Legs::dispatch`].
     ///
-    /// Validation runs synchronously (an invalid query returns `Err`
-    /// without invoking `cb`); a valid query is scattered exactly as in
-    /// [`ShardedEngine::try_query`] — same pooled budget, same per-leg
-    /// `k` clamp, same local→global id mapping, bit-identical merged
-    /// answer — and `cb` fires exactly once, on the worker thread that
-    /// finishes the last leg. A panicked leg yields
-    /// `Err(QueryError::Internal)`. Enqueueing never blocks.
-    pub fn submit_query<F>(&self, q: &[f32], k: usize, cb: F) -> Result<(), QueryError>
+    /// Validation runs synchronously (an invalid query returns `Err`,
+    /// files no leg and never invokes `cb`); a valid query is scattered
+    /// exactly as in [`ShardedEngine::try_query`] — same pooled budget,
+    /// same per-leg `k` clamp, same local→global id mapping,
+    /// bit-identical merged answer — and `cb` fires exactly once, on the
+    /// worker thread that finishes the last leg. A panicked leg yields
+    /// `Err(QueryError::Internal)`.
+    pub(crate) fn submit_query<F>(
+        &self,
+        legs: &mut Legs,
+        q: &[f32],
+        k: usize,
+        cb: F,
+    ) -> Result<(), QueryError>
     where
         F: FnOnce(Result<QueryResult, QueryError>) + Send + 'static,
     {
-        let jobs = scatter(
+        scatter(
             &self.shards,
             &[q],
             k,
             std::iter::once(Box::new(cb) as Reply),
-        )?;
-        for (shard, job) in self.shards.iter().zip(jobs) {
-            shard.queue.enqueue(job);
-        }
-        Ok(())
+            legs,
+        )
     }
 
     /// The panicking [`ShardedEngine::try_query`].
     ///
     /// # Panics
     /// On a dimension mismatch, a non-finite query component, or `k == 0`
-    /// — every [`QueryError`]. Callers serving untrusted input (the TCP
-    /// layer) use [`ShardedEngine::try_query`] /
-    /// [`ShardedEngine::submit_query`] instead and turn each variant into
-    /// an `ERR` reply.
+    /// — every [`QueryError`]. Callers serving untrusted input use
+    /// [`ShardedEngine::try_query`] instead (the TCP layer its callback
+    /// twin) and turn each variant into an `ERR` reply.
     pub fn query(&self, q: &[f32], k: usize) -> QueryResult {
         self.try_query(q, k)
             .unwrap_or_else(|e| panic_for_query_error(e))
     }
 
     /// Scatter-gather batch: every query is fanned to every shard's
-    /// worker pool (bypassing the micro-batcher — a batch already is a
-    /// batch) in one contiguous chunk per worker, answers are merged per
-    /// query, and input order is preserved. One snapshot pin per shard
-    /// serves the whole batch, so even if a reindex swap lands mid-batch
-    /// every result indexes the same dataset. `k` is clamped to the live
+    /// worker pool at once, in runs of at most `batch_size` legs, answers
+    /// are merged per query, and input order is preserved. One snapshot
+    /// pin per shard serves the whole batch, so even if a reindex swap
+    /// lands mid-batch every result indexes the same dataset. `k` is clamped to the live
     /// point count, as in [`ShardedEngine::try_query`].
     ///
     /// # Panics
@@ -340,15 +384,11 @@ impl ShardedEngine {
             })
         });
         // Batch callers keep the panicking contract of `query`.
-        let mut jobs = scatter(&self.shards, queries, k, replies)
-            .unwrap_or_else(|e| panic_for_query_error(e))
-            .into_iter();
+        let mut legs = Legs::default();
+        scatter(&self.shards, queries, k, replies, &mut legs)
+            .unwrap_or_else(|e| panic_for_query_error(e));
         drop(tx);
-        for shard in &self.shards {
-            shard
-                .pool
-                .submit_sharded(jobs.by_ref().take(queries.len()).collect());
-        }
+        legs.dispatch();
         let mut results: Vec<Option<QueryResult>> = queries.iter().map(|_| None).collect();
         for (qi, result) in rx {
             results[qi] = Some(result.unwrap_or_else(|e| panic_for_query_error(e)));
@@ -699,16 +739,17 @@ impl Gather {
 }
 
 /// The one read path: turns `queries` into pool jobs, one leg per
-/// (shard, query), returned shard-major (`shards[0]`'s legs in query
-/// order, then `shards[1]`'s, ...) for the caller to hand to the shards'
-/// batchers or pools. Every query is validated before any job exists, so
-/// an `Err` means nothing was built and no reply will fire.
+/// (shard, query), and files each shard's legs, in query order, into
+/// `legs` for the caller to dispatch. Every query is validated before any
+/// job exists, so an `Err` means nothing was filed and no reply will
+/// fire.
 fn scatter<Q: AsRef<[f32]>>(
     shards: &[Engine],
     queries: &[Q],
     k: usize,
     replies: impl Iterator<Item = Reply>,
-) -> Result<Vec<QueryJob>, QueryError> {
+    legs: &mut Legs,
+) -> Result<(), QueryError> {
     // Pin one snapshot per shard up front: every leg of every query
     // answers against one consistent set, even if a mutation or a reindex
     // swap lands mid-flight.
@@ -738,22 +779,60 @@ fn scatter<Q: AsRef<[f32]>>(
             }))
         })
         .collect();
-    let shards = shards.len();
-    let mut jobs = Vec::with_capacity(shards * queries.len());
-    for (s, snap) in snaps.iter().enumerate() {
-        for (q, gather) in queries.iter().zip(&gathers) {
+    let count = shards.len();
+    for (s, (shard, snap)) in shards.iter().zip(&snaps).enumerate() {
+        let jobs = queries.iter().zip(&gathers).map(|(q, gather)| {
             let gather = Arc::clone(gather);
-            jobs.push(QueryJob {
+            QueryJob {
                 snapshot: Arc::clone(snap),
                 query: q.as_ref().to_vec(),
                 k: k.min(snap.len()),
                 fanout_budget,
                 enqueued,
-                reply: Box::new(move |result| Gather::leg(&gather, s, shards, result)),
-            });
+                reply: Box::new(move |result| Gather::leg(&gather, s, count, result)),
+            }
+        });
+        legs.file(shard, jobs);
+    }
+    Ok(())
+}
+
+/// Query legs on their way to the shard pools, grouped by shard in the
+/// order they were filed.
+#[derive(Default)]
+pub(crate) struct Legs(Vec<(Engine, Vec<QueryJob>)>);
+
+impl Legs {
+    /// Appends `jobs` to `shard`'s group (shards are told apart by their
+    /// pool, so clones of one engine share a group).
+    fn file(&mut self, shard: &Engine, jobs: impl Iterator<Item = QueryJob>) {
+        let held = self
+            .0
+            .iter_mut()
+            .find(|(e, _)| Arc::ptr_eq(&e.pool, &shard.pool));
+        match held {
+            Some((_, queued)) => queued.extend(jobs),
+            None => self.0.push((shard.clone(), jobs.collect())),
         }
     }
-    Ok(jobs)
+
+    /// Hands every filed leg to its shard's pool — per shard, in runs of
+    /// at most `batch_size` legs, each run one pool submission and one
+    /// recorded batch — and leaves `self` empty. Never blocks.
+    pub(crate) fn dispatch(&mut self) {
+        for (shard, jobs) in self.0.drain(..) {
+            let mut jobs = jobs.into_iter();
+            loop {
+                let run: Vec<QueryJob> =
+                    jobs.by_ref().take(shard.config.batch_size.max(1)).collect();
+                if run.is_empty() {
+                    break;
+                }
+                shard.stats.record_batch(run.len());
+                shard.pool.submit_sharded(run);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -772,7 +851,7 @@ mod tests {
     use pm_lsh_stats::Rng;
     use std::time::Duration;
 
-    fn tiny_engine(seed: u64) -> Engine {
+    fn tiny_engine(seed: u64, batch_size: usize) -> Engine {
         let mut rng = Rng::new(seed);
         let mut ds = Dataset::with_capacity(4, 20);
         let mut buf = [0.0f32; 4];
@@ -784,7 +863,7 @@ mod tests {
             PmLsh::build(ds, PmLshParams::default()),
             EngineConfig {
                 threads: 1,
-                ..Default::default()
+                batch_size,
             },
         )
     }
@@ -795,7 +874,7 @@ mod tests {
     /// that invariant and report the worst per-shard tail.
     #[test]
     fn stats_merge_is_coherent_across_shards() {
-        let engines = vec![tiny_engine(1), tiny_engine(2), tiny_engine(3)];
+        let engines = vec![tiny_engine(1, 32), tiny_engine(2, 32), tiny_engine(3, 32)];
         let qs = pm_lsh_core::QueryStats {
             candidates_verified: 1,
             projected_dist_computations: 1,
@@ -857,7 +936,7 @@ mod tests {
     #[test]
     fn panicking_legs_fail_the_query_once_and_the_pools_survive() {
         let sharded = ShardedEngine {
-            shards: vec![tiny_engine(6), tiny_engine(7)],
+            shards: vec![tiny_engine(6, 32), tiny_engine(7, 32)],
         };
         let good = [0.25f32; 4];
         let mut crashing = good;
@@ -869,9 +948,13 @@ mod tests {
         );
 
         let (tx, rx) = channel();
+        let mut legs = Legs::default();
         sharded
-            .submit_query(&crashing, 3, move |result| tx.send(result).unwrap())
+            .submit_query(&mut legs, &crashing, 3, move |result| {
+                tx.send(result).unwrap()
+            })
             .expect("the sentinel passes validation");
+        legs.dispatch();
         assert_eq!(rx.recv().unwrap().unwrap_err(), QueryError::Internal);
         // Two failed legs, one reply: the callback (and its sender) is
         // consumed by the single firing.
@@ -890,10 +973,47 @@ mod tests {
         assert_eq!(sharded.query_batch(&[good], 3)[0].neighbors.len(), 3);
     }
 
+    /// The one dispatch: legs filed together go to their shard's pool in
+    /// runs of at most `batch_size`, one recorded batch per run — five
+    /// queries over two shards at `batch_size` 2 are ⌈5 / 2⌉ = 3
+    /// submissions per shard, and every query is still answered once.
+    #[test]
+    fn dispatch_cuts_each_shards_legs_into_batch_size_runs() {
+        let sharded = ShardedEngine {
+            shards: vec![tiny_engine(8, 2), tiny_engine(9, 2)],
+        };
+        let (tx, rx) = channel();
+        let mut legs = Legs::default();
+        for i in 0..5 {
+            let tx = tx.clone();
+            let q = [i as f32 * 0.25; 4];
+            sharded
+                .submit_query(&mut legs, &q, 3, move |result| tx.send(result).unwrap())
+                .expect("a valid query");
+        }
+        drop(tx);
+        assert_eq!(sharded.stats().batches, 0, "nothing moves before dispatch");
+        legs.dispatch();
+        let answers: Vec<_> = rx.iter().collect();
+        assert_eq!(answers.len(), 5);
+        assert!(answers
+            .iter()
+            .all(|a| a.as_ref().unwrap().neighbors.len() == 3));
+        for shard in sharded.shards() {
+            let stats = shard.stats();
+            assert_eq!(stats.batches, 3);
+            assert!((stats.mean_batch - 5.0 / 3.0).abs() < 1e-9);
+        }
+        let merged = sharded.stats();
+        assert_eq!(merged.batches, 6);
+        assert!((merged.mean_batch - 5.0 / 3.0).abs() < 1e-9);
+        assert_eq!(merged.queries, 5);
+    }
+
     #[test]
     fn stats_merge_with_no_batches_reports_zero_mean() {
         let sharded = ShardedEngine {
-            shards: vec![tiny_engine(4), tiny_engine(5)],
+            shards: vec![tiny_engine(4, 32), tiny_engine(5, 32)],
         };
         let merged = sharded.stats();
         assert_eq!(merged.batches, 0);

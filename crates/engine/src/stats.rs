@@ -36,9 +36,11 @@ pub struct EngineStats {
     pub p50_ms: f64,
     /// 99th-percentile enqueue-to-completion latency, in milliseconds.
     pub p99_ms: f64,
-    /// Micro-batches formed by the request queue.
+    /// Pool submissions: runs of query legs dispatched together, at most
+    /// `batch_size` legs each.
     pub batches: u64,
-    /// Mean requests per micro-batch (1.0 when the queue never coalesces).
+    /// Mean query legs per pool submission (1.0 when no two legs of this
+    /// shard were ever dispatched together).
     pub mean_batch: f64,
     /// Execution counters summed over every answered query.
     pub query_stats: QueryStats,
@@ -64,7 +66,7 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
-/// Shared accumulator the worker pool and batch queue record into.
+/// Shared accumulator the worker pool and the leg dispatch record into.
 #[derive(Debug)]
 pub(crate) struct StatsCollector {
     started: Instant,
@@ -107,7 +109,7 @@ impl StatsCollector {
             .fetch_add(stats.rounds as u64, Ordering::Relaxed);
     }
 
-    /// Records one micro-batch of `len` coalesced requests.
+    /// Records one pool submission of `len` query legs.
     pub(crate) fn record_batch(&self, len: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests

@@ -6,7 +6,6 @@ use pm_lsh_core::{PmLsh, PmLshParams, QueryResult, QueryStats};
 use pm_lsh_data::{PaperDataset, Scale};
 use pm_lsh_engine::{Engine, EngineConfig, ShardedEngine};
 use std::sync::Arc;
-use std::time::Duration;
 
 const K: usize = 10;
 
@@ -68,19 +67,18 @@ fn every_pool_size_agrees_with_every_other() {
 }
 
 #[test]
-fn micro_batched_single_queries_match_sequential() {
+fn concurrent_single_queries_match_sequential() {
     let (index, queries, sequential) = audio_workload(16);
     let engine: ShardedEngine = Engine::new(
         Arc::clone(&index),
         EngineConfig {
             threads: 4,
             batch_size: 4,
-            max_wait: Duration::from_micros(500),
         },
     )
     .into();
-    // Issue the queries from concurrent caller threads so the batcher has
-    // something to coalesce.
+    // Issue the queries from concurrent caller threads, so the one pool
+    // runs several callers' legs at once.
     std::thread::scope(|scope| {
         for (chunk_idx, chunk) in queries.chunks(4).enumerate() {
             let engine = engine.clone();

@@ -14,7 +14,7 @@ use pm_lsh_stats::Rng;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const K: usize = 10;
 const CLIENTS: usize = 10;
@@ -357,6 +357,35 @@ fn blob(n: usize, d: usize, seed: u64) -> Dataset {
     ds
 }
 
+/// Occupies the one worker of each of `engine`'s shards with a
+/// `query_batch` burst sized, by a timed probe, to run about two seconds,
+/// and returns once every leg of the burst sits in the pools. A query
+/// dispatched after that waits behind the burst — in flight, with no
+/// timer holding it — until the returned thread is about to finish.
+fn occupy_workers(engine: &ShardedEngine, data: &Dataset) -> std::thread::JoinHandle<()> {
+    let queries = |count: usize| -> Vec<Vec<f32>> {
+        (0..count)
+            .map(|i| data.point(i % data.len()).to_vec())
+            .collect()
+    };
+    let probe = Instant::now();
+    engine.query_batch(&queries(200), 50);
+    let per_query = probe.elapsed().as_nanos() / 200;
+    let count = (2_000_000_000 / per_query.max(1)).clamp(1_000, 40_000) as usize;
+    let run_len = EngineConfig::default().batch_size;
+    let runs = (engine.shard_count() * count.div_ceil(run_len)) as u64;
+    let submitted = engine.stats().batches + runs;
+    let burst = queries(count);
+    let busy = {
+        let engine = engine.clone();
+        std::thread::spawn(move || drop(engine.query_batch(&burst, 50)))
+    };
+    while engine.stats().batches < submitted {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    busy
+}
+
 /// Graceful drain: a `QUERY` already inside the engine when `shutdown`
 /// lands must complete, its full `OK` reply must arrive intact, the
 /// connection then learns `ERR server shutting down`, and a post-drain
@@ -365,19 +394,19 @@ fn blob(n: usize, d: usize, seed: u64) -> Dataset {
 fn drain_delivers_inflight_reply_before_closing() {
     let data = blob(800, 16, 50);
     let q = data.point(3).to_vec();
-    let index = Arc::new(PmLsh::build(data, PmLshParams::default()));
-    // A wide-open micro-batch window: a single query parks in the batcher
-    // for ~800 ms before executing, guaranteeing it is still in flight
-    // when shutdown begins.
-    let engine = Engine::new(
+    let index = Arc::new(PmLsh::build(data.clone(), PmLshParams::default()));
+    // One worker, busy with a long burst: the wire query queues behind
+    // it, so it is still in flight when shutdown begins.
+    let engine: ShardedEngine = Engine::new(
         Arc::clone(&index),
         EngineConfig {
             threads: 1,
-            batch_size: 64,
-            max_wait: Duration::from_millis(800),
+            ..Default::default()
         },
-    );
-    let handle = serve(engine, ("127.0.0.1", 0)).expect("bind port 0");
+    )
+    .into();
+    let handle = serve(engine.clone(), ("127.0.0.1", 0)).expect("bind port 0");
+    let busy = occupy_workers(&engine, &data);
     let addr = handle.addr();
 
     let mut line = String::from("QUERY 5");
@@ -405,10 +434,12 @@ fn drain_delivers_inflight_reply_before_closing() {
         )
     });
 
-    // Let the handler read the line and park the query in the batcher,
-    // then drain: shutdown must block until the reply has been written.
+    // Let the handler read the line and dispatch the query behind the
+    // burst, then drain: shutdown must block until the reply has been
+    // written.
     std::thread::sleep(Duration::from_millis(250));
-    let report = handle.shutdown();
+    assert!(!busy.is_finished(), "the burst ended before shutdown");
+    let report = handle.shutdown_within(Duration::from_secs(30));
     assert!(report.drained, "drain did not complete: {report:?}");
     assert_eq!(report.forced, 0, "no socket should need force-closing");
 
@@ -422,6 +453,7 @@ fn drain_delivers_inflight_reply_before_closing() {
     );
     assert_eq!(next, "ERR server shutting down");
     assert!(rest.is_empty(), "connection must close after the drain ERR");
+    busy.join().expect("burst thread");
 
     // The listener is gone: a fresh connect is refused (or, if the OS
     // races the close, closes without ever answering).
@@ -1077,10 +1109,10 @@ fn per_index_connection_quota() {
 fn drain_completes_inflight_scatter_gather_query() {
     let data = blob(800, 16, 52);
     let q = data.point(5).to_vec();
-    // The same wide-open micro-batch window as the monolithic drain
-    // test, but per shard: each of the four fan-out legs parks in its
-    // own shard's batcher for ~800 ms, so shutdown provably lands while
-    // the fan-out is mid-flight.
+    // The same busy workers as the monolithic drain test, but per shard:
+    // each of the four fan-out legs queues behind its own shard's share
+    // of the burst, so shutdown provably lands while the fan-out is
+    // mid-flight.
     let sharded = pm_lsh_engine::ShardedEngine::build(
         &data,
         PmLshParams::default(),
@@ -1088,11 +1120,11 @@ fn drain_completes_inflight_scatter_gather_query() {
         4,
         EngineConfig {
             threads: 1,
-            batch_size: 64,
-            max_wait: Duration::from_millis(800),
+            ..Default::default()
         },
     );
     let handle = serve(sharded.clone(), ("127.0.0.1", 0)).expect("bind port 0");
+    let busy = occupy_workers(&sharded, &data);
     let addr = handle.addr();
 
     let mut line = String::from("QUERY 5");
@@ -1114,8 +1146,9 @@ fn drain_completes_inflight_scatter_gather_query() {
         (reply.trim_end().to_string(), next.trim_end().to_string())
     });
 
-    // Let the handler enqueue all four legs, then drain mid-fan-out.
+    // Let the handler dispatch all four legs, then drain mid-fan-out.
     std::thread::sleep(Duration::from_millis(250));
+    assert!(!busy.is_finished(), "the burst ended before shutdown");
     let report = handle.shutdown_within(Duration::from_secs(30));
     assert!(report.drained, "drain did not complete: {report:?}");
     assert_eq!(report.forced, 0, "no socket should need force-closing");
@@ -1133,4 +1166,5 @@ fn drain_completes_inflight_scatter_gather_query() {
         "drained scatter-gather reply diverged from the in-process answer"
     );
     assert_eq!(next, "ERR server shutting down");
+    busy.join().expect("burst thread");
 }

@@ -24,6 +24,24 @@ echo "== generating smoke datasets"
 "$BIN" gen --dataset cifar --scale smoke --out "$TMP/cifar.fvecs"
 # A second audio-shaped file to REINDEX onto (same dimensionality).
 "$BIN" gen --dataset audio --scale smoke --out "$TMP/audio2.fvecs"
+# A 300 x 8 CSV whose row 17 starts with a NaN: no index can be built over it.
+awk 'BEGIN { for (r = 0; r < 300; r++) { for (c = 0; c < 8; c++)
+  printf "%s%s", (c ? "," : ""), (r == 17 && c == 0 ? "nan" : (r * 8 + c) % 97 / 8); print "" } }' \
+  > "$TMP/nan.csv"
+NAN_ERR="dataset contains a non-finite (NaN/Inf) component at row 17 component 0"
+
+echo "== a dataset with a NaN is refused, not a panic (serve --data)"
+if timeout 60 "$BIN" serve --data "bad=$TMP/nan.csv" --port 0 > /dev/null 2> "$TMP/nan.err"; then
+  echo "FAIL: serve accepted a dataset with a NaN" >&2
+  exit 1
+fi
+if grep -qx "error: $NAN_ERR" "$TMP/nan.err" && ! grep -q panicked "$TMP/nan.err"; then
+  printf 'ok: %-18s -> %s\n' "serve --data" "$(cat "$TMP/nan.err")"
+else
+  echo "FAIL: serve --data on a NaN file said:" >&2
+  cat "$TMP/nan.err" >&2
+  exit 1
+fi
 
 echo "== local save: the snapshot does not depend on --build-threads"
 "$BIN" save --data "$TMP/audio.fvecs" --out "$TMP/one.pmlsh" > /dev/null
@@ -115,6 +133,8 @@ expect "USE audio" "OK using audio"
 expect "REINDEX $TMP/audio2.fvecs" "ERR authentication required*"
 expect "AUTH wrong-token" "ERR bad token"
 expect "AUTH $TOKEN" "OK authenticated"
+expect "ATTACH bad $TMP/nan.csv" "ERR $NAN_ERR"
+expect "LISTINDEXES" "INDEXES audio,cifar"
 expect "REINDEX $TMP/audio2.fvecs" "OK index=audio epoch=1 *"
 expect "INDEXINFO" "INDEXINFO name=audio *epoch=1 *"
 expect "$(query_line)" "OK *:*"

@@ -28,7 +28,7 @@
 //! real datasets ship in), so the same binary drives both the synthetic
 //! stand-ins and the real datasets when available.
 
-use pm_lsh::data::{read_auto, write_csv, write_fvecs};
+use pm_lsh::data::{write_csv, write_fvecs};
 use pm_lsh::prelude::*;
 use pm_lsh::stats::dataset_stats::{homogeneity_of_viewpoints, lid_mle, relative_contrast};
 use std::collections::HashMap;
@@ -71,7 +71,6 @@ fn main() -> ExitCode {
                 "threads",
                 "build-threads",
                 "batch-size",
-                "max-wait-us",
                 "addr",
                 "binary",
                 "auth-token",
@@ -87,7 +86,6 @@ fn main() -> ExitCode {
                 "threads",
                 "build-threads",
                 "batch-size",
-                "max-wait-us",
                 "shards",
                 "auth-token",
                 "max-connections",
@@ -147,8 +145,8 @@ USAGE:
   pmlsh batch-query --addr <host:port> --queries <file> [--k <n>]
                [--index <name>] [--auth-token <t>] [--binary]
   pmlsh serve  --data <specs> --port <p> [--threads <n>] [--c <ratio>]
-               [--build-threads <n>] [--batch-size <n>] [--max-wait-us <µs>]
-               [--shards <n>] [--auth-token <t>] [--max-connections <n>]
+               [--build-threads <n>] [--batch-size <n>] [--shards <n>]
+               [--auth-token <t>] [--max-connections <n>]
                [--max-index-connections <n>] [--drain-timeout-ms <ms>]
   pmlsh save   --data <file> --out <file.pmlsh> [--c <ratio>]
                [--build-threads <n>]
@@ -279,8 +277,10 @@ fn known_opts(opts: &HashMap<String, String>, allowed: &[&str]) -> Result<(), St
     Ok(())
 }
 
+/// Reads a dataset or query file, refusing an empty or non-finite one
+/// (the engine's one dataset reader, so every command words it alike).
 fn load(path: &str) -> Result<Dataset, String> {
-    read_auto(path, None).map_err(|e| format!("reading {path}: {e}"))
+    pm_lsh::engine::read_dataset(path)
 }
 
 fn save(path: &str, data: &Dataset) -> Result<(), String> {
@@ -484,10 +484,6 @@ fn parse_engine_config(opts: &HashMap<String, String>) -> Result<EngineConfig, S
     if let Some(b) = opts.get("batch-size") {
         config.batch_size = b.parse().map_err(|_| "--batch-size must be an integer")?;
     }
-    if let Some(w) = opts.get("max-wait-us") {
-        let us: u64 = w.parse().map_err(|_| "--max-wait-us must be an integer")?;
-        config.max_wait = std::time::Duration::from_micros(us);
-    }
     Ok(config)
 }
 
@@ -516,16 +512,21 @@ fn cmd_batch_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let build = parse_build_opts(opts)?;
     let with_truth = !opts.contains_key("no-truth");
 
-    let index = Arc::new(load_or_build_index(path, c, build)?);
+    let engine = open_engine(path, c, build, 1, config)?;
     let queries = load(opts.get("queries").ok_or("batch-query needs --queries")?)?;
-    if queries.dim() != index.data().dim() {
+    if queries.dim() != engine.dim() {
         return Err(format!(
             "dimension mismatch: data R^{}, queries R^{}",
-            index.data().dim(),
+            engine.dim(),
             queries.dim()
         ));
     }
-    let engine: ShardedEngine = Engine::new(Arc::clone(&index), config).into();
+    if with_truth && engine.shard_count() > 1 {
+        return Err(format!(
+            "{path} holds {} shards; the ground-truth scan needs one (pass --no-truth)",
+            engine.shard_count()
+        ));
+    }
     println!("engine: {} worker thread(s)", config.effective_threads());
 
     let query_vecs: Vec<&[f32]> = queries.iter().collect();
@@ -543,6 +544,7 @@ fn cmd_batch_query(opts: &HashMap<String, String>) -> Result<(), String> {
     println!("engine stats: {stats}");
 
     if with_truth {
+        let index = engine.shards()[0].index();
         let truth = exact_knn_batch(index.data().view(), queries.view(), k, 0);
         let nq = results.len() as f64;
         let (mut recall_sum, mut ratio_sum) = (0.0, 0.0);
@@ -572,7 +574,6 @@ fn wire_batch_query(addr: &str, opts: &HashMap<String, String>) -> Result<(), St
         "threads",
         "build-threads",
         "batch-size",
-        "max-wait-us",
         "no-truth",
     ] {
         if opts.contains_key(flag) {
@@ -676,7 +677,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let router = Router::new();
     for (name, path) in &specs {
         print!("[{name}] ");
-        let engine = load_or_build_engine(path, c, build, shards, config)?;
+        let engine = open_engine(path, c, build, shards, config)?;
         router.attach(name, engine).map_err(|e| e.to_string())?;
     }
 
@@ -759,10 +760,16 @@ fn cmd_save(opts: &HashMap<String, String>) -> Result<(), String> {
             }
             let c = parse_c(opts)?;
             let build = parse_build_opts(opts)?;
-            let index = load_or_build_index(data_path, c, build)?;
+            // One worker: the engine here only carries the index to disk.
+            let config = EngineConfig {
+                threads: 1,
+                ..EngineConfig::default()
+            };
+            let engine = open_engine(data_path, c, build, 1, config)?;
             let start = Instant::now();
-            let report =
-                pm_lsh::persist::save(&index, out).map_err(|e| format!("writing {out}: {e}"))?;
+            let report = engine
+                .save(out)
+                .map_err(|e| format!("writing {out}: {e}"))?;
             println!(
                 "wrote {} points ({} bytes) to {out} in {:.2} s",
                 report.points,
@@ -774,41 +781,12 @@ fn cmd_save(opts: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-/// Materializes `path` as a ready-to-serve index. A `.pmlsh` snapshot
-/// (detected by magic bytes, not extension) deserializes in milliseconds
-/// with its *saved* parameters — `--c`/`--build-threads` do not apply;
-/// anything else is read as a dataset (fvecs/csv) and built from scratch.
-fn load_or_build_index(path: &str, c: f64, build: BuildOptions) -> Result<PmLsh, String> {
-    let start = Instant::now();
-    if pm_lsh::persist::is_pmlsh_file(path) {
-        let index = pm_lsh::persist::load(path).map_err(|e| format!("reading {path}: {e}"))?;
-        println!(
-            "loaded .pmlsh snapshot {path}: {} points in R^{} in {:.3} s",
-            index.len(),
-            index.data().dim(),
-            start.elapsed().as_secs_f64()
-        );
-        Ok(index)
-    } else {
-        let data = Arc::new(load(path)?);
-        let index = PmLsh::build_with_opts(data, pmlsh_params(c), build);
-        println!(
-            "built PM-LSH over {} points in R^{} in {:.1} s ({path})",
-            index.len(),
-            index.data().dim(),
-            start.elapsed().as_secs_f64()
-        );
-        Ok(index)
-    }
-}
-
-/// Materializes `path` as a ready-to-serve engine, honoring `--shards`.
-///
-/// A `.pmlsh` snapshot (magic bytes) restores the shard set it holds (its
-/// shape is fixed at save time — `--shards` does not re-partition it); a
-/// dataset file is partitioned round-robin into `shards` independent
-/// indexes when `shards > 1` and built monolithic otherwise.
-fn load_or_build_engine(
+/// Opens `path` as a served engine ([`ShardedEngine::open`]) and reports
+/// what it holds. A `.pmlsh` snapshot (magic bytes, not extension)
+/// restores the shard set it was saved with, with its saved parameters —
+/// `--c`, `--build-threads` and `--shards` do not apply; a dataset file
+/// is checked and built into `shards` shards.
+fn open_engine(
     path: &str,
     c: f64,
     build: BuildOptions,
@@ -816,33 +794,12 @@ fn load_or_build_engine(
     config: EngineConfig,
 ) -> Result<ShardedEngine, String> {
     let start = Instant::now();
-    if pm_lsh::persist::is_pmlsh_file(path) {
-        let engine =
-            ShardedEngine::load(path, config).map_err(|e| format!("reading {path}: {e}"))?;
-        println!(
-            "loaded .pmlsh snapshot {path}: {} points in R^{} across {} shard(s) in {:.3} s",
-            engine.len(),
-            engine.dim(),
-            engine.shard_count(),
-            start.elapsed().as_secs_f64()
-        );
-        return Ok(engine);
-    }
-    if shards == 1 {
-        return Ok(Engine::new(load_or_build_index(path, c, build)?, config).into());
-    }
-    let data = load(path)?;
-    if data.len() < shards {
-        return Err(format!(
-            "--shards {shards} exceeds the {} point(s) in {path}",
-            data.len()
-        ));
-    }
-    let engine = ShardedEngine::build(&data, pmlsh_params(c), build, shards, config);
+    let engine = ShardedEngine::open(path, pmlsh_params(c), build, shards, config)?;
     println!(
-        "built PM-LSH over {} points in R^{} as {shards} shard(s) in {:.1} s ({path})",
+        "opened {path}: {} points in R^{} across {} shard(s) in {:.3} s",
         engine.len(),
         engine.dim(),
+        engine.shard_count(),
         start.elapsed().as_secs_f64()
     );
     Ok(engine)

@@ -17,8 +17,7 @@
 //! * [`engine`] — the serving subsystem: one serving surface over
 //!   `S ≥ 1` shards ([`engine::ShardedEngine`];
 //!   `Engine::new(index, config).into()` is the one-shard engine), each
-//!   shard a fixed worker pool and micro-batching queue over one
-//!   immutable index snapshot ([`engine::Engine`]), aggregate
+//!   shard a fixed worker pool over one immutable index snapshot ([`engine::Engine`]), aggregate
 //!   throughput/latency statistics ([`engine::EngineStats`]),
 //!   multi-index routing by name
 //!   ([`engine::Router`]), and a newline-delimited TCP protocol with

@@ -6,12 +6,15 @@
 //! The kernels run at every level this CPU can run, through
 //! `simd::kernels` (the dispatchers the served path runs): `sq_dist` at
 //! the projected space's m = 15 and at the datasets' d = 192 … 4096, and
-//! `sq_dist_rows` over a 12 000 × 15 column, the served sweep's shape.
+//! `sq_dist_blocks` over a 12 000 × 15 column in blocks of eight rows, the
+//! served sweep's kernel and shape. Before it is timed, each level's block
+//! kernel is asserted bit-equal, row by row, to the scalar `sq_dist` on
+//! that column.
 
 use pm_lsh_bench::micro::{BenchmarkId, Criterion, Throughput};
 use pm_lsh_bptree::BPlusTree;
 use pm_lsh_metric::simd::kernels;
-use pm_lsh_metric::SimdLevel;
+use pm_lsh_metric::{SimdLevel, BLOCK_ROWS};
 use pm_lsh_pmtree::{PmTree, PmTreeConfig};
 use pm_lsh_rtree::{RTree, RTreeConfig};
 use pm_lsh_stats::{chi2_quantile, Rng};
@@ -57,15 +60,37 @@ fn bench_kernels(criterion: &mut Criterion) {
         }
     }
 
-    let column = random_matrix(12_000, 15, 5);
-    let q = random_matrix(1, 15, 6);
-    group.throughput(Throughput::Elements(column.len() as u64));
+    // The sweep's column: row r, coordinate j at (r / 8)·8m + 8j + r % 8.
+    let (n, m) = (12_000, 15);
+    let rows = random_matrix(n, m, 5);
+    let mut column = vec![f32::NAN; n.div_ceil(BLOCK_ROWS) * BLOCK_ROWS * m];
+    for (r, row) in rows.iter().enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            column[r / BLOCK_ROWS * BLOCK_ROWS * m + BLOCK_ROWS * j + r % BLOCK_ROWS] = x;
+        }
+    }
+    let q = random_matrix(1, m, 6);
+    let want: Vec<u32> = (rows.iter())
+        .map(|row| kernels::sq_dist(SimdLevel::Scalar, q.point(0), row).to_bits())
+        .collect();
+    group.throughput(Throughput::Elements(n as u64));
     for &level in &levels {
-        let id = BenchmarkId::new("sq_dist_rows/12000x15", level);
+        let mut got = Vec::with_capacity(column.len() / m);
+        kernels::sq_dist_blocks(level, q.point(0), &column, |sq| {
+            got.extend(sq.map(f32::to_bits))
+        });
+        assert_eq!(
+            got[..n],
+            want[..],
+            "{level}: the block kernel is not the scalar kernel"
+        );
+        let id = BenchmarkId::new("sq_dist_blocks/12000x15", level);
         group.bench_function(id, |bencher| {
             bencher.iter(|| {
                 let mut sum = 0.0f32;
-                kernels::sq_dist_rows(level, q.point(0), black_box(column.as_flat()), |d| sum += d);
+                kernels::sq_dist_blocks(level, q.point(0), black_box(&column), |sq| {
+                    sum += sq.iter().sum::<f32>()
+                });
                 sum
             });
         });

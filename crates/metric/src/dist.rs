@@ -1,16 +1,21 @@
 //! Euclidean distance kernels.
 //!
-//! All hot paths of the workspace funnel through [`sq_dist`]: PM-tree and
-//! R-tree traversals in the m-dimensional projected space (m = 15 in the
-//! paper) and candidate verification in the original d-dimensional space
-//! (d up to 4096 for Trevi). The actual arithmetic lives in
+//! All hot paths of the workspace funnel through these kernels: the
+//! PM-tree sweep and traversals in the m-dimensional projected space
+//! (m = 15 in the paper) and candidate verification in the original
+//! d-dimensional space (d up to 4096 for Trevi). The actual arithmetic
+//! lives in
 //! [`crate::simd`], which picks an implementation per process at first
 //! use — AVX2+FMA or SSE2 on x86-64, NEON on aarch64, a portable
 //! 4-accumulator scalar loop everywhere else (and under
 //! `PMLSH_FORCE_SCALAR=1`).
 //!
-//! [`sq_dist_rows`] is the sweep variant: one dispatch for a whole
-//! row-major column, each row bit-equal to [`sq_dist`].
+//! [`sq_dist_blocks`] is the sweep variant: one dispatch for a whole
+//! column stored as blocks of [`BLOCK_ROWS`] rows, column-major inside a
+//! block, measured eight rows per step. It runs the portable scalar
+//! kernel's accumulation order in every lane at every level, so each row's
+//! value is bit-equal to [`sq_dist`] at [`crate::SimdLevel::Scalar`],
+//! whatever the CPU.
 //!
 //! [`sq_dist_within`] is the verification-loop variant: it stops
 //! accumulating as soon as the partial sum strictly exceeds a caller
@@ -57,19 +62,32 @@ pub fn sq_dist_within(a: &[f32], b: &[f32], bound: f32) -> f32 {
     simd::sq_dist_within_dispatch(Runnable::active(), a, b, bound)
 }
 
-/// Squared Euclidean distances from `q` to every consecutive `q.len()`-float
-/// row of `rows`, handed to `each` in row order.
+/// How many rows one block of a blocked column holds, and how many
+/// distances [`sq_dist_blocks`] hands out per step.
+pub const BLOCK_ROWS: usize = 8;
+
+/// Squared Euclidean distances from `q` to every row of a blocked column,
+/// handed to `each` one block of [`BLOCK_ROWS`] rows at a time, in block
+/// order, lane `l` holding row `l` of the block.
 ///
-/// This is the kernel for sweeping a row-major column of points: the kernel
-/// level is dispatched once for the whole run, not once per row, and each
-/// row goes through the same kernel body as [`sq_dist`], so every value is
-/// **bit-identical** to `sq_dist(q, row)`.
+/// A blocked column of `m = q.len()` coordinates keeps row `r`'s
+/// coordinate `j` at `(r / 8)·8m + 8j + r % 8`: each block is `8m` floats,
+/// its rows in lanes. Lanes a column does not fill (the tail block's) hold
+/// whatever the caller put there; a NaN there comes back NaN.
+///
+/// This is the kernel for sweeping a whole column: the level is dispatched
+/// once for the run, and every level computes each lane in the portable
+/// scalar kernel's order (four accumulators over chunks of 4 coordinates,
+/// then `(s0 + s1) + (s2 + s3)`, then the tail, never a fused
+/// multiply-add). Every value is therefore **bit-identical** to
+/// `simd::kernels::sq_dist(SimdLevel::Scalar, q, row)` on every CPU.
 ///
 /// # Panics
-/// Panics if `q` is empty or `rows.len()` is not a multiple of `q.len()`.
+/// Panics if `q` is empty or `blocks.len()` is not a multiple of
+/// `BLOCK_ROWS · q.len()`.
 #[inline]
-pub fn sq_dist_rows(q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
-    simd::sq_dist_rows_dispatch(Runnable::active(), q, rows, each)
+pub fn sq_dist_blocks(q: &[f32], blocks: &[f32], each: impl FnMut([f32; BLOCK_ROWS])) {
+    simd::sq_dist_blocks_dispatch(Runnable::active(), q, blocks, each)
 }
 
 /// Early-abandoning squared distances from `q` to the rows of the

@@ -11,7 +11,7 @@
 //!   `m`-dimensional projected data.
 //! * [`MatrixView`] — a borrowed view over the same layout, used by indexes
 //!   that do not own their points.
-//! * [`dist`] — Euclidean kernels (`sq_dist`, `sq_dist_rows`,
+//! * [`dist`] — Euclidean kernels (`sq_dist`, `sq_dist_blocks`,
 //!   `sq_dist_within`, `sq_dist_rows_within`, `euclidean`, `dot`).
 //! * [`simd`] — the runtime-dispatched kernel implementations behind
 //!   [`dist`]: AVX2+FMA / SSE2 on x86-64, NEON on aarch64, a portable
@@ -27,7 +27,9 @@ pub mod topk;
 pub mod view;
 
 pub use dataset::Dataset;
-pub use dist::{dot, euclidean, norm, sq_dist, sq_dist_rows, sq_dist_rows_within, sq_dist_within};
+pub use dist::{
+    dot, euclidean, norm, sq_dist, sq_dist_blocks, sq_dist_rows_within, sq_dist_within, BLOCK_ROWS,
+};
 pub use simd::SimdLevel;
 pub use topk::{Neighbor, TopK};
 pub use view::MatrixView;

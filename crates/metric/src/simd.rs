@@ -3,7 +3,7 @@
 //! Runtime-dispatched SIMD kernels behind [`crate::dist`].
 //!
 //! Each of the five public entry points ([`crate::sq_dist`],
-//! [`crate::sq_dist_within`], [`crate::dot`], [`crate::sq_dist_rows`],
+//! [`crate::sq_dist_within`], [`crate::dot`], [`crate::sq_dist_blocks`],
 //! [`crate::sq_dist_rows_within`]) has one dispatcher here, which takes
 //! the kernel level as an argument. The entry points pass the level
 //! [`active_level`] picks once per process:
@@ -30,9 +30,15 @@
 //! and fused multiply-adds, so it may differ from scalar/SSE2 in the last
 //! ulps; the property tests in `tests/kernel_parity.rs` pin both claims.
 //!
-//! Each row kernel (`sq_dist_rows_*`) runs the full squared-distance body
-//! of its level on every row, behind one dispatch for the whole run, so it
-//! is bit-identical to that level's [`crate::sq_dist`] row by row.
+//! The block kernel (`sq_dist_blocks_*`) is the exception to "each level
+//! its own order": it measures eight rows of a blocked column per step,
+//! one row per lane, and every level runs the scalar kernel's order in
+//! each lane — four accumulators over coordinate chunks of 4, then
+//! `(s0 + s1) + (s2 + s3)`, then the tail coordinates, a multiply then an
+//! add and never an FMA. AVX2 runs the eight lanes in one register, SSE2
+//! and NEON in two 4-lane halves, scalar in a loop, so every level is
+//! **bit-identical** per row to the scalar [`crate::sq_dist`]: the
+//! projected distances the PM-tree sweep files do not depend on the CPU.
 //!
 //! Each early-abandoning `*_within` kernel shares its accumulation loop
 //! with the corresponding full kernel (one generic body, `CHECK` toggled at
@@ -47,7 +53,7 @@
 //! scalar and NEON walks read no ahead). A prefetch is a hint, so kept
 //! values and abandons are those of that level's [`crate::sq_dist_within`].
 
-use crate::PointId;
+use crate::{PointId, BLOCK_ROWS};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel implementation the process dispatches to.
@@ -296,11 +302,35 @@ fn dot_scalar_impl(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// The scalar row kernel: [`sq_dist_scalar_impl`] on each row in turn.
+/// The scalar block kernel: per lane, [`sq_dist_scalar_impl`]'s order —
+/// four accumulators over chunks of 4 coordinates, `(s0 + s1) + (s2 + s3)`,
+/// then the tail — with the eight lanes side by side.
 #[inline(always)]
-fn sq_dist_rows_scalar_impl(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
-    for row in rows.chunks_exact(q.len()) {
-        each(sq_dist_scalar_impl::<false>(q, row, f32::INFINITY));
+fn sq_dist_blocks_scalar_impl(q: &[f32], blocks: &[f32], mut each: impl FnMut([f32; BLOCK_ROWS])) {
+    let m = q.len();
+    let chunks = m / 4;
+    for block in blocks.chunks_exact(BLOCK_ROWS * m) {
+        let lanes = |j: usize| &block[j * BLOCK_ROWS..(j + 1) * BLOCK_ROWS];
+        let mut acc = [[0.0f32; BLOCK_ROWS]; 4];
+        for (c, quad) in q.chunks_exact(4).enumerate() {
+            for (k, (acc, &qj)) in acc.iter_mut().zip(quad).enumerate() {
+                for (s, &x) in acc.iter_mut().zip(lanes(c * 4 + k)) {
+                    let d = qj - x;
+                    *s += d * d;
+                }
+            }
+        }
+        let mut sum = [0.0f32; BLOCK_ROWS];
+        for (l, s) in sum.iter_mut().enumerate() {
+            *s = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
+        }
+        for (j, &qj) in q.iter().enumerate().skip(chunks * 4) {
+            for (s, &x) in sum.iter_mut().zip(lanes(j)) {
+                let d = qj - x;
+                *s += d * d;
+            }
+        }
+        each(sum);
     }
 }
 
@@ -324,7 +354,7 @@ fn sq_dist_rows_within_scalar_impl(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{walk_rows, CHECK_STRIDE, PREFETCH_LINES};
+    use super::{walk_rows, BLOCK_ROWS, CHECK_STRIDE, PREFETCH_LINES};
     use crate::PointId;
     use core::arch::x86_64::*;
 
@@ -548,21 +578,88 @@ mod x86 {
         sum
     }
 
+    /// The block kernel on SSE2: each 8-row block as two 4-lane halves, each
+    /// lane in the scalar kernel's order (multiply, then add: no FMA).
+    ///
     /// # Safety
-    /// Caller must ensure SSE2 is available and `q` is not empty.
+    /// Caller must ensure SSE2 is available, `q` is not empty and
+    /// `blocks.len()` is a multiple of `BLOCK_ROWS · q.len()`: every load
+    /// then lies inside its `8m`-float block.
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sq_dist_rows_sse2(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
-        for row in rows.chunks_exact(q.len()) {
-            each(sq_dist_sse2_impl::<false>(q, row, f32::INFINITY));
+    pub(super) unsafe fn sq_dist_blocks_sse2(
+        q: &[f32],
+        blocks: &[f32],
+        mut each: impl FnMut([f32; BLOCK_ROWS]),
+    ) {
+        let m = q.len();
+        let chunks = m / 4;
+        for block in blocks.chunks_exact(BLOCK_ROWS * m) {
+            let p = block.as_ptr();
+            let mut lo = [_mm_setzero_ps(); 4];
+            let mut hi = [_mm_setzero_ps(); 4];
+            for (c, quad) in q.chunks_exact(4).enumerate() {
+                for (k, &qk) in quad.iter().enumerate() {
+                    let j = c * 4 + k;
+                    let qj = _mm_set1_ps(qk);
+                    let dl = _mm_sub_ps(qj, _mm_loadu_ps(p.add(j * BLOCK_ROWS)));
+                    let dh = _mm_sub_ps(qj, _mm_loadu_ps(p.add(j * BLOCK_ROWS + 4)));
+                    lo[k] = _mm_add_ps(lo[k], _mm_mul_ps(dl, dl));
+                    hi[k] = _mm_add_ps(hi[k], _mm_mul_ps(dh, dh));
+                }
+            }
+            let mut sum_lo = _mm_add_ps(_mm_add_ps(lo[0], lo[1]), _mm_add_ps(lo[2], lo[3]));
+            let mut sum_hi = _mm_add_ps(_mm_add_ps(hi[0], hi[1]), _mm_add_ps(hi[2], hi[3]));
+            for (j, &qk) in q.iter().enumerate().skip(chunks * 4) {
+                let qj = _mm_set1_ps(qk);
+                let dl = _mm_sub_ps(qj, _mm_loadu_ps(p.add(j * BLOCK_ROWS)));
+                let dh = _mm_sub_ps(qj, _mm_loadu_ps(p.add(j * BLOCK_ROWS + 4)));
+                sum_lo = _mm_add_ps(sum_lo, _mm_mul_ps(dl, dl));
+                sum_hi = _mm_add_ps(sum_hi, _mm_mul_ps(dh, dh));
+            }
+            let mut out = [0.0f32; BLOCK_ROWS];
+            _mm_storeu_ps(out.as_mut_ptr(), sum_lo);
+            _mm_storeu_ps(out.as_mut_ptr().add(4), sum_hi);
+            each(out);
         }
     }
 
+    /// The block kernel on AVX2: each 8-row block in one 8-lane register,
+    /// each lane in the scalar kernel's order (multiply, then add: the FMA
+    /// the level is named for would round differently).
+    ///
     /// # Safety
-    /// Caller must ensure AVX2 and FMA are available and `q` is not empty.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn sq_dist_rows_avx2(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
-        for row in rows.chunks_exact(q.len()) {
-            each(sq_dist_avx2_impl::<false>(q, row, f32::INFINITY));
+    /// Caller must ensure AVX2 is available, `q` is not empty and
+    /// `blocks.len()` is a multiple of `BLOCK_ROWS · q.len()`: every load
+    /// then lies inside its `8m`-float block.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sq_dist_blocks_avx2(
+        q: &[f32],
+        blocks: &[f32],
+        mut each: impl FnMut([f32; BLOCK_ROWS]),
+    ) {
+        let m = q.len();
+        let chunks = m / 4;
+        for block in blocks.chunks_exact(BLOCK_ROWS * m) {
+            let p = block.as_ptr();
+            let mut acc = [_mm256_setzero_ps(); 4];
+            for (c, quad) in q.chunks_exact(4).enumerate() {
+                for (k, (acc, &qj)) in acc.iter_mut().zip(quad).enumerate() {
+                    let d = _mm256_sub_ps(
+                        _mm256_set1_ps(qj),
+                        _mm256_loadu_ps(p.add((c * 4 + k) * BLOCK_ROWS)),
+                    );
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(d, d));
+                }
+            }
+            let mut sum =
+                _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
+            for (j, &qj) in q.iter().enumerate().skip(chunks * 4) {
+                let d = _mm256_sub_ps(_mm256_set1_ps(qj), _mm256_loadu_ps(p.add(j * BLOCK_ROWS)));
+                sum = _mm256_add_ps(sum, _mm256_mul_ps(d, d));
+            }
+            let mut out = [0.0f32; BLOCK_ROWS];
+            _mm256_storeu_ps(out.as_mut_ptr(), sum);
+            each(out);
         }
     }
 
@@ -616,7 +713,7 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::{walk_rows, CHECK_STRIDE};
+    use super::{walk_rows, BLOCK_ROWS, CHECK_STRIDE};
     use crate::PointId;
     use core::arch::aarch64::*;
 
@@ -688,12 +785,48 @@ mod arm {
         sum
     }
 
+    /// The block kernel on NEON: each 8-row block as two 4-lane halves,
+    /// each lane in the scalar kernel's order (`vmulq` + `vaddq`, no FMA).
+    ///
     /// # Safety
-    /// Caller must ensure `q` is not empty.
+    /// Caller must ensure `q` is not empty and `blocks.len()` is a
+    /// multiple of `BLOCK_ROWS · q.len()`: every load then lies inside its
+    /// `8m`-float block.
     #[inline]
-    pub(super) unsafe fn sq_dist_rows_neon(q: &[f32], rows: &[f32], mut each: impl FnMut(f32)) {
-        for row in rows.chunks_exact(q.len()) {
-            each(sq_dist_neon_impl::<false>(q, row, f32::INFINITY));
+    pub(super) unsafe fn sq_dist_blocks_neon(
+        q: &[f32],
+        blocks: &[f32],
+        mut each: impl FnMut([f32; BLOCK_ROWS]),
+    ) {
+        let m = q.len();
+        let chunks = m / 4;
+        for block in blocks.chunks_exact(BLOCK_ROWS * m) {
+            let p = block.as_ptr();
+            let mut lo = [vdupq_n_f32(0.0); 4];
+            let mut hi = [vdupq_n_f32(0.0); 4];
+            for (c, quad) in q.chunks_exact(4).enumerate() {
+                for (k, &qk) in quad.iter().enumerate() {
+                    let j = c * 4 + k;
+                    let qj = vdupq_n_f32(qk);
+                    let dl = vsubq_f32(qj, vld1q_f32(p.add(j * BLOCK_ROWS)));
+                    let dh = vsubq_f32(qj, vld1q_f32(p.add(j * BLOCK_ROWS + 4)));
+                    lo[k] = vaddq_f32(lo[k], vmulq_f32(dl, dl));
+                    hi[k] = vaddq_f32(hi[k], vmulq_f32(dh, dh));
+                }
+            }
+            let mut sum_lo = vaddq_f32(vaddq_f32(lo[0], lo[1]), vaddq_f32(lo[2], lo[3]));
+            let mut sum_hi = vaddq_f32(vaddq_f32(hi[0], hi[1]), vaddq_f32(hi[2], hi[3]));
+            for (j, &qk) in q.iter().enumerate().skip(chunks * 4) {
+                let qj = vdupq_n_f32(qk);
+                let dl = vsubq_f32(qj, vld1q_f32(p.add(j * BLOCK_ROWS)));
+                let dh = vsubq_f32(qj, vld1q_f32(p.add(j * BLOCK_ROWS + 4)));
+                sum_lo = vaddq_f32(sum_lo, vmulq_f32(dl, dl));
+                sum_hi = vaddq_f32(sum_hi, vmulq_f32(dh, dh));
+            }
+            let mut out = [0.0f32; BLOCK_ROWS];
+            vst1q_f32(out.as_mut_ptr(), sum_lo);
+            vst1q_f32(out.as_mut_ptr().add(4), sum_hi);
+            each(out);
         }
     }
 
@@ -734,8 +867,8 @@ fn check_lens(kernel: &str, a: &[f32], b: &[f32]) {
     );
 }
 
-/// The row kernels' contract: a non-empty query whose length divides the
-/// rows.
+/// The row-verification kernel's contract: a non-empty query whose length
+/// divides the rows.
 ///
 /// # Panics
 /// Panics when `q` is empty or `rows.len()` is not a multiple of `q.len()`.
@@ -743,8 +876,25 @@ fn check_lens(kernel: &str, a: &[f32], b: &[f32]) {
 fn check_rows(q: &[f32], rows: &[f32]) {
     assert!(
         !q.is_empty() && rows.len().is_multiple_of(q.len()),
-        "sq_dist_rows: {} floats are not whole rows of {}",
+        "sq_dist_rows_within: {} floats are not whole rows of {}",
         rows.len(),
+        q.len()
+    );
+}
+
+/// The block kernel's contract: a non-empty query and whole blocks of
+/// [`BLOCK_ROWS`] rows of its length.
+///
+/// # Panics
+/// Panics when `q` is empty or `blocks.len()` is not a multiple of
+/// `BLOCK_ROWS · q.len()`.
+#[inline]
+fn check_blocks(q: &[f32], blocks: &[f32]) {
+    assert!(
+        !q.is_empty() && blocks.len().is_multiple_of(BLOCK_ROWS * q.len()),
+        "sq_dist_blocks: {} floats are not whole blocks of {} rows of {}",
+        blocks.len(),
+        BLOCK_ROWS,
         q.len()
     );
 }
@@ -789,30 +939,31 @@ pub(crate) fn sq_dist_within_dispatch(level: Runnable, a: &[f32], b: &[f32], bou
     }
 }
 
-/// One dispatch for a whole run of rows: each row goes through the
-/// level's full kernel, so every value is bit-equal to
-/// [`sq_dist_dispatch`].
+/// One dispatch for a whole blocked column: every lane of every block
+/// runs the scalar kernel's order, so every value is bit-equal to
+/// [`sq_dist_dispatch`] at [`SimdLevel::Scalar`].
 #[inline]
-pub(crate) fn sq_dist_rows_dispatch(
+pub(crate) fn sq_dist_blocks_dispatch(
     level: Runnable,
     q: &[f32],
-    rows: &[f32],
-    each: impl FnMut(f32),
+    blocks: &[f32],
+    each: impl FnMut([f32; BLOCK_ROWS]),
 ) {
-    check_rows(q, rows);
+    check_blocks(q, blocks);
     match level.0 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` is runnable, and SSE2 is the x86-64 baseline;
-        // `q` was checked.
-        SimdLevel::Sse2 => unsafe { x86::sq_dist_rows_sse2(q, rows, each) },
+        // `q` and `blocks` were checked.
+        SimdLevel::Sse2 => unsafe { x86::sq_dist_blocks_sse2(q, blocks, each) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level` is runnable: AVX2 and FMA were detected; `q`
-        // was checked.
-        SimdLevel::Avx2Fma => unsafe { x86::sq_dist_rows_avx2(q, rows, each) },
+        // SAFETY: `level` is runnable: AVX2 was detected; `q` and `blocks`
+        // were checked.
+        SimdLevel::Avx2Fma => unsafe { x86::sq_dist_blocks_avx2(q, blocks, each) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is the aarch64 baseline; `q` was checked.
-        SimdLevel::Neon => unsafe { arm::sq_dist_rows_neon(q, rows, each) },
-        _ => sq_dist_rows_scalar_impl(q, rows, each),
+        // SAFETY: NEON is the aarch64 baseline; `q` and `blocks` were
+        // checked.
+        SimdLevel::Neon => unsafe { arm::sq_dist_blocks_neon(q, blocks, each) },
+        _ => sq_dist_blocks_scalar_impl(q, blocks, each),
     }
 }
 
@@ -864,14 +1015,17 @@ pub(crate) fn dot_dispatch(level: Runnable, a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The five public entry points at a level the caller names, for the
-/// property tests (`tests/kernel_parity.rs`) and the `substrates` bench.
+/// property tests (`tests/kernel_parity.rs`), the `substrates` bench and
+/// the PM-tree, which measures every projected distance at
+/// [`SimdLevel::Scalar`] so that build, traversal and the block-kernel
+/// sweep agree to the bit on every CPU.
 /// Each function takes its public twin's arguments after `level`, panics
 /// when this CPU cannot run `level` ([`super::SimdLevel::is_available`]),
 /// and otherwise runs the dispatcher its twin runs, so
 /// `kernels::sq_dist(active_level(), a, b)` is `sq_dist(a, b)`.
 pub mod kernels {
     use super::{Runnable, SimdLevel};
-    use crate::PointId;
+    use crate::{PointId, BLOCK_ROWS};
 
     /// [`crate::sq_dist`] at `level`.
     pub fn sq_dist(level: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
@@ -888,9 +1042,14 @@ pub mod kernels {
         super::dot_dispatch(Runnable::checked(level), a, b)
     }
 
-    /// [`crate::sq_dist_rows`] at `level`.
-    pub fn sq_dist_rows(level: SimdLevel, q: &[f32], rows: &[f32], each: impl FnMut(f32)) {
-        super::sq_dist_rows_dispatch(Runnable::checked(level), q, rows, each)
+    /// [`crate::sq_dist_blocks`] at `level`.
+    pub fn sq_dist_blocks(
+        level: SimdLevel,
+        q: &[f32],
+        blocks: &[f32],
+        each: impl FnMut([f32; BLOCK_ROWS]),
+    ) {
+        super::sq_dist_blocks_dispatch(Runnable::checked(level), q, blocks, each)
     }
 
     /// [`crate::sq_dist_rows_within`] at `level`.

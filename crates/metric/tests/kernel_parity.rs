@@ -9,8 +9,9 @@
 //! * scalar, SSE2 and NEON are **bit-identical**,
 //! * AVX2+FMA agrees with scalar within a relative tolerance,
 //! * the public entry points are the active level's kernels,
-//! * every row kernel (`sq_dist_rows`) is bit-identical, row by row, to
-//!   the full kernel of its own level — also on rows holding NaN,
+//! * the block kernel (`sq_dist_blocks`) is bit-identical, row by row, to
+//!   the **scalar** full kernel at every level — also on rows holding NaN
+//!   and on a tail block the rows do not fill,
 //! * every `sq_dist_within` returns the exact full kernel value of its
 //!   level whenever it does not abandon, lands on the same side of the
 //!   bound as the full kernel, and treats a partial sum *equal* to the
@@ -25,7 +26,8 @@
 
 use pm_lsh_metric::simd::{self, kernels};
 use pm_lsh_metric::{
-    dot, sq_dist, sq_dist_rows, sq_dist_rows_within, sq_dist_within, PointId, SimdLevel,
+    dot, sq_dist, sq_dist_blocks, sq_dist_rows_within, sq_dist_within, PointId, SimdLevel,
+    BLOCK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -225,50 +227,65 @@ fn partial_sum_equal_to_bound_does_not_abandon() {
     }
 }
 
-/// A row kernel's values against its level's one-row kernel: bit for bit,
-/// or NaN for NaN (a NaN's payload is not part of the contract).
-fn assert_rows_match(
-    level: &str,
-    rows_fn: impl Fn(&[f32], &[f32], &mut dyn FnMut(f32)),
-    one_fn: impl Fn(&[f32], &[f32]) -> f32,
-) {
-    for m in 1..=40usize {
+/// `rows` (row-major, `m` floats each) as a blocked column: row `r`'s
+/// coordinate `j` at `(r / 8)·8m + 8j + r % 8`, the tail block's free
+/// lanes NaN.
+fn blocked(rows: &[f32], m: usize) -> Vec<f32> {
+    let n = rows.len() / m;
+    let mut column = vec![f32::NAN; n.div_ceil(BLOCK_ROWS) * BLOCK_ROWS * m];
+    for (r, row) in rows.chunks_exact(m).enumerate() {
+        let base = (r / BLOCK_ROWS) * BLOCK_ROWS * m + r % BLOCK_ROWS;
+        for (j, &x) in row.iter().enumerate() {
+            column[base + BLOCK_ROWS * j] = x;
+        }
+    }
+    column
+}
+
+/// A block kernel's values against the scalar one-row kernel, over
+/// m ∈ 1..=33, 64 and 100 and row counts on both sides of a block
+/// boundary: bit for bit, or NaN for NaN (a NaN's payload is not part of
+/// the contract). Every tail lane past the last row must come back NaN.
+fn assert_blocks_match(level: &str, blocks_fn: impl Fn(&[f32], &[f32], &mut dyn FnMut([f32; 8]))) {
+    for m in (1..=33usize).chain([64, 100]) {
         let q = fill(m as u64, m, 3.0);
-        for count in 0..=9usize {
+        for count in [0usize, 1, 5, 7, 8, 9, 15, 16, 17, 23] {
             let mut rows = fill(((m as u64) << 8) | count as u64, m * count, 3.0);
             // Some rows carry a NaN, at a spread of positions.
             for r in (0..count).filter(|r| r % 3 == 1) {
                 rows[r * m + (r * 7) % m] = f32::NAN;
             }
             let mut got = Vec::new();
-            rows_fn(&q, &rows, &mut |d| got.push(d));
-            assert_eq!(got.len(), count, "{level}: m = {m}, {count} rows");
+            blocks_fn(&q, &blocked(&rows, m), &mut |sq| got.extend(sq));
+            assert_eq!(
+                got.len(),
+                count.div_ceil(8) * 8,
+                "{level}: m = {m}, {count} rows"
+            );
             for (r, (&got, row)) in got.iter().zip(rows.chunks_exact(m)).enumerate() {
-                let want = one_fn(&q, row);
+                let want = kernels::sq_dist(SimdLevel::Scalar, row, &q);
                 assert!(
                     got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
                     "{level}: m = {m}, row {r} of {count}: {got} vs {want}"
                 );
                 assert_eq!(got.is_nan(), r % 3 == 1, "{level}: m = {m}, row {r}");
             }
+            assert!(
+                got[count..].iter().all(|d| d.is_nan()),
+                "{level}: m = {m}, tail lanes"
+            );
         }
     }
 }
 
 #[test]
-fn row_kernel_is_the_full_kernel_row_by_row() {
+fn block_kernel_is_the_scalar_kernel_row_by_row() {
     for level in runnable_levels() {
-        assert_rows_match(
-            &level.to_string(),
-            |q, rows, each| kernels::sq_dist_rows(level, q, rows, each),
-            |q, row| kernels::sq_dist(level, q, row),
-        );
+        assert_blocks_match(&level.to_string(), |q, blocks, each| {
+            kernels::sq_dist_blocks(level, q, blocks, each)
+        });
     }
-    assert_rows_match(
-        "public",
-        |q, rows, each| sq_dist_rows(q, rows, each),
-        sq_dist,
-    );
+    assert_blocks_match("public", |q, blocks, each| sq_dist_blocks(q, blocks, each));
 }
 
 /// Whether this process runs under `PMLSH_FORCE_SCALAR=1`, which must pin
@@ -298,23 +315,22 @@ fn under_forced_scalar(name: &str) -> bool {
     false
 }
 
-/// Under `PMLSH_FORCE_SCALAR=1` the public row kernel is the scalar level's
-/// full kernel, row by row.
+/// Under `PMLSH_FORCE_SCALAR=1` the public block kernel is the scalar
+/// level's, and still the scalar one-row kernel row by row.
 #[test]
-fn row_kernel_under_forced_scalar() {
-    if under_forced_scalar("row_kernel_under_forced_scalar") {
-        assert_rows_match(
-            "forced scalar",
-            |q, rows, each| sq_dist_rows(q, rows, each),
-            |q, row| kernels::sq_dist(SimdLevel::Scalar, q, row),
-        );
+fn block_kernel_under_forced_scalar() {
+    if under_forced_scalar("block_kernel_under_forced_scalar") {
+        assert_blocks_match("forced scalar", |q, blocks, each| {
+            sq_dist_blocks(q, blocks, each)
+        });
     }
 }
 
 #[test]
-#[should_panic(expected = "not whole rows")]
-fn row_kernel_rejects_a_partial_row() {
-    sq_dist_rows(&[1.0, 2.0], &[1.0, 2.0, 3.0], |_| {});
+#[should_panic(expected = "not whole blocks")]
+fn block_kernel_rejects_a_partial_block() {
+    // Seven rows of 2 are not a block of eight.
+    sq_dist_blocks(&[1.0, 2.0], &[0.5; 14], |_| {});
 }
 
 /// What one walk did: every `(id, sq bits)` handed to `keep`, in order.

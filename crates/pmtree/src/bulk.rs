@@ -28,8 +28,9 @@
 //! distances where it files it), no per-region id map (`ext_index` is
 //! built once, by inverting `externals`, as [`PmTree::from_parts`] does)
 //! and no per-region point column: the tree's `points` column is allocated
-//! once, to exactly `n` rows, and filled in its final row order before
-//! anything grows, and each subtree files its rows out of its part of it.
+//! once, to exactly `n` rows in blocks of eight, filled in its final row
+//! order and blocked in place before anything grows, and each subtree
+//! files its rows out of its part of it.
 //!
 //! # Determinism
 //!
@@ -46,9 +47,9 @@
 
 use crate::block::{point_spans, Node};
 use crate::pivots::select_pivots;
-use crate::tree::{PmTree, PmTreeConfig};
-use crate::NodeId;
-use pm_lsh_metric::{euclidean, MatrixView, PointId};
+use crate::tree::{block_rows, blocks_for, PmTree, PmTreeConfig, Rows};
+use crate::{projected_dist, NodeId};
+use pm_lsh_metric::{MatrixView, PointId, BLOCK_ROWS};
 use pm_lsh_stats::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -88,16 +89,16 @@ impl PmTree {
 
         // The finished tree's column, filled before anything grows: region
         // by region, rows ascending — the order the splice appends the
-        // subtrees' rows in. Each subtree files its rows out of its part of
-        // it and keeps no column of its own.
+        // subtrees' rows in — then blocked in place. Each subtree files its
+        // rows out of its part of it and keeps no column of its own.
         let m = view.dim();
-        let mut points = Vec::with_capacity(n * m);
-        let mut parts = vec![0..0; s.max(1)];
+        let mut points = Vec::with_capacity(blocks_for(n) * BLOCK_ROWS * m);
+        let mut first = vec![0; s.max(1)];
         for &r in &regions {
-            let start = points.len();
+            first[r] = (points.len() / m) as u32;
             rows_of(r).for_each(|row| points.extend_from_slice(view.point(row)));
-            parts[r] = start..points.len();
         }
+        let points = block_rows(points, m);
 
         // Step 3: workers take regions off a shared counter, and each
         // subtree is keyed by its slot in `regions`, so the splice order
@@ -112,7 +113,11 @@ impl PmTree {
                     sub.externals.reserve_exact(n);
                     sub.leaf_of.reserve_exact(n);
                 }
-                let part = &points[parts[r].clone()];
+                let part = Rows {
+                    column: &points,
+                    dim: m,
+                    first: first[r],
+                };
                 for row in rows_of(r) {
                     sub.file_row(row as PointId, part);
                 }
@@ -185,7 +190,7 @@ impl PmTree {
                     let parent_dist = if node.is_leaf() {
                         node.leaf_at(idx, lay).pivot_dists[r]
                     } else {
-                        euclidean(node.inner_at(idx, lay).center, pivot)
+                        projected_dist(node.inner_at(idx, lay).center, pivot)
                     };
                     node.set_parent_dist(idx, lay, parent_dist);
                 }
@@ -218,9 +223,9 @@ fn nearest_pivots(view: MatrixView<'_>, pivots: &[Box<[f32]>], threads: usize) -
     let assign = |start: usize, chunk: &mut [u32]| {
         for (row, slot) in (start..).zip(chunk) {
             let point = view.point(row);
-            let mut best = (0, euclidean(point, &pivots[0]));
+            let mut best = (0, projected_dist(point, &pivots[0]));
             for (p, pivot) in pivots.iter().enumerate().skip(1) {
-                let d = euclidean(point, pivot);
+                let d = projected_dist(point, pivot);
                 if d < best.1 {
                     best = (p, d);
                 }

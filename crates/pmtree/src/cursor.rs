@@ -19,14 +19,13 @@
 //!   time, ascending. It sorts the run's unordered tail on first demand, so
 //!   only a caller that asks for order pays for it.
 //!
-//! When Algorithm 2 enlarges the radius (`r ← c·r`), nothing is repeated:
-//! the measured points a round finds beyond its radius wait in one
-//! unordered list, which the next round splits by the larger radius in one
-//! branchless pass (each point is written to both lists and kept in one).
-//! Everything a later round files lies beyond the earlier radius, so the
-//! unyielded remainder of a run always precedes it and yields stay
-//! non-decreasing — this is how PM-LSH "combines the ideas of the RE and MI
-//! methods".
+//! When Algorithm 2 enlarges the radius (`r ← c·r`), nothing is measured
+//! twice: the measured points a round finds beyond its radius wait for the
+//! next round, which files those within the larger radius in one
+//! branchless pass. Everything a later round files lies beyond the earlier
+//! radius, so the unyielded remainder of a run always precedes it and
+//! yields stay non-decreasing — this is how PM-LSH "combines the ideas of
+//! the RE and MI methods".
 //!
 //! Where the measured points come from is fixed per tree
 //! ([`PmTree::set_leaf_sweep`]):
@@ -34,7 +33,10 @@
 //! 1. **The range traversal** — every tree as built or loaded. A round
 //!    opens, with a plain stack and no priority queue, every region whose
 //!    lower bound on the projected distance is within its radius; the
-//!    regions it leaves unopened wait in a second list for a larger radius.
+//!    regions it leaves unopened wait in a second list for a larger radius,
+//!    and the points it measures beyond the radius wait in one unordered
+//!    list, which the next round splits by the larger radius (each point is
+//!    written to both lists and kept in one).
 //!    There is one refinement discipline, the paper's (Eq. 5): an entry of a
 //!    visited node first meets the parent-distance and pivot-ring filters,
 //!    which cost no new distance, and its exact center/point distance is
@@ -48,15 +50,25 @@
 //!    textbook range query at the largest radius asked pays, whether or not
 //!    the caller drained the last round.
 //! 2. **The leaf sweep** — the tree `pm-lsh-core`'s index queries. The
-//!    cursor starts by measuring every indexed point into the waiting list
-//!    in one unit-stride pass over the tree's `points` column, in
-//!    internal-row order, behind one kernel dispatch: no node, no pivot
-//!    distance, no routing entry, no region list, exactly `n` distances.
-//!    Algorithm 2's candidate budget `βn + k` is a large share of `n` (28 %
-//!    at the paper's β = 0.2809), and the radius that reaches it opens
-//!    nearly every node anyway: there the traversal pays more distances
-//!    than there are points, and the sweep is faster at every operating
-//!    point the index reaches.
+//!    first round measures every indexed point in one unit-stride pass
+//!    over the tree's blocked `points` column, eight rows per step
+//!    ([`sq_dist_blocks`], eight square roots at a time), behind one kernel
+//!    dispatch: no node, no pivot distance, no routing entry, no region
+//!    list, exactly `n` distances. It files into the run only the points
+//!    within its radius, and writes every row's distance into a per-query
+//!    `f32` column of the scratch; a later round files the rows of that
+//!    column in `(covered, r]`, reading 4 bytes a row instead of measuring
+//!    again. Algorithm 2's candidate budget `βn + k` is a large share of
+//!    `n` (28 % at the paper's β = 0.2809), and the radius that reaches it
+//!    opens nearly every node anyway: there the traversal pays more
+//!    distances than there are points, and the sweep is faster at every
+//!    operating point the index reaches.
+//!
+//! Both sources measure a projected distance the same way, in the
+//! portable scalar kernel's order whatever the CPU (the traversal runs the
+//! block kernel on its point's block and keeps its lane), so they agree bit
+//! for bit, and the candidates a budget cut keeps do not depend on the
+//! SIMD level.
 //!
 //! Yields are ascending by `(projected distance, external id)`, a function
 //! of the indexed points alone: two trees over the same points — and the
@@ -66,9 +78,9 @@
 //! at the same cost.
 
 use crate::block::InnerRef;
-use crate::tree::PmTree;
-use crate::NodeId;
-use pm_lsh_metric::{euclidean, sq_dist_rows, PointId};
+use crate::tree::{lane_of, PmTree};
+use crate::{projected_dist, NodeId};
+use pm_lsh_metric::{sq_dist_blocks, PointId, BLOCK_ROWS};
 
 /// A part of the tree no round has opened yet.
 #[derive(Clone, Copy, Debug)]
@@ -113,9 +125,47 @@ fn key_dist(key: u64) -> f32 {
     f32::from_bits((key >> 32) as u32)
 }
 
+/// Appends to `run` the key of every row of one block whose distance in
+/// `dists` lies in `(above, radius]`, beside its id in `ids`; returns how
+/// many lie beyond `radius`. A NaN distance — a free lane of the tail
+/// block, or a NaN query — lies in no ball and is neither. Branchless — a
+/// round files about a third of all points, so a branch per point would
+/// mispredict often: every key is written to a block-sized buffer, only
+/// the count of those kept advances, and the buffer's kept prefix is what
+/// stays in the run.
+#[inline(always)]
+fn file_block(
+    run: &mut Vec<u64>,
+    dists: &[f32; BLOCK_ROWS],
+    ids: &[PointId; BLOCK_ROWS],
+    above: f32,
+    radius: f32,
+) -> usize {
+    let mut keys = [0u64; BLOCK_ROWS];
+    let (mut kept, mut beyond) = (0, 0);
+    for lane in 0..BLOCK_ROWS {
+        let dist = dists[lane];
+        keys[kept % BLOCK_ROWS] = point_key(dist, ids[lane]);
+        kept += usize::from((above < dist) & (dist <= radius));
+        beyond += usize::from(dist > radius);
+    }
+    run.extend_from_slice(&keys);
+    run.truncate(run.len() - BLOCK_ROWS + kept);
+    beyond
+}
+
+/// The ids of one block's rows: a chunk of `externals`, padded with 0
+/// where the tail block has free lanes (whose NaN distances file nothing).
+#[inline(always)]
+fn block_ids(externals: &[PointId]) -> [PointId; BLOCK_ROWS] {
+    let mut ids = [0; BLOCK_ROWS];
+    ids[..externals.len()].copy_from_slice(externals);
+    ids
+}
+
 /// Reusable buffers for a [`RangeCursor`]: the run, the two waiting
-/// lists, the traversal stack, the query-to-pivot distances and an owned
-/// copy of the query point.
+/// lists, the traversal stack, the sweep's distance column, the
+/// query-to-pivot distances and an owned copy of the query point.
 ///
 /// A fresh scratch owns no heap memory (`Vec::new` does not allocate);
 /// after a query it keeps its capacities, so threading one scratch through
@@ -132,9 +182,13 @@ pub struct CursorScratch {
     /// ascending and precedes every key of `run[sorted..]`, which is
     /// unordered.
     run: Vec<u64>,
-    /// Measured points not in the run, unsorted: between rounds, those
-    /// beyond the covered radius.
+    /// Points the traversal measured that are not in the run, unsorted:
+    /// between rounds, those beyond the covered radius.
     far: Vec<u64>,
+    /// On a sweeping tree, once the first round has run: every row's
+    /// projected distance, in row order, a block of rows per item, the
+    /// tail block's free lanes NaN.
+    dists: Vec<[f32; BLOCK_ROWS]>,
     /// Unopened regions under their lower bounds, all beyond the covered
     /// radius, unsorted.
     frontier: Vec<(f32, Region)>,
@@ -160,37 +214,58 @@ impl CursorScratch {
     /// child to the round under the covering-ball bound.
     #[inline]
     fn measure_center(&mut self, e: InnerRef<'_>) {
-        let dq_center = euclidean(&self.query, e.center);
+        let dq_center = projected_dist(&self.query, e.center);
         let node = e.child;
         self.stack
             .push((dq_center - e.radius, Region::Node { node, dq_center }));
     }
 
     /// Pays the exact distance of the point of leaf entry `internal` and
-    /// leaves it in `far` for the round to file.
+    /// leaves it in `far` for the round to file: the sweep's distance, from
+    /// one step of its kernel over the point's block.
     #[inline]
     fn measure_point(&mut self, tree: &PmTree, internal: u32, external: PointId) {
-        let dist = euclidean(&self.query, tree.point(internal));
+        let (block, lane) = (BLOCK_ROWS * tree.dim, internal as usize % BLOCK_ROWS);
+        let at = lane_of(tree.dim, internal as usize) - lane;
+        let mut dist = f32::NAN;
+        sq_dist_blocks(&self.query, &tree.points[at..at + block], |sq| {
+            dist = sq[lane].sqrt();
+        });
         keep(&mut self.far, dist, external);
     }
 
-    /// Measures every point of `tree` into `far`: one pass over the
-    /// `points` column in internal-row order, beside `externals`, behind
-    /// one kernel dispatch. No node is read.
-    fn sweep(&mut self, tree: &PmTree) {
-        let (far, externals) = (&mut self.far, &tree.externals);
-        far.reserve(externals.len());
-        let mut row = 0;
-        sq_dist_rows(&self.query, &tree.points, |sq| {
-            keep(far, sq.sqrt(), externals[row]);
-            row += 1;
+    /// The first round on a sweeping tree: measures every point of `tree`
+    /// in one pass over its blocked `points` column, eight rows per step,
+    /// beside `externals`, behind one kernel dispatch, keeps every row's
+    /// distance in `dists` and files the rows within `radius` into the run.
+    /// No node is read. Returns how many rows lie beyond `radius`.
+    fn sweep(&mut self, tree: &PmTree, radius: f32) -> usize {
+        let (run, dists) = (&mut self.run, &mut self.dists);
+        run.reserve(tree.len() + BLOCK_ROWS);
+        dists.reserve(tree.points.len() / (BLOCK_ROWS * tree.dim));
+        let mut externals = tree.externals.chunks(BLOCK_ROWS);
+        let mut beyond = 0;
+        sq_dist_blocks(&self.query, &tree.points, |sq| {
+            let block = sq.map(f32::sqrt);
+            dists.push(block);
+            let ids = block_ids(externals.next().unwrap_or_default());
+            beyond += file_block(run, &block, &ids, f32::NEG_INFINITY, radius);
         });
+        beyond
     }
 
-    /// Files the points waiting in `far` by `radius`: those within it join
-    /// the run (unsorted), the others stay, in their order. Branchless — a
-    /// first round sends about a third of all points to the run, so a
-    /// branch per point would mispredict often: each key is written to both
+    /// A later round on a sweeping tree: files the rows of `dists` in
+    /// `(above, radius]` into the run, measuring nothing. Returns how many
+    /// rows lie beyond `radius`.
+    fn refile(&mut self, tree: &PmTree, above: f32, radius: f32) -> usize {
+        (self.dists.iter().zip(tree.externals.chunks(BLOCK_ROWS)))
+            .map(|(dists, ids)| file_block(&mut self.run, dists, &block_ids(ids), above, radius))
+            .sum()
+    }
+
+    /// Files the points the traversal left waiting in `far` by `radius`:
+    /// those within it join the run (unsorted), the others stay, in their
+    /// order. Branchless, like [`file_block`]: each key is written to both
     /// lists and only the length of the one it belongs to advances.
     fn file(&mut self, radius: f32) {
         let (run, far) = (&mut self.run, &mut self.far);
@@ -268,16 +343,22 @@ pub struct RangeCursor<'t> {
     /// End of the run's sorted stretch (see [`CursorScratch`]), `>= pos`.
     sorted: usize,
     /// Largest radius a round has opened; everything within it is in the
-    /// run, everything beyond it in `far` or `frontier`.
+    /// run, everything beyond it in `far`, `frontier` or (on a sweeping
+    /// tree) the distance column.
     covered: f32,
+    /// On a sweeping tree, the rows the run has not taken: before the first
+    /// round every row, after it those whose distance lies beyond
+    /// `covered` (a NaN distance lies in no ball and never waits).
+    waiting: usize,
     dist_computations: u64,
 }
 
 impl<'t> RangeCursor<'t> {
     /// Starts a cursor for `query` (projected-space coordinates) over the
     /// buffers of `scratch` (see [`CursorScratch`]). On a tree marked for
-    /// sweeping this measures every point; otherwise it measures the
-    /// pivots and leaves the root waiting.
+    /// sweeping this measures nothing (the first round measures every
+    /// point); otherwise it measures the pivots and leaves the root
+    /// waiting.
     pub fn new(tree: &'t PmTree, query: &[f32], mut scratch: CursorScratch) -> Self {
         assert_eq!(query.len(), tree.dim(), "query has wrong dimensionality");
         scratch.query.clear();
@@ -285,15 +366,15 @@ impl<'t> RangeCursor<'t> {
         scratch.qp_dists.clear();
         scratch.run.clear();
         scratch.far.clear();
+        scratch.dists.clear();
         scratch.frontier.clear();
         scratch.stack.clear();
         let dist_computations = if tree.leaf_sweep {
-            scratch.sweep(tree);
-            tree.len()
+            0
         } else {
             scratch
                 .qp_dists
-                .extend(tree.pivots.iter().map(|p| euclidean(query, p)));
+                .extend(tree.pivots.iter().map(|p| projected_dist(query, p)));
             if !tree.is_empty() {
                 let root = Region::Node {
                     node: tree.root,
@@ -309,6 +390,7 @@ impl<'t> RangeCursor<'t> {
             pos: 0,
             sorted: 0,
             covered: f32::NEG_INFINITY,
+            waiting: if tree.leaf_sweep { tree.len() } else { 0 },
             dist_computations: dist_computations as u64,
         }
     }
@@ -321,9 +403,10 @@ impl<'t> RangeCursor<'t> {
     }
 
     /// Exact distance computations so far. On a sweeping tree, one per
-    /// indexed point ([`PmTree::len`]); otherwise the `s` pivot distances
-    /// plus what one textbook range query at the largest radius asked
-    /// pays, however many of its points were taken.
+    /// indexed point ([`PmTree::len`]) once the first round has run;
+    /// otherwise the `s` pivot distances plus what one textbook range query
+    /// at the largest radius asked pays, however many of its points were
+    /// taken.
     pub fn distance_computations(&self) -> u64 {
         self.dist_computations
     }
@@ -332,21 +415,31 @@ impl<'t> RangeCursor<'t> {
     /// no radius enlargement can produce more results.
     pub fn is_exhausted(&self) -> bool {
         let s = &self.scratch;
-        self.pos == s.run.len() && s.far.is_empty() && s.frontier.is_empty()
+        self.pos == s.run.len() && s.far.is_empty() && s.frontier.is_empty() && self.waiting == 0
     }
 
-    /// One round: the textbook range query at `radius` over what earlier
-    /// rounds left unopened (nothing, on a sweeping tree), then every
-    /// waiting point within `radius` appended to the run, unordered;
-    /// whatever lies beyond it waits for a larger radius.
+    /// One round: every waiting point within `radius` appended to the run,
+    /// unordered, whatever lies beyond it waiting for a larger radius. On a
+    /// sweeping tree the first round measures every point and later ones
+    /// read the distance column; otherwise the round is the textbook range
+    /// query at `radius` over what earlier rounds left unopened.
     fn advance(&mut self, radius: f32) {
-        self.covered = radius;
+        let above = std::mem::replace(&mut self.covered, radius);
         let tree = self.tree;
         let lay = tree.layout();
         let s = &mut self.scratch;
         s.run.drain(..self.pos);
         self.sorted -= self.pos;
         self.pos = 0;
+        if tree.leaf_sweep {
+            self.waiting = if above == f32::NEG_INFINITY {
+                self.dist_computations += tree.len() as u64;
+                s.sweep(tree, radius)
+            } else {
+                s.refile(tree, above, radius)
+            };
+            return;
+        }
 
         std::mem::swap(&mut s.frontier, &mut s.stack);
         while let Some((lb, region)) = s.stack.pop() {
@@ -473,8 +566,19 @@ impl<'t> RangeCursor<'t> {
                 return None;
             }
             let s = &self.scratch;
+            // A sweeping tree's rows are unmeasured until its first round,
+            // and lie at 0 or beyond.
+            let unmeasured = (s.dists.is_empty() && self.waiting > 0).then_some(0.0);
             let nearest = (s.frontier.iter().map(|&(lb, _)| lb))
                 .chain(s.far.iter().map(|&key| key_dist(key)))
+                .chain(
+                    s.dists
+                        .iter()
+                        .flatten()
+                        .copied()
+                        .filter(|&d| d > self.covered),
+                )
+                .chain(unmeasured)
                 .fold(f32::INFINITY, f32::min);
             self.advance(nearest.max(self.covered * NEXT_GROWTH));
         }
@@ -525,7 +629,8 @@ impl PmTree {
 mod tests {
     use super::*;
     use crate::tree::PmTreeConfig;
-    use pm_lsh_metric::{Dataset, MatrixView};
+    use pm_lsh_metric::simd::kernels;
+    use pm_lsh_metric::{Dataset, MatrixView, SimdLevel};
     use pm_lsh_stats::Rng;
 
     fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
@@ -546,11 +651,17 @@ mod tests {
         }
     }
 
+    /// The projected distance both sources measure: the scalar kernel's,
+    /// whatever the CPU.
+    fn scalar_dist(q: &[f32], p: &[f32]) -> f32 {
+        kernels::sq_dist(SimdLevel::Scalar, q, p).sqrt()
+    }
+
     /// Every `(id, dist)` of `ds` (id = row) ascending by `(dist, id)`: the
     /// order the cursor promises, computed without a tree.
     fn brute_force(ds: &Dataset, q: &[f32]) -> Vec<(PointId, f32)> {
         let mut all: Vec<(PointId, f32)> = (0..ds.len())
-            .map(|i| (i as PointId, euclidean(q, ds.point(i))))
+            .map(|i| (i as PointId, scalar_dist(q, ds.point(i))))
             .collect();
         all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         all
@@ -626,7 +737,7 @@ mod tests {
             if parent_prunes || rings_prune {
                 continue;
             }
-            let d = euclidean(q, e.center);
+            let d = projected_dist(q, e.center);
             paid += 1;
             if d - e.radius <= r {
                 paid += textbook_cost(tree, q, qp_dists, r, e.child, Some(d));
@@ -686,7 +797,7 @@ mod tests {
             rng.fill_normal(&mut q);
             let all = expected(&q);
             assert_eq!(all.len(), tree.len(), "{what}");
-            let qp_dists: Vec<f32> = tree.pivots.iter().map(|p| euclidean(&q, p)).collect();
+            let qp_dists: Vec<f32> = tree.pivots.iter().map(|p| projected_dist(&q, p)).collect();
             let mut cursor = tree.cursor(&q);
             let mut swept = sweeping.cursor(&q);
             let (mut yielded, mut max_asked) = (0, f32::NEG_INFINITY);
@@ -873,6 +984,72 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sweep_matches_traversal_across_block_boundaries() {
+        // A churned tree brought to a live count that fills its tail block
+        // (n % 8 = 0), leaves one row in it (1) or all but one free lane
+        // (7), by deletions that move rows across blocks and by inserts
+        // that open a block: the sweep must read exactly the live lanes.
+        let what = "block boundaries";
+        let (ds, mut tree, mut live) = churned_tree(5, what);
+        let mut rng = Rng::new(74);
+        let mut unused = (*live.iter().max().unwrap() as usize + 1..ds.len()).map(|r| r as PointId);
+        for (residue, by_insert) in [(0, false), (1, true), (7, false), (0, true), (1, false)] {
+            let what = format!("{what}: n % 8 = {residue}, by insert {by_insert}");
+            while tree.len() % BLOCK_ROWS != residue {
+                if by_insert {
+                    let id = unused.next().expect("rows left to insert");
+                    tree.insert(ds.point(id as usize), id);
+                    live.push(id);
+                } else {
+                    let victim = live.swap_remove(rng.below(live.len()));
+                    assert!(tree.delete(victim), "{what}");
+                }
+            }
+            tree.check_invariants();
+            let lanes = tree.len().div_ceil(BLOCK_ROWS) * BLOCK_ROWS;
+            assert_eq!(tree.points.len(), lanes * tree.dim(), "{what}");
+            let mut is_live = vec![false; ds.len()];
+            live.iter().for_each(|&id| is_live[id as usize] = true);
+            let expected = |q: &[f32]| {
+                let mut all = brute_force(&ds, q);
+                all.retain(|&(id, _)| is_live[id as usize]);
+                all
+            };
+            drive_schedules(&tree, expected, &mut Rng::new(75), &what);
+        }
+    }
+
+    #[test]
+    fn later_rounds_filter_the_column_as_the_stream_yields() {
+        // On a sweeping tree, round 2 and later read the distance column
+        // for (covered, r]: as sets they must be what the stream yields at
+        // the same radii, with nothing measured after the first round.
+        let ds = random_dataset(3001, 15, 76);
+        let mut tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut Rng::new(77));
+        tree.set_leaf_sweep(true);
+        let mut rng = Rng::new(78);
+        let mut q = vec![0.0f32; 15];
+        for _ in 0..10 {
+            rng.fill_normal(&mut q);
+            let (mut set, mut stream) = (tree.cursor(&q), tree.cursor(&q));
+            assert!(!set.is_exhausted(), "nothing measured yet");
+            let mut radius = 2.0 + rng.f32();
+            let mut rounds = 0;
+            while !set.is_exhausted() {
+                let mut got: Vec<_> = set.take_within(radius, usize::MAX).iter().collect();
+                got.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                let want: Vec<_> = std::iter::from_fn(|| stream.next_within(radius)).collect();
+                assert_eq!(got, want, "round {rounds} at radius {radius}");
+                assert_eq!(set.distance_computations(), tree.len() as u64);
+                assert_eq!(stream.is_exhausted(), set.is_exhausted());
+                radius *= 1.5;
+                rounds += 1;
+            }
+            assert!(rounds > 2, "{rounds} rounds");
+        }
+    }
+
     /// Ten random queries against `tree`, each under a random schedule of
     /// radii — repeated, shrinking, growing, a final ∞ — and a random
     /// `room` per step, from nothing to everything. One cursor takes each
@@ -969,6 +1146,11 @@ mod tests {
         for tree in [&tree, &sweeping] {
             let mut cursor = tree.cursor(&q);
             assert_eq!(cursor.next_within(1.0), None);
+            if tree.leaf_sweep {
+                // Every row was measured, and none lies in a ball.
+                assert_eq!(cursor.distance_computations(), 300);
+                assert!(cursor.is_exhausted());
+            }
             assert_eq!(cursor.next_within(f32::NAN), None);
             assert_eq!(cursor.take_within(f32::NAN, usize::MAX).len(), 0);
             assert_eq!(cursor.take_within(f32::INFINITY, usize::MAX).len(), 0);

@@ -11,7 +11,8 @@
 //!   single allocation, each entry's Eq. 5 filter fields first — what a
 //!   range query reads, in the order it reads it. The projected points are
 //!   not in the blocks: the tree keeps them in one row-indexed `points`
-//!   column, a leaf entry's `internal` naming its row.
+//!   column, stored as blocks of eight rows (column-major inside a block),
+//!   a leaf entry's `internal` naming its row.
 //!   [`tree::PmTreeParts`], the form a snapshot is written from and read
 //!   back to, holds those blocks and that column as they are
 //!   ([`tree::RawNode`]).
@@ -33,9 +34,12 @@
 //!   only after the distance-free filters of Eq. 5 fail to keep it outside
 //!   the radius. On a tree marked with [`tree::PmTree::set_leaf_sweep`] —
 //!   the one PM-LSH queries — the cursor instead measures every point once,
-//!   in one unit-stride pass over the `points` column that reads no node,
-//!   which is cheaper at the candidate budgets
-//!   Algorithm 2 spends. `take_within(r, room)` is the building block of
+//!   in its first round: one unit-stride pass over the `points` column,
+//!   eight rows per step, that reads no node and keeps every row's
+//!   distance for the later rounds to filter. That is cheaper at the
+//!   candidate budgets Algorithm 2 spends. Every projected distance the
+//!   tree measures is the portable scalar kernel's, so both sources — and
+//!   every CPU — agree to the bit. `take_within(r, room)` is the building block of
 //!   the paper's radius-enlarging Algorithm 2, and plain `next()` provides
 //!   exact incremental NN search by enlarging its own radius.
 //!   [`cursor::CursorScratch`] recycles the cursor's buffers across
@@ -59,3 +63,13 @@ pub use tree::{PmTree, PmTreeConfig, PmTreeParts, RawNode};
 
 /// Index of a node inside the tree arena.
 pub type NodeId = u32;
+
+/// The distance every part of the tree measures in the projected space:
+/// the portable scalar kernel's, bit-identical on every CPU and to each
+/// row of the sweep's block kernel ([`pm_lsh_metric::sq_dist_blocks`]).
+/// Build, traversal and sweep therefore agree to the bit, and a tree is
+/// the same tree on every CPU.
+#[inline]
+pub(crate) fn projected_dist(a: &[f32], b: &[f32]) -> f32 {
+    pm_lsh_metric::simd::kernels::sq_dist(pm_lsh_metric::SimdLevel::Scalar, a, b).sqrt()
+}

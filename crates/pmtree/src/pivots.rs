@@ -7,7 +7,8 @@
 //! heuristic on a data sample: repeatedly pick the point maximizing its
 //! minimum distance to the already chosen pivots.
 
-use pm_lsh_metric::{euclidean, MatrixView};
+use crate::projected_dist;
+use pm_lsh_metric::MatrixView;
 use pm_lsh_stats::Rng;
 
 /// Selects `s` pivots from (a sample of) the dataset by farthest-point
@@ -49,8 +50,8 @@ pub fn select_pivots(
         .iter()
         .copied()
         .max_by(|&a, &b| {
-            euclidean(view.point(a), &centroid)
-                .partial_cmp(&euclidean(view.point(b), &centroid))
+            projected_dist(view.point(a), &centroid)
+                .partial_cmp(&projected_dist(view.point(b), &centroid))
                 .unwrap()
         })
         .unwrap();
@@ -59,7 +60,7 @@ pub fn select_pivots(
     // min distance from each sampled point to the chosen pivot set
     let mut min_dist: Vec<f32> = sample
         .iter()
-        .map(|&i| euclidean(view.point(i), &pivots[0]))
+        .map(|&i| projected_dist(view.point(i), &pivots[0]))
         .collect();
 
     while pivots.len() < s {
@@ -71,7 +72,7 @@ pub fn select_pivots(
         let chosen = sample[best_idx];
         let pivot: Box<[f32]> = view.point(chosen).into();
         for (md, &i) in min_dist.iter_mut().zip(&sample) {
-            let d = euclidean(view.point(i), &pivot);
+            let d = projected_dist(view.point(i), &pivot);
             if d < *md {
                 *md = d;
             }
@@ -115,7 +116,7 @@ mod tests {
         for i in 0..4 {
             for j in i + 1..4 {
                 assert!(
-                    euclidean(&pivots[i], &pivots[j]) > 50.0,
+                    pm_lsh_metric::euclidean(&pivots[i], &pivots[j]) > 50.0,
                     "pivots {i} and {j} collapsed"
                 );
             }

@@ -5,13 +5,18 @@
 //! allocation holding its entries at a fixed stride. The projected points
 //! are not in the blocks but in one tree-wide column, `points`, whose row
 //! `i` is the point of internal row `i` — the row `externals` and `leaf_of`
-//! are indexed by. Insertion, splits, deletion, the validators and the
-//! export all keep the two in step: [`PmTreeParts`] holds each block as it
-//! is, and the column as it is.
+//! are indexed by. The column is stored as blocks of [`BLOCK_ROWS`] rows,
+//! column-major inside a block (row `r`, coordinate `j` at
+//! `(r / 8)·8m + 8j + r % 8`), the tail block's free lanes NaN: the layout
+//! the sweep's kernel reads eight rows per step from. A reader of one row
+//! gathers its `m` lanes. Insertion, splits, deletion, the validators and
+//! the export all keep the column and the blocks in step: [`PmTreeParts`]
+//! holds each node block as it is, and the column row-major, as `.pmlsh`
+//! stores it; [`PmTree::from_parts`] blocks it in place.
 
 use crate::block::{give_back, grow, point_spans, Layout, LeafRef, Node};
-use crate::NodeId;
-use pm_lsh_metric::{euclidean, MatrixView, PointId};
+use crate::{projected_dist, NodeId};
+use pm_lsh_metric::{MatrixView, PointId, BLOCK_ROWS};
 use pm_lsh_stats::Rng;
 use std::collections::HashMap;
 
@@ -75,7 +80,7 @@ pub struct PmTreeParts {
     /// Root node id (into the compacted arena).
     pub root: NodeId,
     /// Internal row -> projected point: `externals.len() × dim` f32,
-    /// row-major.
+    /// row-major (the tree keeps it blocked; see the module docs).
     pub points: Vec<f32>,
     /// Internal row -> external id.
     pub externals: Vec<PointId>,
@@ -101,8 +106,10 @@ pub struct PmTree {
     pub(crate) pivots: Vec<Box<[f32]>>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: NodeId,
-    /// Internal row -> projected point, `len() × dim` f32 row-major. It
-    /// never has room for more than a quarter more rows than it holds.
+    /// Internal row -> projected point, in blocks of [`BLOCK_ROWS`] rows
+    /// (see the module docs): `⌈len() / 8⌉ · 8 · dim` f32, the tail block's
+    /// free lanes NaN. It never has room for more than a quarter more
+    /// blocks than it holds.
     pub(crate) points: Vec<f32>,
     /// Internal row -> external id.
     pub(crate) externals: Vec<PointId>,
@@ -113,9 +120,10 @@ pub struct PmTree {
     pub(crate) leaf_of: Vec<NodeId>,
     /// Arena slots released by deletions, reused by the next allocation.
     pub(crate) free_nodes: Vec<NodeId>,
-    /// The pivot distances of the point being inserted; kept between
-    /// inserts so that none allocates for them.
+    /// The pivot distances and the coordinates of the point being filed;
+    /// kept between inserts so that none allocates for them.
     pivot_dists: Vec<f32>,
+    filed: Vec<f32>,
     pub(crate) build_dist_computations: u64,
     /// Whether cursors open with a sweep over `points` instead of the
     /// range traversal; see [`PmTree::set_leaf_sweep`].
@@ -147,6 +155,7 @@ impl PmTree {
             leaf_of: Vec::new(),
             free_nodes: Vec::new(),
             pivot_dists: Vec::new(),
+            filed: Vec::new(),
             build_dist_computations: 0,
             leaf_sweep: false,
         }
@@ -154,12 +163,13 @@ impl PmTree {
 
     /// Marks the tree for sweeping (`true`) or for the textbook range
     /// traversal (`false`, what every constructor leaves). A cursor over a
-    /// marked tree opens by measuring every indexed point in one pass over
-    /// the `points` column, in internal-row order, instead of opening
-    /// regions from the root: no node, no pivot or routing-entry distance,
-    /// exactly [`PmTree::len`] point distances, and the same yields and
-    /// `is_exhausted` after every call (see [`crate::cursor`]). `Clone`
-    /// copies the mark; snapshots do not store it.
+    /// marked tree measures every indexed point in its first round, in one
+    /// pass over the blocked `points` column, eight rows per step, instead
+    /// of opening regions from the root: no node, no pivot or
+    /// routing-entry distance, exactly [`PmTree::len`] point distances, and
+    /// the same yields and `is_exhausted` after every call (see
+    /// [`crate::cursor`]). `Clone` copies the mark; snapshots do not store
+    /// it.
     pub fn set_leaf_sweep(&mut self, sweep: bool) {
         self.leaf_sweep = sweep;
     }
@@ -173,10 +183,12 @@ impl PmTree {
         }
     }
 
-    /// The projected point of internal row `internal`.
-    #[inline]
-    pub(crate) fn point(&self, internal: u32) -> &[f32] {
-        row(&self.points, self.dim, internal)
+    /// The projected point of internal row `internal`, gathered from its
+    /// lanes of the column.
+    pub(crate) fn point(&self, internal: u32) -> Vec<f32> {
+        let mut point = Vec::with_capacity(self.dim);
+        Rows::of(self).gather(internal, &mut point);
+        point
     }
 
     /// Builds a tree over every row of `view` (external id = row index),
@@ -259,36 +271,52 @@ impl PmTree {
             !self.ext_index.contains_key(&external),
             "external id {external} is already indexed"
         );
-        self.ext_index.insert(external, self.externals.len() as u32);
-        grow(&mut self.points, self.dim);
-        self.points.extend_from_slice(vector);
+        let internal = self.externals.len();
+        self.ext_index.insert(external, internal as u32);
+        let block = BLOCK_ROWS * self.dim;
+        if internal.is_multiple_of(BLOCK_ROWS) {
+            grow(&mut self.points, block);
+            self.points.resize(self.points.len() + block, f32::NAN);
+        }
+        let at = lane_of(self.dim, internal);
+        for (j, &x) in vector.iter().enumerate() {
+            self.points[at + BLOCK_ROWS * j] = x;
+        }
         // Filing reads the column beside `&mut self`, so it borrows it out.
         let points = std::mem::take(&mut self.points);
-        self.file_row(external, &points);
+        let rows = Rows {
+            column: &points,
+            dim: self.dim,
+            first: 0,
+        };
+        self.file_row(external, rows);
         self.points = points;
     }
 
     /// Files the next internal row, `externals.len()`, whose point is that
-    /// row of `points`, under `external`: everything [`PmTree::insert`]
-    /// does but the id map and the column. `points` is the tree's own
-    /// column, or, for a subtree the bulk loader grows, the rows of the
-    /// finished tree's column that the subtree will own — such a subtree
-    /// keeps no column of its own, and the loader inverts `externals` once
-    /// at the end, so no region keeps a map of its own either.
-    pub(crate) fn file_row(&mut self, external: PointId, points: &[f32]) {
+    /// row of `rows`, under `external`: everything [`PmTree::insert`] does
+    /// but the id map and the column. `rows` is the tree's own column, or,
+    /// for a subtree the bulk loader grows, the rows of the finished
+    /// tree's column that the subtree will own — such a subtree keeps no
+    /// column of its own, and the loader inverts `externals` once at the
+    /// end, so no region keeps a map of its own either.
+    pub(crate) fn file_row(&mut self, external: PointId, rows: Rows<'_>) {
         let internal = self.externals.len() as u32;
-        let vector = row(points, self.dim, internal);
+        let mut vector = std::mem::take(&mut self.filed);
+        vector.clear();
+        rows.gather(internal, &mut vector);
         let mut pd = std::mem::take(&mut self.pivot_dists);
         pd.clear();
-        pd.extend(self.pivots.iter().map(|p| euclidean(vector, p)));
+        pd.extend(self.pivots.iter().map(|p| projected_dist(&vector, p)));
         self.build_dist_computations += self.pivots.len() as u64;
         self.externals.push(external);
         // Placeholder; insert_rec records the leaf that receives the entry.
         self.leaf_of.push(self.root);
-        if let Some(pair) = self.insert_rec(self.root, internal, &pd, 0.0, None, points) {
+        if let Some(pair) = self.insert_rec(self.root, internal, &vector, &pd, 0.0, None, rows) {
             self.root = self.alloc(pair);
         }
         self.pivot_dists = pd;
+        self.filed = vector;
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
@@ -312,23 +340,24 @@ impl PmTree {
         self.free_nodes.push(node);
     }
 
-    /// Recursive single-path insert of row `internal` of `points`. When
-    /// `node` split, returns the two replacement routing entries as a
-    /// two-entry inner block (the new root, if `node` was the root).
-    /// `dist_to_node` is the distance from the new point to the routing
-    /// object of the entry pointing at `node` (0 at the root), and `parent`
-    /// says where that entry is: `(node, index)`.
+    /// Recursive single-path insert of row `internal` of `rows`, whose
+    /// point is `vector`. When `node` split, returns the two replacement
+    /// routing entries as a two-entry inner block (the new root, if `node`
+    /// was the root). `dist_to_node` is the distance from the new point to
+    /// the routing object of the entry pointing at `node` (0 at the root),
+    /// and `parent` says where that entry is: `(node, index)`.
+    #[allow(clippy::too_many_arguments)]
     fn insert_rec(
         &mut self,
         node: NodeId,
         internal: u32,
+        vector: &[f32],
         pd: &[f32],
         dist_to_node: f32,
         parent: Option<(NodeId, usize)>,
-        points: &[f32],
+        rows: Rows<'_>,
     ) -> Option<Node> {
         let lay = self.layout();
-        let vector = row(points, self.dim, internal);
         let capacity = self.cfg.capacity;
         if self.nodes[node as usize].is_leaf() {
             let entry = LeafRef {
@@ -340,22 +369,23 @@ impl PmTree {
             self.nodes[node as usize].push_leaf(lay, entry);
             self.leaf_of[internal as usize] = node;
             let overflows = self.nodes[node as usize].len(lay) > capacity;
-            return overflows.then(|| self.split(node, points));
+            return overflows.then(|| self.split(node, rows));
         }
 
         let (best, child, d) = self.choose_subtree(node, vector, pd);
-        let pair = self.insert_rec(child, internal, pd, d, Some((node, best)), points)?;
+        let pair = self.insert_rec(child, internal, vector, pd, d, Some((node, best)), rows)?;
         let mut parent_dists = [0.0f32; 2];
         if let Some((up, idx)) = parent {
             let center = self.nodes[up as usize].inner_at(idx, lay).center;
-            parent_dists = [0, 1].map(|half| euclidean(pair.inner_at(half, lay).center, center));
+            parent_dists =
+                [0, 1].map(|half| projected_dist(pair.inner_at(half, lay).center, center));
             self.build_dist_computations += 2;
         }
         let entries = &mut self.nodes[node as usize];
         entries.replace_from(best, lay, &pair, 0, parent_dists[0]);
         entries.push_from(lay, &pair, 1, parent_dists[1]);
         let overflows = entries.len(lay) > capacity;
-        overflows.then(|| self.split(node, points))
+        overflows.then(|| self.split(node, rows))
     }
 
     /// Picks the routing entry of `node` for the new point: prefer the
@@ -373,7 +403,7 @@ impl PmTree {
         let mut best_key = f32::INFINITY;
         let mut covered = false;
         for (i, e) in entries.inners(lay).enumerate() {
-            let d = euclidean(vector, e.center);
+            let d = projected_dist(vector, e.center);
             if d <= e.radius {
                 if !covered || d < best_key {
                     covered = true;
@@ -398,8 +428,8 @@ impl PmTree {
     /// `node` keeps the first group, a newly allocated node takes the
     /// second. Returns their two routing entries (parent distance 0, for
     /// the caller to fill in) as a two-entry inner block. A leaf entry's
-    /// point is its row of `points`.
-    fn split(&mut self, node: NodeId, points: &[f32]) -> Node {
+    /// point is its row of `rows`, gathered.
+    fn split(&mut self, node: NodeId, rows: Rows<'_>) -> Node {
         let lay = self.layout();
         let full = std::mem::replace(&mut self.nodes[node as usize], Node::empty());
         let leaf = full.is_leaf();
@@ -407,10 +437,15 @@ impl PmTree {
         debug_assert!(n >= 2);
 
         // Pairwise distances between the members' points / routing objects.
+        let mut points = Vec::new();
+        if leaf {
+            points.reserve_exact(n * lay.dim);
+            (0..n).for_each(|k| rows.gather(full.leaf_at(k, lay).internal, &mut points));
+        }
         let members: Vec<&[f32]> = (0..n)
             .map(|k| {
                 if leaf {
-                    row(points, lay.dim, full.leaf_at(k, lay).internal)
+                    &points[k * lay.dim..(k + 1) * lay.dim]
                 } else {
                     full.inner_at(k, lay).center
                 }
@@ -419,7 +454,7 @@ impl PmTree {
         let mut dmat = vec![0.0f32; n * n];
         for i in 0..n {
             for j in i + 1..n {
-                let d = euclidean(members[i], members[j]);
+                let d = projected_dist(members[i], members[j]);
                 dmat[i * n + j] = d;
                 dmat[j * n + i] = d;
             }
@@ -576,18 +611,21 @@ impl PmTree {
     }
 
     /// Keeps the internal rows dense after the removal of row `internal`:
-    /// the last row takes its number — its point moves into the freed row
-    /// of `points`, and its leaf entry, external map and leaf map are
-    /// rewritten to match — and the column and both maps shrink by one row.
+    /// the last row takes its number — its lanes move into the freed row's
+    /// lanes of `points`, and its leaf entry, external map and leaf map are
+    /// rewritten to match — the lanes it leaves become NaN, and the column
+    /// (by a block when that empties one) and both maps shrink by one row.
     /// The *deleted* entry is already gone from its leaf, so scanning for
     /// the renumbered row's entry is unambiguous.
     fn compact_rows(&mut self, internal: u32) {
         let (lay, m) = (self.layout(), self.dim);
         let last = (self.externals.len() - 1) as u32;
+        let (to, from) = (lane_of(m, internal as usize), lane_of(m, last as usize));
+        for j in 0..m {
+            self.points[to + BLOCK_ROWS * j] = self.points[from + BLOCK_ROWS * j];
+            self.points[from + BLOCK_ROWS * j] = f32::NAN;
+        }
         if internal != last {
-            let from = last as usize * m;
-            self.points
-                .copy_within(from..from + m, internal as usize * m);
             let moved_external = self.externals[last as usize];
             self.externals[internal as usize] = moved_external;
             self.ext_index.insert(moved_external, internal);
@@ -601,8 +639,9 @@ impl PmTree {
         }
         self.externals.pop();
         self.leaf_of.pop();
-        self.points.truncate(last as usize * m);
-        give_back(&mut self.points, m);
+        self.points
+            .truncate(blocks_for(last as usize) * BLOCK_ROWS * m);
+        give_back(&mut self.points, BLOCK_ROWS * m);
     }
 
     /// Exports the complete tree state with the node arena free-list-
@@ -634,7 +673,7 @@ impl PmTree {
             pivots: self.pivots.clone(),
             nodes,
             root: remap[self.root as usize],
-            points: self.points.clone(),
+            points: Rows::of(self).unblocked(self.len()),
             externals: self.externals.clone(),
             leaf_of: self.leaf_of.iter().map(|&l| remap[l as usize]).collect(),
             build_dist_computations: self.build_dist_computations,
@@ -642,12 +681,13 @@ impl PmTree {
     }
 
     /// Reassembles a tree from exported parts: every block moves into the
-    /// arena as it is, the id map is rebuilt by inverting `externals` and
-    /// the free list starts empty (the exported arena is compacted). The
-    /// result is validated with [`PmTree::verify_structure`] — whole-entry
-    /// blocks, capacity, `child` and `internal` ranges, leaf / external /
-    /// `leaf_of` agreement, one `points` row per point — before it is
-    /// returned, so corrupted or
+    /// arena as it is, the row-major `points` are blocked in place, the id
+    /// map is rebuilt by inverting `externals` and the free list starts
+    /// empty (the exported arena is compacted). The result is validated
+    /// with [`PmTree::verify_structure`] — whole-entry blocks, capacity,
+    /// `child` and `internal` ranges, leaf / external / `leaf_of`
+    /// agreement, one `points` row per point — before it is returned, so
+    /// corrupted or
     /// internally inconsistent parts come back as `Err`, never as a tree
     /// that panics later.
     pub fn from_parts(parts: PmTreeParts) -> Result<Self, String> {
@@ -664,7 +704,15 @@ impl PmTree {
                 parts.cfg.num_pivots
             ));
         }
-        let mut ext_index = HashMap::with_capacity(parts.externals.len());
+        let n = parts.externals.len();
+        if parts.points.len() != n * parts.dim {
+            return Err(format!(
+                "point column holds {} floats, not {n} rows of {}",
+                parts.points.len(),
+                parts.dim
+            ));
+        }
+        let mut ext_index = HashMap::with_capacity(n);
         for (internal, &external) in parts.externals.iter().enumerate() {
             if ext_index.insert(external, internal as u32).is_some() {
                 return Err(format!("external id {external} appears twice"));
@@ -676,12 +724,13 @@ impl PmTree {
             pivots: parts.pivots,
             nodes: parts.nodes.into_iter().map(Node::from).collect(),
             root: parts.root,
-            points: parts.points,
+            points: block_rows(parts.points, parts.dim),
             externals: parts.externals,
             ext_index,
             leaf_of: parts.leaf_of,
             free_nodes: Vec::new(),
             pivot_dists: Vec::new(),
+            filed: Vec::new(),
             build_dist_computations: parts.build_dist_computations,
             leaf_sweep: false,
         };
@@ -690,8 +739,9 @@ impl PmTree {
     }
 
     /// Validates the *structural* invariants only — whole-entry blocks,
-    /// node fill, index ranges, map and column sizes, arena reachability —
-    /// without recomputing a single distance. This is the cheap load-time check snapshot restoration
+    /// node fill, index ranges, map and column sizes, NaN in the column's
+    /// free lanes, arena reachability — without recomputing a single
+    /// distance. This is the cheap load-time check snapshot restoration
     /// runs ([`PmTree::verify_invariants`] adds the O(n · height)
     /// geometric audit on top; checksums already guard against bit-rot,
     /// structure checks guard against panics and out-of-bounds access).
@@ -703,12 +753,21 @@ impl PmTree {
                 self.leaf_of.len()
             ));
         }
-        if self.points.len() != n * self.dim {
+        let blocks = blocks_for(n);
+        if self.points.len() != blocks * BLOCK_ROWS * self.dim {
             return Err(format!(
-                "point column holds {} floats, not {n} rows of {}",
+                "point column holds {} floats, not {blocks} blocks of {BLOCK_ROWS} rows of {}",
                 self.points.len(),
                 self.dim
             ));
+        }
+        for lane in n..blocks * BLOCK_ROWS {
+            let at = lane_of(self.dim, lane);
+            if let Some(j) = (0..self.dim).find(|j| !self.points[at + BLOCK_ROWS * j].is_nan()) {
+                return Err(format!(
+                    "free lane {lane} of the point column holds a number at coordinate {j}"
+                ));
+            }
         }
         if self.ext_index.len() != n {
             return Err(format!(
@@ -858,9 +917,9 @@ impl PmTree {
         let entries = &self.nodes[node as usize];
         if entries.is_leaf() {
             for e in entries.leaves(lay) {
-                let point = self.point(e.internal);
+                let point = &self.point(e.internal)[..];
                 if let Some(pc) = parent_center {
-                    let d = euclidean(point, pc);
+                    let d = projected_dist(point, pc);
                     if (d - e.parent_dist).abs() > EPS * (1.0 + d) {
                         return Err(format!(
                             "leaf parent_dist {} != {} for point {}",
@@ -869,7 +928,7 @@ impl PmTree {
                     }
                 }
                 for (i, (&pd, pivot)) in e.pivot_dists.iter().zip(&self.pivots).enumerate() {
-                    let d = euclidean(point, pivot);
+                    let d = projected_dist(point, pivot);
                     if (d - pd).abs() > EPS * (1.0 + d) {
                         return Err(format!("leaf pivot_dist[{i}] stale for {}", e.internal));
                     }
@@ -879,7 +938,7 @@ impl PmTree {
         }
         for e in entries.inners(lay) {
             if let Some(pc) = parent_center {
-                let d = euclidean(e.center, pc);
+                let d = projected_dist(e.center, pc);
                 if (d - e.parent_dist).abs() > EPS * (1.0 + d) {
                     return Err(format!("inner parent_dist {} != {d}", e.parent_dist));
                 }
@@ -893,7 +952,7 @@ impl PmTree {
                     continue;
                 }
                 for l in below.leaves(lay) {
-                    let d = euclidean(self.point(l.internal), e.center);
+                    let d = projected_dist(&self.point(l.internal), e.center);
                     if d > e.radius + EPS * (1.0 + d) {
                         return Err(format!(
                             "point {} at {d} outside radius {}",
@@ -915,11 +974,71 @@ impl PmTree {
     }
 }
 
-/// Row `internal` of a `dim`-wide row-major column.
+/// How many blocks a column of `rows` rows takes.
 #[inline]
-fn row(points: &[f32], dim: usize, internal: u32) -> &[f32] {
-    let at = internal as usize * dim;
-    &points[at..at + dim]
+pub(crate) fn blocks_for(rows: usize) -> usize {
+    rows.div_ceil(BLOCK_ROWS)
+}
+
+/// Where row `row`'s coordinate 0 sits in a blocked column of `dim`-wide
+/// rows; coordinate `j` sits `BLOCK_ROWS · j` further on.
+#[inline]
+pub(crate) fn lane_of(dim: usize, row: usize) -> usize {
+    row / BLOCK_ROWS * BLOCK_ROWS * dim + row % BLOCK_ROWS
+}
+
+/// `points`, `dim`-wide rows row-major, as a blocked column, in place: the
+/// vector grows by the tail block's free lanes (NaN), and each block's
+/// `8 × dim` floats are transposed through one block of scratch.
+pub(crate) fn block_rows(mut points: Vec<f32>, dim: usize) -> Vec<f32> {
+    let block = BLOCK_ROWS * dim;
+    let len = blocks_for(points.len() / dim) * block;
+    points.reserve_exact(len - points.len());
+    points.resize(len, f32::NAN);
+    let mut rows = vec![0.0f32; block];
+    for lanes in points.chunks_exact_mut(block) {
+        rows.copy_from_slice(lanes);
+        for (r, row) in rows.chunks_exact(dim).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                lanes[BLOCK_ROWS * j + r] = x;
+            }
+        }
+    }
+    points
+}
+
+/// Rows of a blocked column as a tree files them: the tree's row `i` is the
+/// column's row `first + i` (a bulk-loaded subtree's rows start where its
+/// region's do).
+#[derive(Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    pub(crate) column: &'a [f32],
+    pub(crate) dim: usize,
+    pub(crate) first: u32,
+}
+
+impl<'a> Rows<'a> {
+    /// The tree's own column.
+    fn of(tree: &'a PmTree) -> Self {
+        Rows {
+            column: &tree.points,
+            dim: tree.dim,
+            first: 0,
+        }
+    }
+
+    /// Appends the coordinates of row `row` to `out`.
+    pub(crate) fn gather(&self, row: u32, out: &mut Vec<f32>) {
+        let at = lane_of(self.dim, (self.first + row) as usize);
+        out.extend((0..self.dim).map(|j| self.column[at + BLOCK_ROWS * j]));
+    }
+
+    /// The first `n` rows, row-major.
+    fn unblocked(&self, n: usize) -> Vec<f32> {
+        let mut points = Vec::with_capacity(n * self.dim);
+        (0..n as u32).for_each(|row| self.gather(row, &mut points));
+        points
+    }
 }
 
 /// mM_RAD promotion: evaluates every pair of members as routing objects,
@@ -1054,6 +1173,33 @@ mod tests {
         rejected(&hollow, "inner node with no entries");
     }
 
+    /// The column's free lanes are NaN, which the sweep drops: a number
+    /// there would be measured as a point no leaf holds.
+    #[test]
+    fn verify_structure_refuses_a_number_in_a_free_lane() {
+        let mut tree = two_level_tree();
+        tree.insert(&[0.5; 4], 1_000);
+        assert_eq!(tree.len() % BLOCK_ROWS, 1, "the tail block has free lanes");
+        tree.verify_invariants().expect("free lanes are NaN");
+        let (n, lay) = (tree.len(), tree.layout());
+        for (lane, j) in [(n, 0), (n + 6, 3)] {
+            let mut bad = tree.clone();
+            bad.points[lane_of(lay.dim, lane) + BLOCK_ROWS * j] = 0.25;
+            let err = bad.verify_structure().unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "free lane {lane} of the point column holds a number at coordinate {j}"
+                )),
+                "{err}"
+            );
+        }
+        // Deleting the tail block's one row gives the block back.
+        let last = *tree.externals.last().unwrap();
+        assert!(tree.delete(last));
+        tree.verify_invariants().expect("the freed lanes are NaN");
+        assert_eq!(tree.points.len(), tree.len() * lay.dim);
+    }
+
     /// A bulk-loaded tree's leaves sit at different depths: here the first
     /// pivot region holds some of five far outliers, one leaf right under
     /// the root, while the large regions grow several levels. `height`
@@ -1099,7 +1245,8 @@ mod tests {
         let bits = |t: &PmTree| t.nodes.iter().map(Node::bits).collect::<Vec<_>>();
         assert_eq!(bits(&twin), bits(&tree));
         assert_eq!(twin.externals, tree.externals);
-        assert_eq!(twin.points, tree.points);
+        let lanes = |t: &PmTree| t.points.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(lanes(&twin), lanes(&tree), "blocked back lane for lane");
 
         let rejected = |bad: PmTreeParts, needle: &str| {
             let err = PmTree::from_parts(bad).unwrap_err();
@@ -1193,7 +1340,7 @@ mod tests {
             );
             assert_eq!(block_words(&tree.clone()), (len, len), "{when}");
             let (len, capacity) = (tree.points.len(), tree.points.capacity());
-            assert_eq!(len, tree.len() * 15, "{when}");
+            assert_eq!(len, blocks_for(tree.len()) * BLOCK_ROWS * 15, "{when}");
             assert!(
                 capacity * 4 <= len * 5,
                 "{when}: room for {capacity} floats of points, {len} held"
@@ -1248,10 +1395,16 @@ mod tests {
     }
 
     /// Every live external's row of `points` is the point it was inserted
-    /// with, and the tree's invariants hold.
+    /// with, and the tree's invariants hold (the free lanes of the tail
+    /// block among them).
     fn assert_rows_hold_their_points(tree: &PmTree, inserted: &Dataset, when: &str) {
         tree.check_invariants();
-        assert_eq!(tree.points.len(), tree.len() * tree.dim(), "{when}");
+        let blocks = blocks_for(tree.len());
+        assert_eq!(
+            tree.points.len(),
+            blocks * BLOCK_ROWS * tree.dim(),
+            "{when}"
+        );
         for (internal, &external) in tree.externals.iter().enumerate() {
             let got = tree.point(internal as u32);
             assert_eq!(got, inserted.point(external as usize), "{when}: {external}");

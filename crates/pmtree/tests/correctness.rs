@@ -1,7 +1,8 @@
 //! Cross-checks of the PM-tree against brute force, plus structural
 //! property tests.
 
-use pm_lsh_metric::{euclidean, Dataset, PointId};
+use pm_lsh_metric::simd::kernels;
+use pm_lsh_metric::{Dataset, PointId, SimdLevel};
 use pm_lsh_pmtree::{PmTree, PmTreeConfig};
 use pm_lsh_stats::Rng;
 use proptest::prelude::*;
@@ -15,6 +16,12 @@ fn random_dataset(n: usize, dim: usize, seed: u64) -> Dataset {
         ds.push(&buf);
     }
     ds
+}
+
+/// The projected distance the tree measures: the scalar kernel's, on
+/// every CPU.
+fn euclidean(a: &[f32], b: &[f32]) -> f32 {
+    kernels::sq_dist(SimdLevel::Scalar, a, b).sqrt()
 }
 
 fn brute_range(ds: &Dataset, q: &[f32], r: f32) -> Vec<(PointId, f32)> {

@@ -6,17 +6,20 @@
 //! The PM-tree is an exact index over the projected space (the LSH
 //! approximation lives a layer up, in `pm-lsh-core`), so "agrees with a
 //! linear scan" is a hard equality here, not a recall target. Distances
-//! are compared bit-for-bit: both sides call the same `euclidean` kernel
-//! on the same `f32` data.
+//! are compared bit-for-bit: the tree measures every projected distance
+//! in the portable scalar kernel's order on every CPU, and so does the
+//! model, on the same `f32` data.
 
-use pm_lsh_metric::{euclidean, Dataset, PointId};
+use pm_lsh_metric::simd::kernels;
+use pm_lsh_metric::{Dataset, PointId, SimdLevel};
 use pm_lsh_pmtree::{PmTree, PmTreeConfig};
 use pm_lsh_stats::Rng;
 use proptest::prelude::*;
 
 /// The oracle: every live `(id, vector)` pair, scanned linearly.
 fn linear_knn(model: &[(PointId, Vec<f32>)], q: &[f32], k: usize) -> Vec<(PointId, f32)> {
-    let mut all: Vec<(PointId, f32)> = model.iter().map(|(id, v)| (*id, euclidean(q, v))).collect();
+    let dist = |v: &[f32]| kernels::sq_dist(SimdLevel::Scalar, q, v).sqrt();
+    let mut all: Vec<(PointId, f32)> = model.iter().map(|(id, v)| (*id, dist(v))).collect();
     all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     all.truncate(k);
     all

@@ -2,7 +2,10 @@
 //! JSON object for one measured PR × workload, PR numbers never decrease
 //! down the file, and every metric a line records is an `end_to_end` or
 //! `per_layer` metric that `BENCHMARK.json` declares, as a `<metric>.parent`
-//! median beside a `<metric>.change` median. Every `PR N (perf_opt` entry
+//! median beside a `<metric>.change` median. A line may also give the
+//! spread behind a metric's medians, as `<metric>.parent_iqr` and
+//! `<metric>.change_iqr` (the interquartile ranges of the runs), but only
+//! beside both of that metric's medians. Every `PR N (perf_opt` entry
 //! of CHANGES.md from PR 27 on has a line, and only the newest PR's lines
 //! may still lack their commit.
 //!
@@ -240,70 +243,120 @@ fn perf_opt_prs(changes: &str) -> BTreeSet<u64> {
 /// The fields every line carries beside its medians.
 const REQUIRED: [&str; 6] = ["pr", "commit", "workload", "pairs", "seconds", "vcpus"];
 
-#[test]
-fn every_line_is_a_flat_record_of_declared_metrics() {
+/// The workloads and the metrics `BENCHMARK.json` declares.
+fn declared() -> (BTreeSet<String>, BTreeSet<String>) {
     let benchmark = Parser::parse(&root_file("BENCHMARK.json")).expect("BENCHMARK.json parses");
-    let workloads = declared_names(&benchmark, "workloads");
     let mut metrics = declared_names(&benchmark, "end_to_end");
     metrics.extend(declared_names(&benchmark, "per_layer"));
+    (declared_names(&benchmark, "workloads"), metrics)
+}
 
+/// Checks one trajectory line against the rules of the module docs and
+/// returns its PR number; `what` names the line in the panic message.
+fn check_line(
+    line: &str,
+    what: &str,
+    workloads: &BTreeSet<String>,
+    metrics: &BTreeSet<String>,
+) -> f64 {
+    let record = Parser::parse(line).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let Json::Obj(fields) = &record else {
+        panic!("{what}: not an object");
+    };
+    for key in REQUIRED {
+        assert!(record.get(key).is_some(), "{what}: no `{key}`");
+    }
+    let (mut medians, mut spreads) = (BTreeSet::new(), BTreeSet::new());
+    for (key, value) in fields {
+        match (key.as_str(), value) {
+            ("pr" | "pairs" | "seconds" | "vcpus", Json::Num(v)) => {
+                assert!(*v >= 1.0 && v.fract() == 0.0, "{what}: `{key}` is {v}");
+            }
+            // A PR's commit does not exist yet when its own line is
+            // written; the next change fills it in (see
+            // `only_the_newest_pr_may_lack_its_commit`).
+            ("commit", Json::Str(_) | Json::Null) => {}
+            ("workload", Json::Str(name)) => {
+                assert!(workloads.contains(name), "{what}: unknown workload {name}");
+            }
+            (key, Json::Num(v)) => {
+                let (metric, side) = (key.rsplit_once('.'))
+                    .unwrap_or_else(|| panic!("{what}: unknown field `{key}`"));
+                assert!(
+                    metrics.contains(metric),
+                    "{what}: `{metric}` is not a metric BENCHMARK.json declares"
+                );
+                match side {
+                    "parent" | "change" => {
+                        medians.insert((metric.to_string(), side == "change"));
+                    }
+                    "parent_iqr" | "change_iqr" => {
+                        assert!(*v >= 0.0, "{what}: `{key}` is {v}");
+                        spreads.insert(metric.to_string());
+                    }
+                    _ => panic!(
+                        "{what}: `{key}` is neither a median nor an IQR of a parent or a change"
+                    ),
+                }
+            }
+            (key, value) => panic!("{what}: `{key}` has value {value:?}"),
+        }
+    }
+    assert!(!medians.is_empty(), "{what}: records no metric");
+    for metric in medians.iter().map(|(metric, _)| metric).chain(&spreads) {
+        assert!(
+            medians.contains(&(metric.clone(), false)) && medians.contains(&(metric.clone(), true)),
+            "{what}: `{metric}` needs both a parent and a change median"
+        );
+    }
+    match record.get("pr") {
+        Some(Json::Num(pr)) => *pr,
+        _ => unreachable!("checked above"),
+    }
+}
+
+#[test]
+fn every_line_is_a_flat_record_of_declared_metrics() {
+    let (workloads, metrics) = declared();
     let trajectory = root_file("BENCH_trajectory.jsonl");
     let mut last_pr = 0.0;
     let mut lines = 0;
     for (at, line) in trajectory.lines().enumerate() {
         let what = format!("BENCH_trajectory.jsonl line {}", at + 1);
-        let record = Parser::parse(line).unwrap_or_else(|e| panic!("{what}: {e}"));
-        let Json::Obj(fields) = &record else {
-            panic!("{what}: not an object");
-        };
-        for key in REQUIRED {
-            assert!(record.get(key).is_some(), "{what}: no `{key}`");
-        }
-        let mut medians = BTreeSet::new();
-        for (key, value) in fields {
-            match (key.as_str(), value) {
-                ("pr" | "pairs" | "seconds" | "vcpus", Json::Num(v)) => {
-                    assert!(*v >= 1.0 && v.fract() == 0.0, "{what}: `{key}` is {v}");
-                }
-                // A PR's commit does not exist yet when its own line is
-                // written; the next change fills it in (see
-                // `only_the_newest_pr_may_lack_its_commit`).
-                ("commit", Json::Str(_) | Json::Null) => {}
-                ("workload", Json::Str(name)) => {
-                    assert!(workloads.contains(name), "{what}: unknown workload {name}");
-                }
-                (key, Json::Num(_)) => {
-                    let (metric, side) = (key.rsplit_once('.'))
-                        .unwrap_or_else(|| panic!("{what}: unknown field `{key}`"));
-                    assert!(
-                        side == "parent" || side == "change",
-                        "{what}: `{key}` is neither a parent nor a change median"
-                    );
-                    assert!(
-                        metrics.contains(metric),
-                        "{what}: `{metric}` is not a metric BENCHMARK.json declares"
-                    );
-                    medians.insert((metric.to_string(), side == "change"));
-                }
-                (key, value) => panic!("{what}: `{key}` has value {value:?}"),
-            }
-        }
-        assert!(!medians.is_empty(), "{what}: records no metric");
-        for (metric, _) in &medians {
-            assert!(
-                medians.contains(&(metric.clone(), false))
-                    && medians.contains(&(metric.clone(), true)),
-                "{what}: `{metric}` needs both a parent and a change median"
-            );
-        }
-        let Some(Json::Num(pr)) = record.get("pr") else {
-            unreachable!("checked above");
-        };
-        assert!(*pr >= last_pr, "{what}: PR {pr} after PR {last_pr}");
-        last_pr = *pr;
+        let pr = check_line(line, &what, &workloads, &metrics);
+        assert!(pr >= last_pr, "{what}: PR {pr} after PR {last_pr}");
+        last_pr = pr;
         lines += 1;
     }
     assert!(lines > 0, "BENCH_trajectory.jsonl is empty");
+}
+
+#[test]
+fn an_iqr_stands_only_beside_both_medians() {
+    let (workloads, metrics) = declared();
+    let head = r#"{"pr": 1, "commit": null, "workload": "audio_verify", "pairs": 5, "seconds": 20, "vcpus": 2"#;
+    let line = |tail: &str| format!("{head}, {tail}}}");
+    let medians = r#""query_p50_us.parent": 2.0, "query_p50_us.change": 1.0"#;
+    let accepted = [
+        medians.to_string(),
+        format!(r#"{medians}, "query_p50_us.parent_iqr": 0.5, "query_p50_us.change_iqr": 0.25"#),
+        format!(r#"{medians}, "query_p50_us.change_iqr": 0.0"#),
+    ];
+    for tail in accepted {
+        check_line(&line(&tail), &tail, &workloads, &metrics);
+    }
+    let refused = [
+        format!(r#"{medians}, "query_qps.parent_iqr": 3.0"#),
+        r#""query_p50_us.parent": 2.0, "query_p50_us.parent_iqr": 0.5"#.to_string(),
+        format!(r#"{medians}, "query_p50_us.change_iqr": -1.0"#),
+        format!(r#"{medians}, "query_p50_us.iqr": 1.0"#),
+        format!(r#"{medians}, "no_such_metric.parent_iqr": 1.0"#),
+    ];
+    for tail in refused {
+        let checked =
+            std::panic::catch_unwind(|| check_line(&line(&tail), "", &workloads, &metrics));
+        assert!(checked.is_err(), "accepted {tail}");
+    }
 }
 
 #[test]

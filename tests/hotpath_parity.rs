@@ -13,7 +13,9 @@
 //! [`Reference`], which knows only the algorithm:
 //!
 //! * every live point, ranked by `(projected distance, id)` — the order in
-//!   which growing balls reach them, ties split by id;
+//!   which growing balls reach them, ties split by id — with the projected
+//!   distance measured as the sweep measures it, in the portable scalar
+//!   kernel's order, so the ranking is the same on every CPU;
 //! * the radius schedule of Algorithms 1 and 2 replayed over that ranking:
 //!   each round takes the next ranked points within `t·r`, up to the
 //!   budget, and verifies them in full;
@@ -28,7 +30,8 @@
 //! falls inside such a group, a ball-cover hit and miss, and every form on
 //! a churned index.
 
-use pm_lsh::metric::euclidean;
+use pm_lsh::metric::simd::kernels;
+use pm_lsh::metric::{euclidean, SimdLevel};
 use pm_lsh::prelude::*;
 
 fn audio_smoke() -> (PmLsh, Dataset) {
@@ -107,7 +110,7 @@ impl<'a> Reference<'a> {
     fn rank<'q>(&self, q: &'q [f32]) -> Ranked<'a, 'q> {
         let qp = self.index.project(q);
         let mut order: Vec<(f32, PointId)> = (self.projected.iter())
-            .map(|(id, p)| (euclidean(&qp, p), *id))
+            .map(|(id, p)| (kernels::sq_dist(SimdLevel::Scalar, &qp, p).sqrt(), *id))
             .collect();
         order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         Ranked {

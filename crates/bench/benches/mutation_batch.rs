@@ -2,12 +2,14 @@
 //! against a lock-step single-op twin issuing the identical ops through
 //! [`ShardedEngine::insert`]/[`ShardedEngine::delete`].
 //!
-//! Every single-op mutation pays a full copy-on-write clone of the
-//! snapshot — O(n·d) plus the tree — so `W` ops cost O(W·n). A batch
-//! takes the writer lock once, clones once, patches all `W` ops into
-//! the clone, and publishes once: O(n) + O(W). This bench measures that
-//! amortization at batch widths `W ∈ {4, 16, 64, 256}` over a fixed op
-//! budget, on the Audio paper dataset.
+//! Every single-op mutation pays a copy-on-write clone of the snapshot.
+//! The clone shares the raw rows: an insert copies at most the one
+//! 64-row tail chunk it appends to (O(64·d)), and a delete copies no row.
+//! The PM-tree is still copied whole, O(n), so `W` ops cost O(W·n). A
+//! batch takes the writer lock once, clones once, patches all `W` ops
+//! into the clone, and publishes once: O(n) + O(W). This bench measures
+//! that amortization at batch widths `W ∈ {4, 16, 64, 256}` over a fixed
+//! op budget, on the Audio paper dataset.
 //!
 //! Parity comes before performance: for every width, an untimed pass
 //! runs the exact op schedule through `apply` on one engine and one op

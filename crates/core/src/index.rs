@@ -7,7 +7,7 @@ use crate::build::BuildOptions;
 use crate::context::QueryContext;
 use crate::params::{DerivedParams, PmLshParams};
 use pm_lsh_hash::GaussianProjector;
-use pm_lsh_metric::{sq_dist_rows_within, Dataset, Neighbor, PointId};
+use pm_lsh_metric::{sq_dist_rows_within, Dataset, Neighbor, PointId, RowStore};
 use pm_lsh_pmtree::PmTree;
 use pm_lsh_stats::{distance_distribution, Ecdf, Rng};
 use std::sync::Arc;
@@ -185,7 +185,7 @@ fn abandon_bound(kth: f32) -> f32 {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PmLsh {
-    data: Arc<Dataset>,
+    data: RowStore,
     projector: GaussianProjector,
     tree: PmTree,
     params: PmLshParams,
@@ -286,7 +286,7 @@ impl PmLsh {
             Ecdf::new(vec![1.0])
         };
         Self {
-            data,
+            data: RowStore::new(data),
             projector,
             tree,
             params,
@@ -300,8 +300,10 @@ impl PmLsh {
     /// After deletions this keeps the dead rows too (external ids are
     /// stable row indexes, so the original-space store is append-only
     /// until a rebuild); enumerate *live* points through
-    /// [`PmLsh::live_ids`], not by row-scanning.
-    pub fn data(&self) -> &Dataset {
+    /// [`PmLsh::live_ids`], not by row-scanning. Its base is the dataset
+    /// the index was built or loaded from, shared and never copied; rows
+    /// inserted since live in its tail chunks.
+    pub fn data(&self) -> &RowStore {
         &self.data
     }
 
@@ -403,10 +405,13 @@ impl PmLsh {
 
     /// The copy-on-write form of [`PmLsh::apply`], for serving layers
     /// that publish immutable snapshots: `self` is never touched, and the
-    /// O(n) clone is paid only by the first op that is actually admitted.
-    /// Returns the patched clone — `None` when every op was rejected (or
-    /// `ops` is empty), so a refused mutation costs no clone at all —
-    /// beside the same per-op results [`PmLsh::apply`] reports.
+    /// clone is paid only by the first op that is actually admitted. The
+    /// clone shares the row store ([`RowStore`]): an insert copies at most
+    /// the one [`pm_lsh_metric::CHUNK_ROWS`]-row chunk it appends to, and a
+    /// delete copies no row. The PM-tree is copied whole, O(n). Returns
+    /// the patched clone — `None` when every op was rejected (or `ops` is
+    /// empty), so a refused mutation costs no clone at all — beside the
+    /// same per-op results [`PmLsh::apply`] reports.
     pub fn apply_cow(
         &self,
         ops: &[MutOp],
@@ -448,7 +453,7 @@ impl PmLsh {
             MutOp::Insert(point) => {
                 let id = self.data.len() as pm_lsh_metric::PointId;
                 let projected = self.projector.project(point);
-                Arc::make_mut(&mut self.data).push(point);
+                self.data.push(point);
                 self.tree.insert(&projected, id);
                 id
             }
@@ -574,7 +579,7 @@ impl PmLsh {
         let derived = params.derive();
         tree.set_leaf_sweep(true);
         Ok(Self {
-            data,
+            data: RowStore::new(data),
             projector,
             tree,
             params,
@@ -830,7 +835,7 @@ impl PmLsh {
             // whose sqrt could still displace the k-th neighbor, and a full
             // distance's push would have been rejected too.
             let ids = nearest.iter().map(|(id, _)| id).chain(drain_marks(marks));
-            sq_dist_rows_within(q, self.data.as_flat(), ids, bound, |id, sq| {
+            sq_dist_rows_within(q, &self.data, ids, bound, |id, sq| {
                 if top.push(sq.sqrt(), id) && top.is_full() {
                     bound = abandon_bound(top.kth_dist());
                 }

@@ -2,7 +2,7 @@
 //! seeded data, and Theorem 2's sublinear probing behaviour.
 
 use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
-use pm_lsh_metric::{euclidean, Dataset, TopK};
+use pm_lsh_metric::{euclidean, Dataset, RowStore, TopK};
 use pm_lsh_stats::Rng;
 
 fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
@@ -22,10 +22,10 @@ fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
     ds
 }
 
-fn exact_knn(ds: &Dataset, q: &[f32], k: usize) -> Vec<pm_lsh_metric::Neighbor> {
+fn exact_knn(ds: &RowStore, q: &[f32], k: usize) -> Vec<pm_lsh_metric::Neighbor> {
     let mut top = TopK::new(k);
-    for (i, p) in ds.iter().enumerate() {
-        top.push(euclidean(q, p), i as u32);
+    for i in 0..ds.len() {
+        top.push(euclidean(q, ds.point(i)), i as u32);
     }
     top.into_sorted_vec()
 }

@@ -9,9 +9,10 @@
 //! * **Build parallelism beyond the pivot regions.** The bulk loader's
 //!   concurrency is bounded by the `s ≈ 5` pivot regions; `S` shards
 //!   build `S` trees concurrently on top of that.
-//! * **O(n/S) mutations.** Copy-on-write publication clones only the
-//!   owning shard, so a single `INSERT`/`DELETE` pays `O(n/S)` instead of
-//!   `O(n)`.
+//! * **O(n/S) tree copies.** Copy-on-write publication clones only the
+//!   owning shard. Its raw rows are shared, not copied, at every `S`: an
+//!   insert copies one 64-row chunk (`pm_lsh_metric::RowStore`). What
+//!   `S` still divides is the PM-tree's copy, `O(n/S)` instead of `O(n)`.
 //!
 //! # Scatter-gather and the βn + k budget
 //!

@@ -23,12 +23,12 @@
 //! never pay the full `d`-length loop.
 //!
 //! [`sq_dist_rows_within`] is the whole verification loop: one dispatch
-//! for a walk over named rows of a row store, each row measured like
+//! for a walk over named rows of a [`crate::RowStore`], each row measured like
 //! [`sq_dist_within`] against a bound the caller moves as rows are kept,
 //! with a read-ahead of the rows to come.
 
 use crate::simd::{self, Runnable};
-use crate::PointId;
+use crate::{PointId, RowStore};
 
 /// Squared Euclidean distance between two equal-length slices.
 ///
@@ -90,9 +90,9 @@ pub fn sq_dist_blocks(q: &[f32], blocks: &[f32], each: impl FnMut([f32; BLOCK_RO
     simd::sq_dist_blocks_dispatch(Runnable::active(), q, blocks, each)
 }
 
-/// Early-abandoning squared distances from `q` to the rows of the
-/// row-major column `rows` that `ids` names (row `id` is
-/// `rows[id·d .. (id+1)·d]`, `d = q.len()`), in the order `ids` yields them.
+/// Early-abandoning squared distances from `q` to the rows of the store
+/// `rows` that `ids` names (row `id` is `rows.point_id(id)`), in the order
+/// `ids` yields them.
 ///
 /// Each row is measured as [`sq_dist_within`] would measure it against the
 /// bound in force, which starts at `bound`. A kept row — squared distance
@@ -100,17 +100,19 @@ pub fn sq_dist_blocks(q: &[f32], blocks: &[f32], each: impl FnMut([f32; BLOCK_RO
 /// as `(id, sq)`, and `keep` returns the bound for the rows after it. A row
 /// whose distance exceeds the bound is abandoned and never reaches `keep`.
 ///
-/// The kernel level is dispatched once for the whole walk. On x86-64 the
-/// walk also asks the memory system for the front of the row two
-/// candidates ahead; a prefetch is a hint, so it changes no value.
+/// The kernel level is dispatched once for the whole walk. A store with no
+/// tail is walked as one flat slice; one with a tail finds each row past
+/// the base in its chunk. On x86-64 the walk also asks the memory system
+/// for the front of the row two candidates ahead; a prefetch is a hint, so
+/// it changes no value.
 ///
 /// # Panics
-/// Panics if `q` is empty, `rows.len()` is not a multiple of `q.len()`, or
-/// an id names a row past the end of `rows`.
+/// Panics if `q` is empty, the rows are not `q.len()` floats, or an id
+/// names a row past the end of `rows`.
 #[inline]
 pub fn sq_dist_rows_within(
     q: &[f32],
-    rows: &[f32],
+    rows: &RowStore,
     ids: impl IntoIterator<Item = PointId>,
     bound: f32,
     keep: impl FnMut(PointId, f32) -> f32,

@@ -11,6 +11,9 @@
 //!   `m`-dimensional projected data.
 //! * [`MatrixView`] — a borrowed view over the same layout, used by indexes
 //!   that do not own their points.
+//! * [`RowStore`] — an append-only row store: a shared [`Dataset`] base
+//!   and a tail of shared [`CHUNK_ROWS`]-row chunks, so a copy-on-write
+//!   append copies one chunk, not every row.
 //! * [`dist`] — Euclidean kernels (`sq_dist`, `sq_dist_blocks`,
 //!   `sq_dist_within`, `sq_dist_rows_within`, `euclidean`, `dot`).
 //! * [`simd`] — the runtime-dispatched kernel implementations behind
@@ -23,6 +26,7 @@
 pub mod dataset;
 pub mod dist;
 pub mod simd;
+pub mod store;
 pub mod topk;
 pub mod view;
 
@@ -31,6 +35,7 @@ pub use dist::{
     dot, euclidean, norm, sq_dist, sq_dist_blocks, sq_dist_rows_within, sq_dist_within, BLOCK_ROWS,
 };
 pub use simd::SimdLevel;
+pub use store::{RowStore, CHUNK_ROWS};
 pub use topk::{Neighbor, TopK};
 pub use view::MatrixView;
 

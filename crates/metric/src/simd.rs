@@ -53,7 +53,7 @@
 //! scalar and NEON walks read no ahead). A prefetch is a hint, so kept
 //! values and abandons are those of that level's [`crate::sq_dist_within`].
 
-use crate::{PointId, BLOCK_ROWS};
+use crate::{PointId, RowStore, BLOCK_ROWS};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel implementation the process dispatches to.
@@ -196,22 +196,20 @@ const READ_AHEAD: usize = 2;
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 const PREFETCH_LINES: usize = 8;
 
-/// The row-verification walk every level shares: row `id` of `rows` is
-/// `rows[id·d .. (id+1)·d]`. Each row is measured with `measure` against
-/// the bound in force; a kept `(id, sq)` goes to `keep`, which returns the
+/// The row-verification walk every level shares: `row(id)` is row `id`,
+/// `d = q.len()` floats. Each row is measured with `measure` against the
+/// bound in force; a kept `(id, sq)` goes to `keep`, which returns the
 /// bound for the rows after it. `prefetch` is handed the row
 /// [`READ_AHEAD`] candidates ahead of the one being measured.
 #[inline(always)]
-fn walk_rows(
-    d: usize,
-    rows: &[f32],
+fn walk_rows<'r>(
+    row: impl Fn(PointId) -> &'r [f32],
     ids: impl IntoIterator<Item = PointId>,
     mut bound: f32,
     mut keep: impl FnMut(PointId, f32) -> f32,
     measure: impl Fn(&[f32], f32) -> f32,
     prefetch: impl Fn(&[f32]),
 ) {
-    let row = |id: PointId| &rows[id as usize * d..][..d];
     let mut ids = ids.into_iter();
     // The next `pending` ids in walk order, from `ahead[head]` on, cyclic.
     let mut ahead = [0 as PointId; READ_AHEAD];
@@ -337,15 +335,15 @@ fn sq_dist_blocks_scalar_impl(q: &[f32], blocks: &[f32], mut each: impl FnMut([f
 /// The scalar row-verification kernel: [`walk_rows`] over
 /// [`sq_dist_scalar_impl`], with no read-ahead.
 #[inline(always)]
-fn sq_dist_rows_within_scalar_impl(
+fn sq_dist_rows_within_scalar_impl<'r>(
     q: &[f32],
-    rows: &[f32],
+    row: impl Fn(PointId) -> &'r [f32],
     ids: impl IntoIterator<Item = PointId>,
     bound: f32,
     keep: impl FnMut(PointId, f32) -> f32,
 ) {
     let measure = |row: &[f32], bound| sq_dist_scalar_impl::<true>(q, row, bound);
-    walk_rows(q.len(), rows, ids, bound, keep, measure, |_| {});
+    walk_rows(row, ids, bound, keep, measure, |_| {});
 }
 
 // ---------------------------------------------------------------------------
@@ -675,35 +673,37 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must ensure SSE2 is available and `q` is not empty.
+    /// Caller must ensure SSE2 is available, `q` is not empty and every
+    /// slice `row` hands out is `q.len()` floats.
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sq_dist_rows_within_sse2(
+    pub(super) unsafe fn sq_dist_rows_within_sse2<'r>(
         q: &[f32],
-        rows: &[f32],
+        row: impl Fn(PointId) -> &'r [f32],
         ids: impl IntoIterator<Item = PointId>,
         bound: f32,
         keep: impl FnMut(PointId, f32) -> f32,
     ) {
-        // SAFETY: this function's own contract (SSE2) covers the kernel;
-        // every row is a `q.len()` slice.
+        // SAFETY: this function's own contract covers the kernel: SSE2,
+        // and every row `row` hands out is a `q.len()` slice.
         let measure = |row: &[f32], bound| unsafe { sq_dist_sse2_impl::<true>(q, row, bound) };
-        walk_rows(q.len(), rows, ids, bound, keep, measure, prefetch_row);
+        walk_rows(row, ids, bound, keep, measure, prefetch_row);
     }
 
     /// # Safety
-    /// Caller must ensure AVX2 and FMA are available and `q` is not empty.
+    /// Caller must ensure AVX2 and FMA are available, `q` is not empty and
+    /// every slice `row` hands out is `q.len()` floats.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn sq_dist_rows_within_avx2(
+    pub(super) unsafe fn sq_dist_rows_within_avx2<'r>(
         q: &[f32],
-        rows: &[f32],
+        row: impl Fn(PointId) -> &'r [f32],
         ids: impl IntoIterator<Item = PointId>,
         bound: f32,
         keep: impl FnMut(PointId, f32) -> f32,
     ) {
-        // SAFETY: this function's own contract (AVX2 + FMA) covers the
-        // kernel; every row is a `q.len()` slice.
+        // SAFETY: this function's own contract covers the kernel: AVX2 +
+        // FMA, and every row `row` hands out is a `q.len()` slice.
         let measure = |row: &[f32], bound| unsafe { sq_dist_avx2_impl::<true>(q, row, bound) };
-        walk_rows(q.len(), rows, ids, bound, keep, measure, prefetch_row);
+        walk_rows(row, ids, bound, keep, measure, prefetch_row);
     }
 }
 
@@ -831,19 +831,20 @@ mod arm {
     }
 
     /// # Safety
-    /// Caller must ensure `q` is not empty.
+    /// Caller must ensure `q` is not empty and every slice `row` hands out
+    /// is `q.len()` floats.
     #[inline]
-    pub(super) unsafe fn sq_dist_rows_within_neon(
+    pub(super) unsafe fn sq_dist_rows_within_neon<'r>(
         q: &[f32],
-        rows: &[f32],
+        row: impl Fn(PointId) -> &'r [f32],
         ids: impl IntoIterator<Item = PointId>,
         bound: f32,
         keep: impl FnMut(PointId, f32) -> f32,
     ) {
-        // SAFETY: NEON is the aarch64 baseline; every row is a `q.len()`
-        // slice.
+        // SAFETY: NEON is the aarch64 baseline; by this function's
+        // contract every row `row` hands out is a `q.len()` slice.
         let measure = |row: &[f32], bound| unsafe { sq_dist_neon_impl::<true>(q, row, bound) };
-        walk_rows(q.len(), rows, ids, bound, keep, measure, |_| {});
+        walk_rows(row, ids, bound, keep, measure, |_| {});
     }
 }
 
@@ -867,17 +868,17 @@ fn check_lens(kernel: &str, a: &[f32], b: &[f32]) {
     );
 }
 
-/// The row-verification kernel's contract: a non-empty query whose length
-/// divides the rows.
+/// The row-verification kernel's contract: a non-empty query as long as
+/// the rows.
 ///
 /// # Panics
-/// Panics when `q` is empty or `rows.len()` is not a multiple of `q.len()`.
+/// Panics when `q` is empty or the rows are not `q.len()` floats.
 #[inline]
-fn check_rows(q: &[f32], rows: &[f32]) {
+fn check_rows(q: &[f32], rows: &RowStore) {
     assert!(
-        !q.is_empty() && rows.len().is_multiple_of(q.len()),
-        "sq_dist_rows_within: {} floats are not whole rows of {}",
-        rows.len(),
+        !q.is_empty() && rows.dim() == q.len(),
+        "sq_dist_rows_within: rows of {} floats are not whole rows of {}",
+        rows.dim(),
         q.len()
     );
 }
@@ -970,30 +971,53 @@ pub(crate) fn sq_dist_blocks_dispatch(
 /// One dispatch for a whole row-verification walk: each named row goes
 /// through the level's early-abandoning kernel, so every kept value is
 /// bit-equal to [`sq_dist_dispatch`] and every abandon is
-/// [`sq_dist_within_dispatch`]'s.
+/// [`sq_dist_within_dispatch`]'s. A store with no tail is walked as one
+/// flat slice; a store with a tail looks each row up past the base.
 #[inline]
 pub(crate) fn sq_dist_rows_within_dispatch(
     level: Runnable,
     q: &[f32],
-    rows: &[f32],
+    rows: &RowStore,
     ids: impl IntoIterator<Item = PointId>,
     bound: f32,
     keep: impl FnMut(PointId, f32) -> f32,
 ) {
     check_rows(q, rows);
+    let d = q.len();
+    if let Some(flat) = rows.as_flat() {
+        let row = move |id: PointId| &flat[id as usize * d..][..d];
+        return walk_at(level, q, row, ids, bound, keep);
+    }
+    let base_len = rows.base().len();
+    let row = move |id: PointId| rows.row_at(id as usize, base_len);
+    walk_at(level, q, row, ids, bound, keep)
+}
+
+/// [`sq_dist_rows_within_dispatch`]'s walk at `level`, rows read through
+/// `row`, which must hand out `q.len()`-float slices.
+#[inline(always)]
+fn walk_at<'r>(
+    level: Runnable,
+    q: &[f32],
+    row: impl Fn(PointId) -> &'r [f32],
+    ids: impl IntoIterator<Item = PointId>,
+    bound: f32,
+    keep: impl FnMut(PointId, f32) -> f32,
+) {
     match level.0 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` is runnable, and SSE2 is the x86-64 baseline;
-        // `q` was checked.
-        SimdLevel::Sse2 => unsafe { x86::sq_dist_rows_within_sse2(q, rows, ids, bound, keep) },
+        // `q` was checked, and `row` hands out `q.len()` floats.
+        SimdLevel::Sse2 => unsafe { x86::sq_dist_rows_within_sse2(q, row, ids, bound, keep) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level` is runnable: AVX2 and FMA were detected; `q`
-        // was checked.
-        SimdLevel::Avx2Fma => unsafe { x86::sq_dist_rows_within_avx2(q, rows, ids, bound, keep) },
+        // was checked, and `row` hands out `q.len()` floats.
+        SimdLevel::Avx2Fma => unsafe { x86::sq_dist_rows_within_avx2(q, row, ids, bound, keep) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is the aarch64 baseline; `q` was checked.
-        SimdLevel::Neon => unsafe { arm::sq_dist_rows_within_neon(q, rows, ids, bound, keep) },
-        _ => sq_dist_rows_within_scalar_impl(q, rows, ids, bound, keep),
+        // SAFETY: NEON is the aarch64 baseline; `q` was checked, and `row`
+        // hands out `q.len()` floats.
+        SimdLevel::Neon => unsafe { arm::sq_dist_rows_within_neon(q, row, ids, bound, keep) },
+        _ => sq_dist_rows_within_scalar_impl(q, row, ids, bound, keep),
     }
 }
 
@@ -1025,7 +1049,7 @@ pub(crate) fn dot_dispatch(level: Runnable, a: &[f32], b: &[f32]) -> f32 {
 /// `kernels::sq_dist(active_level(), a, b)` is `sq_dist(a, b)`.
 pub mod kernels {
     use super::{Runnable, SimdLevel};
-    use crate::{PointId, BLOCK_ROWS};
+    use crate::{PointId, RowStore, BLOCK_ROWS};
 
     /// [`crate::sq_dist`] at `level`.
     pub fn sq_dist(level: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
@@ -1056,7 +1080,7 @@ pub mod kernels {
     pub fn sq_dist_rows_within(
         level: SimdLevel,
         q: &[f32],
-        rows: &[f32],
+        rows: &RowStore,
         ids: impl IntoIterator<Item = PointId>,
         bound: f32,
         keep: impl FnMut(PointId, f32) -> f32,

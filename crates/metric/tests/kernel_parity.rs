@@ -19,15 +19,17 @@
 //! * every row-verification kernel (`sq_dist_rows_within`) keeps and
 //!   abandons exactly the rows its level's `sq_dist_within` would against
 //!   the bound in force, hands each kept row on with the full kernel's
-//!   value, and follows a bound that moves during the walk.
+//!   value, and follows a bound that moves during the walk — over a row
+//!   store that is all base (the flat walk) and over the same rows as a
+//!   base and a tail of chunks, the last one partial.
 //!
 //! Lengths cover every remainder branch of the 4- and 8-lane loops plus
 //! the paper's real dimensionalities (Audio-ish 100/960 and Trevi's 4096).
 
 use pm_lsh_metric::simd::{self, kernels};
 use pm_lsh_metric::{
-    dot, sq_dist, sq_dist_blocks, sq_dist_rows_within, sq_dist_within, PointId, SimdLevel,
-    BLOCK_ROWS,
+    dot, sq_dist, sq_dist_blocks, sq_dist_rows_within, sq_dist_within, Dataset, PointId, RowStore,
+    SimdLevel, BLOCK_ROWS, CHUNK_ROWS,
 };
 use proptest::prelude::*;
 
@@ -356,26 +358,33 @@ fn record(walk: impl FnOnce(&mut dyn FnMut(PointId, f32) -> f32)) -> Vec<(PointI
 /// lengths below, at and above the eight 64-byte lines a walk reads ahead
 /// (128 floats), walks from empty to longer than the store with repeated
 /// ids, rows holding NaN, and start bounds from ∞ to below every distance.
+/// Each walk runs twice: over a store whose rows are all base (the flat
+/// walk), and over the same rows as a base of 5 and a tail of two full
+/// chunks and a partial one; both must keep what `within` keeps.
 fn assert_walk_matches(
     level: &str,
-    walk: impl Fn(&[f32], &[f32], &[PointId], f32, &mut dyn FnMut(PointId, f32) -> f32),
+    walk: impl Fn(&[f32], &RowStore, &[PointId], f32, &mut dyn FnMut(PointId, f32) -> f32),
     within: impl Fn(&[f32], &[f32], f32) -> f32,
     full: impl Fn(&[f32], &[f32]) -> f32,
 ) {
     let mut checked_abandons = 0;
     for m in [1usize, 5, 16, 100, 127, 128, 129, 192, 300, 1000] {
         let q = fill(m as u64, m, 3.0);
-        let count = 24usize;
+        let (base_rows, count) = (5usize, 5 + 2 * CHUNK_ROWS + 9);
         let mut rows = fill((m as u64) << 8, m * count, 3.0);
         rows[5 * m + m / 2] = f32::NAN;
+        let flat = RowStore::from(Dataset::from_flat(rows.clone(), m));
+        let mut split = RowStore::from(Dataset::from_flat(rows[..base_rows * m].to_vec(), m));
+        for row in rows.chunks_exact(m).skip(base_rows) {
+            split.push(row);
+        }
         let mut fulls: Vec<f32> = rows.chunks_exact(m).map(|row| full(&q, row)).collect();
         fulls.sort_by(f32::total_cmp);
-        for len in [0usize, 1, 2, 3, 7, 24, 40] {
+        for len in [0usize, 1, 2, 3, 7, 24, 40, count + 20] {
             // A scattered walk: row 5 (NaN) is named, some rows twice.
             let ids: Vec<PointId> = (0..len).map(|i| ((i * 7 + 3) % count) as PointId).collect();
             for start in [f32::INFINITY, fulls[count / 2], fulls[0] * 0.5, 0.0] {
                 let what = format!("{level}: m = {m}, {len} ids, start bound {start}");
-                let got = record(|keep| walk(&q, &rows, &ids, start, keep));
                 // The same walk, one `within` call per row.
                 let want = record(|keep| {
                     let mut bound = start;
@@ -389,10 +398,13 @@ fn assert_walk_matches(
                         }
                     }
                 });
-                assert_eq!(got, want, "{what}");
-                for &(id, bits) in &got {
-                    let row = &rows[id as usize * m..][..m];
-                    assert_eq!(bits, full(&q, row).to_bits(), "{what}: row {id}");
+                for (store, how) in [(&flat, "flat"), (&split, "base + tail")] {
+                    let got = record(|keep| walk(&q, store, &ids, start, keep));
+                    assert_eq!(got, want, "{what}, {how}");
+                    for &(id, bits) in &got {
+                        let row = &rows[id as usize * m..][..m];
+                        assert_eq!(bits, full(&q, row).to_bits(), "{what}: row {id}");
+                    }
                 }
             }
         }
@@ -442,17 +454,15 @@ fn row_verification_under_forced_scalar() {
 #[test]
 #[should_panic(expected = "not whole rows")]
 fn row_verification_rejects_a_partial_row() {
-    sq_dist_rows_within(
-        &[1.0, 2.0],
-        &[1.0, 2.0, 3.0],
-        [0],
-        f32::INFINITY,
-        |_, sq| sq,
-    );
+    // Rows of 3 are not whole rows of a 2-float query.
+    let rows = RowStore::from(Dataset::from_flat(vec![1.0, 2.0, 3.0], 3));
+    sq_dist_rows_within(&[1.0, 2.0], &rows, [0], f32::INFINITY, |_, sq| sq);
 }
 
 #[test]
 #[should_panic]
 fn row_verification_rejects_an_id_past_the_store() {
-    sq_dist_rows_within(&[1.0, 2.0], &[1.0, 2.0], [1], f32::INFINITY, |_, sq| sq);
+    let mut rows = RowStore::from(Dataset::from_flat(vec![1.0, 2.0], 2));
+    rows.push(&[3.0, 4.0]);
+    sq_dist_rows_within(&[1.0, 2.0], &rows, [2], f32::INFINITY, |_, sq| sq);
 }

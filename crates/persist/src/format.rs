@@ -152,8 +152,11 @@ fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
     let mut proj = Vec::new();
     put_f32s(&mut proj, index.projector().coeffs_flat());
 
-    let mut raw = Vec::new();
-    put_f32s(&mut raw, data.as_flat());
+    // The base's rows, then each tail chunk's: every row in id order.
+    let mut raw = Vec::with_capacity(data.len() * data.dim() * 4);
+    for run in data.runs() {
+        put_f32s(&mut raw, run);
+    }
 
     let mut points = Vec::new();
     put_f32s(&mut points, &parts.points);

@@ -3,11 +3,12 @@
 //! mutation history intact — dead rows, stable external ids, free-list
 //! compaction — and the restored index must keep mutating correctly.
 
-use pm_lsh_core::{PmLsh, PmLshParams};
-use pm_lsh_metric::{euclidean, Dataset, Neighbor};
+use pm_lsh_core::{MutOp, PmLsh, PmLshParams};
+use pm_lsh_metric::{euclidean, Dataset, Neighbor, CHUNK_ROWS};
 use pm_lsh_persist::{deserialize, serialize};
 use pm_lsh_stats::Rng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn blob(n: usize, d: usize, seed: u64) -> Dataset {
     let mut rng = Rng::new(seed);
@@ -143,4 +144,98 @@ fn snapshot_taken_mid_churn_round_trips_with_full_fidelity() {
     let again = deserialize(&serialize(&restored)).expect("second-generation snapshot");
     again.tree().verify_invariants().unwrap();
     assert_eq!(again.len(), restored.len());
+}
+
+/// The DATA section (id 3) of a one-shard image: its payload.
+fn raw_section(bytes: &[u8]) -> &[u8] {
+    let mut pos = 16; // magic + version + shard count
+    loop {
+        let id = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        if id == 3 {
+            return &bytes[pos + 12..pos + 12 + len];
+        }
+        pos += 12 + len + 4;
+    }
+}
+
+#[test]
+fn a_tail_of_three_chunks_saves_as_rows_in_id_order_and_reloads_bit_identically() {
+    let (n, d) = (300, 6);
+    let data = blob(n, d, 511);
+    let mut rng = Rng::new(512);
+    let mut index = PmLsh::build(data.clone(), PmLshParams::default());
+    // Every stored row in id order, dead ones included.
+    let mut rows: Vec<Vec<f32>> = data.iter().map(<[f32]>::to_vec).collect();
+    let mut live: Vec<u32> = (0..n as u32).collect();
+    let mut buf = vec![0.0f32; d];
+    // Publish copy-on-write, as a server does: each batch forks the last
+    // snapshot, which must not move.
+    while rows.len() < n + 2 * CHUNK_ROWS + 20 {
+        let mut ops = Vec::new();
+        for _ in 0..7 {
+            if rng.bernoulli(0.7) {
+                rng.fill_normal(&mut buf);
+                ops.push(MutOp::Insert(buf.clone()));
+            } else {
+                ops.push(MutOp::Delete(live.swap_remove(rng.below(live.len()))));
+            }
+        }
+        let before = serialize(&index);
+        let (next, results) = index.apply_cow(&ops);
+        assert_eq!(serialize(&index), before, "a fork moved its snapshot");
+        for (op, result) in ops.iter().zip(results) {
+            let id = result.expect("every planned op applies");
+            if let MutOp::Insert(p) = op {
+                assert_eq!(id as usize, rows.len());
+                rows.push(p.clone());
+                live.push(id);
+            }
+        }
+        let next = next.expect("a batch with admitted ops publishes");
+        assert!(Arc::ptr_eq(next.data().base(), index.data().base()));
+        index = next;
+    }
+    let tail = index.data().len() - n;
+    assert!(
+        tail > 2 * CHUNK_ROWS && tail < 3 * CHUNK_ROWS,
+        "{tail} tail rows"
+    );
+
+    let bytes = serialize(&index);
+    let want: Vec<u8> = rows.concat().iter().flat_map(|v| v.to_le_bytes()).collect();
+    assert_eq!(
+        raw_section(&bytes),
+        &want[..],
+        "RAW is not the rows in id order"
+    );
+
+    let restored = deserialize(&bytes).expect("a churned snapshot loads");
+    assert_eq!(
+        restored.data().base().len(),
+        rows.len(),
+        "a load is all base"
+    );
+    for (id, row) in rows.iter().enumerate() {
+        let got: Vec<u32> = restored
+            .data()
+            .point(id)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "row {id}");
+    }
+    assert_eq!(
+        serialize(&restored),
+        bytes,
+        "the reload re-saves other bytes"
+    );
+    for qi in 0..10u64 {
+        let mut q = vec![0.0f32; d];
+        Rng::new(800 + qi).fill_normal(&mut q);
+        let (a, b) = (index.query(&q, 10), restored.query(&q, 10));
+        assert_eq!(a.neighbors, b.neighbors, "restored index diverged");
+        assert_eq!(a.stats, b.stats, "restored index did different work");
+    }
 }

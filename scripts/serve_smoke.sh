@@ -232,34 +232,39 @@ fi
 
 echo "== pmlsh reindex client against the running server"
 "$BIN" reindex --addr "127.0.0.1:$PORT" --data "$TMP/audio.fvecs" \
-  --index audio --auth-token "$TOKEN"
+  --index audio --auth-token "$TOKEN" | tee "$TMP/reindex.out"
+ROWS=$(sed -n 's/^OK .* points=\([0-9]*\).*/\1/p' "$TMP/reindex.out")
+[ -n "$ROWS" ] || { echo "FAIL: could not parse points from reindex" >&2; exit 1; }
 
 echo "== pmlsh batch-mutate client (ops file -> BATCH verb)"
+# 2·64 + 1 distinct inserts fill two 64-row tail chunks of the row store
+# and open a third; the last one, all 0.625, gets id ROWS + 128.
 {
-  echo "# smoke ops: one insert, one unknown delete (reported, not fatal)"
+  echo "# smoke ops: 129 inserts, one unknown delete (reported, not fatal)"
   echo ""
-  awk -v d="$DIM" 'BEGIN{printf "INSERT"; for(i=0;i<d;i++) printf " 0.625"; print ""}'
+  awk -v d="$DIM" 'BEGIN{for(n=0;n<129;n++){printf "INSERT"; for(i=0;i<d;i++) printf " %.10g", 0.5 + n/1024; print ""}}'
   echo "DELETE 999999"
 } > "$TMP/ops.txt"
 "$BIN" batch-mutate --addr "127.0.0.1:$PORT" --ops "$TMP/ops.txt" \
   --index audio --auth-token "$TOKEN" > "$TMP/batch.out"
-grep -q "applied=1 failed=1" "$TMP/batch.out" \
+grep -q "applied=129 failed=1" "$TMP/batch.out" \
   || { echo "FAIL: batch-mutate summary:" >&2; cat "$TMP/batch.out" >&2; exit 1; }
-grep -q "FAIL 1 unknown point id 999999" "$TMP/batch.out" \
+grep -q "FAIL 129 unknown point id 999999" "$TMP/batch.out" \
   || { echo "FAIL: batch-mutate fail line:" >&2; cat "$TMP/batch.out" >&2; exit 1; }
-printf 'ok: %-18s -> applied=1 failed=1, FAIL line surfaced\n' "batch-mutate"
+printf 'ok: %-18s -> applied=129 failed=1, FAIL line surfaced\n' "batch-mutate"
 
 echo "== snapshot save (pmlsh save client -> wire SAVE verb)"
 "$BIN" save --addr "127.0.0.1:$PORT" --out "$TMP/audio.pmlsh" \
   --index audio --auth-token "$TOKEN"
 [ -s "$TMP/audio.pmlsh" ] || { echo "FAIL: snapshot file not written" >&2; exit 1; }
 
-# Capture the served answer to one fixed query for the parity check below.
+# Capture the served answer to the last inserted vector for the parity
+# check below: the saved tail chunks must reload and answer the same.
 exec 3<>"/dev/tcp/127.0.0.1/$PORT"
-PARITY_LINE=$(query_line)
+PARITY_LINE=$(awk -v d="$DIM" 'BEGIN{printf "QUERY 3"; for(i=0;i<d;i++) printf " 0.625"; print ""}')
 PARITY_BEFORE=$(req "$PARITY_LINE")
 case "$PARITY_BEFORE" in
-  "OK "*:*) ;;
+  "OK $((ROWS + 128)):0"*) ;;
   *) echo "FAIL: parity query -> '$PARITY_BEFORE'" >&2; exit 1 ;;
 esac
 expect "QUIT" "BYE"

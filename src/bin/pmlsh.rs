@@ -545,7 +545,8 @@ fn cmd_batch_query(opts: &HashMap<String, String>) -> Result<(), String> {
 
     if with_truth {
         let index = engine.shards()[0].index();
-        let truth = exact_knn_batch(index.data().view(), queries.view(), k, 0);
+        // A freshly opened index holds every row in its row store's base.
+        let truth = exact_knn_batch(index.data().base().view(), queries.view(), k, 0);
         let nq = results.len() as f64;
         let (mut recall_sum, mut ratio_sum) = (0.0, 0.0);
         for (res, t) in results.iter().zip(&truth) {

@@ -5,9 +5,11 @@
 //! Every single-op mutation pays a copy-on-write clone of the snapshot.
 //! The clone shares the raw rows: an insert copies at most the one
 //! 64-row tail chunk it appends to (O(64·d)), and a delete copies no row.
-//! The PM-tree is still copied whole, O(n), so `W` ops cost O(W·n). A
-//! batch takes the writer lock once, clones once, patches all `W` ops
-//! into the clone, and publishes once: O(n) + O(W). This bench measures
+//! The projected column (`n·m` floats, no node since the served index
+//! stopped bulk-loading a PM-tree) and its id map are still copied whole,
+//! O(n), so `W` ops cost O(W·n). A batch takes the writer lock once,
+//! clones once, patches all `W` ops into the clone, and publishes once:
+//! O(n) + O(W). This bench measures
 //! that amortization at batch widths `W ∈ {4, 16, 64, 256}` over a fixed
 //! op budget, on the Audio paper dataset.
 //!

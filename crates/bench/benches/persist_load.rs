@@ -12,35 +12,43 @@
 //! `QueryStats` are asserted bit-identical to the rebuilt index's on the
 //! whole query stream (the build is deterministic, so rebuild and
 //! snapshot describe the same index — the snapshot must not change a
-//! single answer). On Audio the run then asserts that the best of 7 loads
-//! is ≥ 5x faster than the best of 7 rebuilds. The gate is a floor against
-//! a load path that has stopped being cheap, not a record of the ratio: at
-//! Smoke scale a load is 1–5 ms and a rebuild 12–80 ms, so one scheduling
-//! hiccup on a shared box moves the ratio by whole multiples. Measured on
-//! the 2-core dev box: best-of-3 ratios of 8.3x and 9.2x under load (which
-//! failed the former 10x gate in 2 runs of 3 on an unchanged commit), and
-//! best-of-7 ratios of 11.8–13.1x (Audio) and 16.3–17.3x (Trevi) over
-//! three quiet runs.
+//! single answer).
 //!
-//! Trevi's ratio is printed but not gated. At the default Bench scale
-//! both of its paths are dominated by reading 190 MiB of raw rows
-//! (n = 12 000, d = 4096): rebuild 0.36–0.39 s, load 0.22–0.23 s, 1.7x.
-//! Audio at Bench scale (n = 54 000, 46 MiB snapshot): rebuild 0.35 s,
-//! load 0.053–0.057 s, 6.3–6.7x. Two runs each.
+//! At Smoke scale, the scale CI runs it at, the run then asserts that
+//! Audio's best of 7 loads takes at most 2.5 ms. The gate is a ceiling on
+//! the load path itself, not on its ratio to a rebuild, which keeps
+//! getting cheaper: a build is a projection and an ECDF sample since the
+//! served index stopped bulk-loading a PM-tree. The ceiling is the one the
+//! former 5x-over-rebuild gate set. Before that change, on a shared 2-vCPU
+//! x86-64 box (`taskset -c 1`, five runs), an Audio Smoke rebuild took
+//! 12.1–13.9 ms, so the 5x gate failed any load above about 2.5 ms, and a
+//! load took 0.79–0.94 ms, about a third of that. Bench and Full loads,
+//! and Trevi's at every scale, are printed, not gated.
+//!
+//! Measured since, same box and pinning, best of 7 per run, two or three
+//! runs: Audio at Smoke (n = 2 000, 1.98 MiB snapshot) rebuilds in
+//! 3.6–3.8 ms and loads in 0.8 ms, so the ratio a rebuild gives is 4.3–4.7x
+//! and the former gate would fail on every run. At Bench (n = 54 000,
+//! 43 MiB) Audio rebuilds in 64–82 ms (364–369 ms with the bulk load) and
+//! loads in 72–73 ms (72–78 ms before). Trevi, whose build is mostly the
+//! ECDF's 50 000 pairs at d = 4096, rebuilds in 76–81 ms and loads in
+//! 5.4–6.1 ms at Smoke (13 MiB), and in 0.38–0.42 s against 0.28–0.32 s at
+//! Bench (189 MiB), both paths dominated there by reading the raw rows.
 //!
 //! Knobs: `PMLSH_SCALE` (smoke|bench|full), `PMLSH_QUERIES`,
 //! `PMLSH_FORCE_SCALAR=1` (pin the scalar kernels).
 
 use pm_lsh_bench::{f, queries_from_env, scale_from_env, Table};
 use pm_lsh_core::{PmLsh, PmLshParams, QueryResult};
-use pm_lsh_data::{read_auto, write_fvecs, PaperDataset};
+use pm_lsh_data::{read_auto, write_fvecs, PaperDataset, Scale};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
 const K: usize = 10;
 const REPEATS: usize = 7;
-const MIN_SPEEDUP: f64 = 5.0;
+/// The ceiling on Audio's best Smoke-scale load; see the module docs.
+const MAX_SMOKE_LOAD_S: f64 = 2.5e-3;
 
 fn temp_path(tag: &str, ext: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -57,12 +65,13 @@ fn main() {
     let scale = scale_from_env();
     println!("snapshot load vs fvecs rebuild — scale {scale:?}, k = {K}\n");
 
-    run_dataset(PaperDataset::Audio, scale, Some(MIN_SPEEDUP));
-    // Trevi's ratio is printed, not gated: see the module docs.
+    let ceiling = (scale == Scale::Smoke).then_some(MAX_SMOKE_LOAD_S);
+    run_dataset(PaperDataset::Audio, scale, ceiling);
+    // Trevi's load is printed, not gated: see the module docs.
     run_dataset(PaperDataset::Trevi, scale, None);
 }
 
-fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale, floor: Option<f64>) {
+fn run_dataset(ds: PaperDataset, scale: Scale, ceiling: Option<f64>) {
     let generator = ds.generator(scale);
     let data = generator.dataset();
     let queries = generator.queries(queries_from_env());
@@ -127,13 +136,13 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale, floor: Option<f64>) 
     let mut table = Table::new(&["cold-start path", "seconds", "speedup", "identical"]);
     table.row(vec![
         "fvecs read + build".into(),
-        f(build_best_s, 3),
+        f(build_best_s, 4),
         "1.00x".into(),
         "-".into(),
     ]);
     table.row(vec![
         ".pmlsh load".into(),
-        f(load_best_s, 3),
+        f(load_best_s, 4),
         format!("{speedup:.1}x"),
         "yes".into(),
     ]);
@@ -142,11 +151,13 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale, floor: Option<f64>) 
         "snapshot: {:.2} MiB on disk\n",
         snapshot_bytes as f64 / (1024.0 * 1024.0)
     );
-    if let Some(floor) = floor {
+    if let Some(ceiling) = ceiling {
         assert!(
-            speedup >= floor,
-            "{}: snapshot load is only {speedup:.1}x faster than rebuild (gate: {floor}x)",
-            ds.name()
+            load_best_s <= ceiling,
+            "{}: the best snapshot load took {:.2} ms (gate: {:.2} ms)",
+            ds.name(),
+            load_best_s * 1e3,
+            ceiling * 1e3
         );
     }
 

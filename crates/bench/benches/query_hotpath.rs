@@ -23,8 +23,9 @@
 //! job, against a linear scan.
 //!
 //! A second table per dataset times the two candidate sources of the
-//! PM-tree cursor alone: the index's tree, marked for sweeping its point
-//! column, against a standalone clone that runs the textbook range
+//! PM-tree cursor alone: the index's column, which sweeps, against a tree
+//! bulk-loaded over the same projected rows (`PmTree::build`, from the RNG
+//! state the build's projector leaves), which runs the textbook range
 //! traversal. Each drains every query's first round, the radius
 //! `t·select_rmin(k)`: at the index's pinned paper β, then for
 //! c ∈ {1.2, 1.5, 2, 3} with β re-derived by Eq. 10 as
@@ -40,9 +41,10 @@
 use pm_lsh_bench::{f, queries_from_env, scale_from_env, Table};
 use pm_lsh_core::{PmLsh, PmLshParams, QueryContext, QueryResult};
 use pm_lsh_data::PaperDataset;
+use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::{simd, Dataset, PointId};
 use pm_lsh_pmtree::{CursorScratch, PmTree};
-use pm_lsh_stats::Ecdf;
+use pm_lsh_stats::{Ecdf, Rng};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,8 +160,11 @@ fn run_dataset(ds: PaperDataset, scale: pm_lsh_data::Scale) {
 /// the module docs.
 fn compare_sources(index: &PmLsh, data: &Arc<Dataset>, queries: &Dataset) {
     let sweeping = index.tree();
-    let mut traversing = sweeping.clone();
-    traversing.set_leaf_sweep(false);
+    let p = index.params();
+    let mut rng = Rng::new(p.seed);
+    let projector = GaussianProjector::new(data.dim(), p.m as usize, &mut rng);
+    let rows = projector.project_all(data.view());
+    let traversing = PmTree::build(rows.view(), p.tree, &mut rng);
     let projected: Vec<Vec<f32>> = queries.iter().map(|q| index.project(q)).collect();
     let nq = projected.len() as f64;
     // (c, β, first-round radius t·r_min): the index's own pinned operating

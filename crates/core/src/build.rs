@@ -1,19 +1,20 @@
 //! Build-time execution options (how to build, not what to build).
 //!
 //! [`crate::PmLshParams`] fixes the *algorithmic* configuration — `m`, `c`,
-//! `α₁`, tree layout — while [`BuildOptions`] fixes only how the build is
+//! `α₁`, the seed — while [`BuildOptions`] fixes only how the build is
 //! executed. The two are deliberately separate: changing `BuildOptions`
 //! never changes what the index computes, only how fast it gets there.
 
 /// Execution options for [`crate::PmLsh::build_with_opts`].
 ///
-/// `threads` drives both parallel phases of the build: the Gaussian
-/// projection of all `n` points (`GaussianProjector::project_all_threaded`)
-/// and the PM-tree bulk-load (`PmTree::build_parallel`, one subtree per
-/// pivot region). Both phases are **thread-count invariant**: the index
-/// built with 8 threads is identical to the one built with 1 — and to
-/// [`crate::PmLsh::build`]'s, which is the 1-thread build — so parallel
-/// builds stay reproducible and a snapshot can be rebuilt bit-for-bit.
+/// `threads` drives the parallel phase of the build: the Gaussian
+/// projection of all `n` points (`GaussianProjector::project_all_threaded`).
+/// The served index keeps the projections as a column and bulk-loads no
+/// PM-tree, so that is the whole of it; the projection is **thread-count
+/// invariant**: the index built with 8 threads is identical to the one
+/// built with 1 — and to [`crate::PmLsh::build`]'s, which is the 1-thread
+/// build — so parallel builds stay reproducible and a snapshot can be
+/// rebuilt bit-for-bit.
 ///
 /// ```
 /// use pm_lsh_core::BuildOptions;

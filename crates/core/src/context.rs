@@ -2,8 +2,8 @@
 //!
 //! Reusable per-thread query state.
 //!
-//! Every query needs a projected-query buffer (`m` floats), the PM-tree
-//! traversal's lists, a bitmap that puts each round's candidates in row
+//! Every query needs a projected-query buffer (`m` floats), the sweep's
+//! run and distance column, a bitmap that puts each round's candidates in row
 //! order and a top-k collector. Allocating them per query is invisible for
 //! one-off calls but dominates small-`d` serving workloads; a
 //! [`QueryContext`] owns all four and is threaded through
@@ -44,8 +44,7 @@ use pm_lsh_pmtree::CursorScratch;
 /// ```
 #[derive(Debug)]
 pub struct QueryContext {
-    /// PM-tree traversal buffers (run, waiting regions and points, stack,
-    /// pivot distances, query).
+    /// The cursor's buffers (run, the sweep's distance column, query).
     pub(crate) scratch: CursorScratch,
     /// The projected query `q' = (h*_1(q), …, h*_m(q))`.
     pub(crate) qp: Vec<f32>,

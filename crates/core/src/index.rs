@@ -21,8 +21,8 @@ pub struct QueryStats {
     pub candidates_verified: usize,
     /// Distance computations inside the projected space: exactly the live
     /// count `n`, one per indexed point. The candidate stream comes from
-    /// one sweep over the PM-tree's projected point column, which measures
-    /// every point once and nothing else (no pivot, no routing entry). At the
+    /// one sweep over the projected point column, which measures every
+    /// point once and nothing else (no pivot, no routing entry). At the
     /// budgets Algorithm 2 spends, the tree's range traversal would pay
     /// more than `n`: 56 018 per query on `audio_verify` (n = 54 000),
     /// 2 168 on `audio_wire` (n = 2 000), 12 974 on `trevi_highdim`
@@ -154,17 +154,20 @@ fn abandon_bound(kth: f32) -> f32 {
 /// The PM-LSH index over a dataset in `R^d`.
 ///
 /// Building projects every point through `m` Gaussian hash functions
-/// (Eq. 3), indexes the projections in a [`PmTree`], and samples the
+/// (Eq. 3), keeps the projections as a column ([`PmTree::column`]: the
+/// points in blocks of eight rows, no pivot and no node), and samples the
 /// distance distribution `F` used to choose the start radius `r_min`
-/// (Section 4.5).
+/// (Section 4.5). Every query takes its candidates from one sweep over
+/// that column: at the budgets Algorithm 2 spends, the paper's PM-tree
+/// range traversal would pay more distances than there are points
+/// (docs/ARCHITECTURE.md, "The served tree is a column").
 ///
 /// After building, the index supports single-point maintenance:
-/// [`PmLsh::insert`] projects a new point and grows the tree,
-/// [`PmLsh::delete`] removes one for real (the M-tree family is
-/// dynamic; the VLDBJ extension of the paper frames the PM-tree as an
-/// updatable index). Mutations keep the dataset row store, the
-/// projected points and the tree in lock-step; queries on a `&PmLsh`
-/// remain pure reads.
+/// [`PmLsh::insert`] projects a new point and appends its row,
+/// [`PmLsh::delete`] removes one for real (the VLDBJ extension of the
+/// paper frames the index as updatable; a column has no tree to
+/// rebalance). Mutations keep the dataset row store and the projected
+/// column in lock-step; queries on a `&PmLsh` remain pure reads.
 ///
 /// ```
 /// use pm_lsh_core::{PmLsh, PmLshParams};
@@ -202,10 +205,9 @@ impl PmLsh {
     }
 
     /// Builds the index in parallel. `opts.threads` workers split the
-    /// Gaussian projection by row chunk and the PM-tree bulk-load by pivot
-    /// region; the result is identical for every thread count and to
-    /// [`PmLsh::build`]'s (see [`BuildOptions`]), so `opts` trades
-    /// wall-clock time only.
+    /// Gaussian projection by row chunk; the result is identical for every
+    /// thread count and to [`PmLsh::build`]'s (see [`BuildOptions`]), so
+    /// `opts` trades wall-clock time only.
     ///
     /// ```
     /// use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams};
@@ -246,10 +248,10 @@ impl PmLsh {
         Self::build_inner(data, projector, params, rng, 1)
     }
 
-    /// Shared build pipeline: project every point, bulk-load the PM-tree
-    /// (`PmTree::build_parallel`), sample `F`. Both parallel stages give
-    /// the same result on any number of `threads`, so every build entry
-    /// point yields the same index.
+    /// Shared build pipeline: project every point, keep the projections as
+    /// a column, sample `F`. The projection gives the same result on any
+    /// number of `threads`, so every build entry point yields the same
+    /// index.
     fn build_inner(
         data: impl Into<Arc<Dataset>>,
         projector: GaussianProjector,
@@ -271,8 +273,13 @@ impl PmLsh {
         );
         let derived = params.derive();
         let projected = projector.project_all_threaded(data.view(), threads);
-        let mut tree = PmTree::build_parallel(projected.view(), params.tree, rng, threads);
-        tree.set_leaf_sweep(true);
+        let tree = PmTree::column(projected.view());
+        let (n, sample) = (data.len(), params.tree.pivot_sample);
+        if params.tree.num_pivots > 0 && n > sample {
+            // The bulk load this replaced drew its pivot sample here; drawn
+            // and dropped, it keeps F (so every r_min) bit-identical.
+            rng.sample_indices(n, sample);
+        }
         let dist_f = if data.len() >= 2 {
             let pairs = params
                 .distance_samples
@@ -334,8 +341,8 @@ impl PmLsh {
     /// report it under). The id is fresh: ids are never reused, even
     /// after deletions.
     ///
-    /// The point is projected through the index's hash functions and
-    /// inserted into the PM-tree, and the dataset row is appended. The
+    /// The point is projected through the index's hash functions, and
+    /// both its projected row and its dataset row are appended. The
     /// build-time distance distribution `F` is *not* resampled: `r_min`
     /// follows the live count `n` but drifts only as far as the data
     /// distribution itself drifts, and a `REINDEX` restores an
@@ -365,11 +372,11 @@ impl PmLsh {
     }
 
     /// Deletes the point with external id `id`; `false` when no live
-    /// point carries it. The PM-tree entry is removed for real (leaf
-    /// removal with subtree pruning — see `PmTree::delete`); the
-    /// original-space row stays behind as a stable-id tombstone until the
-    /// next rebuild and is never returned by queries. Unlike a batch
-    /// delete, it may empty the index.
+    /// point carries it. Its projected row is removed for real (the last
+    /// row moves into it — see `PmTree::delete`); the original-space row
+    /// stays behind as a stable-id tombstone until the next rebuild and is
+    /// never returned by queries. Unlike a batch delete, it may empty the
+    /// index.
     pub fn delete(&mut self, id: pm_lsh_metric::PointId) -> bool {
         let live = self.contains(id);
         if live {
@@ -408,7 +415,8 @@ impl PmLsh {
     /// clone is paid only by the first op that is actually admitted. The
     /// clone shares the row store ([`RowStore`]): an insert copies at most
     /// the one [`pm_lsh_metric::CHUNK_ROWS`]-row chunk it appends to, and a
-    /// delete copies no row. The PM-tree is copied whole, O(n). Returns
+    /// delete copies no row. The projected column and its id map are
+    /// copied whole, O(n); there is no node to copy. Returns
     /// the patched clone — `None` when every op was rejected (or `ops` is
     /// empty), so a refused mutation costs no clone at all — beside the
     /// same per-op results [`PmLsh::apply`] reports.
@@ -492,9 +500,10 @@ impl PmLsh {
         self.derived
     }
 
-    /// The underlying PM-tree, marked for sweeping ([`PmTree::set_leaf_sweep`]):
-    /// its cursors stream candidates exactly as [`PmLsh::query`] reads them.
-    /// Clone it and clear the mark for the textbook range traversal.
+    /// The projected column ([`PmTree::column`]: no pivot, no node): its
+    /// cursors sweep, streaming candidates exactly as [`PmLsh::query`]
+    /// reads them. For the textbook range traversal, bulk-load a
+    /// [`PmTree::build`] over the same projected rows.
     pub fn tree(&self) -> &PmTree {
         &self.tree
     }
@@ -518,12 +527,12 @@ impl PmLsh {
     /// counter — bit-identically to the index the parts came from.
     ///
     /// Cross-component consistency is validated (dimensionalities, id
-    /// ranges); internal tree structure is the caller's concern
-    /// (`PmTree::from_parts` checks it).
+    /// ranges, and that `tree` is a column); the column's own structure is
+    /// the caller's concern (`PmTree::from_parts` checks it).
     pub fn from_parts(
         data: Arc<Dataset>,
         projector: GaussianProjector,
-        mut tree: PmTree,
+        tree: PmTree,
         params: PmLshParams,
         dist_f: Ecdf,
     ) -> Result<Self, String> {
@@ -545,6 +554,9 @@ impl PmLsh {
                 projector.output_dim(),
                 params.m
             ));
+        }
+        if tree.node_count() != 0 {
+            return Err("the served index is a column; a bulk-loaded tree is not".into());
         }
         if tree.dim() != params.m as usize {
             // lint: allow(hot-path) -- load-time validation error path
@@ -577,7 +589,6 @@ impl PmLsh {
             return Err("distance distribution has no samples".into());
         }
         let derived = params.derive();
-        tree.set_leaf_sweep(true);
         Ok(Self {
             data: RowStore::new(data),
             projector,
@@ -695,10 +706,10 @@ impl PmLsh {
 
     /// The one search routine behind every query form: project `q`, walk
     /// the incremental range query `B(q', t·r)` — fed by one sweep over the
-    /// PM-tree's point column, since the tree is marked for sweeping — verify
-    /// each candidate in the original space, and stop as `spec` says. The
-    /// neighbors land in `out` (cleared first), ascending by
-    /// `(dist, id)`; the traversal scratch goes back into `ctx`.
+    /// projected column — verify each candidate in the original space, and
+    /// stop as `spec` says. The neighbors land in `out` (cleared first),
+    /// ascending by `(dist, id)`; the cursor's scratch goes back into
+    /// `ctx`.
     ///
     /// A round is a set. Algorithm 2 tests termination only between
     /// rounds (line 4 at the top, the budget by count), so the order in

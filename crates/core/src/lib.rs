@@ -4,10 +4,15 @@
 //! This crate implements the primary contribution of Zheng et al.,
 //! *PM-LSH* (PVLDB 13(5), 2020): `c`-approximate nearest-neighbor search
 //! that (1) projects points into an `m`-dimensional space with Gaussian
-//! hash functions, (2) indexes the projections in a PM-tree, (3) estimates
-//! original distances through the χ² confidence interval of Lemma 3, and
-//! (4) answers queries with a sequence of range queries of growing radius
-//! (Algorithms 1 and 2).
+//! hash functions, (2) indexes the projections, (3) estimates original
+//! distances through the χ² confidence interval of Lemma 3, and (4)
+//! answers queries with a sequence of range queries of growing radius
+//! (Algorithms 1 and 2). The paper indexes the projections in a PM-tree;
+//! this index keeps them as the column such a tree's points live in and
+//! answers each range query with one sweep over it, since at the candidate
+//! budgets Algorithm 2 spends the tree's traversal would pay more distances
+//! than there are points (docs/ARCHITECTURE.md, "The served tree is a
+//! column"). The algorithm, its answers and its guarantee are the paper's.
 //!
 //! # Quick start
 //!

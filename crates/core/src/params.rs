@@ -39,12 +39,18 @@ pub struct PmLshParams {
     /// Shrink factor applied to the estimated start radius `r_min`
     /// (the paper asks for "an r_min slightly smaller than r").
     pub rmin_shrink: f64,
-    /// PM-tree layout (capacity 16, s = 5 pivots by default).
+    /// PM-tree layout (capacity 16, s = 5 pivots by default). The served
+    /// index is a column and builds no tree, so this shapes only static
+    /// trees bulk-loaded beside it (`PmTree::build` over its projected
+    /// rows) and one draw of the build's RNG: with `s > 0` and more points
+    /// than `pivot_sample`, the build draws the pivot sample the bulk load
+    /// it replaced drew, so `F`'s samples stay where they were. The field
+    /// goes once no caller reads it.
     pub tree: PmTreeConfig,
     /// Number of sampled point pairs used to estimate the distance
     /// distribution `F` at build time.
     pub distance_samples: usize,
-    /// Seed for the projector, pivot selection and sampling.
+    /// Seed for the projector and the sampling of `F`.
     pub seed: u64,
 }
 

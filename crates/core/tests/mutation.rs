@@ -1,5 +1,5 @@
 //! Lock-step mutation tests for `PmLsh`: the dataset row store, the
-//! projected points inside the PM-tree, and the id maps must stay
+//! projected column, and the id maps must stay
 //! consistent through arbitrary insert/delete interleavings, and queries
 //! must only ever surface live points.
 
@@ -9,8 +9,8 @@ use pm_lsh_stats::Rng;
 use std::collections::{HashMap, HashSet};
 
 /// `index.query(q, k)`, checking that the candidate stream measured every
-/// live point exactly once — the leaf sweep's count, whatever inserts,
-/// deletions, emptied leaves and freed arena slots did to the tree.
+/// live point exactly once — the column sweep's count, whatever inserts
+/// and deletions did to the column.
 fn query(index: &PmLsh, q: &[f32], k: usize) -> QueryResult {
     let res = index.query(q, k);
     let n = index.len() as u64;

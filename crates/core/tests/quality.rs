@@ -2,7 +2,9 @@
 //! seeded data, and Theorem 2's sublinear probing behaviour.
 
 use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
+use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::{euclidean, Dataset, RowStore, TopK};
+use pm_lsh_pmtree::PmTree;
 use pm_lsh_stats::Rng;
 
 fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
@@ -114,8 +116,9 @@ fn probing_is_sublinear_in_n() {
     // The PM-tree's own range query: quadrupling n should not grow the
     // share of the tree a selective radius pays distances for (O(log n +
     // βn) with small β — the βn term dominates, so normalize by n). The
-    // index itself sweeps, paying exactly n per query, so this measures a
-    // standalone copy of its tree, unmarked, at each query's first-round
+    // index itself sweeps its column, paying exactly n per query, so this
+    // measures a tree bulk-loaded over the index's projected rows, from the
+    // RNG state the build's projector leaves, at each query's first-round
     // radius t·r_min.
     let d = 16;
     let params = PmLshParams::default();
@@ -123,9 +126,11 @@ fn probing_is_sublinear_in_n() {
     for (seed, n) in [(400u64, 2000usize), (401, 8000)] {
         let data = clustered(n, d, seed);
         let queries = clustered(8, d, seed + 50);
-        let index = PmLsh::build(data, params);
-        let mut tree = index.tree().clone();
-        tree.set_leaf_sweep(false);
+        let index = PmLsh::build(data.clone(), params);
+        let mut rng = Rng::new(params.seed);
+        let projector = GaussianProjector::new(d, params.m as usize, &mut rng);
+        let projected = projector.project_all(data.view());
+        let tree = PmTree::build(projected.view(), params.tree, &mut rng);
         let radius = (index.derived().t * index.select_rmin(10)) as f32;
         let mut comps = 0u64;
         for q in queries.iter() {

@@ -6,13 +6,18 @@
 //! gives every shard its own snapshot cell and worker pool — an
 //! [`Engine`] each. The pay-off of `S > 1` over one shard:
 //!
-//! * **Build parallelism beyond the pivot regions.** The bulk loader's
-//!   concurrency is bounded by the `s ≈ 5` pivot regions; `S` shards
-//!   build `S` trees concurrently on top of that.
-//! * **O(n/S) tree copies.** Copy-on-write publication clones only the
-//!   owning shard. Its raw rows are shared, not copied, at every `S`: an
-//!   insert copies one 64-row chunk (`pm_lsh_metric::RowStore`). What
-//!   `S` still divides is the PM-tree's copy, `O(n/S)` instead of `O(n)`.
+//! * **Query legs on `S` pools.** A query's legs sweep and verify their
+//!   shards in parallel, each over `n/S` projected rows.
+//! * **Smaller copies.** Copy-on-write publication clones only the owning
+//!   shard: its projected column and id map, `O(n/S)` instead of `O(n)`.
+//!   Its raw rows are shared, not copied, at every `S`: an insert copies
+//!   one 64-row chunk (`pm_lsh_metric::RowStore`).
+//!
+//! What `S > 1` once bought and no longer does: the index builds no
+//! PM-tree, so there is no bulk load whose pivot regions bound a build's
+//! parallelism, and no tree whose copy dominated a publication. A build
+//! is a projection, parallel by row chunk at any `S`, and one ECDF
+//! sample per shard.
 //!
 //! # Scatter-gather and the βn + k budget
 //!
@@ -33,7 +38,7 @@
 //! `recall(sharded) ≥ recall(monolithic)` holds *deterministically*, not
 //! just in expectation — the paper's §4.4 quality guarantee survives
 //! partitioning. The price is aggregate verification work (up to `S·B`
-//! candidates instead of `B`), spent on `S` trees of `n/S` points in
+//! candidates instead of `B`), spent on `S` shards of `n/S` points in
 //! parallel, which is the classic scatter-gather latency-for-throughput
 //! trade.
 //!

@@ -5,7 +5,7 @@
 //! engines report identical mutation ids, live counts and (offset-
 //! corrected) epochs — the global-id bijection of `pm_lsh_core::shard`
 //! made observable. Checkpoints audit the live-id sets three ways
-//! (monolith vs shards vs model), run the PM-tree structural invariants
+//! (monolith vs shards vs model), run the column's structural invariants
 //! on every shard, and demand bit-identical exhaustive-k answers. A
 //! reindex leg rebuilds both engines over the materialized live set and
 //! proves the id sequence starts over identically, then keeps churning.

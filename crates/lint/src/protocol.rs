@@ -61,13 +61,11 @@ const OPCODE_NAMES: [(&str, &str); 5] = [
 ];
 
 /// ARCHITECTURE.md layout-table section names → `SEC_*` constants.
-const SECTION_NAMES: [(&str, &str); 8] = [
+const SECTION_NAMES: [(&str, &str); 6] = [
     ("HEADER", "SEC_HEADER"),
     ("PROJ", "SEC_PROJ"),
     ("DATA", "SEC_DATA"),
     ("POINTS", "SEC_POINTS"),
-    ("PIVOTS", "SEC_PIVOTS"),
-    ("NODES", "SEC_NODES"),
     ("IDMAPS", "SEC_IDMAPS"),
     ("ECDF", "SEC_ECDF"),
 ];
@@ -599,10 +597,9 @@ mod tests {
     );
     const FORMAT: &str = concat!(
         "pub const MAGIC: [u8; 8] = *b\"PMLSHSNP\";\n",
-        "pub const FORMAT_VERSION: u32 = 4;\n",
+        "pub const FORMAT_VERSION: u32 = 5;\n",
         "const SEC_HEADER: u32 = 1;\nconst SEC_PROJ: u32 = 2;\nconst SEC_DATA: u32 = 3;\n",
-        "const SEC_POINTS: u32 = 4;\nconst SEC_PIVOTS: u32 = 5;\nconst SEC_NODES: u32 = 6;\n",
-        "const SEC_IDMAPS: u32 = 7;\nconst SEC_ECDF: u32 = 8;\n",
+        "const SEC_POINTS: u32 = 4;\nconst SEC_IDMAPS: u32 = 5;\nconst SEC_ECDF: u32 = 6;\n",
     );
 
     fn consts() -> ProtoConsts {
@@ -628,12 +625,10 @@ mod tests {
 
     fn good_architecture() -> String {
         concat!(
-            "The file layout (format version 4): magic \"PMLSHSNP\".\n",
+            "The file layout (format version 5): magic \"PMLSHSNP\".\n",
             "| id | section | payload |\n|---|---|---|\n",
             "| 1 | HEADER | params |\n| 2 | PROJ | matrix |\n| 3 | DATA | rows |\n",
-            "| 4 | POINTS | column |\n",
-            "| 5 | PIVOTS | pivots |\n| 6 | NODES | arena |\n",
-            "| 7 | IDMAPS | maps |\n| 8 | ECDF | samples |\n",
+            "| 4 | POINTS | column |\n| 5 | IDMAPS | ids |\n| 6 | ECDF | samples |\n",
         )
         .to_string()
     }
@@ -644,7 +639,7 @@ mod tests {
         assert_eq!(c.frame_cap, (512, 64, 8));
         assert_eq!(c.line_cap, (512, 64, 32));
         assert_eq!(c.magic, "PMLSHSNP");
-        assert_eq!(c.sections.len(), 8);
+        assert_eq!(c.sections.len(), 6);
         assert_eq!(c.opcodes[0], ("OP_QUERY", 1));
         assert_eq!(c.batch_max_ops, 4096);
         assert_eq!(c.batch_ok_prefix, "OK applied=");
@@ -692,11 +687,11 @@ mod tests {
 
     #[test]
     fn edited_section_id_is_caught() {
-        let doc = good_architecture().replace("| 6 | NODES |", "| 9 | NODES |");
+        let doc = good_architecture().replace("| 5 | IDMAPS |", "| 7 | IDMAPS |");
         let mut findings = Vec::new();
         check_docs(&consts(), &good_protocol(), &doc, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("NODES"));
+        assert!(findings[0].message.contains("IDMAPS"));
     }
 
     #[test]

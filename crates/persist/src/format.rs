@@ -2,7 +2,7 @@
 //! with [`serialize`] and [`deserialize`] their one-shard case.
 //!
 //! Everything is little-endian. The file is `MAGIC | version u32 | shards
-//! u32 | shards × eight sections | whole-file crc32 u32`: one run of eight
+//! u32 | shards × six sections | whole-file crc32 u32`: one run of six
 //! sections per shard, in shard (= id) order, each section being `id u32 |
 //! payload_len u64 | payload | crc32(payload) u32`. A shard's sections
 //! appear in this fixed order:
@@ -12,23 +12,17 @@
 //! | 1  | HEADER      | dimensions, counts and build parameters (see below)            |
 //! | 2  | PROJ        | Gaussian projection matrix, `m·d` f32 row-major                |
 //! | 3  | DATA        | raw point store, `n_rows·d` f32 (tombstoned rows included)     |
-//! | 4  | POINTS      | the PM-tree's projected points, `live·m` f32 in internal-row order |
-//! | 5  | PIVOTS      | the `s` global pivots, `s·m` f32                               |
-//! | 6  | NODES       | compacted PM-tree arena, one block of words per node           |
-//! | 7  | IDMAPS      | `live` external ids (u32) then `live` holding-leaf ids (u32)   |
-//! | 8  | ECDF        | sampled distance distribution, `ecdf_len` f64 ascending        |
+//! | 4  | POINTS      | the projected column, `live·m` f32 in internal-row order       |
+//! | 5  | IDMAPS      | `live` external ids (u32), in internal-row order               |
+//! | 6  | ECDF        | sampled distance distribution, `ecdf_len` f64 ascending        |
 //!
 //! HEADER payload, in order: `d u64, n_rows u64, m u32, s u32, live u64,
 //! c f64, alpha1 f64, beta_flag u8, beta f64, rmin_shrink f64,
 //! capacity u64, pivot_sample u64, distance_samples u64, seed u64,
-//! build_dist_computations u64, node_count u64, root u32, ecdf_len u64`.
-//!
-//! NODES payload, per node: `tag u8` (0 = leaf, 1 = inner), `word_count
-//! u32`, then the node's block, `word_count` f32 words exactly as the
-//! PM-tree lays them out ([`PmTreeParts`]; ids are bit patterns, children
-//! compacted node ids). A leaf entry carries no coordinates; its point is
-//! its internal row of POINTS. This module never learns an entry's stride:
-//! whether the words fit the tree is `PmTree::from_parts`' call.
+//! ecdf_len u64`. `s`, `capacity` and `pivot_sample` are the index's
+//! PM-tree parameters ([`PmLshParams::tree`]), stored so that they
+//! round-trip; the served index is a column ([`PmTreeParts`]) and has no
+//! pivot or node to store.
 //!
 //! The shards of one file must agree on `d`, `m`, `c` and β; a set that
 //! does not is [`PersistError::Corrupt`].
@@ -39,7 +33,7 @@ use std::sync::Arc;
 use pm_lsh_core::{PmLsh, PmLshParams};
 use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::Dataset;
-use pm_lsh_pmtree::{PmTree, PmTreeConfig, PmTreeParts, RawNode};
+use pm_lsh_pmtree::{PmTree, PmTreeConfig, PmTreeParts};
 use pm_lsh_stats::{chi2_cdf, chi2_upper_quantile, Ecdf};
 
 use crate::crc::crc32;
@@ -49,19 +43,17 @@ use crate::PersistError;
 pub const MAGIC: [u8; 8] = *b"PMLSHSNP";
 
 /// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 const SEC_HEADER: u32 = 1;
 const SEC_PROJ: u32 = 2;
 const SEC_DATA: u32 = 3;
 const SEC_POINTS: u32 = 4;
-const SEC_PIVOTS: u32 = 5;
-const SEC_NODES: u32 = 6;
-const SEC_IDMAPS: u32 = 7;
-const SEC_ECDF: u32 = 8;
+const SEC_IDMAPS: u32 = 5;
+const SEC_ECDF: u32 = 6;
 
-const SECTION_ORDER: [u32; 8] = [
-    SEC_HEADER, SEC_PROJ, SEC_DATA, SEC_POINTS, SEC_PIVOTS, SEC_NODES, SEC_IDMAPS, SEC_ECDF,
+const SECTION_ORDER: [u32; 6] = [
+    SEC_HEADER, SEC_PROJ, SEC_DATA, SEC_POINTS, SEC_IDMAPS, SEC_ECDF,
 ];
 
 // ---------------------------------------------------------------------------
@@ -101,9 +93,9 @@ pub fn serialize(index: &PmLsh) -> Vec<u8> {
 
 /// Serializes a shard set, in id order, into one in-memory `.pmlsh` image.
 ///
-/// Deterministic: the same shards always produce the same bytes (the tree
-/// export compacts the node free list with a stable renumbering, and no
-/// hash-map iteration order leaks into the output).
+/// Deterministic: the same shards always produce the same bytes (the
+/// column is written in its row order, and no hash-map iteration order
+/// leaks into the output).
 ///
 /// # Panics
 /// Panics when `shards` is empty — an index set cannot be empty.
@@ -121,7 +113,7 @@ pub fn serialize_shards(shards: &[impl Borrow<PmLsh>]) -> Vec<u8> {
     out
 }
 
-/// Appends one index's eight sections to `out`.
+/// Appends one index's six sections to `out`.
 fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
     let parts = index.tree().to_parts();
     let params = index.params();
@@ -133,20 +125,17 @@ fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
     put_u64(&mut header, data.dim() as u64);
     put_u64(&mut header, data.len() as u64);
     put_u32(&mut header, params.m);
-    put_u32(&mut header, parts.cfg.num_pivots as u32);
+    put_u32(&mut header, params.tree.num_pivots as u32);
     put_u64(&mut header, live as u64);
     put_f64(&mut header, params.c);
     put_f64(&mut header, params.alpha1);
     header.push(params.beta_override.is_some() as u8);
     put_f64(&mut header, params.beta_override.unwrap_or(0.0));
     put_f64(&mut header, params.rmin_shrink);
-    put_u64(&mut header, parts.cfg.capacity as u64);
-    put_u64(&mut header, parts.cfg.pivot_sample as u64);
+    put_u64(&mut header, params.tree.capacity as u64);
+    put_u64(&mut header, params.tree.pivot_sample as u64);
     put_u64(&mut header, params.distance_samples as u64);
     put_u64(&mut header, params.seed);
-    put_u64(&mut header, parts.build_dist_computations);
-    put_u64(&mut header, parts.nodes.len() as u64);
-    put_u32(&mut header, parts.root);
     put_u64(&mut header, ecdf.len() as u64);
 
     let mut proj = Vec::new();
@@ -161,24 +150,9 @@ fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
     let mut points = Vec::new();
     put_f32s(&mut points, &parts.points);
 
-    let mut pivots = Vec::new();
-    for p in &parts.pivots {
-        put_f32s(&mut pivots, p);
-    }
-
-    let mut nodes = Vec::new();
-    for node in &parts.nodes {
-        nodes.push(u8::from(!node.leaf));
-        put_u32(&mut nodes, node.words.len() as u32);
-        put_f32s(&mut nodes, &node.words);
-    }
-
-    let mut idmaps = Vec::with_capacity(live * 8);
+    let mut idmaps = Vec::with_capacity(live * 4);
     for &ext in &parts.externals {
         put_u32(&mut idmaps, ext);
-    }
-    for &leaf in &parts.leaf_of {
-        put_u32(&mut idmaps, leaf);
     }
 
     let mut ecdf_bytes = Vec::with_capacity(ecdf.len() * 8);
@@ -191,19 +165,15 @@ fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
             + proj.len()
             + raw.len()
             + points.len()
-            + pivots.len()
-            + nodes.len()
             + idmaps.len()
             + ecdf_bytes.len()
-            + 8 * 16 // section frames
+            + 6 * 16 // section frames
             + 4, // the file crc, after the last shard
     );
     put_section(out, SEC_HEADER, &header);
     put_section(out, SEC_PROJ, &proj);
     put_section(out, SEC_DATA, &raw);
     put_section(out, SEC_POINTS, &points);
-    put_section(out, SEC_PIVOTS, &pivots);
-    put_section(out, SEC_NODES, &nodes);
     put_section(out, SEC_IDMAPS, &idmaps);
     put_section(out, SEC_ECDF, &ecdf_bytes);
 }
@@ -252,14 +222,6 @@ impl<'a> ByteReader<'a> {
     fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, PersistError> {
-        let bytes = self.take(n.checked_mul(4).ok_or(PersistError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
 }
 
 fn corrupt(why: impl Into<String>) -> PersistError {
@@ -282,12 +244,8 @@ struct Header {
     d: usize,
     n_rows: usize,
     m: usize,
-    s: usize,
     live: usize,
     params: PmLshParams,
-    build_dist_computations: u64,
-    node_count: usize,
-    root: u32,
     ecdf_len: usize,
 }
 
@@ -307,9 +265,6 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
     let pivot_sample = to_usize(r.u64()?, "pivot sample size")?;
     let distance_samples = to_usize(r.u64()?, "distance sample count")?;
     let seed = r.u64()?;
-    let build_dist_computations = r.u64()?;
-    let node_count = to_usize(r.u64()?, "node count")?;
-    let root = r.u32()?;
     let ecdf_len = to_usize(r.u64()?, "ECDF sample count")?;
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes in header"));
@@ -372,14 +327,6 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
     if capacity < 2 {
         return Err(corrupt(format!("node capacity {capacity} below 2")));
     }
-    if node_count == 0 {
-        return Err(corrupt("empty node arena"));
-    }
-    if (root as usize) >= node_count {
-        return Err(corrupt(format!(
-            "root {root} outside {node_count}-node arena"
-        )));
-    }
     if ecdf_len == 0 {
         return Err(corrupt("distance distribution has no samples"));
     }
@@ -388,7 +335,6 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
         d,
         n_rows,
         m: m as usize,
-        s,
         live,
         params: PmLshParams {
             m,
@@ -404,9 +350,6 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
             distance_samples,
             seed,
         },
-        build_dist_computations,
-        node_count,
-        root,
         ecdf_len,
     })
 }
@@ -437,28 +380,6 @@ fn f32s_exact(payload: &[u8], count: usize, what: &str) -> Result<Vec<f32>, Pers
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
         .collect())
-}
-
-fn parse_nodes(payload: &[u8], node_count: usize) -> Result<Vec<RawNode>, PersistError> {
-    let mut r = ByteReader::new(payload);
-    // A record is at least its 5-byte tag and word count.
-    let mut nodes = Vec::with_capacity(node_count.min(payload.len() / 5));
-    for _ in 0..node_count {
-        let leaf = match r.u8()? {
-            0 => true,
-            1 => false,
-            other => return Err(corrupt(format!("unknown node tag {other}"))),
-        };
-        let word_count = r.u32()? as usize;
-        // `f32s` takes the bytes before it allocates: a hostile count
-        // fails as `Truncated` without reserving what it declares.
-        let words = r.f32s(word_count)?;
-        nodes.push(RawNode { leaf, words });
-    }
-    if r.remaining() != 0 {
-        return Err(corrupt("trailing bytes in node section"));
-    }
-    Ok(nodes)
 }
 
 /// Reassembles the [`PmLsh`] of an in-memory one-shard `.pmlsh` image; an
@@ -526,9 +447,9 @@ pub fn deserialize_shards(bytes: &[u8]) -> Result<Vec<PmLsh>, PersistError> {
     Ok(shards)
 }
 
-/// Reads one index's eight sections from `r` and reassembles it.
+/// Reads one index's six sections from `r` and reassembles it.
 fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
-    let mut sections: [&[u8]; 8] = [&[]; 8];
+    let mut sections: [&[u8]; 6] = [&[]; 6];
     for (slot, &expected_id) in sections.iter_mut().zip(&SECTION_ORDER) {
         let id = r.u32()?;
         if id != expected_id {
@@ -550,23 +471,12 @@ fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
     let coeffs = f32s_exact(sections[1], counted(h.m, h.d)?, "projection matrix")?;
     let raw = f32s_exact(sections[2], counted(h.n_rows, h.d)?, "point store")?;
     let points = f32s_exact(sections[3], counted(h.live, h.m)?, "projected points")?;
-    let pivot_flat = f32s_exact(sections[4], counted(h.s, h.m)?, "pivots")?;
-    let nodes = parse_nodes(sections[5], h.node_count)?;
+    let idmaps = sized_section(sections[4], h.live, 4, "id maps")?;
+    let externals = (idmaps.chunks_exact(4))
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect();
 
-    let idmaps = sized_section(sections[6], h.live, 8, "id maps")?;
-    let mut externals = Vec::with_capacity(h.live);
-    let mut leaf_of = Vec::with_capacity(h.live);
-    {
-        let mut r = ByteReader::new(idmaps);
-        for _ in 0..h.live {
-            externals.push(r.u32()?);
-        }
-        for _ in 0..h.live {
-            leaf_of.push(r.u32()?);
-        }
-    }
-
-    let ecdf_bytes = sized_section(sections[7], h.ecdf_len, 8, "distance distribution")?;
+    let ecdf_bytes = sized_section(sections[5], h.ecdf_len, 8, "distance distribution")?;
     let mut ecdf_samples = Vec::with_capacity(h.ecdf_len);
     {
         let mut r = ByteReader::new(ecdf_bytes);
@@ -579,21 +489,10 @@ fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
         }
     }
 
-    let pivots: Vec<Box<[f32]>> = pivot_flat
-        .chunks_exact(h.m)
-        .map(|p| p.to_vec().into_boxed_slice())
-        .collect();
-
     let tree = PmTree::from_parts(PmTreeParts {
         dim: h.m,
-        cfg: h.params.tree,
-        pivots,
-        nodes,
-        root: h.root,
         points,
         externals,
-        leaf_of,
-        build_dist_computations: h.build_dist_computations,
     })
     .map_err(corrupt)?;
 

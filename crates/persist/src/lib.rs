@@ -2,23 +2,22 @@
 //!
 //! This crate defines a versioned, little-endian on-disk format for a set
 //! of fully built [`PmLsh`] shards — per shard the projection matrix, raw
-//! point store, projected point column, PM-tree node blocks and id maps —
-//! so a serving process can
-//! restart and answer queries *bit-identically* to the index it saved,
-//! without re-deriving hashes or rebuilding the tree. A snapshot is one
+//! point store, projected point column and its external ids — so a serving
+//! process can restart and answer queries *bit-identically* to the index it
+//! saved, without re-deriving hashes or re-projecting a row. A snapshot is one
 //! file at every shard count; a plain index is the one-shard case. Every
 //! section carries a CRC-32 and the file as a whole carries one more, so
 //! torn writes and bit rot are detected at load time instead of surfacing
 //! as wrong answers.
 //!
-//! # File layout (format version 4)
+//! # File layout (format version 5)
 //!
 //! ```text
 //! magic      8 bytes   b"PMLSHSNP"
-//! version    u32 LE    4
+//! version    u32 LE    5
 //! shards     u32 LE    S >= 1
-//! section ×8 per shard fixed order: HEADER, PROJ, DATA, POINTS, PIVOTS,
-//!                      NODES, IDMAPS, ECDF; shards in id order
+//! section ×6 per shard fixed order: HEADER, PROJ, DATA, POINTS, IDMAPS,
+//!                      ECDF; shards in id order
 //! file crc   u32 LE    CRC-32 of every preceding byte
 //! ```
 //!
@@ -26,18 +25,20 @@
 //! u32`, all little-endian. The full byte layout of each payload is
 //! documented in [`mod@format`]. The layout is fixed-offset within each section,
 //! so a future version can memory-map the large arrays in place. Formats 1
-//! (node entries packed field by field), 2 (one index, no shard count)
-//! and 3 (projected points inside the leaf blocks) are refused with
+//! (node entries packed field by field), 2 (one index, no shard count),
+//! 3 (projected points inside the leaf blocks) and 4 (the PM-tree's pivots
+//! and node blocks beside its column) are refused with
 //! [`PersistError::UnsupportedVersion`].
 //!
 //! # What round-trips, what is recomputed
 //!
 //! Stored: user parameters, the Gaussian projection matrix, the raw dataset
 //! (including tombstoned rows — external ids are stable row indexes), the
-//! free-list-compacted PM-tree — its projected point column and its node
-//! blocks as they are — and the sampled distance distribution. Recomputed at load: the Eq. 10 derived parameters,
-//! a deterministic function of the stored ones (`r_min` is computed per
-//! query from the stored distribution) — which is what makes
+//! projected point column the index sweeps with its external ids, and the
+//! sampled distance distribution. Recomputed at load: the Eq. 10 derived
+//! parameters, a deterministic function of the stored ones (`r_min` is
+//! computed per query from the stored distribution), and the id map,
+//! the external ids inverted — which is what makes
 //! save→load→query parity *bitwise*, down to the `QueryStats` counters.
 //!
 //! # Example

@@ -12,10 +12,10 @@ use pm_lsh_persist::{
 };
 use pm_lsh_stats::Rng;
 
-/// The ids of a shard's eight sections, in file order.
-const SECTIONS: [u32; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
+/// The ids of a shard's six sections, in file order.
+const SECTIONS: [u32; 6] = [1, 2, 3, 4, 5, 6];
 const SEC_POINTS: u32 = 4;
-const SEC_NODES: u32 = 6;
+const SEC_IDMAPS: u32 = 5;
 
 fn snapshot() -> Vec<u8> {
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
@@ -40,7 +40,7 @@ fn two_shards() -> Vec<u8> {
     serialize_shards(&[blob_index(100, 8, 31), blob_index(120, 8, 32)])
 }
 
-/// Byte offset where shard 1's sections start: past shard 0's eight.
+/// Byte offset where shard 1's sections start: past shard 0's six.
 fn shard_boundary(bytes: &[u8]) -> usize {
     let mut pos = 16;
     for _ in SECTIONS {
@@ -84,38 +84,6 @@ fn resign(bytes: &mut [u8]) {
     }
     let crc = crc32(&bytes[..body_end]);
     bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
-}
-
-/// One NODES record: the node's tag and its block's words as bit patterns.
-type Record = (u8, Vec<u32>);
-
-fn node_records(bytes: &[u8]) -> Vec<Record> {
-    let (start, len) = section_bounds(bytes, SEC_NODES);
-    let mut payload = &bytes[start..start + len];
-    let mut records = Vec::new();
-    while !payload.is_empty() {
-        let count = u32::from_le_bytes(payload[1..5].try_into().unwrap()) as usize;
-        let (record, rest) = payload.split_at(5 + 4 * count);
-        let words = record[5..].chunks_exact(4);
-        let words = words.map(|w| u32::from_le_bytes(w.try_into().unwrap()));
-        records.push((record[0], words.collect()));
-        payload = rest;
-    }
-    records
-}
-
-/// `bytes` with its NODES payload re-encoded from `records` (the section
-/// length follows) and every checksum re-signed.
-fn with_node_records(bytes: &[u8], records: &[Record]) -> Vec<u8> {
-    let mut payload = Vec::new();
-    for (tag, words) in records {
-        payload.push(*tag);
-        payload.extend_from_slice(&(words.len() as u32).to_le_bytes());
-        words
-            .iter()
-            .for_each(|w| payload.extend_from_slice(&w.to_le_bytes()));
-    }
-    with_payload(bytes, SEC_NODES, &payload)
 }
 
 /// `bytes` with one section's payload replaced by `payload` (the section
@@ -194,7 +162,30 @@ fn format_1_is_refused_by_its_version() {
             matches!(err, PersistError::UnsupportedVersion(v) if v == version),
             "{err:?}"
         );
-        assert!(err.to_string().contains("this build reads 4"), "{err}");
+        assert!(err.to_string().contains("this build reads 5"), "{err}");
+    }
+}
+
+#[test]
+fn format_4_is_refused_by_its_version() {
+    // Format 4 stored the PM-tree's pivots and node blocks (PIVOTS, NODES)
+    // and each row's holding leaf beside the column; the served index has
+    // neither, so this build reads no format-4 file, whatever it holds.
+    let good = snapshot();
+    let mut old = good.clone();
+    old[8..12].copy_from_slice(&4u32.to_le_bytes());
+    resign(&mut old);
+    for bytes in [&old[..], &old[..old.len() / 2]] {
+        let err = deserialize_shards(bytes).unwrap_err();
+        assert!(
+            matches!(err, PersistError::UnsupportedVersion(4)),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string()
+                .contains("unsupported snapshot format version 4 (this build reads 5)"),
+            "{err}"
+        );
     }
 }
 
@@ -291,84 +282,6 @@ fn hostile_header_values_never_panic() {
             }
         }
     }
-}
-
-#[test]
-fn hostile_node_blocks_are_errors_not_panics() {
-    let good = snapshot();
-    let index = deserialize(&good).expect("untouched snapshot loads");
-    let tree = index.tree();
-    let (m, s, capacity) = (
-        tree.dim(),
-        tree.pivots().len(),
-        index.params().tree.capacity,
-    );
-    let (live, arena) = (tree.len() as u32, tree.node_count() as u32);
-    let records = node_records(&good);
-    assert_eq!(with_node_records(&good, &records), good);
-    let leaf = records.iter().position(|r| r.0 == 0).unwrap();
-    let inner = records.iter().position(|r| r.0 == 1).unwrap();
-    // A leaf entry is `parent_dist | external | internal | pd₁ … pd_s`:
-    // its point is its row of POINTS, not words of its block.
-    let leaf_stride = 3 + s;
-    let routing_stride = 3 + 2 * s + m;
-    assert_eq!(records[leaf].1.len() % leaf_stride, 0);
-    assert_eq!(records[inner].1.len() % routing_stride, 0);
-    let rejected = |edit: &dyn Fn(&mut Vec<Record>), needle: &str| {
-        let mut bad = records.clone();
-        edit(&mut bad);
-        match deserialize(&with_node_records(&good, &bad)) {
-            Err(PersistError::Corrupt(why)) => assert!(why.contains(needle), "{why}"),
-            other => panic!("expected Corrupt({needle}), got {other:?}"),
-        }
-    };
-
-    rejected(&|r| r[leaf].0 = 2, "unknown node tag 2");
-    rejected(
-        &|r| {
-            r[leaf].1.pop();
-        },
-        "not a whole number of",
-    );
-    // Word 2 of a routing entry is its child, of a leaf entry its internal
-    // row; word 1 of a leaf entry is its external id.
-    rejected(
-        &|r| r[inner].1[2] = arena,
-        &format!("child {arena} outside the {arena}-node arena"),
-    );
-    rejected(
-        &|r| r[leaf].1[2] = live,
-        &format!("leaf row {live} outside the {live} rows"),
-    );
-    rejected(&|r| r[leaf].1[1] ^= 1, "carries external");
-    // A leaf block with a point's coordinates after each entry, as format
-    // 3 laid it out, is not a whole number of entries of this stride.
-    rejected(
-        &|r| {
-            let entries: Vec<u32> = r[leaf].1.clone();
-            r[leaf].1 = (entries.chunks_exact(leaf_stride))
-                .flat_map(|e| e.iter().copied().chain(std::iter::repeat_n(0, m)))
-                .collect();
-        },
-        "not a whole number of",
-    );
-    rejected(
-        &|r| {
-            let first = r[leaf].1[..leaf_stride].to_vec();
-            while r[leaf].1.len() <= capacity * leaf_stride {
-                r[leaf].1.extend_from_slice(&first);
-            }
-        },
-        &format!("entries, capacity is {capacity}"),
-    );
-
-    // A word count no payload can hold is refused by the length check
-    // that precedes the read, before anything of its size is allocated.
-    let (nodes, _) = section_bounds(&good, SEC_NODES);
-    let mut huge = good.clone();
-    huge[nodes + 1..nodes + 5].copy_from_slice(&u32::MAX.to_le_bytes());
-    resign(&mut huge);
-    assert!(matches!(deserialize(&huge), Err(PersistError::Truncated)));
 }
 
 #[test]
@@ -476,4 +389,49 @@ fn points_section_of_the_wrong_length_is_a_typed_error() {
     cut[start - 8..start].copy_from_slice(&u64::MAX.to_le_bytes());
     resign_file_only(&mut cut);
     assert!(matches!(deserialize(&cut), Err(PersistError::Truncated)));
+}
+
+#[test]
+fn idmaps_section_that_does_not_fit_is_a_typed_error() {
+    // IDMAPS holds exactly `live` external ids, each naming a stored row
+    // once; format 4's trailing holding-leaf ids make it twice too long.
+    let good = snapshot();
+    let index = deserialize(&good).expect("untouched snapshot loads");
+    let (live, rows) = (index.len(), index.data().len());
+    let (start, len) = section_bounds(&good, SEC_IDMAPS);
+    assert_eq!(len, live * 4, "IDMAPS is live u32");
+    let ids = &good[start..start + len];
+    let with_id = |at: usize, id: u32| {
+        let mut ids = ids.to_vec();
+        ids[4 * at..4 * at + 4].copy_from_slice(&id.to_le_bytes());
+        with_payload(&good, SEC_IDMAPS, &ids)
+    };
+    let twice = [ids, ids].concat();
+    for (what, bytes, needle) in [
+        (
+            "one id short",
+            with_payload(&good, SEC_IDMAPS, &ids[..len - 4]),
+            "id maps",
+        ),
+        (
+            "format 4's leaf ids",
+            with_payload(&good, SEC_IDMAPS, &twice),
+            "id maps",
+        ),
+        (
+            "an id given twice",
+            with_id(1, 0),
+            "external id 0 appears twice",
+        ),
+        (
+            "an id past the rows",
+            with_id(3, rows as u32),
+            "outside the",
+        ),
+    ] {
+        match deserialize(&bytes) {
+            Err(PersistError::Corrupt(why)) => assert!(why.contains(needle), "{what}: {why}"),
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
 }

@@ -1,7 +1,8 @@
 //! Snapshots taken mid-churn: an index that has absorbed an arbitrary
 //! interleaving of inserts and deletes must save and load with its full
-//! mutation history intact — dead rows, stable external ids, free-list
-//! compaction — and the restored index must keep mutating correctly.
+//! mutation history intact — dead rows, stable external ids, the
+//! column's row order — and the restored index must keep mutating
+//! correctly.
 
 use pm_lsh_core::{MutOp, PmLsh, PmLshParams};
 use pm_lsh_metric::{euclidean, Dataset, Neighbor, CHUNK_ROWS};

@@ -76,10 +76,9 @@ fn in_memory_round_trip_is_bit_identical() {
     let (index, queries) = audio_smoke();
     let restored = deserialize(&serialize(&index)).expect("round trip");
     assert_eq!(restored.len(), index.len());
-    restored
-        .tree()
-        .verify_invariants()
-        .expect("tree invariants");
+    let column = restored.tree();
+    column.verify_invariants().expect("column invariants");
+    assert_eq!((column.node_count(), column.pivots().len()), (0, 0));
     assert_query_parity(&index, &restored, &queries);
 }
 

@@ -27,15 +27,15 @@
 //! run far from full (about 6 of 16 entries at the paper's operating point,
 //! mM_RAD splits being unbalanced), so capacity-sized blocks would nearly
 //! triple the tree. A full block grows to a quarter more entries than it
-//! will then hold and a block that lost entries gives the excess back, so a
-//! block never holds room for more than `len + len / 4` entries; cloned and
-//! split blocks are exact. The tree's `points` column follows the same
-//! policy row by row ([`grow`], [`give_back`]).
+//! will then hold, so a block never holds room for more than
+//! `len + len / 4` entries; cloned and split blocks are exact. The tree's
+//! `points` column follows the same policy row by row ([`grow`]), and a
+//! column that lost rows gives the excess back ([`give_back`]).
 //!
-//! A snapshot stores the blocks as they are ([`Node::export`] /
-//! `From<RawNode>`), so this module alone decides the layout.
+//! Only a bulk-loaded tree has blocks, and nothing stores them: a snapshot
+//! holds the column the served index sweeps, so this module alone decides
+//! the layout.
 
-use crate::tree::RawNode;
 use crate::NodeId;
 use pm_lsh_metric::PointId;
 
@@ -87,7 +87,8 @@ pub(crate) fn grow(words: &mut Vec<f32>, stride: usize) {
 }
 
 /// Gives back the room `words`, which lost items of `stride` words, may
-/// not keep under the policy of the module docs.
+/// not keep under the policy of the module docs (a column's rows; blocks
+/// never shrink).
 pub(crate) fn give_back(words: &mut Vec<f32>, stride: usize) {
     words.shrink_to(room(words.len() / stride) * stride);
 }
@@ -169,8 +170,7 @@ pub(crate) struct LeafRef<'a> {
     pub parent_dist: f32,
     /// Caller-visible identifier of the point.
     pub external: PointId,
-    /// Row of the point in the tree's `points` column and its `externals`
-    /// / `leaf_of` maps.
+    /// Row of the point in the tree's `points` column and its `externals`.
     pub internal: u32,
     /// Distances from the point to each global pivot.
     pub pivot_dists: &'a [f32],
@@ -213,8 +213,8 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    /// A leaf without entries and without an allocation: what a new tree,
-    /// an emptied tree and a freed arena slot hold.
+    /// A leaf without entries and without an allocation: what a new tree
+    /// holds, and a node while a split refills it.
     pub fn empty() -> Self {
         // lint: allow(hot-path) -- allocates nothing, and only the write path builds nodes
         let words = Vec::new();
@@ -250,21 +250,6 @@ impl Node {
     /// Words the block holds and words it has room for.
     pub fn extent(&self) -> (usize, usize) {
         (self.words.len(), self.words.capacity())
-    }
-
-    /// The block as a snapshot stores it: one exact copy of its words, the
-    /// child of every routing entry renumbered through `remap`.
-    pub fn export(&self, lay: Layout, remap: &[NodeId]) -> RawNode {
-        let mut words = self.words.clone();
-        if !self.leaf {
-            for e in words.chunks_exact_mut(lay.stride(false)) {
-                e[LINK] = f32::from_bits(remap[e[LINK].to_bits() as usize]);
-            }
-        }
-        RawNode {
-            leaf: self.leaf,
-            words,
-        }
     }
 
     /// The block's words as bit patterns (ids are not comparable as floats).
@@ -373,23 +358,9 @@ impl Node {
         e[PARENT_DIST] = parent_dist;
     }
 
-    /// Removes entry `idx`, shifting the later entries down, and gives
-    /// back the room the smaller block may not keep.
-    pub fn remove(&mut self, idx: usize, lay: Layout) {
-        let stride = self.stride(lay);
-        self.words.drain(idx * stride..(idx + 1) * stride);
-        give_back(&mut self.words, stride);
-    }
-
     /// Sets the parent distance of entry `idx`.
     pub fn set_parent_dist(&mut self, idx: usize, lay: Layout, parent_dist: f32) {
         self.entry_mut(idx, lay)[PARENT_DIST] = parent_dist;
-    }
-
-    /// Sets the internal row of leaf entry `idx`.
-    pub fn set_internal(&mut self, idx: usize, lay: Layout, internal: u32) {
-        debug_assert!(self.leaf);
-        self.entry_mut(idx, lay)[LINK] = f32::from_bits(internal);
     }
 
     /// Adds `by` to what every entry refers to — the child of a routing
@@ -426,17 +397,6 @@ impl Node {
             if max > ring[1] {
                 ring[1] = max;
             }
-        }
-    }
-}
-
-/// Takes a snapshot's block in as it is, by move: whether its words fit
-/// the tree is for `PmTree::verify_structure` to say.
-impl From<RawNode> for Node {
-    fn from(raw: RawNode) -> Self {
-        Self {
-            leaf: raw.leaf,
-            words: raw.words,
         }
     }
 }
@@ -502,8 +462,7 @@ mod tests {
     fn ids_survive_their_stay_among_floats() {
         // Quiet and signalling NaN patterns, infinities, ±0, the extremes:
         // an id is moved, never computed with, so every bit comes back —
-        // through a push, a copy into another block, a clone, a removal
-        // next to it, an export and the move back in.
+        // through a push, a copy into another block, a clone and a shift.
         let ids = [
             0u32,
             1,
@@ -530,15 +489,9 @@ mod tests {
         for idx in 0..ids.len() {
             routed.push_from(LAY, &inner, idx, 0.0);
         }
-        leaf.remove(1, LAY);
-        leaf.push_leaf(LAY, leaf_entry(1, &[1.0, 2.0]));
-        let mut want: Vec<u32> = ids.to_vec();
-        want.remove(1);
-        want.push(1);
         let got: Vec<u32> = leaf.clone().leaves(LAY).map(|e| e.internal).collect();
-        assert_eq!(got, want);
+        assert_eq!(got, ids);
         assert!(leaf.leaves(LAY).all(|e| e.external == !e.internal));
-        assert_eq!(Node::from(leaf.export(LAY, &[])).bits(), leaf.bits());
         let got: Vec<u32> = moved.leaves(LAY).map(|e| e.internal).collect();
         assert_eq!(got, ids);
         assert!(moved.leaves(LAY).all(|e| e.parent_dist == 9.0));
@@ -546,8 +499,6 @@ mod tests {
         assert_eq!(got, ids);
         assert_eq!(routed.bits(), inner.bits());
 
-        moved.set_internal(2, LAY, 0x7F80_0002);
-        assert_eq!(moved.leaf_at(2, LAY).internal, 0x7F80_0002);
         let mut small = Node::with_capacity(false, 0, LAY);
         small.push_routing(LAY, 0x7FBF_FFFF, &[0.0; 3]);
         small.shift_links(LAY, 2);
@@ -557,8 +508,9 @@ mod tests {
     #[test]
     fn a_block_keeps_at_most_a_quarter_of_slack() {
         // The growth policy, entry by entry: room for `len + len / 4`
-        // entries at most, on the way up to an overflowing node and on the
-        // way back down; exact when built to size, cloned or emptied.
+        // entries at most on the way up to an overflowing node, and for
+        // `len` when built to size or cloned; a shrinking row column gives
+        // its room back by the same rule.
         let stride = LAY.stride(true);
         let mut node = Node::with_capacity(true, 0, LAY);
         let mut reallocations = 0;
@@ -575,13 +527,13 @@ mod tests {
             "{reallocations} reallocations for 17 pushes"
         );
         assert_eq!(node.clone().extent(), (17 * stride, 17 * stride));
+        let mut words = node.words;
         for len in (0..17).rev() {
-            node.remove(len / 2, LAY);
-            let (words, capacity) = node.extent();
-            assert_eq!(words, len * stride);
-            assert!(capacity <= room(len) * stride, "{len}: {capacity}");
+            words.truncate(len * stride);
+            give_back(&mut words, stride);
+            assert!(words.capacity() <= room(len) * stride, "{len}");
         }
-        assert_eq!(node.extent(), (0, 0));
+        assert_eq!(words.capacity(), 0);
         assert_eq!(
             Node::with_capacity(false, 5, LAY).extent().1,
             5 * LAY.stride(false)

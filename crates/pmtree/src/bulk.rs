@@ -111,7 +111,6 @@ impl PmTree {
                 if r == regions[0] {
                     // The first subtree becomes the tree: room for every row.
                     sub.externals.reserve_exact(n);
-                    sub.leaf_of.reserve_exact(n);
                 }
                 let part = Rows {
                     column: &points,
@@ -160,7 +159,6 @@ impl PmTree {
                 let internal_offset = tree.externals.len() as u32;
                 tree.build_dist_computations += sub.build_dist_computations;
                 tree.externals.extend_from_slice(&sub.externals);
-                (tree.leaf_of).extend(sub.leaf_of.iter().map(|&leaf| leaf + node_offset));
                 // Leaf entries refer to rows, routing entries to nodes.
                 for mut node in sub.nodes {
                     let by = if node.is_leaf() {
@@ -285,7 +283,6 @@ mod tests {
         assert_eq!(a.externals, b.externals);
         let bits = |t: &PmTree| t.points.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(a), bits(b));
-        assert_eq!(a.leaf_of, b.leaf_of);
         assert_eq!(a.ext_index, b.ext_index);
         assert_eq!(
             a.build_distance_computations(),

@@ -27,10 +27,10 @@
 //! yields stay non-decreasing — this is how PM-LSH "combines the ideas of
 //! the RE and MI methods".
 //!
-//! Where the measured points come from is fixed per tree
-//! ([`PmTree::set_leaf_sweep`]):
+//! Where the measured points come from is fixed by the tree's kind (see
+//! [`crate::tree`]):
 //!
-//! 1. **The range traversal** — every tree as built or loaded. A round
+//! 1. **The range traversal** — a bulk-loaded tree. A round
 //!    opens, with a plain stack and no priority queue, every region whose
 //!    lower bound on the projected distance is within its radius; the
 //!    regions it leaves unopened wait in a second list for a larger radius,
@@ -49,9 +49,9 @@
 //!    rounds the cursor pays the `s` pivot distances plus exactly what one
 //!    textbook range query at the largest radius asked pays, whether or not
 //!    the caller drained the last round.
-//! 2. **The leaf sweep** — the tree `pm-lsh-core`'s index queries. The
-//!    first round measures every indexed point in one unit-stride pass
-//!    over the tree's blocked `points` column, eight rows per step
+//! 2. **The sweep** — a column, the kind `pm-lsh-core`'s index queries.
+//!    The first round measures every indexed point in one unit-stride pass
+//!    over its blocked `points` column, eight rows per step
 //!    ([`sq_dist_blocks`], eight square roots at a time), behind one kernel
 //!    dispatch: no node, no pivot distance, no routing entry, no region
 //!    list, exactly `n` distances. It files into the run only the points
@@ -71,9 +71,10 @@
 //! SIMD level.
 //!
 //! Yields are ascending by `(projected distance, external id)`, a function
-//! of the indexed points alone: two trees over the same points — and the
-//! two sources over one tree — yield the same sequence whatever their shape
-//! or node numbering, and agree on `is_exhausted` after every call. A set
+//! of the indexed points alone: two trees over the same points — and a tree
+//! and a column over them — yield the same sequence whatever their shape,
+//! node numbering or row order, and agree on `is_exhausted` after every
+//! call. A set
 //! is the set of the `room` yields the stream would have handed out next,
 //! at the same cost.
 
@@ -185,7 +186,7 @@ pub struct CursorScratch {
     /// Points the traversal measured that are not in the run, unsorted:
     /// between rounds, those beyond the covered radius.
     far: Vec<u64>,
-    /// On a sweeping tree, once the first round has run: every row's
+    /// On a column, once the first round has run: every row's
     /// projected distance, in row order, a block of rows per item, the
     /// tail block's free lanes NaN.
     dists: Vec<[f32; BLOCK_ROWS]>,
@@ -234,7 +235,7 @@ impl CursorScratch {
         keep(&mut self.far, dist, external);
     }
 
-    /// The first round on a sweeping tree: measures every point of `tree`
+    /// The first round on a column: measures every point of `tree`
     /// in one pass over its blocked `points` column, eight rows per step,
     /// beside `externals`, behind one kernel dispatch, keeps every row's
     /// distance in `dists` and files the rows within `radius` into the run.
@@ -254,7 +255,7 @@ impl CursorScratch {
         beyond
     }
 
-    /// A later round on a sweeping tree: files the rows of `dists` in
+    /// A later round on a column: files the rows of `dists` in
     /// `(above, radius]` into the run, measuring nothing. Returns how many
     /// rows lie beyond `radius`.
     fn refile(&mut self, tree: &PmTree, above: f32, radius: f32) -> usize {
@@ -343,10 +344,10 @@ pub struct RangeCursor<'t> {
     /// End of the run's sorted stretch (see [`CursorScratch`]), `>= pos`.
     sorted: usize,
     /// Largest radius a round has opened; everything within it is in the
-    /// run, everything beyond it in `far`, `frontier` or (on a sweeping
-    /// tree) the distance column.
+    /// run, everything beyond it in `far`, `frontier` or (on a column) the
+    /// distance column.
     covered: f32,
-    /// On a sweeping tree, the rows the run has not taken: before the first
+    /// On a column, the rows the run has not taken: before the first
     /// round every row, after it those whose distance lies beyond
     /// `covered` (a NaN distance lies in no ball and never waits).
     waiting: usize,
@@ -355,10 +356,9 @@ pub struct RangeCursor<'t> {
 
 impl<'t> RangeCursor<'t> {
     /// Starts a cursor for `query` (projected-space coordinates) over the
-    /// buffers of `scratch` (see [`CursorScratch`]). On a tree marked for
-    /// sweeping this measures nothing (the first round measures every
-    /// point); otherwise it measures the pivots and leaves the root
-    /// waiting.
+    /// buffers of `scratch` (see [`CursorScratch`]). On a column this
+    /// measures nothing (the first round measures every point); on a
+    /// bulk-loaded tree it measures the pivots and leaves the root waiting.
     pub fn new(tree: &'t PmTree, query: &[f32], mut scratch: CursorScratch) -> Self {
         assert_eq!(query.len(), tree.dim(), "query has wrong dimensionality");
         scratch.query.clear();
@@ -369,7 +369,7 @@ impl<'t> RangeCursor<'t> {
         scratch.dists.clear();
         scratch.frontier.clear();
         scratch.stack.clear();
-        let dist_computations = if tree.leaf_sweep {
+        let dist_computations = if tree.is_column() {
             0
         } else {
             scratch
@@ -390,7 +390,7 @@ impl<'t> RangeCursor<'t> {
             pos: 0,
             sorted: 0,
             covered: f32::NEG_INFINITY,
-            waiting: if tree.leaf_sweep { tree.len() } else { 0 },
+            waiting: if tree.is_column() { tree.len() } else { 0 },
             dist_computations: dist_computations as u64,
         }
     }
@@ -402,7 +402,7 @@ impl<'t> RangeCursor<'t> {
         self.scratch
     }
 
-    /// Exact distance computations so far. On a sweeping tree, one per
+    /// Exact distance computations so far. On a column, one per
     /// indexed point ([`PmTree::len`]) once the first round has run;
     /// otherwise the `s` pivot distances plus what one textbook range query
     /// at the largest radius asked pays, however many of its points were
@@ -420,9 +420,9 @@ impl<'t> RangeCursor<'t> {
 
     /// One round: every waiting point within `radius` appended to the run,
     /// unordered, whatever lies beyond it waiting for a larger radius. On a
-    /// sweeping tree the first round measures every point and later ones
-    /// read the distance column; otherwise the round is the textbook range
-    /// query at `radius` over what earlier rounds left unopened.
+    /// column the first round measures every point and later ones read the
+    /// distance column; on a bulk-loaded tree the round is the textbook
+    /// range query at `radius` over what earlier rounds left unopened.
     fn advance(&mut self, radius: f32) {
         let above = std::mem::replace(&mut self.covered, radius);
         let tree = self.tree;
@@ -431,7 +431,7 @@ impl<'t> RangeCursor<'t> {
         s.run.drain(..self.pos);
         self.sorted -= self.pos;
         self.pos = 0;
-        if tree.leaf_sweep {
+        if tree.is_column() {
             self.waiting = if above == f32::NEG_INFINITY {
                 self.dist_computations += tree.len() as u64;
                 s.sweep(tree, radius)
@@ -566,7 +566,7 @@ impl<'t> RangeCursor<'t> {
                 return None;
             }
             let s = &self.scratch;
-            // A sweeping tree's rows are unmeasured until its first round,
+            // A column's rows are unmeasured until its first round,
             // and lie at 0 or beyond.
             let unmeasured = (s.dists.is_empty() && self.waiting > 0).then_some(0.0);
             let nearest = (s.frontier.iter().map(|&(lb, _)| lb))
@@ -669,15 +669,14 @@ mod tests {
 
     #[test]
     fn recycled_scratch_traverses_identically() {
-        // One scratch alternates between two trees of different
+        // One scratch alternates between a column and a tree of different
         // dimensionality and pivot count, as its docs allow: one sweeps,
         // the other traverses.
         let mut rng = Rng::new(56);
-        let mut trees = [(10, 5, 55), (6, 0, 57)].map(|(dim, num_pivots, seed)| {
-            let ds = random_dataset(1500, dim, seed);
-            PmTree::build(ds.view(), with_pivots(num_pivots), &mut rng)
-        });
-        trees[0].set_leaf_sweep(true);
+        let trees = [
+            PmTree::column(random_dataset(1500, 10, 55).view()),
+            PmTree::build(random_dataset(1500, 6, 57).view(), with_pivots(0), &mut rng),
+        ];
         let mut scratch = CursorScratch::new();
         for round in 0..12 {
             let tree = &trees[round % 2];
@@ -756,36 +755,33 @@ mod tests {
         abandoned: usize,
     }
 
-    /// Ten random queries against `tree`, each under a random schedule of
-    /// radii — repeated, shrinking, growing, drained fully or abandoned
-    /// after a few yields, a final ∞. Whatever is asked, the cursor must
-    /// hand out `expected(q)` (every indexed `(id, dist)`, ascending) in
-    /// order, and must have paid the s pivot distances plus what ONE
-    /// textbook range query at the largest radius asked pays: enlarging the
-    /// radius repeats no work, and the rounds prune exactly the entries
-    /// Eq. 5 prunes — no more (a miss) and no fewer (a wasted distance).
+    /// Ten random queries against the bulk-loaded `tree`, each under a
+    /// random schedule of radii — repeated, shrinking, growing, drained
+    /// fully or abandoned after a few yields, a final ∞. Whatever is asked,
+    /// the cursor must hand out `expected(q)` (every indexed `(id, dist)`,
+    /// ascending) in order, and must have paid the s pivot distances plus
+    /// what ONE textbook range query at the largest radius asked pays:
+    /// enlarging the radius repeats no work, and the rounds prune exactly
+    /// the entries Eq. 5 prunes — no more (a miss) and no fewer (a wasted
+    /// distance).
     ///
-    /// A clone of `tree` marked for sweeping is driven in lock-step: after
-    /// every call it must have yielded the same and agree on
-    /// `is_exhausted`, having paid exactly one distance per point. The
-    /// index reads its cursor through those three calls only, so this is
-    /// what makes its answers and counters independent of the source.
+    /// `column` holds the same points, the tree's id `i` under
+    /// `to_column(i)` (increasing, so ties keep their order; `expected`
+    /// speaks in the column's ids), and is driven in lock-step: after every
+    /// call it must have yielded the same and agree on `is_exhausted`,
+    /// having paid exactly one distance per point. The index reads its
+    /// cursor through those three calls only, so this is what makes its
+    /// answers and counters those of the paper's traversal.
     fn drive_schedules(
         tree: &PmTree,
+        column: &PmTree,
+        to_column: impl Fn(PointId) -> PointId,
         expected: impl Fn(&[f32]) -> Vec<(PointId, f32)>,
         rng: &mut Rng,
         what: &str,
     ) -> Driven {
-        assert!(
-            !tree.leaf_sweep,
-            "{what}: built, loaded and cloned unmarked"
-        );
-        let mut sweeping = tree.clone();
-        sweeping.set_leaf_sweep(true);
-        assert!(
-            sweeping.clone().leaf_sweep,
-            "{what}: `Clone` keeps the mark"
-        );
+        assert!(!tree.is_column() && column.is_column(), "{what}");
+        assert_eq!(tree.len(), column.len(), "{what}");
         let s = tree.pivots.len() as u64;
         let mut driven = Driven {
             steps: Vec::new(),
@@ -799,7 +795,7 @@ mod tests {
             assert_eq!(all.len(), tree.len(), "{what}");
             let qp_dists: Vec<f32> = tree.pivots.iter().map(|p| projected_dist(&q, p)).collect();
             let mut cursor = tree.cursor(&q);
-            let mut swept = sweeping.cursor(&q);
+            let mut swept = column.cursor(&q);
             let (mut yielded, mut max_asked) = (0, f32::NEG_INFINITY);
             let mut query_paid = 0;
             let mut schedule: Vec<f32> = (0..8).map(|_| 1.0 + 3.0 * rng.f32()).collect();
@@ -820,7 +816,7 @@ mod tests {
                 };
                 let mut taken = 0;
                 while taken < take {
-                    let hit = cursor.next_within(radius);
+                    let hit = cursor.next_within(radius).map(|(id, d)| (to_column(id), d));
                     assert_eq!(swept.next_within(radius), hit, "{what} step {step}: sweep");
                     let Some(hit) = hit else {
                         let rest = all.get(yielded);
@@ -878,7 +874,9 @@ mod tests {
             } else {
                 PmTree::build(ds.view(), cfg, &mut rng)
             };
-            let driven = drive_schedules(&tree, |q| brute_force(&ds, q), &mut rng, &what);
+            let column = PmTree::column(ds.view());
+            let expected = |q: &[f32]| brute_force(&ds, q);
+            let driven = drive_schedules(&tree, &column, |id| id, expected, &mut rng, &what);
             if n == 4000 {
                 // The filters bit, the balls were not empty and some were
                 // left half-drained (else the equalities above say little).
@@ -888,97 +886,108 @@ mod tests {
         }
     }
 
-    /// A tree over rows of `ds` (external id = row, never reused) whose
-    /// blocks have been through everything a mutation does to them —
-    /// pushes that grow a block, removals that shrink one, leaf and inner
-    /// splits, emptied leaves, a root collapse, freed arena slots taken up
-    /// again — and the ids it holds.
-    fn churned_tree(num_pivots: usize, what: &str) -> (Dataset, PmTree, Vec<PointId>) {
-        let mut rng = Rng::new(70 + num_pivots as u64);
+    /// A column over rows of `ds` (external id = row, never reused) that
+    /// has been through everything a mutation does to it — inserts that
+    /// open a block, deletes that move the last row across blocks and give
+    /// emptied blocks back, a drain down to one row and the regrowth — and
+    /// the ids it holds.
+    fn churned_column(seed: u64) -> (Dataset, PmTree, Vec<PointId>) {
+        let mut rng = Rng::new(seed);
         let ds = random_dataset(6000, 15, 71);
-        let first = MatrixView::new(&ds.as_flat()[..1500 * 15], 15);
-        let mut tree = PmTree::build(first, with_pivots(num_pivots), &mut rng);
+        let mut column = PmTree::column(MatrixView::new(&ds.as_flat()[..1500 * 15], 15));
         let mut live: Vec<PointId> = (0..1500).collect();
         let mut next = 1500;
-        let mut insert = |tree: &mut PmTree, live: &mut Vec<PointId>| {
-            tree.insert(ds.point(next), next as PointId);
+        let mut insert = |column: &mut PmTree, live: &mut Vec<PointId>| {
+            column.insert(ds.point(next), next as PointId);
             live.push(next as PointId);
             next += 1;
         };
-        let delete = |tree: &mut PmTree, live: &mut Vec<PointId>, rng: &mut Rng| {
+        let delete = |column: &mut PmTree, live: &mut Vec<PointId>, rng: &mut Rng| {
             let victim = live.swap_remove(rng.below(live.len()));
-            assert!(tree.delete(victim), "{victim} was live");
+            assert!(column.delete(victim), "{victim} was live");
         };
 
-        // Interleaved inserts and deletes: blocks grow and shrink, leaves
-        // split and some run empty.
         for _ in 0..1500 {
             match rng.below(2) {
-                0 => insert(&mut tree, &mut live),
-                _ => delete(&mut tree, &mut live, &mut rng),
+                0 => insert(&mut column, &mut live),
+                _ => delete(&mut column, &mut live, &mut rng),
             }
         }
-        // Down to one point: every subtree but its own is pruned and the
-        // root collapses onto its leaf.
-        let tall = tree.height();
-        assert!(tall >= 3, "{what}: height {tall}");
         while live.len() > 1 {
-            delete(&mut tree, &mut live, &mut rng);
+            delete(&mut column, &mut live, &mut rng);
         }
-        assert_eq!(tree.height(), 1, "{what}: the root did not collapse");
-        let (freed, arena) = (tree.free_nodes.len(), tree.node_count());
-        assert_eq!(freed, arena - 1, "{what}: emptied nodes not freed");
-        // Back up: freed slots are taken first, leaves and then inner nodes
-        // split again.
+        assert_eq!(column.points.len(), BLOCK_ROWS * 15, "emptied blocks kept");
         for _ in 0..2800 {
-            insert(&mut tree, &mut live);
+            insert(&mut column, &mut live);
         }
-        assert!(tree.free_nodes.len() < freed, "{what}: no slot reused");
-        assert!(tree.node_count() >= arena && tree.height() >= 3, "{what}");
         for _ in 0..500 {
             match rng.below(2) {
-                0 => insert(&mut tree, &mut live),
-                _ => delete(&mut tree, &mut live, &mut rng),
+                0 => insert(&mut column, &mut live),
+                _ => delete(&mut column, &mut live, &mut rng),
             }
         }
-        tree.check_invariants();
-        assert_eq!(tree.len(), live.len());
-        (ds, tree, live)
+        column.check_invariants();
+        assert_eq!(column.len(), live.len());
+        (ds, column, live)
+    }
+
+    /// `PmTree::build` over the rows of `ds` that `live` names, in ascending
+    /// id order, and the id each of its rows has in the column: the
+    /// bulk-loaded tree a churned column is driven beside.
+    fn built_over(ds: &Dataset, live: &[PointId], num_pivots: usize) -> (PmTree, Vec<PointId>) {
+        let mut ids = live.to_vec();
+        ids.sort_unstable();
+        let rows = ds.gather(&ids);
+        let tree = PmTree::build(rows.view(), with_pivots(num_pivots), &mut Rng::new(79));
+        (tree, ids)
+    }
+
+    /// [`brute_force`] over the rows of `ds` that `live` names.
+    fn live_brute_force<'a>(
+        ds: &'a Dataset,
+        live: &[PointId],
+    ) -> impl Fn(&[f32]) -> Vec<(PointId, f32)> + 'a {
+        let mut is_live = vec![false; ds.len()];
+        live.iter().for_each(|&id| is_live[id as usize] = true);
+        move |q| {
+            let mut all = brute_force(ds, q);
+            all.retain(|&(id, _)| is_live[id as usize]);
+            all
+        }
     }
 
     #[test]
     fn churned_tree_and_its_copies_traverse_alike() {
-        // The same differential on a churned tree (see `churned_tree`) and
-        // on its two copies: `clone()` (block for block) and
-        // `from_parts(to_parts())` (the arena renumbered, every block
-        // copied out and moved back in). All three must yield and count
-        // alike, and each sweeps as it traverses — over an arena with freed
-        // slots in the first, over a compacted one in the twin.
+        // A churned column (see `churned_column`) and its two copies —
+        // `clone()` and `from_parts(to_parts())`, every row copied out and
+        // blocked back in — each driven beside a tree bulk-loaded over its
+        // live points, with pivots and without: all three must yield and
+        // count as that tree's traversal does.
+        let (ds, column, live) = churned_column(70);
+        let expected = live_brute_force(&ds, &live);
+        let twin = PmTree::from_parts(column.to_parts()).expect("round trip");
         for num_pivots in [5, 0] {
             let what = format!("churned, s = {num_pivots}");
-            let (ds, tree, live) = churned_tree(num_pivots, &what);
-            let mut is_live = vec![false; ds.len()];
-            live.iter().for_each(|&id| is_live[id as usize] = true);
-            let expected = |q: &[f32]| {
-                let mut all = brute_force(&ds, q);
-                all.retain(|&(id, _)| is_live[id as usize]);
-                all
-            };
-            let twin = PmTree::from_parts(tree.to_parts()).expect("round trip");
-            assert!(
-                twin.node_count() < tree.node_count(),
-                "{what}: arena not renumbered"
+            let (tree, ids) = built_over(&ds, &live, num_pivots);
+            let to_column = |id: PointId| ids[id as usize];
+            let driven = drive_schedules(
+                &tree,
+                &column,
+                to_column,
+                &expected,
+                &mut Rng::new(72),
+                &what,
             );
-            let driven = drive_schedules(&tree, expected, &mut Rng::new(72), &what);
             assert!(
                 driven.paid < 10 * entry_count(&tree),
                 "{what}: {}",
                 driven.paid
             );
             assert!(driven.paid > 0 && driven.abandoned > 0, "{what}");
-            for (copy, name) in [(tree.clone(), "clone"), (twin, "from_parts twin")] {
+            for (copy, name) in [(column.clone(), "clone"), (twin.clone(), "from_parts twin")] {
                 let what = format!("{what}, {name}");
-                let copied = drive_schedules(&copy, expected, &mut Rng::new(72), &what);
+                let rng = &mut Rng::new(72);
+                let copied = drive_schedules(&tree, &copy, to_column, &expected, rng, &what);
                 assert_eq!(copied, driven, "{what}");
             }
         }
@@ -986,48 +995,51 @@ mod tests {
 
     #[test]
     fn sweep_matches_traversal_across_block_boundaries() {
-        // A churned tree brought to a live count that fills its tail block
-        // (n % 8 = 0), leaves one row in it (1) or all but one free lane
-        // (7), by deletions that move rows across blocks and by inserts
-        // that open a block: the sweep must read exactly the live lanes.
+        // A churned column brought to a live count that fills its tail
+        // block (n % 8 = 0), leaves one row in it (1) or all but one free
+        // lane (7), by deletions that move rows across blocks and by
+        // inserts that open a block: the sweep must read exactly the live
+        // lanes, as a tree built over those points traverses them.
         let what = "block boundaries";
-        let (ds, mut tree, mut live) = churned_tree(5, what);
+        let (ds, mut column, mut live) = churned_column(75);
         let mut rng = Rng::new(74);
         let mut unused = (*live.iter().max().unwrap() as usize + 1..ds.len()).map(|r| r as PointId);
         for (residue, by_insert) in [(0, false), (1, true), (7, false), (0, true), (1, false)] {
             let what = format!("{what}: n % 8 = {residue}, by insert {by_insert}");
-            while tree.len() % BLOCK_ROWS != residue {
+            while column.len() % BLOCK_ROWS != residue {
                 if by_insert {
                     let id = unused.next().expect("rows left to insert");
-                    tree.insert(ds.point(id as usize), id);
+                    column.insert(ds.point(id as usize), id);
                     live.push(id);
                 } else {
                     let victim = live.swap_remove(rng.below(live.len()));
-                    assert!(tree.delete(victim), "{what}");
+                    assert!(column.delete(victim), "{what}");
                 }
             }
-            tree.check_invariants();
-            let lanes = tree.len().div_ceil(BLOCK_ROWS) * BLOCK_ROWS;
-            assert_eq!(tree.points.len(), lanes * tree.dim(), "{what}");
-            let mut is_live = vec![false; ds.len()];
-            live.iter().for_each(|&id| is_live[id as usize] = true);
-            let expected = |q: &[f32]| {
-                let mut all = brute_force(&ds, q);
-                all.retain(|&(id, _)| is_live[id as usize]);
-                all
-            };
-            drive_schedules(&tree, expected, &mut Rng::new(75), &what);
+            column.check_invariants();
+            let lanes = column.len().div_ceil(BLOCK_ROWS) * BLOCK_ROWS;
+            assert_eq!(column.points.len(), lanes * column.dim(), "{what}");
+            let (tree, ids) = built_over(&ds, &live, 5);
+            let expected = live_brute_force(&ds, &live);
+            let to_column = |id: PointId| ids[id as usize];
+            drive_schedules(
+                &tree,
+                &column,
+                to_column,
+                expected,
+                &mut Rng::new(75),
+                &what,
+            );
         }
     }
 
     #[test]
     fn later_rounds_filter_the_column_as_the_stream_yields() {
-        // On a sweeping tree, round 2 and later read the distance column
-        // for (covered, r]: as sets they must be what the stream yields at
-        // the same radii, with nothing measured after the first round.
+        // On a column, round 2 and later read the distance column for
+        // (covered, r]: as sets they must be what the stream yields at the
+        // same radii, with nothing measured after the first round.
         let ds = random_dataset(3001, 15, 76);
-        let mut tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut Rng::new(77));
-        tree.set_leaf_sweep(true);
+        let tree = PmTree::column(ds.view());
         let mut rng = Rng::new(78);
         let mut q = vec![0.0f32; 15];
         for _ in 0..10 {
@@ -1116,23 +1128,22 @@ mod tests {
 
     #[test]
     fn a_set_is_what_the_stream_yields_next() {
-        // See `drive_sets_beside_streams`: both sources, on a built tree
-        // and on a churned one, with pivots and without.
+        // See `drive_sets_beside_streams`: a column as built and a churned
+        // one, and bulk-loaded trees with pivots and without.
         let mut rng = Rng::new(73);
+        let ds = random_dataset(4000, 15, 53);
+        let (_, churned, _) = churned_column(77);
+        let mut sources = vec![
+            (PmTree::column(ds.view()), "column".to_string()),
+            (churned, "churned column".to_string()),
+        ];
         for num_pivots in [5, 0] {
-            let what = format!("s = {num_pivots}");
-            let ds = random_dataset(4000, 15, 53);
-            let built = PmTree::build(ds.view(), with_pivots(num_pivots), &mut rng);
-            let (_, churned, _) = churned_tree(num_pivots, &what);
-            for (tree, shape) in [(built, "built"), (churned, "churned")] {
-                let mut sweeping = tree.clone();
-                sweeping.set_leaf_sweep(true);
-                for (tree, source) in [(&tree, "traversal"), (&sweeping, "sweep")] {
-                    let what = format!("{what}, {shape}, {source}");
-                    let filled = drive_sets_beside_streams(tree, &mut rng, &what);
-                    assert!(filled > 10, "{what}: only {filled} steps filled");
-                }
-            }
+            let tree = PmTree::build(ds.view(), with_pivots(num_pivots), &mut rng);
+            sources.push((tree, format!("tree, s = {num_pivots}")));
+        }
+        for (tree, what) in &sources {
+            let filled = drive_sets_beside_streams(tree, &mut rng, what);
+            assert!(filled > 10, "{what}: only {filled} steps filled");
         }
     }
 
@@ -1140,13 +1151,12 @@ mod tests {
     fn nan_query_yields_nothing_and_terminates() {
         let ds = random_dataset(300, 4, 58);
         let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut Rng::new(59));
-        let mut sweeping = tree.clone();
-        sweeping.set_leaf_sweep(true);
+        let column = PmTree::column(ds.view());
         let q = [0.5, f32::NAN, 0.0, 1.0];
-        for tree in [&tree, &sweeping] {
+        for tree in [&tree, &column] {
             let mut cursor = tree.cursor(&q);
             assert_eq!(cursor.next_within(1.0), None);
-            if tree.leaf_sweep {
+            if tree.is_column() {
                 // Every row was measured, and none lies in a ball.
                 assert_eq!(cursor.distance_computations(), 300);
                 assert!(cursor.is_exhausted());
@@ -1171,22 +1181,20 @@ mod tests {
             ds.push(base.point(i % 200));
         }
         let cfg = PmTreeConfig::default();
-        let mut tree = PmTree::build(ds.view(), cfg, &mut Rng::new(61));
+        let tree = PmTree::build(ds.view(), cfg, &mut Rng::new(61));
         // The other shape: the same points grown by insertion.
         let mut twin = PmTree::new(6, cfg, tree.pivots.clone());
         for (row, p) in ds.iter().enumerate() {
             twin.insert(p, row as PointId);
         }
-        // Deletions free nodes, so `to_parts` renumbers the arena: a
-        // pattern over the ids, and every point of one leaf.
-        let lay = tree.layout();
-        let leaf = &tree.nodes[tree.leaf_of[0] as usize];
-        let emptied: Vec<PointId> = leaf.leaves(lay).map(|e| e.external).collect();
-        for id in (0..600).filter(|id| id % 7 < 3 || emptied.contains(id)) {
-            assert!(tree.delete(id) && twin.delete(id));
+        // A column that lost a pattern of ids, whose last rows moved into
+        // the holes, and its reload: they yield what the trees yield, less
+        // the deleted ids.
+        let mut column = PmTree::column(ds.view());
+        for id in (0..600).filter(|id| id % 7 < 3) {
+            assert!(column.delete(id));
         }
-        assert!(!tree.free_nodes.is_empty());
-        let reloaded = PmTree::from_parts(tree.to_parts()).expect("round trip");
+        let reloaded = PmTree::from_parts(column.to_parts()).expect("round trip");
 
         let drain = |tree: &PmTree, q: &[f32]| {
             let mut cursor = tree.cursor(q);
@@ -1207,8 +1215,11 @@ mod tests {
             let ties = yields.windows(2).filter(|w| w[0].1 == w[1].1);
             assert!(ties.clone().count() >= 100);
             assert!(ties.clone().all(|w| w[0].0 < w[1].0));
-            assert_eq!(yields, drain(&reloaded, &q));
             assert_eq!(yields, drain(&twin, &q));
+            let mut live = yields.clone();
+            live.retain(|&(id, _)| id % 7 >= 3);
+            assert_eq!(drain(&column, &q), live);
+            assert_eq!(drain(&reloaded, &q), live);
         }
     }
 

@@ -1,18 +1,25 @@
-//! PM-tree construction: M-tree insertion with mM_RAD splits plus global
-//! pivot hyper-rings (Skopal et al., DASFAA'05; Section 4.1 of the paper).
+//! The PM-tree (Skopal et al., DASFAA'05; Section 4.1 of the paper) and the
+//! column the served index sweeps.
 //!
-//! The arena is a `Vec` of node blocks (`block.rs`): every node is one
-//! allocation holding its entries at a fixed stride. The projected points
-//! are not in the blocks but in one tree-wide column, `points`, whose row
-//! `i` is the point of internal row `i` — the row `externals` and `leaf_of`
-//! are indexed by. The column is stored as blocks of [`BLOCK_ROWS`] rows,
-//! column-major inside a block (row `r`, coordinate `j` at
-//! `(r / 8)·8m + 8j + r % 8`), the tail block's free lanes NaN: the layout
-//! the sweep's kernel reads eight rows per step from. A reader of one row
-//! gathers its `m` lanes. Insertion, splits, deletion, the validators and
-//! the export all keep the column and the blocks in step: [`PmTreeParts`]
-//! holds each node block as it is, and the column row-major, as `.pmlsh`
-//! stores it; [`PmTree::from_parts`] blocks it in place.
+//! A [`PmTree`] is one of two kinds, fixed when it is made:
+//!
+//! - a **bulk-loaded tree** ([`PmTree::build`], or [`PmTree::new`] grown by
+//!   [`PmTree::insert`]): M-tree insertion with mM_RAD splits plus global
+//!   pivot hyper-rings, an arena of node blocks (`block.rs`), every node one
+//!   allocation holding its entries at a fixed stride. Its cursors run the
+//!   range traversal. It is static: it grows by insertion and never shrinks.
+//! - a **column** ([`PmTree::column`]): the points alone, with no pivot and
+//!   no node. Its cursors sweep. An insert appends a row; a delete moves the
+//!   last row into the freed one. This is the kind `pm-lsh-core` serves.
+//!
+//! Both keep the projected points out of the blocks, in one tree-wide
+//! column, `points`, whose row `i` is the point of internal row `i` — the
+//! row `externals` is indexed by. The column is stored as blocks of
+//! [`BLOCK_ROWS`] rows, column-major inside a block (row `r`, coordinate `j`
+//! at `(r / 8)·8m + 8j + r % 8`), the tail block's free lanes NaN: the
+//! layout the sweep's kernel reads eight rows per step from. A reader of one
+//! row gathers its `m` lanes. [`PmTreeParts`] holds a column row-major, as
+//! `.pmlsh` stores it; [`PmTree::from_parts`] blocks it in place.
 
 use crate::block::{give_back, grow, point_spans, Layout, LeafRef, Node};
 use crate::{projected_dist, NodeId};
@@ -20,7 +27,7 @@ use pm_lsh_metric::{MatrixView, PointId, BLOCK_ROWS};
 use pm_lsh_stats::Rng;
 use std::collections::HashMap;
 
-/// Construction parameters.
+/// Construction parameters of a bulk-loaded tree.
 #[derive(Clone, Copy, Debug)]
 pub struct PmTreeConfig {
     /// Maximum number of entries per node (the paper's experiments use 16).
@@ -42,61 +49,29 @@ impl Default for PmTreeConfig {
     }
 }
 
-/// One node of a [`PmTreeParts`] snapshot: the arena block exactly as the
-/// tree lays it out (docs/ARCHITECTURE.md, "PM-tree node blocks") and
-/// trimmed to its entries, each routing entry's `child` word naming a
-/// *compacted* node id.
-#[derive(Clone, Debug)]
-pub struct RawNode {
-    /// `true` for a node of leaf entries, `false` for routing entries.
-    pub leaf: bool,
-    /// The entries' words, ids stored by `f32::from_bits`.
-    pub words: Vec<f32>,
-}
-
-/// The complete state of a [`PmTree`], exported with
-/// [`PmTree::to_parts`] and re-imported with [`PmTree::from_parts`] —
-/// the serialization boundary index snapshots go through.
-///
-/// The node arena is *free-list-compacted*: freed slots are dropped and
-/// surviving nodes renumbered densely, preserving their relative order.
-/// Node ids never influence query answers or their order (the cursor
-/// yields by projected distance, then external id — a function of the
-/// indexed points alone), so a round-tripped tree answers every query
-/// bit-identically. `ext_index`,
-/// `free_nodes` and the sweep mark are not part of the export — the id map
-/// is rebuilt by inverting `externals`, a compacted arena has no free
-/// slots, and [`PmTree::from_parts`] leaves the mark off.
+/// A column's complete state, exported with [`PmTree::to_parts`] and
+/// re-imported with [`PmTree::from_parts`]: the serialization boundary
+/// index snapshots go through. The id map is not part of it; it is rebuilt
+/// by inverting `externals`.
 #[derive(Clone, Debug)]
 pub struct PmTreeParts {
     /// Dimensionality of the indexed space.
     pub dim: usize,
-    /// Construction parameters.
-    pub cfg: PmTreeConfig,
-    /// The `s` global pivots.
-    pub pivots: Vec<Box<[f32]>>,
-    /// Compacted node arena.
-    pub nodes: Vec<RawNode>,
-    /// Root node id (into the compacted arena).
-    pub root: NodeId,
     /// Internal row -> projected point: `externals.len() × dim` f32,
     /// row-major (the tree keeps it blocked; see the module docs).
     pub points: Vec<f32>,
     /// Internal row -> external id.
     pub externals: Vec<PointId>,
-    /// Internal row -> holding leaf (compacted ids).
-    pub leaf_of: Vec<NodeId>,
-    /// Distance computations spent on construction so far.
-    pub build_dist_computations: u64,
 }
 
-/// A PM-tree over points in `R^dim` under the Euclidean distance.
+/// A PM-tree, or a column, over points in `R^dim` under the Euclidean
+/// distance (see the module docs for the two kinds).
 ///
-/// The tree owns a copy of every inserted point, as one row of its `points`
-/// column (60 bytes in the paper's m = 15 projected space), beside the
-/// point's leaf entry in a node block (32 bytes at s = 5: 20 of pivot
-/// distances, 12 of ids and parent distance), so callers may drop their
-/// own projected data after building. The column and the id maps are
+/// Either owns a copy of every inserted point, as one row of its `points`
+/// column (60 bytes in the paper's m = 15 projected space); a bulk-loaded
+/// tree adds the point's leaf entry in a node block (32 bytes at s = 5: 20
+/// of pivot distances, 12 of ids and parent distance). Callers may drop
+/// their own projected data after building. The column and the id maps are
 /// addressed by *internal* row while queries report the caller-supplied
 /// *external* [`PointId`].
 #[derive(Clone, Debug)]
@@ -104,6 +79,7 @@ pub struct PmTree {
     pub(crate) dim: usize,
     pub(crate) cfg: PmTreeConfig,
     pub(crate) pivots: Vec<Box<[f32]>>,
+    /// The node arena; empty exactly on a column.
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: NodeId,
     /// Internal row -> projected point, in blocks of [`BLOCK_ROWS`] rows
@@ -116,22 +92,15 @@ pub struct PmTree {
     /// External id -> internal row, the lookup [`PmTree::delete`] starts
     /// from (and what makes duplicate external ids detectable at insert).
     pub(crate) ext_index: HashMap<PointId, u32>,
-    /// Internal row -> the leaf node currently holding its entry.
-    pub(crate) leaf_of: Vec<NodeId>,
-    /// Arena slots released by deletions, reused by the next allocation.
-    pub(crate) free_nodes: Vec<NodeId>,
     /// The pivot distances and the coordinates of the point being filed;
     /// kept between inserts so that none allocates for them.
     pivot_dists: Vec<f32>,
     filed: Vec<f32>,
     pub(crate) build_dist_computations: u64,
-    /// Whether cursors open with a sweep over `points` instead of the
-    /// range traversal; see [`PmTree::set_leaf_sweep`].
-    pub(crate) leaf_sweep: bool,
 }
 
 impl PmTree {
-    /// Creates an empty tree with pre-selected pivots.
+    /// Creates an empty bulk-loaded tree with pre-selected pivots.
     pub fn new(dim: usize, cfg: PmTreeConfig, pivots: Vec<Box<[f32]>>) -> Self {
         assert!(dim > 0, "dimension must be positive");
         assert!(cfg.capacity >= 2, "node capacity must be at least 2");
@@ -152,26 +121,50 @@ impl PmTree {
             points: Vec::new(),
             externals: Vec::new(),
             ext_index: HashMap::new(),
-            leaf_of: Vec::new(),
-            free_nodes: Vec::new(),
             pivot_dists: Vec::new(),
             filed: Vec::new(),
             build_dist_computations: 0,
-            leaf_sweep: false,
         }
     }
 
-    /// Marks the tree for sweeping (`true`) or for the textbook range
-    /// traversal (`false`, what every constructor leaves). A cursor over a
-    /// marked tree measures every indexed point in its first round, in one
-    /// pass over the blocked `points` column, eight rows per step, instead
-    /// of opening regions from the root: no node, no pivot or
-    /// routing-entry distance, exactly [`PmTree::len`] point distances, and
-    /// the same yields and `is_exhausted` after every call (see
-    /// [`crate::cursor`]). `Clone` copies the mark; snapshots do not store
-    /// it.
-    pub fn set_leaf_sweep(&mut self, sweep: bool) {
-        self.leaf_sweep = sweep;
+    /// A column over every row of `view` (external id = row index): the
+    /// rows blocked, no pivot and no node. Its cursors sweep.
+    ///
+    /// # Panics
+    /// Panics if `view` has dimension 0.
+    pub fn column(view: MatrixView<'_>) -> Self {
+        assert!(view.dim() > 0, "dimension must be positive");
+        let externals = (0..view.len() as PointId).collect();
+        Self::column_of(view.dim(), view.as_flat().to_vec(), externals)
+    }
+
+    /// A column of the `dim`-wide rows of `points`, row-major (blocked
+    /// here), row `i` under `externals[i]`; the id map is `externals`
+    /// inverted, the last row winning an id given twice.
+    fn column_of(dim: usize, points: Vec<f32>, externals: Vec<PointId>) -> Self {
+        let ext_index = (externals.iter().enumerate())
+            .map(|(row, &e)| (e, row as u32))
+            .collect();
+        Self {
+            dim,
+            cfg: COLUMN,
+            pivots: Vec::new(),
+            nodes: Vec::new(),
+            root: 0,
+            points: block_rows(points, dim),
+            externals,
+            ext_index,
+            pivot_dists: Vec::new(),
+            filed: Vec::new(),
+            build_dist_computations: 0,
+        }
+    }
+
+    /// `true` for a column, whose cursors sweep; `false` for a bulk-loaded
+    /// tree, whose cursors traverse.
+    #[inline]
+    pub(crate) fn is_column(&self) -> bool {
+        self.nodes.is_empty()
     }
 
     /// The shape of this tree's node entries.
@@ -213,21 +206,24 @@ impl PmTree {
         self.dim
     }
 
-    /// The global pivots.
+    /// The global pivots (none on a column).
     pub fn pivots(&self) -> &[Box<[f32]>] {
         &self.pivots
     }
 
-    /// Number of allocated nodes.
+    /// Number of allocated nodes (0 on a column).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
     /// Height of the tree: the nodes on the path from the root to its
-    /// deepest leaf (1 for a single leaf). Leaves need not share a depth:
-    /// the bulk loader hangs one subtree per pivot region under the root,
-    /// each as deep as its region is large.
+    /// deepest leaf (1 for a single leaf, 0 for a column). Leaves need not
+    /// share a depth: the bulk loader hangs one subtree per pivot region
+    /// under the root, each as deep as its region is large.
     pub fn height(&self) -> usize {
+        if self.is_column() {
+            return 0;
+        }
         let lay = self.layout();
         let mut deepest = 0;
         let mut stack = vec![(self.root, 1)];
@@ -242,7 +238,8 @@ impl PmTree {
         deepest
     }
 
-    /// Distance computations spent on inserts so far (preprocessing cost).
+    /// Distance computations spent on inserts so far (preprocessing cost;
+    /// a column measures none).
     pub fn build_distance_computations(&self) -> u64 {
         self.build_dist_computations
     }
@@ -258,10 +255,12 @@ impl PmTree {
         self.ext_index.contains_key(&external)
     }
 
-    /// Inserts one point with a caller-chosen external id.
+    /// Inserts one point with a caller-chosen external id: a new row of the
+    /// column and, on a bulk-loaded tree, a leaf entry filed by M-tree
+    /// insertion.
     ///
     /// # Panics
-    /// Panics if `vector.len() != self.dim()`.
+    /// Panics if `vector.len() != self.dim()` or `external` is indexed.
     pub fn insert(&mut self, vector: &[f32], external: PointId) {
         // Check before the pivot distances so a bad point fails with this
         // message (not inside the distance kernel) and without counting
@@ -282,6 +281,10 @@ impl PmTree {
         for (j, &x) in vector.iter().enumerate() {
             self.points[at + BLOCK_ROWS * j] = x;
         }
+        if self.is_column() {
+            self.externals.push(external);
+            return;
+        }
         // Filing reads the column beside `&mut self`, so it borrows it out.
         let points = std::mem::take(&mut self.points);
         let rows = Rows {
@@ -295,11 +298,12 @@ impl PmTree {
 
     /// Files the next internal row, `externals.len()`, whose point is that
     /// row of `rows`, under `external`: everything [`PmTree::insert`] does
-    /// but the id map and the column. `rows` is the tree's own column, or,
-    /// for a subtree the bulk loader grows, the rows of the finished
-    /// tree's column that the subtree will own — such a subtree keeps no
-    /// column of its own, and the loader inverts `externals` once at the
-    /// end, so no region keeps a map of its own either.
+    /// on a bulk-loaded tree but the id map and the column. `rows` is the
+    /// tree's own column, or, for a subtree the bulk loader grows, the rows
+    /// of the finished tree's column that the subtree will own — such a
+    /// subtree keeps no column of its own, and the loader inverts
+    /// `externals` once at the end, so no region keeps a map of its own
+    /// either.
     pub(crate) fn file_row(&mut self, external: PointId, rows: Rows<'_>) {
         let internal = self.externals.len() as u32;
         let mut vector = std::mem::take(&mut self.filed);
@@ -310,8 +314,6 @@ impl PmTree {
         pd.extend(self.pivots.iter().map(|p| projected_dist(&vector, p)));
         self.build_dist_computations += self.pivots.len() as u64;
         self.externals.push(external);
-        // Placeholder; insert_rec records the leaf that receives the entry.
-        self.leaf_of.push(self.root);
         if let Some(pair) = self.insert_rec(self.root, internal, &vector, &pd, 0.0, None, rows) {
             self.root = self.alloc(pair);
         }
@@ -320,24 +322,8 @@ impl PmTree {
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
-        match self.free_nodes.pop() {
-            Some(id) => {
-                self.nodes[id as usize] = node;
-                id
-            }
-            None => {
-                let id = self.nodes.len() as NodeId;
-                self.nodes.push(node);
-                id
-            }
-        }
-    }
-
-    /// Releases an arena slot for reuse, blanking it so a stale routing
-    /// entry can never be traversed by mistake.
-    fn free(&mut self, node: NodeId) {
-        self.nodes[node as usize] = Node::empty();
-        self.free_nodes.push(node);
+        self.nodes.push(node);
+        (self.nodes.len() - 1) as NodeId
     }
 
     /// Recursive single-path insert of row `internal` of `rows`, whose
@@ -367,7 +353,6 @@ impl PmTree {
                 pivot_dists: pd,
             };
             self.nodes[node as usize].push_leaf(lay, entry);
-            self.leaf_of[internal as usize] = node;
             let overflows = self.nodes[node as usize].len(lay) > capacity;
             return overflows.then(|| self.split(node, rows));
         }
@@ -484,7 +469,6 @@ impl PmTree {
             halves[half].push_from(lay, &full, k, parent_dist);
             if leaf {
                 let e = full.leaf_at(k, lay);
-                self.leaf_of[e.internal as usize] = ids[half];
                 pair.cover(half, lay, parent_dist, point_spans(e.pivot_dists));
             } else {
                 let e = full.inner_at(k, lay);
@@ -497,212 +481,59 @@ impl PmTree {
         pair
     }
 
-    /// Removes the point with external id `external`; `false` when no such
-    /// point is indexed (including ids that were already deleted).
+    /// Removes the point with external id `external` from a column; `false`
+    /// when no such point is indexed (including ids that were already
+    /// deleted). The internal rows stay dense: the last row moves into the
+    /// freed one — its lanes, its external id and its map entry — the lanes
+    /// it leaves become NaN, and the column gives back a block when its
+    /// tail block empties, so memory tracks the live point count.
     ///
-    /// This is a true M-tree leaf removal, not a tombstone: the entry
-    /// leaves its leaf, a leaf that empties is pruned from its parent
-    /// (recursively — a routing entry never points at an empty subtree), a
-    /// root left with a single routing entry collapses into its child, and
-    /// the freed arena slots go on a free list the next allocation reuses.
-    /// The internal rows stay dense (the last row takes the freed number)
-    /// and the leaf's block gives back the room of the entry it lost, so
-    /// memory tracks the live point count.
-    ///
-    /// Covering radii and hyper-rings of the surviving ancestors are *not*
-    /// shrunk: they remain correct upper/outer bounds (every remaining
-    /// point still satisfies them), merely looser than a fresh build would
-    /// produce — deletions trade a little pruning power for O(capacity)
-    /// structural work in the common case. Only when a leaf *empties*
-    /// does the prune pay a root-to-leaf path search (a DFS over inner
-    /// nodes; the arena stores no parent pointers), and a rebuild
-    /// restores tight bounds.
+    /// # Panics
+    /// Panics on a bulk-loaded tree, which is static: its leaf entries name
+    /// rows, and a moved row would leave one naming the wrong point.
     pub fn delete(&mut self, external: PointId) -> bool {
-        let Some(&internal) = self.ext_index.get(&external) else {
+        assert!(
+            self.is_column(),
+            "a bulk-loaded PM-tree is static; only a column deletes"
+        );
+        let Some(internal) = self.ext_index.remove(&external) else {
             return false;
         };
-        let lay = self.layout();
-        let leaf = self.leaf_of[internal as usize];
-        // The prune path is only needed when this removal empties the
-        // leaf; don't pay the DFS for the overwhelmingly common case.
-        let will_empty = self.nodes[leaf as usize].len(lay) == 1;
-        let path = if will_empty {
-            self.path_to(leaf)
-        } else {
-            Vec::new()
-        };
-        let entries = &mut self.nodes[leaf as usize];
-        let pos = (entries.leaves(lay))
-            .position(|e| e.internal == internal)
-            .expect("leaf_of points at the holding leaf");
-        entries.remove(pos, lay);
-        if will_empty {
-            self.prune(leaf, path);
-        }
-        self.ext_index.remove(&external);
-        self.compact_rows(internal);
-        true
-    }
-
-    /// The `(inner node, entry index)` chain from the root down to (but
-    /// excluding) `target`; empty when `target` is the root.
-    fn path_to(&self, target: NodeId) -> Vec<(NodeId, usize)> {
-        let mut path = Vec::new();
-        if self.root != target {
-            let found = self.dfs_path(self.root, target, &mut path);
-            assert!(found, "node {target} not reachable from the root");
-        }
-        path
-    }
-
-    fn dfs_path(&self, node: NodeId, target: NodeId, path: &mut Vec<(NodeId, usize)>) -> bool {
-        let entries = &self.nodes[node as usize];
-        if entries.is_leaf() {
-            return false;
-        }
-        for (i, e) in entries.inners(self.layout()).enumerate() {
-            path.push((node, i));
-            if e.child == target || self.dfs_path(e.child, target, path) {
-                return true;
-            }
-            path.pop();
-        }
-        false
-    }
-
-    /// Detaches the emptied `node` from its parent, propagating upward
-    /// while parents empty too, then collapses a single-entry root. An
-    /// emptied *root* is normalized back to the empty-leaf state
-    /// [`PmTree::new`] starts from.
-    fn prune(&mut self, mut node: NodeId, mut path: Vec<(NodeId, usize)>) {
-        let lay = self.layout();
-        loop {
-            let Some((parent, idx)) = path.pop() else {
-                // The whole tree emptied out.
-                self.nodes[node as usize] = Node::empty();
-                return;
-            };
-            self.free(node);
-            let entries = &mut self.nodes[parent as usize];
-            entries.remove(idx, lay);
-            if entries.len(lay) > 0 {
-                break;
-            }
-            node = parent;
-        }
-        self.collapse_root();
-    }
-
-    /// While the root is an inner node with exactly one routing entry,
-    /// adopt its child as the root (the inverse of a root split). Root
-    /// entries' `parent_dist` is ignored by both the cursor and the
-    /// invariant checker, so no distances need recomputing.
-    fn collapse_root(&mut self) {
-        let lay = self.layout();
-        loop {
-            let root = &self.nodes[self.root as usize];
-            if root.is_leaf() || root.len(lay) != 1 {
-                break;
-            }
-            let child = root.inner_at(0, lay).child;
-            self.free(self.root);
-            self.root = child;
-        }
-    }
-
-    /// Keeps the internal rows dense after the removal of row `internal`:
-    /// the last row takes its number — its lanes move into the freed row's
-    /// lanes of `points`, and its leaf entry, external map and leaf map are
-    /// rewritten to match — the lanes it leaves become NaN, and the column
-    /// (by a block when that empties one) and both maps shrink by one row.
-    /// The *deleted* entry is already gone from its leaf, so scanning for
-    /// the renumbered row's entry is unambiguous.
-    fn compact_rows(&mut self, internal: u32) {
-        let (lay, m) = (self.layout(), self.dim);
-        let last = (self.externals.len() - 1) as u32;
-        let (to, from) = (lane_of(m, internal as usize), lane_of(m, last as usize));
+        let m = self.dim;
+        let last = self.externals.len() - 1;
+        let (to, from) = (lane_of(m, internal as usize), lane_of(m, last));
         for j in 0..m {
             self.points[to + BLOCK_ROWS * j] = self.points[from + BLOCK_ROWS * j];
             self.points[from + BLOCK_ROWS * j] = f32::NAN;
         }
-        if internal != last {
-            let moved_external = self.externals[last as usize];
-            self.externals[internal as usize] = moved_external;
-            self.ext_index.insert(moved_external, internal);
-            let moved_leaf = self.leaf_of[last as usize];
-            self.leaf_of[internal as usize] = moved_leaf;
-            let entries = &mut self.nodes[moved_leaf as usize];
-            let pos = (entries.leaves(lay))
-                .position(|e| e.internal == last)
-                .expect("leaf_of points at the holding leaf");
-            entries.set_internal(pos, lay, internal);
+        self.externals.swap_remove(internal as usize);
+        if let Some(&moved) = self.externals.get(internal as usize) {
+            self.ext_index.insert(moved, internal);
         }
-        self.externals.pop();
-        self.leaf_of.pop();
-        self.points
-            .truncate(blocks_for(last as usize) * BLOCK_ROWS * m);
+        self.points.truncate(blocks_for(last) * BLOCK_ROWS * m);
         give_back(&mut self.points, BLOCK_ROWS * m);
+        true
     }
 
-    /// Exports the complete tree state with the node arena free-list-
-    /// compacted (see [`PmTreeParts`]). The tree itself is untouched.
+    /// Exports the rows of the tree — its points, row-major, and their
+    /// external ids — as [`PmTreeParts`]; a bulk-loaded tree's nodes are
+    /// not part of the export. The tree itself is untouched.
     pub fn to_parts(&self) -> PmTreeParts {
-        // Dense remap dropping freed slots; surviving nodes keep their
-        // relative order (ids never influence traversal, but a stable
-        // order keeps the export deterministic).
-        let mut free = vec![false; self.nodes.len()];
-        for &f in &self.free_nodes {
-            free[f as usize] = true;
-        }
-        let mut remap = vec![NodeId::MAX; self.nodes.len()];
-        let mut next: NodeId = 0;
-        for id in 0..self.nodes.len() {
-            if !free[id] {
-                remap[id] = next;
-                next += 1;
-            }
-        }
-        let lay = self.layout();
-        let nodes = (self.nodes.iter().enumerate())
-            .filter(|&(id, _)| !free[id])
-            .map(|(_, node)| node.export(lay, &remap))
-            .collect();
         PmTreeParts {
             dim: self.dim,
-            cfg: self.cfg,
-            pivots: self.pivots.clone(),
-            nodes,
-            root: remap[self.root as usize],
             points: Rows::of(self).unblocked(self.len()),
             externals: self.externals.clone(),
-            leaf_of: self.leaf_of.iter().map(|&l| remap[l as usize]).collect(),
-            build_dist_computations: self.build_dist_computations,
         }
     }
 
-    /// Reassembles a tree from exported parts: every block moves into the
-    /// arena as it is, the row-major `points` are blocked in place, the id
-    /// map is rebuilt by inverting `externals` and the free list starts
-    /// empty (the exported arena is compacted). The result is validated
-    /// with [`PmTree::verify_structure`] — whole-entry blocks, capacity,
-    /// `child` and `internal` ranges, leaf / external / `leaf_of`
-    /// agreement, one `points` row per point — before it is returned, so
-    /// corrupted or
-    /// internally inconsistent parts come back as `Err`, never as a tree
-    /// that panics later.
+    /// Reassembles a column from exported parts: the row-major `points` are
+    /// blocked in place and the id map is rebuilt by inverting `externals`.
+    /// Parts that do not describe a column — a zero dimension, a point
+    /// count that is not one row per external, an external id given twice
+    /// — come back as `Err`, never as a column that panics later.
     pub fn from_parts(parts: PmTreeParts) -> Result<Self, String> {
         if parts.dim == 0 {
             return Err("dimension must be positive".into());
-        }
-        if parts.cfg.capacity < 2 {
-            return Err(format!("node capacity {} below 2", parts.cfg.capacity));
-        }
-        if parts.pivots.len() != parts.cfg.num_pivots {
-            return Err(format!(
-                "{} pivots but config declares {}",
-                parts.pivots.len(),
-                parts.cfg.num_pivots
-            ));
         }
         let n = parts.externals.len();
         if parts.points.len() != n * parts.dim {
@@ -712,47 +543,24 @@ impl PmTree {
                 parts.dim
             ));
         }
-        let mut ext_index = HashMap::with_capacity(n);
-        for (internal, &external) in parts.externals.iter().enumerate() {
-            if ext_index.insert(external, internal as u32).is_some() {
-                return Err(format!("external id {external} appears twice"));
-            }
+        let column = Self::column_of(parts.dim, parts.points, parts.externals);
+        if column.ext_index.len() != n {
+            let mut rows = column.externals.iter().enumerate();
+            let twice = rows.find(|&(row, e)| column.ext_index[e] != row as u32);
+            return Err(format!("external id {} appears twice", twice.unwrap().1));
         }
-        let tree = Self {
-            dim: parts.dim,
-            cfg: parts.cfg,
-            pivots: parts.pivots,
-            nodes: parts.nodes.into_iter().map(Node::from).collect(),
-            root: parts.root,
-            points: block_rows(parts.points, parts.dim),
-            externals: parts.externals,
-            ext_index,
-            leaf_of: parts.leaf_of,
-            free_nodes: Vec::new(),
-            pivot_dists: Vec::new(),
-            filed: Vec::new(),
-            build_dist_computations: parts.build_dist_computations,
-            leaf_sweep: false,
-        };
-        tree.verify_structure()?;
-        Ok(tree)
+        Ok(column)
     }
 
-    /// Validates the *structural* invariants only — whole-entry blocks,
-    /// node fill, index ranges, map and column sizes, NaN in the column's
-    /// free lanes, arena reachability — without recomputing a single
-    /// distance. This is the cheap load-time check snapshot restoration
-    /// runs ([`PmTree::verify_invariants`] adds the O(n · height)
-    /// geometric audit on top; checksums already guard against bit-rot,
-    /// structure checks guard against panics and out-of-bounds access).
+    /// Validates the *structural* invariants only — map and column sizes,
+    /// NaN in the column's free lanes, and on a bulk-loaded tree
+    /// whole-entry blocks, node fill, index ranges and arena reachability —
+    /// without recomputing a single distance ([`PmTree::verify_invariants`]
+    /// adds the O(n · height) geometric audit on top; checksums already
+    /// guard against bit-rot, structure checks guard against panics and
+    /// out-of-bounds access).
     pub fn verify_structure(&self) -> Result<(), String> {
         let n = self.externals.len();
-        if self.leaf_of.len() != n {
-            return Err(format!(
-                "leaf map covers {} rows, the tree holds {n}",
-                self.leaf_of.len()
-            ));
-        }
         let blocks = blocks_for(n);
         if self.points.len() != blocks * BLOCK_ROWS * self.dim {
             return Err(format!(
@@ -781,6 +589,9 @@ impl PmTree {
                     "id map does not send external {external} back to row {internal}"
                 ));
             }
+        }
+        if self.is_column() {
+            return Ok(());
         }
         for p in &self.pivots {
             if p.len() != self.dim {
@@ -844,12 +655,6 @@ impl PmTree {
                     return Err(format!("point {} reachable twice", e.internal));
                 }
                 seen[e.internal as usize] = true;
-                if self.leaf_of[e.internal as usize] != node {
-                    return Err(format!(
-                        "leaf map sends row {} to node {}, found in node {node}",
-                        e.internal, self.leaf_of[e.internal as usize]
-                    ));
-                }
                 if e.external != self.externals[e.internal as usize] {
                     return Err(format!(
                         "leaf entry for row {} carries external {} (store says {})",
@@ -861,23 +666,8 @@ impl PmTree {
         if let Some(missing) = seen.iter().position(|s| !s) {
             return Err(format!("point {missing} not reachable from the root"));
         }
-        let mut free = vec![false; self.nodes.len()];
-        for &f in &self.free_nodes {
-            if f as usize >= self.nodes.len() {
-                return Err(format!("free-list id {f} outside the arena"));
-            }
-            if reached[f as usize] {
-                return Err(format!("node {f} is both reachable and on the free list"));
-            }
-            if free[f as usize] {
-                return Err(format!("node {f} is on the free list twice"));
-            }
-            free[f as usize] = true;
-        }
-        if let Some(leaked) = (0..self.nodes.len()).find(|&id| !reached[id] && !free[id]) {
-            return Err(format!(
-                "node {leaked} is neither reachable nor on the free list"
-            ));
+        if let Some(leaked) = reached.iter().position(|r| !r) {
+            return Err(format!("node {leaked} not reachable from the root"));
         }
         Ok(())
     }
@@ -895,17 +685,20 @@ impl PmTree {
     /// Validates every invariant; used by tests and proptests.
     ///
     /// [`PmTree::verify_structure`] runs first — index ranges, the id
-    /// map, `leaf_of`, reachability and the free list — so a corrupted
-    /// tree comes back as `Err` from there, never as an out-of-bounds
-    /// panic here. The geometric audit then recomputes distances and
-    /// checks, for every routing entry: (1) all points of its subtree lie
-    /// within `radius` of its center, (2) each hyper-ring contains the
-    /// pivot distance of every point below it, and (3) children's
-    /// `parent_dist` matches the distance to the routing object; for
-    /// every leaf entry, that its parent distance and its stored pivot
-    /// distances are those of its row of `points`.
+    /// map, the column, reachability — so a corrupted tree comes back as
+    /// `Err` from there, never as an out-of-bounds panic here. A column has
+    /// nothing more to check. On a bulk-loaded tree the geometric audit then
+    /// recomputes distances and checks, for every routing entry: (1) all
+    /// points of its subtree lie within `radius` of its center, (2) each
+    /// hyper-ring contains the pivot distance of every point below it, and
+    /// (3) children's `parent_dist` matches the distance to the routing
+    /// object; for every leaf entry, that its parent distance and its
+    /// stored pivot distances are those of its row of `points`.
     pub fn verify_invariants(&self) -> Result<(), String> {
         self.verify_structure()?;
+        if self.is_column() {
+            return Ok(());
+        }
         self.verify_geometry(self.root, None)
     }
 
@@ -973,6 +766,13 @@ impl PmTree {
         Ok(())
     }
 }
+
+/// A column's configuration: it has no node to fill and no pivot.
+const COLUMN: PmTreeConfig = PmTreeConfig {
+    capacity: 0,
+    num_pivots: 0,
+    pivot_sample: 0,
+};
 
 /// How many blocks a column of `rows` rows takes.
 #[inline]
@@ -1110,14 +910,19 @@ mod tests {
     use super::*;
     use pm_lsh_metric::Dataset;
 
-    fn two_level_tree() -> PmTree {
-        let mut rng = Rng::new(5);
-        let mut ds = Dataset::with_capacity(4, 120);
-        let mut buf = [0.0f32; 4];
-        for _ in 0..120 {
+    fn gaussian(n: usize, dim: usize, rng: &mut Rng) -> Dataset {
+        let mut ds = Dataset::with_capacity(dim, n);
+        let mut buf = vec![0.0f32; dim];
+        for _ in 0..n {
             rng.fill_normal(&mut buf);
             ds.push(&buf);
         }
+        ds
+    }
+
+    fn two_level_tree() -> PmTree {
+        let mut rng = Rng::new(5);
+        let ds = gaussian(120, 4, &mut rng);
         let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
         assert!(tree.height() >= 2, "corruption tests need an inner root");
         tree.verify_invariants().expect("fresh tree is valid");
@@ -1138,16 +943,19 @@ mod tests {
         let lay = good.layout();
         let arena = good.nodes.len() as NodeId;
         let root = good.root as usize;
-        let a_leaf = good.leaf_of[0] as usize;
+        let a_leaf = good.nodes.iter().position(Node::is_leaf).unwrap();
 
         let mut bad_child = good.clone();
         // Word 2 of a routing entry is its child.
         bad_child.nodes[root].words_mut()[2] = f32::from_bits(arena + 7);
         rejected(&bad_child, "outside the");
 
-        let mut bad_leaf_map = good.clone();
-        bad_leaf_map.leaf_of[3] = arena + 7;
-        rejected(&bad_leaf_map, "leaf map sends row 3");
+        let mut leaked = good.clone();
+        leaked.nodes.push(Node::empty());
+        rejected(
+            &leaked,
+            &format!("node {arena} not reachable from the root"),
+        );
 
         // The block invariants: a whole number of entries of the tree's
         // stride, at most `capacity` of them, at least one routing entry.
@@ -1171,20 +979,32 @@ mod tests {
         let mut hollow = good.clone();
         hollow.nodes[root].words_mut().clear();
         rejected(&hollow, "inner node with no entries");
+
+        // A column has its id map to check, and no node.
+        let column = PmTree::column(MatrixView::new(&good.to_parts().points, 4));
+        column.verify_invariants().expect("fresh column is valid");
+        let mut lost = column.clone();
+        lost.ext_index.remove(&3);
+        rejected(&lost, "id map holds 119 entries for 120 points");
     }
 
     /// The column's free lanes are NaN, which the sweep drops: a number
-    /// there would be measured as a point no leaf holds.
+    /// there would be measured as a point no row holds.
     #[test]
     fn verify_structure_refuses_a_number_in_a_free_lane() {
-        let mut tree = two_level_tree();
-        tree.insert(&[0.5; 4], 1_000);
-        assert_eq!(tree.len() % BLOCK_ROWS, 1, "the tail block has free lanes");
-        tree.verify_invariants().expect("free lanes are NaN");
-        let (n, lay) = (tree.len(), tree.layout());
+        let ds = gaussian(120, 4, &mut Rng::new(5));
+        let mut column = PmTree::column(ds.view());
+        column.insert(&[0.5; 4], 1_000);
+        assert_eq!(
+            column.len() % BLOCK_ROWS,
+            1,
+            "the tail block has free lanes"
+        );
+        column.verify_invariants().expect("free lanes are NaN");
+        let n = column.len();
         for (lane, j) in [(n, 0), (n + 6, 3)] {
-            let mut bad = tree.clone();
-            bad.points[lane_of(lay.dim, lane) + BLOCK_ROWS * j] = 0.25;
+            let mut bad = column.clone();
+            bad.points[lane_of(4, lane) + BLOCK_ROWS * j] = 0.25;
             let err = bad.verify_structure().unwrap_err();
             assert!(
                 err.contains(&format!(
@@ -1194,27 +1014,32 @@ mod tests {
             );
         }
         // Deleting the tail block's one row gives the block back.
-        let last = *tree.externals.last().unwrap();
-        assert!(tree.delete(last));
-        tree.verify_invariants().expect("the freed lanes are NaN");
-        assert_eq!(tree.points.len(), tree.len() * lay.dim);
+        assert!(column.delete(1_000));
+        column.verify_invariants().expect("the freed lanes are NaN");
+        assert_eq!(column.points.len(), column.len() * 4);
+    }
+
+    /// The depth of the deepest leaf below `node`, counting `node`.
+    fn depth(tree: &PmTree, node: NodeId) -> usize {
+        let entries = &tree.nodes[node as usize];
+        if entries.is_leaf() {
+            return 1;
+        }
+        let below = entries.inners(tree.layout()).map(|e| depth(tree, e.child));
+        1 + below.max().unwrap()
     }
 
     /// A bulk-loaded tree's leaves sit at different depths: here the first
     /// pivot region holds some of five far outliers, one leaf right under
     /// the root, while the large regions grow several levels. `height`
-    /// must report the deepest leaf, not the first child chain.
+    /// must report the deepest leaf, not the first child chain. A column
+    /// has no node, so no height.
     #[test]
     fn height_is_the_depth_of_the_deepest_leaf() {
         let mut rng = Rng::new(37);
-        let mut ds = Dataset::with_capacity(4, 3005);
-        let mut buf = [0.0f32; 4];
-        for row in 0..3005 {
-            rng.fill_normal(&mut buf);
-            if row < 5 {
-                buf.iter_mut().for_each(|x| *x += 100.0);
-            }
-            ds.push(&buf);
+        let mut ds = gaussian(3005, 4, &mut rng);
+        for row in 0..5 {
+            ds.point_mut(row).iter_mut().for_each(|x| *x += 100.0);
         }
         let cfg = PmTreeConfig {
             pivot_sample: ds.len(),
@@ -1225,52 +1050,40 @@ mod tests {
         let first = tree.nodes[tree.root as usize].inner_at(0, lay).child;
         let first = &tree.nodes[first as usize];
         assert!(first.is_leaf() && first.len(lay) <= 5, "outlier region");
-        let deepest = (tree.leaf_of.iter()).map(|&leaf| tree.path_to(leaf).len() + 1);
-        assert_eq!(Some(tree.height()), deepest.max());
+        assert_eq!(tree.height(), depth(&tree, tree.root));
         assert!(tree.height() >= 4, "height {}", tree.height());
+        let column = PmTree::column(ds.view());
+        assert_eq!((column.height(), column.node_count()), (0, 0));
     }
 
-    /// `from_parts` moves the blocks in as they are, so it must refuse —
-    /// not slice-panic on — words that do not have the tree's shape or
-    /// nodes that could not have been built, and must keep every other
-    /// bit, ids that look like NaNs included.
+    /// `from_parts` blocks a column's rows in place, so it must refuse —
+    /// not slice-panic on — rows that do not fit, and must keep every
+    /// other bit, ids that look like NaNs included.
     #[test]
     fn from_parts_rejects_parts_that_do_not_fit_the_blocks() {
-        let mut tree = two_level_tree();
+        let mut column = PmTree::column(gaussian(120, 4, &mut Rng::new(5)).view());
         // External ids whose bits are signalling and quiet NaN patterns.
-        tree.insert(&[0.25; 4], 0x7F80_0001);
-        tree.insert(&[-0.5; 4], 0x7FC0_0001);
-        let good = tree.to_parts();
+        column.insert(&[0.25; 4], 0x7F80_0001);
+        column.insert(&[-0.5; 4], 0x7FC0_0001);
+        assert!(column.delete(17));
+        let good = column.to_parts();
         let twin = PmTree::from_parts(good.clone()).expect("untouched parts load");
-        let bits = |t: &PmTree| t.nodes.iter().map(Node::bits).collect::<Vec<_>>();
-        assert_eq!(bits(&twin), bits(&tree));
-        assert_eq!(twin.externals, tree.externals);
+        assert_eq!(twin.externals, column.externals);
+        assert_eq!(twin.ext_index, column.ext_index);
         let lanes = |t: &PmTree| t.points.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(lanes(&twin), lanes(&tree), "blocked back lane for lane");
+        assert_eq!(lanes(&twin), lanes(&column), "blocked back lane for lane");
+        twin.verify_invariants().expect("a twin is a column");
+        // A bulk-loaded tree exports its rows, and they load as a column.
+        let tree = two_level_tree();
+        let rows = PmTree::from_parts(tree.to_parts()).expect("a tree's rows load");
+        assert_eq!((rows.node_count(), rows.externals), (0, tree.externals));
 
         let rejected = |bad: PmTreeParts, needle: &str| {
             let err = PmTree::from_parts(bad).unwrap_err();
             assert!(err.contains(needle), "{err}");
         };
-        let edit = |at: usize, change: &dyn Fn(&mut RawNode)| {
-            let mut bad = good.clone();
-            change(&mut bad.nodes[at]);
-            bad
-        };
-        let (n, arena, root) = (tree.len(), good.nodes.len(), good.root as usize);
-        let leaf_at = good.nodes.iter().position(|node| node.leaf).unwrap();
-        let inner_at = good.nodes.iter().position(|node| !node.leaf).unwrap();
-        for at in [leaf_at, inner_at] {
-            let ragged = |node: &mut RawNode| {
-                node.words.pop();
-            };
-            rejected(edit(at, &ragged), "not a whole number of");
-            // Read with the other kind's stride (whole entries of one kind
-            // may be whole entries of the other, and then more than a node
-            // holds, so the capacity check may be what fires).
-            assert!(PmTree::from_parts(edit(at, &|node| node.leaf ^= true)).is_err());
-        }
         // The column holds exactly one row of `dim` floats per point.
+        let n = column.len();
         for floats in [n * 4 - 1, n * 4 + 1, n * 4 - 4, 0] {
             let mut bad = good.clone();
             bad.points.resize(floats, 0.5);
@@ -1279,35 +1092,12 @@ mod tests {
                 &format!("point column holds {floats} floats, not {n} rows of 4"),
             );
         }
-        let mut narrow = good.clone();
-        narrow.pivots.pop();
-        narrow.cfg.num_pivots -= 1;
-        rejected(narrow, "not a whole number of");
-        // Word 2 is a leaf entry's `internal` and a routing entry's `child`.
-        rejected(
-            edit(leaf_at, &|node| node.words[2] = f32::from_bits(n as u32)),
-            &format!("leaf row {n} outside the {n} rows"),
-        );
-        rejected(
-            edit(inner_at, &|node| {
-                node.words[2] = f32::from_bits(arena as u32)
-            }),
-            &format!("child {arena} outside the {arena}-node arena"),
-        );
-        for at in [leaf_at, inner_at] {
-            let overfull = |node: &mut RawNode| {
-                let stride = tree.layout().stride(node.leaf);
-                let first = node.words[..stride].to_vec();
-                while node.words.len() <= 16 * stride {
-                    node.words.extend_from_slice(&first);
-                }
-            };
-            rejected(edit(at, &overfull), "entries, capacity is 16");
-        }
-        rejected(
-            edit(root, &|node| node.words.clear()),
-            "inner node with no entries",
-        );
+        let mut twice = good.clone();
+        twice.externals[5] = 0x7FC0_0001;
+        rejected(twice, "external id 2143289345 appears twice");
+        let mut flat = good.clone();
+        flat.dim = 0;
+        rejected(flat, "dimension must be positive");
     }
 
     fn block_words(tree: &PmTree) -> (usize, usize) {
@@ -1319,18 +1109,22 @@ mod tests {
     /// most a quarter more entries than it holds, so the whole arena never
     /// carries more than 25 % of slack — what keeps the index's resident
     /// set where per-entry boxes had it. The `points` column follows the
-    /// same rule row by row, and a build reserves it exactly. Copies carry
-    /// no slack.
+    /// same rule row by row, growing and shrinking, and a build reserves it
+    /// exactly. Copies carry no slack.
     #[test]
     fn blocks_carry_at_most_a_quarter_of_slack() {
         let mut rng = Rng::new(31);
-        let mut ds = Dataset::with_capacity(15, 5000);
-        let mut buf = [0.0f32; 15];
-        for _ in 0..5000 {
-            rng.fill_normal(&mut buf);
-            ds.push(&buf);
-        }
+        let ds = gaussian(5000, 15, &mut rng);
         let first = MatrixView::new(&ds.as_flat()[..3000 * 15], 15);
+        let check_points = |tree: &PmTree, when: &str| {
+            let (len, capacity) = (tree.points.len(), tree.points.capacity());
+            assert_eq!(len, blocks_for(tree.len()) * BLOCK_ROWS * 15, "{when}");
+            assert!(
+                capacity * 4 <= len * 5,
+                "{when}: room for {capacity} floats of points, {len} held"
+            );
+            assert_eq!(tree.clone().points.capacity(), len, "{when}");
+        };
         let check = |tree: &PmTree, when: &str| {
             let (len, capacity) = block_words(tree);
             assert!(len >= tree.len() * tree.layout().stride(true), "{when}");
@@ -1339,13 +1133,7 @@ mod tests {
                 "{when}: {capacity} words for {len}"
             );
             assert_eq!(block_words(&tree.clone()), (len, len), "{when}");
-            let (len, capacity) = (tree.points.len(), tree.points.capacity());
-            assert_eq!(len, blocks_for(tree.len()) * BLOCK_ROWS * 15, "{when}");
-            assert!(
-                capacity * 4 <= len * 5,
-                "{when}: room for {capacity} floats of points, {len} held"
-            );
-            assert_eq!(tree.clone().points.capacity(), len, "{when}");
+            check_points(tree, when);
         };
         let mut tree = PmTree::build(first, PmTreeConfig::default(), &mut rng);
         check(&tree, "after build");
@@ -1359,114 +1147,87 @@ mod tests {
             grown.insert(p, row as PointId);
         }
         check(&grown, "after insertion");
-        let mut live: Vec<PointId> = (0..3000).collect();
         for next in 3000..5000 {
             tree.insert(ds.point(next), next as PointId);
+        }
+        check(&tree, "after growth");
+
+        let mut column = PmTree::column(first);
+        assert_eq!(column.points.capacity(), 3000 * 15, "a column is exact");
+        let mut live: Vec<PointId> = (0..3000).collect();
+        for next in 3000..5000 {
+            column.insert(ds.point(next), next as PointId);
             live.push(next as PointId);
             for _ in 0..rng.below(3) {
                 let victim = live.swap_remove(rng.below(live.len()));
-                assert!(tree.delete(victim));
+                assert!(column.delete(victim));
             }
         }
-        // Scattered deletions seldom empty a leaf; emptying one frees it.
-        let leaf = &tree.nodes[tree.leaf_of[0] as usize];
-        for victim in leaf
-            .leaves(tree.layout())
-            .map(|e| e.external)
-            .collect::<Vec<_>>()
-        {
-            assert!(tree.delete(victim));
-        }
-        assert!(!tree.free_nodes.is_empty() && tree.len() > 2000);
-        check(&tree, "after churn");
-        // Emptying most of the tree gives the column's room back as it goes.
+        check_points(&column, "after churn");
+        // Emptying most of the column gives its room back as it goes.
         for victim in live.drain(..).skip(200) {
-            if tree.contains_external(victim) {
-                assert!(tree.delete(victim));
-                if tree.len().is_multiple_of(97) {
-                    check(&tree, "while shrinking");
-                }
+            assert!(column.delete(victim));
+            if column.len().is_multiple_of(97) {
+                check_points(&column, "while shrinking");
             }
         }
-        check(&tree, "after shrinking");
-        let twin = PmTree::from_parts(tree.to_parts()).expect("round trip");
-        assert_eq!(block_words(&twin).0, block_words(&twin).1);
+        check_points(&column, "after shrinking");
+        let twin = PmTree::from_parts(column.to_parts()).expect("round trip");
         assert_eq!(twin.points.capacity(), twin.points.len());
     }
 
     /// Every live external's row of `points` is the point it was inserted
-    /// with, and the tree's invariants hold (the free lanes of the tail
+    /// with, and the column's invariants hold (the free lanes of the tail
     /// block among them).
-    fn assert_rows_hold_their_points(tree: &PmTree, inserted: &Dataset, when: &str) {
-        tree.check_invariants();
-        let blocks = blocks_for(tree.len());
+    fn assert_rows_hold_their_points(column: &PmTree, inserted: &Dataset, when: &str) {
+        column.check_invariants();
+        let blocks = blocks_for(column.len());
         assert_eq!(
-            tree.points.len(),
-            blocks * BLOCK_ROWS * tree.dim(),
+            column.points.len(),
+            blocks * BLOCK_ROWS * column.dim(),
             "{when}"
         );
-        for (internal, &external) in tree.externals.iter().enumerate() {
-            let got = tree.point(internal as u32);
+        for (internal, &external) in column.externals.iter().enumerate() {
+            let got = column.point(internal as u32);
             assert_eq!(got, inserted.point(external as usize), "{when}: {external}");
         }
     }
 
     /// A delete frees a row in the middle of `points`; the last row moves
-    /// into it, with its external and leaf entry renumbered. Deleting a
-    /// middle row, the last row, and a leaf's only entry (which prunes the
-    /// leaf) each leave every live point at its own row — a `compact_rows`
-    /// that renumbered the maps but left the row behind fails here.
+    /// into it, with its external renumbered. Deleting a middle row, the
+    /// last row and the first each leave every live point at its own row —
+    /// a delete that renumbered the map but left the row behind fails here.
     #[test]
     fn deleting_moves_the_last_row_into_the_hole() {
-        let mut rng = Rng::new(81);
-        let mut ds = Dataset::with_capacity(4, 400);
-        let mut buf = [0.0f32; 4];
-        for _ in 0..400 {
-            rng.fill_normal(&mut buf);
-            ds.push(&buf);
-        }
-        let mut tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
-        assert_rows_hold_their_points(&tree, &ds, "built");
+        let ds = gaussian(400, 4, &mut Rng::new(81));
+        let mut column = PmTree::column(ds.view());
+        assert_rows_hold_their_points(&column, &ds, "built");
 
-        let hole = tree.len() / 2;
-        let middle = tree.externals[hole];
-        let last = *tree.externals.last().unwrap();
-        assert!(tree.delete(middle));
-        assert_eq!(tree.externals[hole], last, "the last row took the hole");
-        assert_rows_hold_their_points(&tree, &ds, "middle row deleted");
+        let hole = column.len() / 2;
+        let middle = column.externals[hole];
+        let last = *column.externals.last().unwrap();
+        assert!(column.delete(middle));
+        assert_eq!(column.externals[hole], last, "the last row took the hole");
+        assert_rows_hold_their_points(&column, &ds, "middle row deleted");
 
-        let last = *tree.externals.last().unwrap();
-        assert!(tree.delete(last));
-        assert_rows_hold_their_points(&tree, &ds, "last row deleted");
+        let last = *column.externals.last().unwrap();
+        assert!(column.delete(last));
+        assert_rows_hold_their_points(&column, &ds, "last row deleted");
 
-        // Bring a leaf down to one entry, then delete that entry: the leaf
-        // is pruned and the last row moves into the freed one.
-        let leaf = tree.leaf_of[0];
-        let lay = tree.layout();
-        let held: Vec<PointId> = tree.nodes[leaf as usize]
-            .leaves(lay)
-            .map(|e| e.external)
-            .collect();
-        for &victim in &held[1..] {
-            assert!(tree.delete(victim));
-        }
-        assert_rows_hold_their_points(&tree, &ds, "leaf down to one entry");
-        let arena_free = tree.free_nodes.len();
-        let only = held[0];
-        assert_ne!(
-            tree.externals.last(),
-            Some(&only),
-            "the hole is not the last row"
-        );
-        assert!(tree.delete(only));
-        assert!(
-            tree.free_nodes.len() > arena_free,
-            "the emptied leaf was pruned"
-        );
-        assert_rows_hold_their_points(&tree, &ds, "a leaf's only entry deleted");
+        let first = column.externals[0];
+        assert!(column.delete(first));
+        assert!(!column.delete(first), "a deleted id is gone");
+        assert_rows_hold_their_points(&column, &ds, "first row deleted");
 
-        // The same through a snapshot of the churned tree.
-        let twin = PmTree::from_parts(tree.to_parts()).expect("round trip");
+        // The same through a snapshot of the churned column.
+        let twin = PmTree::from_parts(column.to_parts()).expect("round trip");
         assert_rows_hold_their_points(&twin, &ds, "round trip");
+    }
+
+    /// A bulk-loaded tree's leaf entries name rows, so it cannot move one.
+    #[test]
+    #[should_panic(expected = "only a column deletes")]
+    fn a_bulk_loaded_tree_does_not_delete() {
+        two_level_tree().delete(3);
     }
 }

@@ -1,18 +1,19 @@
-//! Model-based mutation tests: a PM-tree under random interleaved
+//! Model-based mutation tests: a column — the mutable kind of `PmTree`,
+//! the one `pm-lsh-core` serves — under random interleaved
 //! insert/delete/query sequences must agree with a naive linear-scan
 //! model *exactly* — same k-NN ids, same distances — and satisfy every
 //! structural invariant after every single mutation.
 //!
-//! The PM-tree is an exact index over the projected space (the LSH
+//! A column is an exact index over the projected space (the LSH
 //! approximation lives a layer up, in `pm-lsh-core`), so "agrees with a
 //! linear scan" is a hard equality here, not a recall target. Distances
-//! are compared bit-for-bit: the tree measures every projected distance
+//! are compared bit-for-bit: the column measures every projected distance
 //! in the portable scalar kernel's order on every CPU, and so does the
 //! model, on the same `f32` data.
 
 use pm_lsh_metric::simd::kernels;
 use pm_lsh_metric::{Dataset, PointId, SimdLevel};
-use pm_lsh_pmtree::{PmTree, PmTreeConfig};
+use pm_lsh_pmtree::PmTree;
 use pm_lsh_stats::Rng;
 use proptest::prelude::*;
 
@@ -61,14 +62,9 @@ fn run_episode(dim: usize, seed: u64, ops: usize) -> usize {
         rng.fill_normal(&mut buf);
         ds.push(&buf);
     }
-    // Small nodes and few pivots force frequent splits, prunes and root
-    // collapses — the interesting structural churn.
-    let cfg = PmTreeConfig {
-        capacity: 6,
-        num_pivots: 3,
-        pivot_sample: 64,
-    };
-    let mut tree = PmTree::build(ds.view(), cfg, &mut rng);
+    // Fifty rows leave the tail block two free lanes: inserts open blocks
+    // and deletes give them back from the first ops on.
+    let mut tree = PmTree::column(ds.view());
     let mut model: Vec<(PointId, Vec<f32>)> = ds
         .iter()
         .enumerate()
@@ -122,10 +118,10 @@ proptest! {
 }
 
 /// The batch write path a layer up applies a whole group of mutations
-/// between audits. Model that here: one tree takes random mutation
+/// between audits. Model that here: one column takes random mutation
 /// groups of width 1..=16 with no checks in between, a twin applies the
 /// identical ops one at a time with invariants checked after every op,
-/// and each group boundary is a checkpoint — both trees must satisfy
+/// and each group boundary is a checkpoint — both columns must satisfy
 /// the structural invariants and answer k-NN bit-identically to each
 /// other and to the linear-scan model. Deferring the audit must not
 /// defer correctness.
@@ -140,14 +136,8 @@ fn grouped_mutations_agree_with_per_op_twin_at_checkpoints() {
         rng.fill_normal(&mut buf);
         ds.push(&buf);
     }
-    let cfg = PmTreeConfig {
-        capacity: 6,
-        num_pivots: 3,
-        pivot_sample: 64,
-    };
-    // Identical seeds -> identical pivot choices -> identical trees.
-    let mut grouped = PmTree::build(ds.view(), cfg, &mut Rng::new(0x5EED));
-    let mut twin = PmTree::build(ds.view(), cfg, &mut Rng::new(0x5EED));
+    let mut grouped = PmTree::column(ds.view());
+    let mut twin = PmTree::column(ds.view());
     let mut model: Vec<(PointId, Vec<f32>)> = ds
         .iter()
         .enumerate()
@@ -159,7 +149,7 @@ fn grouped_mutations_agree_with_per_op_twin_at_checkpoints() {
         let width = 1 + rng.below(16);
         // Plan the group against the model so in-group dependencies
         // (delete an id the model says is gone) never arise — the engine
-        // layer owns per-op failure semantics; the tree contract is that
+        // layer owns per-op failure semantics; the column's contract is that
         // every op here is valid.
         let mut inserts: Vec<(PointId, Vec<f32>)> = Vec::new();
         let mut deletes: Vec<PointId> = Vec::new();
@@ -178,7 +168,7 @@ fn grouped_mutations_agree_with_per_op_twin_at_checkpoints() {
             }
         }
 
-        // The grouped tree takes the whole width with no audits between.
+        // The grouped column takes the whole width with no audits between.
         let (mut ins_it, mut del_it) = (inserts.iter(), deletes.iter());
         for op in &ops {
             match op {
@@ -208,7 +198,7 @@ fn grouped_mutations_agree_with_per_op_twin_at_checkpoints() {
             twin.check_invariants();
         }
 
-        // Checkpoint: the deferred-audit tree has nothing to hide.
+        // Checkpoint: the deferred-audit column has nothing to hide.
         grouped.check_invariants();
         assert_eq!(grouped.len(), model.len(), "round {round}: live count");
         assert_eq!(grouped.len(), twin.len());
@@ -217,7 +207,7 @@ fn grouped_mutations_agree_with_per_op_twin_at_checkpoints() {
         assert_eq!(
             normalized(grouped.knn(&buf, k)),
             normalized(twin.knn(&buf, k)),
-            "round {round}: grouped tree diverged from per-op twin"
+            "round {round}: grouped column diverged from per-op twin"
         );
         assert_tree_matches_model(
             &grouped,
@@ -238,7 +228,7 @@ fn delete_unknown_and_already_deleted_ids_are_rejected() {
         rng.fill_normal(&mut buf);
         ds.push(&buf);
     }
-    let mut tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
+    let mut tree = PmTree::column(ds.view());
     assert!(!tree.delete(999), "never-indexed id must not delete");
     assert!(tree.delete(12));
     assert!(!tree.delete(12), "double delete must report false");
@@ -256,15 +246,10 @@ fn drain_to_empty_then_regrow() {
         rng.fill_normal(&mut buf);
         ds.push(&buf);
     }
-    let cfg = PmTreeConfig {
-        capacity: 4,
-        num_pivots: 2,
-        pivot_sample: 32,
-    };
-    let mut tree = PmTree::build(ds.view(), cfg, &mut rng);
+    let mut tree = PmTree::column(ds.view());
 
-    // Delete every point in a shuffled order; the tree must stay
-    // consistent through every prune and end genuinely empty.
+    // Delete every point in a shuffled order; the column must stay
+    // consistent through every row move and end genuinely empty.
     let mut order: Vec<PointId> = (0..80).collect();
     rng.shuffle(&mut order);
     for (i, id) in order.iter().enumerate() {
@@ -275,18 +260,13 @@ fn drain_to_empty_then_regrow() {
     assert!(tree.is_empty());
     assert!(tree.knn(&vec![0.0; dim], 3).is_empty());
 
-    // A drained tree accepts new points (reusing freed arena slots).
-    let nodes_when_empty = tree.node_count();
+    // A drained column accepts new points, and stays a column.
     for id in 0..40u32 {
         rng.fill_normal(&mut buf);
         tree.insert(&buf, 1000 + id);
         tree.check_invariants();
     }
-    assert_eq!(tree.len(), 40);
-    assert!(
-        tree.node_count() <= nodes_when_empty.max(1) + 40,
-        "regrowth must reuse freed arena slots, not leak them"
-    );
+    assert_eq!((tree.len(), tree.node_count(), tree.height()), (40, 0, 0));
     let hits = tree.knn(&buf, 1);
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].1, 0.0, "the just-inserted point is its own NN");
@@ -304,7 +284,7 @@ fn deletions_preserve_radius_enlargement_semantics() {
         rng.fill_normal(&mut buf);
         ds.push(&buf);
     }
-    let mut tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut rng);
+    let mut tree = PmTree::column(ds.view());
     for id in (0..200).step_by(3) {
         assert!(tree.delete(id));
     }

@@ -2,7 +2,7 @@
 //! the Audio smoke dataset.
 //!
 //! One routine serves `query`, `query_into`, `query_fanout_into` and
-//! `query_bc`: it sweeps the PM-tree's projected column, takes each round
+//! `query_bc`: it sweeps the index's projected column, takes each round
 //! of the range query `B(q', t·r)` as a set (the budget cut keeps the first
 //! `budget − verified` by `(projected dist, id)`), verifies the set with
 //! early-abandoning squared-distance kernels over a reused `QueryContext`

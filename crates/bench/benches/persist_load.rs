@@ -25,15 +25,17 @@
 //! load took 0.79–0.94 ms, about a third of that. Bench and Full loads,
 //! and Trevi's at every scale, are printed, not gated.
 //!
-//! Measured since, same box and pinning, best of 7 per run, two or three
+//! Measured since the load became one streaming pass (each byte read
+//! once through a 1 MiB buffer, checksummed while in cache, decoded
+//! straight into the index), same box and pinning, best of 7 per run, two
 //! runs: Audio at Smoke (n = 2 000, 1.98 MiB snapshot) rebuilds in
-//! 3.6–3.8 ms and loads in 0.8 ms, so the ratio a rebuild gives is 4.3–4.7x
-//! and the former gate would fail on every run. At Bench (n = 54 000,
-//! 43 MiB) Audio rebuilds in 64–82 ms (364–369 ms with the bulk load) and
-//! loads in 72–73 ms (72–78 ms before). Trevi, whose build is mostly the
-//! ECDF's 50 000 pairs at d = 4096, rebuilds in 76–81 ms and loads in
-//! 5.4–6.1 ms at Smoke (13 MiB), and in 0.38–0.42 s against 0.28–0.32 s at
-//! Bench (189 MiB), both paths dominated there by reading the raw rows.
+//! 6.1–6.2 ms and loads in 0.9 ms, as the four-pass load did in a parent
+//! run beside them, so the gate keeps about 1.6 ms of headroom. At Bench
+//! (n = 54 000, 43 MiB) Audio rebuilds in 84–89 ms and loads in 38–40 ms
+//! (80 ms for the four-pass load). Trevi, whose build is mostly the ECDF's
+//! 50 000 pairs at d = 4096, rebuilds in 86–87 ms and loads in 4.9–5.5 ms
+//! at Smoke (13 MiB; 6.9 ms four-pass), and rebuilds in 0.43–0.44 s
+//! against a 0.15–0.16 s load at Bench (189 MiB; 0.32 s four-pass).
 //!
 //! Knobs: `PMLSH_SCALE` (smoke|bench|full), `PMLSH_QUERIES`,
 //! `PMLSH_FORCE_SCALAR=1` (pin the scalar kernels).

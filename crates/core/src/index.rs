@@ -193,7 +193,9 @@ pub struct PmLsh {
     tree: PmTree,
     params: PmLshParams,
     derived: DerivedParams,
-    dist_f: Ecdf,
+    /// Shared, not copied, by every copy-on-write publication: nothing
+    /// after a build changes it.
+    dist_f: Arc<Ecdf>,
 }
 
 impl PmLsh {
@@ -298,7 +300,7 @@ impl PmLsh {
             tree,
             params,
             derived,
-            dist_f,
+            dist_f: Arc::new(dist_f),
         }
     }
 
@@ -534,8 +536,9 @@ impl PmLsh {
         projector: GaussianProjector,
         tree: PmTree,
         params: PmLshParams,
-        dist_f: Ecdf,
+        dist_f: impl Into<Arc<Ecdf>>,
     ) -> Result<Self, String> {
+        let dist_f = dist_f.into();
         if data.is_empty() {
             return Err("cannot index an empty dataset".into());
         }

@@ -3,9 +3,12 @@
 //! because the workspace is dependency-free by design; the tables are built
 //! at compile time.
 //!
-//! Snapshot loading checksums every byte of the file twice (once for the
-//! whole-file CRC, once per section), so this is the hot loop of a restore
-//! and it is dispatched like the distance kernels in `pm-lsh-metric`:
+//! Snapshot loading checksums every byte of the file once, as it streams
+//! past: each piece (a section's payload, or the framing between two) gets
+//! its own CRC, and `crc32_combine` folds the pieces' CRCs into the
+//! whole-file CRC without reading a byte again. The kernel is the hot loop
+//! of a restore, so it is dispatched like the distance kernels in
+//! `pm-lsh-metric`:
 //!
 //! * **portable** — a slice-by-8 table kernel (eight 256-entry tables,
 //!   one 64-bit load per step) — roughly an order of magnitude faster
@@ -268,9 +271,72 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
+// ---------------------------------------------------------------------------
+// Combining: CRC(a ++ b) from CRC(a), CRC(b) and |b| (zlib's GF(2) shift).
+// ---------------------------------------------------------------------------
+
+/// `a·b mod P` over GF(2), both operands in the reflected bit order. `a`
+/// must be nonzero, or the loop never ends; every caller passes a power of
+/// `x` mod P, which never is zero.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+/// `X2N[k]` is `x^(2^k) mod P`.
+const fn build_x2n() -> [u32; 32] {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    t[0] = p;
+    let mut k = 1;
+    while k < 32 {
+        p = multmodp(p, p);
+        t[k] = p;
+        k += 1;
+    }
+    t
+}
+
+static X2N: [u32; 32] = build_x2n();
+
+/// `x^(n·2^k) mod P`.
+fn x2nmodp(mut n: u64, mut k: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The CRC-32 of `a ++ b`, given `crc32(a)`, `crc32(b)` and `b.len()`.
+///
+/// It shifts `a`'s remainder past `len_b` zero bytes (`x^(8·len_b)`, one
+/// table product per set bit of `len_b`), so it costs at most 64 products
+/// whatever the length and reads no data: a reader folds its pieces' CRCs
+/// into the whole-file CRC with it instead of checksumming the file again.
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     /// The classic one-byte-at-a-time loop — the reference definition both
     /// production kernels must reproduce bit-for-bit.
@@ -337,5 +403,55 @@ mod tests {
         let base = crc32(&data);
         data[37] ^= 0x04;
         assert_ne!(crc32(&data), base);
+    }
+
+    /// The portable kernel alone, finalized.
+    fn crc32_portable(bytes: &[u8]) -> u32 {
+        update_slice8(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn combine_of_a_split_is_the_whole(
+            words in collection::vec(0u32..256, 0..600),
+            cut in 0usize..600,
+        ) {
+            let bytes: Vec<u8> = words.iter().map(|&w| w as u8).collect();
+            // Random splits, empty sides included (cut 0 and cut past the
+            // end), of lengths that straddle the 64-byte PCLMUL fold width,
+            // with the pieces checksummed by each kernel.
+            let (a, b) = bytes.split_at(cut.min(bytes.len()));
+            for kernel in [crc32 as fn(&[u8]) -> u32, crc32_portable] {
+                prop_assert_eq!(
+                    crc32_combine(kernel(a), kernel(b), b.len() as u64),
+                    crc32_reference(&bytes)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn combine_at_the_fold_width_and_past_it() {
+        let data: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        for len_b in [0usize, 1, 15, 16, 63, 64, 65, 127, 128, 129, 1000, 4000] {
+            for len_a in [0usize, 1, 63, 64, 65, 96] {
+                let (a, b) = (&data[..len_a], &data[len_a..len_a + len_b]);
+                let whole = crc32_reference(&data[..len_a + len_b]);
+                assert_eq!(crc32_combine(crc32(a), crc32(b), len_b as u64), whole);
+                assert_eq!(
+                    crc32_combine(crc32_portable(a), crc32_portable(b), len_b as u64),
+                    whole
+                );
+            }
+        }
+        // Folding many pieces in turn is one pass over their concatenation.
+        let folded = data
+            .chunks(333)
+            .fold(0, |acc, c| crc32_combine(acc, crc32(c), c.len() as u64));
+        assert_eq!(folded, crc32(&data));
     }
 }

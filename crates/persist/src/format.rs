@@ -26,8 +26,28 @@
 //!
 //! The shards of one file must agree on `d`, `m`, `c` and β; a set that
 //! does not is [`PersistError::Corrupt`].
+//!
+//! # One pass
+//!
+//! [`serialize_shards`] and [`deserialize_shards`] run the one writer and
+//! the one reader over memory; `save_shards` and `load_shards` run the same
+//! two over a file. Both stream a bounded chunk at a time, so neither holds
+//! the image: every byte is checksummed once, while it is in cache, into
+//! the CRC of its piece (a section's payload, or the framing between two
+//! payloads), and `crc32_combine` folds the pieces' CRCs into the
+//! whole-file CRC. The reader decodes each payload straight into the vector
+//! the index keeps, after checking its length against the header and
+//! against the bytes left, so nothing is allocated for a length the file
+//! cannot back.
+//!
+//! The reader reports what a read of the whole image before any parse
+//! would. Magic and version fail at once. Every later error is held while
+//! the rest of the input is checksummed, and a whole-file CRC mismatch is
+//! reported in its place. Within a shard, all six sections pass their
+//! CRCs before a header or payload error is reported.
 
 use std::borrow::Borrow;
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use pm_lsh_core::{PmLsh, PmLshParams};
@@ -36,7 +56,7 @@ use pm_lsh_metric::Dataset;
 use pm_lsh_pmtree::{PmTree, PmTreeConfig, PmTreeParts};
 use pm_lsh_stats::{chi2_cdf, chi2_upper_quantile, Ecdf};
 
-use crate::crc::crc32;
+use crate::crc::{crc32_combine, Crc32};
 use crate::PersistError;
 
 /// First 8 bytes of every `.pmlsh` file.
@@ -52,9 +72,42 @@ const SEC_POINTS: u32 = 4;
 const SEC_IDMAPS: u32 = 5;
 const SEC_ECDF: u32 = 6;
 
-const SECTION_ORDER: [u32; 6] = [
-    SEC_HEADER, SEC_PROJ, SEC_DATA, SEC_POINTS, SEC_IDMAPS, SEC_ECDF,
-];
+/// Bytes of the HEADER payload.
+const HEADER_LEN: usize = 105;
+
+/// Bytes a reader pulls from its source per read, and a writer encodes per
+/// write: large enough that a read call's cost vanishes, small enough that
+/// the chunk is still in cache when it is checksummed and decoded.
+const CHUNK: usize = 1 << 20;
+
+/// The whole-file CRC, folded from the CRCs of its consecutive pieces.
+#[derive(Default)]
+struct Fold {
+    piece: Crc32,
+    piece_len: u64,
+    file: u32,
+}
+
+impl Fold {
+    fn update(&mut self, bytes: &[u8]) {
+        self.piece.update(bytes);
+        self.piece_len += bytes.len() as u64;
+    }
+
+    /// Ends the current piece: folds its CRC into the file's and returns it.
+    fn cut(&mut self) -> u32 {
+        let crc = std::mem::take(&mut self.piece).finish();
+        self.file = crc32_combine(self.file, crc, self.piece_len);
+        self.piece_len = 0;
+        crc
+    }
+
+    /// The CRC of every byte so far.
+    fn finish(mut self) -> u32 {
+        self.cut();
+        self.file
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Writing
@@ -72,18 +125,141 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
-    out.reserve(vs.len() * 4);
-    for &v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
+/// The one writer: every byte goes out once, checksummed on the way.
+struct Writer<W> {
+    out: W,
+    fold: Fold,
+}
+
+impl<W: Write> Writer<W> {
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.fold.update(bytes);
+        self.out.write_all(bytes)
+    }
+
+    /// Writes `values` little-endian, a chunk at a time.
+    fn put_all<T: Copy, const N: usize>(
+        &mut self,
+        values: &[T],
+        to_le: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        let mut encoded = Vec::new();
+        for chunk in values.chunks(CHUNK / N) {
+            encoded.resize(chunk.len() * N, 0);
+            for (out, &v) in encoded.chunks_exact_mut(N).zip(chunk) {
+                out.copy_from_slice(&to_le(v));
+            }
+            self.put(&encoded)?;
+        }
+        Ok(())
+    }
+
+    /// Writes one section whose `payload` writes exactly `len` bytes.
+    fn section(
+        &mut self,
+        id: u32,
+        len: u64,
+        payload: impl FnOnce(&mut Self) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.put(&id.to_le_bytes())?;
+        self.put(&len.to_le_bytes())?;
+        self.fold.cut();
+        payload(self)?;
+        assert_eq!(self.fold.piece_len, len, "section {id} length");
+        let crc = self.fold.cut();
+        self.put(&crc.to_le_bytes())
     }
 }
 
-fn put_section(out: &mut Vec<u8>, id: u32, payload: &[u8]) {
-    put_u32(out, id);
-    put_u64(out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    put_u32(out, crc32(payload));
+/// The payload lengths of one index's six sections, in file order.
+fn payload_lens(index: &PmLsh) -> [u64; 6] {
+    let (d, m) = (index.data().dim() as u64, index.params().m as u64);
+    let live = index.tree().len() as u64;
+    let ecdf = index.distance_distribution().len() as u64;
+    [
+        HEADER_LEN as u64,
+        m * d * 4,
+        index.data().len() as u64 * d * 4,
+        live * m * 4,
+        live * 4,
+        ecdf * 8,
+    ]
+}
+
+/// The size of a shard set's image, in bytes.
+fn image_len(shards: &[impl Borrow<PmLsh>]) -> u64 {
+    let frames = 6 * 16;
+    let sections: u64 = (shards.iter())
+        .map(|s| frames + payload_lens(s.borrow()).iter().sum::<u64>())
+        .sum();
+    16 + sections + 4
+}
+
+/// The HEADER payload.
+fn header(index: &PmLsh) -> Vec<u8> {
+    let params = index.params();
+    let mut h = Vec::with_capacity(HEADER_LEN);
+    put_u64(&mut h, index.data().dim() as u64);
+    put_u64(&mut h, index.data().len() as u64);
+    put_u32(&mut h, params.m);
+    put_u32(&mut h, params.tree.num_pivots as u32);
+    put_u64(&mut h, index.tree().len() as u64);
+    put_f64(&mut h, params.c);
+    put_f64(&mut h, params.alpha1);
+    h.push(params.beta_override.is_some() as u8);
+    put_f64(&mut h, params.beta_override.unwrap_or(0.0));
+    put_f64(&mut h, params.rmin_shrink);
+    put_u64(&mut h, params.tree.capacity as u64);
+    put_u64(&mut h, params.tree.pivot_sample as u64);
+    put_u64(&mut h, params.distance_samples as u64);
+    put_u64(&mut h, params.seed);
+    put_u64(&mut h, index.distance_distribution().len() as u64);
+    h
+}
+
+/// Writes one index's six sections.
+fn put_index<W: Write>(w: &mut Writer<W>, index: &PmLsh) -> io::Result<()> {
+    let parts = index.tree().to_parts();
+    let [header_len, proj, data, points, idmaps, ecdf] = payload_lens(index);
+    w.section(SEC_HEADER, header_len, |w| w.put(&header(index)))?;
+    w.section(SEC_PROJ, proj, |w| {
+        w.put_all(index.projector().coeffs_flat(), f32::to_le_bytes)
+    })?;
+    // The base's rows, then each tail chunk's: every row in id order.
+    w.section(SEC_DATA, data, |w| {
+        (index.data().runs()).try_for_each(|run| w.put_all(run, f32::to_le_bytes))
+    })?;
+    w.section(SEC_POINTS, points, |w| {
+        w.put_all(&parts.points, f32::to_le_bytes)
+    })?;
+    w.section(SEC_IDMAPS, idmaps, |w| {
+        w.put_all(&parts.externals, u32::to_le_bytes)
+    })?;
+    w.section(SEC_ECDF, ecdf, |w| {
+        let samples = index.distance_distribution().sorted_samples();
+        w.put_all(samples, f64::to_le_bytes)
+    })
+}
+
+/// Writes a shard set's image to `out`; returns its size in bytes.
+///
+/// # Panics
+/// Panics when `shards` is empty — an index set cannot be empty.
+pub(crate) fn write_shards<W: Write>(out: W, shards: &[impl Borrow<PmLsh>]) -> io::Result<u64> {
+    assert!(!shards.is_empty(), "cannot serialize zero shards");
+    let mut w = Writer {
+        out,
+        fold: Fold::default(),
+    };
+    w.put(&MAGIC)?;
+    w.put(&FORMAT_VERSION.to_le_bytes())?;
+    w.put(&(shards.len() as u32).to_le_bytes())?;
+    for shard in shards {
+        put_index(&mut w, shard.borrow())?;
+    }
+    let file_crc = w.fold.finish();
+    w.out.write_all(&file_crc.to_le_bytes())?;
+    Ok(image_len(shards))
 }
 
 /// Serializes `index` into an in-memory one-shard `.pmlsh` image.
@@ -100,89 +276,16 @@ pub fn serialize(index: &PmLsh) -> Vec<u8> {
 /// # Panics
 /// Panics when `shards` is empty — an index set cannot be empty.
 pub fn serialize_shards(shards: &[impl Borrow<PmLsh>]) -> Vec<u8> {
-    assert!(!shards.is_empty(), "cannot serialize zero shards");
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, shards.len() as u32);
-    for shard in shards {
-        put_index(&mut out, shard.borrow());
-    }
-    let file_crc = crc32(&out);
-    put_u32(&mut out, file_crc);
+    let mut out = Vec::with_capacity(image_len(shards) as usize);
+    write_shards(&mut out, shards).expect("a Vec takes every write");
     out
-}
-
-/// Appends one index's six sections to `out`.
-fn put_index(out: &mut Vec<u8>, index: &PmLsh) {
-    let parts = index.tree().to_parts();
-    let params = index.params();
-    let data = index.data();
-    let ecdf = index.distance_distribution().sorted_samples();
-    let live = parts.externals.len();
-
-    let mut header = Vec::with_capacity(128);
-    put_u64(&mut header, data.dim() as u64);
-    put_u64(&mut header, data.len() as u64);
-    put_u32(&mut header, params.m);
-    put_u32(&mut header, params.tree.num_pivots as u32);
-    put_u64(&mut header, live as u64);
-    put_f64(&mut header, params.c);
-    put_f64(&mut header, params.alpha1);
-    header.push(params.beta_override.is_some() as u8);
-    put_f64(&mut header, params.beta_override.unwrap_or(0.0));
-    put_f64(&mut header, params.rmin_shrink);
-    put_u64(&mut header, params.tree.capacity as u64);
-    put_u64(&mut header, params.tree.pivot_sample as u64);
-    put_u64(&mut header, params.distance_samples as u64);
-    put_u64(&mut header, params.seed);
-    put_u64(&mut header, ecdf.len() as u64);
-
-    let mut proj = Vec::new();
-    put_f32s(&mut proj, index.projector().coeffs_flat());
-
-    // The base's rows, then each tail chunk's: every row in id order.
-    let mut raw = Vec::with_capacity(data.len() * data.dim() * 4);
-    for run in data.runs() {
-        put_f32s(&mut raw, run);
-    }
-
-    let mut points = Vec::new();
-    put_f32s(&mut points, &parts.points);
-
-    let mut idmaps = Vec::with_capacity(live * 4);
-    for &ext in &parts.externals {
-        put_u32(&mut idmaps, ext);
-    }
-
-    let mut ecdf_bytes = Vec::with_capacity(ecdf.len() * 8);
-    for &v in ecdf {
-        put_f64(&mut ecdf_bytes, v);
-    }
-
-    out.reserve_exact(
-        header.len()
-            + proj.len()
-            + raw.len()
-            + points.len()
-            + idmaps.len()
-            + ecdf_bytes.len()
-            + 6 * 16 // section frames
-            + 4, // the file crc, after the last shard
-    );
-    put_section(out, SEC_HEADER, &header);
-    put_section(out, SEC_PROJ, &proj);
-    put_section(out, SEC_DATA, &raw);
-    put_section(out, SEC_POINTS, &points);
-    put_section(out, SEC_IDMAPS, &idmaps);
-    put_section(out, SEC_ECDF, &ecdf_bytes);
 }
 
 // ---------------------------------------------------------------------------
 // Reading
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked cursor over untrusted bytes; every overrun is a
+/// Bounds-checked cursor over the HEADER payload; every overrun is a
 /// [`PersistError::Truncated`], never a slice panic.
 struct ByteReader<'a> {
     buf: &'a [u8],
@@ -354,38 +457,188 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
     })
 }
 
-/// Checks that `payload` holds exactly `count` elements of `elem_size`
-/// bytes, then returns it.
-fn sized_section<'a>(
-    payload: &'a [u8],
-    count: usize,
-    elem_size: usize,
-    what: &str,
-) -> Result<&'a [u8], PersistError> {
-    let want = count
-        .checked_mul(elem_size)
-        .ok_or_else(|| corrupt(format!("{what} size overflows")))?;
-    if payload.len() != want {
-        return Err(corrupt(format!(
-            "{what} section holds {} bytes, header implies {want}",
-            payload.len()
-        )));
-    }
-    Ok(payload)
+/// The one reader, over a source that yields the body of the image and then
+/// its 4-byte file CRC. Every overrun is a [`PersistError::Truncated`],
+/// never a slice panic.
+struct Reader<R> {
+    src: R,
+    buf: Vec<u8>,
+    /// `buf[lo..hi]` is read from `src` and not yet handed out.
+    lo: usize,
+    hi: usize,
+    /// Body bytes not yet handed out, buffered or not.
+    left: u64,
+    fold: Fold,
 }
 
-fn f32s_exact(payload: &[u8], count: usize, what: &str) -> Result<Vec<f32>, PersistError> {
-    let bytes = sized_section(payload, count, 4, what)?;
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-        .collect())
+impl<R: Read> Reader<R> {
+    /// Buffers at least `want` bytes (`want` ≤ the buffer), never reading
+    /// past the body.
+    fn fill(&mut self, want: usize) -> Result<(), PersistError> {
+        if self.hi - self.lo >= want {
+            return Ok(());
+        }
+        self.buf.copy_within(self.lo..self.hi, 0);
+        self.hi -= self.lo;
+        self.lo = 0;
+        while self.hi < want {
+            let unread = self.left - self.hi as u64;
+            let room = unread.min((self.buf.len() - self.hi) as u64) as usize;
+            match self.src.read(&mut self.buf[self.hi..self.hi + room]) {
+                Ok(0) => return Err(PersistError::Truncated),
+                Ok(n) => self.hi += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// Hands out the next `n` buffered bytes, checksummed.
+    fn take(&mut self, n: usize) -> &[u8] {
+        let at = self.lo;
+        self.lo += n;
+        self.left -= n as u64;
+        self.fold.update(&self.buf[at..at + n]);
+        &self.buf[at..at + n]
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        if N as u64 > self.left {
+            return Err(PersistError::Truncated);
+        }
+        self.fill(N)?;
+        Ok(self.take(N).try_into().expect("took N bytes"))
+    }
+
+    fn u32(&mut self) -> Result<u32, PersistError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, PersistError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Hands the next `len` bytes (`len` ≤ what is left, a multiple of
+    /// `each`) to `sink`, a run of whole `each`-byte elements at a time.
+    fn stream(
+        &mut self,
+        mut len: u64,
+        each: usize,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<(), PersistError> {
+        while len > 0 {
+            self.fill(each)?;
+            let n = ((self.hi - self.lo) as u64).min(len) as usize / each * each;
+            sink(self.take(n));
+            len -= n as u64;
+        }
+        Ok(())
+    }
+
+    /// Decodes the next `len` bytes as `N`-byte elements.
+    fn decode<T, const N: usize>(
+        &mut self,
+        len: usize,
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, PersistError> {
+        let mut out = Vec::with_capacity(len / N);
+        self.stream(len as u64, N, |bytes| {
+            let elems = bytes.chunks_exact(N);
+            out.extend(elems.map(|b| from_le(b.try_into().expect("an N-byte chunk"))));
+        })?;
+        Ok(out)
+    }
+
+    /// Reads a section's frame: the id must be `id` and the payload must
+    /// fit in what is left. Returns the payload's length.
+    fn open(&mut self, id: u32) -> Result<usize, PersistError> {
+        let found = self.u32()?;
+        if found != id {
+            return Err(corrupt(format!("expected section {id}, found {found}")));
+        }
+        let len = to_usize(self.u64()?, "section length")?;
+        if len as u64 > self.left {
+            return Err(PersistError::Truncated);
+        }
+        self.fold.cut();
+        Ok(len)
+    }
+
+    /// Ends section `id`'s payload and checks its stored CRC.
+    fn close(&mut self, id: u32) -> Result<(), PersistError> {
+        let crc = self.fold.cut();
+        if self.u32()? != crc {
+            return Err(PersistError::SectionCrc { section: id });
+        }
+        Ok(())
+    }
+
+    /// Reads section `id`, of `count` elements of `N` bytes as the header
+    /// implies, straight into a vector. When an error is already held
+    /// (`count` is `None`, or `held` is set), or the length is not what the
+    /// header implies (held now), the payload is only checksummed.
+    fn section<T, const N: usize>(
+        &mut self,
+        id: u32,
+        count: Option<Result<usize, PersistError>>,
+        what: &str,
+        from_le: impl Fn([u8; N]) -> T,
+        held: &mut Option<PersistError>,
+    ) -> Result<Option<Vec<T>>, PersistError> {
+        let len = self.open(id)?;
+        let want = match count {
+            Some(count) if held.is_none() => {
+                let bytes = count.and_then(|c| {
+                    (c.checked_mul(N)).ok_or_else(|| corrupt(format!("{what} size overflows")))
+                });
+                hold(held, bytes)
+            }
+            _ => None,
+        };
+        let fits = want.and_then(|want| {
+            let fits = if len == want {
+                Ok(len)
+            } else {
+                Err(corrupt(format!(
+                    "{what} section holds {len} bytes, header implies {want}"
+                )))
+            };
+            hold(held, fits)
+        });
+        let out = match fits {
+            Some(len) => Some(self.decode(len, from_le)?),
+            None => {
+                self.stream(len as u64, 1, |_| {})?;
+                None
+            }
+        };
+        self.close(id)?;
+        Ok(out)
+    }
+}
+
+/// `result`'s value, or `None` with its error held unless one already is.
+fn hold<T>(held: &mut Option<PersistError>, result: Result<T, PersistError>) -> Option<T> {
+    match result {
+        Ok(v) => Some(v),
+        Err(e) => {
+            held.get_or_insert(e);
+            None
+        }
+    }
 }
 
 /// Reassembles the [`PmLsh`] of an in-memory one-shard `.pmlsh` image; an
 /// image of more shards is [`PersistError::Corrupt`], naming its count.
 pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
-    <[PmLsh; 1]>::try_from(deserialize_shards(bytes)?)
+    one_index(deserialize_shards(bytes)?)
+}
+
+/// The one index of a one-shard set; a set of more is
+/// [`PersistError::Corrupt`], naming its count.
+pub(crate) fn one_index(set: Vec<PmLsh>) -> Result<PmLsh, PersistError> {
+    <[PmLsh; 1]>::try_from(set)
         .map(|[index]| index)
         .map_err(|set| {
             corrupt(format!(
@@ -397,44 +650,57 @@ pub fn deserialize(bytes: &[u8]) -> Result<PmLsh, PersistError> {
 
 /// Reassembles the shard set of an in-memory `.pmlsh` image, in id order.
 pub fn deserialize_shards(bytes: &[u8]) -> Result<Vec<PmLsh>, PersistError> {
-    if bytes.len() < MAGIC.len() {
+    read_shards(bytes, bytes.len() as u64)
+}
+
+/// Reassembles the shard set of the `total`-byte image `src` yields, in one
+/// pass over it.
+pub(crate) fn read_shards(mut src: impl Read, total: u64) -> Result<Vec<PmLsh>, PersistError> {
+    let mut head = [0u8; 12];
+    let got = total.min(12) as usize;
+    read_exact(&mut src, &mut head[..got])?;
+    if total < MAGIC.len() as u64 {
         return Err(PersistError::Truncated);
     }
-    if bytes[..MAGIC.len()] != MAGIC {
+    if head[..MAGIC.len()] != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    if bytes.len() < MAGIC.len() + 4 {
+    if total < 12 {
         return Err(PersistError::Truncated);
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let version = u32::from_le_bytes(head[8..12].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    if bytes.len() < 16 + 4 {
+    if total < 16 + 4 {
         return Err(PersistError::Truncated);
     }
-    let body_end = bytes.len() - 4;
-    let stored_crc = u32::from_le_bytes(bytes[body_end..].try_into().unwrap());
-    if crc32(&bytes[..body_end]) != stored_crc {
+
+    let body = total - 4;
+    let mut r = Reader {
+        src,
+        buf: vec![0; body.min(CHUNK as u64) as usize],
+        lo: 0,
+        hi: 0,
+        left: body - 12,
+        fold: Fold::default(),
+    };
+    r.fold.update(&head);
+    let parsed = read_body(&mut r);
+    if let Err(PersistError::Io(e)) = parsed {
+        return Err(PersistError::Io(e));
+    }
+    // What the parse left, the file CRC still covers; a mismatch there is
+    // reported before any error the parse found.
+    let left = r.left;
+    r.stream(left, 1, |_| {})?;
+    let mut stored = [0u8; 4];
+    read_exact(&mut r.src, &mut stored)?;
+    if u32::from_le_bytes(stored) != r.fold.finish() {
         return Err(PersistError::FileCrc);
     }
+    let shards = parsed?;
 
-    let mut r = ByteReader::new(&bytes[12..body_end]);
-    let count = r.u32()?;
-    if count == 0 {
-        return Err(PersistError::EmptyIndex);
-    }
-    // No capacity from the count: a hostile one fails as `Truncated` once
-    // the sections run out, before it reserves anything.
-    let mut shards = Vec::new();
-    for _ in 0..count {
-        shards.push(read_index(&mut r)?);
-    }
-    if r.remaining() != 0 {
-        return Err(corrupt(format!(
-            "trailing bytes after the last of {count} shards"
-        )));
-    }
     // A sharded engine reads these from shard 0 and applies them to all.
     let shape = |i: &PmLsh| (i.data().dim(), i.params().m, i.params().c, i.derived().beta);
     if let Some(s) = (1..shards.len()).find(|&s| shape(&shards[s]) != shape(&shards[0])) {
@@ -447,58 +713,109 @@ pub fn deserialize_shards(bytes: &[u8]) -> Result<Vec<PmLsh>, PersistError> {
     Ok(shards)
 }
 
-/// Reads one index's six sections from `r` and reassembles it.
-fn read_index(r: &mut ByteReader<'_>) -> Result<PmLsh, PersistError> {
-    let mut sections: [&[u8]; 6] = [&[]; 6];
-    for (slot, &expected_id) in sections.iter_mut().zip(&SECTION_ORDER) {
-        let id = r.u32()?;
-        if id != expected_id {
-            return Err(corrupt(format!(
-                "expected section {expected_id}, found {id}"
-            )));
-        }
-        let len = to_usize(r.u64()?, "section length")?;
-        let payload = r.take(len)?;
-        let declared = r.u32()?;
-        if crc32(payload) != declared {
-            return Err(PersistError::SectionCrc { section: id });
-        }
-        *slot = payload;
+/// `src.read_exact(buf)`; a source that ends early is [`PersistError::Truncated`].
+fn read_exact(src: &mut impl Read, buf: &mut [u8]) -> Result<(), PersistError> {
+    src.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => PersistError::Truncated,
+        _ => e.into(),
+    })
+}
+
+/// Parses the body: the shard count, then each shard.
+fn read_body<R: Read>(r: &mut Reader<R>) -> Result<Vec<PmLsh>, PersistError> {
+    let count = r.u32()?;
+    if count == 0 {
+        return Err(PersistError::EmptyIndex);
     }
-
-    let h = parse_header(sections[0])?;
-
-    let coeffs = f32s_exact(sections[1], counted(h.m, h.d)?, "projection matrix")?;
-    let raw = f32s_exact(sections[2], counted(h.n_rows, h.d)?, "point store")?;
-    let points = f32s_exact(sections[3], counted(h.live, h.m)?, "projected points")?;
-    let idmaps = sized_section(sections[4], h.live, 4, "id maps")?;
-    let externals = (idmaps.chunks_exact(4))
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-
-    let ecdf_bytes = sized_section(sections[5], h.ecdf_len, 8, "distance distribution")?;
-    let mut ecdf_samples = Vec::with_capacity(h.ecdf_len);
-    {
-        let mut r = ByteReader::new(ecdf_bytes);
-        for _ in 0..h.ecdf_len {
-            let v = r.f64()?;
-            if v.is_nan() {
-                return Err(corrupt("NaN in distance distribution"));
-            }
-            ecdf_samples.push(v);
-        }
+    // No capacity from the count: a hostile one fails as `Truncated` once
+    // the sections run out, before it reserves anything.
+    let mut shards = Vec::new();
+    for _ in 0..count {
+        shards.push(read_index(r)?);
     }
+    if r.left != 0 {
+        return Err(corrupt(format!(
+            "trailing bytes after the last of {count} shards"
+        )));
+    }
+    Ok(shards)
+}
 
+/// Reads one index's six sections and reassembles it.
+///
+/// A header or payload error is held until all six sections have passed
+/// their CRCs, and the first one held is reported; a held error leaves the
+/// sections after it checksummed but not decoded.
+fn read_index<R: Read>(r: &mut Reader<R>) -> Result<PmLsh, PersistError> {
+    let mut held = None;
+    let len = r.open(SEC_HEADER)?;
+    let header = if len <= HEADER_LEN {
+        parse_header(&r.decode(len, u8::from_le_bytes)?)
+    } else {
+        r.stream(len as u64, 1, |_| {})?;
+        Err(corrupt("trailing bytes in header"))
+    };
+    r.close(SEC_HEADER)?;
+    let h = hold(&mut held, header);
+
+    let size = |count: fn(&Header) -> Result<usize, PersistError>| h.as_ref().map(count);
+    let coeffs = r.section(
+        SEC_PROJ,
+        size(|h| counted(h.m, h.d)),
+        "projection matrix",
+        f32::from_le_bytes,
+        &mut held,
+    )?;
+    let raw = r.section(
+        SEC_DATA,
+        size(|h| counted(h.n_rows, h.d)),
+        "point store",
+        f32::from_le_bytes,
+        &mut held,
+    )?;
+    let points = r.section(
+        SEC_POINTS,
+        size(|h| counted(h.live, h.m)),
+        "projected points",
+        f32::from_le_bytes,
+        &mut held,
+    )?;
+    let externals = r.section(
+        SEC_IDMAPS,
+        size(|h| Ok(h.live)),
+        "id maps",
+        u32::from_le_bytes,
+        &mut held,
+    )?;
+    let ecdf = r.section(
+        SEC_ECDF,
+        size(|h| Ok(h.ecdf_len)),
+        "distance distribution",
+        f64::from_le_bytes,
+        &mut held,
+    )?;
+    let ecdf = ecdf.and_then(|samples| {
+        let nan = samples.iter().any(|v| v.is_nan());
+        let checked = if nan {
+            Err(corrupt("NaN in distance distribution"))
+        } else {
+            Ok(samples)
+        };
+        hold(&mut held, checked)
+    });
+
+    let (Some(h), Some(coeffs), Some(raw), Some(points), Some(externals), Some(ecdf)) =
+        (h, coeffs, raw, points, externals, ecdf)
+    else {
+        return Err(held.expect("a section was skipped for an error held"));
+    };
     let tree = PmTree::from_parts(PmTreeParts {
         dim: h.m,
         points,
         externals,
     })
     .map_err(corrupt)?;
-
     let data = Arc::new(Dataset::from_flat(raw, h.d));
     let projector = GaussianProjector::from_flat(coeffs, h.d, h.m);
-    let dist_f = Ecdf::new(ecdf_samples);
-
-    PmLsh::from_parts(data, projector, tree, h.params, dist_f).map_err(corrupt)
+    PmLsh::from_parts(data, projector, tree, h.params, Ecdf::new(ecdf)).map_err(corrupt)
 }

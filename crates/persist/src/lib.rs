@@ -60,7 +60,7 @@
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::io::Write as _;
+use std::io::BufWriter;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -156,7 +156,9 @@ pub fn save(index: &PmLsh, path: impl AsRef<Path>) -> Result<SaveReport, Persist
 
 /// Serializes a shard set, in id order, and atomically writes it to `path`.
 ///
-/// The snapshot is first written to a `.tmp.<pid>.<n>` sibling, `n` unique
+/// The image streams through a buffered writer a chunk at a time (see
+/// [`mod@format`]), so a save never holds it whole. It is first written
+/// to a `.tmp.<pid>.<n>` sibling, `n` unique
 /// to this save within the process, and then renamed into place, so a
 /// crash or failure mid-save never leaves a half-written file — or half of
 /// a shard set — under the target name, and concurrent saves to one path
@@ -170,8 +172,8 @@ pub fn save_shards(
     path: impl AsRef<Path>,
 ) -> Result<SaveReport, PersistError> {
     static SAVES: AtomicU64 = AtomicU64::new(0);
+    assert!(!shards.is_empty(), "cannot save zero shards");
     let path = path.as_ref();
-    let bytes = serialize_shards(shards);
     let tmp = {
         let mut name = path.as_os_str().to_os_string();
         let n = SAVES.fetch_add(1, Ordering::Relaxed);
@@ -179,17 +181,18 @@ pub fn save_shards(
         std::path::PathBuf::from(name)
     };
     let result = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
+        let mut file = BufWriter::new(std::fs::File::create(&tmp)?);
+        let bytes = format::write_shards(&mut file, shards)?;
+        file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok(bytes)
     })();
-    if let Err(e) = result {
+    let bytes = result.map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
-        return Err(PersistError::Io(e));
-    }
+        PersistError::Io(e)
+    })?;
     Ok(SaveReport {
-        bytes: bytes.len() as u64,
+        bytes,
         points: shards.iter().map(|s| s.borrow().len() as u64).sum(),
     })
 }
@@ -197,13 +200,19 @@ pub fn save_shards(
 /// Reads a one-shard `.pmlsh` snapshot from `path` and reassembles the
 /// index (see [`deserialize`]).
 pub fn load(path: impl AsRef<Path>) -> Result<PmLsh, PersistError> {
-    deserialize(&std::fs::read(path)?)
+    format::one_index(load_shards(path)?)
 }
 
 /// Reads a `.pmlsh` snapshot of any shard count from `path` and
 /// reassembles its shards, in id order.
+///
+/// The reader is [`deserialize_shards`]'s, run over the file a chunk at a
+/// time (see [`mod@format`]): the image is never held whole. The file's
+/// length is taken from its metadata when it is opened.
 pub fn load_shards(path: impl AsRef<Path>) -> Result<Vec<PmLsh>, PersistError> {
-    deserialize_shards(&std::fs::read(path)?)
+    let file = std::fs::File::open(path)?;
+    let total = file.metadata()?.len();
+    format::read_shards(file, total)
 }
 
 /// `true` if `path` starts with the `.pmlsh` magic bytes.

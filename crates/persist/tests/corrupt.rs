@@ -2,15 +2,20 @@
 //! to a typed [`PersistError`] — never a panic, never a silently wrong
 //! index. The tamper helpers below re-sign checksums so each test reaches
 //! exactly the validation layer it targets.
+//!
+//! Every case goes through both doors of the one reader, over memory
+//! (`deserialize*`) and over a file (`load*`), and both must give the same
+//! outcome (see [`load_both`]).
 
 use pm_lsh_core::{PmLsh, PmLshParams};
 use pm_lsh_data::{PaperDataset, Scale};
 use pm_lsh_metric::Dataset;
 use pm_lsh_persist::{
-    crc32, deserialize, deserialize_shards, serialize, serialize_shards, PersistError,
-    FORMAT_VERSION, MAGIC,
+    crc32, deserialize, deserialize_shards, load, load_shards, serialize, serialize_shards,
+    PersistError, FORMAT_VERSION, MAGIC,
 };
 use pm_lsh_stats::Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The ids of a shard's six sections, in file order.
 const SECTIONS: [u32; 6] = [1, 2, 3, 4, 5, 6];
@@ -105,13 +110,53 @@ fn resign_file_only(bytes: &mut [u8]) {
     bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Loads `bytes` through both doors, `from_memory(bytes)` and
+/// `from_file(path)` of a file holding them, and requires the same outcome
+/// from each: the same error, message included, or a success of the same
+/// size.
+fn load_both<T>(
+    bytes: &[u8],
+    from_memory: impl Fn(&[u8]) -> Result<T, PersistError>,
+    from_file: impl Fn(&std::path::Path) -> Result<T, PersistError>,
+    size: impl Fn(&T) -> usize,
+) -> Result<T, PersistError> {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let n = FILES.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("pmlsh-corrupt-{}-{n}.pmlsh", std::process::id()));
+    std::fs::write(&path, bytes).expect("write temp snapshot");
+    let from_file = from_file(&path);
+    std::fs::remove_file(&path).expect("remove temp snapshot");
+    let from_memory = from_memory(bytes);
+    let outcome = |r: &Result<T, PersistError>| match r {
+        Ok(t) => format!("Ok({})", size(t)),
+        Err(e) => format!("{e:?}"),
+    };
+    assert_eq!(
+        outcome(&from_memory),
+        outcome(&from_file),
+        "memory and file loads of {} bytes disagree",
+        bytes.len()
+    );
+    from_memory
+}
+
+/// [`deserialize_shards`] and [`load_shards`] of `bytes`, which must agree.
+fn shards_both(bytes: &[u8]) -> Result<Vec<PmLsh>, PersistError> {
+    load_both(bytes, deserialize_shards, |p| load_shards(p), Vec::len)
+}
+
+/// [`deserialize`] and [`load`] of `bytes`, which must agree.
+fn index_both(bytes: &[u8]) -> Result<PmLsh, PersistError> {
+    load_both(bytes, deserialize, |p| load(p), PmLsh::len)
+}
+
 #[test]
 fn truncation_at_every_layer() {
     let good = snapshot();
     // Representative cut points: empty, mid-magic, mid-version, mid-header,
     // mid-payload, and one byte short of complete.
     for cut in [0usize, 5, 10, 40, good.len() / 2, good.len() - 1] {
-        let err = deserialize(&good[..cut]).expect_err("truncated must fail");
+        let err = index_both(&good[..cut]).expect_err("truncated must fail");
         assert!(
             matches!(err, PersistError::Truncated | PersistError::FileCrc),
             "cut at {cut} gave {err:?}"
@@ -120,20 +165,20 @@ fn truncation_at_every_layer() {
     // Cuts that happen before the trailing CRC exists are Truncated
     // specifically, not a checksum complaint.
     assert!(matches!(
-        deserialize(&good[..5]),
+        index_both(&good[..5]),
         Err(PersistError::Truncated)
     ));
-    assert!(matches!(deserialize(&[]), Err(PersistError::Truncated)));
+    assert!(matches!(index_both(&[]), Err(PersistError::Truncated)));
 }
 
 #[test]
 fn wrong_magic() {
     let mut bad = snapshot();
     bad[0] ^= 0xFF;
-    assert!(matches!(deserialize(&bad), Err(PersistError::BadMagic)));
+    assert!(matches!(index_both(&bad), Err(PersistError::BadMagic)));
     // A different file format entirely (say, fvecs) also reports BadMagic.
     let fvecs = [192u32.to_le_bytes().as_slice(), &[0u8; 768]].concat();
-    assert!(matches!(deserialize(&fvecs), Err(PersistError::BadMagic)));
+    assert!(matches!(index_both(&fvecs), Err(PersistError::BadMagic)));
 }
 
 #[test]
@@ -141,7 +186,7 @@ fn future_version_is_rejected() {
     let mut bad = snapshot();
     bad[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
     resign(&mut bad);
-    match deserialize(&bad) {
+    match index_both(&bad) {
         Err(PersistError::UnsupportedVersion(v)) => assert_eq!(v, FORMAT_VERSION + 1),
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
@@ -157,7 +202,7 @@ fn format_1_is_refused_by_its_version() {
         let mut old = good.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         resign(&mut old);
-        let err = deserialize_shards(&old).unwrap_err();
+        let err = shards_both(&old).unwrap_err();
         assert!(
             matches!(err, PersistError::UnsupportedVersion(v) if v == version),
             "{err:?}"
@@ -176,7 +221,7 @@ fn format_4_is_refused_by_its_version() {
     old[8..12].copy_from_slice(&4u32.to_le_bytes());
     resign(&mut old);
     for bytes in [&old[..], &old[..old.len() / 2]] {
-        let err = deserialize_shards(bytes).unwrap_err();
+        let err = shards_both(bytes).unwrap_err();
         assert!(
             matches!(err, PersistError::UnsupportedVersion(4)),
             "{err:?}"
@@ -203,7 +248,7 @@ fn bit_flip_fails_the_file_checksum() {
     ] {
         let mut bad = good.clone();
         bad[pos] ^= 0x10;
-        let err = deserialize(&bad).expect_err("bit flip must fail");
+        let err = index_both(&bad).expect_err("bit flip must fail");
         assert!(
             matches!(err, PersistError::FileCrc),
             "flip at {pos} gave {err:?}"
@@ -220,7 +265,7 @@ fn bit_flip_in_each_section_fails_its_section_checksum() {
         let mut bad = good.clone();
         bad[start + len / 2] ^= 0x01;
         resign_file_only(&mut bad);
-        match deserialize(&bad) {
+        match index_both(&bad) {
             Err(PersistError::SectionCrc { section: s }) => assert_eq!(s, section),
             other => panic!("section {section} flip gave {other:?}"),
         }
@@ -237,13 +282,13 @@ fn dimension_mismatch_is_corrupt_not_panic() {
     let d = u64::from_le_bytes(bad[hdr..hdr + 8].try_into().unwrap());
     bad[hdr..hdr + 8].copy_from_slice(&(d + 1).to_le_bytes());
     resign(&mut bad);
-    assert!(matches!(deserialize(&bad), Err(PersistError::Corrupt(_))));
+    assert!(matches!(index_both(&bad), Err(PersistError::Corrupt(_))));
 
     // Same for the projected dimensionality m (header offset 16).
     let mut bad = good.clone();
     bad[hdr + 16..hdr + 20].copy_from_slice(&7u32.to_le_bytes());
     resign(&mut bad);
-    assert!(matches!(deserialize(&bad), Err(PersistError::Corrupt(_))));
+    assert!(matches!(index_both(&bad), Err(PersistError::Corrupt(_))));
 }
 
 #[test]
@@ -256,7 +301,7 @@ fn zero_point_snapshot_is_empty_index() {
         bad[hdr + offset..hdr + offset + 8].copy_from_slice(&0u64.to_le_bytes());
         resign(&mut bad);
         assert!(
-            matches!(deserialize(&bad), Err(PersistError::EmptyIndex)),
+            matches!(index_both(&bad), Err(PersistError::EmptyIndex)),
             "zeroing header offset {offset} must report EmptyIndex"
         );
     }
@@ -274,7 +319,7 @@ fn hostile_header_values_never_panic() {
             let mut bad = good.clone();
             bad[hdr + off..hdr + off + 4].copy_from_slice(&pattern);
             resign(&mut bad);
-            if let Ok(index) = deserialize(&bad) {
+            if let Ok(index) = index_both(&bad) {
                 index
                     .tree()
                     .verify_invariants()
@@ -288,7 +333,7 @@ fn hostile_header_values_never_panic() {
 fn trailing_garbage_is_rejected() {
     let mut bad = snapshot();
     bad.extend_from_slice(b"extra");
-    let err = deserialize(&bad).expect_err("trailing bytes must fail");
+    let err = index_both(&bad).expect_err("trailing bytes must fail");
     assert!(
         matches!(err, PersistError::FileCrc | PersistError::Corrupt(_)),
         "got {err:?}"
@@ -305,10 +350,7 @@ fn magic_constant_matches_spec() {
 #[test]
 fn zero_shard_count_is_empty_index() {
     let bad = with_shard_count(&two_shards(), 0);
-    assert!(matches!(
-        deserialize_shards(&bad),
-        Err(PersistError::EmptyIndex)
-    ));
+    assert!(matches!(shards_both(&bad), Err(PersistError::EmptyIndex)));
 }
 
 #[test]
@@ -316,12 +358,12 @@ fn shard_count_off_by_one_is_a_typed_error() {
     // A count that disagrees with the shards present never yields a
     // shorter or longer set.
     let good = two_shards();
-    assert_eq!(deserialize_shards(&good).expect("2-shard set").len(), 2);
+    assert_eq!(shards_both(&good).expect("2-shard set").len(), 2);
     assert!(matches!(
-        deserialize_shards(&with_shard_count(&good, 3)),
+        shards_both(&with_shard_count(&good, 3)),
         Err(PersistError::Truncated)
     ));
-    match deserialize_shards(&with_shard_count(&good, 1)) {
+    match shards_both(&with_shard_count(&good, 1)) {
         Err(PersistError::Corrupt(why)) => assert!(why.contains("trailing bytes"), "{why}"),
         other => panic!("expected Corrupt, got {other:?}"),
     }
@@ -334,15 +376,12 @@ fn cut_at_the_shard_boundary_is_a_typed_error() {
     let mut cut = good[..shard_boundary(&good)].to_vec();
     cut.extend_from_slice(&[0; 4]);
     resign(&mut cut);
-    assert!(matches!(
-        deserialize_shards(&cut),
-        Err(PersistError::Truncated)
-    ));
+    assert!(matches!(shards_both(&cut), Err(PersistError::Truncated)));
 }
 
 #[test]
 fn deserialize_of_a_shard_set_names_its_count() {
-    match deserialize(&two_shards()) {
+    match index_both(&two_shards()) {
         Err(PersistError::Corrupt(why)) => assert!(why.contains("2 shards"), "{why}"),
         other => panic!("expected Corrupt, got {:?}", other.map(|i| i.len())),
     }
@@ -352,7 +391,7 @@ fn deserialize_of_a_shard_set_names_its_count() {
 fn shards_that_disagree_are_corrupt() {
     // A sharded engine applies shard 0's d, m, c and beta to every shard.
     let mixed = serialize_shards(&[blob_index(100, 8, 41), blob_index(100, 16, 42)]);
-    match deserialize_shards(&mixed) {
+    match shards_both(&mixed) {
         Err(PersistError::Corrupt(why)) => assert!(why.contains("shard 1"), "{why}"),
         other => panic!("expected Corrupt, got {:?}", other.map(|s| s.len())),
     }
@@ -363,7 +402,7 @@ fn points_section_of_the_wrong_length_is_a_typed_error() {
     // POINTS holds exactly `live·m` floats; one float short or long, or a
     // ragged byte, is refused before any tree is assembled.
     let good = snapshot();
-    let index = deserialize(&good).expect("untouched snapshot loads");
+    let index = index_both(&good).expect("untouched snapshot loads");
     let (live, m) = (index.tree().len(), index.tree().dim());
     let (start, len) = section_bounds(&good, SEC_POINTS);
     assert_eq!(len, live * m * 4, "POINTS is live·m f32");
@@ -376,7 +415,7 @@ fn points_section_of_the_wrong_length_is_a_typed_error() {
         ("one byte short", &points[..len - 1]),
         ("empty", &[][..]),
     ] {
-        match deserialize(&with_payload(&good, SEC_POINTS, payload)) {
+        match index_both(&with_payload(&good, SEC_POINTS, payload)) {
             Err(PersistError::Corrupt(why)) => {
                 assert!(why.contains("projected points"), "{what}: {why}")
             }
@@ -388,7 +427,7 @@ fn points_section_of_the_wrong_length_is_a_typed_error() {
     let mut cut = good.clone();
     cut[start - 8..start].copy_from_slice(&u64::MAX.to_le_bytes());
     resign_file_only(&mut cut);
-    assert!(matches!(deserialize(&cut), Err(PersistError::Truncated)));
+    assert!(matches!(index_both(&cut), Err(PersistError::Truncated)));
 }
 
 #[test]
@@ -396,7 +435,7 @@ fn idmaps_section_that_does_not_fit_is_a_typed_error() {
     // IDMAPS holds exactly `live` external ids, each naming a stored row
     // once; format 4's trailing holding-leaf ids make it twice too long.
     let good = snapshot();
-    let index = deserialize(&good).expect("untouched snapshot loads");
+    let index = index_both(&good).expect("untouched snapshot loads");
     let (live, rows) = (index.len(), index.data().len());
     let (start, len) = section_bounds(&good, SEC_IDMAPS);
     assert_eq!(len, live * 4, "IDMAPS is live u32");
@@ -429,7 +468,7 @@ fn idmaps_section_that_does_not_fit_is_a_typed_error() {
             "outside the",
         ),
     ] {
-        match deserialize(&bytes) {
+        match index_both(&bytes) {
             Err(PersistError::Corrupt(why)) => assert!(why.contains(needle), "{what}: {why}"),
             other => panic!("{what}: expected Corrupt, got {other:?}"),
         }

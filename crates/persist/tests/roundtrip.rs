@@ -186,3 +186,25 @@ fn concurrent_saves_to_one_path_never_collide() {
     assert!(images.contains(&last), "the final file is neither index");
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn save_writes_exactly_the_serialized_image() {
+    // One writer: streaming a shard set to a file and into memory yields
+    // the same bytes, at one shard and at several.
+    let shards: Vec<PmLsh> = (0..3)
+        .map(|k| blob_index(130 + 20 * k, 800 + k as u64))
+        .collect();
+    for set in [&shards[..1], &shards[..]] {
+        let path = temp_path(&format!("image-{}", set.len()));
+        let report = save_shards(set, &path).expect("save");
+        let on_disk = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let image = serialize_shards(set);
+        assert!(
+            on_disk == image,
+            "S = {}: save and serialize differ",
+            set.len()
+        );
+        assert_eq!(report.bytes, image.len() as u64);
+    }
+}

@@ -20,12 +20,15 @@
 //!   in an atomic snapshot cell plus a fixed pool of worker threads
 //!   (`std::thread` + `std::sync::mpsc`, like everything else in the
 //!   workspace: no external dependencies). It mirrors none of the
-//!   serving API.
-//! * [`ShardedEngine::reindex`] rebuilds the index over a new dataset on
-//!   background threads and atomically swaps the snapshots in. Queries
-//!   are never blocked and never fail during a reindex: every request
-//!   pins the current snapshot when it enters the engine (a batch pins
-//!   one snapshot per shard for all its queries), so in-flight work
+//!   serving API: its public surface is [`Engine::new`] and
+//!   [`Engine::index`].
+//! * [`ShardedEngine::reindex`] is the one rebuild: it validates the new
+//!   dataset, claims every shard's rebuild slot, builds the shards on
+//!   the calling thread's scoped threads and swaps each snapshot in —
+//!   all or nothing, so a refused reindex changes nothing. Queries are
+//!   never blocked and never fail during a reindex: every request pins
+//!   the current snapshot when it enters the engine (a batch pins one
+//!   snapshot per shard for all its queries), so in-flight work
 //!   completes on the index it started with while new work sees the new
 //!   one. [`ShardedEngine::info`] reports the snapshot generation
 //!   ([`IndexInfo`]).
@@ -119,11 +122,9 @@ pub use stats::EngineStats;
 use crate::pool::WorkerPool;
 use crate::snapshot::SnapshotCell;
 use crate::stats::StatsCollector;
-use pm_lsh_core::{BuildOptions, MutReject, PmLsh, PmLshParams, QueryResult, QueryStats};
+use pm_lsh_core::{MutReject, PmLsh, QueryResult, QueryStats};
 use pm_lsh_metric::Dataset;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Tuning knobs for an [`Engine`].
 #[derive(Clone, Copy, Debug)]
@@ -260,93 +261,6 @@ impl Engine {
         }
     }
 
-    /// Rebuilds the served index over `data` on a background thread and
-    /// atomically swaps it in, without ever blocking concurrent queries:
-    /// in-flight work finishes on the snapshot it started with, work
-    /// arriving after the swap runs on the new one, and no query can
-    /// observe a half-built index.
-    ///
-    /// Returns immediately with a [`ReindexTicket`]; call
-    /// [`ReindexTicket::wait`] for the completion report (or drop the
-    /// ticket to let the rebuild finish unobserved). Only one reindex may
-    /// run at a time, and the new dataset must keep the served
-    /// dimensionality — connected clients hold protocol state derived
-    /// from `dim`.
-    pub fn begin_reindex(
-        &self,
-        data: impl Into<Arc<Dataset>>,
-        params: PmLshParams,
-        opts: BuildOptions,
-    ) -> Result<ReindexTicket, ReindexError> {
-        let data = data.into();
-        if data.is_empty() {
-            return Err(ReindexError::EmptyDataset);
-        }
-        let served_dim = self.snapshot.load().data().dim();
-        if data.dim() != served_dim {
-            return Err(ReindexError::DimensionMismatch {
-                served: served_dim,
-                offered: data.dim(),
-            });
-        }
-        // A NaN/Inf component would panic deep inside the build (pivot
-        // selection compares distances with `partial_cmp().unwrap()`).
-        // Validate here so a poisoned dataset file is an ERR reply on the
-        // wire, not a dead build thread — the same policy as query
-        // validation, and what keeps `ReindexTicket::wait`'s no-panic
-        // claim true.
-        if validate_points(data.as_flat()).is_err() {
-            return Err(ReindexError::NonFiniteData);
-        }
-        if !self.snapshot.try_begin_rebuild() {
-            return Err(ReindexError::InProgress);
-        }
-        let snapshot = Arc::clone(&self.snapshot);
-        let handle = std::thread::Builder::new()
-            .name("pmlsh-reindex".to_string())
-            .spawn(move || {
-                // Release the rebuild slot even if the build panics, so a
-                // poisoned dataset cannot wedge reindexing forever.
-                struct RebuildSlot(Arc<SnapshotCell>);
-                impl Drop for RebuildSlot {
-                    fn drop(&mut self) {
-                        self.0.end_rebuild();
-                    }
-                }
-                let _slot = RebuildSlot(Arc::clone(&snapshot));
-                let start = Instant::now();
-                let points = data.len();
-                // Phase-boundary progress for INDEXINFO: the build itself
-                // has no per-point instrumentation, so the gauge moves in
-                // coarse steps — 10 entering the build, 90 when the built
-                // index awaits its swap, 100 once serving resumes.
-                snapshot.set_progress(10);
-                let next = Arc::new(PmLsh::build_with_opts(data, params, opts));
-                snapshot.set_progress(90);
-                // The swap itself goes through the writer lock so it can
-                // never interleave inside a mutation's load → patch →
-                // swap sequence (which would silently orphan the
-                // mutation); a rebuild landing *after* a mutation
-                // replaces the dataset wholesale by design.
-                let epoch = {
-                    let _writer = snapshot.begin_write();
-                    snapshot.swap(next)
-                };
-                ReindexReport {
-                    epoch,
-                    points,
-                    build_secs: start.elapsed().as_secs_f64(),
-                }
-            });
-        match handle {
-            Ok(handle) => Ok(ReindexTicket { handle }),
-            Err(_) => {
-                self.snapshot.end_rebuild();
-                Err(ReindexError::SpawnFailed)
-            }
-        }
-    }
-
     /// A point-in-time snapshot of this shard's serving statistics.
     pub(crate) fn stats(&self) -> EngineStats {
         self.stats.snapshot()
@@ -357,7 +271,7 @@ impl Engine {
 /// index stack from this crate — queries (every query form), inserts
 /// routed across shards ([`ShardedEngine::apply`]; a lone shard's are
 /// checked by [`PmLsh::apply_cow`] itself), whole-dataset ingest
-/// ([`Engine::begin_reindex`] and [`read_dataset`]). A NaN/Inf
+/// ([`ShardedEngine::reindex`] and [`read_dataset`]). A NaN/Inf
 /// smuggled past any of these panics deep inside distance kernels or pivot
 /// selection on some worker thread; rejecting here, on the caller's
 /// thread, turns every poisoned input into a typed error (an `ERR` line on
@@ -483,10 +397,12 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Why a reindex could not start.
+/// Why [`ShardedEngine::reindex`] was refused; a refused reindex builds
+/// and swaps nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReindexError {
-    /// Another reindex is still building; retry after it completes.
+    /// Another reindex holds some shard's rebuild slot; retry after it
+    /// completes.
     InProgress,
     /// The offered dataset's dimensionality differs from the served one.
     DimensionMismatch {
@@ -495,12 +411,11 @@ pub enum ReindexError {
         /// Dimensionality of the dataset offered for reindexing.
         offered: usize,
     },
-    /// The offered dataset holds no points (an index cannot be empty).
+    /// The offered dataset holds fewer points than the engine has shards
+    /// (none, at one shard): every shard must stay non-empty.
     EmptyDataset,
     /// The offered dataset contains a NaN or infinite component.
     NonFiniteData,
-    /// The OS refused to spawn the background build thread.
-    SpawnFailed,
 }
 
 impl std::fmt::Display for ReindexError {
@@ -515,7 +430,6 @@ impl std::fmt::Display for ReindexError {
             ReindexError::NonFiniteData => {
                 write!(f, "dataset contains a non-finite (NaN/Inf) component")
             }
-            ReindexError::SpawnFailed => write!(f, "failed to spawn the reindex thread"),
         }
     }
 }
@@ -542,7 +456,7 @@ pub enum MutationError {
     /// Deleting this point would empty the index; a served index is
     /// non-empty by construction (`REINDEX` onto a new dataset instead).
     WouldEmptyIndex,
-    /// A background reindex is building; its swap would silently discard
+    /// A reindex is building this shard; its swap would silently discard
     /// a concurrent mutation, so mutations wait it out.
     ReindexInProgress,
 }
@@ -629,39 +543,13 @@ pub struct MutationReport {
 /// Summary of a completed reindex.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReindexReport {
-    /// The epoch the new snapshot was published as.
+    /// The logical epoch once every shard's new snapshot is published
+    /// (the summed shard epochs, as [`ShardedEngine::epoch`]).
     pub epoch: u64,
     /// Points in the new snapshot.
     pub points: usize,
-    /// Wall-clock build time, up to and including the swap.
+    /// Wall-clock build time, up to and including the last swap.
     pub build_secs: f64,
-}
-
-/// A running background reindex (see [`Engine::begin_reindex`]).
-///
-/// Dropping the ticket detaches the rebuild: it still completes and swaps,
-/// just unobserved.
-#[derive(Debug)]
-pub struct ReindexTicket {
-    handle: JoinHandle<ReindexReport>,
-}
-
-impl ReindexTicket {
-    /// Blocks until the rebuild has swapped its snapshot in.
-    ///
-    /// # Panics
-    /// Propagates a panic from the build thread (a build can only panic on
-    /// arguments [`Engine::begin_reindex`] already validated, so this is a
-    /// bug, not an operational error).
-    pub fn wait(self) -> ReindexReport {
-        self.handle.join().expect("reindex build thread panicked")
-    }
-
-    /// `true` once the background build has finished (swap included);
-    /// [`ReindexTicket::wait`] will not block.
-    pub fn is_done(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 /// A point-in-time description of the served snapshot, as reported by
@@ -678,9 +566,9 @@ pub struct IndexInfo {
     pub c: f64,
     /// Snapshot generation (0 = the index the engine started with).
     pub epoch: u64,
-    /// `true` while a background reindex is building.
+    /// `true` while a reindex is building.
     pub reindexing: bool,
-    /// `"building"` while a background reindex runs, `"serving"` otherwise
+    /// `"building"` while a reindex runs, `"serving"` otherwise
     /// (the same fact as `reindexing`, in the wire protocol's vocabulary).
     pub state: &'static str,
     /// Coarse progress percentage: 100 while serving, the rebuild's
@@ -725,7 +613,6 @@ const _: () = {
     assert_send_sync::<EngineStats>();
     assert_send_sync::<ServerHandle>();
     assert_send_sync::<IndexInfo>();
-    assert_send_sync::<ReindexTicket>();
     assert_send_sync::<Router>();
     assert_send_sync::<ServerConfig>();
     assert_send_sync::<QueryError>();

@@ -1276,11 +1276,12 @@ fn answer_attach(shared: &Shared, name: &str, path: &str) -> Result<String, Stri
     ))
 }
 
-/// `REINDEX <path>` against the connection's current index: loads the
-/// server-side dataset file, rebuilds with that snapshot's parameters on
-/// all cores, and swaps.
+/// `REINDEX <path>` against the connection's current index: reads the
+/// server-side dataset file through [`crate::read_dataset`] (as `ATTACH`
+/// does), rebuilds with that snapshot's parameters on all cores, and
+/// swaps.
 fn answer_reindex(name: &str, engine: &ShardedEngine, path: &str) -> Result<String, String> {
-    let data = pm_lsh_data::read_auto(path, None).map_err(|e| format!("reading {path}: {e}"))?;
+    let data = crate::read_dataset(path)?;
     // Keep the serving parameters; only the dataset changes. The build
     // runs on the op thread, so this connection blocks while every
     // other connection keeps being served.

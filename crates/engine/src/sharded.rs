@@ -79,11 +79,23 @@
 //! the only code that clones, patches and swaps a snapshot;
 //! [`ShardedEngine::insert`] / [`ShardedEngine::delete`] are one-op
 //! batches.
+//!
+//! # One rebuild path
+//!
+//! [`ShardedEngine::build`], [`ShardedEngine::open`] and
+//! [`ShardedEngine::reindex`] build their shards through one private
+//! per-shard build, one scoped thread per shard. A reindex validates the
+//! new dataset once, claims every shard's rebuild slot before it builds
+//! anything, swaps each shard under its writer lock and releases the
+//! slots through a drop guard. Two concurrent reindexes therefore never
+//! leave the shards serving different datasets, and a refused one
+//! changes nothing.
 
 use crate::pool::QueryJob;
+use crate::snapshot::SnapshotCell;
 use crate::{
     panic_for_query_error, try_validate, BatchReport, Engine, EngineConfig, IndexInfo, MutOp,
-    MutationError, MutationReport, QueryError, ReindexError, ReindexReport, ReindexTicket,
+    MutationError, MutationReport, QueryError, ReindexError, ReindexReport,
 };
 use pm_lsh_core::shard::{owner, partition, to_global, to_local};
 use pm_lsh_core::{BuildOptions, PmLsh, PmLshParams, QueryContext, QueryResult, QueryStats};
@@ -132,23 +144,8 @@ impl ShardedEngine {
             "{} points cannot populate {shards} shards",
             data.len()
         );
-        // One OS thread per shard: the builds are independent and
-        // deterministic, so concurrency changes wall-clock only — this is
-        // the "build parallelism beyond the pivot regions" the module
-        // docs promise. `opts` still governs intra-shard threading.
-        let indexes: Vec<PmLsh> = std::thread::scope(|scope| {
-            let handles: Vec<_> = partition(data, shards)
-                .into_iter()
-                .map(|part| {
-                    scope.spawn(move || PmLsh::build_with_opts(Arc::new(part), params, opts))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build panicked"))
-                .collect()
-        });
-        Self::from_indexes(indexes, config)
+        let parts = partition(data, shards).into_iter().map(Arc::new).collect();
+        Self::from_indexes(build_shards(parts, params, opts), config)
     }
 
     /// Opens the file at `path` as a served engine — the one door from a
@@ -170,18 +167,17 @@ impl ShardedEngine {
             return Self::load(path, config).map_err(|e| format!("reading {path}: {e}"));
         }
         let data = crate::read_dataset(path)?;
-        if shards == 1 {
-            // Nothing to partition: the index keeps the dataset uncopied.
-            let index = PmLsh::build_with_opts(Arc::new(data), params, opts);
-            return Ok(Engine::new(index, config).into());
-        }
         if shards == 0 || data.len() < shards {
             return Err(format!(
                 "cannot deal the {} point(s) in {path} into {shards} shard(s)",
                 data.len()
             ));
         }
-        Ok(Self::build(&data, params, opts, shards, config))
+        let parts = deal(Arc::new(data), shards);
+        Ok(Self::from_indexes(
+            build_shards(parts, params, opts),
+            config,
+        ))
     }
 
     /// Wraps pre-built per-shard indexes (a build's, or a snapshot's
@@ -588,16 +584,27 @@ impl ShardedEngine {
     }
 
     /// Rebuilds every shard over a fresh round-robin partition of `data`
-    /// on background threads ([`Engine::begin_reindex`] per shard) and
-    /// returns once every shard has swapped, blocking only the *calling*
-    /// thread. Queries keep flowing throughout: in-flight work finishes
-    /// on the snapshot it started with, and a query that lands mid-swap
-    /// may see a mix of old and new shards for one fan-out (each shard
-    /// swap is individually atomic).
+    /// and swaps the new snapshots in — the one rebuild, all or nothing:
     ///
-    /// `data` must keep the served dimensionality, be finite, and hold at
-    /// least `S` points ([`ReindexError::EmptyDataset`] otherwise — every
-    /// shard must stay non-empty); only one reindex runs at a time.
+    /// 1. `data` must hold at least `S` points
+    ///    ([`ReindexError::EmptyDataset`] otherwise — every shard must stay
+    ///    non-empty), keep the served dimensionality and be finite;
+    /// 2. every shard's rebuild slot is claimed, in shard order — if another
+    ///    reindex holds any of them, the slots claimed so far are released
+    ///    and the call returns [`ReindexError::InProgress`] with nothing
+    ///    built or swapped;
+    /// 3. the shards build on scoped threads, one per shard, through the
+    ///    same per-shard build as [`ShardedEngine::build`] (one shard keeps
+    ///    `data` itself, uncopied);
+    /// 4. each shard's new snapshot is swapped in under its writer lock;
+    /// 5. the slots are released — also when a build panics.
+    ///
+    /// Only the calling thread blocks. Queries keep flowing throughout:
+    /// in-flight work finishes on the snapshot it started with, and a
+    /// query that lands mid-swap may see a mix of old and new shards for
+    /// one fan-out (each shard swap is individually atomic). Mutations
+    /// are refused with [`MutationError::ReindexInProgress`] from the
+    /// claim to the release.
     pub fn reindex(
         &self,
         data: impl Into<Arc<Dataset>>,
@@ -605,13 +612,8 @@ impl ShardedEngine {
         opts: BuildOptions,
     ) -> Result<ReindexReport, ReindexError> {
         let data = data.into();
-        if self.shards.len() == 1 {
-            // Nothing to partition: hand the shared dataset over as is.
-            return Ok(self.shards[0].begin_reindex(data, params, opts)?.wait());
-        }
-        // Validate the whole dataset first so the caller sees the errors
-        // of a one-shard engine, then the shard-count floor.
-        if data.is_empty() || data.len() < self.shards.len() {
+        let shards = self.shards.len();
+        if data.len() < shards {
             return Err(ReindexError::EmptyDataset);
         }
         let served_dim = self.dim();
@@ -621,38 +623,41 @@ impl ShardedEngine {
                 offered: data.dim(),
             });
         }
+        // A NaN/Inf component would panic deep inside the build; refusing
+        // it here makes a poisoned dataset file an ERR reply on the wire.
         if crate::validate_points(data.as_flat()).is_err() {
             return Err(ReindexError::NonFiniteData);
         }
-        let mut tickets: Vec<ReindexTicket> = Vec::with_capacity(self.shards.len());
-        let mut failure: Option<ReindexError> = None;
-        for (shard, part) in self.shards.iter().zip(partition(&data, self.shards.len())) {
-            match shard.begin_reindex(part, params, opts) {
-                Ok(ticket) => tickets.push(ticket),
-                Err(e) => {
-                    // Shards that already started still complete and swap;
-                    // drain them before reporting so the error leaves no
-                    // rebuild running behind the caller's back.
-                    failure = Some(e);
-                    break;
-                }
+        let mut claimed = Claimed(Vec::with_capacity(shards));
+        for shard in &self.shards {
+            if !shard.snapshot.try_begin_rebuild() {
+                return Err(ReindexError::InProgress);
             }
+            claimed.0.push(&shard.snapshot);
         }
-        let mut report = ReindexReport {
-            epoch: 0,
-            points: 0,
-            build_secs: 0.0,
-        };
-        for ticket in tickets {
-            let r = ticket.wait();
-            report.epoch += r.epoch;
-            report.points += r.points;
-            report.build_secs = report.build_secs.max(r.build_secs);
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+        let start = Instant::now();
+        let points = data.len();
+        // Phase-boundary progress for INDEXINFO: the build itself has no
+        // per-point instrumentation, so the gauge moves in coarse steps —
+        // 10 entering the build, 90 when the built shards await their
+        // swaps, 100 once serving resumes.
+        claimed.0.iter().for_each(|cell| cell.set_progress(10));
+        let indexes = build_shards(deal(data, shards), params, opts);
+        claimed.0.iter().for_each(|cell| cell.set_progress(90));
+        // Each swap goes through the shard's writer lock so it can never
+        // interleave inside a mutation's load → patch → swap sequence.
+        let epoch = (claimed.0.iter().zip(indexes))
+            .map(|(cell, index)| {
+                let _writer = cell.begin_write();
+                cell.swap(Arc::new(index))
+            })
+            .sum();
+        drop(claimed);
+        Ok(ReindexReport {
+            epoch,
+            points,
+            build_secs: start.elapsed().as_secs_f64(),
+        })
     }
 
     /// Atomically snapshots the served state to disk as one `.pmlsh`
@@ -692,6 +697,43 @@ impl ShardedEngine {
 /// by construction, so any shard's snapshot supplies it.
 fn pooled_budget(snap: &PmLsh, total: usize, k: usize) -> usize {
     ((snap.derived().beta * total as f64).ceil() as usize + k).min(total)
+}
+
+/// Deals `data` round-robin into `shards` parts; a lone shard keeps the
+/// dataset itself, uncopied.
+fn deal(data: Arc<Dataset>, shards: usize) -> Vec<Arc<Dataset>> {
+    if shards == 1 {
+        return vec![data];
+    }
+    partition(&data, shards).into_iter().map(Arc::new).collect()
+}
+
+/// The one per-shard build behind [`ShardedEngine::build`],
+/// [`ShardedEngine::open`] and [`ShardedEngine::reindex`]: one scoped
+/// thread per part. The builds are independent and deterministic, so the
+/// threads change wall-clock only; `opts` still governs each build's
+/// own threading.
+fn build_shards(parts: Vec<Arc<Dataset>>, params: PmLshParams, opts: BuildOptions) -> Vec<PmLsh> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|part| scope.spawn(move || PmLsh::build_with_opts(part, params, opts)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard build panicked"))
+            .collect()
+    })
+}
+
+/// The rebuild slots one [`ShardedEngine::reindex`] holds, released on
+/// drop — on every return and when a build panics.
+struct Claimed<'a>(Vec<&'a SnapshotCell>);
+
+impl Drop for Claimed<'_> {
+    fn drop(&mut self) {
+        self.0.iter().for_each(|cell| cell.end_rebuild());
+    }
 }
 
 /// What one logical query's caller is finally told.
@@ -1014,6 +1056,33 @@ mod tests {
         assert_eq!(merged.batches, 6);
         assert!((merged.mean_batch - 5.0 / 3.0).abs() < 1e-9);
         assert_eq!(merged.queries, 5);
+    }
+
+    /// A reindex that finds a later shard's slot taken releases the slots
+    /// it already claimed, and builds and swaps nothing.
+    #[test]
+    fn refused_reindex_releases_its_claims_and_changes_nothing() {
+        let sharded = ShardedEngine {
+            shards: vec![tiny_engine(10, 32), tiny_engine(11, 32)],
+        };
+        let data = Arc::new(Dataset::from_rows(vec![vec![0.5f32; 4]; 6]));
+        let reindex = || {
+            sharded.reindex(
+                Arc::clone(&data),
+                PmLshParams::default(),
+                BuildOptions::default(),
+            )
+        };
+        assert!(sharded.shards[1].snapshot.try_begin_rebuild());
+        assert_eq!(reindex().unwrap_err(), ReindexError::InProgress);
+        assert!(!sharded.shards[0].snapshot.is_rebuilding());
+        assert_eq!(sharded.epoch(), 0);
+        assert_eq!(sharded.len(), 40);
+
+        sharded.shards[1].snapshot.end_rebuild();
+        let report = reindex().expect("every slot is free");
+        assert_eq!((report.epoch, report.points), (2, 6));
+        assert!(!sharded.info().reindexing);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub(crate) struct SnapshotCell {
     epoch: AtomicU64,
     rebuilding: AtomicBool,
     /// Coarse percentage of the rebuild in progress (meaningful only while
-    /// `rebuilding`): updated at phase boundaries by the rebuild thread,
+    /// `rebuilding`): updated at phase boundaries by the reindex,
     /// read lock-free by `INDEXINFO`. 100 whenever the cell is serving.
     progress: AtomicU8,
     /// Serializes *writers* (single-point mutations among themselves, and

@@ -588,18 +588,23 @@ fn wire_single_op_reply_lines_are_golden() {
     );
 
     // Mid-rebuild refusal, for the single verbs and for BATCH alike. The
-    // build below takes far longer than a round trip; should it ever win
-    // the race, the ticket says so and the check is skipped, never wrong.
-    let rebuild = blob(20_000, 3, 82);
-    let ticket = wire.engine.shards()[0]
-        .begin_reindex(rebuild, PmLshParams::default(), BuildOptions::default())
-        .expect("reindex starts");
+    // requests go out once the rebuild holds its slot; the build takes
+    // far longer than three round trips, and should it ever win the race
+    // the gauge says so and the check is skipped, never wrong.
+    let engine = wire.engine.clone();
+    let rebuilding = std::thread::spawn(move || {
+        let rebuild = blob(20_000, 3, 82);
+        engine.reindex(rebuild, PmLshParams::default(), BuildOptions::default())
+    });
+    while !wire.engine.info().reindexing && !rebuilding.is_finished() {
+        std::thread::yield_now();
+    }
     let replies = [
         wire.send("INSERT 1 2 3"),
         wire.send("DELETE 1"),
         wire.send("BATCH 1\nINSERT 1 2 3"),
     ];
-    if !ticket.is_done() {
+    if wire.engine.info().reindexing {
         for reply in replies {
             assert_eq!(
                 reply,
@@ -607,7 +612,7 @@ fn wire_single_op_reply_lines_are_golden() {
             );
         }
     }
-    ticket.wait();
+    rebuilding.join().unwrap().expect("reindex");
     assert_eq!(
         format!("ERR {}", MutationError::ReindexInProgress),
         "ERR a reindex is in progress; retry once it completes"

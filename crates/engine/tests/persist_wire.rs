@@ -204,17 +204,14 @@ fn corrupt_snapshot_attach_is_an_err_line_not_a_disconnect() {
 /// percentage while a reindex runs, `serving pct=100` otherwise.
 #[test]
 fn indexinfo_reports_state_and_progress() {
-    let engine = Engine::new(
+    let served: ShardedEngine = Engine::new(
         PmLsh::build(blob(400, 16, 73), PmLshParams::default()),
         EngineConfig {
             threads: 1,
             ..Default::default()
         },
-    );
-
-    // The shard worker keeps `begin_reindex`; everything else is asked of
-    // the one-shard serving surface sharing its state.
-    let served: ShardedEngine = engine.clone().into();
+    )
+    .into();
 
     // Serving steady state, both in-process and over the wire.
     let info = served.info();
@@ -232,15 +229,18 @@ fn indexinfo_reports_state_and_progress() {
     // During a rebuild the state flips to building with pct < 100. The
     // build is fast, so observing it is a race we only assert on when won;
     // the terminal state after the swap is checked unconditionally.
-    let ticket = engine
-        .begin_reindex(
-            blob(20_000, 16, 74),
-            PmLshParams::default(),
-            pm_lsh_core::BuildOptions::with_threads(1),
-        )
-        .expect("begin reindex");
+    let rebuilding = {
+        let served = served.clone();
+        std::thread::spawn(move || {
+            served.reindex(
+                blob(20_000, 16, 74),
+                PmLshParams::default(),
+                pm_lsh_core::BuildOptions::with_threads(1),
+            )
+        })
+    };
     let mut observed_building = false;
-    while !ticket.is_done() {
+    while !rebuilding.is_finished() {
         let info = served.info();
         if info.reindexing {
             assert_eq!(info.state, "building", "{info:?}");
@@ -249,7 +249,7 @@ fn indexinfo_reports_state_and_progress() {
         }
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    ticket.wait();
+    rebuilding.join().unwrap().expect("reindex");
     assert!(
         observed_building,
         "a 20k-point single-threaded build finished before one poll"

@@ -12,6 +12,7 @@ use pm_lsh_stats::Rng;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn blob(n: usize, d: usize, seed: u64) -> Dataset {
     let mut rng = Rng::new(seed);
@@ -162,6 +163,69 @@ fn reindex_rejects_bad_datasets_and_serializes_rebuilds() {
         assert_eq!(report.epoch, expected_epoch);
     }
     assert_eq!(engine.epoch(), 2);
+}
+
+/// Two callers reindex one two-shard engine at once: A onto a large
+/// dataset, B over and over onto a small one. A reindex claims every
+/// shard before it builds, so afterwards both shards serve one and the
+/// same dataset, only the calls that landed moved the epoch (two shard
+/// swaps each), and the rebuild slots are free again.
+#[test]
+fn concurrent_reindexes_never_mix_datasets() {
+    let d = 8;
+    let (params, opts) = (PmLshParams::default(), BuildOptions::with_threads(1));
+    let large = Arc::new(blob(20_000, d, 500));
+    let small = Arc::new(blob(3_000, d, 501));
+    let config = EngineConfig {
+        threads: 1,
+        ..Default::default()
+    };
+    for run in 0..8u64 {
+        let engine = ShardedEngine::build(&blob(200, d, 502 + run), params, opts, 2, config);
+        let a_done = AtomicBool::new(false);
+        let landed = std::thread::scope(|scope| {
+            let b = scope.spawn(|| {
+                let mut landed = 0u64;
+                while !a_done.load(Ordering::Relaxed) {
+                    match engine.reindex(Arc::clone(&small), params, opts) {
+                        Ok(_) => landed += 1,
+                        Err(ReindexError::InProgress) => std::thread::yield_now(),
+                        Err(e) => panic!("run {run}: B's reindex refused: {e}"),
+                    }
+                }
+                landed
+            });
+            let a = engine.reindex(Arc::clone(&large), params, opts);
+            a_done.store(true, Ordering::Relaxed);
+            let landed = b.join().expect("caller B");
+            match a {
+                Ok(_) => landed + 1,
+                Err(ReindexError::InProgress) => landed,
+                Err(e) => panic!("run {run}: A's reindex refused: {e}"),
+            }
+        });
+
+        let first = |s: usize| engine.shards()[s].index().data().point(0).to_vec();
+        let served = if first(0) == large.point(0) {
+            &large
+        } else {
+            &small
+        };
+        for s in 0..2 {
+            assert_eq!(first(s), served.point(s), "run {run}: shard {s} mixed");
+        }
+        assert_eq!(engine.len(), served.len(), "run {run}");
+        assert_eq!(
+            engine.epoch(),
+            2 * landed,
+            "run {run}: a refused reindex swapped a shard"
+        );
+        let report = engine
+            .reindex(Arc::clone(&small), params, opts)
+            .expect("the slots were released");
+        assert_eq!(report.epoch, 2 * landed + 2);
+        assert!(!engine.info().reindexing);
+    }
 }
 
 #[test]

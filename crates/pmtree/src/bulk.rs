@@ -1,16 +1,16 @@
-//! The PM-tree loader: every build goes through it.
+//! The PM-tree loader: [`PmTree::build`], the one way a bulk-loaded
+//! tree is made.
 //!
 //! The global pivots (Section 4.1 of the paper) induce a Voronoi-style
 //! partition of the dataset, and points in different pivot regions end up
-//! in disjoint subtrees anyway. So [`PmTree::build_parallel`]
+//! in disjoint subtrees anyway. So [`PmTree::build`]
 //!
 //! 1. selects the global pivots from a sample,
 //! 2. assigns every point to its nearest pivot (ties to the lowest pivot
 //!    index), keeping one region number per row,
 //! 3. grows one subtree per non-empty region by M-tree insertion
-//!    ([`PmTree::insert`]'s mM_RAD splits and ring upkeep), rows in
-//!    ascending order, the regions shared out among `threads` workers of
-//!    which the caller is the first, and
+//!    ([`PmTree::insert`]'s mM_RAD splits and ring upkeep), regions in
+//!    order and rows in ascending order, and
 //! 4. splices the subtrees into one arena — the first subtree's arena and
 //!    row maps *are* the tree's — under a root holding one routing entry
 //!    per region: the region pivot as routing object, covering radius and
@@ -19,7 +19,7 @@
 //!
 //! Degenerate inputs are one region, grown by insertion alone: no pivots,
 //! more pivots than a node holds, at most two nodes' worth of points, or
-//! fewer points than pivots — a shape sharded builds hit routinely, where
+//! fewer points than pivots — a shape small inputs hit routinely, where
 //! `select_pivots` pads the pivot set with duplicates and a partitioned
 //! root would carry degenerate zero-radius routing entries.
 //!
@@ -32,18 +32,8 @@
 //! order and blocked in place before anything grows, and each subtree
 //! files its rows out of its part of it.
 //!
-//! # Determinism
-//!
 //! The partition, every subtree and the splice order depend only on the
-//! input — never on `threads`, which merely sets how many workers drain the
-//! region queue. Every thread count therefore builds the **same** tree
-//! (same nodes, same entry order, same counters): [`PmTree::build`] is
-//! this loader on one thread, and a snapshot of an index built on eight
-//! threads is byte-equal to one built on one.
-//!
-//! Parallelism is bounded by the region count `s` (5 at the paper's
-//! operating point) and by region skew; that is the price of a
-//! thread-count-invariant partition.
+//! input and the pivot sample's `rng`, so one input builds one tree.
 
 use crate::block::{point_spans, Node};
 use crate::pivots::select_pivots;
@@ -52,31 +42,18 @@ use crate::{projected_dist, NodeId};
 use pm_lsh_metric::{MatrixView, PointId, BLOCK_ROWS};
 use pm_lsh_stats::Rng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 impl PmTree {
-    /// Builds a tree over every row of `view` (external id = row index),
-    /// growing one subtree per pivot region on up to `threads` threads, the
-    /// calling one included (0 = available parallelism).
-    ///
-    /// The result is identical for every `threads` value — see the module
-    /// docs for why and for the degenerate inputs that are grown as one
-    /// region — and satisfies [`PmTree::verify_invariants`].
-    pub fn build_parallel(
-        view: MatrixView<'_>,
-        cfg: PmTreeConfig,
-        rng: &mut Rng,
-        threads: usize,
-    ) -> Self {
+    /// Builds a tree over every row of `view` (external id = row index):
+    /// the loader the module docs describe, on the calling thread. Inputs
+    /// too small or too degenerate to partition are grown as one region.
+    /// The result satisfies [`PmTree::verify_invariants`].
+    pub fn build(view: MatrixView<'_>, cfg: PmTreeConfig, rng: &mut Rng) -> Self {
         let pivots = select_pivots(view, cfg.num_pivots, cfg.pivot_sample, rng);
         let (n, s) = (view.len(), pivots.len());
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            threads => threads,
-        };
         let partition = !(s == 0 || s > cfg.capacity || n <= 2 * cfg.capacity || n < s);
         let (region, regions) = if partition {
-            let region = nearest_pivots(view, &pivots, threads);
+            let region = nearest_pivots(view, &pivots);
             let mut filled = vec![false; s];
             region.iter().for_each(|&r| filled[r as usize] = true);
             let regions: Vec<usize> = (0..s).filter(|&r| filled[r]).collect();
@@ -100,51 +77,30 @@ impl PmTree {
         }
         let points = block_rows(points, m);
 
-        // Step 3: workers take regions off a shared counter, and each
-        // subtree is keyed by its slot in `regions`, so the splice order
-        // never depends on which worker finished first.
-        let next = AtomicUsize::new(0);
-        let grow = || {
-            let mut grown = Vec::new();
-            while let Some(&r) = regions.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let mut sub = PmTree::new(m, cfg, pivots.clone());
-                if r == regions[0] {
-                    // The first subtree becomes the tree: room for every row.
-                    sub.externals.reserve_exact(n);
-                }
-                let part = Rows {
-                    column: &points,
-                    dim: m,
-                    first: first[r],
-                };
-                for row in rows_of(r) {
-                    sub.file_row(row as PointId, part);
-                }
-                grown.push((r, sub));
+        // Step 3: one subtree per region, in region order.
+        let mut subtrees = Vec::with_capacity(regions.len());
+        for &r in &regions {
+            let mut sub = PmTree::new(m, cfg, pivots.clone());
+            if subtrees.is_empty() {
+                // The first subtree becomes the tree: room for every row.
+                sub.externals.reserve_exact(n);
             }
-            grown
-        };
-        let mut grown = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (1..threads.min(regions.len()))
-                .map(|_| scope.spawn(grow))
-                .collect();
-            let mut grown = grow();
-            for helper in helpers {
-                grown.extend(
-                    helper
-                        .join()
-                        .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                );
+            let part = Rows {
+                column: &points,
+                dim: m,
+                first: first[r],
+            };
+            for row in rows_of(r) {
+                sub.file_row(row as PointId, part);
             }
-            grown
-        });
-        grown.sort_unstable_by_key(|&(r, _)| r);
+            subtrees.push(sub);
+        }
         drop(region);
 
         // Step 4: splice the other subtrees behind the first, in region
         // order, and crown them with a root of per-region routing entries.
-        let more_nodes: usize = grown[1..].iter().map(|(_, sub)| sub.nodes.len()).sum();
-        let mut subtrees = grown.into_iter().map(|(_, sub)| sub);
+        let more_nodes: usize = subtrees[1..].iter().map(|sub| sub.nodes.len()).sum();
+        let mut subtrees = subtrees.into_iter();
         let mut tree = subtrees.next().expect("every build has a region");
         if partition {
             tree.build_dist_computations += (n * s) as u64;
@@ -213,13 +169,10 @@ impl PmTree {
     }
 }
 
-/// Step 2: the nearest pivot of every row, ties to the lowest index. The
-/// rows are cut into one chunk per worker and the caller takes the first.
-fn nearest_pivots(view: MatrixView<'_>, pivots: &[Box<[f32]>], threads: usize) -> Vec<u32> {
-    let mut region = vec![0u32; view.len()];
-    let rows_per_chunk = view.len().div_ceil(threads);
-    let assign = |start: usize, chunk: &mut [u32]| {
-        for (row, slot) in (start..).zip(chunk) {
+/// Step 2: the nearest pivot of every row, ties to the lowest index.
+fn nearest_pivots(view: MatrixView<'_>, pivots: &[Box<[f32]>]) -> Vec<u32> {
+    (0..view.len())
+        .map(|row| {
             let point = view.point(row);
             let mut best = (0, projected_dist(point, &pivots[0]));
             for (p, pivot) in pivots.iter().enumerate().skip(1) {
@@ -228,21 +181,9 @@ fn nearest_pivots(view: MatrixView<'_>, pivots: &[Box<[f32]>], threads: usize) -
                     best = (p, d);
                 }
             }
-            *slot = best.0 as u32;
-        }
-    };
-    std::thread::scope(|scope| {
-        let assign = &assign;
-        let mut chunks = region.chunks_mut(rows_per_chunk).enumerate();
-        let first = chunks.next();
-        for (c, chunk) in chunks {
-            scope.spawn(move || assign(c * rows_per_chunk, chunk));
-        }
-        if let Some((_, chunk)) = first {
-            assign(0, chunk);
-        }
-    });
-    region
+            best.0 as u32
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -296,21 +237,9 @@ mod tests {
     }
 
     #[test]
-    fn bulk_load_is_thread_count_invariant() {
-        let ds = blob(900, 10, 41);
-        let cfg = PmTreeConfig::default();
-        let base = PmTree::build(ds.view(), cfg, &mut Rng::new(7));
-        base.verify_invariants().expect("1-thread tree invariants");
-        for threads in [0usize, 1, 2, 3, 4, 8] {
-            let t = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(7), threads);
-            assert_trees_identical(&base, &t);
-        }
-    }
-
-    #[test]
     fn bulk_load_satisfies_invariants_and_finds_everything() {
         let ds = blob(700, 8, 42);
-        let tree = PmTree::build_parallel(ds.view(), PmTreeConfig::default(), &mut Rng::new(9), 4);
+        let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut Rng::new(9));
         tree.verify_invariants().expect("bulk-loaded invariants");
         assert_eq!(tree.len(), 700);
         // Exhaustive cursor drain must yield every external id exactly once.
@@ -330,7 +259,7 @@ mod tests {
         let ds = blob(600, 6, 43);
         let cfg = PmTreeConfig::default();
         let inc = grown_by_insertion(&ds, cfg, 5);
-        let bulk = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(5), 4);
+        let bulk = PmTree::build(ds.view(), cfg, &mut Rng::new(5));
         assert_ne!(inc.node_count(), bulk.node_count(), "the shapes differ");
         let q = ds.point(11);
         let (mut ci, mut cb) = (inc.cursor(q), bulk.cursor(q));
@@ -347,7 +276,7 @@ mod tests {
         // ties send every row to region 0: its subtree IS the tree, no
         // wrapper root.
         let ds = Dataset::from_rows(vec![vec![3.0f32, -1.0, 2.0]; 200]);
-        let tree = PmTree::build_parallel(ds.view(), PmTreeConfig::default(), &mut Rng::new(8), 4);
+        let tree = PmTree::build(ds.view(), PmTreeConfig::default(), &mut Rng::new(8));
         tree.verify_invariants().expect("single-region invariants");
         assert_eq!(tree.len(), 200);
         let mut cursor = tree.cursor(&[3.0, -1.0, 2.0]);
@@ -361,12 +290,11 @@ mod tests {
 
     #[test]
     fn fewer_points_than_pivots_falls_back_to_incremental() {
-        // Sharding deals a dataset round-robin, so a shard can easily hold
-        // fewer points than the configured pivot count. The loader must
-        // grow such a shard as one region (select_pivots pads the pivot set
-        // with duplicates, which would otherwise become degenerate
-        // partitioned-root routing entries): exactly the tree insertion
-        // grows, for every thread count.
+        // A small input can easily hold fewer points than the configured
+        // pivot count. The loader must grow it as one region
+        // (select_pivots pads the pivot set with duplicates, which would
+        // otherwise become degenerate partitioned-root routing entries):
+        // exactly the tree insertion grows.
         for n in [1usize, 2, 3, 4] {
             let ds = blob(n, 6, 46);
             let cfg = PmTreeConfig {
@@ -375,18 +303,16 @@ mod tests {
             };
             assert!(n < cfg.num_pivots);
             let inc = grown_by_insertion(&ds, cfg, 11);
-            for threads in [1usize, 4] {
-                let par = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(11), threads);
-                par.verify_invariants().expect("tiny-shard invariants");
-                assert_trees_identical(&inc, &par);
-            }
+            let bulk = PmTree::build(ds.view(), cfg, &mut Rng::new(11));
+            bulk.verify_invariants().expect("tiny-input invariants");
+            assert_trees_identical(&inc, &bulk);
         }
     }
 
     #[test]
     fn small_and_pivotless_inputs_fall_back() {
         let tiny = blob(12, 4, 44);
-        let t = PmTree::build_parallel(tiny.view(), PmTreeConfig::default(), &mut Rng::new(1), 4);
+        let t = PmTree::build(tiny.view(), PmTreeConfig::default(), &mut Rng::new(1));
         t.verify_invariants().expect("fallback invariants");
         assert_eq!(t.len(), 12);
 
@@ -395,7 +321,7 @@ mod tests {
             ..Default::default()
         };
         let ds = blob(300, 4, 45);
-        let t = PmTree::build_parallel(ds.view(), cfg, &mut Rng::new(2), 4);
+        let t = PmTree::build(ds.view(), cfg, &mut Rng::new(2));
         t.verify_invariants().expect("M-tree fallback invariants");
         assert_eq!(t.len(), 300);
     }

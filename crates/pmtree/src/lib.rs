@@ -18,11 +18,10 @@
 //!   block), a leaf entry's `internal` naming its row.
 //!   [`tree::PmTreeParts`], the form a snapshot is written from and read
 //!   back to, holds a column's rows and ids.
-//! * [`bulk`] — `PmTree::build_parallel`, the one loader every build goes
-//!   through (`PmTree::build` runs it on one thread): it partitions the
-//!   points by nearest global pivot, grows one subtree per region by
-//!   insertion, on as many threads as asked, and splices them under a root
-//!   of region pivots; its output is identical for every thread count.
+//! * [`bulk`] — `PmTree::build`, the one loader of a bulk-loaded tree:
+//!   it partitions the points by nearest global pivot, grows one subtree
+//!   per region by insertion, and splices them under a root of region
+//!   pivots.
 //! * [`cursor::RangeCursor`] — a round-at-a-time range query: each larger
 //!   radius files the measured points within it into a run (one
 //!   branchless split, no priority queue). `take_within(r, room)` hands a

@@ -24,7 +24,6 @@
 use crate::block::{give_back, grow, point_spans, Layout, LeafRef, Node};
 use crate::{projected_dist, NodeId};
 use pm_lsh_metric::{MatrixView, PointId, BLOCK_ROWS};
-use pm_lsh_stats::Rng;
 use std::collections::HashMap;
 
 /// Construction parameters of a bulk-loaded tree.
@@ -182,13 +181,6 @@ impl PmTree {
         let mut point = Vec::with_capacity(self.dim);
         Rows::of(self).gather(internal, &mut point);
         point
-    }
-
-    /// Builds a tree over every row of `view` (external id = row index),
-    /// selecting pivots from a sample first: the bulk loader
-    /// ([`PmTree::build_parallel`]) on the calling thread alone.
-    pub fn build(view: MatrixView<'_>, cfg: PmTreeConfig, rng: &mut Rng) -> Self {
-        Self::build_parallel(view, cfg, rng, 1)
     }
 
     /// Number of indexed points.
@@ -909,6 +901,7 @@ fn promote_mm_rad(
 mod tests {
     use super::*;
     use pm_lsh_metric::Dataset;
+    use pm_lsh_stats::Rng;
 
     fn gaussian(n: usize, dim: usize, rng: &mut Rng) -> Dataset {
         let mut ds = Dataset::with_capacity(dim, n);

@@ -134,9 +134,12 @@ expect "REINDEX $TMP/audio2.fvecs" "ERR authentication required*"
 expect "AUTH wrong-token" "ERR bad token"
 expect "AUTH $TOKEN" "OK authenticated"
 expect "ATTACH bad $TMP/nan.csv" "ERR $NAN_ERR"
+expect "REINDEX $TMP/nan.csv" "ERR $NAN_ERR"
 expect "LISTINDEXES" "INDEXES audio,cifar"
 expect "REINDEX $TMP/audio2.fvecs" "OK index=audio epoch=1 *"
 expect "INDEXINFO" "INDEXINFO name=audio *epoch=1 *"
+AUDIO2_ROWS=$(req "INDEXINFO" | sed -n 's/.* points=\([0-9]*\).*/\1/p')
+[ -n "$AUDIO2_ROWS" ] || { echo "FAIL: could not parse points after REINDEX" >&2; exit 1; }
 expect "$(query_line)" "OK *:*"
 
 echo "== mutation churn (INSERT / QUERY / DELETE / QUERY)"
@@ -304,6 +307,13 @@ exec 3<>"/dev/tcp/127.0.0.1/$PORT"
 expect "INDEXINFO" "INDEXINFO name=audio *shards=4"
 expect "$(query_line)" "OK *:*"
 expect "AUTH $TOKEN" "OK authenticated"
+
+# A REINDEX rebuilds and swaps all four shards: the epoch moves by four.
+EPOCH=$(req "INDEXINFO" | sed -n 's/.* epoch=\([0-9]*\).*/\1/p')
+[ -n "$EPOCH" ] || { echo "FAIL: could not parse epoch before REINDEX" >&2; exit 1; }
+expect "REINDEX $TMP/audio2.fvecs" "OK index=audio epoch=$((EPOCH + 4)) points=$AUDIO2_ROWS *"
+expect "INDEXINFO" "INDEXINFO name=audio points=$AUDIO2_ROWS *state=serving pct=100 shards=4"
+expect "$(query_line)" "OK *:*"
 
 # Mutations route to the owning shard; the wire grammar is unchanged.
 DIM=$(req "INDEXINFO" | sed -n 's/.* dim=\([0-9]*\).*/\1/p')

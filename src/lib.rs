@@ -82,8 +82,8 @@ pub mod prelude {
     };
     pub use pm_lsh_engine::{
         serve, serve_router, DrainReport, Engine, EngineConfig, EngineStats, IndexInfo, QueryError,
-        ReindexError, ReindexReport, ReindexTicket, Router, RouterError, ServerConfig,
-        ServerHandle, ShardedEngine,
+        ReindexError, ReindexReport, Router, RouterError, ServerConfig, ServerHandle,
+        ShardedEngine,
     };
     pub use pm_lsh_metric::{Dataset, Neighbor, PointId};
     pub use pm_lsh_persist::{PersistError, SaveReport};

@@ -6,10 +6,12 @@
 use crate::build::BuildOptions;
 use crate::context::QueryContext;
 use crate::params::{DerivedParams, PmLshParams};
+use crate::ring::{PivotRing, RING_STREAM};
 use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::{sq_dist_rows_within, Dataset, Neighbor, PointId, RowStore};
 use pm_lsh_pmtree::PmTree;
 use pm_lsh_stats::{distance_distribution, Ecdf, Rng};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Per-query execution counters, used by the benchmark harness and by the
@@ -17,7 +19,10 @@ use std::sync::Arc;
 /// `mutation.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Candidates whose original-space distance was verified.
+    /// Candidates whose original-space distance was verified. A candidate
+    /// the pivot ring skips ([`PmLsh::ring`]) still counts: it was proven
+    /// outside the top-k without reading its row, as an abandoned
+    /// candidate is proven outside it after reading part of its row.
     pub candidates_verified: usize,
     /// Distance computations inside the projected space: exactly the live
     /// count `n`, one per indexed point. The candidate stream comes from
@@ -157,7 +162,10 @@ fn abandon_bound(kth: f32) -> f32 {
 /// (Eq. 3), keeps the projections as a column ([`PmTree::column`]: the
 /// points in blocks of eight rows, no pivot and no node), and samples the
 /// distance distribution `F` used to choose the start radius `r_min`
-/// (Section 4.5). Every query takes its candidates from one sweep over
+/// (Section 4.5). Where its own data says it pays, the build also keeps a
+/// [`PivotRing`]: `d/64` original-space pivots and every row's distances to
+/// them, with which verification skips a candidate without reading its row.
+/// Every query takes its candidates from one sweep over
 /// that column: at the budgets Algorithm 2 spends, the paper's PM-tree
 /// range traversal would pay more distances than there are points
 /// (docs/ARCHITECTURE.md, "The served tree is a column").
@@ -196,6 +204,9 @@ pub struct PmLsh {
     /// Shared, not copied, by every copy-on-write publication: nothing
     /// after a build changes it.
     dist_f: Arc<Ecdf>,
+    /// The original-space pivot ring, where the build measured that it
+    /// pays; one table row per stored row.
+    ring: Option<PivotRing>,
 }
 
 impl PmLsh {
@@ -251,8 +262,10 @@ impl PmLsh {
     }
 
     /// Shared build pipeline: project every point, keep the projections as
-    /// a column, sample `F`. The projection gives the same result on any
-    /// number of `threads`, so every build entry point yields the same
+    /// a column, sample `F`, then decide on a pivot ring from a stream
+    /// forked off `rng` after `F`, so `F` is the one a build without it
+    /// samples. The projection and the ring table give the same result on
+    /// any number of `threads`, so every build entry point yields the same
     /// index.
     fn build_inner(
         data: impl Into<Arc<Dataset>>,
@@ -294,6 +307,13 @@ impl PmLsh {
             // lint: allow(hot-path) -- one-time build path, not a query
             Ecdf::new(vec![1.0])
         };
+        let ring = PivotRing::build(
+            data.view(),
+            &dist_f,
+            derived.beta,
+            rng.fork(RING_STREAM),
+            threads,
+        );
         Self {
             data: RowStore::new(data),
             projector,
@@ -301,6 +321,7 @@ impl PmLsh {
             params,
             derived,
             dist_f: Arc::new(dist_f),
+            ring,
         }
     }
 
@@ -416,7 +437,8 @@ impl PmLsh {
     /// that publish immutable snapshots: `self` is never touched, and the
     /// clone is paid only by the first op that is actually admitted. The
     /// clone shares the row store ([`RowStore`]): an insert copies at most
-    /// the one [`pm_lsh_metric::CHUNK_ROWS`]-row chunk it appends to, and a
+    /// the one [`pm_lsh_metric::CHUNK_ROWS`]-row chunk it appends to (and
+    /// the one chunk of the pivot ring's table, when there is one), and a
     /// delete copies no row. The projected column and its id map are
     /// copied whole, O(n); there is no node to copy. Returns
     /// the patched clone — `None` when every op was rejected (or `ops` is
@@ -463,6 +485,9 @@ impl PmLsh {
             MutOp::Insert(point) => {
                 let id = self.data.len() as pm_lsh_metric::PointId;
                 let projected = self.projector.project(point);
+                if let Some(ring) = &mut self.ring {
+                    ring.push(&self.data, point);
+                }
                 self.data.push(point);
                 self.tree.insert(&projected, id);
                 id
@@ -520,6 +545,21 @@ impl PmLsh {
         &self.projector
     }
 
+    /// The original-space pivot ring verification skips rows with, or
+    /// `None` where the build measured that it would not pay (see
+    /// docs/ARCHITECTURE.md, "Verification skips by pivot ring").
+    pub fn ring(&self) -> Option<&PivotRing> {
+        self.ring.as_ref()
+    }
+
+    /// This index without its pivot ring: every candidate is read, and
+    /// every answer and [`QueryStats`] counter stays what it was. An
+    /// insert into it appends no table row.
+    pub fn without_ring(mut self) -> Self {
+        self.ring = None;
+        self
+    }
+
     /// Reassembles an index from its constituent parts — the
     /// deserialization path of the `pm-lsh-persist` snapshot format.
     ///
@@ -529,14 +569,17 @@ impl PmLsh {
     /// counter — bit-identically to the index the parts came from.
     ///
     /// Cross-component consistency is validated (dimensionalities, id
-    /// ranges, and that `tree` is a column); the column's own structure is
-    /// the caller's concern (`PmTree::from_parts` checks it).
+    /// ranges, that `tree` is a column, and that `ring` has one table row
+    /// per stored row and its pivots among them); the column's own
+    /// structure is the caller's concern (`PmTree::from_parts` checks it),
+    /// and so is the ring's ([`PivotRing::from_parts`]).
     pub fn from_parts(
         data: Arc<Dataset>,
         projector: GaussianProjector,
         tree: PmTree,
         params: PmLshParams,
         dist_f: impl Into<Arc<Ecdf>>,
+        ring: Option<PivotRing>,
     ) -> Result<Self, String> {
         let dist_f = dist_f.into();
         if data.is_empty() {
@@ -591,6 +634,23 @@ impl PmLsh {
         if dist_f.is_empty() {
             return Err("distance distribution has no samples".into());
         }
+        if let Some(ring) = &ring {
+            if ring.table().len() != data.len() {
+                // lint: allow(hot-path) -- load-time validation error path
+                return Err(format!(
+                    "ring table has {} rows, the point store {}",
+                    ring.table().len(),
+                    data.len()
+                ));
+            }
+            if let Some(&bad) = ring.pivots().iter().find(|&&p| p as usize >= data.len()) {
+                // lint: allow(hot-path) -- load-time validation error path
+                return Err(format!(
+                    "ring pivot {bad} outside the {}-row point store",
+                    data.len()
+                ));
+            }
+        }
         let derived = params.derive();
         Ok(Self {
             data: RowStore::new(data),
@@ -599,6 +659,7 @@ impl PmLsh {
             params,
             derived,
             dist_f,
+            ring,
         })
     }
 
@@ -733,6 +794,14 @@ impl PmLsh {
     /// bitmap of one bit per stored row in `ctx` — and the kernel asks for
     /// the front of the row two candidates ahead while it measures one.
     ///
+    /// With a pivot ring ([`PmLsh::ring`]), the query measures its `s`
+    /// pivot distances once, into `ctx`, and the id stream that feeds the
+    /// kernel drops each candidate whose ring gap proves it would measure
+    /// above the abandon bound in force when the walk pulls its id (the
+    /// bound never rises within a query, so a bound two rows stale only
+    /// skips less). The kernel never reads, nor asks ahead for, a dropped
+    /// row: the read-ahead asks only for rows the ring kept.
+    ///
     /// Verification runs in the squared-distance domain: each candidate is
     /// measured early-abandoning against a conservative squared bound
     /// derived from the current k-th neighbor distance ([`abandon_bound`]),
@@ -804,8 +873,11 @@ impl PmLsh {
         let mut rounds = 0u32;
         // Invariant: `bound == abandon_bound(top.kth_dist())`, refreshed
         // only when an insertion changes the k-th distance — not per
-        // candidate.
-        let mut bound = f32::INFINITY;
+        // candidate. A cell, because the ring filter reads it as the walk
+        // pulls each id while the kernel's `keep` lowers it.
+        let bound = Cell::new(f32::INFINITY);
+        let mut ring =
+            (self.ring.as_ref()).map(|ring| ring.probe(&self.data, q, &mut ctx.ring_dists));
 
         loop {
             rounds += 1;
@@ -847,14 +919,23 @@ impl PmLsh {
             // (dist, id) insertion a full distance would make. An abandoned
             // one exceeds the bound, so it exceeds every squared distance
             // whose sqrt could still displace the k-th neighbor, and a full
-            // distance's push would have been rejected too.
+            // distance's push would have been rejected too. A row the ring
+            // skips would have measured above the bound: it is dropped from
+            // the ids before the kernel reads or asks ahead for it.
             let ids = nearest.iter().map(|(id, _)| id).chain(drain_marks(marks));
-            sq_dist_rows_within(q, &self.data, ids, bound, |id, sq| {
+            let keep = |id, sq: f32| {
                 if top.push(sq.sqrt(), id) && top.is_full() {
-                    bound = abandon_bound(top.kth_dist());
+                    bound.set(abandon_bound(top.kth_dist()));
                 }
-                bound
-            });
+                bound.get()
+            };
+            match &mut ring {
+                Some(ring) => {
+                    let ids = ids.filter(|&id| !ring.skips(id, bound.get()));
+                    sq_dist_rows_within(q, &self.data, ids, bound.get(), keep)
+                }
+                None => sq_dist_rows_within(q, &self.data, ids, bound.get(), keep),
+            }
             // Termination test of line 9 (Algorithm 1 line 3): candidate
             // budget exhausted.
             if verified >= budget {
@@ -1006,25 +1087,96 @@ mod tests {
         assert_eq!(saturate.rounds, u32::MAX, "rounds must saturate, not wrap");
     }
 
+    /// `n` points in `R^d` around 8 centers, each cluster spread along a
+    /// 2-dimensional subspace: data that separates well, so a build keeps
+    /// a pivot ring over it. Queries come from the same clusters.
+    fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
+        let mut rng = Rng::new(0xc1);
+        let mut centers = vec![0.0f32; 8 * d];
+        let mut basis = vec![0.0f32; 8 * 2 * d];
+        rng.fill_normal(&mut centers);
+        rng.fill_normal(&mut basis);
+        let mut rng = Rng::new(seed);
+        let mut ds = Dataset::with_capacity(d, n);
+        for i in 0..n {
+            let c = i % 8;
+            let (a, b) = (rng.normal_f32() * 2.0, rng.normal_f32() * 2.0);
+            let row: Vec<f32> = (0..d)
+                .map(|j| {
+                    let axis = |k: usize| basis[(2 * c + k) * d + j];
+                    centers[c * d + j] + a * axis(0) + b * axis(1) + 0.01 * rng.normal_f32()
+                })
+                .collect();
+            ds.push(&row);
+        }
+        ds
+    }
+
     #[test]
     fn parallel_build_is_thread_count_invariant() {
-        let data = blob(1200, 12, 71);
-        let queries = blob(20, 12, 72);
-        let params = PmLshParams::default();
-        let base = PmLsh::build_with_opts(data.clone(), params, crate::BuildOptions::default());
-        for threads in [0usize, 2, 4, 8] {
-            let other = PmLsh::build_with_opts(
-                data.clone(),
-                params,
-                crate::BuildOptions::with_threads(threads),
-            );
-            for q in queries.iter() {
-                let a = base.query(q, 7);
-                let b = other.query(q, 7);
-                assert_eq!(a.neighbors, b.neighbors, "{threads}-thread build diverged");
-                assert_eq!(a.stats, b.stats, "{threads}-thread traversal diverged");
+        // Gaussian rows keep no pivot ring; clustered ones keep one, whose
+        // table is spread over the build's threads too.
+        for (data, queries, params) in [
+            (blob(1200, 12, 71), blob(20, 12, 72), PmLshParams::default()),
+            (
+                clustered(1500, 256, 73),
+                clustered(20, 256, 74),
+                PmLshParams::paper_defaults(),
+            ),
+        ] {
+            let base = PmLsh::build_with_opts(data.clone(), params, crate::BuildOptions::default());
+            let table = |index: &PmLsh| -> Option<(Vec<PointId>, Vec<u32>)> {
+                let ring = index.ring()?;
+                let bits = ring.table().runs().flatten().map(|v| v.to_bits()).collect();
+                Some((ring.pivots().to_vec(), bits))
+            };
+            assert_eq!(base.ring().is_some(), data.dim() == 256, "ring kept");
+            for threads in [0usize, 2, 4, 8] {
+                let other = PmLsh::build_with_opts(
+                    data.clone(),
+                    params,
+                    crate::BuildOptions::with_threads(threads),
+                );
+                assert_eq!(
+                    table(&base),
+                    table(&other),
+                    "{threads}-thread ring diverged"
+                );
+                for q in queries.iter() {
+                    let a = base.query(q, 7);
+                    let b = other.query(q, 7);
+                    assert_eq!(a.neighbors, b.neighbors, "{threads}-thread build diverged");
+                    assert_eq!(a.stats, b.stats, "{threads}-thread traversal diverged");
+                }
             }
         }
+    }
+
+    #[test]
+    fn the_ring_skips_most_rows_at_the_final_bound_and_no_answer() {
+        let data = clustered(1500, 256, 75);
+        let index = PmLsh::build(data, PmLshParams::paper_defaults());
+        let ring = index.ring().expect("clustered rows keep a ring");
+        let stripped = index.clone().without_ring();
+        let mut skipped = 0usize;
+        let mut dq = Vec::new();
+        for q in clustered(10, 256, 76).iter() {
+            let res = index.query(q, 10);
+            assert_eq!(res.neighbors, stripped.query(q, 10).neighbors);
+            let bound = abandon_bound(res.neighbors[9].dist);
+            let mut probe = ring.probe(&index.data, q, &mut dq);
+            for &id in index.live_ids() {
+                if probe.skips(id, bound) {
+                    skipped += 1;
+                    assert!(
+                        res.neighbors.iter().all(|n| n.id != id),
+                        "skipped an answer"
+                    );
+                }
+            }
+        }
+        // Most of the 10 × 1 500 rows are provably farther than the k-th.
+        assert!(skipped > 10 * 1500 / 2, "{skipped} rows skipped");
     }
 
     #[test]

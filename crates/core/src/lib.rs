@@ -47,6 +47,7 @@ pub mod context;
 pub mod estimator_study;
 pub mod index;
 pub mod params;
+pub mod ring;
 pub mod shard;
 
 pub use build::BuildOptions;
@@ -54,3 +55,4 @@ pub use context::QueryContext;
 pub use estimator_study::{estimator_study, Estimator, EstimatorCurve, EstimatorPoint};
 pub use index::{MutOp, MutReject, PmLsh, QueryResult, QueryStats};
 pub use params::{DerivedParams, PmLshParams};
+pub use ring::PivotRing;

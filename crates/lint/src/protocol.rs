@@ -61,13 +61,14 @@ const OPCODE_NAMES: [(&str, &str); 5] = [
 ];
 
 /// ARCHITECTURE.md layout-table section names → `SEC_*` constants.
-const SECTION_NAMES: [(&str, &str); 6] = [
+const SECTION_NAMES: [(&str, &str); 7] = [
     ("HEADER", "SEC_HEADER"),
     ("PROJ", "SEC_PROJ"),
     ("DATA", "SEC_DATA"),
     ("POINTS", "SEC_POINTS"),
     ("IDMAPS", "SEC_IDMAPS"),
     ("ECDF", "SEC_ECDF"),
+    ("RING", "SEC_RING"),
 ];
 
 /// Value of `const NAME: ... = <int>;`.
@@ -600,6 +601,7 @@ mod tests {
         "pub const FORMAT_VERSION: u32 = 5;\n",
         "const SEC_HEADER: u32 = 1;\nconst SEC_PROJ: u32 = 2;\nconst SEC_DATA: u32 = 3;\n",
         "const SEC_POINTS: u32 = 4;\nconst SEC_IDMAPS: u32 = 5;\nconst SEC_ECDF: u32 = 6;\n",
+        "const SEC_RING: u32 = 7;\n",
     );
 
     fn consts() -> ProtoConsts {
@@ -629,6 +631,7 @@ mod tests {
             "| id | section | payload |\n|---|---|---|\n",
             "| 1 | HEADER | params |\n| 2 | PROJ | matrix |\n| 3 | DATA | rows |\n",
             "| 4 | POINTS | column |\n| 5 | IDMAPS | ids |\n| 6 | ECDF | samples |\n",
+            "| 7 | RING | pivots, table |\n",
         )
         .to_string()
     }
@@ -639,7 +642,7 @@ mod tests {
         assert_eq!(c.frame_cap, (512, 64, 8));
         assert_eq!(c.line_cap, (512, 64, 32));
         assert_eq!(c.magic, "PMLSHSNP");
-        assert_eq!(c.sections.len(), 6);
+        assert_eq!(c.sections.len(), 7);
         assert_eq!(c.opcodes[0], ("OP_QUERY", 1));
         assert_eq!(c.batch_max_ops, 4096);
         assert_eq!(c.batch_ok_prefix, "OK applied=");

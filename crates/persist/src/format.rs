@@ -2,7 +2,7 @@
 //! with [`serialize`] and [`deserialize`] their one-shard case.
 //!
 //! Everything is little-endian. The file is `MAGIC | version u32 | shards
-//! u32 | shards × six sections | whole-file crc32 u32`: one run of six
+//! u32 | shards × seven sections | whole-file crc32 u32`: one run of seven
 //! sections per shard, in shard (= id) order, each section being `id u32 |
 //! payload_len u64 | payload | crc32(payload) u32`. A shard's sections
 //! appear in this fixed order:
@@ -15,14 +15,23 @@
 //! | 4  | POINTS      | the projected column, `live·m` f32 in internal-row order       |
 //! | 5  | IDMAPS      | `live` external ids (u32), in internal-row order               |
 //! | 6  | ECDF        | sampled distance distribution, `ecdf_len` f64 ascending        |
+//! | 7  | RING        | the pivot ring: `rows u64, s u32`, `s` pivot ids (u32), `rows·s` f32 |
 //!
 //! HEADER payload, in order: `d u64, n_rows u64, m u32, s u32, live u64,
 //! c f64, alpha1 f64, beta_flag u8, beta f64, rmin_shrink f64,
 //! capacity u64, pivot_sample u64, distance_samples u64, seed u64,
-//! ecdf_len u64`. `s`, `capacity` and `pivot_sample` are the index's
-//! PM-tree parameters ([`PmLshParams::tree`]), stored so that they
-//! round-trip; the served index is a column ([`PmTreeParts`]) and has no
-//! pivot or node to store.
+//! ecdf_len u64, ring_pivots u32`. `s`, `capacity` and `pivot_sample` are
+//! the index's PM-tree parameters ([`PmLshParams::tree`]), stored so that
+//! they round-trip; the served index is a column ([`PmTreeParts`]) and has
+//! no PM-tree pivot or node to store. `ring_pivots` is the pivot count of
+//! the index's original-space pivot ring ([`PivotRing`]), 0 for an index
+//! that keeps none.
+//!
+//! RING holds the ring as the index keeps it, so a load reads it instead
+//! of measuring `n_rows·s` distances again: its row count (`n_rows`, or 0
+//! with no ring), its pivot count (the header's `ring_pivots`), the pivots'
+//! row ids, then row `i`'s distances to the pivots for every stored row
+//! `i`. An index without a ring writes `0, 0` and nothing else.
 //!
 //! The shards of one file must agree on `d`, `m`, `c` and β; a set that
 //! does not is [`PersistError::Corrupt`].
@@ -50,7 +59,7 @@ use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use pm_lsh_core::{PmLsh, PmLshParams};
+use pm_lsh_core::{PivotRing, PmLsh, PmLshParams};
 use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::Dataset;
 use pm_lsh_pmtree::{PmTree, PmTreeConfig, PmTreeParts};
@@ -63,7 +72,7 @@ use crate::PersistError;
 pub const MAGIC: [u8; 8] = *b"PMLSHSNP";
 
 /// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 const SEC_HEADER: u32 = 1;
 const SEC_PROJ: u32 = 2;
@@ -71,9 +80,13 @@ const SEC_DATA: u32 = 3;
 const SEC_POINTS: u32 = 4;
 const SEC_IDMAPS: u32 = 5;
 const SEC_ECDF: u32 = 6;
+const SEC_RING: u32 = 7;
 
 /// Bytes of the HEADER payload.
-const HEADER_LEN: usize = 105;
+const HEADER_LEN: usize = 109;
+
+/// Bytes of the RING payload before its arrays: `rows u64, s u32`.
+const RING_COUNTS_LEN: usize = 12;
 
 /// Bytes a reader pulls from its source per read, and a writer encodes per
 /// write: large enough that a read call's cost vanishes, small enough that
@@ -171,11 +184,12 @@ impl<W: Write> Writer<W> {
     }
 }
 
-/// The payload lengths of one index's six sections, in file order.
-fn payload_lens(index: &PmLsh) -> [u64; 6] {
+/// The payload lengths of one index's seven sections, in file order.
+fn payload_lens(index: &PmLsh) -> [u64; 7] {
     let (d, m) = (index.data().dim() as u64, index.params().m as u64);
     let live = index.tree().len() as u64;
     let ecdf = index.distance_distribution().len() as u64;
+    let (ring_rows, s) = ring_counts(index);
     [
         HEADER_LEN as u64,
         m * d * 4,
@@ -183,12 +197,20 @@ fn payload_lens(index: &PmLsh) -> [u64; 6] {
         live * m * 4,
         live * 4,
         ecdf * 8,
+        RING_COUNTS_LEN as u64 + s * 4 + ring_rows * s * 4,
     ]
+}
+
+/// The RING section's `(rows, s)`: `(0, 0)` for an index without a ring.
+fn ring_counts(index: &PmLsh) -> (u64, u64) {
+    index.ring().map_or((0, 0), |ring| {
+        (ring.table().len() as u64, ring.pivots().len() as u64)
+    })
 }
 
 /// The size of a shard set's image, in bytes.
 fn image_len(shards: &[impl Borrow<PmLsh>]) -> u64 {
-    let frames = 6 * 16;
+    let frames = 7 * 16;
     let sections: u64 = (shards.iter())
         .map(|s| frames + payload_lens(s.borrow()).iter().sum::<u64>())
         .sum();
@@ -214,13 +236,14 @@ fn header(index: &PmLsh) -> Vec<u8> {
     put_u64(&mut h, params.distance_samples as u64);
     put_u64(&mut h, params.seed);
     put_u64(&mut h, index.distance_distribution().len() as u64);
+    put_u32(&mut h, ring_counts(index).1 as u32);
     h
 }
 
-/// Writes one index's six sections.
+/// Writes one index's seven sections.
 fn put_index<W: Write>(w: &mut Writer<W>, index: &PmLsh) -> io::Result<()> {
     let parts = index.tree().to_parts();
-    let [header_len, proj, data, points, idmaps, ecdf] = payload_lens(index);
+    let [header_len, proj, data, points, idmaps, ecdf, ring] = payload_lens(index);
     w.section(SEC_HEADER, header_len, |w| w.put(&header(index)))?;
     w.section(SEC_PROJ, proj, |w| {
         w.put_all(index.projector().coeffs_flat(), f32::to_le_bytes)
@@ -238,6 +261,16 @@ fn put_index<W: Write>(w: &mut Writer<W>, index: &PmLsh) -> io::Result<()> {
     w.section(SEC_ECDF, ecdf, |w| {
         let samples = index.distance_distribution().sorted_samples();
         w.put_all(samples, f64::to_le_bytes)
+    })?;
+    w.section(SEC_RING, ring, |w| {
+        let (rows, s) = ring_counts(index);
+        w.put(&rows.to_le_bytes())?;
+        w.put(&(s as u32).to_le_bytes())?;
+        let Some(ring) = index.ring() else {
+            return Ok(());
+        };
+        w.put_all(ring.pivots(), u32::to_le_bytes)?;
+        (ring.table().runs()).try_for_each(|run| w.put_all(run, f32::to_le_bytes))
     })
 }
 
@@ -350,6 +383,7 @@ struct Header {
     live: usize,
     params: PmLshParams,
     ecdf_len: usize,
+    ring_pivots: usize,
 }
 
 fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
@@ -369,6 +403,7 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
     let distance_samples = to_usize(r.u64()?, "distance sample count")?;
     let seed = r.u64()?;
     let ecdf_len = to_usize(r.u64()?, "ECDF sample count")?;
+    let ring_pivots = to_usize(r.u32()? as u64, "ring pivot count")?;
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes in header"));
     }
@@ -454,6 +489,7 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
             seed,
         },
         ecdf_len,
+        ring_pivots,
     })
 }
 
@@ -616,6 +652,72 @@ impl<R: Read> Reader<R> {
         self.close(id)?;
         Ok(out)
     }
+
+    /// Reads the RING section as header `h` implies it: the ring's pivots
+    /// and table, or `Some(None)` for an index that keeps no ring. As in
+    /// [`Reader::section`], a held error, or one found in the section's
+    /// counts (held now), leaves the payload only checksummed.
+    fn ring(
+        &mut self,
+        h: Option<&Header>,
+        held: &mut Option<PersistError>,
+    ) -> Result<Option<Option<RingParts>>, PersistError> {
+        let len = self.open(SEC_RING)?;
+        let mut left = len as u64;
+        let mut out = None;
+        if let (Some(h), None) = (h, held.as_ref()) {
+            let shape = if len < RING_COUNTS_LEN {
+                Err(corrupt(format!(
+                    "ring section holds {len} bytes, too few for its counts"
+                )))
+            } else {
+                left -= RING_COUNTS_LEN as u64;
+                let rows = self.u64()?;
+                let s = self.u32()?;
+                ring_shape(h, rows, s, len)
+            };
+            if let Some((rows, s)) = hold(held, shape) {
+                let pivots = self.decode(s * 4, u32::from_le_bytes)?;
+                let table = self.decode(rows * s * 4, f32::from_le_bytes)?;
+                left = 0;
+                out = Some((s > 0).then_some((pivots, table)));
+            }
+        }
+        self.stream(left, 1, |_| {})?;
+        self.close(SEC_RING)?;
+        Ok(out)
+    }
+}
+
+/// A RING section's pivot ids and table entries.
+type RingParts = (Vec<u32>, Vec<f32>);
+
+/// The RING section's `(rows, s)`, checked against the header and against
+/// the section's `len`.
+fn ring_shape(h: &Header, rows: u64, s: u32, len: usize) -> Result<(usize, usize), PersistError> {
+    let s = s as usize;
+    if s != h.ring_pivots {
+        return Err(corrupt(format!(
+            "ring section declares {s} pivots, the header {}",
+            h.ring_pivots
+        )));
+    }
+    let want_rows = if s == 0 { 0 } else { h.n_rows };
+    if rows != want_rows as u64 {
+        return Err(corrupt(format!(
+            "ring table has {rows} rows for {s} pivots, the point store {}",
+            h.n_rows
+        )));
+    }
+    let want = (want_rows.checked_mul(s))
+        .and_then(|entries| entries.checked_add(s)?.checked_mul(4))
+        .and_then(|bytes| bytes.checked_add(RING_COUNTS_LEN));
+    if want != Some(len) {
+        return Err(corrupt(format!(
+            "ring section holds {len} bytes, its counts imply {want:?}"
+        )));
+    }
+    Ok((want_rows, s))
 }
 
 /// `result`'s value, or `None` with its error held unless one already is.
@@ -741,9 +843,9 @@ fn read_body<R: Read>(r: &mut Reader<R>) -> Result<Vec<PmLsh>, PersistError> {
     Ok(shards)
 }
 
-/// Reads one index's six sections and reassembles it.
+/// Reads one index's seven sections and reassembles it.
 ///
-/// A header or payload error is held until all six sections have passed
+/// A header or payload error is held until all seven sections have passed
 /// their CRCs, and the first one held is reported; a held error leaves the
 /// sections after it checksummed but not decoded.
 fn read_index<R: Read>(r: &mut Reader<R>) -> Result<PmLsh, PersistError> {
@@ -803,9 +905,10 @@ fn read_index<R: Read>(r: &mut Reader<R>) -> Result<PmLsh, PersistError> {
         };
         hold(&mut held, checked)
     });
+    let ring = r.ring(h.as_ref(), &mut held)?;
 
-    let (Some(h), Some(coeffs), Some(raw), Some(points), Some(externals), Some(ecdf)) =
-        (h, coeffs, raw, points, externals, ecdf)
+    let (Some(h), Some(coeffs), Some(raw), Some(points), Some(externals), Some(ecdf), Some(ring)) =
+        (h, coeffs, raw, points, externals, ecdf, ring)
     else {
         return Err(held.expect("a section was skipped for an error held"));
     };
@@ -817,5 +920,10 @@ fn read_index<R: Read>(r: &mut Reader<R>) -> Result<PmLsh, PersistError> {
     .map_err(corrupt)?;
     let data = Arc::new(Dataset::from_flat(raw, h.d));
     let projector = GaussianProjector::from_flat(coeffs, h.d, h.m);
-    PmLsh::from_parts(data, projector, tree, h.params, Ecdf::new(ecdf)).map_err(corrupt)
+    let ring = ring.map(|(pivots, table)| {
+        let s = pivots.len();
+        PivotRing::from_parts(pivots, Dataset::from_flat(table, s))
+    });
+    let ring = ring.transpose().map_err(corrupt)?;
+    PmLsh::from_parts(data, projector, tree, h.params, Ecdf::new(ecdf), ring).map_err(corrupt)
 }

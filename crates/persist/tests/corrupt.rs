@@ -8,7 +8,7 @@
 //! outcome (see [`load_both`]).
 
 use pm_lsh_core::{PmLsh, PmLshParams};
-use pm_lsh_data::{PaperDataset, Scale};
+use pm_lsh_data::{Generator, PaperDataset, Scale};
 use pm_lsh_metric::Dataset;
 use pm_lsh_persist::{
     crc32, deserialize, deserialize_shards, load, load_shards, serialize, serialize_shards,
@@ -16,16 +16,41 @@ use pm_lsh_persist::{
 };
 use pm_lsh_stats::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// The ids of a shard's six sections, in file order.
-const SECTIONS: [u32; 6] = [1, 2, 3, 4, 5, 6];
+/// The ids of a shard's seven sections, in file order.
+const SECTIONS: [u32; 7] = [1, 2, 3, 4, 5, 6, 7];
 const SEC_POINTS: u32 = 4;
 const SEC_IDMAPS: u32 = 5;
+const SEC_RING: u32 = 7;
+/// Byte offset of `ring_pivots` in the HEADER payload.
+const HEADER_RING_PIVOTS: usize = 105;
 
 fn snapshot() -> Vec<u8> {
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
     let index = PmLsh::build(generator.dataset(), PmLshParams::paper_defaults());
     serialize(&index)
+}
+
+/// A one-shard image whose index keeps a pivot ring: Trevi's Smoke
+/// stand-in at d = 1 024 and n = 4 000, where the build measures that the
+/// ring pays.
+fn ring_snapshot() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut spec = PaperDataset::Trevi.spec(Scale::Smoke);
+        spec.dim = 1024;
+        spec.n = 4000;
+        let index = PmLsh::build(
+            Generator::new(spec).dataset(),
+            PmLshParams::paper_defaults(),
+        );
+        assert!(
+            index.ring().is_some(),
+            "the Trevi-shaped build keeps a ring"
+        );
+        serialize(&index)
+    })
 }
 
 /// An index over `n` Gaussian points in `R^d`.
@@ -207,7 +232,7 @@ fn format_1_is_refused_by_its_version() {
             matches!(err, PersistError::UnsupportedVersion(v) if v == version),
             "{err:?}"
         );
-        assert!(err.to_string().contains("this build reads 5"), "{err}");
+        assert!(err.to_string().contains("this build reads 6"), "{err}");
     }
 }
 
@@ -228,9 +253,168 @@ fn format_4_is_refused_by_its_version() {
         );
         assert!(
             err.to_string()
-                .contains("unsupported snapshot format version 4 (this build reads 5)"),
+                .contains("unsupported snapshot format version 4 (this build reads 6)"),
             "{err}"
         );
+    }
+}
+
+#[test]
+fn format_5_is_refused_by_its_version() {
+    // Format 5 had no RING section and no `ring_pivots` in its header; a
+    // format-5 file of an index that would keep a ring cannot say so, and
+    // this build reads none, whatever it holds.
+    for good in [snapshot(), ring_snapshot().to_vec()] {
+        let mut old = good.clone();
+        old[8..12].copy_from_slice(&5u32.to_le_bytes());
+        resign(&mut old);
+        for bytes in [&old[..], &old[..old.len() / 2]] {
+            let err = shards_both(bytes).unwrap_err();
+            assert!(
+                matches!(err, PersistError::UnsupportedVersion(5)),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("this build reads 6"), "{err}");
+        }
+    }
+}
+
+/// The RING payload of a ring snapshot, split into its counts, pivot ids
+/// and table entries.
+fn ring_parts(bytes: &[u8]) -> (u64, u32, Vec<u32>, Vec<f32>) {
+    let (start, len) = section_bounds(bytes, SEC_RING);
+    let payload = &bytes[start..start + len];
+    let rows = u64::from_le_bytes(payload[..8].try_into().unwrap());
+    let s = u32::from_le_bytes(payload[8..12].try_into().unwrap());
+    let words = |from: usize, count: usize| -> Vec<[u8; 4]> {
+        payload[from..from + 4 * count]
+            .chunks_exact(4)
+            .map(|w| w.try_into().unwrap())
+            .collect()
+    };
+    let pivots = words(12, s as usize)
+        .into_iter()
+        .map(u32::from_le_bytes)
+        .collect();
+    let table = (words(12 + 4 * s as usize, rows as usize * s as usize).into_iter())
+        .map(f32::from_le_bytes)
+        .collect();
+    (rows, s, pivots, table)
+}
+
+fn ring_payload(rows: u64, s: u32, pivots: &[u32], table: &[f32]) -> Vec<u8> {
+    let mut out = rows.to_le_bytes().to_vec();
+    out.extend_from_slice(&s.to_le_bytes());
+    out.extend(pivots.iter().flat_map(|p| p.to_le_bytes()));
+    out.extend(table.iter().flat_map(|v| v.to_le_bytes()));
+    out
+}
+
+/// `why` of the `Corrupt` error `bytes` loads to, through both doors.
+fn corrupt_why(bytes: &[u8]) -> String {
+    match index_both(bytes) {
+        Err(PersistError::Corrupt(why)) => why,
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn ring_section_that_does_not_fit_its_rows_is_a_typed_error() {
+    let good = ring_snapshot();
+    let loaded = index_both(good).expect("untouched ring snapshot loads");
+    assert!(loaded.ring().is_some(), "the ring loads");
+    let (rows, s, pivots, table) = ring_parts(good);
+    assert_eq!(
+        (rows as usize, s as usize),
+        (loaded.data().len(), 1024 / 64)
+    );
+    let row = s as usize;
+    // A table of one row fewer or one more than the point store, counts
+    // and entries agreeing with each other.
+    let short = ring_payload(rows - 1, s, &pivots, &table[row..]);
+    let long = ring_payload(rows + 1, s, &pivots, &[&table[..], &table[..row]].concat());
+    for payload in [short, long] {
+        let why = corrupt_why(&with_payload(good, SEC_RING, &payload));
+        assert!(why.contains("ring table has"), "{why}");
+    }
+    // A section whose pivot count is not the header's, and a header whose
+    // pivot count is not the section's.
+    let fewer = ring_payload(
+        rows,
+        s - 1,
+        &pivots[1..],
+        &table[..table.len() - rows as usize],
+    );
+    let why = corrupt_why(&with_payload(good, SEC_RING, &fewer));
+    assert!(
+        why.contains("ring section declares 15 pivots, the header 16"),
+        "{why}"
+    );
+    let (hdr, _) = section_bounds(good, 1);
+    let mut bad = good.to_vec();
+    let at = hdr + HEADER_RING_PIVOTS;
+    bad[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+    resign(&mut bad);
+    let why = corrupt_why(&bad);
+    assert!(
+        why.contains("ring section declares 16 pivots, the header 0"),
+        "{why}"
+    );
+    // One table entry short, and a payload too short for its counts.
+    let ragged = ring_payload(rows, s, &pivots, &table[..table.len() - 1]);
+    let why = corrupt_why(&with_payload(good, SEC_RING, &ragged));
+    assert!(why.contains("ring section holds"), "{why}");
+    let why = corrupt_why(&with_payload(good, SEC_RING, &[0u8; 7]));
+    assert!(why.contains("too few for its counts"), "{why}");
+    // A file cut inside the section is `Truncated` once its file CRC
+    // matches, and a `FileCrc` mismatch before that.
+    let (start, len) = section_bounds(good, SEC_RING);
+    let cut = &good[..start + len / 2];
+    let err = index_both(cut).expect_err("a cut file fails");
+    assert!(matches!(err, PersistError::FileCrc), "{err:?}");
+    let mut signed = [cut, &[0u8; 4][..]].concat();
+    resign_file_only(&mut signed);
+    assert!(matches!(index_both(&signed), Err(PersistError::Truncated)));
+}
+
+#[test]
+fn ring_pivots_and_entries_are_checked() {
+    let good = ring_snapshot();
+    let (rows, s, pivots, table) = ring_parts(good);
+    let mut past = pivots.clone();
+    past[3] = rows as u32;
+    let why = corrupt_why(&with_payload(
+        good,
+        SEC_RING,
+        &ring_payload(rows, s, &past, &table),
+    ));
+    assert!(why.contains(&format!("ring pivot {rows} outside")), "{why}");
+    for bad_entry in [f32::NAN, -1.0, -0.5e-30] {
+        let mut entries = table.clone();
+        entries[table.len() / 2] = bad_entry;
+        let payload = ring_payload(rows, s, &pivots, &entries);
+        let why = corrupt_why(&with_payload(good, SEC_RING, &payload));
+        assert!(why.contains("is not a distance"), "{bad_entry}: {why}");
+    }
+}
+
+#[test]
+fn an_index_without_a_ring_says_so_in_its_ring_section() {
+    // An absent ring is the counts (0, 0) and nothing else; a count of
+    // rows or pivots there is refused, since the header says no ring.
+    let good = snapshot();
+    let (start, len) = section_bounds(&good, SEC_RING);
+    assert_eq!(&good[start..start + len], &[0u8; 12][..]);
+    assert!(index_both(&good).expect("loads").ring().is_none());
+    for (rows, s) in [(5u64, 0u32), (0, 1), (2000, 1)] {
+        let payload = ring_payload(
+            rows,
+            s,
+            &vec![0; s as usize],
+            &vec![1.0; (rows * s as u64) as usize],
+        );
+        let why = corrupt_why(&with_payload(&good, SEC_RING, &payload));
+        assert!(why.contains("ring"), "({rows}, {s}): {why}");
     }
 }
 

@@ -3,7 +3,7 @@
 //! [`QueryStats`] counters, bit for bit.
 
 use pm_lsh_core::{PmLsh, PmLshParams, QueryContext};
-use pm_lsh_data::{PaperDataset, Scale};
+use pm_lsh_data::{Generator, PaperDataset, Scale};
 use pm_lsh_metric::Dataset;
 use pm_lsh_persist::{
     deserialize, deserialize_shards, is_pmlsh_file, load, load_shards, save, save_shards,
@@ -80,6 +80,41 @@ fn in_memory_round_trip_is_bit_identical() {
     column.verify_invariants().expect("column invariants");
     assert_eq!((column.node_count(), column.pivots().len()), (0, 0));
     assert_query_parity(&index, &restored, &queries);
+}
+
+#[test]
+fn indexes_with_and_without_a_ring_round_trip() {
+    // Audio keeps no ring; Trevi's Smoke stand-in at d = 1 024 and
+    // n = 4 000 keeps one, which loads as saved rather than re-measured.
+    let (plain, audio_queries) = audio_smoke();
+    let mut spec = PaperDataset::Trevi.spec(Scale::Smoke);
+    spec.dim = 1024;
+    spec.n = 4000;
+    let generator = Generator::new(spec);
+    let ringed = PmLsh::build(generator.dataset(), PmLshParams::paper_defaults());
+    assert!(plain.ring().is_none(), "Audio keeps no ring");
+    let ring = ringed.ring().expect("the Trevi-shaped build keeps a ring");
+    let bits = |index: &PmLsh| -> Option<(Vec<u32>, Vec<u32>)> {
+        let ring = index.ring()?;
+        let table = ring.table().runs().flatten().map(|v| v.to_bits()).collect();
+        Some((ring.pivots().to_vec(), table))
+    };
+    for (index, queries) in [(&plain, audio_queries), (&ringed, generator.queries(10))] {
+        let image = serialize(index);
+        let restored = deserialize(&image).expect("round trip");
+        assert_eq!(
+            bits(&restored),
+            bits(index),
+            "the ring round-trips as it was"
+        );
+        assert_eq!(
+            serialize(&restored),
+            image,
+            "a loaded ring re-saves byte-identically"
+        );
+        assert_query_parity(index, &restored, &queries);
+    }
+    assert_eq!(ring.table().len(), ringed.data().len());
 }
 
 #[test]

@@ -22,8 +22,14 @@ echo "== generating smoke datasets"
 "$BIN" gen --dataset audio --scale smoke --out "$TMP/audio.fvecs" \
   --queries "$TMP/audio_q.fvecs" --nq 8
 "$BIN" gen --dataset cifar --scale smoke --out "$TMP/cifar.fvecs"
-# A second audio-shaped file to REINDEX onto (same dimensionality).
-"$BIN" gen --dataset audio --scale smoke --out "$TMP/audio2.fvecs"
+# A second audio-shaped file to REINDEX onto: the first 1 000 records of
+# audio.fvecs (4 + 4·192 bytes each), so a REINDEX onto it serves visibly
+# different data (fewer points, no row past 999).
+head -c $((1000 * (4 + 4 * 192))) "$TMP/audio.fvecs" > "$TMP/audio2.fvecs"
+# `QUERY 1 <row 1500 of audio.fvecs>`: before a REINDEX onto audio2.fvecs
+# the row answers itself; after it, id 1500 no longer exists.
+ROW1500_QUERY="QUERY 1 $(od -A n -v -t f4 -j $((1500 * (4 + 4 * 192) + 4)) -N $((4 * 192)) \
+  "$TMP/audio.fvecs" | tr -s ' \n' ' ' | sed 's/^ //; s/ $//')"
 # A 300 x 8 CSV whose row 17 starts with a NaN: no index can be built over it.
 awk 'BEGIN { for (r = 0; r < 300; r++) { for (c = 0; c < 8; c++)
   printf "%s%s", (c ? "," : ""), (r == 17 && c == 0 ? "nan" : (r * 8 + c) % 97 / 8); print "" } }' \
@@ -136,11 +142,24 @@ expect "AUTH $TOKEN" "OK authenticated"
 expect "ATTACH bad $TMP/nan.csv" "ERR $NAN_ERR"
 expect "REINDEX $TMP/nan.csv" "ERR $NAN_ERR"
 expect "LISTINDEXES" "INDEXES audio,cifar"
-expect "REINDEX $TMP/audio2.fvecs" "OK index=audio epoch=1 *"
-expect "INDEXINFO" "INDEXINFO name=audio *epoch=1 *"
-AUDIO2_ROWS=$(req "INDEXINFO" | sed -n 's/.* points=\([0-9]*\).*/\1/p')
-[ -n "$AUDIO2_ROWS" ] || { echo "FAIL: could not parse points after REINDEX" >&2; exit 1; }
+expect "$ROW1500_QUERY" "OK 1500:*"
+expect "REINDEX $TMP/audio2.fvecs" "OK index=audio epoch=1 points=1000 *"
+expect "INDEXINFO" "INDEXINFO name=audio points=1000 *epoch=1 *"
+AUDIO2_ROWS=1000
 expect "$(query_line)" "OK *:*"
+expect_gone() { # expect_gone <query-line> <id>: the reply names no such id
+  local got
+  got=$(req "$1")
+  case "$got" in
+    "OK $2:"*)
+      echo "FAIL: id $2 is still served after the REINDEX: '$got'" >&2
+      exit 1
+      ;;
+    "OK "*) printf 'ok: %-18s -> id %s gone (%s)\n' "QUERY" "$2" "${got:0:40}" ;;
+    *) echo "FAIL: QUERY after REINDEX -> '$got'" >&2; exit 1 ;;
+  esac
+}
+expect_gone "$ROW1500_QUERY" 1500
 
 echo "== mutation churn (INSERT / QUERY / DELETE / QUERY)"
 # INSERT a vector, prove the very next QUERY returns it at distance 0
@@ -311,9 +330,11 @@ expect "AUTH $TOKEN" "OK authenticated"
 # A REINDEX rebuilds and swaps all four shards: the epoch moves by four.
 EPOCH=$(req "INDEXINFO" | sed -n 's/.* epoch=\([0-9]*\).*/\1/p')
 [ -n "$EPOCH" ] || { echo "FAIL: could not parse epoch before REINDEX" >&2; exit 1; }
+expect "$ROW1500_QUERY" "OK 1500:*"
 expect "REINDEX $TMP/audio2.fvecs" "OK index=audio epoch=$((EPOCH + 4)) points=$AUDIO2_ROWS *"
 expect "INDEXINFO" "INDEXINFO name=audio points=$AUDIO2_ROWS *state=serving pct=100 shards=4"
 expect "$(query_line)" "OK *:*"
+expect_gone "$ROW1500_QUERY" 1500
 
 # Mutations route to the owning shard; the wire grammar is unchanged.
 DIM=$(req "INDEXINFO" | sed -n 's/.* dim=\([0-9]*\).*/\1/p')

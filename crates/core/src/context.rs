@@ -4,10 +4,11 @@
 //!
 //! Every query needs a projected-query buffer (`m` floats), the sweep's
 //! run and distance column, a bitmap that puts each round's candidates in row
-//! order, a top-k collector and, on an index with a pivot ring, its `s`
-//! pivot distances. Allocating them per query is invisible for
-//! one-off calls but dominates small-`d` serving workloads; a
-//! [`QueryContext`] owns all five and is threaded through
+//! order, a top-k collector and, on an index that keeps a principal
+//! subspace, the query's offset from its mean and its `s` coordinates in
+//! it. Allocating them per query is invisible for one-off calls but
+//! dominates small-`d` serving workloads; a [`QueryContext`] owns them all
+//! and is threaded through
 //! [`crate::PmLsh::query_into`], [`crate::PmLsh::query_fanout_into`] and
 //! [`crate::PmLsh::query_bc`] so repeated queries run without touching the
 //! allocator at steady state (asserted by `crates/core/tests/zero_alloc.rs`
@@ -56,9 +57,11 @@ pub struct QueryContext {
     /// which is what keeps a query that panicked mid-round from leaking
     /// marks into the next.
     pub(crate) marks: Vec<u64>,
-    /// The query's distances to the pivot ring's pivots, measured once per
-    /// query on an index that keeps a ring.
-    pub(crate) ring_dists: Vec<f32>,
+    /// `q − μ`, on an index that keeps a principal subspace.
+    pub(crate) offset: Vec<f32>,
+    /// The query's coordinates `U(q − μ)` in that subspace, computed once
+    /// per query.
+    pub(crate) coords: Vec<f32>,
     /// Top-k collector, reset per query.
     pub(crate) top: TopK,
     /// Where [`crate::PmLsh::query_bc`] receives its one answer, so
@@ -78,7 +81,9 @@ impl QueryContext {
             // lint: allow(hot-path) -- one-time constructor; queries reuse the buffer
             marks: Vec::new(),
             // lint: allow(hot-path) -- one-time constructor; queries reuse the buffer
-            ring_dists: Vec::new(),
+            offset: Vec::new(),
+            // lint: allow(hot-path) -- one-time constructor; queries reuse the buffer
+            coords: Vec::new(),
             // Placeholder k; every query resets the collector to its own k.
             top: TopK::new(1),
             // lint: allow(hot-path) -- one-time constructor; queries reuse the buffer

@@ -6,7 +6,7 @@
 use crate::build::BuildOptions;
 use crate::context::QueryContext;
 use crate::params::{DerivedParams, PmLshParams};
-use crate::ring::{PivotRing, RING_STREAM};
+use crate::subspace::{Subspace, SUBSPACE_STREAM};
 use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::{sq_dist_rows_within, Dataset, Neighbor, PointId, RowStore};
 use pm_lsh_pmtree::PmTree;
@@ -20,7 +20,8 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Candidates whose original-space distance was verified. A candidate
-    /// the pivot ring skips ([`PmLsh::ring`]) still counts: it was proven
+    /// the principal-subspace filter skips ([`PmLsh::subspace`]) still
+    /// counts: it was proven
     /// outside the top-k without reading its row, as an abandoned
     /// candidate is proven outside it after reading part of its row.
     pub candidates_verified: usize,
@@ -163,8 +164,9 @@ fn abandon_bound(kth: f32) -> f32 {
 /// points in blocks of eight rows, no pivot and no node), and samples the
 /// distance distribution `F` used to choose the start radius `r_min`
 /// (Section 4.5). Where its own data says it pays, the build also keeps a
-/// [`PivotRing`]: `d/64` original-space pivots and every row's distances to
-/// them, with which verification skips a candidate without reading its row.
+/// [`Subspace`]: the data's `d/64` top principal directions and every row's
+/// coordinates in them, with which verification skips a candidate without
+/// reading its row.
 /// Every query takes its candidates from one sweep over
 /// that column: at the budgets Algorithm 2 spends, the paper's PM-tree
 /// range traversal would pay more distances than there are points
@@ -204,9 +206,9 @@ pub struct PmLsh {
     /// Shared, not copied, by every copy-on-write publication: nothing
     /// after a build changes it.
     dist_f: Arc<Ecdf>,
-    /// The original-space pivot ring, where the build measured that it
-    /// pays; one table row per stored row.
-    ring: Option<PivotRing>,
+    /// The principal subspace, where the build measured that it pays; one
+    /// table row per stored row.
+    subspace: Option<Subspace>,
 }
 
 impl PmLsh {
@@ -262,9 +264,10 @@ impl PmLsh {
     }
 
     /// Shared build pipeline: project every point, keep the projections as
-    /// a column, sample `F`, then decide on a pivot ring from a stream
-    /// forked off `rng` after `F`, so `F` is the one a build without it
-    /// samples. The projection and the ring table give the same result on
+    /// a column, sample `F`, then decide on a principal subspace from a
+    /// stream forked off `rng` after `F`, so `F` is the one a build without
+    /// it samples. The projection, the subspace and its table give the same
+    /// result on
     /// any number of `threads`, so every build entry point yields the same
     /// index.
     fn build_inner(
@@ -307,11 +310,11 @@ impl PmLsh {
             // lint: allow(hot-path) -- one-time build path, not a query
             Ecdf::new(vec![1.0])
         };
-        let ring = PivotRing::build(
+        let subspace = Subspace::build(
             data.view(),
             &dist_f,
             derived.beta,
-            rng.fork(RING_STREAM),
+            rng.fork(SUBSPACE_STREAM),
             threads,
         );
         Self {
@@ -321,7 +324,7 @@ impl PmLsh {
             params,
             derived,
             dist_f: Arc::new(dist_f),
-            ring,
+            subspace,
         }
     }
 
@@ -438,7 +441,7 @@ impl PmLsh {
     /// clone is paid only by the first op that is actually admitted. The
     /// clone shares the row store ([`RowStore`]): an insert copies at most
     /// the one [`pm_lsh_metric::CHUNK_ROWS`]-row chunk it appends to (and
-    /// the one chunk of the pivot ring's table, when there is one), and a
+    /// the one chunk of the subspace's table, when there is one), and a
     /// delete copies no row. The projected column and its id map are
     /// copied whole, O(n); there is no node to copy. Returns
     /// the patched clone — `None` when every op was rejected (or `ops` is
@@ -485,8 +488,8 @@ impl PmLsh {
             MutOp::Insert(point) => {
                 let id = self.data.len() as pm_lsh_metric::PointId;
                 let projected = self.projector.project(point);
-                if let Some(ring) = &mut self.ring {
-                    ring.push(&self.data, point);
+                if let Some(subspace) = &mut self.subspace {
+                    subspace.push(point);
                 }
                 self.data.push(point);
                 self.tree.insert(&projected, id);
@@ -545,18 +548,18 @@ impl PmLsh {
         &self.projector
     }
 
-    /// The original-space pivot ring verification skips rows with, or
-    /// `None` where the build measured that it would not pay (see
-    /// docs/ARCHITECTURE.md, "Verification skips by pivot ring").
-    pub fn ring(&self) -> Option<&PivotRing> {
-        self.ring.as_ref()
+    /// The principal subspace verification skips rows with, or `None`
+    /// where the build measured that it would not pay (see
+    /// docs/ARCHITECTURE.md, "Verification skips by principal subspace").
+    pub fn subspace(&self) -> Option<&Subspace> {
+        self.subspace.as_ref()
     }
 
-    /// This index without its pivot ring: every candidate is read, and
-    /// every answer and [`QueryStats`] counter stays what it was. An
+    /// This index without its principal subspace: every candidate is read,
+    /// and every answer and [`QueryStats`] counter stays what it was. An
     /// insert into it appends no table row.
-    pub fn without_ring(mut self) -> Self {
-        self.ring = None;
+    pub fn without_subspace(mut self) -> Self {
+        self.subspace = None;
         self
     }
 
@@ -569,17 +572,17 @@ impl PmLsh {
     /// counter — bit-identically to the index the parts came from.
     ///
     /// Cross-component consistency is validated (dimensionalities, id
-    /// ranges, that `tree` is a column, and that `ring` has one table row
-    /// per stored row and its pivots among them); the column's own
+    /// ranges, that `tree` is a column, and that `subspace` lives in the
+    /// rows' space and has one table row per stored row); the column's own
     /// structure is the caller's concern (`PmTree::from_parts` checks it),
-    /// and so is the ring's ([`PivotRing::from_parts`]).
+    /// and so is the subspace's ([`Subspace::from_parts`]).
     pub fn from_parts(
         data: Arc<Dataset>,
         projector: GaussianProjector,
         tree: PmTree,
         params: PmLshParams,
         dist_f: impl Into<Arc<Ecdf>>,
-        ring: Option<PivotRing>,
+        subspace: Option<Subspace>,
     ) -> Result<Self, String> {
         let dist_f = dist_f.into();
         if data.is_empty() {
@@ -634,19 +637,20 @@ impl PmLsh {
         if dist_f.is_empty() {
             return Err("distance distribution has no samples".into());
         }
-        if let Some(ring) = &ring {
-            if ring.table().len() != data.len() {
+        if let Some(subspace) = &subspace {
+            if subspace.mean().len() != data.dim() {
                 // lint: allow(hot-path) -- load-time validation error path
                 return Err(format!(
-                    "ring table has {} rows, the point store {}",
-                    ring.table().len(),
-                    data.len()
+                    "subspace lives in R^{}, data in R^{}",
+                    subspace.mean().len(),
+                    data.dim()
                 ));
             }
-            if let Some(&bad) = ring.pivots().iter().find(|&&p| p as usize >= data.len()) {
+            if subspace.table().len() != data.len() {
                 // lint: allow(hot-path) -- load-time validation error path
                 return Err(format!(
-                    "ring pivot {bad} outside the {}-row point store",
+                    "subspace table has {} rows, the point store {}",
+                    subspace.table().len(),
                     data.len()
                 ));
             }
@@ -659,7 +663,7 @@ impl PmLsh {
             params,
             derived,
             dist_f,
-            ring,
+            subspace,
         })
     }
 
@@ -794,13 +798,14 @@ impl PmLsh {
     /// bitmap of one bit per stored row in `ctx` — and the kernel asks for
     /// the front of the row two candidates ahead while it measures one.
     ///
-    /// With a pivot ring ([`PmLsh::ring`]), the query measures its `s`
-    /// pivot distances once, into `ctx`, and the id stream that feeds the
-    /// kernel drops each candidate whose ring gap proves it would measure
-    /// above the abandon bound in force when the walk pulls its id (the
-    /// bound never rises within a query, so a bound two rows stale only
-    /// skips less). The kernel never reads, nor asks ahead for, a dropped
-    /// row: the read-ahead asks only for rows the ring kept.
+    /// With a principal subspace ([`PmLsh::subspace`]), the query computes
+    /// its `s` coordinates `U(q − μ)` once, into `ctx`, and the id stream
+    /// that feeds the kernel drops each candidate whose coordinates lie far
+    /// enough from them to prove it would measure above the abandon bound
+    /// in force when the walk pulls its id (the bound never rises within a
+    /// query, so a bound two rows stale only skips less). The kernel never
+    /// reads, nor asks ahead for, a dropped row: the read-ahead asks only
+    /// for rows the filter kept.
     ///
     /// Verification runs in the squared-distance domain: each candidate is
     /// measured early-abandoning against a conservative squared bound
@@ -873,11 +878,11 @@ impl PmLsh {
         let mut rounds = 0u32;
         // Invariant: `bound == abandon_bound(top.kth_dist())`, refreshed
         // only when an insertion changes the k-th distance — not per
-        // candidate. A cell, because the ring filter reads it as the walk
-        // pulls each id while the kernel's `keep` lowers it.
+        // candidate. A cell, because the subspace filter reads it as the
+        // walk pulls each id while the kernel's `keep` lowers it.
         let bound = Cell::new(f32::INFINITY);
-        let mut ring =
-            (self.ring.as_ref()).map(|ring| ring.probe(&self.data, q, &mut ctx.ring_dists));
+        let mut subspace = (self.subspace.as_ref())
+            .map(|subspace| subspace.probe(q, &mut ctx.offset, &mut ctx.coords));
 
         loop {
             rounds += 1;
@@ -919,9 +924,10 @@ impl PmLsh {
             // (dist, id) insertion a full distance would make. An abandoned
             // one exceeds the bound, so it exceeds every squared distance
             // whose sqrt could still displace the k-th neighbor, and a full
-            // distance's push would have been rejected too. A row the ring
-            // skips would have measured above the bound: it is dropped from
-            // the ids before the kernel reads or asks ahead for it.
+            // distance's push would have been rejected too. A row the
+            // subspace skips would have measured above the bound: it is
+            // dropped from the ids before the kernel reads or asks ahead
+            // for it.
             let ids = nearest.iter().map(|(id, _)| id).chain(drain_marks(marks));
             let keep = |id, sq: f32| {
                 if top.push(sq.sqrt(), id) && top.is_full() {
@@ -929,9 +935,9 @@ impl PmLsh {
                 }
                 bound.get()
             };
-            match &mut ring {
-                Some(ring) => {
-                    let ids = ids.filter(|&id| !ring.skips(id, bound.get()));
+            match &mut subspace {
+                Some(subspace) => {
+                    let ids = subspace.filter(ids, &bound);
                     sq_dist_rows_within(q, &self.data, ids, bound.get(), keep)
                 }
                 None => sq_dist_rows_within(q, &self.data, ids, bound.get(), keep),
@@ -1087,24 +1093,23 @@ mod tests {
         assert_eq!(saturate.rounds, u32::MAX, "rounds must saturate, not wrap");
     }
 
-    /// `n` points in `R^d` around 8 centers, each cluster spread along a
-    /// 2-dimensional subspace: data that separates well, so a build keeps
-    /// a pivot ring over it. Queries come from the same clusters.
-    fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
-        let mut rng = Rng::new(0xc1);
-        let mut centers = vec![0.0f32; 8 * d];
-        let mut basis = vec![0.0f32; 8 * 2 * d];
-        rng.fill_normal(&mut centers);
-        rng.fill_normal(&mut basis);
+    /// `n` points in `R^d` near a 4-dimensional subspace: Gaussian along 4
+    /// fixed random axes, with a little noise off them. In `R^256` the
+    /// `d/64 = 4` top principal directions hold nearly all of a pair's
+    /// distance, so a build keeps a principal subspace over it. Queries
+    /// come from the same distribution.
+    fn low_rank(n: usize, d: usize, seed: u64) -> Dataset {
+        let mut axes = vec![0.0f32; 4 * d];
+        Rng::new(0xc1).fill_normal(&mut axes);
         let mut rng = Rng::new(seed);
         let mut ds = Dataset::with_capacity(d, n);
-        for i in 0..n {
-            let c = i % 8;
-            let (a, b) = (rng.normal_f32() * 2.0, rng.normal_f32() * 2.0);
+        for _ in 0..n {
+            let mut c = [0.0f32; 4];
+            rng.fill_normal(&mut c);
             let row: Vec<f32> = (0..d)
                 .map(|j| {
-                    let axis = |k: usize| basis[(2 * c + k) * d + j];
-                    centers[c * d + j] + a * axis(0) + b * axis(1) + 0.01 * rng.normal_f32()
+                    let along: f32 = (0..4).map(|k| c[k] * axes[k * d + j]).sum();
+                    along + 0.01 * rng.normal_f32()
                 })
                 .collect();
             ds.push(&row);
@@ -1114,23 +1119,30 @@ mod tests {
 
     #[test]
     fn parallel_build_is_thread_count_invariant() {
-        // Gaussian rows keep no pivot ring; clustered ones keep one, whose
-        // table is spread over the build's threads too.
+        // Gaussian rows keep no principal subspace; low-rank ones keep one,
+        // whose fit and table are spread over the build's threads too.
         for (data, queries, params) in [
             (blob(1200, 12, 71), blob(20, 12, 72), PmLshParams::default()),
             (
-                clustered(1500, 256, 73),
-                clustered(20, 256, 74),
+                low_rank(1500, 256, 73),
+                low_rank(20, 256, 74),
                 PmLshParams::paper_defaults(),
             ),
         ] {
             let base = PmLsh::build_with_opts(data.clone(), params, crate::BuildOptions::default());
-            let table = |index: &PmLsh| -> Option<(Vec<PointId>, Vec<u32>)> {
-                let ring = index.ring()?;
-                let bits = ring.table().runs().flatten().map(|v| v.to_bits()).collect();
-                Some((ring.pivots().to_vec(), bits))
+            let table = |index: &PmLsh| -> Option<(Vec<u32>, [u64; 2])> {
+                let sub = index.subspace()?;
+                let floats = (sub.mean().iter())
+                    .chain(sub.basis().as_flat())
+                    .chain(sub.table().runs().flatten());
+                let bits = floats.map(|v| v.to_bits()).collect();
+                Some((bits, [sub.sigma().to_bits(), sub.radius().to_bits()]))
             };
-            assert_eq!(base.ring().is_some(), data.dim() == 256, "ring kept");
+            assert_eq!(
+                base.subspace().is_some(),
+                data.dim() == 256,
+                "subspace kept"
+            );
             for threads in [0usize, 2, 4, 8] {
                 let other = PmLsh::build_with_opts(
                     data.clone(),
@@ -1140,7 +1152,7 @@ mod tests {
                 assert_eq!(
                     table(&base),
                     table(&other),
-                    "{threads}-thread ring diverged"
+                    "{threads}-thread subspace diverged"
                 );
                 for q in queries.iter() {
                     let a = base.query(q, 7);
@@ -1153,18 +1165,18 @@ mod tests {
     }
 
     #[test]
-    fn the_ring_skips_most_rows_at_the_final_bound_and_no_answer() {
-        let data = clustered(1500, 256, 75);
+    fn the_subspace_skips_most_rows_at_the_final_bound_and_no_answer() {
+        let data = low_rank(1500, 256, 75);
         let index = PmLsh::build(data, PmLshParams::paper_defaults());
-        let ring = index.ring().expect("clustered rows keep a ring");
-        let stripped = index.clone().without_ring();
+        let subspace = index.subspace().expect("low-rank rows keep a subspace");
+        let stripped = index.clone().without_subspace();
         let mut skipped = 0usize;
-        let mut dq = Vec::new();
-        for q in clustered(10, 256, 76).iter() {
+        let (mut offset, mut coords) = (Vec::new(), Vec::new());
+        for q in low_rank(10, 256, 76).iter() {
             let res = index.query(q, 10);
             assert_eq!(res.neighbors, stripped.query(q, 10).neighbors);
             let bound = abandon_bound(res.neighbors[9].dist);
-            let mut probe = ring.probe(&index.data, q, &mut dq);
+            let mut probe = subspace.probe(q, &mut offset, &mut coords);
             for &id in index.live_ids() {
                 if probe.skips(id, bound) {
                     skipped += 1;

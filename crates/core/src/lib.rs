@@ -47,12 +47,12 @@ pub mod context;
 pub mod estimator_study;
 pub mod index;
 pub mod params;
-pub mod ring;
 pub mod shard;
+pub mod subspace;
 
 pub use build::BuildOptions;
 pub use context::QueryContext;
 pub use estimator_study::{estimator_study, Estimator, EstimatorCurve, EstimatorPoint};
 pub use index::{MutOp, MutReject, PmLsh, QueryResult, QueryStats};
 pub use params::{DerivedParams, PmLshParams};
-pub use ring::PivotRing;
+pub use subspace::Subspace;

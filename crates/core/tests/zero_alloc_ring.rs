@@ -1,7 +1,8 @@
-//! Counting-allocator proof that the pivot ring keeps the hot path
-//! allocation-free: on an index that keeps a ring, a warmed-up
-//! [`QueryContext`] holds the query's pivot distances, and steady-state
-//! queries never touch the global allocator.
+//! Counting-allocator proof that the verification filter keeps the hot
+//! path allocation-free: on an index that keeps a principal subspace, a
+//! warmed-up [`QueryContext`] holds the query's offset from the mean and
+//! its coordinates, and steady-state queries never touch the global
+//! allocator.
 //!
 //! One `#[test]` on purpose, as in `zero_alloc.rs`: the counter is
 //! process-global.
@@ -48,23 +49,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `n` rows in `R^d` around 8 centers, each cluster spread along a plane:
-/// data that separates well, so the build keeps a ring.
-fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
-    let mut rng = Rng::new(0xc1);
-    let mut centers = vec![0.0f32; 8 * d];
-    let mut basis = vec![0.0f32; 16 * d];
-    rng.fill_normal(&mut centers);
-    rng.fill_normal(&mut basis);
+/// `n` rows in `R^d` near a 4-dimensional subspace (Gaussian along 4 fixed
+/// random axes, a little noise off them), so the build keeps a principal
+/// subspace.
+fn low_rank(n: usize, d: usize, seed: u64) -> Dataset {
+    let mut axes = vec![0.0f32; 4 * d];
+    Rng::new(0xc1).fill_normal(&mut axes);
     let mut rng = Rng::new(seed);
     let mut ds = Dataset::with_capacity(d, n);
     let mut row = vec![0.0f32; d];
-    for i in 0..n {
-        let c = i % 8;
-        let (a, b) = (rng.normal_f32() * 2.0, rng.normal_f32() * 2.0);
+    for _ in 0..n {
+        let mut c = [0.0f32; 4];
+        rng.fill_normal(&mut c);
         for (j, v) in row.iter_mut().enumerate() {
-            let axis = |k: usize| basis[(2 * c + k) * d + j];
-            *v = centers[c * d + j] + a * axis(0) + b * axis(1) + 0.01 * rng.normal_f32();
+            let along: f32 = (0..4).map(|k| c[k] * axes[k * d + j]).sum();
+            *v = along + 0.01 * rng.normal_f32();
         }
         ds.push(&row);
     }
@@ -74,9 +73,9 @@ fn clustered(n: usize, d: usize, seed: u64) -> Dataset {
 #[test]
 fn steady_state_queries_on_a_ring_do_not_allocate() {
     const K: usize = 10;
-    let index = PmLsh::build(clustered(1500, 256, 5), PmLshParams::paper_defaults());
-    assert!(index.ring().is_some(), "clustered rows keep a ring");
-    let queries = clustered(12, 256, 6);
+    let index = PmLsh::build(low_rank(1500, 256, 5), PmLshParams::paper_defaults());
+    assert!(index.subspace().is_some(), "low-rank rows keep a subspace");
+    let queries = low_rank(12, 256, 6);
     let c = index.params().c;
     let mut ctx = QueryContext::new();
     let mut out: Vec<Neighbor> = Vec::new();
@@ -95,6 +94,6 @@ fn steady_state_queries_on_a_ring_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state ring queries must not allocate"
+        "steady-state queries on a subspace must not allocate"
     );
 }

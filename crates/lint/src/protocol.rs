@@ -68,7 +68,7 @@ const SECTION_NAMES: [(&str, &str); 7] = [
     ("POINTS", "SEC_POINTS"),
     ("IDMAPS", "SEC_IDMAPS"),
     ("ECDF", "SEC_ECDF"),
-    ("RING", "SEC_RING"),
+    ("SUBSPACE", "SEC_SUBSPACE"),
 ];
 
 /// Value of `const NAME: ... = <int>;`.
@@ -601,7 +601,7 @@ mod tests {
         "pub const FORMAT_VERSION: u32 = 5;\n",
         "const SEC_HEADER: u32 = 1;\nconst SEC_PROJ: u32 = 2;\nconst SEC_DATA: u32 = 3;\n",
         "const SEC_POINTS: u32 = 4;\nconst SEC_IDMAPS: u32 = 5;\nconst SEC_ECDF: u32 = 6;\n",
-        "const SEC_RING: u32 = 7;\n",
+        "const SEC_SUBSPACE: u32 = 7;\n",
     );
 
     fn consts() -> ProtoConsts {
@@ -631,7 +631,7 @@ mod tests {
             "| id | section | payload |\n|---|---|---|\n",
             "| 1 | HEADER | params |\n| 2 | PROJ | matrix |\n| 3 | DATA | rows |\n",
             "| 4 | POINTS | column |\n| 5 | IDMAPS | ids |\n| 6 | ECDF | samples |\n",
-            "| 7 | RING | pivots, table |\n",
+            "| 7 | SUBSPACE | mean, basis, table |\n",
         )
         .to_string()
     }

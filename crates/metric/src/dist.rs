@@ -105,9 +105,10 @@ pub fn sq_dist_blocks(q: &[f32], blocks: &[f32], each: impl FnMut([f32; BLOCK_RO
 /// the base in its chunk. On x86-64 the walk also asks the memory system
 /// for the front of the row two candidates ahead; a prefetch is a hint, so
 /// it changes no value. The read-ahead asks only for rows `ids` yields, as
-/// it pulls them: a row a caller filters out of `ids` (the pivot ring in
-/// `pm-lsh-core` does) is never read nor asked for, and a filter that
-/// reads the bound `keep` last returned sees it at most two rows stale.
+/// it pulls them: a row a caller filters out of `ids` (the
+/// principal-subspace filter in `pm-lsh-core` does) is never read nor
+/// asked for, and a filter that reads the bound `keep` last returned sees
+/// it at most two rows stale.
 ///
 /// # Panics
 /// Panics if `q` is empty, the rows are not `q.len()` floats, or an id

@@ -240,6 +240,17 @@ fn walk_rows<'r>(
     }
 }
 
+/// Asks the memory system for the first eight 64-byte lines of `row`, as
+/// the row-verification walk does for the rows ahead of it (x86-64 only;
+/// elsewhere nothing). A hint: it changes no value.
+#[inline(always)]
+pub fn prefetch_row(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    x86::prefetch_row(row);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 // ---------------------------------------------------------------------------
 // Scalar kernels (also the reference the SIMD paths are tested against).
 // ---------------------------------------------------------------------------
@@ -663,7 +674,7 @@ mod x86 {
 
     /// Asks for the first [`PREFETCH_LINES`] 64-byte lines of `row`.
     #[inline(always)]
-    fn prefetch_row(row: &[f32]) {
+    pub(super) fn prefetch_row(row: &[f32]) {
         for line in row.chunks(16).take(PREFETCH_LINES) {
             // SAFETY: a prefetch is a hint that neither faults nor changes
             // memory, SSE is the x86-64 baseline, and the address lies

@@ -15,23 +15,25 @@
 //! | 4  | POINTS      | the projected column, `live·m` f32 in internal-row order       |
 //! | 5  | IDMAPS      | `live` external ids (u32), in internal-row order               |
 //! | 6  | ECDF        | sampled distance distribution, `ecdf_len` f64 ascending        |
-//! | 7  | RING        | the pivot ring: `rows u64, s u32`, `s` pivot ids (u32), `rows·s` f32 |
+//! | 7  | SUBSPACE    | the principal subspace: `rows u64, s u32`, then `σ f64, ρ f64`, `d` + `s·d` + `rows·s` f32 |
 //!
 //! HEADER payload, in order: `d u64, n_rows u64, m u32, s u32, live u64,
 //! c f64, alpha1 f64, beta_flag u8, beta f64, rmin_shrink f64,
 //! capacity u64, pivot_sample u64, distance_samples u64, seed u64,
-//! ecdf_len u64, ring_pivots u32`. `s`, `capacity` and `pivot_sample` are
+//! ecdf_len u64, subspace_dims u32`. `s`, `capacity` and `pivot_sample` are
 //! the index's PM-tree parameters ([`PmLshParams::tree`]), stored so that
 //! they round-trip; the served index is a column ([`PmTreeParts`]) and has
-//! no PM-tree pivot or node to store. `ring_pivots` is the pivot count of
-//! the index's original-space pivot ring ([`PivotRing`]), 0 for an index
+//! no PM-tree pivot or node to store. `subspace_dims` is the direction
+//! count of the index's principal subspace ([`Subspace`]), 0 for an index
 //! that keeps none.
 //!
-//! RING holds the ring as the index keeps it, so a load reads it instead
-//! of measuring `n_rows·s` distances again: its row count (`n_rows`, or 0
-//! with no ring), its pivot count (the header's `ring_pivots`), the pivots'
-//! row ids, then row `i`'s distances to the pivots for every stored row
-//! `i`. An index without a ring writes `0, 0` and nothing else.
+//! SUBSPACE holds the subspace as the index keeps it, so a load reads it
+//! instead of fitting and projecting again: its row count (`n_rows`, or 0
+//! with no subspace), its direction count `s` (the header's
+//! `subspace_dims`), the bound `σ` on the basis's norm, the radius `ρ` of
+//! the stored rows about the mean, the mean (`d` f32), the basis (`s` rows
+//! of `d` f32), then row `i`'s `s` coordinates for every stored row `i`. An
+//! index without a subspace writes `0, 0` and nothing else.
 //!
 //! The shards of one file must agree on `d`, `m`, `c` and β; a set that
 //! does not is [`PersistError::Corrupt`].
@@ -59,7 +61,7 @@ use std::borrow::Borrow;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use pm_lsh_core::{PivotRing, PmLsh, PmLshParams};
+use pm_lsh_core::{PmLsh, PmLshParams, Subspace};
 use pm_lsh_hash::GaussianProjector;
 use pm_lsh_metric::Dataset;
 use pm_lsh_pmtree::{PmTree, PmTreeConfig, PmTreeParts};
@@ -72,7 +74,7 @@ use crate::PersistError;
 pub const MAGIC: [u8; 8] = *b"PMLSHSNP";
 
 /// The snapshot format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 const SEC_HEADER: u32 = 1;
 const SEC_PROJ: u32 = 2;
@@ -80,13 +82,16 @@ const SEC_DATA: u32 = 3;
 const SEC_POINTS: u32 = 4;
 const SEC_IDMAPS: u32 = 5;
 const SEC_ECDF: u32 = 6;
-const SEC_RING: u32 = 7;
+const SEC_SUBSPACE: u32 = 7;
 
 /// Bytes of the HEADER payload.
 const HEADER_LEN: usize = 109;
 
-/// Bytes of the RING payload before its arrays: `rows u64, s u32`.
-const RING_COUNTS_LEN: usize = 12;
+/// Bytes of the SUBSPACE payload before its bounds: `rows u64, s u32`.
+const SUBSPACE_COUNTS_LEN: usize = 12;
+
+/// Bytes of the SUBSPACE bounds `σ f64, ρ f64`, present when `s > 0`.
+const SUBSPACE_BOUNDS_LEN: usize = 16;
 
 /// Bytes a reader pulls from its source per read, and a writer encodes per
 /// write: large enough that a read call's cost vanishes, small enough that
@@ -189,7 +194,11 @@ fn payload_lens(index: &PmLsh) -> [u64; 7] {
     let (d, m) = (index.data().dim() as u64, index.params().m as u64);
     let live = index.tree().len() as u64;
     let ecdf = index.distance_distribution().len() as u64;
-    let (ring_rows, s) = ring_counts(index);
+    let (rows, s) = subspace_counts(index);
+    let subspace = match s {
+        0 => 0,
+        _ => SUBSPACE_BOUNDS_LEN as u64 + (d + s * d + rows * s) * 4,
+    };
     [
         HEADER_LEN as u64,
         m * d * 4,
@@ -197,14 +206,14 @@ fn payload_lens(index: &PmLsh) -> [u64; 7] {
         live * m * 4,
         live * 4,
         ecdf * 8,
-        RING_COUNTS_LEN as u64 + s * 4 + ring_rows * s * 4,
+        SUBSPACE_COUNTS_LEN as u64 + subspace,
     ]
 }
 
-/// The RING section's `(rows, s)`: `(0, 0)` for an index without a ring.
-fn ring_counts(index: &PmLsh) -> (u64, u64) {
-    index.ring().map_or((0, 0), |ring| {
-        (ring.table().len() as u64, ring.pivots().len() as u64)
+/// The SUBSPACE section's `(rows, s)`: `(0, 0)` for an index without one.
+fn subspace_counts(index: &PmLsh) -> (u64, u64) {
+    index.subspace().map_or((0, 0), |sub| {
+        (sub.table().len() as u64, sub.basis().len() as u64)
     })
 }
 
@@ -236,14 +245,14 @@ fn header(index: &PmLsh) -> Vec<u8> {
     put_u64(&mut h, params.distance_samples as u64);
     put_u64(&mut h, params.seed);
     put_u64(&mut h, index.distance_distribution().len() as u64);
-    put_u32(&mut h, ring_counts(index).1 as u32);
+    put_u32(&mut h, subspace_counts(index).1 as u32);
     h
 }
 
 /// Writes one index's seven sections.
 fn put_index<W: Write>(w: &mut Writer<W>, index: &PmLsh) -> io::Result<()> {
     let parts = index.tree().to_parts();
-    let [header_len, proj, data, points, idmaps, ecdf, ring] = payload_lens(index);
+    let [header_len, proj, data, points, idmaps, ecdf, subspace] = payload_lens(index);
     w.section(SEC_HEADER, header_len, |w| w.put(&header(index)))?;
     w.section(SEC_PROJ, proj, |w| {
         w.put_all(index.projector().coeffs_flat(), f32::to_le_bytes)
@@ -262,15 +271,18 @@ fn put_index<W: Write>(w: &mut Writer<W>, index: &PmLsh) -> io::Result<()> {
         let samples = index.distance_distribution().sorted_samples();
         w.put_all(samples, f64::to_le_bytes)
     })?;
-    w.section(SEC_RING, ring, |w| {
-        let (rows, s) = ring_counts(index);
+    w.section(SEC_SUBSPACE, subspace, |w| {
+        let (rows, s) = subspace_counts(index);
         w.put(&rows.to_le_bytes())?;
         w.put(&(s as u32).to_le_bytes())?;
-        let Some(ring) = index.ring() else {
+        let Some(sub) = index.subspace() else {
             return Ok(());
         };
-        w.put_all(ring.pivots(), u32::to_le_bytes)?;
-        (ring.table().runs()).try_for_each(|run| w.put_all(run, f32::to_le_bytes))
+        w.put(&sub.sigma().to_le_bytes())?;
+        w.put(&sub.radius().to_le_bytes())?;
+        w.put_all(sub.mean(), f32::to_le_bytes)?;
+        w.put_all(sub.basis().as_flat(), f32::to_le_bytes)?;
+        (sub.table().runs()).try_for_each(|run| w.put_all(run, f32::to_le_bytes))
     })
 }
 
@@ -383,7 +395,7 @@ struct Header {
     live: usize,
     params: PmLshParams,
     ecdf_len: usize,
-    ring_pivots: usize,
+    subspace_dims: usize,
 }
 
 fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
@@ -403,7 +415,7 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
     let distance_samples = to_usize(r.u64()?, "distance sample count")?;
     let seed = r.u64()?;
     let ecdf_len = to_usize(r.u64()?, "ECDF sample count")?;
-    let ring_pivots = to_usize(r.u32()? as u64, "ring pivot count")?;
+    let subspace_dims = to_usize(r.u32()? as u64, "subspace direction count")?;
     if r.remaining() != 0 {
         return Err(corrupt("trailing bytes in header"));
     }
@@ -489,7 +501,7 @@ fn parse_header(payload: &[u8]) -> Result<Header, PersistError> {
             seed,
         },
         ecdf_len,
-        ring_pivots,
+        subspace_dims,
     })
 }
 
@@ -653,68 +665,95 @@ impl<R: Read> Reader<R> {
         Ok(out)
     }
 
-    /// Reads the RING section as header `h` implies it: the ring's pivots
-    /// and table, or `Some(None)` for an index that keeps no ring. As in
-    /// [`Reader::section`], a held error, or one found in the section's
+    /// Reads the SUBSPACE section as header `h` implies it: the
+    /// subspace's parts, or `Some(None)` for an index that keeps none. As
+    /// in [`Reader::section`], a held error, or one found in the section's
     /// counts (held now), leaves the payload only checksummed.
-    fn ring(
+    fn subspace(
         &mut self,
         h: Option<&Header>,
         held: &mut Option<PersistError>,
-    ) -> Result<Option<Option<RingParts>>, PersistError> {
-        let len = self.open(SEC_RING)?;
+    ) -> Result<Option<Option<SubspaceParts>>, PersistError> {
+        let len = self.open(SEC_SUBSPACE)?;
         let mut left = len as u64;
         let mut out = None;
         if let (Some(h), None) = (h, held.as_ref()) {
-            let shape = if len < RING_COUNTS_LEN {
+            let shape = if len < SUBSPACE_COUNTS_LEN {
                 Err(corrupt(format!(
-                    "ring section holds {len} bytes, too few for its counts"
+                    "subspace section holds {len} bytes, too few for its counts"
                 )))
             } else {
-                left -= RING_COUNTS_LEN as u64;
+                left -= SUBSPACE_COUNTS_LEN as u64;
                 let rows = self.u64()?;
                 let s = self.u32()?;
-                ring_shape(h, rows, s, len)
+                subspace_shape(h, rows, s, len)
             };
             if let Some((rows, s)) = hold(held, shape) {
-                let pivots = self.decode(s * 4, u32::from_le_bytes)?;
-                let table = self.decode(rows * s * 4, f32::from_le_bytes)?;
+                out = Some(None);
+                if s > 0 {
+                    let sigma = f64::from_le_bytes(self.array()?);
+                    let radius = f64::from_le_bytes(self.array()?);
+                    let mean = self.decode(h.d * 4, f32::from_le_bytes)?;
+                    let basis = self.decode(s * h.d * 4, f32::from_le_bytes)?;
+                    let table = self.decode(rows * s * 4, f32::from_le_bytes)?;
+                    out = Some(Some(SubspaceParts {
+                        sigma,
+                        radius,
+                        mean,
+                        basis,
+                        table,
+                    }));
+                }
                 left = 0;
-                out = Some((s > 0).then_some((pivots, table)));
             }
         }
         self.stream(left, 1, |_| {})?;
-        self.close(SEC_RING)?;
+        self.close(SEC_SUBSPACE)?;
         Ok(out)
     }
 }
 
-/// A RING section's pivot ids and table entries.
-type RingParts = (Vec<u32>, Vec<f32>);
+/// A SUBSPACE section's bounds and arrays.
+struct SubspaceParts {
+    sigma: f64,
+    radius: f64,
+    mean: Vec<f32>,
+    basis: Vec<f32>,
+    table: Vec<f32>,
+}
 
-/// The RING section's `(rows, s)`, checked against the header and against
-/// the section's `len`.
-fn ring_shape(h: &Header, rows: u64, s: u32, len: usize) -> Result<(usize, usize), PersistError> {
+/// The SUBSPACE section's `(rows, s)`, checked against the header and
+/// against the section's `len`.
+fn subspace_shape(
+    h: &Header,
+    rows: u64,
+    s: u32,
+    len: usize,
+) -> Result<(usize, usize), PersistError> {
     let s = s as usize;
-    if s != h.ring_pivots {
+    if s != h.subspace_dims {
         return Err(corrupt(format!(
-            "ring section declares {s} pivots, the header {}",
-            h.ring_pivots
+            "subspace section declares {s} directions, the header {}",
+            h.subspace_dims
         )));
     }
     let want_rows = if s == 0 { 0 } else { h.n_rows };
     if rows != want_rows as u64 {
         return Err(corrupt(format!(
-            "ring table has {rows} rows for {s} pivots, the point store {}",
+            "subspace table has {rows} rows for {s} directions, the point store {}",
             h.n_rows
         )));
     }
-    let want = (want_rows.checked_mul(s))
-        .and_then(|entries| entries.checked_add(s)?.checked_mul(4))
-        .and_then(|bytes| bytes.checked_add(RING_COUNTS_LEN));
+    let want = if s == 0 {
+        Some(SUBSPACE_COUNTS_LEN)
+    } else {
+        (want_rows.checked_add(h.d))
+            .and_then(|rows| rows.checked_mul(s)?.checked_add(h.d)?.checked_mul(4))
+            .and_then(|bytes| bytes.checked_add(SUBSPACE_COUNTS_LEN + SUBSPACE_BOUNDS_LEN))
+    };
     if want != Some(len) {
         return Err(corrupt(format!(
-            "ring section holds {len} bytes, its counts imply {want:?}"
+            "subspace section holds {len} bytes, its counts imply {want:?}"
         )));
     }
     Ok((want_rows, s))
@@ -905,10 +944,17 @@ fn read_index<R: Read>(r: &mut Reader<R>) -> Result<PmLsh, PersistError> {
         };
         hold(&mut held, checked)
     });
-    let ring = r.ring(h.as_ref(), &mut held)?;
+    let subspace = r.subspace(h.as_ref(), &mut held)?;
 
-    let (Some(h), Some(coeffs), Some(raw), Some(points), Some(externals), Some(ecdf), Some(ring)) =
-        (h, coeffs, raw, points, externals, ecdf, ring)
+    let (
+        Some(h),
+        Some(coeffs),
+        Some(raw),
+        Some(points),
+        Some(externals),
+        Some(ecdf),
+        Some(subspace),
+    ) = (h, coeffs, raw, points, externals, ecdf, subspace)
     else {
         return Err(held.expect("a section was skipped for an error held"));
     };
@@ -920,10 +966,12 @@ fn read_index<R: Read>(r: &mut Reader<R>) -> Result<PmLsh, PersistError> {
     .map_err(corrupt)?;
     let data = Arc::new(Dataset::from_flat(raw, h.d));
     let projector = GaussianProjector::from_flat(coeffs, h.d, h.m);
-    let ring = ring.map(|(pivots, table)| {
-        let s = pivots.len();
-        PivotRing::from_parts(pivots, Dataset::from_flat(table, s))
+    let subspace = subspace.map(|p| {
+        let s = p.basis.len() / h.d;
+        let basis = Dataset::from_flat(p.basis, h.d);
+        let table = Dataset::from_flat(p.table, s);
+        Subspace::from_parts(p.mean, basis, p.sigma, p.radius, table)
     });
-    let ring = ring.transpose().map_err(corrupt)?;
-    PmLsh::from_parts(data, projector, tree, h.params, Ecdf::new(ecdf), ring).map_err(corrupt)
+    let subspace = subspace.transpose().map_err(corrupt)?;
+    PmLsh::from_parts(data, projector, tree, h.params, Ecdf::new(ecdf), subspace).map_err(corrupt)
 }

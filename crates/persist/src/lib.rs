@@ -3,7 +3,7 @@
 //! This crate defines a versioned, little-endian on-disk format for a set
 //! of fully built [`PmLsh`] shards — per shard the projection matrix, raw
 //! point store, projected point column and its external ids, and the
-//! original-space pivot ring where the index keeps one — so a serving
+//! principal subspace where the index keeps one — so a serving
 //! process can restart and answer queries *bit-identically* to the index it
 //! saved, without re-deriving hashes or re-projecting a row. A snapshot is one
 //! file at every shard count; a plain index is the one-shard case. Every
@@ -11,14 +11,14 @@
 //! torn writes and bit rot are detected at load time instead of surfacing
 //! as wrong answers.
 //!
-//! # File layout (format version 6)
+//! # File layout (format version 7)
 //!
 //! ```text
 //! magic      8 bytes   b"PMLSHSNP"
-//! version    u32 LE    6
+//! version    u32 LE    7
 //! shards     u32 LE    S >= 1
 //! section ×7 per shard fixed order: HEADER, PROJ, DATA, POINTS, IDMAPS,
-//!                      ECDF, RING; shards in id order
+//!                      ECDF, SUBSPACE; shards in id order
 //! file crc   u32 LE    CRC-32 of every preceding byte
 //! ```
 //!
@@ -28,17 +28,18 @@
 //! so a future version can memory-map the large arrays in place. Formats 1
 //! (node entries packed field by field), 2 (one index, no shard count),
 //! 3 (projected points inside the leaf blocks), 4 (the PM-tree's pivots
-//! and node blocks beside its column) and 5 (no pivot ring) are refused
-//! with [`PersistError::UnsupportedVersion`].
+//! and node blocks beside its column), 5 (no pivot ring) and 6 (a pivot
+//! ring where format 7 keeps a principal subspace) are refused with
+//! [`PersistError::UnsupportedVersion`].
 //!
 //! # What round-trips, what is recomputed
 //!
 //! Stored: user parameters, the Gaussian projection matrix, the raw dataset
 //! (including tombstoned rows — external ids are stable row indexes), the
 //! projected point column the index sweeps with its external ids, the
-//! sampled distance distribution, and the pivot ring's pivots and distance
-//! table (measuring the table again would cost a Bench Trevi load about
-//! 0.3 s). Recomputed at load: the Eq. 10 derived
+//! sampled distance distribution, and the principal subspace: its mean,
+//! basis, norm bounds and coordinate table (fitting and projecting again
+//! would cost a Bench Trevi load several tenths of a second). Recomputed at load: the Eq. 10 derived
 //! parameters, a deterministic function of the stored ones (`r_min` is
 //! computed per query from the stored distribution), and the id map,
 //! the external ids inverted — which is what makes

@@ -22,9 +22,9 @@ use std::sync::OnceLock;
 const SECTIONS: [u32; 7] = [1, 2, 3, 4, 5, 6, 7];
 const SEC_POINTS: u32 = 4;
 const SEC_IDMAPS: u32 = 5;
-const SEC_RING: u32 = 7;
-/// Byte offset of `ring_pivots` in the HEADER payload.
-const HEADER_RING_PIVOTS: usize = 105;
+const SEC_SUBSPACE: u32 = 7;
+/// Byte offset of `subspace_dims` in the HEADER payload.
+const HEADER_SUBSPACE_DIMS: usize = 105;
 
 fn snapshot() -> Vec<u8> {
     let generator = PaperDataset::Audio.generator(Scale::Smoke);
@@ -32,10 +32,10 @@ fn snapshot() -> Vec<u8> {
     serialize(&index)
 }
 
-/// A one-shard image whose index keeps a pivot ring: Trevi's Smoke
-/// stand-in at d = 1 024 and n = 4 000, where the build measures that the
-/// ring pays.
-fn ring_snapshot() -> &'static [u8] {
+/// A one-shard image whose index keeps a principal subspace: Trevi's
+/// Smoke stand-in at d = 1 024 and n = 4 000, where the build measures
+/// that the subspace pays.
+fn subspace_snapshot() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let mut spec = PaperDataset::Trevi.spec(Scale::Smoke);
@@ -46,8 +46,8 @@ fn ring_snapshot() -> &'static [u8] {
             PmLshParams::paper_defaults(),
         );
         assert!(
-            index.ring().is_some(),
-            "the Trevi-shaped build keeps a ring"
+            index.subspace().is_some(),
+            "the Trevi-shaped build keeps a subspace"
         );
         serialize(&index)
     })
@@ -232,7 +232,7 @@ fn format_1_is_refused_by_its_version() {
             matches!(err, PersistError::UnsupportedVersion(v) if v == version),
             "{err:?}"
         );
-        assert!(err.to_string().contains("this build reads 6"), "{err}");
+        assert!(err.to_string().contains("this build reads 7"), "{err}");
     }
 }
 
@@ -253,7 +253,7 @@ fn format_4_is_refused_by_its_version() {
         );
         assert!(
             err.to_string()
-                .contains("unsupported snapshot format version 4 (this build reads 6)"),
+                .contains("unsupported snapshot format version 4 (this build reads 7)"),
             "{err}"
         );
     }
@@ -261,10 +261,10 @@ fn format_4_is_refused_by_its_version() {
 
 #[test]
 fn format_5_is_refused_by_its_version() {
-    // Format 5 had no RING section and no `ring_pivots` in its header; a
-    // format-5 file of an index that would keep a ring cannot say so, and
-    // this build reads none, whatever it holds.
-    for good in [snapshot(), ring_snapshot().to_vec()] {
+    // Format 5 had no seventh section and no direction count in its header;
+    // a format-5 file of an index that would keep a subspace cannot say
+    // so, and this build reads none, whatever it holds.
+    for good in [snapshot(), subspace_snapshot().to_vec()] {
         let mut old = good.clone();
         old[8..12].copy_from_slice(&5u32.to_le_bytes());
         resign(&mut old);
@@ -274,40 +274,84 @@ fn format_5_is_refused_by_its_version() {
                 matches!(err, PersistError::UnsupportedVersion(5)),
                 "{err:?}"
             );
-            assert!(err.to_string().contains("this build reads 6"), "{err}");
+            assert!(err.to_string().contains("this build reads 7"), "{err}");
         }
     }
 }
 
-/// The RING payload of a ring snapshot, split into its counts, pivot ids
-/// and table entries.
-fn ring_parts(bytes: &[u8]) -> (u64, u32, Vec<u32>, Vec<f32>) {
-    let (start, len) = section_bounds(bytes, SEC_RING);
-    let payload = &bytes[start..start + len];
-    let rows = u64::from_le_bytes(payload[..8].try_into().unwrap());
-    let s = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-    let words = |from: usize, count: usize| -> Vec<[u8; 4]> {
-        payload[from..from + 4 * count]
-            .chunks_exact(4)
-            .map(|w| w.try_into().unwrap())
-            .collect()
-    };
-    let pivots = words(12, s as usize)
-        .into_iter()
-        .map(u32::from_le_bytes)
-        .collect();
-    let table = (words(12 + 4 * s as usize, rows as usize * s as usize).into_iter())
-        .map(f32::from_le_bytes)
-        .collect();
-    (rows, s, pivots, table)
+#[test]
+fn format_6_is_refused_by_its_version() {
+    // Format 6 kept a pivot ring (pivot ids and a distance table) where
+    // format 7 keeps a principal subspace, in the same place and of the
+    // same header count; this build reads no format-6 file, whatever it
+    // holds, with or without a ring.
+    for good in [snapshot(), subspace_snapshot().to_vec()] {
+        let mut old = good.clone();
+        old[8..12].copy_from_slice(&6u32.to_le_bytes());
+        resign(&mut old);
+        for bytes in [&old[..], &old[..old.len() / 2]] {
+            let err = shards_both(bytes).unwrap_err();
+            assert!(
+                matches!(err, PersistError::UnsupportedVersion(6)),
+                "{err:?}"
+            );
+            assert!(
+                err.to_string()
+                    .contains("unsupported snapshot format version 6 (this build reads 7)"),
+                "{err}"
+            );
+        }
+    }
 }
 
-fn ring_payload(rows: u64, s: u32, pivots: &[u32], table: &[f32]) -> Vec<u8> {
-    let mut out = rows.to_le_bytes().to_vec();
-    out.extend_from_slice(&s.to_le_bytes());
-    out.extend(pivots.iter().flat_map(|p| p.to_le_bytes()));
-    out.extend(table.iter().flat_map(|v| v.to_le_bytes()));
-    out
+/// A SUBSPACE payload, split into its parts.
+#[derive(Clone)]
+struct Parts {
+    rows: u64,
+    s: u32,
+    sigma: f64,
+    radius: f64,
+    mean: Vec<f32>,
+    basis: Vec<f32>,
+    table: Vec<f32>,
+}
+
+impl Parts {
+    /// The SUBSPACE payload of `bytes`, an image of one `R^d` index that
+    /// keeps a subspace.
+    fn of(bytes: &[u8], d: usize) -> Self {
+        let (start, len) = section_bounds(bytes, SEC_SUBSPACE);
+        let payload = &bytes[start..start + len];
+        let rows = u64::from_le_bytes(payload[..8].try_into().unwrap());
+        let s = u32::from_le_bytes(payload[8..12].try_into().unwrap());
+        let f64_at = |at: usize| f64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        let floats = |from: usize, count: usize| -> Vec<f32> {
+            (payload[from..from + 4 * count].chunks_exact(4))
+                .map(|w| f32::from_le_bytes(w.try_into().unwrap()))
+                .collect()
+        };
+        let s_ = s as usize;
+        Self {
+            rows,
+            s,
+            sigma: f64_at(12),
+            radius: f64_at(20),
+            mean: floats(28, d),
+            basis: floats(28 + 4 * d, s_ * d),
+            table: floats(28 + 4 * (d + s_ * d), rows as usize * s_),
+        }
+    }
+
+    fn payload(&self) -> Vec<u8> {
+        let mut out = self.rows.to_le_bytes().to_vec();
+        out.extend_from_slice(&self.s.to_le_bytes());
+        out.extend_from_slice(&self.sigma.to_le_bytes());
+        out.extend_from_slice(&self.radius.to_le_bytes());
+        for array in [&self.mean, &self.basis, &self.table] {
+            out.extend(array.iter().flat_map(|v| v.to_le_bytes()));
+        }
+        out
+    }
 }
 
 /// `why` of the `Corrupt` error `bytes` loads to, through both doors.
@@ -319,11 +363,12 @@ fn corrupt_why(bytes: &[u8]) -> String {
 }
 
 #[test]
-fn ring_section_that_does_not_fit_its_rows_is_a_typed_error() {
-    let good = ring_snapshot();
-    let loaded = index_both(good).expect("untouched ring snapshot loads");
-    assert!(loaded.ring().is_some(), "the ring loads");
-    let (rows, s, pivots, table) = ring_parts(good);
+fn subspace_section_that_does_not_fit_its_rows_is_a_typed_error() {
+    let good = subspace_snapshot();
+    let loaded = index_both(good).expect("untouched subspace snapshot loads");
+    assert!(loaded.subspace().is_some(), "the subspace loads");
+    let parts = Parts::of(good, 1024);
+    let (rows, s) = (parts.rows, parts.s);
     assert_eq!(
         (rows as usize, s as usize),
         (loaded.data().len(), 1024 / 64)
@@ -331,44 +376,62 @@ fn ring_section_that_does_not_fit_its_rows_is_a_typed_error() {
     let row = s as usize;
     // A table of one row fewer or one more than the point store, counts
     // and entries agreeing with each other.
-    let short = ring_payload(rows - 1, s, &pivots, &table[row..]);
-    let long = ring_payload(rows + 1, s, &pivots, &[&table[..], &table[..row]].concat());
-    for payload in [short, long] {
-        let why = corrupt_why(&with_payload(good, SEC_RING, &payload));
-        assert!(why.contains("ring table has"), "{why}");
+    let short = Parts {
+        rows: rows - 1,
+        table: parts.table[row..].to_vec(),
+        ..parts.clone()
+    };
+    let long = Parts {
+        rows: rows + 1,
+        table: [&parts.table[..], &parts.table[..row]].concat(),
+        ..parts.clone()
+    };
+    for p in [short, long] {
+        let why = corrupt_why(&with_payload(good, SEC_SUBSPACE, &p.payload()));
+        assert!(why.contains("subspace table has"), "{why}");
     }
-    // A section whose pivot count is not the header's, and a header whose
-    // pivot count is not the section's.
-    let fewer = ring_payload(
-        rows,
-        s - 1,
-        &pivots[1..],
-        &table[..table.len() - rows as usize],
-    );
-    let why = corrupt_why(&with_payload(good, SEC_RING, &fewer));
+    // A section whose direction count is not the header's, and a header
+    // whose direction count is not the section's.
+    let fewer = Parts {
+        s: s - 1,
+        basis: parts.basis[1024..].to_vec(),
+        table: parts.table[..parts.table.len() - rows as usize].to_vec(),
+        ..parts.clone()
+    };
+    let why = corrupt_why(&with_payload(good, SEC_SUBSPACE, &fewer.payload()));
     assert!(
-        why.contains("ring section declares 15 pivots, the header 16"),
+        why.contains("subspace section declares 15 directions, the header 16"),
         "{why}"
     );
     let (hdr, _) = section_bounds(good, 1);
     let mut bad = good.to_vec();
-    let at = hdr + HEADER_RING_PIVOTS;
+    let at = hdr + HEADER_SUBSPACE_DIMS;
     bad[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
     resign(&mut bad);
     let why = corrupt_why(&bad);
     assert!(
-        why.contains("ring section declares 16 pivots, the header 0"),
+        why.contains("subspace section declares 16 directions, the header 0"),
         "{why}"
     );
-    // One table entry short, and a payload too short for its counts.
-    let ragged = ring_payload(rows, s, &pivots, &table[..table.len() - 1]);
-    let why = corrupt_why(&with_payload(good, SEC_RING, &ragged));
-    assert!(why.contains("ring section holds"), "{why}");
-    let why = corrupt_why(&with_payload(good, SEC_RING, &[0u8; 7]));
+    // One table entry short, one basis float short, and a payload too
+    // short for its counts.
+    let ragged = Parts {
+        table: parts.table[..parts.table.len() - 1].to_vec(),
+        ..parts.clone()
+    };
+    let thin = Parts {
+        basis: parts.basis[1..].to_vec(),
+        ..parts.clone()
+    };
+    for p in [ragged, thin] {
+        let why = corrupt_why(&with_payload(good, SEC_SUBSPACE, &p.payload()));
+        assert!(why.contains("subspace section holds"), "{why}");
+    }
+    let why = corrupt_why(&with_payload(good, SEC_SUBSPACE, &[0u8; 7]));
     assert!(why.contains("too few for its counts"), "{why}");
     // A file cut inside the section is `Truncated` once its file CRC
     // matches, and a `FileCrc` mismatch before that.
-    let (start, len) = section_bounds(good, SEC_RING);
+    let (start, len) = section_bounds(good, SEC_SUBSPACE);
     let cut = &good[..start + len / 2];
     let err = index_both(cut).expect_err("a cut file fails");
     assert!(matches!(err, PersistError::FileCrc), "{err:?}");
@@ -378,43 +441,77 @@ fn ring_section_that_does_not_fit_its_rows_is_a_typed_error() {
 }
 
 #[test]
-fn ring_pivots_and_entries_are_checked() {
-    let good = ring_snapshot();
-    let (rows, s, pivots, table) = ring_parts(good);
-    let mut past = pivots.clone();
-    past[3] = rows as u32;
-    let why = corrupt_why(&with_payload(
-        good,
-        SEC_RING,
-        &ring_payload(rows, s, &past, &table),
-    ));
-    assert!(why.contains(&format!("ring pivot {rows} outside")), "{why}");
-    for bad_entry in [f32::NAN, -1.0, -0.5e-30] {
-        let mut entries = table.clone();
-        entries[table.len() / 2] = bad_entry;
-        let payload = ring_payload(rows, s, &pivots, &entries);
-        let why = corrupt_why(&with_payload(good, SEC_RING, &payload));
-        assert!(why.contains("is not a distance"), "{bad_entry}: {why}");
+fn subspace_bounds_and_entries_are_checked() {
+    let good = subspace_snapshot();
+    let parts = Parts::of(good, 1024);
+    let why_with = |p: Parts| corrupt_why(&with_payload(good, SEC_SUBSPACE, &p.payload()));
+    for bad in [f32::NAN, f32::INFINITY] {
+        let mut mean = parts.mean.clone();
+        mean[7] = bad;
+        let why = why_with(Parts {
+            mean,
+            ..parts.clone()
+        });
+        assert!(why.contains("mean or basis is not finite"), "{bad}: {why}");
+        let mut basis = parts.basis.clone();
+        basis[300] = bad;
+        let why = why_with(Parts {
+            basis,
+            ..parts.clone()
+        });
+        assert!(why.contains("mean or basis is not finite"), "{bad}: {why}");
+    }
+    // A table entry that overflowed comes with a radius the filter does
+    // not trust, and a NaN skips nothing: both load.
+    for bad in [f32::NAN, f32::INFINITY] {
+        let mut table = parts.table.clone();
+        table[parts.table.len() / 2] = bad;
+        let p = Parts {
+            table,
+            radius: f64::INFINITY,
+            ..parts.clone()
+        };
+        index_both(&with_payload(good, SEC_SUBSPACE, &p.payload())).expect("loads");
+    }
+    for sigma in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let why = why_with(Parts {
+            sigma,
+            ..parts.clone()
+        });
+        assert!(why.contains("norm bound"), "{sigma}: {why}");
+    }
+    for radius in [-1.0, f64::NAN] {
+        let why = why_with(Parts {
+            radius,
+            ..parts.clone()
+        });
+        assert!(why.contains("radius"), "{radius}: {why}");
     }
 }
 
 #[test]
-fn an_index_without_a_ring_says_so_in_its_ring_section() {
-    // An absent ring is the counts (0, 0) and nothing else; a count of
-    // rows or pivots there is refused, since the header says no ring.
+fn an_index_without_a_subspace_says_so_in_its_section() {
+    // An absent subspace is the counts (0, 0) and nothing else; a count of
+    // rows or directions there is refused, since the header says none.
     let good = snapshot();
-    let (start, len) = section_bounds(&good, SEC_RING);
+    let (start, len) = section_bounds(&good, SEC_SUBSPACE);
     assert_eq!(&good[start..start + len], &[0u8; 12][..]);
-    assert!(index_both(&good).expect("loads").ring().is_none());
-    for (rows, s) in [(5u64, 0u32), (0, 1), (2000, 1)] {
-        let payload = ring_payload(
+    assert!(index_both(&good).expect("loads").subspace().is_none());
+    let d = 192;
+    for (rows, s) in [(5u64, 0u32), (0, 1), (1000, 1)] {
+        let s_ = s as usize;
+        let payload = Parts {
             rows,
             s,
-            &vec![0; s as usize],
-            &vec![1.0; (rows * s as u64) as usize],
-        );
-        let why = corrupt_why(&with_payload(&good, SEC_RING, &payload));
-        assert!(why.contains("ring"), "({rows}, {s}): {why}");
+            sigma: 1.0,
+            radius: 1.0,
+            mean: vec![0.0; d * (s > 0) as usize],
+            basis: vec![0.0; s_ * d],
+            table: vec![1.0; rows as usize * s_],
+        }
+        .payload();
+        let why = corrupt_why(&with_payload(&good, SEC_SUBSPACE, &payload));
+        assert!(why.contains("subspace"), "({rows}, {s}): {why}");
     }
 }
 

@@ -83,38 +83,43 @@ fn in_memory_round_trip_is_bit_identical() {
 }
 
 #[test]
-fn indexes_with_and_without_a_ring_round_trip() {
-    // Audio keeps no ring; Trevi's Smoke stand-in at d = 1 024 and
-    // n = 4 000 keeps one, which loads as saved rather than re-measured.
+fn indexes_with_and_without_a_subspace_round_trip() {
+    // Audio keeps no principal subspace; Trevi's Smoke stand-in at
+    // d = 1 024 and n = 4 000 keeps one, which loads as saved rather than
+    // fitted and projected again.
     let (plain, audio_queries) = audio_smoke();
     let mut spec = PaperDataset::Trevi.spec(Scale::Smoke);
     spec.dim = 1024;
     spec.n = 4000;
     let generator = Generator::new(spec);
-    let ringed = PmLsh::build(generator.dataset(), PmLshParams::paper_defaults());
-    assert!(plain.ring().is_none(), "Audio keeps no ring");
-    let ring = ringed.ring().expect("the Trevi-shaped build keeps a ring");
-    let bits = |index: &PmLsh| -> Option<(Vec<u32>, Vec<u32>)> {
-        let ring = index.ring()?;
-        let table = ring.table().runs().flatten().map(|v| v.to_bits()).collect();
-        Some((ring.pivots().to_vec(), table))
+    let kept = PmLsh::build(generator.dataset(), PmLshParams::paper_defaults());
+    assert!(plain.subspace().is_none(), "Audio keeps no subspace");
+    let sub = (kept.subspace()).expect("the Trevi-shaped build keeps a subspace");
+    let bits = |index: &PmLsh| -> Option<(Vec<u32>, [u64; 2])> {
+        let sub = index.subspace()?;
+        let floats = (sub.mean().iter())
+            .chain(sub.basis().as_flat())
+            .chain(sub.table().runs().flatten());
+        let bits = floats.map(|v| v.to_bits()).collect();
+        Some((bits, [sub.sigma().to_bits(), sub.radius().to_bits()]))
     };
-    for (index, queries) in [(&plain, audio_queries), (&ringed, generator.queries(10))] {
+    for (index, queries) in [(&plain, audio_queries), (&kept, generator.queries(10))] {
         let image = serialize(index);
         let restored = deserialize(&image).expect("round trip");
         assert_eq!(
             bits(&restored),
             bits(index),
-            "the ring round-trips as it was"
+            "the subspace round-trips as it was"
         );
         assert_eq!(
             serialize(&restored),
             image,
-            "a loaded ring re-saves byte-identically"
+            "a loaded subspace re-saves byte-identically"
         );
         assert_query_parity(index, &restored, &queries);
     }
-    assert_eq!(ring.table().len(), ringed.data().len());
+    assert_eq!(sub.table().len(), kept.data().len());
+    assert_eq!((sub.basis().len(), sub.mean().len()), (1024 / 64, 1024));
 }
 
 #[test]
